@@ -12,8 +12,8 @@
 //! fewer (or concurrent) host instructions.
 //!
 //! The engines are forced via [`GpuSim::set_engine`] rather than left on
-//! `Auto`, so the parallel column is exercised even on a single-threaded
-//! host where `Auto` would resolve to batched.
+//! `Auto`, which resolves to batched and would leave the parallel column
+//! unexercised.
 //!
 //! Two feature dimensions are checked per cell: the benchmark default
 //! (K = 64), which exercises the vectorized and memo-eligible paths, and an

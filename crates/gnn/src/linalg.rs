@@ -69,22 +69,25 @@ pub fn matmul_transpose_a(a: &Dense, b: &Dense) -> Dense {
 }
 
 /// `C = A · Bᵀ` (`m×k` times `n×k`ᵀ): used for input gradients `dY·Wᵀ`.
+///
+/// `B` is transposed once so the inner loop is a contiguous row-axpy the
+/// compiler vectorises, instead of one scalar dot product per output. Each
+/// `c[i][j]` still accumulates `a[i][kk]·b[j][kk]` from `+0.0` in ascending
+/// `kk`, so the result is bit-identical to the dot-product form; unlike
+/// [`matmul`] no zero operand is skipped, so NaN/Inf in `B` propagate.
 pub fn matmul_transpose_b(a: &Dense, b: &Dense) -> Dense {
     assert_eq!(a.cols(), b.cols(), "matmul_transpose_b inner dimensions");
-    let (m, k, n) = (a.rows(), a.cols(), b.rows());
-    let mut c = Dense::zeros(m, n);
+    let n = b.rows();
+    let bt = b.transpose();
+    let mut c = Dense::zeros(a.rows(), n);
     c.data_mut()
         .par_chunks_mut(n)
         .enumerate()
         .for_each(|(i, c_row)| {
-            let a_row = a.row(i);
-            for (j, c_val) in c_row.iter_mut().enumerate() {
-                let b_row = b.row(j);
-                let mut acc = 0f32;
-                for kk in 0..k {
-                    acc += a_row[kk] * b_row[kk];
+            for (kk, &av) in a.row(i).iter().enumerate() {
+                for (c_val, &bv) in c_row.iter_mut().zip(bt.row(kk)) {
+                    *c_val += av * bv;
                 }
-                *c_val = acc;
             }
         });
     c
@@ -213,6 +216,44 @@ mod tests {
         let via_helper = matmul_transpose_b(&c, &d);
         let via_transpose = matmul(&c, &d.transpose());
         assert!(via_helper.approx_eq(&via_transpose, 1e-5, 1e-6));
+    }
+
+    #[test]
+    fn matmul_transpose_b_is_bit_identical_to_scalar_dot_products() {
+        fn scalar(a: &Dense, b: &Dense) -> Dense {
+            Dense::from_fn(a.rows(), b.rows(), |i, j| {
+                let mut acc = 0f32;
+                for kk in 0..a.cols() {
+                    acc += a.row(i)[kk] * b.row(j)[kk];
+                }
+                acc
+            })
+        }
+        let (k, n) = (33, 40);
+        let b = Dense::from_fn(n, k, |j, kk| ((j * k + kk) as f32 * 0.37).sin() - 0.2);
+        for m in [0usize, 1, 7] {
+            let a = Dense::from_fn(m, k, |i, kk| ((i * k + kk) as f32 * 0.11).cos());
+            let (got, want) = (matmul_transpose_b(&a, &b), scalar(&a, &b));
+            assert_eq!((got.rows(), got.cols()), (m, n));
+            let bits = |d: &Dense| d.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "m = {m}");
+        }
+        // Non-finite operands on either side, next to zeros a zero-skip
+        // would wrongly swallow: 0·NaN and 0·Inf are NaN.
+        let mut a = Dense::from_fn(3, k, |i, kk| if kk % 3 == i { 0.0 } else { 1.5 });
+        a.row_mut(1)[4] = f32::NAN;
+        let mut b = b;
+        b.row_mut(2)[0] = f32::INFINITY;
+        b.row_mut(5)[1] = f32::NEG_INFINITY;
+        b.row_mut(9)[2] = f32::NAN;
+        let (got, want) = (matmul_transpose_b(&a, &b), scalar(&a, &b));
+        for (g, w) in got.data().iter().zip(want.data()) {
+            // Which payload survives NaN + NaN is the instruction's operand
+            // order, not arithmetic: only NaN-ness is pinned there.
+            assert!(g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()));
+        }
+        assert!(got.get(0, 2).is_nan(), "0 · Inf must stay NaN");
+        assert!(got.get(1, 0).is_nan() && got.get(2, 9).is_nan());
     }
 
     #[test]

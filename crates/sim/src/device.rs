@@ -53,17 +53,23 @@ impl Default for CostModel {
 ///
 /// Resolution per launch (see [`GpuSim::launch_named`]):
 ///
-/// | engine      | sink attached | otherwise                           |
-/// |-------------|---------------|-------------------------------------|
-/// | `Reference` | reference     | reference                           |
-/// | `Batched`   | batched¹      | batched                             |
-/// | `Parallel`  | batched¹      | parallel                            |
-/// | `Auto`      | batched¹      | parallel at >1 thread, else batched |
+/// | engine      | sink attached | otherwise |
+/// |-------------|---------------|-----------|
+/// | `Reference` | reference     | reference |
+/// | `Batched`   | batched¹      | batched   |
+/// | `Parallel`  | batched¹      | parallel  |
+/// | `Auto`      | batched¹      | batched²  |
 ///
 /// ¹ with a sink the tally expands descriptors element-wise regardless, so
 /// the observer sees the exact per-event stream; the parallel engine always
 /// falls back when a sink is attached because event order is a property of
 /// the sequential interleaving.
+///
+/// ² `Auto` does not select `Parallel`: under the harness's fan-outs that
+/// nests capture/replay on a pool with no free worker, and no committed
+/// workload shows it ahead outside them (see `resolve_engine` in
+/// `launch.rs` for the measurements). `Parallel` runs when forced, and then
+/// nests under a fan-out by design.
 ///
 /// A *tracer* does not constrain the choice: the parallel engine's
 /// warp-order merge feeds the launch timeline the same per-warp, per-block
@@ -85,8 +91,9 @@ pub enum CostEngine {
     /// descriptors, set-sharded L2 replay on worker threads, deterministic
     /// warp-order merge.
     Parallel,
-    /// Resolve per launch: `Parallel` when profitable and no sink is
-    /// attached, `Batched` otherwise. The default.
+    /// Resolve per launch; today always `Batched`. The default, and the
+    /// place automatic selection of `Parallel` comes back to once a
+    /// measured rule exists.
     #[default]
     Auto,
 }

@@ -433,30 +433,6 @@ impl GpuSim {
         self.launch_named("<anonymous>", config, body)
     }
 
-    /// Resolves the configured [`CostEngine`] for one launch. The parallel
-    /// engine is skipped whenever a *sink* is attached (it needs the exact
-    /// per-event stream, a property of the sequential interleaving), and
-    /// under `Auto` when the pool has a single thread (capture/replay would
-    /// only add logging overhead). A tracer does **not** force a fallback:
-    /// the deterministic warp-order merge feeds the same per-warp cycles,
-    /// per-block maxima and per-wave L2 deltas to the timeline as the
-    /// sequential loop, so traced exports are byte-identical across
-    /// engines (pinned by a test below and by `hpsparse-bench`'s
-    /// subprocess test).
-    fn resolve_engine(&self, num_warps: u64) -> CostEngine {
-        let sunk = self.sink.is_some();
-        match self.engine {
-            CostEngine::Reference => CostEngine::Reference,
-            CostEngine::Batched => CostEngine::Batched,
-            CostEngine::Parallel if !sunk && num_warps > 0 => CostEngine::Parallel,
-            CostEngine::Parallel => CostEngine::Batched,
-            CostEngine::Auto if !sunk && num_warps > 0 && rayon::current_num_threads() > 1 => {
-                CostEngine::Parallel
-            }
-            CostEngine::Auto => CostEngine::Batched,
-        }
-    }
-
     /// [`Self::launch`] with a kernel name attached, so sink diagnostics
     /// (e.g. sanitizer violations) can say *which* kernel misbehaved.
     pub fn launch_named<F>(&mut self, name: &str, config: LaunchConfig, mut body: F) -> LaunchReport
@@ -474,7 +450,7 @@ impl GpuSim {
         let tail = tail_utilization(blocks, occ.full_wave_size);
         let cost = self.device.cost;
         let num_sms = self.device.num_sms as usize;
-        let engine = self.resolve_engine(config.num_warps);
+        let engine = resolve_engine(self.engine, self.sink.is_some(), config.num_warps);
 
         let mut totals = WarpCounters::default();
         let mut max_warp_cycles = 0f64;
@@ -778,6 +754,38 @@ fn replay_chunk(
             });
         }
     });
+}
+
+/// Resolves a configured [`CostEngine`] for one launch — a pure function
+/// of the engine, whether a sink is attached and the launch's warp count.
+///
+/// * A *sink* rules the parallel engine out (it needs the exact per-event
+///   stream, a property of the sequential interleaving), as does an empty
+///   launch. A tracer does **not**: the deterministic warp-order merge
+///   feeds the timeline the same per-warp cycles, per-block maxima and
+///   per-wave L2 deltas as the sequential loop, so traced exports are
+///   byte-identical across engines (pinned by a test below and by
+///   `hpsparse-bench`'s subprocess test).
+/// * `Auto` is `Batched`, whatever the pool size. Picking `Parallel` on
+///   pool size alone nests capture/replay under the harness's graph ×
+///   kernel fan-outs: the fan-out already fills the pool, so no worker is
+///   free to take the replay, the split only buys the 16-byte probe-op
+///   logging, and a joiner waiting in the shim's help-first `join` pops
+///   the next *whole launch* off the shared queue and stacks its
+///   `ProbeLog`s on top of its own. Measured on 2 vCPUs (the repository
+///   benchmark's `sweep-mt`): nested 2.43 s / 735 MiB, fan-out over
+///   `Batched` 1.61 s / 106 MiB, against 2.18 s / 89 MiB on one thread.
+///   Outside a fan-out no committed workload shows `Parallel` ahead either
+///   (quick `autotune` at 2 threads: 17.7 s against 12.1 s), so there is
+///   no measured rule yet for selecting it automatically.
+/// * Forced engines are taken as given: `Parallel` under a fan-out still
+///   nests, with the cost above.
+fn resolve_engine(engine: CostEngine, sunk: bool, num_warps: u64) -> CostEngine {
+    match engine {
+        CostEngine::Reference => CostEngine::Reference,
+        CostEngine::Parallel if !sunk && num_warps > 0 => CostEngine::Parallel,
+        CostEngine::Batched | CostEngine::Parallel | CostEngine::Auto => CostEngine::Batched,
+    }
 }
 
 /// The parallel engine body: chunked sequential capture, sharded parallel
@@ -1244,6 +1252,34 @@ mod tests {
         // Cross-launch cache state must be absorbed identically too.
         assert_eq!(ref_hr.to_bits(), bat_hr.to_bits());
         assert_eq!(bat_hr.to_bits(), par_hr.to_bits());
+    }
+
+    #[test]
+    fn resolve_engine_table() {
+        use CostEngine::{Auto, Batched, Parallel, Reference};
+        // (engine, sunk, warps) → resolved
+        let table = [
+            // Auto never selects the parallel engine.
+            (Auto, false, 8, Batched),
+            (Auto, false, 0, Batched),
+            (Auto, true, 8, Batched),
+            // A sink or an empty launch never sees the parallel engine.
+            (Parallel, true, 8, Batched),
+            (Parallel, false, 0, Batched),
+            // Forced engines are otherwise taken as given.
+            (Parallel, false, 8, Parallel),
+            (Batched, false, 8, Batched),
+            (Batched, true, 8, Batched),
+            (Reference, false, 8, Reference),
+            (Reference, true, 0, Reference),
+        ];
+        for (engine, sunk, warps, want) in table {
+            assert_eq!(
+                resolve_engine(engine, sunk, warps),
+                want,
+                "{engine:?} sunk={sunk} warps={warps}"
+            );
+        }
     }
 
     #[test]

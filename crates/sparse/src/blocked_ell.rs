@@ -40,17 +40,22 @@ impl BlockedEll {
         let rows = csr.rows();
         let cols = csr.cols();
         let block_rows = rows.div_ceil(block);
-        // Collect the distinct column blocks of each block-row.
+        // Collect the distinct column blocks of each block-row: push, then
+        // sort + dedup (a membership scan per non-zero is quadratic in the
+        // block-row's width, which hub rows make thousands). Skipping a
+        // repeat of the last push keeps the scratch near the final size,
+        // since a CSR row visits each of its blocks in one run.
         let mut per_row_blocks: Vec<Vec<u32>> = vec![Vec::new(); block_rows];
         for (r, c, _v) in csr.iter() {
-            let br = r as usize / block;
+            let blocks = &mut per_row_blocks[r as usize / block];
             let bc = (c as usize / block) as u32;
-            if !per_row_blocks[br].contains(&bc) {
-                per_row_blocks[br].push(bc);
+            if blocks.last() != Some(&bc) {
+                blocks.push(bc);
             }
         }
         for blocks in &mut per_row_blocks {
             blocks.sort_unstable();
+            blocks.dedup();
         }
         let width = per_row_blocks.iter().map(Vec::len).max().unwrap_or(0);
         let mut block_cols = vec![u32::MAX; block_rows * width];
@@ -231,6 +236,37 @@ mod tests {
         let a = Dense::from_fn(32, 4, |i, _| i as f32);
         let expected = reference::spmm(&csr.to_hybrid(), &a).unwrap();
         assert!(bell.spmm(&a).unwrap().approx_eq(&expected, 1e-5, 1e-6));
+    }
+
+    #[test]
+    fn hub_block_row_registers_each_column_block_once_in_order() {
+        // Block-row 0 is a hub whose rows reach the same column blocks in
+        // different orders (row 1 revisits block 0 after row 0 left it, and
+        // reaches block 3 before row 0's block 5 sorts in); block-row 1
+        // holds one block, so it pads to the hub's width.
+        let mut triplets: Vec<(u32, u32, f32)> = Vec::new();
+        for c in [0u32, 1, 10, 11, 4] {
+            triplets.push((0, c, 1.0 + c as f32));
+        }
+        for c in [1u32, 6, 7, 12, 13] {
+            triplets.push((1, c, 100.0 + c as f32));
+        }
+        triplets.push((2, 5, -1.0));
+        let csr = Csr::from_triplets(4, 14, &triplets).unwrap();
+        let bell = BlockedEll::from_csr(&csr, 2).unwrap();
+        assert_eq!(bell.width, 5);
+        const PAD: u32 = u32::MAX;
+        assert_eq!(bell.block_cols, [0, 2, 3, 5, 6, 2, PAD, PAD, PAD, PAD]);
+        let mut values = vec![0f32; 2 * 5 * 4];
+        for &(r, c, v) in &triplets {
+            let (br, bc) = (r as usize / 2, c / 2);
+            let slot = bell.block_cols[br * 5..][..5]
+                .iter()
+                .position(|&b| b == bc)
+                .unwrap();
+            values[(br * 5 + slot) * 4 + (r as usize % 2) * 2 + c as usize % 2] = v;
+        }
+        assert_eq!(bell.values, values);
     }
 
     #[test]
