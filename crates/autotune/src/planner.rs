@@ -16,7 +16,7 @@
 
 use hpsparse_core::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
-use hpsparse_sim::{DeviceSpec, GpuSim};
+use hpsparse_sim::{CostEngine, DeviceSpec, GpuSim};
 use hpsparse_sparse::{Dense, Hybrid};
 
 use crate::candidates::{
@@ -117,35 +117,37 @@ impl OpKind {
 pub struct Planner {
     device: DeviceSpec,
     strategy: PlanStrategy,
-    reference_engine: bool,
+    engine: CostEngine,
     sim_launches: u64,
     planning_cycles: u64,
 }
 
 impl Planner {
-    /// A planner for `device` using `strategy`.
+    /// A planner for `device` using `strategy`. Its measurement simulators
+    /// run on the process-wide default cost engine as of this call
+    /// ([`hpsparse_sim::default_engine`]), so `repro --engine` reaches
+    /// planner launches like every other launch.
     pub fn new(device: DeviceSpec, strategy: PlanStrategy) -> Self {
         Self {
             device,
             strategy,
-            reference_engine: false,
+            engine: hpsparse_sim::default_engine(),
             sim_launches: 0,
             planning_cycles: 0,
         }
     }
 
-    /// Runs every measurement simulator on the reference cost engine
-    /// ([`GpuSim::set_reference_engine`]) instead of the default fast
-    /// engine. Plans and rationales are identical either way — the engines
-    /// produce the same counters — so this exists purely as a
-    /// differential-testing witness for the planning path.
-    pub fn set_reference_engine(&mut self, reference: bool) {
-        self.reference_engine = reference;
+    /// Runs every measurement simulator on `engine` instead of the process
+    /// default. Plans and rationales are identical either way — the engines
+    /// produce the same counters — so [`CostEngine::Reference`] here is
+    /// purely a differential-testing oracle for the planning path.
+    pub fn set_engine(&mut self, engine: CostEngine) {
+        self.engine = engine;
     }
 
-    /// Whether measurements use the reference cost engine.
-    pub fn reference_engine(&self) -> bool {
-        self.reference_engine
+    /// The cost engine measurements run on.
+    pub fn engine(&self) -> CostEngine {
+        self.engine
     }
 
     /// The device plans are made for.
@@ -196,11 +198,11 @@ impl Planner {
             }
             PlanStrategy::Measured { top_n } => {
                 let a = measurement_features(s.cols(), k);
-                let reference = self.reference_engine;
+                let engine = self.engine;
                 self.measured_plan(&fp, ranked, top_n, |device, c| {
                     let kernel = instantiate_spmm(c)?;
                     let mut sim = GpuSim::new(device.clone());
-                    sim.set_reference_engine(reference);
+                    sim.set_engine(engine);
                     let run = kernel.run_on(&mut sim, s, &a).ok()?;
                     let verdict = hpsparse_sim::attribute(&run.report, device).verdict();
                     let cycles =
@@ -239,11 +241,11 @@ impl Planner {
             PlanStrategy::Measured { top_n } => {
                 let a1 = measurement_features(s.rows(), k);
                 let a2t = measurement_features(s.cols(), k);
-                let reference = self.reference_engine;
+                let engine = self.engine;
                 self.measured_plan(&fp, ranked, top_n, |device, c| {
                     let kernel = instantiate_sddmm(c)?;
                     let mut sim = GpuSim::new(device.clone());
-                    sim.set_reference_engine(reference);
+                    sim.set_engine(engine);
                     let run = kernel.run_on(&mut sim, s, &a1, &a2t).ok()?;
                     let verdict = hpsparse_sim::attribute(&run.report, device).verdict();
                     let cycles =
@@ -282,14 +284,14 @@ impl Planner {
             PlanStrategy::Measured { .. } => {
                 let q = mha_measurement_heads(s.rows(), head_dim, heads, 0);
                 let kv = mha_measurement_heads(s.cols(), head_dim, heads, 1);
-                let reference = self.reference_engine;
+                let engine = self.engine;
                 self.measured_plan(&fp, ranked, 2, |device, c| {
                     // Multi-launch pipelines have no single launch report to
                     // attribute, so the fuse/no-fuse rationale carries no
                     // per-launch verdict.
                     let cycles = match instantiate_fused_mha(c) {
-                        Some(kernel) => measure_fused_mha(device, reference, &kernel, s, &q, &kv),
-                        None => measure_unfused_mha(device, reference, s, &q, &kv),
+                        Some(kernel) => measure_fused_mha(device, engine, &kernel, s, &q, &kv),
+                        None => measure_unfused_mha(device, engine, s, &q, &kv),
                     }?;
                     Some((cycles, None))
                 })
@@ -436,18 +438,19 @@ pub fn mha_measurement_heads(rows: usize, k: usize, heads: usize, salt: usize) -
         .collect()
 }
 
-/// Cold measured cycles of the fused attention kernel, launch overheads
-/// included (one per launch — the spill pair, when present, pays too).
+/// Cold measured cycles of the fused attention kernel on cost engine
+/// `engine`, launch overheads included (one per launch — the spill pair,
+/// when present, pays too).
 pub fn measure_fused_mha(
     device: &DeviceSpec,
-    reference_engine: bool,
+    engine: CostEngine,
     kernel: &HpFusedMha,
     s: &Hybrid,
     q: &[Dense],
     kv: &[Dense],
 ) -> Option<u64> {
     let mut sim = GpuSim::new(device.clone());
-    sim.set_reference_engine(reference_engine);
+    sim.set_engine(engine);
     let run = kernel.run_on(&mut sim, s, q, kv, kv).ok()?;
     Some(run.total_cycles() + run.reports.len() as u64 * LAUNCH_OVERHEAD_CYCLES)
 }
@@ -458,7 +461,7 @@ pub fn measure_fused_mha(
 /// charge the no-fuse path, so the knob's comparison is apples-to-apples.
 pub fn measure_unfused_mha(
     device: &DeviceSpec,
-    reference_engine: bool,
+    engine: CostEngine,
     s: &Hybrid,
     q: &[Dense],
     kv: &[Dense],
@@ -469,7 +472,7 @@ pub fn measure_unfused_mha(
     let mut total = 0u64;
     for (qh, kvh) in q.iter().zip(kv) {
         let mut sim = GpuSim::new(device.clone());
-        sim.set_reference_engine(reference_engine);
+        sim.set_engine(engine);
         let sd = sddmm.run_on(&mut sim, s, qh, kvh).ok()?;
         let sp = spmm.run_on(&mut sim, s, kvh).ok()?;
         total += sd.report.cycles
@@ -631,9 +634,16 @@ mod tests {
         let q = mha_measurement_heads(s.rows(), 32, 4, 0);
         let kv = mha_measurement_heads(s.cols(), 32, 4, 1);
         let v100 = DeviceSpec::v100();
-        let fused =
-            measure_fused_mha(&v100, false, &HpFusedMha::auto(&v100, &s, 32), &s, &q, &kv).unwrap();
-        let unfused = measure_unfused_mha(&v100, false, &s, &q, &kv).unwrap();
+        let fused = measure_fused_mha(
+            &v100,
+            CostEngine::Batched,
+            &HpFusedMha::auto(&v100, &s, 32),
+            &s,
+            &q,
+            &kv,
+        )
+        .unwrap();
+        let unfused = measure_unfused_mha(&v100, CostEngine::Batched, &s, &q, &kv).unwrap();
         let oracle = if fused <= unfused {
             crate::candidates::MHA_FUSED_ID
         } else {

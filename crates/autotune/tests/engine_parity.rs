@@ -6,7 +6,7 @@
 //! existed keeps serving exactly the plans the fast engine would produce.
 
 use hpsparse_autotune::{GraphFingerprint, OpKind, PlanCache, PlanStrategy, Planner};
-use hpsparse_sim::DeviceSpec;
+use hpsparse_sim::{CostEngine, DeviceSpec};
 use hpsparse_sparse::Hybrid;
 
 fn graph(seed: u32, rows: u32, nnz: u32) -> Hybrid {
@@ -33,8 +33,8 @@ fn measured_plans_identical_across_cost_engines() {
         let s = graph(seed, rows, nnz);
         let mut fast = Planner::new(v100.clone(), PlanStrategy::Measured { top_n: 8 });
         let mut refr = Planner::new(v100.clone(), PlanStrategy::Measured { top_n: 8 });
-        refr.set_reference_engine(true);
-        assert!(refr.reference_engine() && !fast.reference_engine());
+        refr.set_engine(CostEngine::Reference);
+        assert_eq!(fast.engine(), CostEngine::Batched);
 
         let pf = fast.plan_spmm(&s, k);
         let pr = refr.plan_spmm(&s, k);
@@ -63,7 +63,7 @@ fn reference_seeded_cache_serves_fast_engine_plans_verbatim() {
     // Seed a cache with reference-engine plans and persist it, standing in
     // for a plan cache built by an older binary.
     let mut seeder = Planner::new(v100.clone(), PlanStrategy::Measured { top_n: 6 });
-    seeder.set_reference_engine(true);
+    seeder.set_engine(CostEngine::Reference);
     let mut seed_cache = PlanCache::new();
     seed_cache.insert(
         OpKind::Spmm,

@@ -5,7 +5,7 @@
 //! minutes in `repro -- selftime`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use hpsparse_sim::{CostModel, ProbeLog, SectorCache, WarpCounters, WarpTally};
+use hpsparse_sim::{SectorCache, WarpTally};
 
 /// V100-shaped L2: 6 MiB, 16-way — the geometry the branchless probe
 /// targets.
@@ -138,99 +138,5 @@ fn bench_tally_memo(c: &mut Criterion) {
     group.finish();
 }
 
-/// The parallel engine's replay half: a captured probe log replayed
-/// shard-by-shard against set-sharded cache views (each shard's stream
-/// hitting the branchless 16-way probe), measured single-threaded so the
-/// row isolates per-probe replay cost from pool scheduling.
-fn bench_sharded_replay(c: &mut Criterion) {
-    const WARPS: u64 = 4_000;
-    let indices: Vec<u32> = (0..32u32).map(|i| i.wrapping_mul(97) % 4_096).collect();
-    let mut cache = l2();
-    let map = cache.shard_map(8);
-    let mut tally = WarpTally::capturing(map, 32);
-    for w in 0..WARPS {
-        tally.set_warp(w);
-        tally.set_capture_rel(w as u32);
-        warp_body(&mut tally, &indices);
-        let _ = tally.take_counters();
-    }
-    let log = tally.take_capture_log(ProbeLog::new(map));
-
-    let mut group = c.benchmark_group("sharded_replay");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(log.ops()));
-    group.bench_function("probe16_sharded", |b| {
-        b.iter(|| {
-            cache.reset();
-            let mut shards = cache.shard_views(&map);
-            let mut hits = 0u64;
-            for (s, shard) in shards.iter_mut().enumerate() {
-                for op in log.shard_ops(s) {
-                    hits += shard.access_run(op.first_sector, op.n as u64);
-                }
-            }
-            black_box(hits)
-        })
-    });
-    group.finish();
-}
-
-/// The parallel engine's merge half: per-warp hit sums gathered across
-/// shard buffers, the hit/miss split patched in, and the global-warp-order
-/// float folds (totals, mean/max, cycles) — everything that must stay
-/// sequential for bit-exactness.
-fn bench_warp_merge(c: &mut Criterion) {
-    const WARPS: usize = 100_000;
-    const SHARDS: usize = 8;
-    let cost = CostModel::default();
-    let counters: Vec<WarpCounters> = (0..WARPS)
-        .map(|i| WarpCounters {
-            instructions: 40 + (i % 13) as u64,
-            transactions: 48,
-            dram_sectors: 48,
-            global_bytes: 48 * 32,
-            shared_ops: 35,
-            shuffles: 5,
-            ..Default::default()
-        })
-        .collect();
-    let hit_bufs: Vec<Vec<u64>> = (0..SHARDS)
-        .map(|s| (0..WARPS).map(|i| ((i + s) % 4) as u64).collect())
-        .collect();
-
-    let mut group = c.benchmark_group("warp_merge");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(WARPS as u64));
-    let mut scratch = counters.clone();
-    group.bench_function("ordered", |b| {
-        b.iter(|| {
-            scratch.copy_from_slice(&counters);
-            let mut totals = WarpCounters::default();
-            let mut sum = 0f64;
-            let mut max = 0f64;
-            for (i, cw) in scratch.iter_mut().enumerate() {
-                let mut h = 0u64;
-                for buf in &hit_bufs {
-                    h += buf[i];
-                }
-                cw.l2_hit_sectors = h;
-                cw.dram_sectors = cw.transactions - h;
-                let wc = cw.cycles(&cost);
-                totals.add(cw);
-                sum += wc;
-                max = max.max(wc);
-            }
-            black_box((totals, sum, max))
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_cache_probes,
-    bench_tally_memo,
-    bench_sharded_replay,
-    bench_warp_merge
-);
+criterion_group!(benches, bench_cache_probes, bench_tally_memo);
 criterion_main!(benches);

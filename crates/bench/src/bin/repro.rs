@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! repro [--quick|--full] [--json DIR] [--trace FILE] [--metrics FILE]
-//!       [--engine NAME] [--selftime-baseline FILE] [--selftime-tolerance F]
+//!       [--engine batched|reference] [--selftime-baseline FILE]
+//!       [--selftime-tolerance F]
 //!       <experiment>...
 //! repro perfdiff OLD.json NEW.json [--tolerance F] [--report FILE]
 //!
@@ -10,6 +11,7 @@
 //!   fig9     kernel benchmarks, full-graph dataset (V100)
 //!   fig9a30  kernel benchmarks, full-graph dataset (A30)
 //!   fig10    kernel benchmarks, graph-sampling dataset (V100)
+//!   fig10a30 kernel benchmarks, graph-sampling dataset (A30)
 //!   table3   average-speedup summary across devices and datasets
 //!   table4   preprocessing vs execution comparison (A30)
 //!   tcgnn    TC-GNN Tensor-Core comparison (RTX 3090)
@@ -32,7 +34,8 @@
 //!   serve    multi-GPU sharded inference serving; writes BENCH_serve.json
 //!   fused-mha fused one-launch multi-head attention vs three-launch pipeline;
 //!            writes BENCH_fused_mha.json
-//!   all      everything above (except serve and fused-mha)
+//!   all      everything above except fig10a30, verify, fastcheck, datasets,
+//!            serve and fused-mha
 //!   selftime wall-clock self-benchmark of the harness; writes BENCH_repro.json
 //!   perfdiff compare two benchmark/metrics snapshots metric by metric
 //!   list     print the experiment catalog and exit
@@ -49,11 +52,11 @@
 //! CSV, anything else for JSON). Both artefacts are deterministic:
 //! identical invocations produce byte-identical files.
 //!
-//! `--engine NAME` (`reference` / `batched` / `parallel` / `auto`) sets
-//! the process-wide default cost engine every simulator in the run starts
-//! on. All engines produce bit-identical reports, traces and metrics —
-//! the flag exists so the byte-identity can be *demonstrated* (and is
-//! pinned by the `engine_bytes` integration test).
+//! `--engine batched|reference` sets the process-wide default cost engine
+//! every simulator in the run — planner measurements included — starts on
+//! (`batched` unless given). Both engines produce bit-identical reports,
+//! traces and metrics — the flag exists so the byte-identity can be
+//! *demonstrated* (and is pinned by the `engine_bytes` integration test).
 //!
 //! `perfdiff OLD.json NEW.json` compares two snapshots (`BENCH_*.json`
 //! or `--metrics` exports) metric by metric: regressions beyond
@@ -108,9 +111,7 @@ fn main() {
             "--engine" => {
                 let name = it.next().unwrap_or_else(|| usage("--engine needs a name"));
                 let engine = hpsparse_sim::CostEngine::parse(&name).unwrap_or_else(|| {
-                    usage(&format!(
-                        "--engine {name}: expected reference, batched, parallel, or auto"
-                    ))
+                    usage(&format!("--engine {name}: expected batched or reference"))
                 });
                 hpsparse_sim::set_default_engine(engine);
             }
@@ -441,10 +442,11 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: repro [--quick|--full] [--json DIR] [--trace FILE] [--metrics FILE]\n\
-         \x20            [--engine NAME] [--selftime-baseline FILE] [--selftime-tolerance F]\n\
+         \x20            [--engine batched|reference] [--selftime-baseline FILE]\n\
+         \x20            [--selftime-tolerance F]\n\
          \x20            <experiment>...\n\
          \x20      repro perfdiff OLD.json NEW.json [--tolerance F] [--report FILE]\n\
-         experiments: fig9 fig9a30 fig10 table3 table4 tcgnn reorder fig11 \
+         experiments: fig9 fig9a30 fig10 fig10a30 table3 table4 tcgnn reorder fig11 \
          fig12 fig13 alpha futurework bell fused table5 autotune sanitize verify fastcheck \
          formats profile datasets serve fused-mha all selftime\n\
          run `repro list` for one-line summaries"

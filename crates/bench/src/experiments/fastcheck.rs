@@ -1,19 +1,16 @@
-//! `fastcheck` — three-way differential test of the cost engines.
+//! `fastcheck` — differential test of the two cost engines.
 //!
 //! Every SpMM/SDDMM kernel (HP kernels plus every registry baseline) runs
-//! on every full-graph registry dataset three times: once on the
-//! **reference** engine (element-wise descriptor expansion, no
-//! memoization), once on the forced **batched** engine (descriptor
-//! batching + warp-signature memoization), and once on the forced
-//! **parallel** engine (chunked capture, set-sharded L2 replay,
-//! deterministic warp-order merge). All three [`LaunchReport`]s must be
-//! *equal* — not approximately, field for field — for every cell. This is
-//! the witness that both fast paths are pure optimisations: same model,
-//! fewer (or concurrent) host instructions.
+//! on every full-graph registry dataset twice: once on the **reference**
+//! engine (element-wise descriptor expansion, no memoization) and once on
+//! the **batched** engine (descriptor batching + warp-signature
+//! memoization). The two [`LaunchReport`]s must be *equal* — not
+//! approximately, field for field — for every cell. This is the witness
+//! that the fast engine is a pure optimisation: same model, fewer host
+//! instructions.
 //!
-//! The engines are forced via [`GpuSim::set_engine`] rather than left on
-//! `Auto`, which resolves to batched and would leave the parallel column
-//! unexercised.
+//! Both engines are set via [`GpuSim::set_engine`], so the check does not
+//! depend on the process default (`repro --engine`).
 //!
 //! Two feature dimensions are checked per cell: the benchmark default
 //! (K = 64), which exercises the vectorized and memo-eligible paths, and an
@@ -58,54 +55,42 @@ pub struct KernelDiff {
 }
 
 impl KernelDiff {
-    /// All three engines' reports equal on every cell?
+    /// Reference and batched reports equal on every cell?
     pub fn passed(&self) -> bool {
         self.matching == self.cells
     }
 }
 
-/// The fast engines under test, each forced so `Auto` resolution cannot
-/// silently drop a column.
-const FAST_ENGINES: [(&str, CostEngine); 2] = [
-    ("batched", CostEngine::Batched),
-    ("parallel", CostEngine::Parallel),
-];
-
-fn fold(
-    diff: &mut KernelDiff,
-    graph: &str,
-    k: usize,
-    fast: &[(&str, LaunchReport)],
-    refr: &LaunchReport,
-) {
+fn fold(diff: &mut KernelDiff, graph: &str, k: usize, fast: &LaunchReport, refr: &LaunchReport) {
     diff.cells += 1;
     diff.cycles += refr.cycles;
-    let mut ok = true;
-    for (engine, report) in fast {
-        if report == refr {
-            continue;
-        }
-        ok = false;
-        if diff.mismatches.len() < 4 {
-            diff.mismatches.push(format!(
-                "{graph} K={k}: {engine} {{cycles {}, tx {}, l2_hits {}, dram {}}} vs \
-                 reference {{cycles {}, tx {}, l2_hits {}, dram {}}}",
-                report.cycles,
-                report.totals.transactions,
-                report.totals.l2_hit_sectors,
-                report.totals.dram_sectors,
-                refr.cycles,
-                refr.totals.transactions,
-                refr.totals.l2_hit_sectors,
-                refr.totals.dram_sectors,
-            ));
-        }
+    if fast == refr {
+        diff.matching += 1;
+    } else if diff.mismatches.len() < 4 {
+        diff.mismatches.push(format!(
+            "{graph} K={k}: batched {{cycles {}, tx {}, l2_hits {}, dram {}}} vs \
+             reference {{cycles {}, tx {}, l2_hits {}, dram {}}}",
+            fast.cycles,
+            fast.totals.transactions,
+            fast.totals.l2_hit_sectors,
+            fast.totals.dram_sectors,
+            refr.cycles,
+            refr.totals.transactions,
+            refr.totals.l2_hit_sectors,
+            refr.totals.dram_sectors,
+        ));
     }
-    diff.matching += usize::from(ok);
+}
+
+/// A fresh cold-L2 simulator on `engine`.
+fn sim_on(device: &DeviceSpec, engine: CostEngine) -> GpuSim {
+    let mut sim = GpuSim::new(device.clone());
+    sim.set_engine(engine);
+    sim
 }
 
 /// Runs the differential sweep: every kernel × every registry graph × every
-/// K in [`CHECK_KS`], one fresh simulator per engine per cell so all three
+/// K in [`CHECK_KS`], one fresh simulator per engine per cell so both
 /// engines see an identically cold L2.
 pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelDiff> {
     let cap = edge_cap(effort);
@@ -138,23 +123,13 @@ pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelDiff> {
                     registry::spmm_by_id(id).expect("registry id resolves")
                 };
                 let a = crate::runner::bench_features(s.cols(), k);
-                let mut ref_sim = GpuSim::new(device.clone());
-                ref_sim.set_engine(CostEngine::Reference);
-                let refr = kernel
-                    .run_on(&mut ref_sim, s, &a)
-                    .unwrap_or_else(|e| panic!("{id} on {graph} (reference): {e:?}"));
-                let fast: Vec<(&str, LaunchReport)> = FAST_ENGINES
-                    .iter()
-                    .map(|&(label, engine)| {
-                        let mut sim = GpuSim::new(device.clone());
-                        sim.set_engine(engine);
-                        let run = kernel
-                            .run_on(&mut sim, s, &a)
-                            .unwrap_or_else(|e| panic!("{id} on {graph} ({label}): {e:?}"));
-                        (label, run.report)
-                    })
-                    .collect();
-                fold(&mut diff, graph, k, &fast, &refr.report);
+                let [refr, fast] = [CostEngine::Reference, CostEngine::Batched].map(|engine| {
+                    kernel
+                        .run_on(&mut sim_on(device, engine), s, &a)
+                        .unwrap_or_else(|e| panic!("{id} on {graph} ({}): {e:?}", engine.label()))
+                        .report
+                });
+                fold(&mut diff, graph, k, &fast, &refr);
             }
         }
         diffs.push(diff);
@@ -176,23 +151,13 @@ pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelDiff> {
                 };
                 let a1 = crate::runner::bench_features(s.rows(), k);
                 let a2t = crate::runner::bench_features(s.cols(), k);
-                let mut ref_sim = GpuSim::new(device.clone());
-                ref_sim.set_engine(CostEngine::Reference);
-                let refr = kernel
-                    .run_on(&mut ref_sim, s, &a1, &a2t)
-                    .unwrap_or_else(|e| panic!("{id} on {graph} (reference): {e:?}"));
-                let fast: Vec<(&str, LaunchReport)> = FAST_ENGINES
-                    .iter()
-                    .map(|&(label, engine)| {
-                        let mut sim = GpuSim::new(device.clone());
-                        sim.set_engine(engine);
-                        let run = kernel
-                            .run_on(&mut sim, s, &a1, &a2t)
-                            .unwrap_or_else(|e| panic!("{id} on {graph} ({label}): {e:?}"));
-                        (label, run.report)
-                    })
-                    .collect();
-                fold(&mut diff, graph, k, &fast, &refr.report);
+                let [refr, fast] = [CostEngine::Reference, CostEngine::Batched].map(|engine| {
+                    kernel
+                        .run_on(&mut sim_on(device, engine), s, &a1, &a2t)
+                        .unwrap_or_else(|e| panic!("{id} on {graph} ({}): {e:?}", engine.label()))
+                        .report
+                });
+                fold(&mut diff, graph, k, &fast, &refr);
             }
         }
         diffs.push(diff);
@@ -233,7 +198,7 @@ pub fn render(device: &DeviceSpec, effort: Effort, diffs: &[KernelDiff]) -> Expe
 
     let ks: Vec<String> = CHECK_KS.iter().map(|k| k.to_string()).collect();
     let text = format!(
-        "fastcheck — reference vs batched vs parallel cost engines, K ∈ {{{}}}, {} ({}, edge cap {})\n\n{}\n  \
+        "fastcheck — reference vs batched cost engines, K ∈ {{{}}}, {} ({}, edge cap {})\n\n{}\n  \
          verdict: {}\n{}",
         ks.join(", "),
         device.name,
@@ -241,7 +206,7 @@ pub fn render(device: &DeviceSpec, effort: Effort, diffs: &[KernelDiff]) -> Expe
         edge_cap(effort),
         table::render(&header, &rows),
         if all_match {
-            "every LaunchReport identical across all three engines"
+            "every LaunchReport identical across both engines"
         } else {
             "ENGINE DIVERGENCE:"
         },
@@ -267,7 +232,7 @@ pub fn render(device: &DeviceSpec, effort: Effort, diffs: &[KernelDiff]) -> Expe
         text,
         json: json!({
             "device": device.name,
-            "engines": FAST_ENGINES.iter().map(|&(label, _)| json!(label)).collect::<Vec<_>>(),
+            "engines": json!(["reference", "batched"]),
             "ks": CHECK_KS.iter().map(|&k| json!(k)).collect::<Vec<_>>(),
             "effort": effort.label(),
             "edge_cap": edge_cap(effort),
@@ -285,15 +250,12 @@ mod tests {
     fn acceptance_every_cell_matches() {
         let out = run(&DeviceSpec::v100(), Effort::Quick);
         assert_eq!(out.json["all_match"].as_bool(), Some(true), "{}", out.text);
-        // Both fast engines checked against the reference on every cell:
+        // The batched engine checked against the reference on every cell:
         // 12 SpMM (hp + 11 registry) + 3 SDDMM (hp + 2 registry), each on
         // 19 graphs × 2 feature dimensions — 570 cells in total.
         let kernels = out.json["kernels"].as_array().unwrap();
         assert_eq!(kernels.len(), 15);
-        assert_eq!(
-            out.json["engines"],
-            serde_json::json!(["batched", "parallel"])
-        );
+        assert_eq!(out.json["engines"], json!(["reference", "batched"]));
         let mut cells = 0;
         for k in kernels {
             assert_eq!(k["cells"].as_u64(), Some(38), "{}", k["id"]);

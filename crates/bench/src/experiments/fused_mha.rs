@@ -121,9 +121,10 @@ fn measure_cell(device: &DeviceSpec, graph: &str, s: &Hybrid, heads: usize, d: u
     // the same measurement helpers it uses internally.
     let mut planner = Planner::new(device.clone(), PlanStrategy::default());
     let plan = planner.plan_mha(s, d, heads);
+    let engine = planner.engine();
     let oracle_fused =
-        measure_fused_mha(device, false, &kernel, s, &q, &kv).expect("fused measures");
-    let oracle_unfused = measure_unfused_mha(device, false, s, &q, &kv).expect("unfused measures");
+        measure_fused_mha(device, engine, &kernel, s, &q, &kv).expect("fused measures");
+    let oracle_unfused = measure_unfused_mha(device, engine, s, &q, &kv).expect("unfused measures");
     let plan_match = plan.predicted_cycles == oracle_fused.min(oracle_unfused);
 
     hpsparse_trace::counter_add(names::FUSED_MHA_ROWS_SPILLED, run.spilled_rows as u64);

@@ -72,9 +72,11 @@ pub const DEFAULT_K: usize = 64;
 
 /// Experiment catalog: every dispatchable name with a one-line summary,
 /// in `repro list` order. `all` and `selftime` are meta-modes the `repro`
-/// binary expands itself; `serve`, `verify`, and `fused-mha` are
-/// dispatchable but stay out of [`ALL_EXPERIMENTS`] (and thus out of
-/// `selftime`'s committed baseline).
+/// binary expands itself; `fig10a30`, `verify`, `fastcheck`, `datasets`,
+/// `serve` and `fused-mha` are dispatchable but stay out of
+/// [`ALL_EXPERIMENTS`] (and thus out of `selftime`'s committed baseline).
+/// `tests/catalog_docs.rs` holds this list, [`dispatch`]'s arms, `repro`'s
+/// usage line and DESIGN.md's experiment tables to the same set of names.
 pub const CATALOG: &[(&str, &str)] = &[
     ("formats", "§II storage-format comparison"),
     ("fig9", "kernel benchmarks, full-graph dataset (V100)"),

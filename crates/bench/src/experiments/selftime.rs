@@ -4,8 +4,8 @@
 //! each one's wall time (output text is produced and discarded). The JSON
 //! side is one run record — per-experiment seconds plus the thread count —
 //! which the `repro` binary folds into `BENCH_repro.json` under
-//! `runs.<threads>`, so speedups from the parallel engines can be tracked
-//! across commits *and* across core counts in one committed file.
+//! `runs.<threads>`, so the harness fan-out's speedup can be tracked across
+//! commits *and* across core counts in one committed file.
 
 use crate::experiments::{dispatch, Effort, ExperimentOutput, ALL_EXPERIMENTS};
 use serde_json::json;

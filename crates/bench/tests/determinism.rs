@@ -29,35 +29,29 @@ fn repro_stdout(threads: &str, args: &[&str]) -> Vec<u8> {
 #[test]
 fn quick_output_is_byte_identical_across_thread_counts() {
     // fullgraph (fig9) covers the parallel graph × kernel fan-out; fig10
-    // covers the sampling corpus with its in-order fold. `Auto` resolves to
-    // the batched engine at every pool size, so the 4-thread leg checks the
-    // fan-out's scheduling alone; the 2-thread leg forces the parallel
-    // engine, keeping its capture/replay nested under the fan-out compared
-    // end to end against batched.
+    // covers the sampling corpus with its in-order fold. Launches run on
+    // one thread each under either engine, so the 4-thread leg checks the
+    // fan-out's scheduling.
     let args = ["--quick", "fig9", "fig10"];
     let one = repro_stdout("1", &args);
     assert!(
         !one.is_empty(),
         "repro printed nothing — harness is broken, not deterministic"
     );
-    let forced = ["--engine", "parallel", "--quick", "fig9", "fig10"];
-    for (threads, leg_args) in [("2", &forced[..]), ("4", &args[..])] {
-        let many = repro_stdout(threads, leg_args);
-        if one == many {
-            continue;
-        }
+    let four = repro_stdout("4", &args);
+    if one != four {
         let one_s = String::from_utf8_lossy(&one);
-        let many_s = String::from_utf8_lossy(&many);
+        let four_s = String::from_utf8_lossy(&four);
         let diverge = one_s
             .lines()
-            .zip(many_s.lines())
+            .zip(four_s.lines())
             .enumerate()
             .find(|(_, (a, b))| a != b)
             .map(|(i, (a, b))| {
-                format!("first divergence at line {i}:\n  1 thread : {a}\n  {threads} threads: {b}")
+                format!("first divergence at line {i}:\n  1 thread : {a}\n  4 threads: {b}")
             })
             .unwrap_or_else(|| "outputs differ in length only".to_string());
-        panic!("repro {leg_args:?} at {threads} threads differs from 1 thread; {diverge}");
+        panic!("repro {args:?} at 4 threads differs from 1 thread; {diverge}");
     }
 }
 

@@ -55,8 +55,7 @@ const EPOCH_MAX: u32 = (1 << EPOCH_BITS) - 1;
 
 /// Probes one recency-ordered set of any associativity: the 16-way
 /// geometry takes the branchless [`probe16`], everything else the generic
-/// rotation. Shared by [`SectorCache::access_sector`] and
-/// [`CacheShard::access_sector`] so the two can never drift apart.
+/// rotation.
 #[inline]
 fn probe_set(ways: &mut [u32], key: u32) -> bool {
     if let Ok(w16) = <&mut [u32; 16]>::try_from(&mut *ways) {
@@ -255,198 +254,6 @@ impl SectorCache {
         self.hits = 0;
         self.misses = 0;
     }
-
-    /// Builds a [`ShardMap`] partitioning this cache's sets into (at most)
-    /// `want` contiguous shards; `want` is rounded up to a power of two and
-    /// clamped to the set count so every shard covers an equal power-of-two
-    /// range of sets.
-    pub fn shard_map(&self, want: usize) -> ShardMap {
-        ShardMap::new(self.num_sets, want)
-    }
-
-    /// Splits the cache into independent per-shard views, one per shard of
-    /// `map` (which must have been built by [`Self::shard_map`] on a cache
-    /// of this geometry). Each view owns a contiguous range of sets and can
-    /// be probed from its own thread; hit/miss statistics accumulate on the
-    /// views and are folded back with [`Self::absorb_shard_stats`].
-    ///
-    /// Exactness argument: set selection is `sector & (num_sets - 1)`, so
-    /// a sector only ever probes one set, and LRU state is per-set. Any
-    /// interleaving of per-shard probe streams that preserves each stream's
-    /// internal order therefore reproduces the sequential hit/miss/eviction
-    /// sequence exactly.
-    pub fn shard_views(&mut self, map: &ShardMap) -> Vec<CacheShard<'_>> {
-        assert_eq!(
-            map.set_mask,
-            (self.num_sets - 1) as u64,
-            "ShardMap built for a different cache geometry"
-        );
-        let sets_per_shard = 1usize << map.shard_shift;
-        self.ways
-            .chunks_mut(sets_per_shard * self.assoc)
-            .map(|ways| CacheShard {
-                ways,
-                assoc: self.assoc,
-                set_bits: self.set_bits,
-                local_mask: sets_per_shard - 1,
-                epoch: self.epoch,
-                hits: 0,
-                misses: 0,
-            })
-            .collect()
-    }
-
-    /// Folds the hit/miss counts of a dropped [`CacheShard`] back into the
-    /// cache-wide statistics (plain sums, so the fold order is irrelevant).
-    pub fn absorb_shard_stats(&mut self, hits: u64, misses: u64) {
-        self.hits += hits;
-        self.misses += misses;
-    }
-}
-
-/// Deterministic partition of a cache's sets into equal contiguous shards.
-///
-/// The shard of a sector is taken from the *high* bits of its set index, so
-/// an ascending run of sectors crosses shard boundaries only every
-/// `sets_per_shard` sectors — [`Self::for_each_segment`] splits a run into
-/// the few per-shard segments that result. The partition depends only on
-/// the cache geometry and the requested shard count, never on thread
-/// count, so capture logs are bit-reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardMap {
-    /// `num_sets - 1` of the cache being sharded.
-    set_mask: u64,
-    /// `log2(sets_per_shard)`.
-    shard_shift: u32,
-    /// Number of shards (a power of two ≤ the set count).
-    num_shards: usize,
-}
-
-impl ShardMap {
-    fn new(num_sets: usize, want: usize) -> Self {
-        debug_assert!(num_sets.is_power_of_two());
-        let num_shards = want.max(1).next_power_of_two().min(num_sets);
-        let sets_per_shard = num_sets / num_shards;
-        Self {
-            set_mask: (num_sets - 1) as u64,
-            shard_shift: sets_per_shard.trailing_zeros(),
-            num_shards,
-        }
-    }
-
-    /// Number of shards in the partition.
-    pub fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
-    /// Which shard the sector's set belongs to.
-    #[inline]
-    pub fn shard_of_sector(&self, sector: u64) -> usize {
-        ((sector & self.set_mask) >> self.shard_shift) as usize
-    }
-
-    /// Splits the ascending sector run `[first, first + n)` into maximal
-    /// per-shard segments, invoking `f(shard, seg_first, seg_len)` for each
-    /// in ascending order. Runs longer than the set space wrap and revisit
-    /// shards; segment order still matches the sequential probe order.
-    #[inline]
-    pub fn for_each_segment(&self, first: u64, n: u64, mut f: impl FnMut(usize, u64, u64)) {
-        let sets_per_shard = 1u64 << self.shard_shift;
-        let mut pos = first;
-        let mut left = n;
-        while left > 0 {
-            let set = pos & self.set_mask;
-            let span = sets_per_shard - (set & (sets_per_shard - 1));
-            let take = left.min(span);
-            f((set >> self.shard_shift) as usize, pos, take);
-            pos += take;
-            left -= take;
-        }
-    }
-}
-
-/// A mutable view of one shard's contiguous set range, with its own
-/// hit/miss counters. Created by [`SectorCache::shard_views`]; safe to
-/// probe from a worker thread because distinct views borrow disjoint
-/// slices of the ways vec.
-#[derive(Debug)]
-pub struct CacheShard<'a> {
-    ways: &'a mut [u32],
-    assoc: usize,
-    set_bits: u32,
-    /// `sets_per_shard - 1`; because shards are aligned power-of-two set
-    /// ranges, the set-local index is `sector & local_mask`.
-    local_mask: usize,
-    epoch: u32,
-    hits: u64,
-    misses: u64,
-}
-
-impl CacheShard<'_> {
-    /// Probes one sector, which must map into this shard's set range.
-    /// Same tagword layout and recency policy as the parent cache.
-    #[inline]
-    pub fn access_sector(&mut self, sector: u64) -> bool {
-        debug_assert!(
-            sector >> self.set_bits <= (u32::MAX >> EPOCH_BITS) as u64,
-            "sector tag overflow"
-        );
-        let key = ((sector >> self.set_bits) as u32) << EPOCH_BITS | self.epoch;
-        let base = ((sector as usize) & self.local_mask) * self.assoc;
-        debug_assert!(base + self.assoc <= self.ways.len(), "sector not in shard");
-        let hit = probe_set(&mut self.ways[base..base + self.assoc], key);
-        self.hits += u64::from(hit);
-        self.misses += u64::from(!hit);
-        hit
-    }
-
-    /// Probes `n` contiguous sectors (all inside this shard) in ascending
-    /// order; returns how many hit. The batch form replayed from a
-    /// [`crate::tally::ProbeLog`] segment.
-    pub fn access_run(&mut self, first_sector: u64, n: u64) -> u64 {
-        let mut hits = 0;
-        for sector in first_sector..first_sector.saturating_add(n) {
-            if self.access_sector(sector) {
-                hits += 1;
-            }
-        }
-        hits
-    }
-
-    /// The streaming (evict-first) counterpart of
-    /// [`CacheShard::access_sector`], matching
-    /// [`SectorCache::access_sector_streaming`] exactly so sharded replay
-    /// reproduces the sequential engines.
-    #[inline]
-    pub fn access_sector_streaming(&mut self, sector: u64) -> bool {
-        debug_assert!(
-            sector >> self.set_bits <= (u32::MAX >> EPOCH_BITS) as u64,
-            "sector tag overflow"
-        );
-        let key = ((sector >> self.set_bits) as u32) << EPOCH_BITS | self.epoch;
-        let base = ((sector as usize) & self.local_mask) * self.assoc;
-        debug_assert!(base + self.assoc <= self.ways.len(), "sector not in shard");
-        let hit = probe_set_streaming(&mut self.ways[base..base + self.assoc], key);
-        self.hits += u64::from(hit);
-        self.misses += u64::from(!hit);
-        hit
-    }
-
-    /// The streaming counterpart of [`CacheShard::access_run`].
-    pub fn access_run_streaming(&mut self, first_sector: u64, n: u64) -> u64 {
-        let mut hits = 0;
-        for sector in first_sector..first_sector.saturating_add(n) {
-            if self.access_sector_streaming(sector) {
-                hits += 1;
-            }
-        }
-        hits
-    }
-
-    /// `(hits, misses)` recorded on this view since creation.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
 }
 
 #[cfg(test)]
@@ -536,81 +343,6 @@ mod tests {
         // Re-running the same span hits every sector.
         assert_eq!(batch.access_run(4, 8), 8);
         assert_eq!(batch.access_run(4, 0), 0); // empty run is a no-op
-    }
-
-    #[test]
-    fn shard_map_geometry() {
-        let c = SectorCache::new(1024, 4); // 8 sets
-        let map = c.shard_map(8);
-        assert_eq!(map.num_shards(), 8);
-        // More shards than sets clamps to the set count.
-        assert_eq!(c.shard_map(64).num_shards(), 8);
-        // Non-power-of-two requests round up.
-        assert_eq!(c.shard_map(3).num_shards(), 4);
-        // Every set lands in exactly the shard owning its contiguous range.
-        let map4 = c.shard_map(4);
-        for sector in 0..64u64 {
-            let set = sector % 8;
-            assert_eq!(map4.shard_of_sector(sector), (set / 2) as usize);
-        }
-    }
-
-    #[test]
-    fn segments_cover_runs_in_order() {
-        let c = SectorCache::new(1024, 4); // 8 sets
-        let map = c.shard_map(4); // 2 sets per shard
-        let mut segs = Vec::new();
-        // A run that wraps the whole set space twice.
-        map.for_each_segment(5, 20, |shard, first, n| segs.push((shard, first, n)));
-        // Segments are contiguous, ascending, and shard-correct.
-        let mut pos = 5u64;
-        let mut total = 0u64;
-        for &(shard, first, n) in &segs {
-            assert_eq!(first, pos);
-            assert!(n >= 1);
-            for s in first..first + n {
-                assert_eq!(map.shard_of_sector(s), shard);
-            }
-            pos += n;
-            total += n;
-        }
-        assert_eq!(total, 20);
-    }
-
-    #[test]
-    fn sharded_replay_matches_sequential_probes() {
-        // A scripted probe stream replayed two ways: sequentially through
-        // one cache, and split per shard (each shard's probes in stream
-        // order). Hits, misses and final tag state must agree.
-        let stream: Vec<u64> = (0..500u64).map(|i| (i * 7 + (i / 3) * 29) % 97).collect();
-        let mut seq = SectorCache::new(2048, 4);
-        let seq_hits: Vec<bool> = stream.iter().map(|&s| seq.access_sector(s)).collect();
-
-        let mut sharded = SectorCache::new(2048, 4);
-        let map = sharded.shard_map(4);
-        let mut per_shard: Vec<Vec<(usize, u64)>> = vec![Vec::new(); map.num_shards()];
-        for (i, &s) in stream.iter().enumerate() {
-            per_shard[map.shard_of_sector(s)].push((i, s));
-        }
-        let mut shard_hits = vec![false; stream.len()];
-        let mut views = sharded.shard_views(&map);
-        for (shard, ops) in views.iter_mut().zip(&per_shard) {
-            for &(i, s) in ops {
-                shard_hits[i] = shard.access_sector(s);
-            }
-        }
-        let stats: Vec<(u64, u64)> = views.iter().map(|v| v.stats()).collect();
-        drop(views);
-        for (h, m) in stats {
-            sharded.absorb_shard_stats(h, m);
-        }
-        assert_eq!(shard_hits, seq_hits);
-        assert_eq!(sharded.hits(), seq.hits());
-        assert_eq!(sharded.misses(), seq.misses());
-        // Tag state agrees too: an identical tail stream behaves the same.
-        for s in 0..97u64 {
-            assert_eq!(sharded.access_sector(s), seq.access_sector(s));
-        }
     }
 
     #[test]

@@ -1,6 +1,9 @@
-//! Device specifications for the GPUs used in the paper's evaluation.
+//! Device specifications for the GPUs used in the paper's evaluation, and
+//! the cost-engine vocabulary: [`CostEngine`] names the two engines,
+//! [`set_default_engine`] is the process-wide selector behind
+//! `repro --engine`.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Cycle costs charged by the model for each architectural event.
 ///
@@ -47,55 +50,28 @@ impl Default for CostModel {
     }
 }
 
-/// Which cost-engine implementation executes a launch. All three produce
+/// Which cost-engine implementation executes a launch. Both produce
 /// bit-identical [`LaunchReport`]s — `repro -- fastcheck` asserts it for
 /// every registry kernel — so the selection is purely a host-speed choice.
 ///
-/// Resolution per launch (see [`GpuSim::launch_named`]):
-///
-/// | engine      | sink attached | otherwise |
-/// |-------------|---------------|-----------|
-/// | `Reference` | reference     | reference |
-/// | `Batched`   | batched¹      | batched   |
-/// | `Parallel`  | batched¹      | parallel  |
-/// | `Auto`      | batched¹      | batched²  |
-///
-/// ¹ with a sink the tally expands descriptors element-wise regardless, so
-/// the observer sees the exact per-event stream; the parallel engine always
-/// falls back when a sink is attached because event order is a property of
-/// the sequential interleaving.
-///
-/// ² `Auto` does not select `Parallel`: under the harness's fan-outs that
-/// nests capture/replay on a pool with no free worker, and no committed
-/// workload shows it ahead outside them (see `resolve_engine` in
-/// `launch.rs` for the measurements). `Parallel` runs when forced, and then
-/// nests under a fan-out by design.
-///
-/// A *tracer* does not constrain the choice: the parallel engine's
-/// warp-order merge feeds the launch timeline the same per-warp, per-block
-/// and per-wave facts as the sequential loop, so trace and metrics exports
-/// are byte-identical across engines and thread counts (pinned by tests in
-/// `launch.rs` and `hpsparse-bench`).
+/// With an [`AccessSink`] attached the tally expands descriptors
+/// element-wise under either engine, so the observer sees the exact
+/// per-event stream. A tracer constrains nothing: it consumes the per-warp,
+/// per-block and per-wave aggregates the launch loop produces anyway, so
+/// trace and metrics exports are byte-identical across engines and thread
+/// counts (pinned by tests in `launch.rs` and `hpsparse-bench`).
 ///
 /// [`LaunchReport`]: crate::LaunchReport
-/// [`GpuSim::launch_named`]: crate::GpuSim::launch_named
+/// [`AccessSink`]: crate::sink::AccessSink
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CostEngine {
     /// Element-wise descriptor expansion, no memoization: the slow
-    /// differential-testing witness.
+    /// differential-testing oracle.
     Reference,
-    /// Sequential fast engine: descriptor batching + warp-signature
-    /// memoization against the live L2.
-    Batched,
-    /// Two-phase within-launch parallelism: sequential capture of probe
-    /// descriptors, set-sharded L2 replay on worker threads, deterministic
-    /// warp-order merge.
-    Parallel,
-    /// Resolve per launch; today always `Batched`. The default, and the
-    /// place automatic selection of `Parallel` comes back to once a
-    /// measured rule exists.
+    /// The fast engine and the default: descriptor batching +
+    /// warp-signature memoization against the live L2.
     #[default]
-    Auto,
+    Batched,
 }
 
 impl CostEngine {
@@ -104,8 +80,6 @@ impl CostEngine {
         match self {
             CostEngine::Reference => "reference",
             CostEngine::Batched => "batched",
-            CostEngine::Parallel => "parallel",
-            CostEngine::Auto => "auto",
         }
     }
 
@@ -114,46 +88,32 @@ impl CostEngine {
         match name {
             "reference" => Some(CostEngine::Reference),
             "batched" => Some(CostEngine::Batched),
-            "parallel" => Some(CostEngine::Parallel),
-            "auto" => Some(CostEngine::Auto),
             _ => None,
-        }
-    }
-
-    fn to_u8(self) -> u8 {
-        match self {
-            CostEngine::Reference => 0,
-            CostEngine::Batched => 1,
-            CostEngine::Parallel => 2,
-            CostEngine::Auto => 3,
-        }
-    }
-
-    fn from_u8(v: u8) -> Self {
-        match v {
-            0 => CostEngine::Reference,
-            1 => CostEngine::Batched,
-            2 => CostEngine::Parallel,
-            _ => CostEngine::Auto,
         }
     }
 }
 
-static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(3 /* Auto */);
+/// Whether the process-wide default engine is [`CostEngine::Reference`].
+static DEFAULT_IS_REFERENCE: AtomicBool = AtomicBool::new(false);
 
-/// Sets the process-wide engine new simulators start on ([`CostEngine::Auto`]
-/// unless overridden). This is how `repro --engine` forces every launch of a
-/// whole run — including the ones experiments make internally — onto one
-/// engine, which the byte-identical-exports tests exploit to diff whole-run
-/// trace files across engines. Explicit `set_engine` calls on a simulator
-/// still win; reported numbers never change either way.
+/// Sets the process-wide engine new simulators start on
+/// ([`CostEngine::Batched`] unless overridden). This is how `repro --engine`
+/// puts every launch of a whole run — including the ones experiments and
+/// planners make internally — onto one engine, which the
+/// byte-identical-exports tests exploit to diff whole-run trace files across
+/// engines. Explicit `set_engine` calls on a simulator still win; reported
+/// numbers never change either way.
 pub fn set_default_engine(engine: CostEngine) {
-    DEFAULT_ENGINE.store(engine.to_u8(), Ordering::Relaxed);
+    DEFAULT_IS_REFERENCE.store(engine == CostEngine::Reference, Ordering::Relaxed);
 }
 
 /// The current process-wide default engine.
 pub fn default_engine() -> CostEngine {
-    CostEngine::from_u8(DEFAULT_ENGINE.load(Ordering::Relaxed))
+    if DEFAULT_IS_REFERENCE.load(Ordering::Relaxed) {
+        CostEngine::Reference
+    } else {
+        CostEngine::Batched
+    }
 }
 
 /// Static description of a GPU: everything Eq. 3–5 of the paper and the
@@ -280,16 +240,13 @@ mod tests {
 
     #[test]
     fn engine_labels_round_trip() {
-        for engine in [
-            CostEngine::Reference,
-            CostEngine::Batched,
-            CostEngine::Parallel,
-            CostEngine::Auto,
-        ] {
+        for engine in [CostEngine::Reference, CostEngine::Batched] {
             assert_eq!(CostEngine::parse(engine.label()), Some(engine));
-            assert_eq!(CostEngine::from_u8(engine.to_u8()), engine);
         }
-        assert_eq!(CostEngine::parse("turbo"), None);
+        for gone in ["parallel", "auto", "turbo", ""] {
+            assert_eq!(CostEngine::parse(gone), None, "{gone:?}");
+        }
+        assert_eq!(CostEngine::default(), CostEngine::Batched);
     }
 
     #[test]

@@ -9,31 +9,26 @@
 //!
 //! # Engines
 //!
-//! A launch executes under one of three cost engines (selected by
-//! [`CostEngine`], all bit-identical in what they report):
+//! The schedule exists once, in [`GpuSim::launch_named`]'s wave loop; a
+//! launch runs it under one of two cost engines (selected by
+//! [`CostEngine`], bit-identical in what they report):
 //!
-//! * **Reference** — element-wise descriptor expansion, no memoization;
-//!   the differential-testing witness.
-//! * **Batched** — the sequential fast engine: descriptor batching +
+//! * **Batched** — the fast engine and the default: descriptor batching +
 //!   warp-signature memoization against the live L2.
-//! * **Parallel** — two-phase within-launch parallelism. Kernel bodies
-//!   still run sequentially in global warp order (they compute real f32
-//!   numerics whose accumulation order must not change), but their L2
-//!   probes are *captured* into a per-shard [`ProbeLog`] instead of probed
-//!   inline; worker threads then replay each shard's probe stream against
-//!   its own [`CacheShard`] while the next chunk is being captured. A
-//!   sector maps to exactly one set — hence one shard — so per-shard replay
-//!   in capture order reproduces the sequential hit/miss/eviction sequence
-//!   exactly; the per-warp hit counts are patched in and every float
-//!   accumulation (warp cycles, SM sums, wave maxima) is folded in the
-//!   sequential engine's order by an incremental `ScheduleState`.
+//! * **Reference** — element-wise descriptor expansion, no memoization;
+//!   the differential-testing oracle.
+//!
+//! Kernel bodies run sequentially in global warp order under both (they
+//! compute real f32 numerics whose accumulation order must not change);
+//! parallelism lives above the launch, in the harness's graph × kernel
+//! fan-out, where every task owns a private simulator.
 
-use crate::cache::{CacheShard, SectorCache};
+use crate::cache::SectorCache;
 use crate::device::{CostEngine, DeviceSpec};
 use crate::memory::MemorySpace;
-use crate::occupancy::{occupancy_of, tail_utilization, waves, KernelResources, Occupancy};
+use crate::occupancy::{occupancy_of, tail_utilization, waves, KernelResources};
 use crate::sink::{AccessSink, BufferDecl, BufferRole};
-use crate::tally::{ProbeLog, WarpCounters, WarpTally};
+use crate::tally::{WarpCounters, WarpTally};
 use hpsparse_trace::{names, LaunchTimeline, MetricsRegistry, TraceSession};
 
 /// No kernel completes faster than the pipeline fill/drain floor
@@ -245,8 +240,7 @@ pub struct GpuSim {
     /// Every declaration made so far, kept so a sink attached *after* some
     /// allocations still learns about them (replayed in `attach_sink`).
     decls: Vec<BufferDecl>,
-    /// Cost-engine selection for subsequent launches (see [`CostEngine`]
-    /// for the resolution matrix). Never affects a reported number.
+    /// Cost engine of subsequent launches. Never affects a reported number.
     engine: CostEngine,
     /// Optional trace subscriber; while attached, every launch emits its
     /// wave-by-wave timeline and NCU-style metrics into the session. Same
@@ -262,7 +256,7 @@ pub struct GpuSim {
 impl GpuSim {
     /// Builds a simulator for `device` with a cold L2, starting on the
     /// process-wide default cost engine ([`crate::device::default_engine`],
-    /// [`CostEngine::Auto`] unless `repro --engine` overrode it).
+    /// [`CostEngine::Batched`] unless `repro --engine` overrode it).
     pub fn new(device: DeviceSpec) -> Self {
         let l2 = SectorCache::new(device.l2_bytes, device.l2_assoc);
         Self {
@@ -282,27 +276,9 @@ impl GpuSim {
         &self.device
     }
 
-    /// Selects the reference cost engine for all subsequent launches:
-    /// descriptors expand element-wise and warp memoization is disabled.
-    /// Counters are guaranteed identical either way (`repro -- fastcheck`
-    /// asserts it); the reference engine exists as the differential-testing
-    /// witness. `false` restores the default [`CostEngine::Auto`].
-    pub fn set_reference_engine(&mut self, reference: bool) {
-        self.engine = if reference {
-            CostEngine::Reference
-        } else {
-            CostEngine::Auto
-        };
-    }
-
-    /// Whether the reference cost engine is selected.
-    pub fn reference_engine(&self) -> bool {
-        self.engine == CostEngine::Reference
-    }
-
-    /// Selects the cost engine for all subsequent launches. All engines
-    /// report bit-identical numbers; see [`CostEngine`] for when a forced
-    /// `Parallel` still falls back to `Batched`.
+    /// Selects the cost engine for all subsequent launches. Counters are
+    /// guaranteed identical either way (`repro -- fastcheck` asserts it);
+    /// [`CostEngine::Reference`] exists as the differential-testing oracle.
     pub fn set_engine(&mut self, engine: CostEngine) {
         self.engine = engine;
     }
@@ -428,7 +404,7 @@ impl GpuSim {
     /// [`Self::launch_named`].
     pub fn launch<F>(&mut self, config: LaunchConfig, body: F) -> LaunchReport
     where
-        F: FnMut(u64, &mut WarpTally) + Send,
+        F: FnMut(u64, &mut WarpTally),
     {
         self.launch_named("<anonymous>", config, body)
     }
@@ -437,7 +413,7 @@ impl GpuSim {
     /// (e.g. sanitizer violations) can say *which* kernel misbehaved.
     pub fn launch_named<F>(&mut self, name: &str, config: LaunchConfig, mut body: F) -> LaunchReport
     where
-        F: FnMut(u64, &mut WarpTally) + Send,
+        F: FnMut(u64, &mut WarpTally),
     {
         if let Some(sink) = self.sink.as_mut() {
             sink.begin_launch(name, config.num_warps);
@@ -450,7 +426,6 @@ impl GpuSim {
         let tail = tail_utilization(blocks, occ.full_wave_size);
         let cost = self.device.cost;
         let num_sms = self.device.num_sms as usize;
-        let engine = resolve_engine(self.engine, self.sink.is_some(), config.num_warps);
 
         let mut totals = WarpCounters::default();
         let mut max_warp_cycles = 0f64;
@@ -460,96 +435,83 @@ impl GpuSim {
         // Timeline builder while a tracer is attached. It buffers locally
         // and touches the session lock only at begin/finish, so the warp
         // loop below pays one `Option` branch per warp/block — the same
-        // discipline as the sink. The parallel engine feeds the same
-        // timeline from its warp-order merge.
+        // discipline as the sink.
         let mut timeline = self
             .tracer
             .as_ref()
             .map(|t| LaunchTimeline::begin_on(t, name, num_sms, self.device_index));
 
-        if engine == CostEngine::Parallel {
-            (totals, max_warp_cycles, sum_warp_cycles, schedule_cycles) = run_parallel_engine(
-                &mut self.l2,
-                &self.device,
-                config,
-                &occ,
-                blocks,
-                &mut body,
-                timeline.as_mut(),
-            );
-        } else {
-            // One tally and one set of per-SM accumulators serve the whole
-            // launch; per-warp/per-wave state is reset in place. This keeps
-            // the inner loop (millions of warps for the large graphs) free
-            // of heap allocation.
-            let mut tally = WarpTally::with_sink(
-                &mut self.l2,
-                self.device.warp_size,
-                self.sink.as_deref_mut(),
-            );
-            tally.set_reference(engine == CostEngine::Reference);
-            let mut sm_sum = vec![0f64; num_sms];
-            let mut sm_max_block = vec![0f64; num_sms];
+        // One tally and one set of per-SM accumulators serve the whole
+        // launch; per-warp/per-wave state is reset in place. This keeps
+        // the inner loop (millions of warps for the large graphs) free
+        // of heap allocation.
+        let mut tally = WarpTally::with_sink(
+            &mut self.l2,
+            self.device.warp_size,
+            self.sink.as_deref_mut(),
+        );
+        tally.set_reference(self.engine == CostEngine::Reference);
+        let mut sm_sum = vec![0f64; num_sms];
+        let mut sm_max_block = vec![0f64; num_sms];
 
-            let mut warp_id: u64 = 0;
-            let mut block_id: u64 = 0;
-            for _wave in 0..num_waves {
-                sm_sum.fill(0.0);
-                sm_max_block.fill(0.0);
-                let wave_hits0 = totals.l2_hit_sectors;
-                let wave_dram0 = totals.dram_sectors;
-                let blocks_this_wave = occ.full_wave_size.min(blocks - block_id);
-                for slot in 0..blocks_this_wave {
-                    let sm = (slot as usize) % num_sms;
-                    let mut block_max = 0f64;
-                    let warps_in_block = wpb.min(config.num_warps - warp_id);
-                    for _ in 0..warps_in_block {
-                        tally.set_warp(warp_id);
-                        body(warp_id, &mut tally);
-                        let counters = tally.take_counters();
-                        let wc = counters.cycles(&cost);
-                        totals.add(&counters);
-                        sum_warp_cycles += wc;
-                        max_warp_cycles = max_warp_cycles.max(wc);
-                        block_max = block_max.max(wc);
-                        if let Some(tl) = timeline.as_mut() {
-                            tl.record_warp(wc);
-                        }
-                        warp_id += 1;
-                    }
-                    sm_sum[sm] += block_max * warps_in_block as f64;
-                    sm_max_block[sm] = sm_max_block[sm].max(block_max);
+        let mut warp_id: u64 = 0;
+        let mut block_id: u64 = 0;
+        for _wave in 0..num_waves {
+            sm_sum.fill(0.0);
+            sm_max_block.fill(0.0);
+            let wave_hits0 = totals.l2_hit_sectors;
+            let wave_dram0 = totals.dram_sectors;
+            let blocks_this_wave = occ.full_wave_size.min(blocks - block_id);
+            for slot in 0..blocks_this_wave {
+                let sm = (slot as usize) % num_sms;
+                let mut block_max = 0f64;
+                let warps_in_block = wpb.min(config.num_warps - warp_id);
+                for _ in 0..warps_in_block {
+                    tally.set_warp(warp_id);
+                    body(warp_id, &mut tally);
+                    let counters = tally.take_counters();
+                    let wc = counters.cycles(&cost);
+                    totals.add(&counters);
+                    sum_warp_cycles += wc;
+                    max_warp_cycles = max_warp_cycles.max(wc);
+                    block_max = block_max.max(wc);
                     if let Some(tl) = timeline.as_mut() {
-                        tl.record_block(sm, block_max, warps_in_block);
+                        tl.record_warp(wc);
                     }
+                    warp_id += 1;
                 }
-                block_id += blocks_this_wave;
-                // An SM finishes when its slowest block does, or when its
-                // aggregate warp-cycles drain through the SMT pipeline,
-                // whichever is later. The pipeline's effective width
-                // depends on how many warps are resident to hide latency:
-                // it saturates at 50% occupancy (typical for memory-bound
-                // kernels) and degrades below that — the register-scarcity
-                // effect of the paper's §IV-F.
-                let occ_factor = (occ.warp_occupancy * 2.0).clamp(0.05, 1.0);
-                let effective_width = cost.smt_width * occ_factor;
-                let wave_time = (0..num_sms)
-                    .map(|sm| sm_max_block[sm].max(sm_sum[sm] / effective_width))
-                    .fold(0f64, f64::max);
-                schedule_cycles += wave_time;
+                sm_sum[sm] += block_max * warps_in_block as f64;
+                sm_max_block[sm] = sm_max_block[sm].max(block_max);
                 if let Some(tl) = timeline.as_mut() {
-                    let hits = totals.l2_hit_sectors - wave_hits0;
-                    let dram = totals.dram_sectors - wave_dram0;
-                    tl.end_wave(
-                        wave_time,
-                        hits,
-                        dram,
-                        dram * crate::memory::SECTOR_BYTES as u64,
-                    );
+                    tl.record_block(sm, block_max, warps_in_block);
                 }
             }
-            drop(tally);
+            block_id += blocks_this_wave;
+            // An SM finishes when its slowest block does, or when its
+            // aggregate warp-cycles drain through the SMT pipeline,
+            // whichever is later. The pipeline's effective width
+            // depends on how many warps are resident to hide latency:
+            // it saturates at 50% occupancy (typical for memory-bound
+            // kernels) and degrades below that — the register-scarcity
+            // effect of the paper's §IV-F.
+            let occ_factor = (occ.warp_occupancy * 2.0).clamp(0.05, 1.0);
+            let effective_width = cost.smt_width * occ_factor;
+            let wave_time = (0..num_sms)
+                .map(|sm| sm_max_block[sm].max(sm_sum[sm] / effective_width))
+                .fold(0f64, f64::max);
+            schedule_cycles += wave_time;
+            if let Some(tl) = timeline.as_mut() {
+                let hits = totals.l2_hit_sectors - wave_hits0;
+                let dram = totals.dram_sectors - wave_dram0;
+                tl.end_wave(
+                    wave_time,
+                    hits,
+                    dram,
+                    dram * crate::memory::SECTOR_BYTES as u64,
+                );
+            }
         }
+        drop(tally);
         if let Some(sink) = self.sink.as_mut() {
             sink.end_launch();
         }
@@ -599,347 +561,6 @@ impl GpuSim {
         }
         report
     }
-}
-
-/// Chunk budgets for the parallel engine's capture→replay pipeline. A
-/// chunk closes after this many warps or captured probe ops, whichever
-/// comes first; boundaries depend only on the probe stream (never on the
-/// thread count), so chunking cannot perturb a reported number. The op
-/// budget bounds the resident log at ~16 MB per in-flight chunk.
-const CAPTURE_CHUNK_WARPS: u64 = 1 << 14;
-const CAPTURE_CHUNK_OPS: u64 = 1 << 20;
-
-/// Shards requested from the L2 (clamped to the set count by
-/// [`SectorCache::shard_map`]). More shards than worker threads keeps
-/// replay load-balanced when one shard's set range runs hot.
-const L2_SHARDS: usize = 8;
-
-/// Incremental replica of the sequential wave/block/SM schedule: fed one
-/// warp-cycle value at a time (in global warp order), it performs the
-/// exact float operations of the sequential engine's wave loop in the
-/// exact order, so `schedule_cycles` is bit-identical no matter how warps
-/// were chunked for capture.
-struct ScheduleState {
-    num_sms: usize,
-    wpb: u64,
-    num_warps: u64,
-    blocks: u64,
-    full_wave_size: u64,
-    effective_width: f64,
-    sm_sum: Vec<f64>,
-    sm_max_block: Vec<f64>,
-    warp_id: u64,
-    block_id: u64,
-    slot: u64,
-    blocks_this_wave: u64,
-    block_warps: u64,
-    warps_left: u64,
-    block_max: f64,
-    schedule_cycles: f64,
-}
-
-impl ScheduleState {
-    fn new(
-        num_sms: usize,
-        wpb: u64,
-        num_warps: u64,
-        blocks: u64,
-        full_wave_size: u64,
-        effective_width: f64,
-    ) -> Self {
-        Self {
-            num_sms,
-            wpb,
-            num_warps,
-            blocks,
-            full_wave_size,
-            effective_width,
-            sm_sum: vec![0f64; num_sms],
-            sm_max_block: vec![0f64; num_sms],
-            warp_id: 0,
-            block_id: 0,
-            slot: 0,
-            blocks_this_wave: full_wave_size.min(blocks),
-            block_warps: 0,
-            warps_left: 0,
-            block_max: 0.0,
-            schedule_cycles: 0.0,
-        }
-    }
-
-    /// Feeds the next warp's cycles (global warp order), closing blocks
-    /// and waves exactly where the sequential loop would. The returned
-    /// events carry the block/wave boundary facts a [`LaunchTimeline`]
-    /// needs, in the order the sequential loop would have emitted them.
-    fn feed(&mut self, wc: f64) -> FeedEvents {
-        let mut events = FeedEvents::default();
-        if self.warps_left == 0 {
-            self.block_warps = self.wpb.min(self.num_warps - self.warp_id);
-            self.warps_left = self.block_warps;
-            self.block_max = 0.0;
-        }
-        self.block_max = self.block_max.max(wc);
-        self.warp_id += 1;
-        self.warps_left -= 1;
-        if self.warps_left == 0 {
-            let sm = (self.slot as usize) % self.num_sms;
-            self.sm_sum[sm] += self.block_max * self.block_warps as f64;
-            self.sm_max_block[sm] = self.sm_max_block[sm].max(self.block_max);
-            events.block = Some((sm, self.block_max, self.block_warps));
-            self.slot += 1;
-            self.block_id += 1;
-            if self.slot == self.blocks_this_wave {
-                let wave_time = (0..self.num_sms)
-                    .map(|sm| self.sm_max_block[sm].max(self.sm_sum[sm] / self.effective_width))
-                    .fold(0f64, f64::max);
-                self.schedule_cycles += wave_time;
-                events.wave = Some(wave_time);
-                self.sm_sum.fill(0.0);
-                self.sm_max_block.fill(0.0);
-                self.slot = 0;
-                self.blocks_this_wave = self.full_wave_size.min(self.blocks - self.block_id);
-            }
-        }
-        events
-    }
-
-    /// Total schedule cycles after every warp was fed.
-    fn finish(self) -> f64 {
-        debug_assert_eq!(self.warp_id, self.num_warps, "schedule missed warps");
-        debug_assert_eq!(self.block_id, self.blocks, "schedule missed blocks");
-        self.schedule_cycles
-    }
-}
-
-/// Boundary events one [`ScheduleState::feed`] call crossed: at most one
-/// block close and one wave close per fed warp (a warp is the last of its
-/// block before it can be the last of its wave).
-#[derive(Debug, Default, Clone, Copy)]
-struct FeedEvents {
-    /// A block closed: `(sm_slot, slowest_warp_cycles, warps_in_block)`.
-    block: Option<(usize, f64, u64)>,
-    /// A wave closed: its wave time.
-    wave: Option<f64>,
-}
-
-/// Replays one captured chunk: each shard's probe stream runs on its own
-/// task against its own cache shard, accumulating per-warp hit counts into
-/// that shard's `hit_bufs` row. No two tasks share any mutable state, and
-/// each stream is replayed in capture (= global warp) order, so the result
-/// is independent of task interleaving.
-fn replay_chunk(
-    log: &ProbeLog,
-    shards: &mut [CacheShard<'_>],
-    hit_bufs: &mut [Vec<u64>],
-    chunk_warps: usize,
-) {
-    for buf in hit_bufs.iter_mut() {
-        buf.clear();
-        buf.resize(chunk_warps, 0);
-    }
-    rayon::scope(|sc| {
-        for (s, (shard, hits)) in shards.iter_mut().zip(hit_bufs.iter_mut()).enumerate() {
-            let ops = log.shard_ops(s);
-            if ops.is_empty() {
-                continue;
-            }
-            sc.spawn(move |_| {
-                for op in ops {
-                    hits[op.warp_rel as usize] += if op.is_streaming() {
-                        shard.access_run_streaming(op.first_sector, op.len())
-                    } else {
-                        shard.access_run(op.first_sector, op.len())
-                    };
-                }
-            });
-        }
-    });
-}
-
-/// Resolves a configured [`CostEngine`] for one launch — a pure function
-/// of the engine, whether a sink is attached and the launch's warp count.
-///
-/// * A *sink* rules the parallel engine out (it needs the exact per-event
-///   stream, a property of the sequential interleaving), as does an empty
-///   launch. A tracer does **not**: the deterministic warp-order merge
-///   feeds the timeline the same per-warp cycles, per-block maxima and
-///   per-wave L2 deltas as the sequential loop, so traced exports are
-///   byte-identical across engines (pinned by a test below and by
-///   `hpsparse-bench`'s subprocess test).
-/// * `Auto` is `Batched`, whatever the pool size. Picking `Parallel` on
-///   pool size alone nests capture/replay under the harness's graph ×
-///   kernel fan-outs: the fan-out already fills the pool, so no worker is
-///   free to take the replay, the split only buys the 16-byte probe-op
-///   logging, and a joiner waiting in the shim's help-first `join` pops
-///   the next *whole launch* off the shared queue and stacks its
-///   `ProbeLog`s on top of its own. Measured on 2 vCPUs (the repository
-///   benchmark's `sweep-mt`): nested 2.43 s / 735 MiB, fan-out over
-///   `Batched` 1.61 s / 106 MiB, against 2.18 s / 89 MiB on one thread.
-///   Outside a fan-out no committed workload shows `Parallel` ahead either
-///   (quick `autotune` at 2 threads: 17.7 s against 12.1 s), so there is
-///   no measured rule yet for selecting it automatically.
-/// * Forced engines are taken as given: `Parallel` under a fan-out still
-///   nests, with the cost above.
-fn resolve_engine(engine: CostEngine, sunk: bool, num_warps: u64) -> CostEngine {
-    match engine {
-        CostEngine::Reference => CostEngine::Reference,
-        CostEngine::Parallel if !sunk && num_warps > 0 => CostEngine::Parallel,
-        CostEngine::Batched | CostEngine::Parallel | CostEngine::Auto => CostEngine::Batched,
-    }
-}
-
-/// The parallel engine body: chunked sequential capture, sharded parallel
-/// replay pipelined against the next chunk's capture, and a deterministic
-/// warp-order merge. Returns `(totals, max_warp_cycles, sum_warp_cycles,
-/// schedule_cycles)` — bit-identical to the sequential engines' values.
-///
-/// When a `timeline` is attached, the warp-order merge drives it with the
-/// exact per-warp cycles, block boundaries (from [`ScheduleState::feed`]'s
-/// events) and per-wave L2 deltas the sequential loop would have recorded,
-/// in the same order — so traced exports are engine-independent. Chunk
-/// boundaries never align with timeline events: waves close wherever the
-/// schedule says, regardless of how warps were chunked for capture.
-#[allow(clippy::too_many_arguments)]
-fn run_parallel_engine<F>(
-    l2: &mut SectorCache,
-    device: &DeviceSpec,
-    config: LaunchConfig,
-    occ: &Occupancy,
-    blocks: u64,
-    body: &mut F,
-    mut timeline: Option<&mut LaunchTimeline>,
-) -> (WarpCounters, f64, f64, f64)
-where
-    F: FnMut(u64, &mut WarpTally) + Send,
-{
-    let cost = device.cost;
-    let num_warps = config.num_warps;
-    let wpb = (config.resources.warps_per_block as u64).max(1);
-    // Same effective pipeline width as the sequential wave loop (constant
-    // across waves there, hoisted here).
-    let occ_factor = (occ.warp_occupancy * 2.0).clamp(0.05, 1.0);
-    let effective_width = cost.smt_width * occ_factor;
-
-    let map = l2.shard_map(L2_SHARDS);
-    let mut shards = l2.shard_views(&map);
-    let mut tally = WarpTally::capturing(map, device.warp_size);
-    let mut sched = ScheduleState::new(
-        device.num_sms as usize,
-        wpb,
-        num_warps,
-        blocks,
-        occ.full_wave_size,
-        effective_width,
-    );
-    let mut totals = WarpCounters::default();
-    let mut max_warp_cycles = 0f64;
-    let mut sum_warp_cycles = 0f64;
-    // Wave-open totals snapshots for the timeline's per-wave L2 deltas.
-    let mut wave_hits0 = 0u64;
-    let mut wave_dram0 = 0u64;
-    let mut hit_bufs: Vec<Vec<u64>> = vec![Vec::new(); map.num_shards()];
-    let mut counters_cur: Vec<WarpCounters> = Vec::new();
-    let mut counters_next: Vec<WarpCounters> = Vec::new();
-
-    // Captures one chunk starting at `start`: kernel bodies run in global
-    // warp order (real numerics — their accumulation order is preserved),
-    // counters land in `counters` (hit/miss split pending), probes in the
-    // tally's log. Returns one past the last captured warp.
-    let mut capture =
-        |tally: &mut WarpTally<'_>, counters: &mut Vec<WarpCounters>, start: u64| -> u64 {
-            counters.clear();
-            let mut w = start;
-            while w < num_warps {
-                tally.set_warp(w);
-                tally.set_capture_rel((w - start) as u32);
-                body(w, &mut *tally);
-                counters.push(tally.take_counters());
-                w += 1;
-                if w - start >= CAPTURE_CHUNK_WARPS || tally.capture_ops() >= CAPTURE_CHUNK_OPS {
-                    break;
-                }
-            }
-            w
-        };
-
-    // Chunk 0 captures alone; thereafter chunk N's replay overlaps chunk
-    // N+1's capture (`join`): the capture side touches only the tally and
-    // `counters_next`, the replay side only the shards and hit buffers.
-    let mut next_start = capture(&mut tally, &mut counters_cur, 0);
-    let mut cur_log = tally.take_capture_log(ProbeLog::new(map));
-    let mut cur_start = 0u64;
-    loop {
-        let chunk_warps = (next_start - cur_start) as usize;
-        let (more, ()) = rayon::join(
-            || {
-                if next_start < num_warps {
-                    Some(capture(&mut tally, &mut counters_next, next_start))
-                } else {
-                    None
-                }
-            },
-            || replay_chunk(&cur_log, &mut shards, &mut hit_bufs, chunk_warps),
-        );
-        // Merge in global warp order: per-warp hits summed across shards
-        // (u64 adds — order-free), the hit/miss split patched in, then the
-        // float folds (totals, sums, maxima, schedule) in exactly the
-        // sequential engine's order. Timeline events replicate the
-        // sequential loop's sequence: warp, then (on block close) block,
-        // then (on wave close) the wave's L2 deltas against the wave-open
-        // snapshot — taken after this warp's totals fold, exactly like the
-        // sequential wave loop, which adds every warp of the wave to
-        // `totals` before calling `end_wave`.
-        for (i, c) in counters_cur.iter_mut().enumerate() {
-            let mut h = 0u64;
-            for buf in &hit_bufs {
-                h += buf[i];
-            }
-            c.l2_hit_sectors = h;
-            c.dram_sectors = c.transactions - h;
-            let wc = c.cycles(&cost);
-            totals.add(c);
-            sum_warp_cycles += wc;
-            max_warp_cycles = max_warp_cycles.max(wc);
-            let events = sched.feed(wc);
-            if let Some(tl) = timeline.as_deref_mut() {
-                tl.record_warp(wc);
-                if let Some((sm, block_max, block_warps)) = events.block {
-                    tl.record_block(sm, block_max, block_warps);
-                }
-                if let Some(wave_time) = events.wave {
-                    let hits = totals.l2_hit_sectors - wave_hits0;
-                    let dram = totals.dram_sectors - wave_dram0;
-                    tl.end_wave(
-                        wave_time,
-                        hits,
-                        dram,
-                        dram * crate::memory::SECTOR_BYTES as u64,
-                    );
-                    wave_hits0 = totals.l2_hit_sectors;
-                    wave_dram0 = totals.dram_sectors;
-                }
-            }
-        }
-        match more {
-            Some(end) => {
-                cur_log.clear();
-                cur_log = tally.take_capture_log(cur_log);
-                cur_start = next_start;
-                next_start = end;
-                std::mem::swap(&mut counters_cur, &mut counters_next);
-            }
-            None => break,
-        }
-    }
-
-    // Fold shard statistics back so `GpuSim::l2_hit_rate` and cross-launch
-    // cache state match the sequential engines exactly.
-    let stats: Vec<(u64, u64)> = shards.iter().map(|s| s.stats()).collect();
-    drop(shards);
-    for (h, m) in stats {
-        l2.absorb_shard_stats(h, m);
-    }
-    (totals, max_warp_cycles, sum_warp_cycles, sched.finish())
 }
 
 #[cfg(test)]
@@ -1233,7 +854,7 @@ mod tests {
         });
         let b = sim.launch(cfg, |w, t| {
             // No memo: every warp is live. Gather hits a pseudo-random
-            // sector list so single-sector probes cross shards.
+            // sector list so single-sector probes spread over many sets.
             let addrs = (0..24).map(|i| ((w * 31 + i * 97) % 4096) * 32);
             t.global_gather(addrs, 4);
             t.global_read(w * 8192, 2048, 4);
@@ -1246,108 +867,15 @@ mod tests {
     fn engines_agree_on_mixed_workload() {
         let (ref_reports, ref_hr) = run_mixed_workload(CostEngine::Reference);
         let (bat_reports, bat_hr) = run_mixed_workload(CostEngine::Batched);
-        let (par_reports, par_hr) = run_mixed_workload(CostEngine::Parallel);
         assert_eq!(ref_reports, bat_reports);
-        assert_eq!(bat_reports, par_reports);
-        // Cross-launch cache state must be absorbed identically too.
+        // Cross-launch cache state must agree too.
         assert_eq!(ref_hr.to_bits(), bat_hr.to_bits());
-        assert_eq!(bat_hr.to_bits(), par_hr.to_bits());
     }
 
-    #[test]
-    fn resolve_engine_table() {
-        use CostEngine::{Auto, Batched, Parallel, Reference};
-        // (engine, sunk, warps) → resolved
-        let table = [
-            // Auto never selects the parallel engine.
-            (Auto, false, 8, Batched),
-            (Auto, false, 0, Batched),
-            (Auto, true, 8, Batched),
-            // A sink or an empty launch never sees the parallel engine.
-            (Parallel, true, 8, Batched),
-            (Parallel, false, 0, Batched),
-            // Forced engines are otherwise taken as given.
-            (Parallel, false, 8, Parallel),
-            (Batched, false, 8, Batched),
-            (Batched, true, 8, Batched),
-            (Reference, false, 8, Reference),
-            (Reference, true, 0, Reference),
-        ];
-        for (engine, sunk, warps, want) in table {
-            assert_eq!(
-                resolve_engine(engine, sunk, warps),
-                want,
-                "{engine:?} sunk={sunk} warps={warps}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_engine_spans_multiple_chunks() {
-        // More warps than one capture chunk, so the pipeline (capture N+1
-        // while replaying N) and the chunk-crossing schedule state run.
-        let warps = CAPTURE_CHUNK_WARPS * 2 + 1234;
-        let run = |engine: CostEngine| {
-            let mut sim = GpuSim::new(DeviceSpec::v100());
-            sim.set_engine(engine);
-            sim.launch(
-                LaunchConfig {
-                    num_warps: warps,
-                    resources: small_res(),
-                },
-                |w, t| {
-                    t.compute(10 + w % 11);
-                    t.global_read((w % 3000) * 4096, 128, 4);
-                },
-            )
-        };
-        assert_eq!(run(CostEngine::Batched), run(CostEngine::Parallel));
-    }
-
-    #[test]
-    fn parallel_falls_back_when_sink_attached() {
-        use crate::sink::{AccessEvent, AccessSink, BufferDecl};
-        use std::sync::{Arc, Mutex};
-        struct Count(Arc<Mutex<u64>>);
-        impl AccessSink for Count {
-            fn begin_launch(&mut self, _: &str, _: u64) {}
-            fn register_buffer(&mut self, _: &BufferDecl) {}
-            fn record(&mut self, _: &AccessEvent) {
-                *self.0.lock().unwrap() += 1;
-            }
-            fn end_launch(&mut self) {}
-        }
-        let mut sim = GpuSim::new(DeviceSpec::v100());
-        sim.set_engine(CostEngine::Parallel);
-        let events = Arc::new(Mutex::new(0));
-        sim.attach_sink(Box::new(Count(Arc::clone(&events))));
-        let report = sim.launch(
-            LaunchConfig {
-                num_warps: 16,
-                resources: small_res(),
-            },
-            |w, t| t.global_read(w * 4096, 512, 4),
-        );
-        // The sink observed every access (parallel resolved to batched),
-        // and the report still matches a plain batched run.
-        assert_eq!(*events.lock().unwrap(), 16);
-        let mut plain = GpuSim::new(DeviceSpec::v100());
-        plain.set_engine(CostEngine::Batched);
-        let expect = plain.launch(
-            LaunchConfig {
-                num_warps: 16,
-                resources: small_res(),
-            },
-            |w, t| t.global_read(w * 4096, 512, 4),
-        );
-        assert_eq!(report, expect);
-    }
-
-    /// The tracer-compatibility guarantee of the parallel engine: with a
-    /// tracer attached, every engine runs as selected (no fallback) and
-    /// the exported timeline + metrics are byte-identical — including a
-    /// launch large enough to span multiple capture chunks, so wave
-    /// boundaries cross chunk boundaries.
+    /// A tracer constrains nothing: with one attached, each engine runs as
+    /// selected and the exported timeline + metrics are byte-identical —
+    /// over a launch of many waves with cross-warp L2 reuse, then a small
+    /// one sharing the session.
     #[test]
     fn traced_exports_are_byte_identical_across_engines() {
         use hpsparse_trace::TraceSession;
@@ -1357,10 +885,11 @@ mod tests {
             let session = TraceSession::new();
             sim.attach_tracer(session.clone());
             let cfg = LaunchConfig {
-                num_warps: CAPTURE_CHUNK_WARPS + 4321,
+                num_warps: 20_705,
                 resources: small_res(),
             };
             let big = sim.launch_named("big", cfg, |w, t| {
+                t.begin_memo(w % 11);
                 t.compute(10 + w % 11);
                 let base = if w % 5 == 0 { 0 } else { w * 8192 };
                 t.global_read(base, 1024, 4);
@@ -1380,13 +909,9 @@ mod tests {
         };
         let (trace_ref, metrics_ref, report_ref) = run(CostEngine::Reference);
         let (trace_bat, metrics_bat, report_bat) = run(CostEngine::Batched);
-        let (trace_par, metrics_par, report_par) = run(CostEngine::Parallel);
         assert_eq!(report_ref, report_bat);
-        assert_eq!(report_bat, report_par);
         assert_eq!(metrics_ref, metrics_bat);
-        assert_eq!(metrics_bat, metrics_par, "metrics differ under parallel");
         assert_eq!(trace_ref, trace_bat);
-        assert_eq!(trace_bat, trace_par, "trace differs under parallel");
     }
 
     /// Every traced launch records an attribution verdict with headroom in

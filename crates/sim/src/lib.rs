@@ -40,7 +40,7 @@ pub mod symbolic;
 pub mod tally;
 
 pub use attribution::{attribute, Attribution, Bound};
-pub use cache::{CacheShard, SectorCache, ShardMap};
+pub use cache::SectorCache;
 pub use device::{default_engine, set_default_engine, CostEngine, CostModel, DeviceSpec};
 pub use interconnect::{LinkKind, LinkSpec, LinkTimeline, TransferDescriptor};
 pub use launch::{GpuSim, LaunchConfig, LaunchReport};
@@ -51,4 +51,4 @@ pub use symbolic::{
     cond_le, Distinct, LaunchBuilder, PlanBuilder, SymAccess, SymAccessKind, SymArm, SymBuffer,
     SymBufferRole, SymCond, SymExpr, SymLaunch, SymOp, SymbolicPlan, VarDecl, VarId, VarKind,
 };
-pub use tally::{ProbeLog, ProbeOp, WarpCounters, WarpTally};
+pub use tally::{WarpCounters, WarpTally};

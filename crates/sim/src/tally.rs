@@ -6,11 +6,14 @@
 //! and shuffle reductions. The tally converts events into warp cycles using
 //! the device [`CostModel`].
 //!
-//! # Fast cost engine
+//! # The batched engine
 //!
-//! Two layers sit on top of the element-wise API and exploit the structural
-//! regularity of GNN kernels; both are *exact* — they reproduce the
-//! reference counters bit-for-bit (asserted by `repro -- fastcheck`):
+//! The element-wise API alone is the reference engine
+//! ([`WarpTally::set_reference`]). The batched engine — the default — is
+//! two layers on top of it that exploit the structural regularity of GNN
+//! kernels; both are *exact* — they reproduce the reference counters
+//! bit-for-bit (asserted by `repro -- fastcheck`) — and both probe the one
+//! live [`SectorCache`] the tally borrows:
 //!
 //! * **Descriptors** ([`global_read_strided`], [`global_write_strided`],
 //!   [`gather_rows`], [`global_gather_stepped`]) let a kernel describe a
@@ -32,15 +35,7 @@
 //!   alignment class into the key. Memoization is disabled in reference
 //!   mode and whenever a sink is attached.
 //!
-//! A third probe destination serves the *parallel* engine: a capturing
-//! tally ([`WarpTally::capturing`]) runs kernel bodies exactly like the
-//! batched engine — descriptors, memoization, real numerics in warp order —
-//! but records every L2 probe into a [`ProbeLog`] (bucketed per
-//! [`ShardMap`] shard) instead of touching a cache. The launch engine
-//! replays the buckets against independent cache shards in parallel and
-//! patches the per-warp hit/miss split afterwards; see
-//! `GpuSim::launch_named`.
-//!
+//! [`SectorCache`]: crate::cache::SectorCache
 //! [`global_read_strided`]: WarpTally::global_read_strided
 //! [`global_write_strided`]: WarpTally::global_write_strided
 //! [`gather_rows`]: WarpTally::gather_rows
@@ -51,198 +46,10 @@
 
 use std::collections::HashMap;
 
-use crate::cache::{SectorCache, ShardMap};
+use crate::cache::SectorCache;
 use crate::device::CostModel;
 use crate::memory::{vector_aligned, SECTOR_BYTES};
 use crate::sink::{AccessEvent, AccessKind, AccessSink};
-
-/// One recorded L2 probe run: `n` ascending sectors starting at
-/// `first_sector`, attributed to warp `warp_rel` of the current capture
-/// chunk. 16 bytes, so a million-op chunk is a 16 MB log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeOp {
-    /// First sector of the run.
-    pub first_sector: u64,
-    /// Run length in sectors, with [`ProbeOp::STREAM_BIT`] folded into the
-    /// high bit (runs are pre-split at shard boundaries, so 31 bits are
-    /// ample; oversized runs split into multiple ops).
-    pub n: u32,
-    /// Chunk-relative index of the issuing warp (for hit attribution).
-    pub warp_rel: u32,
-}
-
-impl ProbeOp {
-    /// High bit of [`ProbeOp::n`]: the run is a streaming (evict-first)
-    /// probe and must replay through the cache's streaming path.
-    pub const STREAM_BIT: u32 = 1 << 31;
-
-    /// Run length in sectors.
-    pub fn len(&self) -> u64 {
-        u64::from(self.n & !Self::STREAM_BIT)
-    }
-
-    /// Whether the run is empty (never pushed by the log, but part of the
-    /// `len`/`is_empty` contract).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether the run replays through the streaming (evict-first) path.
-    pub fn is_streaming(&self) -> bool {
-        self.n & Self::STREAM_BIT != 0
-    }
-}
-
-/// Capture-phase probe descriptor log: every L2 probe the tally would have
-/// issued, bucketed by [`ShardMap`] shard at push time, each bucket in
-/// global warp order. The parallel launch engine replays each bucket
-/// against its [`crate::cache::CacheShard`] on a worker thread; because a
-/// sector only ever maps to one set (hence one shard), per-bucket replay in
-/// push order reproduces the sequential hit/miss sequence exactly.
-#[derive(Debug)]
-pub struct ProbeLog {
-    map: ShardMap,
-    shards: Vec<Vec<ProbeOp>>,
-    warp_rel: u32,
-    ops: u64,
-}
-
-impl ProbeLog {
-    /// An empty log partitioned by `map`.
-    pub fn new(map: ShardMap) -> Self {
-        Self {
-            map,
-            shards: vec![Vec::new(); map.num_shards()],
-            warp_rel: 0,
-            ops: 0,
-        }
-    }
-
-    /// Clears all buckets (allocations retained) for the next chunk.
-    pub fn clear(&mut self) {
-        for bucket in &mut self.shards {
-            bucket.clear();
-        }
-        self.warp_rel = 0;
-        self.ops = 0;
-    }
-
-    /// Number of shard buckets.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The ops captured for one shard, in global warp order.
-    pub fn shard_ops(&self, shard: usize) -> &[ProbeOp] {
-        &self.shards[shard]
-    }
-
-    /// Total ops captured since the last [`Self::clear`] (chunk budget).
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Stamps subsequent pushes with the chunk-relative warp index.
-    pub fn set_warp_rel(&mut self, rel: u32) {
-        self.warp_rel = rel;
-    }
-
-    #[inline]
-    fn push_sector(&mut self, sector: u64) {
-        let shard = self.map.shard_of_sector(sector);
-        self.shards[shard].push(ProbeOp {
-            first_sector: sector,
-            n: 1,
-            warp_rel: self.warp_rel,
-        });
-        self.ops += 1;
-    }
-
-    #[inline]
-    fn push_run(&mut self, first_sector: u64, n: u64) {
-        self.push_run_tagged(first_sector, n, 0);
-    }
-
-    /// [`ProbeLog::push_run`] for a streaming (evict-first) run: the ops
-    /// carry [`ProbeOp::STREAM_BIT`] so replay takes the streaming path.
-    #[inline]
-    fn push_run_streaming(&mut self, first_sector: u64, n: u64) {
-        self.push_run_tagged(first_sector, n, ProbeOp::STREAM_BIT);
-    }
-
-    #[inline]
-    fn push_run_tagged(&mut self, first_sector: u64, n: u64, tag: u32) {
-        if n == 0 {
-            return;
-        }
-        let map = self.map;
-        let rel = self.warp_rel;
-        map.for_each_segment(first_sector, n, |shard, seg_first, seg_n| {
-            let bucket = &mut self.shards[shard];
-            let mut done = 0;
-            while done < seg_n {
-                let take = (seg_n - done).min(u64::from(!ProbeOp::STREAM_BIT));
-                bucket.push(ProbeOp {
-                    first_sector: seg_first + done,
-                    n: take as u32 | tag,
-                    warp_rel: rel,
-                });
-                done += take;
-            }
-        });
-        self.ops += n;
-    }
-}
-
-/// Where a tally's L2 probes go: straight at the cache (the sequential
-/// engines) or into a [`ProbeLog`] for deferred sharded replay (the
-/// parallel engine's capture phase). Captured probes report 0 hits and
-/// `transactions == run length`; the launch engine patches
-/// `l2_hit_sectors` / `dram_sectors` per warp after replay — every other
-/// counter is cache-independent and already exact at capture time.
-enum Probes<'a> {
-    Live(&'a mut SectorCache),
-    Capture(ProbeLog),
-}
-
-impl Probes<'_> {
-    /// Probes a single sector, returning 1 on a live hit (0 in capture).
-    #[inline]
-    fn probe_sector(&mut self, sector: u64) -> u64 {
-        match self {
-            Probes::Live(cache) => u64::from(cache.access_sector(sector)),
-            Probes::Capture(log) => {
-                log.push_sector(sector);
-                0
-            }
-        }
-    }
-
-    /// Probes a contiguous run, returning live hits (0 in capture).
-    #[inline]
-    fn probe_run(&mut self, first_sector: u64, n: u64) -> u64 {
-        match self {
-            Probes::Live(cache) => cache.access_run(first_sector, n),
-            Probes::Capture(log) => {
-                log.push_run(first_sector, n);
-                0
-            }
-        }
-    }
-
-    /// Probes a contiguous run through the streaming (evict-first) path,
-    /// returning live hits (0 in capture).
-    #[inline]
-    fn probe_run_streaming(&mut self, first_sector: u64, n: u64) -> u64 {
-        match self {
-            Probes::Live(cache) => cache.access_run_streaming(first_sector, n),
-            Probes::Capture(log) => {
-                log.push_run_streaming(first_sector, n);
-                0
-            }
-        }
-    }
-}
 
 /// Raw event counts for one warp.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -268,8 +75,8 @@ pub struct WarpCounters {
     /// stride, multi-sector gather lanes), forcing element-wise expansion.
     /// Such accesses bypass the descriptor structure the static verifier
     /// models, so a nonzero count flags a kernel drifting out of the IR.
-    /// Free of cycle cost; engine-independent (reference, batched, capture
-    /// and replay all count the same calls).
+    /// Free of cycle cost; engine-independent (reference and batched count
+    /// the same calls).
     pub descriptor_fallbacks: u64,
 }
 
@@ -364,7 +171,7 @@ enum MemoMode {
 /// [`global_gather`]: WarpTally::global_gather
 /// [`global_gather_stepped`]: WarpTally::global_gather_stepped
 pub struct WarpTally<'a> {
-    probes: Probes<'a>,
+    cache: &'a mut SectorCache,
     warp_size: u32,
     counters: WarpCounters,
     /// Reused between gathers; cleared on use, never shrunk.
@@ -401,7 +208,7 @@ impl<'a> WarpTally<'a> {
         sink: Option<&'a mut (dyn AccessSink + 'static)>,
     ) -> Self {
         Self {
-            probes: Probes::Live(cache),
+            cache,
             warp_size,
             counters: WarpCounters::default(),
             gather_scratch: Vec::new(),
@@ -411,55 +218,6 @@ impl<'a> WarpTally<'a> {
             reference: false,
             sink,
             warp: 0,
-        }
-    }
-
-    /// Creates a capturing tally for the parallel engine: probes are
-    /// recorded into an owned [`ProbeLog`] partitioned by `map` instead of
-    /// touching a cache. Descriptor fast paths and memoization behave as in
-    /// the batched engine (no sink, no reference mode); only the probe
-    /// destination differs.
-    pub fn capturing(map: ShardMap, warp_size: u32) -> WarpTally<'static> {
-        WarpTally {
-            probes: Probes::Capture(ProbeLog::new(map)),
-            warp_size,
-            counters: WarpCounters::default(),
-            gather_scratch: Vec::new(),
-            sort_scratch: Vec::new(),
-            memo: HashMap::new(),
-            mode: MemoMode::Off,
-            reference: false,
-            sink: None,
-            warp: 0,
-        }
-    }
-
-    /// Stamps the chunk-relative warp index onto subsequently captured
-    /// probes. No-op on a live tally.
-    pub fn set_capture_rel(&mut self, rel: u32) {
-        if let Probes::Capture(log) = &mut self.probes {
-            log.set_warp_rel(rel);
-        }
-    }
-
-    /// Ops captured into the current chunk's log (0 on a live tally); the
-    /// launch engine's chunk-size budget.
-    pub fn capture_ops(&self) -> u64 {
-        match &self.probes {
-            Probes::Capture(log) => log.ops(),
-            Probes::Live(_) => 0,
-        }
-    }
-
-    /// Swaps the filled capture log out for `replacement` (a cleared log of
-    /// the same [`ShardMap`]), handing the chunk to the replay phase.
-    ///
-    /// # Panics
-    /// On a live tally.
-    pub fn take_capture_log(&mut self, replacement: ProbeLog) -> ProbeLog {
-        match &mut self.probes {
-            Probes::Capture(log) => std::mem::replace(log, replacement),
-            Probes::Live(_) => panic!("take_capture_log on a live tally"),
         }
     }
 
@@ -603,7 +361,7 @@ impl<'a> WarpTally<'a> {
     /// Probes `n` contiguous sectors and books the result.
     #[inline]
     fn probe_run(&mut self, first_sector: u64, n: u64) {
-        let h = self.probes.probe_run(first_sector, n);
+        let h = self.cache.access_run(first_sector, n);
         self.probe_tally(h, n);
     }
 
@@ -641,10 +399,7 @@ impl<'a> WarpTally<'a> {
     /// `cudaAccessPropertyStreaming`: a sector already in L2 still hits,
     /// but a miss installs the line in its set's LRU way, so a single-use
     /// stream never displaces reusable lines. Instruction, byte, and sink
-    /// accounting match [`WarpTally::global_read`]; the probes replay
-    /// through the same capture pipeline as cached reads (tagged with
-    /// [`ProbeOp::STREAM_BIT`]), so every engine sees the same hit/miss
-    /// sequence.
+    /// accounting match [`WarpTally::global_read`].
     pub fn global_read_streaming(&mut self, addr: u64, len_bytes: u64, vw: u32) {
         if !self.probing() {
             let eff_vw = if vector_aligned(addr, vw) { vw } else { 1 };
@@ -657,7 +412,7 @@ impl<'a> WarpTally<'a> {
         if len_bytes > 0 {
             let first = addr / SECTOR_BYTES as u64;
             let n = (addr + len_bytes - 1) / SECTOR_BYTES as u64 - first + 1;
-            let hits = self.probes.probe_run_streaming(first, n);
+            let hits = self.cache.access_run_streaming(first, n);
             self.probe_tally(hits, n);
         }
     }
@@ -720,9 +475,9 @@ impl<'a> WarpTally<'a> {
         // class (vw * 4 divides 32), so the per-access instruction count and
         // sector span are uniform and can be hoisted out of the loop.
         let uniform = stride_bytes.is_multiple_of(SECTOR_BYTES as u64);
-        // Precondition failure (not engine choice): counted in every engine
-        // before the expansion decision so reference / batched / capture
-        // agree; replay warps inherit the count from the memo base.
+        // Precondition failure (not engine choice): counted in both engines
+        // before the expansion decision so they agree; replay warps inherit
+        // the count from the memo base.
         if !uniform && count > 0 && len_bytes > 0 && !self.probing() {
             self.counters.descriptor_fallbacks += 1;
         }
@@ -862,7 +617,7 @@ impl<'a> WarpTally<'a> {
                 let sector = (a + off4) / SECTOR_BYTES as u64;
                 if sector != prev {
                     tx += 1;
-                    hits += self.probes.probe_sector(sector);
+                    hits += u64::from(self.cache.access_sector(sector));
                     prev = sector;
                 }
             }
@@ -901,7 +656,7 @@ impl<'a> WarpTally<'a> {
         sectors.dedup();
         let mut hits = 0u64;
         for &s in sectors.iter() {
-            hits += self.probes.probe_sector(s);
+            hits += u64::from(self.cache.access_sector(s));
         }
         self.probe_tally(hits, sectors.len() as u64);
         self.gather_scratch = sectors;
@@ -923,10 +678,7 @@ impl<'a> WarpTally<'a> {
     /// resolves in an L2 partition — ordering and the [`AccessKind::Atomic`]
     /// sanitizer record are unchanged — but a missing line is installed in
     /// its set's LRU way, so an output region touched once (or by a burst
-    /// of temporally-adjacent warps) never displaces reusable lines. The
-    /// probes replay through the same capture pipeline as cached atomics
-    /// (tagged with [`ProbeOp::STREAM_BIT`]), so every engine sees the same
-    /// hit/miss sequence.
+    /// of temporally-adjacent warps) never displaces reusable lines.
     pub fn global_atomic_streaming(&mut self, addr: u64, len_bytes: u64) {
         if !self.probing() {
             self.counters.atomics += 1;
@@ -935,7 +687,7 @@ impl<'a> WarpTally<'a> {
         if len_bytes > 0 {
             let first = addr / SECTOR_BYTES as u64;
             let n = (addr + len_bytes - 1) / SECTOR_BYTES as u64 - first + 1;
-            let hits = self.probes.probe_run_streaming(first, n);
+            let hits = self.cache.access_run_streaming(first, n);
             self.probe_tally(hits, n);
         }
     }
