@@ -11,6 +11,7 @@ use hpsparse_core::cpu;
 use hpsparse_datasets::generators::{GeneratorConfig, Topology};
 use hpsparse_datasets::registry::by_name;
 use hpsparse_datasets::store;
+use hpsparse_gnn::linalg;
 use hpsparse_sparse::{reference, Dense};
 
 fn features(rows: usize, k: usize) -> Dense {
@@ -152,11 +153,42 @@ fn bench_inner_loops(c: &mut Criterion) {
     group.finish();
 }
 
+/// The trainer's dense path (`gnn::linalg`) at the shapes the `table5`
+/// trainers and the repository benchmark's `train` workload run: hidden
+/// layer, classifier layer, per-head attention projection, sampled
+/// subgraph. An element is one flop (`2·m·k·n` per call), so Melem/s
+/// ÷ 1000 is GFLOP/s, on the record next to the sparse CPU kernels.
+fn bench_dense_gemm(c: &mut Criterion) {
+    let mut group = c.benchmark_group("dense_gemm");
+    group.sample_size(10);
+    for (m, k, n) in [
+        (11_000, 128, 128),
+        (11_000, 128, 16),
+        (6_800, 64, 32),
+        (2_048, 128, 128),
+    ] {
+        let shape = format!("{m}x{k}x{n}");
+        let (z, w, d_y) = (features(m, k), features(k, n), features(m, n));
+        group.throughput(Throughput::Elements(2 * (m * k * n) as u64));
+        group.bench_with_input(BenchmarkId::new("matmul", &shape), &(), |b, ()| {
+            b.iter(|| linalg::matmul(&z, &w))
+        });
+        group.bench_with_input(BenchmarkId::new("transpose_a", &shape), &(), |b, ()| {
+            b.iter(|| linalg::matmul_transpose_a(&z, &d_y))
+        });
+        group.bench_with_input(BenchmarkId::new("transpose_b", &shape), &(), |b, ()| {
+            b.iter(|| linalg::matmul_transpose_b(&d_y, &w))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_spmm,
     bench_sddmm,
     bench_registry_graph,
-    bench_inner_loops
+    bench_inner_loops,
+    bench_dense_gemm
 );
 criterion_main!(benches);

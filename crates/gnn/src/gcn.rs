@@ -37,8 +37,6 @@ pub struct Gcn {
 
 /// Forward activations kept for the backward pass.
 pub struct Cache {
-    /// Input to each layer (`H_{l-1}`), length `layers`.
-    inputs: Vec<Dense>,
     /// Aggregated features `Z_l = S · H_{l-1}`, length `layers`.
     aggregated: Vec<Dense>,
     /// Pre-activations `Y_l`, length `layers`.
@@ -106,12 +104,10 @@ impl Gcn {
     ) -> (Dense, Cache) {
         let device = backend.device().clone();
         let layers = self.num_layers();
-        let mut inputs = Vec::with_capacity(layers);
         let mut aggregated = Vec::with_capacity(layers);
         let mut pre_activations = Vec::with_capacity(layers);
         let mut h = x.clone();
         for l in 0..layers {
-            inputs.push(h.clone());
             let z = backend.spmm(s, &h);
             let w = &self.weights[l];
             backend.account_dense(
@@ -132,7 +128,6 @@ impl Gcn {
         (
             h,
             Cache {
-                inputs,
                 aggregated,
                 pre_activations,
             },
@@ -176,7 +171,6 @@ impl Gcn {
             linalg::relu_backward(&mut d_h, &cache.pre_activations[l - 1]);
             d_y = d_h;
         }
-        let _ = &cache.inputs; // inputs are implicit in `aggregated`
         Grads {
             weights: w_grads.into_iter().map(Option::unwrap).collect(),
             biases: b_grads.into_iter().map(Option::unwrap).collect(),

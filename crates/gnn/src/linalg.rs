@@ -1,29 +1,158 @@
 //! Dense linear algebra on rayon: exactly the operations a GCN training
-//! step needs, parallelised over output rows.
+//! step needs.
+//!
+//! # The GEMM core and its bit contract
+//!
+//! [`matmul`], [`matmul_transpose_a`] and [`matmul_transpose_b`] share one
+//! multiply-accumulate kernel, `tile`: an `MR × NR` block of `C` held in a
+//! fixed-size array (registers, once vectorised) across a panel of `KP`
+//! reduction rows, `A` addressed as `a[i·rs + kk·cs]` so the same body reads
+//! `A` or `Aᵀ`, `B` row-major. The drivers only choose strides and split the
+//! work: [`matmul`] fans `MB`-row blocks of `C` over the pool,
+//! [`matmul_transpose_b`] transposes the (small) right operand once and
+//! calls [`matmul`], and [`matmul_transpose_a`] splits the long reduction
+//! into 16 fixed chunks whose partial products merge in chunk order. A
+//! width that is not a whole number of tiles is zero-padded once per call
+//! and the extra columns dropped, so the kernel never runs a narrow tile.
+//!
+//! The arrangement changes which element is computed when, never how:
+//! every `c[i][j]` accumulates `a·b` from `+0.0` in ascending `kk` with a
+//! separately rounded multiply and add — no `mul_add`, no reassociation
+//! (for `Aᵀ·B`: per chunk, then the chunks in order). Block, panel and
+//! chunk sizes are constants, never derived from the thread count, so for
+//! finite operands the result equals the scalar triple loop at
+//! `f32::to_bits` at any `RAYON_NUM_THREADS`. No zero operand is skipped:
+//! `0 · NaN` and `0 · Inf` are NaN and propagate, as IEEE 754 says.
+//!
+//! The tile is safe Rust over the baseline target — no `unsafe`, no
+//! `target_feature` dispatch: its sizes fill the 16 SSE2 registers
+//! (8 accumulators, 2 `B` vectors, broadcast temporaries) and wider units
+//! would buy speed at the price of a second code path to keep bit-equal.
 
 use hpsparse_sparse::Dense;
 use rayon::prelude::*;
+use std::borrow::Cow;
+
+/// Rows of `C` in one register tile.
+const MR: usize = 4;
+/// Columns of `C` in one register tile (two 4-lane vectors).
+const NR: usize = 8;
+/// Reduction rows a tile stays in registers for; bounds the `A`/`B` panel a
+/// block re-reads to what a cache level holds.
+const KP: usize = 128;
+/// Rows of `C` per [`matmul`] task.
+const MB: usize = 64;
+/// Fixed reduction split of [`matmul_transpose_a`].
+const TRANSPOSE_A_CHUNKS: usize = 16;
+/// Elements per task of the element-wise passes.
+const ELEMENTWISE_CHUNK: usize = 4096;
+
+/// The one multiply-accumulate kernel: returns `acc` with `acc[r][j] +=
+/// a[a_rows[r] + kk·cs] · b_panel[kk − k0][j0 + j]` for `kk` ascending from
+/// `k0` over the rows of `b_panel` (`ldb` floats each).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tile(
+    mut acc: [[f32; NR]; MR],
+    a: &[f32],
+    a_rows: [usize; MR],
+    cs: usize,
+    k0: usize,
+    b_panel: &[f32],
+    ldb: usize,
+    j0: usize,
+) -> [[f32; NR]; MR] {
+    for (kk, b_row) in (k0..).zip(b_panel.chunks_exact(ldb)) {
+        let bv: &[f32; NR] = b_row[j0..j0 + NR].try_into().expect("NR-wide slice");
+        for (acc_row, a_row) in acc.iter_mut().zip(a_rows) {
+            let av = a[a_row + kk * cs];
+            for (c, &b) in acc_row.iter_mut().zip(bv) {
+                *c += av * b;
+            }
+        }
+    }
+    acc
+}
+
+/// `c += op(A)[i0.., k] · B[k, ..]`: `c` holds rows `i0..` of the product,
+/// `n` wide; `op(A)[i][kk] = a[i·rs + kk·cs]`; `b` is row-major, `n` wide.
+/// `n` is a whole number of tiles (see [`pad_to_tiles`]); a short last row
+/// tile repeats its last row, and the repeats are not stored.
+#[allow(clippy::too_many_arguments)]
+fn gemm_block(
+    c: &mut [f32],
+    n: usize,
+    a: &[f32],
+    rs: usize,
+    cs: usize,
+    i0: usize,
+    b: &[f32],
+    k: std::ops::Range<usize>,
+) {
+    let rows = c.len() / n;
+    for p0 in k.clone().step_by(KP) {
+        let b_panel = &b[p0 * n..(p0 + KP).min(k.end) * n];
+        for j0 in (0..n).step_by(NR) {
+            for (c_rows, r0) in c.chunks_mut(MR * n).zip((0..rows).step_by(MR)) {
+                let last = rows - 1 - r0;
+                let a_rows = std::array::from_fn(|r| (i0 + r0 + r.min(last)) * rs);
+                let mut acc = [[0f32; NR]; MR];
+                for (acc_row, c_row) in acc.iter_mut().zip(c_rows.chunks_exact(n)) {
+                    acc_row.copy_from_slice(&c_row[j0..j0 + NR]);
+                }
+                let acc = tile(acc, a, a_rows, cs, p0, b_panel, n, j0);
+                for (acc_row, c_row) in acc.iter().zip(c_rows.chunks_exact_mut(n)) {
+                    c_row[j0..j0 + NR].copy_from_slice(acc_row);
+                }
+            }
+        }
+    }
+}
+
+/// `b`'s data with zero columns appended up to a whole number of `NR`-wide
+/// tiles, and that width; borrowed as is when `b` already is one. The extra
+/// columns of the product are dropped again by [`strip_padding`], so no
+/// tile is ever narrower than the kernel.
+fn pad_to_tiles(b: &Dense) -> (Cow<'_, [f32]>, usize) {
+    let n = b.cols();
+    let ldb = n.next_multiple_of(NR);
+    if ldb == n {
+        return (Cow::Borrowed(b.data()), n);
+    }
+    let mut padded = vec![0f32; b.rows() * ldb];
+    for (dst, src) in padded.chunks_exact_mut(ldb).zip(b.data().chunks_exact(n)) {
+        dst[..n].copy_from_slice(src);
+    }
+    (Cow::Owned(padded), ldb)
+}
+
+/// The first `n` of every `ldc` columns of `c`, as an `m × n` matrix.
+fn strip_padding(c: Vec<f32>, m: usize, ldc: usize, n: usize) -> Dense {
+    if ldc == n {
+        return Dense::from_vec(m, n, c).expect("m × n buffer");
+    }
+    let mut out = Dense::zeros(m, n);
+    for (dst, src) in out.data_mut().chunks_exact_mut(n).zip(c.chunks_exact(ldc)) {
+        dst.copy_from_slice(&src[..n]);
+    }
+    out
+}
 
 /// `C = A · B` (`m×k` times `k×n`).
 pub fn matmul(a: &Dense, b: &Dense) -> Dense {
     assert_eq!(a.cols(), b.rows(), "matmul inner dimensions");
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut c = Dense::zeros(m, n);
-    c.data_mut()
-        .par_chunks_mut(n)
+    if n == 0 {
+        return Dense::zeros(m, 0);
+    }
+    let (b, ldc) = pad_to_tiles(b);
+    let mut c = vec![0f32; m * ldc];
+    c.par_chunks_mut(MB * ldc)
         .enumerate()
-        .for_each(|(i, c_row)| {
-            let a_row = a.row(i);
-            for (kk, &av) in a_row.iter().enumerate().take(k) {
-                if av != 0.0 {
-                    let b_row = b.row(kk);
-                    for j in 0..n {
-                        c_row[j] += av * b_row[j];
-                    }
-                }
-            }
+        .for_each(|(block, c_rows)| {
+            gemm_block(c_rows, ldc, a.data(), k, 1, block * MB, &b, 0..k);
         });
-    c
+    strip_padding(c, m, ldc, n)
 }
 
 /// `C = Aᵀ · B` (`k×m`ᵀ times `k×n`): used for weight gradients
@@ -31,72 +160,50 @@ pub fn matmul(a: &Dense, b: &Dense) -> Dense {
 pub fn matmul_transpose_a(a: &Dense, b: &Dense) -> Dense {
     assert_eq!(a.rows(), b.rows(), "matmul_transpose_a outer dimensions");
     let (k, m, n) = (a.rows(), a.cols(), b.cols());
-    // Parallelise over rows of the output (columns of A) by splitting the
-    // reduction across chunk-local accumulators. The chunk count is fixed
-    // (never derived from the thread count) so the merge order — and hence
-    // the float result, bit for bit — is identical at any RAYON_NUM_THREADS.
-    let num_chunks = 16.min(k.max(1));
+    if n == 0 {
+        return Dense::zeros(m, 0);
+    }
+    // The output is small and the reduction long, so the parallel axis is
+    // the reduction: chunk-local accumulators, merged in chunk order. The
+    // chunk count is fixed (never derived from the thread count) so the
+    // merge order — and hence the float result, bit for bit — is identical
+    // at any RAYON_NUM_THREADS.
+    let num_chunks = TRANSPOSE_A_CHUNKS.min(k.max(1));
     let chunk = k.div_ceil(num_chunks);
+    let (b, ldc) = pad_to_tiles(b);
     let partials: Vec<Vec<f32>> = (0..num_chunks)
         .into_par_iter()
         .map(|ci| {
             let lo = ci * chunk;
             let hi = ((ci + 1) * chunk).min(k);
-            let mut acc = vec![0f32; m * n];
-            for kk in lo..hi {
-                let a_row = a.row(kk);
-                let b_row = b.row(kk);
-                for i in 0..m {
-                    let av = a_row[i];
-                    if av != 0.0 {
-                        let dst = &mut acc[i * n..(i + 1) * n];
-                        for j in 0..n {
-                            dst[j] += av * b_row[j];
-                        }
-                    }
-                }
-            }
+            let mut acc = vec![0f32; m * ldc];
+            gemm_block(&mut acc, ldc, a.data(), 1, m, 0, &b, lo..hi);
             acc
         })
         .collect();
-    let mut c = Dense::zeros(m, n);
+    let mut c = vec![0f32; m * ldc];
     for p in partials {
-        for (dst, src) in c.data_mut().iter_mut().zip(&p) {
+        for (dst, src) in c.iter_mut().zip(&p) {
             *dst += src;
         }
     }
-    c
+    strip_padding(c, m, ldc, n)
 }
 
 /// `C = A · Bᵀ` (`m×k` times `n×k`ᵀ): used for input gradients `dY·Wᵀ`.
-///
-/// `B` is transposed once so the inner loop is a contiguous row-axpy the
-/// compiler vectorises, instead of one scalar dot product per output. Each
-/// `c[i][j]` still accumulates `a[i][kk]·b[j][kk]` from `+0.0` in ascending
-/// `kk`, so the result is bit-identical to the dot-product form; unlike
-/// [`matmul`] no zero operand is skipped, so NaN/Inf in `B` propagate.
+/// `B` (a weight matrix) is transposed once and the product is [`matmul`]'s.
 pub fn matmul_transpose_b(a: &Dense, b: &Dense) -> Dense {
     assert_eq!(a.cols(), b.cols(), "matmul_transpose_b inner dimensions");
-    let n = b.rows();
-    let bt = b.transpose();
-    let mut c = Dense::zeros(a.rows(), n);
-    c.data_mut()
-        .par_chunks_mut(n)
-        .enumerate()
-        .for_each(|(i, c_row)| {
-            for (kk, &av) in a.row(i).iter().enumerate() {
-                for (c_val, &bv) in c_row.iter_mut().zip(bt.row(kk)) {
-                    *c_val += av * bv;
-                }
-            }
-        });
-    c
+    matmul(a, &b.transpose())
 }
 
 /// Adds a row-vector bias to every row, in place.
 pub fn add_bias(x: &mut Dense, bias: &[f32]) {
     assert_eq!(x.cols(), bias.len());
     let n = x.cols();
+    if n == 0 {
+        return;
+    }
     x.data_mut().par_chunks_mut(n).for_each(|row| {
         for (v, b) in row.iter_mut().zip(bias) {
             *v += b;
@@ -104,13 +211,16 @@ pub fn add_bias(x: &mut Dense, bias: &[f32]) {
     });
 }
 
-/// ReLU forward, in place.
+/// ReLU forward, in place. A select, not a conditional store: the sign of
+/// an activation is a coin flip to the branch predictor.
 pub fn relu(x: &mut Dense) {
-    x.data_mut().par_iter_mut().for_each(|v| {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
-    });
+    x.data_mut()
+        .par_chunks_mut(ELEMENTWISE_CHUNK)
+        .for_each(|chunk| {
+            for v in chunk {
+                *v = if *v < 0.0 { 0.0 } else { *v };
+            }
+        });
 }
 
 /// ReLU backward: zeroes gradient entries where the forward input was
@@ -119,11 +229,11 @@ pub fn relu_backward(grad: &mut Dense, pre_activation: &Dense) {
     assert_eq!(grad.rows(), pre_activation.rows());
     assert_eq!(grad.cols(), pre_activation.cols());
     grad.data_mut()
-        .par_iter_mut()
-        .zip(pre_activation.data().par_iter())
-        .for_each(|(g, &z)| {
-            if z <= 0.0 {
-                *g = 0.0;
+        .par_chunks_mut(ELEMENTWISE_CHUNK)
+        .zip(pre_activation.data().par_chunks(ELEMENTWISE_CHUNK))
+        .for_each(|(g_chunk, z_chunk)| {
+            for (g, &z) in g_chunk.iter_mut().zip(z_chunk) {
+                *g = if z <= 0.0 { 0.0 } else { *g };
             }
         });
 }
@@ -148,6 +258,9 @@ pub fn softmax_cross_entropy(logits: &Dense, labels: &[u32]) -> (f32, Dense) {
     let n = logits.cols();
     let rows = logits.rows().max(1);
     let mut grad = Dense::zeros(logits.rows(), n);
+    if n == 0 {
+        return (0.0, grad);
+    }
     let loss: f32 = grad
         .data_mut()
         .par_chunks_mut(n)
@@ -178,14 +291,13 @@ pub fn accuracy(logits: &Dense, labels: &[u32]) -> f64 {
     }
     let correct = (0..logits.rows())
         .filter(|&i| {
-            let row = logits.row(i);
-            let argmax = row
+            // A zero-width row has no arg-max and matches no label.
+            logits
+                .row(i)
                 .iter()
                 .enumerate()
                 .max_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(j, _)| j)
-                .unwrap();
-            argmax as u32 == labels[i]
+                .is_some_and(|(j, _)| j as u32 == labels[i])
         })
         .count();
     correct as f64 / labels.len() as f64
@@ -194,6 +306,7 @@ pub fn accuracy(logits: &Dense, labels: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn matmul_small_known_answer() {
@@ -203,57 +316,168 @@ mod tests {
         assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
-    #[test]
-    fn transpose_variants_agree_with_explicit_transpose() {
-        let a = Dense::from_fn(5, 4, |i, j| ((i * 4 + j) as f32 * 0.3).sin());
-        let b = Dense::from_fn(5, 3, |i, j| ((i * 3 + j) as f32 * 0.2).cos());
-        let via_helper = matmul_transpose_a(&a, &b);
-        let via_transpose = matmul(&a.transpose(), &b);
-        assert!(via_helper.approx_eq(&via_transpose, 1e-5, 1e-6));
+    fn bits(d: &Dense) -> Vec<u32> {
+        d.data().iter().map(|v| v.to_bits()).collect()
+    }
 
-        let c = Dense::from_fn(4, 6, |i, j| (i + j) as f32);
-        let d = Dense::from_fn(5, 6, |i, j| (i as f32) - (j as f32));
-        let via_helper = matmul_transpose_b(&c, &d);
-        let via_transpose = matmul(&c, &d.transpose());
-        assert!(via_helper.approx_eq(&via_transpose, 1e-5, 1e-6));
+    /// The contract's reference for `A · B`: one scalar accumulator per
+    /// output, from `+0.0`, ascending `kk` over `reduction`, a separately
+    /// rounded multiply and add.
+    fn scalar_product(a: &Dense, b: &Dense, reduction: std::ops::Range<usize>) -> Dense {
+        Dense::from_fn(a.rows(), b.cols(), |i, j| {
+            let mut acc = 0f32;
+            for kk in reduction.clone() {
+                acc += a.get(i, kk) * b.get(kk, j);
+            }
+            acc
+        })
+    }
+
+    /// [`matmul_transpose_a`]'s order: the same loop per fixed reduction
+    /// chunk, the chunks added in order.
+    fn scalar_product_chunked(a: &Dense, b: &Dense) -> Dense {
+        let k = a.cols();
+        let chunk = k.div_ceil(TRANSPOSE_A_CHUNKS.min(k.max(1))).max(1);
+        let mut c = Dense::zeros(a.rows(), b.cols());
+        for lo in (0..k).step_by(chunk) {
+            let partial = scalar_product(a, b, lo..(lo + chunk).min(k));
+            for (dst, src) in c.data_mut().iter_mut().zip(partial.data()) {
+                *dst += src;
+            }
+        }
+        c
+    }
+
+    /// All three variants of the product `A · B` (`m×k` times `k×n`), each
+    /// checked against its scalar oracle under `same`, and returned.
+    fn checked_variants(a: &Dense, b: &Dense, same: impl Fn(&Dense, &Dense) -> bool) -> [Dense; 3] {
+        let shape = (a.rows(), a.cols(), b.cols());
+        let want = scalar_product(a, b, 0..a.cols());
+        let want_chunked = scalar_product_chunked(a, b);
+        let got = [
+            ("matmul", matmul(a, b), &want),
+            (
+                "matmul_transpose_b",
+                matmul_transpose_b(a, &b.transpose()),
+                &want,
+            ),
+            (
+                "matmul_transpose_a",
+                matmul_transpose_a(&a.transpose(), b),
+                &want_chunked,
+            ),
+        ];
+        got.map(|(name, got, want)| {
+            assert_eq!(
+                (got.rows(), got.cols()),
+                (shape.0, shape.2),
+                "{name} {shape:?}"
+            );
+            assert!(same(&got, want), "{name} {shape:?}");
+            got
+        })
+    }
+
+    /// Sizes on both sides of every edge the blocking has: empty and unit
+    /// operands, the `MR`/`NR` tile, the `MB` row block, the `KP` panel, and
+    /// for the reduction the fixed chunk count of `matmul_transpose_a` with
+    /// a panel edge inside a chunk.
+    fn operands() -> impl Strategy<Value = (Dense, Dense)> {
+        const C: usize = TRANSPOSE_A_CHUNKS;
+        const M: &[usize] = &[0, 1, MR - 1, MR, MR + 1, 2 * MR + 1, MB - 1, MB, MB + 1];
+        const N: &[usize] = &[0, 1, NR - 1, NR, NR + 1, 2 * NR, 2 * NR + 3];
+        const K: &[usize] = &[
+            0,
+            1,
+            C - 1,
+            C,
+            C + 1,
+            KP - 1,
+            KP,
+            KP + 1,
+            C * KP - 1,
+            C * KP + 1,
+            C * (KP + 1) + 1,
+        ];
+        // Full-mantissa values in (-1, 1) so every reordering would round
+        // differently, with a quarter of them zero (of either sign).
+        let value = proptest::num::i32::ANY.prop_map(|v| match v.rem_euclid(8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => v as f32 / i32::MAX as f32,
+        });
+        (0..M.len(), 0..K.len(), 0..N.len()).prop_flat_map(move |(mi, ki, ni)| {
+            let (m, k, n) = (M[mi], K[ki], N[ni]);
+            let matrix = |rows: usize, cols: usize| {
+                proptest::collection::vec(value, rows * cols..rows * cols + 1)
+                    .prop_map(move |data| Dense::from_vec(rows, cols, data).unwrap())
+            };
+            (matrix(m, k), matrix(k, n))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn gemm_variants_are_bit_identical_to_the_scalar_oracle((a, b) in operands()) {
+            checked_variants(&a, &b, |got, want| bits(got) == bits(want));
+        }
     }
 
     #[test]
-    fn matmul_transpose_b_is_bit_identical_to_scalar_dot_products() {
-        fn scalar(a: &Dense, b: &Dense) -> Dense {
-            Dense::from_fn(a.rows(), b.rows(), |i, j| {
-                let mut acc = 0f32;
-                for kk in 0..a.cols() {
-                    acc += a.row(i)[kk] * b.row(j)[kk];
-                }
-                acc
-            })
-        }
-        let (k, n) = (33, 40);
-        let b = Dense::from_fn(n, k, |j, kk| ((j * k + kk) as f32 * 0.37).sin() - 0.2);
-        for m in [0usize, 1, 7] {
-            let a = Dense::from_fn(m, k, |i, kk| ((i * k + kk) as f32 * 0.11).cos());
-            let (got, want) = (matmul_transpose_b(&a, &b), scalar(&a, &b));
-            assert_eq!((got.rows(), got.cols()), (m, n));
-            let bits = |d: &Dense| d.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&got), bits(&want), "m = {m}");
-        }
-        // Non-finite operands on either side, next to zeros a zero-skip
-        // would wrongly swallow: 0·NaN and 0·Inf are NaN.
-        let mut a = Dense::from_fn(3, k, |i, kk| if kk % 3 == i { 0.0 } else { 1.5 });
+    fn non_finite_operands_propagate_through_every_variant() {
+        // NaN/Inf on either side, next to zeros a zero-skip would wrongly
+        // swallow: 0·NaN and 0·Inf are NaN.
+        let (m, k, n) = (3, 33, 40);
+        let mut a = Dense::from_fn(m, k, |i, kk| if kk % 3 == i { 0.0 } else { 1.5 });
         a.row_mut(1)[4] = f32::NAN;
-        let mut b = b;
-        b.row_mut(2)[0] = f32::INFINITY;
-        b.row_mut(5)[1] = f32::NEG_INFINITY;
-        b.row_mut(9)[2] = f32::NAN;
-        let (got, want) = (matmul_transpose_b(&a, &b), scalar(&a, &b));
-        for (g, w) in got.data().iter().zip(want.data()) {
-            // Which payload survives NaN + NaN is the instruction's operand
-            // order, not arithmetic: only NaN-ness is pinned there.
-            assert!(g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()));
+        let mut b = Dense::from_fn(k, n, |kk, j| ((j * k + kk) as f32 * 0.37).sin() - 0.2);
+        b.row_mut(0)[2] = f32::INFINITY;
+        b.row_mut(1)[5] = f32::NEG_INFINITY;
+        b.row_mut(2)[9] = f32::NAN;
+        // Which payload survives NaN + NaN is the instruction's operand
+        // order, not arithmetic: only NaN-ness is pinned there.
+        let variants = checked_variants(&a, &b, |got, want| {
+            got.data()
+                .iter()
+                .zip(want.data())
+                .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+        });
+        for got in variants {
+            assert!(got.get(0, 2).is_nan(), "0 · Inf must stay NaN");
+            assert!(got.get(1, 5).is_nan(), "0 · -Inf must stay NaN");
+            assert!(got.get(2, 9).is_nan(), "0 · NaN must stay NaN");
+            assert!(
+                got.row(1).iter().all(|v| v.is_nan()),
+                "NaN in A poisons its row"
+            );
+            assert!(got.get(0, 0).is_finite());
         }
-        assert!(got.get(0, 2).is_nan(), "0 · Inf must stay NaN");
-        assert!(got.get(1, 0).is_nan() && got.get(2, 9).is_nan());
+    }
+
+    #[test]
+    fn zero_and_unit_width_operands_give_shaped_results_not_panics() {
+        for (m, k, n) in (0..8).map(|s| (s & 1, (s >> 1) & 1, s >> 2)) {
+            let a = Dense::from_fn(m, k, |_, _| 3.0);
+            let b = Dense::from_fn(k, n, |_, _| -0.5);
+            checked_variants(&a, &b, |got, want| bits(got) == bits(want));
+
+            let mut x = Dense::zeros(m, n);
+            add_bias(&mut x, &vec![2.0; n]);
+            assert!(x.data().iter().all(|&v| v == 2.0));
+            relu(&mut x);
+            relu_backward(&mut x, &Dense::zeros(m, n));
+            assert_eq!(column_sums(&x), vec![0.0; n]);
+
+            // One class is always right and costs nothing; none is never right.
+            let labels = vec![0u32; m];
+            let (loss, grad) = softmax_cross_entropy(&x, &labels);
+            assert_eq!(loss, 0.0);
+            assert_eq!((grad.rows(), grad.cols()), (m, n));
+            assert!(grad.data().iter().all(|&g| g == 0.0));
+            assert_eq!(accuracy(&x, &labels), (m * n) as f64);
+        }
     }
 
     #[test]

@@ -80,17 +80,13 @@ impl SparseMha {
 
         let mut concat = Dense::zeros(n, self.heads.len() * d);
         let mut head_caches = Vec::with_capacity(self.heads.len());
-        for (h, (out, weights)) in outs.into_iter().zip(attn).enumerate() {
+        let projections = qs.into_iter().zip(ks).zip(vs);
+        let heads = outs.into_iter().zip(attn).zip(projections);
+        for (h, ((out, weights), ((q, k), v))) in heads.enumerate() {
             for i in 0..n {
                 concat.row_mut(i)[h * d..(h + 1) * d].copy_from_slice(out.row(i));
             }
-            head_caches.push(GatCache::from_parts(
-                qs[h].clone(),
-                ks[h].clone(),
-                vs[h].clone(),
-                weights,
-                x.clone(),
-            ));
+            head_caches.push(GatCache::from_parts(q, k, v, weights, x.clone()));
         }
         (concat, MhaCache { head_caches })
     }

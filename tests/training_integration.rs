@@ -143,3 +143,26 @@ fn gat_layer_runs_on_all_backends() {
     }
     assert!(hp.sparse_cycles() > 0);
 }
+
+/// The dense path's bit contract, witnessed end to end: the `CpuBackend`
+/// losses of the trajectory test's model, recorded at commit e0af99e (the
+/// row-axpy GEMMs the register-tiled core replaced). `gnn::linalg` promises
+/// the same bits for finite operands at any thread count, so these move
+/// only if its accumulation order does.
+#[test]
+fn cpu_backend_losses_keep_their_recorded_bits() {
+    let (g, x, y) = problem(1);
+    let cfg = TrainConfig {
+        epochs: 4,
+        lr: 0.02,
+        ..Default::default()
+    };
+    let (_, stats) = train_full_graph(&mut CpuBackend::new(), &g, &x, &y, model(), cfg);
+    let bits: Vec<u32> = stats.losses.iter().map(|l| l.to_bits()).collect();
+    assert_eq!(
+        bits,
+        [0x3fb363cd, 0x3fb0f864, 0x3fafb291, 0x3faed843],
+        "losses {:?}",
+        stats.losses
+    );
+}
