@@ -44,10 +44,14 @@ pub struct GraphFingerprint {
 
 impl GraphFingerprint {
     /// Fingerprints a matrix for SpMM/SDDMM at feature dimension `k` on
-    /// `device`. Total cost is one CSR conversion plus an O(rows) pass;
-    /// never panics, including on matrices with 0 rows or 0 non-zeros.
+    /// `device`. Total cost is one pass over the row indices plus an
+    /// O(rows) pass, with no copy of the matrix; never panics, including on
+    /// matrices with 0 rows or 0 non-zeros.
     pub fn of(s: &Hybrid, k: usize, device: &DeviceSpec) -> Self {
-        let stats = DegreeStats::of(&s.to_csr());
+        Self::from_stats(s, DegreeStats::of_hybrid(s), k, device)
+    }
+
+    fn from_stats(s: &Hybrid, stats: DegreeStats, k: usize, device: &DeviceSpec) -> Self {
         Self {
             rows: s.rows(),
             cols: s.cols(),
@@ -193,14 +197,45 @@ mod tests {
         assert_eq!(fp.key(), nudged.key());
     }
 
-    #[test]
-    fn degenerate_matrices_fingerprint_cleanly() {
-        let v100 = DeviceSpec::v100();
-        for s in [
+    fn degenerate() -> [Hybrid; 3] {
+        [
             Hybrid::from_triplets(0, 0, &[]).unwrap(),
             Hybrid::from_triplets(5, 5, &[]).unwrap(),
             Hybrid::from_triplets(1, 1, &[(0, 0, 1.0)]).unwrap(),
-        ] {
+        ]
+    }
+
+    /// Persisted plan caches are keyed by `key()`: reading the degree
+    /// statistics off the hybrid's row indices must give, bit for bit,
+    /// what the CSR conversion gave.
+    #[test]
+    fn statistics_and_keys_equal_the_csr_route() {
+        let v100 = DeviceSpec::v100();
+        let quick_registry = hpsparse_datasets::registry::full_graph_dataset()
+            .into_iter()
+            .map(|spec| spec.generate(200_000).to_hybrid());
+        for s in quick_registry.chain(degenerate()) {
+            let direct = DegreeStats::of_hybrid(&s);
+            let via_csr = DegreeStats::of(&s.to_csr());
+            assert_eq!(direct, via_csr);
+            for (a, b) in [
+                (direct.mean, via_csr.mean),
+                (direct.std_dev, via_csr.std_dev),
+                (direct.cv, via_csr.cv),
+            ] {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+            let fp = GraphFingerprint::of(&s, 64, &v100);
+            let old = GraphFingerprint::from_stats(&s, via_csr, 64, &v100);
+            assert_eq!(fp.canonical_encoding(), old.canonical_encoding());
+            assert_eq!(fp.key(), old.key());
+        }
+    }
+
+    #[test]
+    fn degenerate_matrices_fingerprint_cleanly() {
+        let v100 = DeviceSpec::v100();
+        for s in degenerate() {
             let fp = GraphFingerprint::of(&s, 64, &v100);
             assert!(fp.mean_degree.is_finite());
             assert!(fp.tail_heaviness.is_finite());

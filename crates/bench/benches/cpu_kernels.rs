@@ -12,6 +12,8 @@ use hpsparse_datasets::generators::{GeneratorConfig, Topology};
 use hpsparse_datasets::registry::by_name;
 use hpsparse_datasets::store;
 use hpsparse_gnn::linalg;
+use hpsparse_serve::{serve, synthetic_workload, BatcherConfig, Cluster, WorkloadConfig};
+use hpsparse_sim::{DeviceSpec, LinkSpec};
 use hpsparse_sparse::{reference, Dense};
 
 fn features(rows: usize, k: usize) -> Dense {
@@ -183,12 +185,59 @@ fn bench_dense_gemm(c: &mut Criterion) {
     group.finish();
 }
 
+/// The serving hot path on quick Flickr (8 shards on 4 simulated V100s,
+/// K = 32): one `Cluster::run_batch` — batch assembly, Heuristic planning
+/// and one simulated launch — at 1, 16 and 64 target rows, an element
+/// being one compact-matrix entry; and `serve()` over an open-loop stream
+/// of 2 048 requests at a mean gap of 1 000 cycles, an element being one
+/// request. µs per batch and per request, on the record next to the CPU
+/// kernels.
+fn bench_serve_hotpath(c: &mut Criterion) {
+    let mut group = c.benchmark_group("serve_hotpath");
+    group.sample_size(10);
+    let spec = by_name("Flickr").expect("Flickr is in the registry");
+    let g = store::graph(&spec, 200_000)
+        .with_self_loops()
+        .gcn_normalized();
+    let x = features(g.num_nodes(), 32);
+    let mut cluster = Cluster::new(&g, &x, 8, 4, DeviceSpec::v100(), LinkSpec::nvlink());
+
+    for rows in [1usize, 16, 64] {
+        // Spread the targets over the shard so a batch is not one clique.
+        let shard = &cluster.plan().shards[0];
+        let picks = (0..rows).map(|i| i * shard.num_owned() / rows);
+        let targets: Vec<u32> = picks.clone().map(|r| shard.owned[r]).collect();
+        let entries: usize = picks.map(|r| shard.row_range(r).len()).sum();
+        group.throughput(Throughput::Elements(entries as u64));
+        group.bench_with_input(BenchmarkId::new("run_batch", rows), &(), |b, ()| {
+            b.iter(|| cluster.run_batch(0, &targets).expect("owned targets"))
+        });
+    }
+
+    let requests = synthetic_workload(
+        &g,
+        &WorkloadConfig {
+            num_requests: 2_048,
+            mean_interarrival_cycles: 1_000,
+            subgraph_fraction: 0.3,
+            walk_depth: 4,
+            seed: 15,
+        },
+    );
+    group.throughput(Throughput::Elements(requests.len() as u64));
+    group.bench_function("serve/2048@gap1000", |b| {
+        b.iter(|| serve(&mut cluster, &requests, &BatcherConfig::default(), None))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_spmm,
     bench_sddmm,
     bench_registry_graph,
     bench_inner_loops,
-    bench_dense_gemm
+    bench_dense_gemm,
+    bench_serve_hotpath
 );
 criterion_main!(benches);

@@ -29,7 +29,7 @@ pub mod cluster;
 pub mod server;
 pub mod shard;
 
-pub use cluster::{BatchResult, Cluster};
+pub use cluster::{BatchError, BatchResult, Cluster};
 pub use server::{
     serve, synthetic_workload, verify_lossless, BatcherConfig, DeviceStats, Request, ServeOutcome,
     ServeReport, WorkloadConfig,

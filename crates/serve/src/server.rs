@@ -417,7 +417,17 @@ pub fn serve(
 
     for batch in &batches {
         let device = cluster.device_of(batch.shard as u32) as usize;
-        let result = cluster.run_batch(batch.shard, &batch.rows);
+        // `plan_batches` routes every target to the shard that owns it, so
+        // a refusal here is a bug in the batcher, not bad input.
+        let result = cluster
+            .run_batch(batch.shard, &batch.rows)
+            .unwrap_or_else(|e| {
+                let ids: Vec<u64> = batch.members.iter().map(|m| requests[m.req].id).collect();
+                panic!(
+                    "batch {} of shard {} (requests {ids:?}) was refused: {e}",
+                    batch.seq, batch.shard
+                )
+            });
 
         // Halo transfers leave at `ready` and overlap earlier compute.
         let mut halo_done = batch.ready;

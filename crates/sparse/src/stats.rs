@@ -6,6 +6,7 @@
 //! storage comparison of §II motivates the hybrid format.
 
 use crate::csr::Csr;
+use crate::hybrid::Hybrid;
 
 /// Summary statistics of a row-length (node-degree) distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -29,7 +30,23 @@ pub struct DegreeStats {
 impl DegreeStats {
     /// Computes degree statistics from a CSR matrix.
     pub fn of(m: &Csr) -> Self {
-        let rows = m.rows();
+        let lens: Vec<usize> = (0..m.rows()).map(|r| m.row_len(r)).collect();
+        Self::from_row_lens(&lens)
+    }
+
+    /// Computes the same statistics from a hybrid matrix's row indices —
+    /// equal, field for field and bit for bit, to
+    /// `DegreeStats::of(&h.to_csr())` without copying the matrix.
+    pub fn of_hybrid(h: &Hybrid) -> Self {
+        let mut lens = vec![0usize; h.rows()];
+        for &r in h.row_indices() {
+            lens[r as usize] += 1;
+        }
+        Self::from_row_lens(&lens)
+    }
+
+    fn from_row_lens(lens: &[usize]) -> Self {
+        let rows = lens.len();
         if rows == 0 {
             return Self {
                 rows: 0,
@@ -41,7 +58,6 @@ impl DegreeStats {
                 cv: 0.0,
             };
         }
-        let lens: Vec<usize> = (0..rows).map(|r| m.row_len(r)).collect();
         let nnz: usize = lens.iter().sum();
         let mean = nnz as f64 / rows as f64;
         let var = lens
@@ -139,6 +155,15 @@ mod tests {
         let s = DegreeStats::of(&m);
         assert_eq!(s.rows, 0);
         assert_eq!(s.mean, 0.0);
+    }
+
+    #[test]
+    fn hybrid_row_indices_give_the_csr_statistics() {
+        let empty_rows = Csr::new(3, 2, vec![0, 0, 0, 0], vec![], vec![]).unwrap();
+        let no_rows = Csr::new(0, 0, vec![0], vec![], vec![]).unwrap();
+        for m in [skewed(), empty_rows, no_rows] {
+            assert_eq!(DegreeStats::of_hybrid(&m.to_hybrid()), DegreeStats::of(&m));
+        }
     }
 
     #[test]
