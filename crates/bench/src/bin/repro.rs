@@ -2,44 +2,16 @@
 //!
 //! ```text
 //! repro [--quick|--full] [--json DIR] [--trace FILE] [--metrics FILE]
-//!       [--engine batched|reference] [--selftime-baseline FILE]
-//!       [--selftime-tolerance F]
+//!       [--engine batched|reference]
 //!       <experiment>...
 //! repro perfdiff OLD.json NEW.json [--tolerance F] [--report FILE]
-//!
-//! experiments:
-//!   fig9     kernel benchmarks, full-graph dataset (V100)
-//!   fig9a30  kernel benchmarks, full-graph dataset (A30)
-//!   fig10    kernel benchmarks, graph-sampling dataset (V100)
-//!   fig10a30 kernel benchmarks, graph-sampling dataset (A30)
-//!   table3   average-speedup summary across devices and datasets
-//!   table4   preprocessing vs execution comparison (A30)
-//!   tcgnn    TC-GNN Tensor-Core comparison (RTX 3090)
-//!   reorder  §IV-D reordering-runtime comparison
-//!   fig11    DTP / HVMA / GCR ablation
-//!   fig12    degree-variance sensitivity (Pearson's r)
-//!   fig13    feature-dimension (K) sensitivity
-//!   alpha    DTP wave-factor design ablation
-//!   futurework  register-lean HP-SpMM at large K (paper's future work)
-//!   bell     Blocked-ELL vs hybrid CSR/COO across structures (extension)
-//!   fused    FusedMM vs unfused pipeline (extension)
-//!   table5   end-to-end GNN training
-//!   autotune kernel-planner evaluation: oracle match + plan cache (extension)
-//!   sanitize memcheck/racecheck/initcheck sweep over every registry kernel
-//!   verify   static bounds/race/init verification; non-proved kernels escalate
-//!   fastcheck differential test: fast vs reference cost engine
-//!   formats  §II storage-format comparison
-//!   profile  Nsight-style kernel profiles on Flickr
-//!   datasets Table II stand-in verification
-//!   serve    multi-GPU sharded inference serving; writes BENCH_serve.json
-//!   fused-mha fused one-launch multi-head attention vs three-launch pipeline;
-//!            writes BENCH_fused_mha.json
-//!   all      everything above except fig10a30, verify, fastcheck, datasets,
-//!            serve and fused-mha
-//!   selftime wall-clock self-benchmark of the harness; writes BENCH_repro.json
-//!   perfdiff compare two benchmark/metrics snapshots metric by metric
-//!   list     print the experiment catalog and exit
+//! repro list
 //! ```
+//!
+//! `repro list` prints every experiment with a one-line summary (the table
+//! is `experiments::EXPERIMENTS`), then the meta-modes: `all` runs every
+//! row not tagged `[not in all]`, `selftime` times that same set and
+//! writes `BENCH_repro.json`, `perfdiff` compares two snapshots.
 //!
 //! Experiment output on stdout is byte-identical at any `RAYON_NUM_THREADS`
 //! (timing chatter goes to stderr); `selftime` output is inherently
@@ -68,16 +40,10 @@
 //!
 //! `selftime` folds its run into `BENCH_repro.json` under a `runs` object
 //! keyed by thread count, so records at `RAYON_NUM_THREADS=1` and `=4`
-//! coexist. `--selftime-baseline FILE` makes `selftime` compare its fresh
-//! total against the committed section matching its own thread count and
-//! exit non-zero if the run regressed beyond `--selftime-tolerance`
-//! (fractional, default 0.25 to absorb machine noise; the tracing-overhead
-//! budget of DESIGN.md is validated with a strict 0.01 at baseline-refresh
-//! time).
+//! coexist. The regression gate is `perfdiff` of a fresh record against
+//! the committed one.
 
-use hpsparse_bench::experiments::{
-    bench_artifact, dispatch, selftime, supports_trace, Effort, ALL_EXPERIMENTS, CATALOG,
-};
+use hpsparse_bench::experiments::{find, selftime, Effort, EXPERIMENTS};
 use hpsparse_bench::perfdiff;
 
 fn main() {
@@ -86,8 +52,6 @@ fn main() {
     let mut json_dir: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
-    let mut selftime_baseline: Option<String> = None;
-    let mut selftime_tolerance = 0.25_f64;
     let mut diff_tolerance = perfdiff::DEFAULT_TOLERANCE;
     let mut diff_report: Option<String> = None;
     let mut wanted: Vec<String> = Vec::new();
@@ -115,18 +79,6 @@ fn main() {
                 });
                 hpsparse_sim::set_default_engine(engine);
             }
-            "--selftime-baseline" => {
-                selftime_baseline = Some(
-                    it.next()
-                        .unwrap_or_else(|| usage("--selftime-baseline needs a file")),
-                )
-            }
-            "--selftime-tolerance" => {
-                selftime_tolerance = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--selftime-tolerance needs a number"))
-            }
             "--tolerance" => {
                 diff_tolerance = it
                     .next()
@@ -152,7 +104,11 @@ fn main() {
         std::process::exit(0);
     }
     if wanted.iter().any(|w| w == "all") {
-        wanted = ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+        wanted = EXPERIMENTS
+            .iter()
+            .filter(|e| e.in_all)
+            .map(|e| e.name.to_string())
+            .collect();
     }
 
     // One session for the whole invocation: experiment spans, graph-build
@@ -166,36 +122,17 @@ fn main() {
         let started = std::time::Instant::now();
         let out = if name == "selftime" {
             let out = selftime::run(effort);
-            let merged = merge_selftime_record(&out.json, "BENCH_repro.json");
-            std::fs::write(
-                "BENCH_repro.json",
-                serde_json::to_string_pretty(&merged).unwrap(),
-            )
-            .expect("write BENCH_repro.json");
-            eprintln!("[wrote BENCH_repro.json]");
-            if let Some(baseline) = &selftime_baseline {
-                check_selftime_baseline(&out.json, baseline, selftime_tolerance);
-            }
+            let merged = merge_selftime_record(&out.json, SELFTIME_ARTIFACT);
+            write_artifact(SELFTIME_ARTIFACT, &merged);
             out
         } else {
-            dispatch(name, effort).unwrap_or_else(|| unknown_experiment(name))
+            let exp = find(name).unwrap_or_else(|| unknown_experiment(name));
+            let out = exp.execute(effort);
+            if let Some(file) = exp.artifact {
+                write_artifact(file, &with_host(&out.json));
+            }
+            out
         };
-        if out.id == "serve" {
-            std::fs::write(
-                "BENCH_serve.json",
-                serde_json::to_string_pretty(&with_host(&out.json)).unwrap(),
-            )
-            .expect("write BENCH_serve.json");
-            eprintln!("[wrote BENCH_serve.json]");
-        }
-        if out.id == "fused-mha" {
-            std::fs::write(
-                "BENCH_fused_mha.json",
-                serde_json::to_string_pretty(&with_host(&out.json)).unwrap(),
-            )
-            .expect("write BENCH_fused_mha.json");
-            eprintln!("[wrote BENCH_fused_mha.json]");
-        }
         println!("{}", out.text);
         eprintln!(
             "[{name} finished in {:.1}s]\n",
@@ -224,6 +161,37 @@ fn main() {
             eprintln!("[wrote {path}]");
         }
     }
+}
+
+/// The record `selftime` folds its runs into.
+const SELFTIME_ARTIFACT: &str = "BENCH_repro.json";
+
+/// The words `repro` expands itself instead of looking up in `EXPERIMENTS`.
+const META_MODES: &[(&str, &str)] = &[
+    ("all", "every experiment above not tagged [not in all]"),
+    (
+        "selftime",
+        "wall-clock self-benchmark of `all`  [writes BENCH_repro.json]",
+    ),
+    (
+        "perfdiff",
+        "compare two benchmark/metrics snapshots metric by metric",
+    ),
+    ("list", "print this catalog and exit"),
+];
+
+/// Every word `repro` accepts in experiment position: table rows, then
+/// meta-modes.
+fn words() -> impl Iterator<Item = &'static str> {
+    let names = EXPERIMENTS.iter().map(|e| e.name);
+    names.chain(META_MODES.iter().map(|(n, _)| *n))
+}
+
+/// Writes a benchmark artefact into the working directory.
+fn write_artifact(file: &str, doc: &serde_json::Value) {
+    std::fs::write(file, serde_json::to_string_pretty(doc).unwrap())
+        .unwrap_or_else(|e| panic!("write {file}: {e}"));
+    eprintln!("[wrote {file}]");
 }
 
 /// Host provenance stamped into every `BENCH_*.json`: enough to explain
@@ -314,86 +282,29 @@ fn merge_selftime_record(fresh: &serde_json::Value, path: &str) -> serde_json::V
     serde_json::Value::Object(record)
 }
 
-/// Compares a fresh `selftime` total against a committed baseline, failing
-/// the process when the harness got more than `tolerance` slower. Only
-/// totals are compared — per-experiment noise is too high on shared CI
-/// machines. The baseline section is selected by the fresh run's thread
-/// count (`runs.<threads>`); a baseline recorded at a different effort, or
-/// with no section for this thread count, is rejected rather than silently
-/// compared.
-fn check_selftime_baseline(fresh: &serde_json::Value, baseline_path: &str, tolerance: f64) {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| usage(&format!("--selftime-baseline {baseline_path}: {e}")));
-    let baseline: serde_json::Value = serde_json::from_str(&text)
-        .unwrap_or_else(|e| usage(&format!("--selftime-baseline {baseline_path}: {e}")));
-    let (b, f) = (&baseline["effort"], &fresh["effort"]);
-    if b != f {
-        eprintln!("[selftime-baseline] effort mismatch (baseline {b}, fresh {f}) — not comparable");
-        std::process::exit(2);
-    }
-    let threads = fresh["threads"].as_u64().expect("selftime threads");
-    let section = &baseline["runs"][threads.to_string().as_str()];
-    if section.as_object().is_none() {
-        eprintln!(
-            "[selftime-baseline] no baseline section for {threads} thread(s) — not comparable"
-        );
-        std::process::exit(2);
-    }
-    let base = section["total_seconds"].as_f64().unwrap_or_else(|| {
-        usage(&format!(
-            "--selftime-baseline {baseline_path}: no total_seconds"
-        ))
-    });
-    let now = fresh["total_seconds"].as_f64().expect("selftime totals");
-    let ratio = now / base;
-    eprintln!(
-        "[selftime-baseline] total {now:.2}s vs baseline {base:.2}s \
-         (ratio {ratio:.3}, tolerance +{tolerance:.3})"
-    );
-    if ratio > 1.0 + tolerance {
-        eprintln!("[selftime-baseline] REGRESSION beyond tolerance");
-        std::process::exit(1);
-    }
-}
-
-/// The `repro list` output: every dispatchable experiment with its
-/// one-line summary, plus the meta-modes. Names that attach per-launch
-/// tracers are marked `[trace]`; names that write a benchmark artefact
-/// are marked `[writes …]`.
+/// The `repro list` output: every experiment with its one-line summary,
+/// then the meta-modes. Rows are tagged `[trace]` when they attach
+/// per-launch tracers, `[writes …]` when they write a benchmark artefact,
+/// and `[not in all]` when `all`/`selftime` skip them.
 fn render_catalog() -> String {
-    let width = CATALOG
-        .iter()
-        .map(|(n, _)| n.len())
-        .max()
-        .unwrap_or(0)
-        .max("selftime".len());
-    let annotate = |name: &str| {
-        let mut tags = String::new();
-        if supports_trace(name) {
-            tags.push_str("  [trace]");
-        }
-        if let Some(file) = bench_artifact(name) {
-            tags.push_str(&format!("  [writes {file}]"));
-        }
-        tags
-    };
+    let width = words().map(str::len).max().unwrap_or(0);
     let mut out = String::from("experiments:\n");
-    for (name, summary) in CATALOG {
-        out.push_str(&format!("  {name:width$}  {summary}{}\n", annotate(name)));
+    for e in EXPERIMENTS {
+        out.push_str(&format!("  {:width$}  {}", e.name, e.summary));
+        if e.deep_trace {
+            out.push_str("  [trace]");
+        }
+        if let Some(file) = e.artifact {
+            out.push_str(&format!("  [writes {file}]"));
+        }
+        if !e.in_all {
+            out.push_str("  [not in all]");
+        }
+        out.push('\n');
     }
-    out.push_str(&format!(
-        "  {:width$}  every experiment in ALL_EXPERIMENTS order\n",
-        "all"
-    ));
-    out.push_str(&format!(
-        "  {:width$}  wall-clock self-benchmark{}\n",
-        "selftime",
-        annotate("selftime")
-    ));
-    out.push_str(&format!(
-        "  {:width$}  compare two benchmark/metrics snapshots metric by metric\n",
-        "perfdiff"
-    ));
+    for (name, summary) in META_MODES {
+        out.push_str(&format!("  {name:width$}  {summary}\n"));
+    }
     out
 }
 
@@ -418,11 +329,7 @@ fn levenshtein(a: &str, b: &str) -> usize {
 /// is close enough to be a likely typo, a "did you mean" suggestion.
 fn unknown_experiment(name: &str) -> ! {
     eprintln!("error: unknown experiment `{name}`\n");
-    let candidates = CATALOG
-        .iter()
-        .map(|(n, _)| *n)
-        .chain(["all", "selftime", "perfdiff", "list"]);
-    if let Some((best, dist)) = candidates
+    if let Some((best, dist)) = words()
         .map(|n| (n, levenshtein(name, n)))
         .min_by_key(|&(n, d)| (d, n))
     {
@@ -442,14 +349,12 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: repro [--quick|--full] [--json DIR] [--trace FILE] [--metrics FILE]\n\
-         \x20            [--engine batched|reference] [--selftime-baseline FILE]\n\
-         \x20            [--selftime-tolerance F]\n\
+         \x20            [--engine batched|reference]\n\
          \x20            <experiment>...\n\
          \x20      repro perfdiff OLD.json NEW.json [--tolerance F] [--report FILE]\n\
-         experiments: fig9 fig9a30 fig10 fig10a30 table3 table4 tcgnn reorder fig11 \
-         fig12 fig13 alpha futurework bell fused table5 autotune sanitize verify fastcheck \
-         formats profile datasets serve fused-mha all selftime\n\
-         run `repro list` for one-line summaries"
+         experiments: {}\n\
+         run `repro list` for one-line summaries",
+        words().collect::<Vec<_>>().join(" ")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -10,12 +10,10 @@
 //! * `+all`       — reordered graph with the full selection rule.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::bench_features;
+use crate::runner::{bench_features, registry_graph};
 use crate::table;
 use hpsparse_core::hp::{HpConfig, HpSpmm};
 use hpsparse_core::traits::SpmmKernel;
-use hpsparse_datasets::registry::by_name;
-use hpsparse_datasets::store;
 use hpsparse_reorder::gcr_reorder;
 use hpsparse_sim::DeviceSpec;
 use hpsparse_sparse::Graph;
@@ -41,9 +39,7 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     for name in GRAPHS {
-        let spec = by_name(name).expect("ablation graph in registry");
-        let g = store::graph(&spec, effort.max_edges());
-        let s_shape = g.to_hybrid();
+        let (g, s_shape) = registry_graph(name, effort);
         let (nnz, m) = (s_shape.nnz(), s_shape.rows());
 
         let base_cfg = HpConfig::base(nnz, m);
@@ -96,11 +92,10 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
             &rows
         )
     );
-    ExperimentOutput {
-        id: "fig11",
+    ExperimentOutput::new(
         text,
-        json: json!({ "device": device.name, "k": k, "graphs": json_rows }),
-    }
+        json!({ "device": device.name, "k": k, "graphs": json_rows }),
+    )
 }
 
 /// Design-choice ablation: sensitivity of HP-SpMM to Ineq. 5's `alpha`
@@ -111,9 +106,7 @@ pub fn alpha_sweep(effort: Effort, k: usize) -> ExperimentOutput {
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     for name in ["ddi", "Flickr", "Yelp"] {
-        let spec = by_name(name).expect("sweep graph in registry");
-        let g = store::graph(&spec, effort.max_edges());
-        let s = g.to_hybrid();
+        let (g, s) = registry_graph(name, effort);
         let (nnz, m) = (s.nnz(), s.rows());
         let mut row = vec![name.to_string()];
         let mut entry = serde_json::Map::new();
@@ -144,9 +137,8 @@ pub fn alpha_sweep(effort: Effort, k: usize) -> ExperimentOutput {
             &rows
         )
     );
-    ExperimentOutput {
-        id: "alpha",
+    ExperimentOutput::new(
         text,
-        json: json!({ "device": device.name, "k": k, "graphs": json_rows }),
-    }
+        json!({ "device": device.name, "k": k, "graphs": json_rows }),
+    )
 }

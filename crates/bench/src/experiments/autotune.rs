@@ -399,10 +399,9 @@ pub fn render(
         table::render(&header, &rows),
         summary
     );
-    ExperimentOutput {
-        id: "autotune",
+    ExperimentOutput::new(
         text,
-        json: json!({
+        json!({
             "device": device.name,
             "k": k,
             "oracle_match_rate_spmm": spmm_rate,
@@ -424,7 +423,7 @@ pub fn render(
                 "planning_cycles": corpus.planning_cycles
             })
         }),
-    }
+    )
 }
 
 #[cfg(test)]

@@ -57,11 +57,7 @@ pub fn run(effort: Effort) -> ExperimentOutput {
             &rows
         )
     );
-    ExperimentOutput {
-        id: "datasets",
-        text,
-        json: json!({ "graphs": json_rows }),
-    }
+    ExperimentOutput::new(text, json!({ "graphs": json_rows }))
 }
 
 #[cfg(test)]

@@ -163,9 +163,5 @@ pub fn run(effort: Effort) -> ExperimentOutput {
             &rows
         )
     );
-    ExperimentOutput {
-        id: "table5",
-        text,
-        json: json!({ "device": device.name, "rows": json_rows }),
-    }
+    ExperimentOutput::new(text, json!({ "device": device.name, "rows": json_rows }))
 }

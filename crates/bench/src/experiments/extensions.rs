@@ -5,18 +5,14 @@
 //! * `bell` — Blocked-ELL versus hybrid CSR/COO as graph structure moves
 //!   from block-dense to power-law (why §II's third cuSPARSE format is
 //!   absent from GNN frameworks).
-//! * `fused` — FusedMM (reference 22) against the unfused HP-SDDMM +
-//!   HP-SpMM pipeline on an attention-shaped workload.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::bench_features;
+use crate::runner::{bench_features, registry_graph};
 use crate::table;
-use hpsparse_core::baselines::{CusparseBlockedEll, FusedMm};
-use hpsparse_core::hp::{HpSddmm, HpSpmm, HpSpmmLean};
-use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
+use hpsparse_core::baselines::CusparseBlockedEll;
+use hpsparse_core::hp::{HpSpmm, HpSpmmLean};
+use hpsparse_core::traits::SpmmKernel;
 use hpsparse_datasets::generators::{GeneratorConfig, Topology};
-use hpsparse_datasets::registry::by_name;
-use hpsparse_datasets::store;
 use hpsparse_sim::DeviceSpec;
 use hpsparse_sparse::BlockedEll;
 use serde_json::json;
@@ -25,9 +21,7 @@ use serde_json::json;
 /// Fig. 13 into the regime the paper leaves open).
 pub fn run_futurework(effort: Effort) -> ExperimentOutput {
     let device = DeviceSpec::v100();
-    let spec = by_name("Flickr").expect("Flickr in registry");
-    let g = store::graph(&spec, effort.max_edges());
-    let s = g.to_hybrid();
+    let (_, s) = registry_graph("Flickr", effort);
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     for k in [64usize, 128, 256, 512] {
@@ -70,11 +64,7 @@ pub fn run_futurework(effort: Effort) -> ExperimentOutput {
             &rows
         )
     );
-    ExperimentOutput {
-        id: "futurework",
-        text,
-        json: json!({ "device": device.name, "points": json_rows }),
-    }
+    ExperimentOutput::new(text, json!({ "device": device.name, "points": json_rows }))
 }
 
 /// Blocked-ELL vs HP-SpMM across block-density regimes.
@@ -166,102 +156,15 @@ pub fn run_bell(effort: Effort) -> ExperimentOutput {
             &rows
         )
     );
-    ExperimentOutput {
-        id: "bell",
+    ExperimentOutput::new(
         text,
-        json: json!({ "device": device.name, "k": k, "rows": json_rows }),
-    }
-}
-
-/// FusedMM vs unfused HP-SDDMM + HP-SpMM on an attention workload, across
-/// feature dimensions: fusion halves the sparse traffic and removes the
-/// intermediate round-trip, but keeps *two* feature matrices hot at once —
-/// once the combined working set spills L2, the unfused pipeline (one hot
-/// array per phase) wins the cache back.
-pub fn run_fused(effort: Effort) -> ExperimentOutput {
-    let device = DeviceSpec::v100();
-    let spec = by_name("CoauthorPhysics").expect("dataset in registry");
-    let g = store::graph(&spec, effort.max_edges());
-    let s = g.to_hybrid();
-    let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
-    for k in [8usize, 16, 32, 64] {
-        let a1 = bench_features(s.rows(), k);
-        let a2t = bench_features(s.cols(), k);
-        let h = bench_features(s.cols(), k);
-        let fused = FusedMm::auto(&device, &s, k)
-            .run(&device, &s, &a1, &a2t, &h)
-            .unwrap();
-        let sd = HpSddmm::auto(&device, &s, k)
-            .run(&device, &s, &a1, &a2t)
-            .unwrap();
-        let mut scored = s.clone();
-        scored.set_values(sd.output_values.clone());
-        let sp = HpSpmm::auto(&device, &scored, k)
-            .run(&device, &scored, &h)
-            .unwrap();
-        let unfused_ms = sd.exec_ms() + sp.exec_ms();
-        let working_set_mb = 2.0 * s.cols() as f64 * k as f64 * 4.0 / (1024.0 * 1024.0);
-        rows.push(vec![
-            k.to_string(),
-            format!("{working_set_mb:.1}"),
-            table::ms(unfused_ms),
-            table::ms(fused.report.time_ms),
-            table::speedup(unfused_ms / fused.report.time_ms),
-        ]);
-        json_rows.push(json!({
-            "k": k,
-            "working_set_mb": working_set_mb,
-            "unfused_ms": unfused_ms,
-            "fused_ms": fused.report.time_ms,
-            "speedup": unfused_ms / fused.report.time_ms,
-        }));
-    }
-    let text = format!(
-        "Extension — FusedMM (reference 22) vs unfused HP-SDDMM + HP-SpMM \
-         on CoauthorPhysics ({} edges, {})\n\n{}\n\
-         (fusion wins while both feature matrices fit L2 — 6 MB on V100 — \
-         and loses to cache thrashing beyond it)\n",
-        s.nnz(),
-        device.name,
-        table::render(
-            &[
-                "K",
-                "hot set MB",
-                "unfused ms",
-                "FusedMM ms",
-                "fused speedup"
-            ],
-            &rows
-        )
-    );
-    ExperimentOutput {
-        id: "fused",
-        text,
-        json: json!({ "device": device.name, "points": json_rows }),
-    }
+        json!({ "device": device.name, "k": k, "rows": json_rows }),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fused_wins_when_the_working_set_fits_cache() {
-        let out = run_fused(Effort::Quick);
-        let points = out.json["points"].as_array().unwrap();
-        // Smallest K: combined working set well under L2 -> fusion wins.
-        let small = &points[0];
-        assert!(
-            small["speedup"].as_f64().unwrap() > 1.0,
-            "fusion should win at K = {}: {small}",
-            small["k"]
-        );
-        // And the advantage must shrink as the working set grows.
-        let first = points.first().unwrap()["speedup"].as_f64().unwrap();
-        let last = points.last().unwrap()["speedup"].as_f64().unwrap();
-        assert!(last < first, "speedups should decay: {first} -> {last}");
-    }
 
     #[test]
     fn bell_fill_ratio_orders_structures() {

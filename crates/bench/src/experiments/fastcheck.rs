@@ -227,10 +227,9 @@ pub fn render(device: &DeviceSpec, effort: Effort, diffs: &[KernelDiff]) -> Expe
         })
         .collect();
 
-    ExperimentOutput {
-        id: "fastcheck",
+    ExperimentOutput::new(
         text,
-        json: json!({
+        json!({
             "device": device.name,
             "engines": json!(["reference", "batched"]),
             "ks": CHECK_KS.iter().map(|&k| json!(k)).collect::<Vec<_>>(),
@@ -239,7 +238,7 @@ pub fn render(device: &DeviceSpec, effort: Effort, diffs: &[KernelDiff]) -> Expe
             "all_match": all_match,
             "kernels": json_kernels,
         }),
-    }
+    )
 }
 
 #[cfg(test)]

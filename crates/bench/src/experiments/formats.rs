@@ -52,11 +52,7 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
             &rows
         )
     );
-    ExperimentOutput {
-        id: "formats",
-        text,
-        json: json!({ "k": k, "graphs": json_rows }),
-    }
+    ExperimentOutput::new(text, json!({ "k": k, "graphs": json_rows }))
 }
 
 #[cfg(test)]

@@ -262,10 +262,9 @@ pub fn render(device: &DeviceSpec, cells: &[Cell]) -> ExperimentOutput {
         table::render(&header, &rows),
         summary
     );
-    ExperimentOutput {
-        id: "fused-mha",
+    ExperimentOutput::new(
         text,
-        json: json!({
+        json!({
             "device": device.name,
             "fused_saves_dram_at_two_heads": fused_saves_dram_at_two_heads,
             "fused_faster_at_two_heads": fused_faster_at_two_heads,
@@ -273,7 +272,7 @@ pub fn render(device: &DeviceSpec, cells: &[Cell]) -> ExperimentOutput {
             "plan_match_rate": plan_match_rate,
             "cells": json_cells
         }),
-    }
+    )
 }
 
 #[cfg(test)]

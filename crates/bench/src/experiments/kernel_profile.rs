@@ -8,12 +8,10 @@
 //! registry fills with the NCU-style counters `render_metrics` prints.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::bench_features;
+use crate::runner::{bench_features, registry_graph};
 use hpsparse_core::baselines::{CusparseCsrAlg2, DglSddmm, GeSpmm};
 use hpsparse_core::hp::{HpSddmm, HpSpmm};
 use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
-use hpsparse_datasets::registry::by_name;
-use hpsparse_datasets::store;
 use hpsparse_sim::{profile, DeviceSpec, GpuSim, LaunchReport};
 use serde_json::{json, ToJson};
 
@@ -47,9 +45,7 @@ fn record(
 /// Profiles HP and representative baselines on Flickr.
 pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
     let device = DeviceSpec::v100();
-    let spec = by_name("Flickr").expect("Flickr in registry");
-    let g = store::graph(&spec, effort.max_edges());
-    let s = g.to_hybrid();
+    let (_, s) = registry_graph("Flickr", effort);
     let a = bench_features(s.cols(), k);
     let a1 = bench_features(s.rows(), k);
     let a2t = bench_features(s.cols(), k);
@@ -102,11 +98,10 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
         &device,
     );
 
-    ExperimentOutput {
-        id: "profile",
+    ExperimentOutput::new(
         text,
-        json: json!({ "device": device.name, "k": k, "kernels": json_rows }),
-    }
+        json!({ "device": device.name, "k": k, "kernels": json_rows }),
+    )
 }
 
 #[cfg(test)]

@@ -3,11 +3,9 @@
 //! grows, and the corresponding decline in relative speedup.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::{bench_features, time_hp_spmm, time_spmm};
+use crate::runner::{bench_features, registry_graph, time_hp_spmm, time_spmm};
 use crate::table;
 use hpsparse_core::baselines::{CusparseCsrAlg2, GeSpmm};
-use hpsparse_datasets::registry::by_name;
-use hpsparse_datasets::store;
 use hpsparse_sim::DeviceSpec;
 use serde_json::json;
 
@@ -17,9 +15,7 @@ pub const K_VALUES: [usize; 5] = [16, 32, 64, 128, 256];
 /// Runs the sweep.
 pub fn run(effort: Effort) -> ExperimentOutput {
     let device = DeviceSpec::v100();
-    let spec = by_name("Flickr").expect("Flickr in registry");
-    let g = store::graph(&spec, effort.max_edges());
-    let s = g.to_hybrid();
+    let (_, s) = registry_graph("Flickr", effort);
 
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
@@ -61,9 +57,5 @@ pub fn run(effort: Effort) -> ExperimentOutput {
             &rows
         )
     );
-    ExperimentOutput {
-        id: "fig13",
-        text,
-        json: json!({ "device": device.name, "points": json_rows }),
-    }
+    ExperimentOutput::new(text, json!({ "device": device.name, "points": json_rows }))
 }

@@ -3,12 +3,10 @@
 //! A30; plus the §IV-C TC-GNN comparison on the RTX 3090.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::{bench_features, time_hp_spmm, time_spmm};
+use crate::runner::{bench_features, registry_graph, time_hp_spmm, time_spmm};
 use crate::table;
 use hpsparse_core::baselines::{Aspt, Huang, MergePath, Sputnik, TcGnn};
 use hpsparse_core::traits::SpmmKernel;
-use hpsparse_datasets::registry::by_name;
-use hpsparse_datasets::store;
 use hpsparse_sim::DeviceSpec;
 use serde_json::json;
 
@@ -25,9 +23,7 @@ pub fn run_table4(effort: Effort, k: usize) -> ExperimentOutput {
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     for name in graphs {
-        let spec = by_name(name).expect("Table IV graph in registry");
-        let g = store::graph(&spec, effort.max_edges());
-        let s = g.to_hybrid();
+        let (_, s) = registry_graph(name, effort);
         let a = bench_features(s.cols(), k);
         let mut row = vec![name.to_string()];
         let mut entry = serde_json::Map::new();
@@ -67,19 +63,16 @@ pub fn run_table4(effort: Effort, k: usize) -> ExperimentOutput {
             &rows
         )
     );
-    ExperimentOutput {
-        id: "table4",
+    ExperimentOutput::new(
         text,
-        json: json!({ "device": device.name, "k": k, "graphs": json_rows }),
-    }
+        json!({ "device": device.name, "k": k, "graphs": json_rows }),
+    )
 }
 
 /// §IV-C: HP-SpMM vs TC-GNN (TF32 Tensor Cores) on Yelp, RTX 3090.
 pub fn run_tcgnn(effort: Effort, k: usize) -> ExperimentOutput {
     let device = DeviceSpec::rtx3090();
-    let spec = by_name("Yelp").expect("Yelp in registry");
-    let g = store::graph(&spec, effort.max_edges());
-    let s = g.to_hybrid();
+    let (_, s) = registry_graph("Yelp", effort);
     let a = bench_features(s.cols(), k);
     let hp = time_hp_spmm(&device, &s, &a);
     let tc = time_spmm(&TcGnn::default(), &device, &s, &a);
@@ -93,17 +86,16 @@ pub fn run_tcgnn(effort: Effort, k: usize) -> ExperimentOutput {
         table::ms(tc.exec_ms),
         table::speedup(tc.exec_ms / hp.exec_ms),
     );
-    ExperimentOutput {
-        id: "tcgnn",
+    ExperimentOutput::new(
         text,
-        json: json!({
+        json!({
             "device": device.name,
             "k": k,
             "hp_ms": hp.exec_ms,
             "tcgnn_ms": tc.exec_ms,
             "ratio": tc.exec_ms / hp.exec_ms,
         }),
-    }
+    )
 }
 
 #[cfg(test)]

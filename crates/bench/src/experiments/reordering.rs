@@ -67,10 +67,9 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
         )
     );
     let _ = effort;
-    ExperimentOutput {
-        id: "reorder",
+    ExperimentOutput::new(
         text,
-        json: json!({
+        json!({
             "graph": "proteins",
             "nodes": g.num_nodes(),
             "edges": g.num_edges(),
@@ -78,7 +77,7 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
             "baseline_hit_rate": baseline_kernel,
             "methods": json_rows,
         }),
-    }
+    )
 }
 
 fn kernel_hit_rate(device: &DeviceSpec, g: &Graph, k: usize) -> f64 {

@@ -8,104 +8,76 @@
 
 use crate::experiments::{Effort, ExperimentOutput};
 use crate::runner::{
-    geomean, operands, sddmm_contenders, spmm_contenders, time_hp_sddmm, time_hp_spmm, time_sddmm,
-    time_spmm,
+    geomean, operands, sddmm_contenders, spmm_contenders, sweep_key, time_hp_sddmm, time_hp_spmm,
+    time_sddmm, time_spmm, BaselineStats, SweepKey,
 };
 use crate::table;
-use hpsparse_datasets::store;
+use hpsparse_datasets::store::{self, Memo};
 use hpsparse_sim::DeviceSpec;
 use rayon::prelude::*;
 use serde_json::json;
+use std::sync::{Arc, OnceLock};
 
-/// Speedup samples for one baseline across the corpus.
-pub struct BaselineStats {
-    /// Kernel name.
-    pub kernel: String,
-    /// Whether it is an SpMM (vs SDDMM) baseline.
-    pub is_spmm: bool,
-    /// Per-subgraph speedups of HP over this baseline.
-    pub speedups: Vec<f64>,
+/// Per-baseline speedup distributions over the corpus, plus each
+/// subgraph's edge count (aligned with the speedup vectors).
+pub type CorpusStats = (Vec<BaselineStats>, Vec<usize>);
+
+/// The corpus sweep, run once per (device, effort, K) per process:
+/// `fig10`/`fig10a30` and `table3` share the stats, and a repeated call
+/// returns the same `Arc`.
+pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Arc<CorpusStats> {
+    static SWEEPS: OnceLock<Memo<SweepKey, CorpusStats>> = OnceLock::new();
+    SWEEPS
+        .get_or_init(Memo::default)
+        .get_or_build(sweep_key(device, effort, k), || sweep(device, effort, k))
 }
 
-impl BaselineStats {
-    /// Geometric-mean speedup.
-    pub fn average(&self) -> f64 {
-        geomean(&self.speedups)
-    }
-
-    /// Fraction of subgraphs where HP is at least as fast.
-    pub fn win_rate(&self) -> f64 {
-        if self.speedups.is_empty() {
-            return 0.0;
-        }
-        self.speedups.iter().filter(|&&s| s >= 1.0).count() as f64 / self.speedups.len() as f64
-    }
-}
-
-/// Runs the corpus and gathers per-baseline speedup distributions, plus
-/// each subgraph's edge count (aligned with the speedup vectors).
-///
 /// Subgraphs run in parallel (each launch builds its own simulator); the
 /// per-graph results are then folded into the per-baseline vectors
 /// **in corpus order**, so every speedup vector — and everything derived
 /// from it, percentiles included — matches the sequential run exactly.
-pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> (Vec<BaselineStats>, Vec<usize>) {
+fn sweep(device: &DeviceSpec, effort: Effort, k: usize) -> CorpusStats {
     let corpus = store::corpus(effort.corpus_size(), 0xc0ffee);
     let spmm_set = spmm_contenders();
     let sddmm_set = sddmm_contenders();
-    let mut stats: Vec<BaselineStats> = spmm_set
-        .iter()
-        .map(|kern| BaselineStats {
-            kernel: kern.name().to_string(),
-            is_spmm: true,
-            speedups: Vec::new(),
-        })
-        .chain(sddmm_set.iter().map(|kern| BaselineStats {
-            kernel: kern.name().to_string(),
-            is_spmm: false,
-            speedups: Vec::new(),
-        }))
-        .collect();
-
-    // (nnz, per-spmm-baseline speedups, per-sddmm-baseline speedups).
-    type GraphResult = (usize, Vec<f64>, Vec<f64>);
-    let per_graph: Vec<GraphResult> = corpus
+    // Per subgraph: its nnz and HP's speedup over each SpMM, then each
+    // SDDMM, baseline.
+    let per_graph: Vec<(usize, Vec<f64>)> = corpus
         .par_iter()
         .map(|g| {
             let (s, a, a1, a2t) = operands(g, k);
             let hp = time_hp_spmm(device, &s, &a);
-            let spmm: Vec<f64> = spmm_set
+            let mut speedups: Vec<f64> = spmm_set
                 .iter()
                 .map(|kern| time_spmm(kern.as_ref(), device, &s, &a).exec_ms / hp.exec_ms)
                 .collect();
             let hp_sd = time_hp_sddmm(device, &s, &a1, &a2t);
-            let sddmm: Vec<f64> = sddmm_set
-                .iter()
-                .map(|kern| {
-                    time_sddmm(kern.as_ref(), device, &s, &a1, &a2t).exec_ms / hp_sd.exec_ms
-                })
-                .collect();
-            (s.nnz(), spmm, sddmm)
+            speedups.extend(sddmm_set.iter().map(|kern| {
+                time_sddmm(kern.as_ref(), device, &s, &a1, &a2t).exec_ms / hp_sd.exec_ms
+            }));
+            (s.nnz(), speedups)
         })
         .collect();
 
-    let mut sizes = Vec::with_capacity(per_graph.len());
-    for (nnz, spmm, sddmm) in per_graph {
-        sizes.push(nnz);
-        for (i, sp) in spmm.into_iter().enumerate() {
-            stats[i].speedups.push(sp);
-        }
-        for (i, sp) in sddmm.into_iter().enumerate() {
-            stats[spmm_set.len() + i].speedups.push(sp);
-        }
-    }
+    let spmm_names = spmm_set.iter().map(|kern| (kern.name(), true));
+    let sddmm_names = sddmm_set.iter().map(|kern| (kern.name(), false));
+    let stats = spmm_names
+        .chain(sddmm_names)
+        .enumerate()
+        .map(|(i, (name, is_spmm))| BaselineStats {
+            kernel: name.to_string(),
+            is_spmm,
+            speedups: per_graph.iter().map(|(_, sp)| sp[i]).collect(),
+        })
+        .collect();
+    let sizes = per_graph.iter().map(|(nnz, _)| *nnz).collect();
     (stats, sizes)
 }
 
 /// Renders the Fig. 10 summary.
 pub fn run(device: &DeviceSpec, effort: Effort, k: usize) -> ExperimentOutput {
-    let (stats, sizes) = collect(device, effort, k);
-    render(device, k, &stats, &sizes)
+    let stats = collect(device, effort, k);
+    render(device, k, &stats.0, &stats.1)
 }
 
 /// Formats collected stats.
@@ -118,9 +90,8 @@ pub fn render(
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     for st in stats {
-        let op = if st.is_spmm { "SpMM" } else { "SDDMM" };
         rows.push(vec![
-            op.to_string(),
+            st.op().to_string(),
             st.kernel.clone(),
             table::speedup(st.average()),
             format!("{:.1}%", st.win_rate() * 100.0),
@@ -128,7 +99,7 @@ pub fn render(
             table::speedup(percentile(&st.speedups, 0.9)),
         ]);
         json_rows.push(json!({
-            "op": op,
+            "op": st.op(),
             "kernel": st.kernel,
             "avg_speedup": st.average(),
             "win_rate": st.win_rate(),
@@ -168,16 +139,15 @@ pub fn render(
         ),
         bucket_text
     );
-    ExperimentOutput {
-        id: "fig10",
+    ExperimentOutput::new(
         text,
-        json: json!({
+        json!({
             "device": device.name,
             "k": k,
             "subgraphs": sizes.len(),
             "baselines": json_rows,
         }),
-    }
+    )
 }
 
 fn percentile(xs: &[f64], p: f64) -> f64 {

@@ -395,10 +395,9 @@ pub fn render(
         })
         .collect();
 
-    ExperimentOutput {
-        id: "sanitize",
+    ExperimentOutput::new(
         text,
-        json: json!({
+        json!({
             "device": device.name,
             "k": SANITIZE_K,
             "effort": effort.label(),
@@ -408,7 +407,7 @@ pub fn render(
             "kernels": json_kernels,
             "mutants": json_mutants,
         }),
-    }
+    )
 }
 
 #[cfg(test)]

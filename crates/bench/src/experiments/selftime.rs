@@ -7,21 +7,21 @@
 //! `runs.<threads>`, so the harness fan-out's speedup can be tracked across
 //! commits *and* across core counts in one committed file.
 
-use crate::experiments::{dispatch, Effort, ExperimentOutput, ALL_EXPERIMENTS};
+use crate::experiments::{Effort, ExperimentOutput, EXPERIMENTS};
 use serde_json::json;
 use std::time::Instant;
 
 /// Times every `repro all` experiment and reports the breakdown.
 pub fn run(effort: Effort) -> ExperimentOutput {
     let started = Instant::now();
-    let mut entries = Vec::with_capacity(ALL_EXPERIMENTS.len());
-    for &name in ALL_EXPERIMENTS {
+    let mut entries = Vec::new();
+    for exp in EXPERIMENTS.iter().filter(|e| e.in_all) {
         let t0 = Instant::now();
-        let out = dispatch(name, effort).expect("ALL_EXPERIMENTS entries are dispatchable");
+        let out = exp.execute(effort);
         let seconds = t0.elapsed().as_secs_f64();
         // The experiment's own output is discarded — only its cost matters
         // here — but record its size as a sanity witness that it ran.
-        entries.push((name, seconds, out.text.len()));
+        entries.push((exp.name, seconds, out.text.len()));
     }
     let total = started.elapsed().as_secs_f64();
 

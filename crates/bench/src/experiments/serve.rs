@@ -197,9 +197,5 @@ pub fn run(effort: Effort) -> ExperimentOutput {
         "lossless": lossless,
         "report": rep.to_json(),
     });
-    ExperimentOutput {
-        id: "serve",
-        text,
-        json,
-    }
+    ExperimentOutput::new(text, json)
 }

@@ -84,17 +84,16 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
         ),
         r
     );
-    ExperimentOutput {
-        id: "fig12",
+    ExperimentOutput::new(
         text,
-        json: json!({
+        json!({
             "device": device.name,
             "k": k,
             "std_devs": stds,
             "speedups": speedups,
             "pearson_r": r,
         }),
-    }
+    )
 }
 
 #[cfg(test)]

@@ -514,10 +514,9 @@ pub fn render(
         })
         .collect();
 
-    ExperimentOutput {
-        id: "verify",
+    ExperimentOutput::new(
         text,
-        json: json!({
+        json!({
             "device": device.name,
             "effort": effort.label(),
             "kernels_proved": proved,
@@ -527,7 +526,7 @@ pub fn render(
             "kernels": json_kernels,
             "mutants": json_mutants,
         }),
-    }
+    )
 }
 
 #[cfg(test)]

@@ -1,10 +1,13 @@
 //! Kernel execution helpers shared by the experiments.
 
+use crate::experiments::Effort;
 use hpsparse_core::baselines::{sddmm_by_id, spmm_by_id};
 use hpsparse_core::hp::{HpSddmm, HpSpmm};
 use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
+use hpsparse_datasets::{registry, store};
 use hpsparse_sim::DeviceSpec;
 use hpsparse_sparse::{Dense, Graph, Hybrid};
+use std::sync::Arc;
 
 /// One kernel's timing on one input.
 #[derive(Debug, Clone)]
@@ -102,6 +105,15 @@ pub fn time_hp_sddmm(device: &DeviceSpec, s: &Hybrid, a1: &Dense, a2t: &Dense) -
     time_sddmm(&kernel, device, s, a1, a2t)
 }
 
+/// A registry graph at `effort`'s edge budget (memoised by the dataset
+/// store) and its hybrid CSR/COO form.
+pub fn registry_graph(name: &str, effort: Effort) -> (Arc<Graph>, Hybrid) {
+    let spec = registry::by_name(name).unwrap_or_else(|| panic!("{name} is not in the registry"));
+    let g = store::graph(&spec, effort.max_edges());
+    let s = g.to_hybrid();
+    (g, s)
+}
+
 /// Converts a graph into the operand set for kernel benchmarks.
 pub fn operands(g: &Graph, k: usize) -> (Hybrid, Dense, Dense, Dense) {
     let s = g.to_hybrid();
@@ -109,6 +121,49 @@ pub fn operands(g: &Graph, k: usize) -> (Hybrid, Dense, Dense, Dense) {
     let a1 = bench_features(s.rows(), k);
     let a2t = bench_features(s.cols(), k);
     (s, a, a1, a2t)
+}
+
+/// HP's speedups over one baseline across a dataset — the unit Fig. 9,
+/// Fig. 10 and Table III all aggregate.
+pub struct BaselineStats {
+    /// Kernel name.
+    pub kernel: String,
+    /// Whether it is an SpMM (vs SDDMM) baseline.
+    pub is_spmm: bool,
+    /// Per-graph speedups of HP over this baseline, in dataset order.
+    pub speedups: Vec<f64>,
+}
+
+impl BaselineStats {
+    /// "SpMM" or "SDDMM".
+    pub fn op(&self) -> &'static str {
+        if self.is_spmm {
+            "SpMM"
+        } else {
+            "SDDMM"
+        }
+    }
+
+    /// Geometric-mean speedup.
+    pub fn average(&self) -> f64 {
+        geomean(&self.speedups)
+    }
+
+    /// Fraction of graphs where HP is at least as fast.
+    pub fn win_rate(&self) -> f64 {
+        if self.speedups.is_empty() {
+            return 0.0;
+        }
+        self.speedups.iter().filter(|&&s| s >= 1.0).count() as f64 / self.speedups.len() as f64
+    }
+}
+
+/// Key of one memoised kernel sweep: the whole device description (a spec
+/// edited under a preset's name is a different device), effort and K.
+pub(crate) type SweepKey = (String, Effort, usize);
+
+pub(crate) fn sweep_key(device: &DeviceSpec, effort: Effort, k: usize) -> SweepKey {
+    (format!("{device:?}"), effort, k)
 }
 
 /// Geometric mean (the right average for speedup ratios).
@@ -150,6 +205,20 @@ mod tests {
         assert!(hp.gflops > 0.0);
         let sd = time_hp_sddmm(&v100, &s, &a1, &a2t);
         assert!(sd.exec_ms > 0.0);
+    }
+
+    #[test]
+    fn sweep_keys_separate_devices_efforts_and_widths() {
+        let v100 = DeviceSpec::v100();
+        let key = sweep_key(&v100, Effort::Quick, 64);
+        assert_eq!(key, sweep_key(&DeviceSpec::v100(), Effort::Quick, 64));
+        assert_ne!(key, sweep_key(&DeviceSpec::a30(), Effort::Quick, 64));
+        assert_ne!(key, sweep_key(&v100, Effort::Full, 64));
+        assert_ne!(key, sweep_key(&v100, Effort::Quick, 32));
+        // A spec edited under a preset's name is a different device.
+        let mut tweaked = DeviceSpec::v100();
+        tweaked.cost.dram += 1.0;
+        assert_ne!(key, sweep_key(&tweaked, Effort::Quick, 64));
     }
 
     #[test]

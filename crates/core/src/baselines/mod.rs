@@ -18,7 +18,6 @@
 //! | [`TcGnn`] | TF32 Tensor-Core SpMM over condensed 16×8 tiles | sparse-graph translation |
 //! | [`DglSddmm`] | edge-parallel SDDMM | none |
 //! | [`CusparseBlockedEll`] | dense-block ELL tiles (extension: not in the paper's Fig. 9 set) | format conversion |
-//! | [`FusedMm`] | fused SDDMM+SpMM, after FusedMM (reference 22; extension) | none |
 //! | [`CusparseCsrSddmm`] | row-per-warp SDDMM, column-major `A2` access | none |
 
 pub mod aspt;
@@ -26,7 +25,6 @@ pub mod blocked_ell_kernel;
 pub mod common;
 pub mod cusparse;
 pub mod dgl;
-pub mod fusedmm;
 pub mod gespmm;
 pub mod huang;
 pub mod mergepath;
@@ -39,7 +37,6 @@ pub use aspt::Aspt;
 pub use blocked_ell_kernel::CusparseBlockedEll;
 pub use cusparse::{CusparseCooAlg4, CusparseCsrAlg2, CusparseCsrAlg3, CusparseCsrSddmm};
 pub use dgl::DglSddmm;
-pub use fusedmm::{FusedMm, FusedRun};
 pub use gespmm::GeSpmm;
 pub use huang::Huang;
 pub use mergepath::MergePath;

@@ -1,17 +1,17 @@
 //! Process-wide memoisation of generated datasets.
 //!
 //! The repro harness runs many experiments back to back, and most of them
-//! re-generate the same registry graphs and sampling corpora from scratch:
-//! the summary tables alone re-derive the 19-graph full-graph dataset once
-//! per device. Generation is deterministic — a spec name plus an edge
-//! budget (or a corpus size plus a seed) fully determines the result — so
-//! the graphs can be built once and shared immutably.
+//! ask for the same registry graphs and sampling corpora. Generation is
+//! deterministic — a spec name plus an edge budget (or a corpus size plus
+//! a seed) fully determines the result — so the graphs can be built once
+//! and shared immutably.
 //!
 //! [`graph`] and [`corpus`] return [`Arc`]s out of a process-wide map;
 //! repeated calls with the same key are pointer-equal. Entries are built
 //! outside the map lock so independent graphs can generate concurrently on
 //! the shim pool, with per-key in-flight tracking so two racing callers of
-//! the *same* key build it only once.
+//! the *same* key build it only once. The map itself, [`Memo`], is public:
+//! the repro harness memoises its kernel-sweep records in another.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -28,21 +28,27 @@ type GraphKey = (&'static str, usize);
 /// Key for a sampling corpus: `(count, seed)`.
 type CorpusKey = (usize, u64);
 
-struct Memo<K, V> {
+/// A build-once map from keys to shared immutable values.
+pub struct Memo<K, V> {
     /// `None` while some thread is generating the entry; `Some` when ready.
     slots: Mutex<HashMap<K, Option<Arc<V>>>>,
     ready: Condvar,
 }
 
-impl<K: std::hash::Hash + Eq + Copy, V> Memo<K, V> {
-    fn new() -> Self {
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
         Self {
-            slots: Mutex::new(HashMap::new()),
-            ready: Condvar::new(),
+            slots: Mutex::default(),
+            ready: Condvar::default(),
         }
     }
+}
 
-    fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
+impl<K: std::hash::Hash + Eq + Clone, V> Memo<K, V> {
+    /// The value for `key`, running `build` (outside the map lock) only if
+    /// no caller has built or is building it; racing callers of one key
+    /// wait for the first and get the same `Arc`.
+    pub fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
         {
             let mut slots = self.slots.lock().unwrap();
             loop {
@@ -54,7 +60,7 @@ impl<K: std::hash::Hash + Eq + Copy, V> Memo<K, V> {
                         slots = self.ready.wait(slots).unwrap();
                     }
                     None => {
-                        slots.insert(key, None);
+                        slots.insert(key.clone(), None);
                         break;
                     }
                 }
@@ -71,12 +77,12 @@ impl<K: std::hash::Hash + Eq + Copy, V> Memo<K, V> {
 
 fn graph_store() -> &'static Memo<GraphKey, Graph> {
     static STORE: OnceLock<Memo<GraphKey, Graph>> = OnceLock::new();
-    STORE.get_or_init(Memo::new)
+    STORE.get_or_init(Memo::default)
 }
 
 fn corpus_store() -> &'static Memo<CorpusKey, Vec<Graph>> {
     static STORE: OnceLock<Memo<CorpusKey, Vec<Graph>>> = OnceLock::new();
-    STORE.get_or_init(Memo::new)
+    STORE.get_or_init(Memo::default)
 }
 
 /// Structurally validates a generated graph before it is memoised: a

@@ -10,7 +10,7 @@ use hpsparse::kernels::baselines::{
 use hpsparse::kernels::cpu;
 use hpsparse::kernels::hp::{HpSddmm, HpSpmm};
 use hpsparse::kernels::{SddmmKernel, SpmmKernel};
-use hpsparse::sim::DeviceSpec;
+use hpsparse::sim::{CostEngine, DeviceSpec, GpuSim};
 use hpsparse::sparse::{reference, Dense, Graph, Hybrid};
 
 fn test_graph(seed: u64, topology: Topology) -> Graph {
@@ -169,4 +169,32 @@ fn simulated_kernels_are_deterministic() {
     assert_eq!(r1.report.cycles, r2.report.cycles);
     assert_eq!(r1.report.totals, r2.report.totals);
     assert_eq!(r1.output, r2.output);
+}
+
+#[test]
+fn cost_engines_report_identical_launches() {
+    // The Tier-1 witness of `repro fastcheck`'s 570-cell differential: the
+    // batched engine and the reference oracle agree field for field on
+    // the paper's two kernels and a row-per-warp baseline.
+    let v100 = DeviceSpec::v100();
+    let s = test_graph(8, Topology::PowerLaw { alpha: 2.1 }).to_hybrid();
+    let (a, a1) = (features(s.cols(), 64, 0.2), features(s.rows(), 64, 0.4));
+    let on = |engine: CostEngine| {
+        let sim = || {
+            let mut sim = GpuSim::new(v100.clone());
+            sim.set_engine(engine);
+            sim
+        };
+        let hp_spmm = HpSpmm::auto(&v100, &s, 64).run_on(&mut sim(), &s, &a);
+        let ge_spmm = GeSpmm.run_on(&mut sim(), &s, &a);
+        let hp_sddmm = HpSddmm::auto(&v100, &s, 64).run_on(&mut sim(), &s, &a1, &a);
+        [
+            hp_spmm.unwrap().report,
+            ge_spmm.unwrap().report,
+            hp_sddmm.unwrap().report,
+        ]
+    };
+    let batched = on(CostEngine::Batched);
+    assert!(batched.iter().all(|r| r.cycles > 0));
+    assert_eq!(batched, on(CostEngine::Reference));
 }
