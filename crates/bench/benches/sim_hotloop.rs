@@ -1,14 +1,17 @@
 //! Criterion microbenchmarks of the fast cost engine's hot loop: single
-//! sector probes vs batched runs on [`SectorCache`], and memoized vs raw
-//! warp tallies on [`WarpTally`]. These pin the primitives the descriptor
-//! API is built from, so a regression shows up here before it shows up as
-//! minutes in `repro -- selftime`.
+//! sector probes vs batched runs on [`SectorCache`] — one mixed stream plus
+//! one row per probe shape the kernels actually produce (MRU re-runs,
+//! streamed misses, hashed and pre-sorted lane gathers) — and memoized vs
+//! raw warp tallies on [`WarpTally`]. These pin the primitives the
+//! descriptor API is built from, so a regression shows up here before it
+//! shows up as minutes in `repro -- selftime`. EXPERIMENTS.md "Probe
+//! microbenchmarks" keeps the before/after of every row.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use hpsparse_sim::{SectorCache, WarpTally};
 
-/// V100-shaped L2: 6 MiB, 16-way — the geometry the branchless probe
-/// targets.
+/// V100-shaped L2: 6 MiB, 16-way — the geometry whose slow path searches
+/// a set with one 16-lane compare mask.
 fn l2() -> SectorCache {
     SectorCache::new(6 * 1024 * 1024, 16)
 }
@@ -29,6 +32,7 @@ fn probe_stream(n: u64) -> Vec<u64> {
 
 fn bench_cache_probes(c: &mut Criterion) {
     const PROBES: u64 = 200_000;
+    const WARPS: u64 = 4_000;
     let stream = probe_stream(PROBES);
 
     let mut group = c.benchmark_group("cache_probe");
@@ -56,6 +60,80 @@ fn bench_cache_probes(c: &mut Criterion) {
             black_box(hits)
         })
     });
+    // Blocked-ELL's warp: a 32-sector payload nobody has touched (all
+    // misses), then the same 16 feature rows of 8 sectors every warp
+    // re-reads — hits on the way that is already MRU, except in the sets
+    // the payload just passed through.
+    group.throughput(Throughput::Elements(WARPS * 160));
+    group.bench_function("mru_rerun_x128", |b| {
+        let mut cache = l2();
+        let mut payload = 1u64 << 20;
+        b.iter(|| {
+            let mut hits = 0u64;
+            for _ in 0..WARPS {
+                hits += cache.access_run(payload, 32);
+                payload += 32;
+                for row in 0..16u64 {
+                    hits += cache.access_run(row * 8, 8);
+                }
+            }
+            black_box(hits)
+        })
+    });
+    // A stream larger than the cache, read once in 32-sector rows: every
+    // probe takes the rotate-and-install path.
+    group.throughput(Throughput::Elements(WARPS * 32));
+    group.bench_function("stream_miss_x32", |b| {
+        let mut cache = l2();
+        let mut next = 0u64;
+        b.iter(|| {
+            let mut hits = 0u64;
+            for _ in 0..WARPS {
+                hits += cache.access_run(next, 32);
+                next += 32;
+            }
+            black_box(hits)
+        })
+    });
+    group.finish();
+
+    // 32-lane gathers through the tally: hashed lanes in lane order (the
+    // sort runs) vs the same lanes handed over ascending, the order CSR
+    // column indices usually arrive in (the sort is skipped).
+    let hashed: Vec<[u64; 32]> = (0..WARPS)
+        .map(|w| {
+            std::array::from_fn(|l| {
+                let h = (w * 32 + l as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                (h.rotate_left(23) % (1 << 22)) * 4
+            })
+        })
+        .collect();
+    let sorted: Vec<[u64; 32]> = hashed
+        .iter()
+        .map(|lanes| {
+            let mut lanes = *lanes;
+            lanes.sort_unstable();
+            lanes
+        })
+        .collect();
+    let mut group = c.benchmark_group("lane_gather");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(WARPS * 32));
+    for (name, warps) in [
+        ("gather_hashed_x32", &hashed),
+        ("gather_sorted_x32", &sorted),
+    ] {
+        group.bench_function(name, |b| {
+            let mut cache = l2();
+            b.iter(|| {
+                let mut tally = WarpTally::new(&mut cache, 32);
+                for lanes in warps {
+                    tally.global_gather(lanes.iter().copied(), 4);
+                }
+                black_box(tally.finish().l2_hit_sectors)
+            })
+        });
+    }
     group.finish();
 
     let mut group = c.benchmark_group("cache_reset");

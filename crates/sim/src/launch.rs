@@ -341,6 +341,10 @@ impl GpuSim {
 
     /// Allocates logical device memory (256-byte aligned).
     ///
+    /// Panics — here and in the three named variants — when the allocation
+    /// ends beyond [`SectorCache::addressable_bytes`]: the L2 model could
+    /// not tell its sectors from lower ones (4 TiB on the V100 geometry).
+    ///
     /// The allocation is declared to any attached sink as an anonymous
     /// [`BufferRole::Input`] extent — in bounds for memcheck, exempt from
     /// initcheck. Kernels that want precise roles use [`Self::alloc_input`]
@@ -372,6 +376,15 @@ impl GpuSim {
         role: BufferRole,
     ) -> crate::memory::Buffer {
         let buf = self.memory.alloc_elems(n);
+        // Checked here, once per allocation, because the per-probe guard in
+        // `SectorCache` is a `debug_assert!`: past this bound a release
+        // build would alias tags and report hits on lines never loaded.
+        let (top, limit) = (buf.base() + buf.len_bytes(), self.l2.addressable_bytes());
+        assert!(
+            top <= limit,
+            "allocation `{name}` ends at byte {top}, beyond the {limit} bytes \
+             the L2 model's sector tags can address"
+        );
         let decl = BufferDecl {
             name,
             role,
@@ -703,6 +716,21 @@ mod tests {
         assert!(report.l2_hit_rate > 0.99);
         let cold = report.totals.dram_sectors;
         assert_eq!(cold, 128); // 4096 / 32 fetched exactly once
+    }
+
+    /// One set, two ways: tags run out at 2^24 sectors = 512 MiB. The guard
+    /// is an `assert!`, so this must hold in `--release` too — there the
+    /// per-probe `debug_assert!` is gone and the tags would alias silently.
+    #[test]
+    #[should_panic(expected = "beyond the 536870912 bytes")]
+    fn allocating_past_the_tag_space_panics_in_every_build() {
+        let mut sim = GpuSim::new(DeviceSpec {
+            l2_bytes: 64,
+            l2_assoc: 2,
+            ..DeviceSpec::v100()
+        });
+        let _ = sim.alloc_input(100 << 20, "fits"); // 400 MiB
+        let _ = sim.alloc_output(100 << 20, "overflows");
     }
 
     #[test]

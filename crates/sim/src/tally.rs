@@ -18,11 +18,11 @@
 //! * **Descriptors** ([`global_read_strided`], [`global_write_strided`],
 //!   [`gather_rows`], [`global_gather_stepped`]) let a kernel describe a
 //!   whole family of accesses in one call. Descriptors expand to contiguous
-//!   *sector runs* probed via [`SectorCache::access_run`], and the stepped
-//!   gather sorts its lane indices once instead of once per step. Whenever
-//!   an [`AccessSink`] is attached (the sanitizer) — or the tally is put in
-//!   reference mode — descriptors fall back to the element-wise expansion
-//!   so the sink observes the exact per-event stream.
+//!   *sector runs*, and the stepped gather sorts its lane indices once
+//!   instead of once per step. Whenever an [`AccessSink`] is attached (the
+//!   sanitizer) — or the tally is put in reference mode — descriptors fall
+//!   back to the element-wise expansion so the sink observes the exact
+//!   per-event stream.
 //!
 //! * **Warp-signature memoization** ([`begin_memo`]): the cache-independent
 //!   counter components of a warp (instructions, shared ops, atomics,
@@ -34,6 +34,17 @@
 //!   non-probe counter; kernels pack tile shape, segment length and
 //!   alignment class into the key. Memoization is disabled in reference
 //!   mode and whenever a sink is attached.
+//!
+//! # How the L2 is probed
+//!
+//! Both engines pay for the cache the same way, because every coalesced
+//! access — element-wise or from a descriptor — is a sector run: one
+//! [`SectorCache::access_run`] call, one slice walk, statistics booked once
+//! (see [`crate::cache`]). Only lane gathers and scatters probe sector by
+//! sector, through the cache's crate-private uncounted probe; they count
+//! their hits in a register and book once per gather (once per *stepped*
+//! descriptor), and they sort their sectors only when the lanes did not
+//! arrive ascending — CSR column order usually hands them over that way.
 //!
 //! [`SectorCache`]: crate::cache::SectorCache
 //! [`global_read_strided`]: WarpTally::global_read_strided
@@ -617,11 +628,12 @@ impl<'a> WarpTally<'a> {
                 let sector = (a + off4) / SECTOR_BYTES as u64;
                 if sector != prev {
                     tx += 1;
-                    hits += u64::from(self.cache.access_sector(sector));
+                    hits += u64::from(self.cache.probe(sector));
                     prev = sector;
                 }
             }
         }
+        self.cache.book(hits, tx);
         self.probe_tally(hits, tx);
         self.gather_scratch = lane_addrs;
         self.sort_scratch = idx;
@@ -652,12 +664,16 @@ impl<'a> WarpTally<'a> {
                 self.emit(kind, a, bytes_each, 1);
             }
         }
-        sectors.sort_unstable();
+        // CSR column order usually hands the lanes over ascending already.
+        if !sectors.is_sorted() {
+            sectors.sort_unstable();
+        }
         sectors.dedup();
         let mut hits = 0u64;
         for &s in sectors.iter() {
-            hits += u64::from(self.cache.access_sector(s));
+            hits += u64::from(self.cache.probe(s));
         }
+        self.cache.book(hits, sectors.len() as u64);
         self.probe_tally(hits, sectors.len() as u64);
         self.gather_scratch = sectors;
     }

@@ -9,9 +9,9 @@
 use hpsparse_sim::{SectorCache, WarpTally};
 use proptest::prelude::*;
 
-/// Both cache geometries the engine dispatches between: the 16-way
-/// L2-shaped sets take the branchless probe, anything else the generic
-/// scan.
+/// Both cache geometries the probe's slow path dispatches between: the
+/// 16-way L2-shaped sets search with vector compares, anything else
+/// scans.
 fn cache_for(assoc_sel: u32) -> SectorCache {
     match assoc_sel {
         0 => SectorCache::new(64 * 1024, 16),
