@@ -4,15 +4,18 @@
 //!
 //! * [`PlanStrategy::Heuristic`] — rank every candidate with the analytic
 //!   cost model ([`crate::cost`]) and take the top. Zero simulator time.
-//! * [`PlanStrategy::Measured`] — rank heuristically, then run the top
-//!   `top_n` candidates on a cold [`GpuSim`] against the *actual* matrix
-//!   and pick by measured cycles. The heuristic's top pick is always in
-//!   the measured set, so `Measured` never chooses a kernel worse than
-//!   `Heuristic`'s (a property the test suite pins down).
+//! * [`PlanStrategy::Measured`] — rank heuristically, then walk the cost
+//!   of the top `top_n` candidates on a cold [`GpuSim`] against the
+//!   *actual* matrix and pick by measured cycles. A measurement is a cost
+//!   walk (`cost_on`): it reports exactly what a full run would and
+//!   computes no float, so SpMM/SDDMM planning builds no feature matrix.
+//!   The heuristic's top pick is always in the measured set, so `Measured`
+//!   never chooses a kernel worse than `Heuristic`'s (a property the test
+//!   suite pins down).
 //!
-//! Planning is deterministic: candidate enumeration order is fixed, the
-//! measurement features are a fixed function of shape, every simulator run
-//! starts cold, and ties break toward the better heuristic rank.
+//! Planning is deterministic: candidate enumeration order is fixed, every
+//! simulator run starts cold, and ties break toward the better heuristic
+//! rank.
 
 use hpsparse_core::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
@@ -175,6 +178,14 @@ impl Planner {
 
     /// Plans SpMM for `s` at feature dimension `k`.
     pub fn plan_spmm(&mut self, s: &Hybrid, k: usize) -> Plan {
+        self.plan_spmm_for(&GraphFingerprint::of(s, k, &self.device), s)
+    }
+
+    /// [`Self::plan_spmm`] for a caller that already fingerprinted `s`
+    /// (a plan-cache miss): `fp` must be `GraphFingerprint::of(s, k,
+    /// self.device())`; the feature dimension is `fp.k`.
+    pub fn plan_spmm_for(&mut self, fp: &GraphFingerprint, s: &Hybrid) -> Plan {
+        let k = fp.k;
         let _span = hpsparse_trace::span_with(
             "autotune:plan-spmm",
             &[
@@ -184,30 +195,25 @@ impl Planner {
             ],
         );
         let launches_before = self.sim_launches;
-        let fp = GraphFingerprint::of(s, k, &self.device);
-        let ranked = rank(spmm_candidates(&self.device, &fp), |c| {
-            spmm_cost(&self.device, &fp, c)
+        let ranked = rank(spmm_candidates(&self.device, fp), |c| {
+            spmm_cost(&self.device, fp, c)
         });
         let plan = match self.strategy {
             PlanStrategy::Heuristic => {
-                let mut plan = heuristic_plan(&fp, ranked);
-                let hint = spmm_bound_hint(&self.device, &fp, &plan.candidate());
+                let mut plan = heuristic_plan(fp, ranked);
+                let hint = spmm_bound_hint(&self.device, fp, &plan.candidate());
                 plan.rationale
                     .push_str(&format!("; model-side bound: {hint}"));
                 plan
             }
             PlanStrategy::Measured { top_n } => {
-                let a = measurement_features(s.cols(), k);
                 let engine = self.engine;
-                self.measured_plan(&fp, ranked, top_n, |device, c| {
-                    let kernel = instantiate_spmm(c)?;
-                    let mut sim = GpuSim::new(device.clone());
-                    sim.set_engine(engine);
-                    let run = kernel.run_on(&mut sim, s, &a).ok()?;
-                    let verdict = hpsparse_sim::attribute(&run.report, device).verdict();
-                    let cycles =
-                        run.report.cycles + run.preprocess.as_ref().map_or(0, |p| p.cycles);
-                    Some((cycles, Some(verdict)))
+                self.measured_plan(fp, ranked, top_n, |device, c| {
+                    let cost = instantiate_spmm(c)?
+                        .cost_on(&mut cold_sim(device, engine), s, k)
+                        .ok()?;
+                    let verdict = hpsparse_sim::attribute(&cost.report, device).verdict();
+                    Some((cost.total_cycles(), Some(verdict)))
                 })
             }
         };
@@ -217,6 +223,13 @@ impl Planner {
 
     /// Plans SDDMM for `s` at feature dimension `k`.
     pub fn plan_sddmm(&mut self, s: &Hybrid, k: usize) -> Plan {
+        self.plan_sddmm_for(&GraphFingerprint::of(s, k, &self.device), s)
+    }
+
+    /// [`Self::plan_sddmm`] with the caller's fingerprint; see
+    /// [`Self::plan_spmm_for`].
+    pub fn plan_sddmm_for(&mut self, fp: &GraphFingerprint, s: &Hybrid) -> Plan {
+        let k = fp.k;
         let _span = hpsparse_trace::span_with(
             "autotune:plan-sddmm",
             &[
@@ -226,31 +239,25 @@ impl Planner {
             ],
         );
         let launches_before = self.sim_launches;
-        let fp = GraphFingerprint::of(s, k, &self.device);
-        let ranked = rank(sddmm_candidates(&self.device, &fp), |c| {
-            sddmm_cost(&self.device, &fp, c)
+        let ranked = rank(sddmm_candidates(&self.device, fp), |c| {
+            sddmm_cost(&self.device, fp, c)
         });
         let plan = match self.strategy {
             PlanStrategy::Heuristic => {
-                let mut plan = heuristic_plan(&fp, ranked);
-                let hint = sddmm_bound_hint(&self.device, &fp, &plan.candidate());
+                let mut plan = heuristic_plan(fp, ranked);
+                let hint = sddmm_bound_hint(&self.device, fp, &plan.candidate());
                 plan.rationale
                     .push_str(&format!("; model-side bound: {hint}"));
                 plan
             }
             PlanStrategy::Measured { top_n } => {
-                let a1 = measurement_features(s.rows(), k);
-                let a2t = measurement_features(s.cols(), k);
                 let engine = self.engine;
-                self.measured_plan(&fp, ranked, top_n, |device, c| {
-                    let kernel = instantiate_sddmm(c)?;
-                    let mut sim = GpuSim::new(device.clone());
-                    sim.set_engine(engine);
-                    let run = kernel.run_on(&mut sim, s, &a1, &a2t).ok()?;
-                    let verdict = hpsparse_sim::attribute(&run.report, device).verdict();
-                    let cycles =
-                        run.report.cycles + run.preprocess.as_ref().map_or(0, |p| p.cycles);
-                    Some((cycles, Some(verdict)))
+                self.measured_plan(fp, ranked, top_n, |device, c| {
+                    let cost = instantiate_sddmm(c)?
+                        .cost_on(&mut cold_sim(device, engine), s, k)
+                        .ok()?;
+                    let verdict = hpsparse_sim::attribute(&cost.report, device).verdict();
+                    Some((cost.total_cycles(), Some(verdict)))
                 })
             }
         };
@@ -265,6 +272,13 @@ impl Planner {
     /// are always measured (the space has exactly two points), so the pick
     /// is the true cold-run winner by construction.
     pub fn plan_mha(&mut self, s: &Hybrid, head_dim: usize, heads: usize) -> Plan {
+        self.plan_mha_for(&GraphFingerprint::of(s, head_dim, &self.device), s, heads)
+    }
+
+    /// [`Self::plan_mha`] with the caller's fingerprint (`fp.k` is the
+    /// head dimension); see [`Self::plan_spmm_for`].
+    pub fn plan_mha_for(&mut self, fp: &GraphFingerprint, s: &Hybrid, heads: usize) -> Plan {
+        let head_dim = fp.k;
         let _span = hpsparse_trace::span_with(
             "autotune:plan-mha",
             &[
@@ -275,23 +289,24 @@ impl Planner {
             ],
         );
         let launches_before = self.sim_launches;
-        let fp = GraphFingerprint::of(s, head_dim, &self.device);
-        let ranked = rank(mha_candidates(&self.device, &fp), |c| {
-            mha_cost(&self.device, &fp, heads, c)
+        let ranked = rank(mha_candidates(&self.device, fp), |c| {
+            mha_cost(&self.device, fp, heads, c)
         });
         let plan = match self.strategy {
-            PlanStrategy::Heuristic => heuristic_plan(&fp, ranked),
+            PlanStrategy::Heuristic => heuristic_plan(fp, ranked),
             PlanStrategy::Measured { .. } => {
+                // Only the fused kernel (numerics still in its launch)
+                // needs operands.
                 let q = mha_measurement_heads(s.rows(), head_dim, heads, 0);
                 let kv = mha_measurement_heads(s.cols(), head_dim, heads, 1);
                 let engine = self.engine;
-                self.measured_plan(&fp, ranked, 2, |device, c| {
+                self.measured_plan(fp, ranked, 2, |device, c| {
                     // Multi-launch pipelines have no single launch report to
                     // attribute, so the fuse/no-fuse rationale carries no
                     // per-launch verdict.
                     let cycles = match instantiate_fused_mha(c) {
                         Some(kernel) => measure_fused_mha(device, engine, &kernel, s, &q, &kv),
-                        None => measure_unfused_mha(device, engine, s, &q, &kv),
+                        None => measure_unfused_mha(device, engine, s, head_dim, heads),
                     }?;
                     Some((cycles, None))
                 })
@@ -419,8 +434,17 @@ fn heuristic_plan(fp: &GraphFingerprint, ranked: Vec<(f64, Candidate)>) -> Plan 
     }
 }
 
-/// Deterministic feature matrix used to measure candidates: a fixed
-/// function of shape so planning is reproducible run to run.
+/// A fresh cold-L2 simulator on `engine` — one per measurement.
+fn cold_sim(device: &DeviceSpec, engine: CostEngine) -> GpuSim {
+    let mut sim = GpuSim::new(device.clone());
+    sim.set_engine(engine);
+    sim
+}
+
+/// Deterministic feature matrix for re-running a planned kernel in full
+/// next to its measurement (tests, the benchmark's oracle): a fixed
+/// function of shape. The planner itself measures by cost walk and builds
+/// none.
 pub fn measurement_features(rows: usize, k: usize) -> Dense {
     Dense::from_fn(rows, k, |i, j| (((i * 131 + j * 17) % 1000) as f32) * 1e-3)
 }
@@ -449,9 +473,9 @@ pub fn measure_fused_mha(
     q: &[Dense],
     kv: &[Dense],
 ) -> Option<u64> {
-    let mut sim = GpuSim::new(device.clone());
-    sim.set_engine(engine);
-    let run = kernel.run_on(&mut sim, s, q, kv, kv).ok()?;
+    let run = kernel
+        .run_on(&mut cold_sim(device, engine), s, q, kv, kv)
+        .ok()?;
     Some(run.total_cycles() + run.reports.len() as u64 * LAUNCH_OVERHEAD_CYCLES)
 }
 
@@ -459,22 +483,25 @@ pub fn measure_fused_mha(
 /// HP-SDDMM launch, a rooflined edge-softmax pass, and an HP-SpMM launch,
 /// each with its launch overhead — exactly how the accounting backends
 /// charge the no-fuse path, so the knob's comparison is apples-to-apples.
+/// Both launches are cost walks: the pipeline's cycles depend on the head
+/// shape, not on any operand value.
 pub fn measure_unfused_mha(
     device: &DeviceSpec,
     engine: CostEngine,
     s: &Hybrid,
-    q: &[Dense],
-    kv: &[Dense],
+    head_dim: usize,
+    heads: usize,
 ) -> Option<u64> {
-    let head_dim = q.first()?.cols();
+    if heads == 0 {
+        return None; // nothing to measure, as for an empty `q`
+    }
     let sddmm = HpSddmm::auto(device, s, head_dim);
     let spmm = HpSpmm::auto(device, s, head_dim);
     let mut total = 0u64;
-    for (qh, kvh) in q.iter().zip(kv) {
-        let mut sim = GpuSim::new(device.clone());
-        sim.set_engine(engine);
-        let sd = sddmm.run_on(&mut sim, s, qh, kvh).ok()?;
-        let sp = spmm.run_on(&mut sim, s, kvh).ok()?;
+    for _ in 0..heads {
+        let mut sim = cold_sim(device, engine);
+        let sd = sddmm.cost_on(&mut sim, s, head_dim).ok()?;
+        let sp = spmm.cost_on(&mut sim, s, head_dim).ok()?;
         total += sd.report.cycles
             + edge_softmax_cycles(device, s.nnz())
             + sp.report.cycles
@@ -643,7 +670,7 @@ mod tests {
             &kv,
         )
         .unwrap();
-        let unfused = measure_unfused_mha(&v100, CostEngine::Batched, &s, &q, &kv).unwrap();
+        let unfused = measure_unfused_mha(&v100, CostEngine::Batched, &s, 32, 4).unwrap();
         let oracle = if fused <= unfused {
             crate::candidates::MHA_FUSED_ID
         } else {

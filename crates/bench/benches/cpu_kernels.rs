@@ -8,6 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hpsparse_core::cpu;
+use hpsparse_core::numerics::{self, Cut};
 use hpsparse_datasets::generators::{GeneratorConfig, Topology};
 use hpsparse_datasets::registry::by_name;
 use hpsparse_datasets::store;
@@ -155,6 +156,41 @@ fn bench_inner_loops(c: &mut Criterion) {
     group.finish();
 }
 
+/// The three accumulation orders the simulated kernels compute their
+/// floats in (`core::numerics`), beside the sequential references, on the
+/// repository benchmark's `train` graph (arxiv at 50 k edges) at the
+/// widths the trainers run. Segment sums at HP-SpMM's usual cut and at
+/// whole rows; an element is one multiply-add.
+fn bench_kernel_numerics(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernel_numerics");
+    group.sample_size(20);
+    let spec = by_name("arxiv").expect("arxiv is in the registry");
+    let s = store::graph(&spec, 50_000).to_hybrid();
+    for k in [32usize, 64, 128] {
+        let (a, a1) = (features(s.cols(), k), features(s.rows(), k));
+        group.throughput(Throughput::Elements((s.nnz() * k) as u64));
+        group.bench_with_input(BenchmarkId::new("reference_spmm", k), &(), |b, ()| {
+            b.iter(|| reference::spmm(&s, &a).unwrap())
+        });
+        group.bench_with_input(BenchmarkId::new("segment_sums/every16", k), &(), |b, ()| {
+            b.iter(|| numerics::segment_sums(&s, &a, Cut::Every(16)).unwrap())
+        });
+        group.bench_with_input(BenchmarkId::new("segment_sums/rows", k), &(), |b, ()| {
+            b.iter(|| numerics::segment_sums(&s, &a, Cut::PerRow(usize::MAX)).unwrap())
+        });
+        group.bench_with_input(BenchmarkId::new("element_order", k), &(), |b, ()| {
+            b.iter(|| numerics::element_order(&s, &a).unwrap())
+        });
+        group.bench_with_input(BenchmarkId::new("reference_sddmm", k), &(), |b, ()| {
+            b.iter(|| reference::sddmm_transposed(&s, &a1, &a).unwrap())
+        });
+        group.bench_with_input(BenchmarkId::new("masked_dots", k), &(), |b, ()| {
+            b.iter(|| numerics::masked_dots(&s, &a1, &a).unwrap())
+        });
+    }
+    group.finish();
+}
+
 /// The trainer's dense path (`gnn::linalg`) at the shapes the `table5`
 /// trainers and the repository benchmark's `train` workload run: hidden
 /// layer, classifier layer, per-head attention projection, sampled
@@ -237,6 +273,7 @@ criterion_group!(
     bench_sddmm,
     bench_registry_graph,
     bench_inner_loops,
+    bench_kernel_numerics,
     bench_dense_gemm,
     bench_serve_hotpath
 );

@@ -30,6 +30,11 @@ fn bench_sim_throughput(c: &mut Criterion) {
     group.bench_with_input(BenchmarkId::new("kernel", "HP-SpMM"), &(), |b, ()| {
         b.iter(|| hp.run(&v100, &s, &a).unwrap())
     });
+    // The same launch without its floats: what a planner measurement or a
+    // `repro` sweep cell pays.
+    group.bench_with_input(BenchmarkId::new("cost_only", "HP-SpMM"), &(), |b, ()| {
+        b.iter(|| hp.cost(&v100, &s, 64).unwrap())
+    });
     for (label, kernel) in [
         ("ALG2", Box::new(CusparseCsrAlg2) as Box<dyn SpmmKernel>),
         ("ALG4", Box::new(CusparseCooAlg4)),

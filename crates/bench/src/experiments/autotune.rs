@@ -21,7 +21,7 @@ use hpsparse_autotune::{
 };
 use hpsparse_datasets::{full_graph_dataset, store};
 use hpsparse_gnn::{AutoBackend, HpBackend, SparseBackend};
-use hpsparse_sim::{DeviceSpec, GpuSim};
+use hpsparse_sim::DeviceSpec;
 use hpsparse_sparse::{Dense, Hybrid};
 use serde_json::json;
 
@@ -43,26 +43,17 @@ fn corpus_slice(effort: Effort) -> usize {
     }
 }
 
-/// Cold measured cycles (exec + preprocessing) of one SpMM candidate.
-fn measure_spmm(device: &DeviceSpec, c: &Candidate, s: &Hybrid, a: &Dense) -> Option<u64> {
-    let kernel = instantiate_spmm(c)?;
-    let mut sim = GpuSim::new(device.clone());
-    let run = kernel.run_on(&mut sim, s, a).ok()?;
-    Some(run.report.cycles + run.preprocess.as_ref().map_or(0, |p| p.cycles))
+/// Cold measured cycles (exec + preprocessing) of one SpMM candidate — a
+/// cost walk, as the planner's own measurements are.
+fn measure_spmm(device: &DeviceSpec, c: &Candidate, s: &Hybrid, k: usize) -> Option<u64> {
+    let cost = instantiate_spmm(c)?.cost(device, s, k).ok()?;
+    Some(cost.total_cycles())
 }
 
 /// Cold measured cycles of one SDDMM candidate.
-fn measure_sddmm(
-    device: &DeviceSpec,
-    c: &Candidate,
-    s: &Hybrid,
-    a1: &Dense,
-    a2t: &Dense,
-) -> Option<u64> {
-    let kernel = instantiate_sddmm(c)?;
-    let mut sim = GpuSim::new(device.clone());
-    let run = kernel.run_on(&mut sim, s, a1, a2t).ok()?;
-    Some(run.report.cycles + run.preprocess.as_ref().map_or(0, |p| p.cycles))
+fn measure_sddmm(device: &DeviceSpec, c: &Candidate, s: &Hybrid, k: usize) -> Option<u64> {
+    let cost = instantiate_sddmm(c)?.cost(device, s, k).ok()?;
+    Some(cost.total_cycles())
 }
 
 /// Everything measured for one registry graph.
@@ -104,24 +95,24 @@ struct CandidateCycles {
 
 fn candidate_cycles(device: &DeviceSpec, s: &Hybrid, k: usize) -> CandidateCycles {
     let fp = GraphFingerprint::of(s, k, device);
-    let (_, a, a1, a2t) = operands_from(s, k);
     let spmm = spmm_candidates(device, &fp)
         .into_iter()
-        .filter_map(|c| measure_spmm(device, &c, s, &a).map(|cy| (c.kernel_id, cy)))
+        .filter_map(|c| measure_spmm(device, &c, s, k).map(|cy| (c.kernel_id, cy)))
         .collect();
     let sddmm = sddmm_candidates(device, &fp)
         .into_iter()
-        .filter_map(|c| measure_sddmm(device, &c, s, &a1, &a2t).map(|cy| (c.kernel_id, cy)))
+        .filter_map(|c| measure_sddmm(device, &c, s, k).map(|cy| (c.kernel_id, cy)))
         .collect();
     CandidateCycles { spmm, sddmm }
 }
 
-/// Rebuilds the benchmark operand set from an existing hybrid matrix.
-fn operands_from(s: &Hybrid, k: usize) -> (Hybrid, Dense, Dense, Dense) {
-    let a = crate::runner::bench_features(s.cols(), k);
-    let a1 = crate::runner::bench_features(s.rows(), k);
-    let a2t = crate::runner::bench_features(s.cols(), k);
-    (s.clone(), a, a1, a2t)
+/// The backend race's dense operands for `s`: `(A, A1)`; `A` doubles as
+/// the SDDMM's transposed second operand.
+fn race_operands(s: &Hybrid, k: usize) -> (Dense, Dense) {
+    (
+        crate::runner::bench_features(s.cols(), k),
+        crate::runner::bench_features(s.rows(), k),
+    )
 }
 
 fn oracle_of(cycles: &[(String, u64)]) -> (String, u64) {
@@ -154,7 +145,7 @@ pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Vec<GraphResult
         .iter()
         .zip(&tables)
         .map(|((name, s), table)| {
-            let (_, a, a1, a2t) = operands_from(s, k);
+            let (a, a1) = race_operands(s, k);
             let (spmm_oracle, spmm_best) = oracle_of(&table.spmm);
             let (sddmm_oracle, sddmm_best) = oracle_of(&table.sddmm);
 
@@ -170,7 +161,7 @@ pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Vec<GraphResult
                 if op == 0 {
                     b.spmm(s, &a);
                 } else {
-                    b.sddmm(s, &a1, &a2t);
+                    b.sddmm(s, &a1, &a);
                 }
                 (b.sparse_cycles(), b.planning_cycles())
             };
@@ -181,7 +172,7 @@ pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Vec<GraphResult
                 if op == 0 {
                     b.spmm(s, &a);
                 } else {
-                    b.sddmm(s, &a1, &a2t);
+                    b.sddmm(s, &a1, &a);
                 }
                 b.sparse_cycles()
             };

@@ -1,12 +1,15 @@
-//! `fastcheck` — differential test of the two cost engines.
+//! `fastcheck` — differential test of the two cost engines and of the
+//! cost-only entry.
 //!
 //! Every SpMM/SDDMM kernel (HP kernels plus every registry baseline) runs
-//! on every full-graph registry dataset twice: once on the **reference**
-//! engine (element-wise descriptor expansion, no memoization) and once on
-//! the **batched** engine (descriptor batching + warp-signature
-//! memoization). The two [`LaunchReport`]s must be *equal* — not
-//! approximately, field for field — for every cell. This is the witness
-//! that the fast engine is a pure optimisation: same model, fewer host
+//! on every full-graph registry dataset three times: in full on the
+//! **reference** engine (element-wise descriptor expansion, no
+//! memoization), in full on the **batched** engine (descriptor batching +
+//! warp-signature memoization), and as a bare **cost walk** (`cost_on`: no
+//! feature operand, no float) on the batched engine. The three profiles
+//! must be *equal* — not approximately, field for field, preprocessing
+//! included — for every cell. This is the witness that the fast engine and
+//! the cost-only entry are pure optimisations: same model, fewer host
 //! instructions.
 //!
 //! Both engines are set via [`GpuSim::set_engine`], so the check does not
@@ -21,9 +24,10 @@ use crate::experiments::{Effort, ExperimentOutput};
 use crate::table;
 use hpsparse_core::baselines::registry;
 use hpsparse_core::hp::{HpSddmm, HpSpmm};
+use hpsparse_core::{KernelCost, SddmmRun, SpmmRun};
 use hpsparse_datasets::{full_graph_dataset, store};
-use hpsparse_sim::{CostEngine, DeviceSpec, GpuSim, LaunchReport};
-use hpsparse_sparse::Hybrid;
+use hpsparse_sim::{CostEngine, DeviceSpec, GpuSim};
+use hpsparse_sparse::{FormatError, Hybrid};
 use serde_json::json;
 
 /// Feature dimensions under test: the benchmark default plus an odd value
@@ -46,8 +50,10 @@ pub struct KernelDiff {
     pub id: String,
     /// Cells checked (graphs × feature dimensions).
     pub cells: usize,
-    /// Cells whose fast and reference reports were equal.
+    /// Cells whose batched and reference full runs reported equally.
     pub matching: usize,
+    /// Cells whose cost walk reported what the batched full run did.
+    pub cost_matching: usize,
     /// Total modelled cycles (identical across engines when all match).
     pub cycles: u64,
     /// Descriptions of the first few mismatching cells.
@@ -55,30 +61,57 @@ pub struct KernelDiff {
 }
 
 impl KernelDiff {
-    /// Reference and batched reports equal on every cell?
-    pub fn passed(&self) -> bool {
-        self.matching == self.cells
+    fn new(id: &str) -> Self {
+        Self {
+            id: id.to_string(),
+            cells: 0,
+            matching: 0,
+            cost_matching: 0,
+            cycles: 0,
+            mismatches: Vec::new(),
+        }
     }
-}
 
-fn fold(diff: &mut KernelDiff, graph: &str, k: usize, fast: &LaunchReport, refr: &LaunchReport) {
-    diff.cells += 1;
-    diff.cycles += refr.cycles;
-    if fast == refr {
-        diff.matching += 1;
-    } else if diff.mismatches.len() < 4 {
-        diff.mismatches.push(format!(
-            "{graph} K={k}: batched {{cycles {}, tx {}, l2_hits {}, dram {}}} vs \
-             reference {{cycles {}, tx {}, l2_hits {}, dram {}}}",
-            fast.cycles,
-            fast.totals.transactions,
-            fast.totals.l2_hit_sectors,
-            fast.totals.dram_sectors,
-            refr.cycles,
-            refr.totals.transactions,
-            refr.totals.l2_hit_sectors,
-            refr.totals.dram_sectors,
-        ));
+    /// Reference ≡ batched ≡ cost-only on every cell?
+    pub fn passed(&self) -> bool {
+        self.matching == self.cells && self.cost_matching == self.cells
+    }
+
+    /// Books one cell: the two full runs' profiles and the cost walk's.
+    fn fold(
+        &mut self,
+        graph: &str,
+        k: usize,
+        refr: &KernelCost,
+        fast: &KernelCost,
+        cost: &KernelCost,
+    ) {
+        self.cells += 1;
+        self.cycles += refr.report.cycles;
+        self.matching += usize::from(fast == refr);
+        self.cost_matching += usize::from(cost == fast);
+        let show = |c: &KernelCost| {
+            format!(
+                "{{cycles {}, pre {}, tx {}, l2_hits {}, dram {}}}",
+                c.report.cycles,
+                c.preprocess.as_ref().map_or(0, |p| p.cycles),
+                c.report.totals.transactions,
+                c.report.totals.l2_hit_sectors,
+                c.report.totals.dram_sectors,
+            )
+        };
+        for (what, got, against, want) in [
+            ("batched", fast, "reference", refr),
+            ("cost-only", cost, "batched", fast),
+        ] {
+            if got != want && self.mismatches.len() < 4 {
+                self.mismatches.push(format!(
+                    "{graph} K={k}: {what} {} vs {against} {}",
+                    show(got),
+                    show(want)
+                ));
+            }
+        }
     }
 }
 
@@ -90,8 +123,8 @@ fn sim_on(device: &DeviceSpec, engine: CostEngine) -> GpuSim {
 }
 
 /// Runs the differential sweep: every kernel × every registry graph × every
-/// K in [`CHECK_KS`], one fresh simulator per engine per cell so both
-/// engines see an identically cold L2.
+/// K in [`CHECK_KS`], one fresh simulator per run so all three see an
+/// identically cold L2.
 pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelDiff> {
     let cap = edge_cap(effort);
     let graphs: Vec<(String, Hybrid)> = full_graph_dataset()
@@ -106,15 +139,24 @@ pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelDiff> {
         .chain(registry::SDDMM_IDS.iter().map(|id| id.to_string()))
         .collect();
 
+    // One cell: the kernel in full on both engines, then its bare cost
+    // walk on the batched one, each from a cold simulator.
+    type Entry<'a> = &'a dyn Fn(&mut GpuSim) -> Result<KernelCost, FormatError>;
+    let cell = |what: &str, full: Entry, cost: Entry| {
+        let on = |entry: Entry, engine: CostEngine| {
+            entry(&mut sim_on(device, engine))
+                .unwrap_or_else(|e| panic!("{what} ({}): {e:?}", engine.label()))
+        };
+        [
+            on(full, CostEngine::Reference),
+            on(full, CostEngine::Batched),
+            on(cost, CostEngine::Batched),
+        ]
+    };
+
     let mut diffs: Vec<KernelDiff> = Vec::new();
     for id in &spmm_ids {
-        let mut diff = KernelDiff {
-            id: id.clone(),
-            cells: 0,
-            matching: 0,
-            cycles: 0,
-            mismatches: Vec::new(),
-        };
+        let mut diff = KernelDiff::new(id);
         for (graph, s) in &graphs {
             for k in CHECK_KS {
                 let kernel: Box<dyn hpsparse_core::SpmmKernel> = if id == "hp-spmm" {
@@ -123,25 +165,18 @@ pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelDiff> {
                     registry::spmm_by_id(id).expect("registry id resolves")
                 };
                 let a = crate::runner::bench_features(s.cols(), k);
-                let [refr, fast] = [CostEngine::Reference, CostEngine::Batched].map(|engine| {
-                    kernel
-                        .run_on(&mut sim_on(device, engine), s, &a)
-                        .unwrap_or_else(|e| panic!("{id} on {graph} ({}): {e:?}", engine.label()))
-                        .report
-                });
-                fold(&mut diff, graph, k, &fast, &refr);
+                let [refr, fast, cost] = cell(
+                    &format!("{id} on {graph} K={k}"),
+                    &|sim| kernel.run_on(sim, s, &a).map(SpmmRun::into_cost),
+                    &|sim| kernel.cost_on(sim, s, k),
+                );
+                diff.fold(graph, k, &refr, &fast, &cost);
             }
         }
         diffs.push(diff);
     }
     for id in &sddmm_ids {
-        let mut diff = KernelDiff {
-            id: id.clone(),
-            cells: 0,
-            matching: 0,
-            cycles: 0,
-            mismatches: Vec::new(),
-        };
+        let mut diff = KernelDiff::new(id);
         for (graph, s) in &graphs {
             for k in CHECK_KS {
                 let kernel: Box<dyn hpsparse_core::SddmmKernel> = if id == "hp-sddmm" {
@@ -151,13 +186,12 @@ pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelDiff> {
                 };
                 let a1 = crate::runner::bench_features(s.rows(), k);
                 let a2t = crate::runner::bench_features(s.cols(), k);
-                let [refr, fast] = [CostEngine::Reference, CostEngine::Batched].map(|engine| {
-                    kernel
-                        .run_on(&mut sim_on(device, engine), s, &a1, &a2t)
-                        .unwrap_or_else(|e| panic!("{id} on {graph} ({}): {e:?}", engine.label()))
-                        .report
-                });
-                fold(&mut diff, graph, k, &fast, &refr);
+                let [refr, fast, cost] = cell(
+                    &format!("{id} on {graph} K={k}"),
+                    &|sim| kernel.run_on(sim, s, &a1, &a2t).map(SddmmRun::into_cost),
+                    &|sim| kernel.cost_on(sim, s, k),
+                );
+                diff.fold(graph, k, &refr, &fast, &cost);
             }
         }
         diffs.push(diff);
@@ -180,12 +214,20 @@ pub fn render(device: &DeviceSpec, effort: Effort, diffs: &[KernelDiff]) -> Expe
                 d.id.clone(),
                 format!("{}", d.cells),
                 format!("{}", d.matching),
+                format!("{}", d.cost_matching),
                 format!("{}", d.cycles),
                 if d.passed() { "MATCH" } else { "MISMATCH" }.to_string(),
             ]
         })
         .collect();
-    let header = ["Kernel", "Cells", "Equal", "Cycles", "Verdict"];
+    let header = [
+        "Kernel",
+        "Cells",
+        "Batched",
+        "Cost-only",
+        "Cycles",
+        "Verdict",
+    ];
 
     let all_match = diffs.iter().all(|d| d.passed());
     let mut failures = String::new();
@@ -198,7 +240,7 @@ pub fn render(device: &DeviceSpec, effort: Effort, diffs: &[KernelDiff]) -> Expe
 
     let ks: Vec<String> = CHECK_KS.iter().map(|k| k.to_string()).collect();
     let text = format!(
-        "fastcheck — reference vs batched cost engines, K ∈ {{{}}}, {} ({}, edge cap {})\n\n{}\n  \
+        "fastcheck — reference ≡ batched ≡ cost-only, K ∈ {{{}}}, {} ({}, edge cap {})\n\n{}\n  \
          verdict: {}\n{}",
         ks.join(", "),
         device.name,
@@ -206,9 +248,9 @@ pub fn render(device: &DeviceSpec, effort: Effort, diffs: &[KernelDiff]) -> Expe
         edge_cap(effort),
         table::render(&header, &rows),
         if all_match {
-            "every LaunchReport identical across both engines"
+            "every LaunchReport identical across both engines and the cost-only entry"
         } else {
-            "ENGINE DIVERGENCE:"
+            "DIVERGENCE:"
         },
         failures,
     );
@@ -220,6 +262,7 @@ pub fn render(device: &DeviceSpec, effort: Effort, diffs: &[KernelDiff]) -> Expe
                 "id": d.id.as_str(),
                 "cells": d.cells,
                 "matching": d.matching,
+                "cost_matching": d.cost_matching,
                 "cycles": d.cycles,
                 "pass": d.passed(),
                 "mismatches": d.mismatches,
@@ -249,9 +292,10 @@ mod tests {
     fn acceptance_every_cell_matches() {
         let out = run(&DeviceSpec::v100(), Effort::Quick);
         assert_eq!(out.json["all_match"].as_bool(), Some(true), "{}", out.text);
-        // The batched engine checked against the reference on every cell:
-        // 12 SpMM (hp + 11 registry) + 3 SDDMM (hp + 2 registry), each on
-        // 19 graphs × 2 feature dimensions — 570 cells in total.
+        // The batched engine checked against the reference, and the cost
+        // walk against the batched full run, on every cell: 12 SpMM (hp +
+        // 11 registry) + 3 SDDMM (hp + 2 registry), each on 19 graphs × 2
+        // feature dimensions — 570 cells in total.
         let kernels = out.json["kernels"].as_array().unwrap();
         assert_eq!(kernels.len(), 15);
         assert_eq!(out.json["engines"], json!(["reference", "batched"]));
@@ -259,6 +303,7 @@ mod tests {
         for k in kernels {
             assert_eq!(k["cells"].as_u64(), Some(38), "{}", k["id"]);
             assert_eq!(k["cells"], k["matching"], "{}", k["id"]);
+            assert_eq!(k["cells"], k["cost_matching"], "{}", k["id"]);
             assert!(k["cycles"].as_u64().unwrap() > 0, "{}", k["id"]);
             cells += k["cells"].as_u64().unwrap();
         }

@@ -3,8 +3,8 @@
 
 use crate::experiments::{Effort, ExperimentOutput};
 use crate::runner::{
-    operands, sddmm_contenders, spmm_contenders, sweep_key, time_hp_sddmm, time_hp_spmm,
-    time_sddmm, time_spmm, BaselineStats, SweepKey,
+    sddmm_contenders, spmm_contenders, sweep_key, time_hp_sddmm, time_hp_spmm, time_sddmm,
+    time_spmm, BaselineStats, SweepKey,
 };
 use crate::table;
 use hpsparse_datasets::full_graph_dataset;
@@ -53,24 +53,24 @@ fn sweep(device: &DeviceSpec, effort: Effort, k: usize) -> Vec<GraphRecord> {
         .into_par_iter()
         .map(|spec| {
             let g = store::graph(&spec, effort.max_edges());
-            let (s, a, a1, a2t) = operands(&g, k);
-            let hp = time_hp_spmm(device, &s, &a);
+            let s = g.to_hybrid();
+            let hp = time_hp_spmm(device, &s, k);
             let spmm_baselines = spmm_set
                 .par_iter()
                 .map(|kern| {
                     (
                         kern.name().to_string(),
-                        time_spmm(kern.as_ref(), device, &s, &a).exec_ms,
+                        time_spmm(kern.as_ref(), device, &s, k).exec_ms,
                     )
                 })
                 .collect();
-            let hp_sd = time_hp_sddmm(device, &s, &a1, &a2t);
+            let hp_sd = time_hp_sddmm(device, &s, k);
             let sddmm_baselines = sddmm_set
                 .par_iter()
                 .map(|kern| {
                     (
                         kern.name().to_string(),
-                        time_sddmm(kern.as_ref(), device, &s, &a1, &a2t).exec_ms,
+                        time_sddmm(kern.as_ref(), device, &s, k).exec_ms,
                     )
                 })
                 .collect();

@@ -99,20 +99,13 @@ fn measure_cell(device: &DeviceSpec, graph: &str, s: &Hybrid, heads: usize, d: u
     let spmm = HpSpmm::auto(device, s, d);
     let mut unfused_cycles = 0u64;
     let mut unfused_dram = 0u64;
-    for h in 0..heads {
-        let mut sim = GpuSim::new(device.clone());
-        let sd = sddmm
-            .run_on(&mut sim, s, &q[h], &kv[h])
-            .expect("valid dims");
+    for _ in 0..heads {
+        // Cost walks: neither launch's profile depends on an operand value.
+        let sd = sddmm.cost(device, s, d).expect("valid dims");
         unfused_cycles +=
             sd.report.cycles + hpsparse_autotune::edge_softmax_cycles(device, s.nnz());
         unfused_dram += sd.report.dram_bytes() + 8 * s.nnz() as u64;
-        let mut weighted = s.clone();
-        weighted.set_values(run.attn[h].clone());
-        let mut sim = GpuSim::new(device.clone());
-        let sp = spmm
-            .run_on(&mut sim, &weighted, &kv[h])
-            .expect("valid dims");
+        let sp = spmm.cost(device, s, d).expect("valid dims");
         unfused_cycles += sp.report.cycles + 3 * LAUNCH_OVERHEAD_CYCLES;
         unfused_dram += sp.report.dram_bytes();
     }
@@ -124,7 +117,8 @@ fn measure_cell(device: &DeviceSpec, graph: &str, s: &Hybrid, heads: usize, d: u
     let engine = planner.engine();
     let oracle_fused =
         measure_fused_mha(device, engine, &kernel, s, &q, &kv).expect("fused measures");
-    let oracle_unfused = measure_unfused_mha(device, engine, s, &q, &kv).expect("unfused measures");
+    let oracle_unfused =
+        measure_unfused_mha(device, engine, s, d, heads).expect("unfused measures");
     let plan_match = plan.predicted_cycles == oracle_fused.min(oracle_unfused);
 
     hpsparse_trace::counter_add(names::FUSED_MHA_ROWS_SPILLED, run.spilled_rows as u64);

@@ -3,7 +3,7 @@
 //! grows, and the corresponding decline in relative speedup.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::{bench_features, registry_graph, time_hp_spmm, time_spmm};
+use crate::runner::{registry_graph, time_hp_spmm, time_spmm};
 use crate::table;
 use hpsparse_core::baselines::{CusparseCsrAlg2, GeSpmm};
 use hpsparse_sim::DeviceSpec;
@@ -20,10 +20,9 @@ pub fn run(effort: Effort) -> ExperimentOutput {
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     for &k in &K_VALUES {
-        let a = bench_features(s.cols(), k);
-        let hp = time_hp_spmm(&device, &s, &a);
-        let alg2 = time_spmm(&CusparseCsrAlg2, &device, &s, &a);
-        let ge = time_spmm(&GeSpmm, &device, &s, &a);
+        let hp = time_hp_spmm(&device, &s, k);
+        let alg2 = time_spmm(&CusparseCsrAlg2, &device, &s, k);
+        let ge = time_spmm(&GeSpmm, &device, &s, k);
         rows.push(vec![
             k.to_string(),
             format!("{:.1}", hp.gflops),

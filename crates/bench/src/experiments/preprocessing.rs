@@ -3,7 +3,7 @@
 //! A30; plus the §IV-C TC-GNN comparison on the RTX 3090.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::{bench_features, registry_graph, time_hp_spmm, time_spmm};
+use crate::runner::{registry_graph, time_hp_spmm, time_spmm};
 use crate::table;
 use hpsparse_core::baselines::{Aspt, Huang, MergePath, Sputnik, TcGnn};
 use hpsparse_core::traits::SpmmKernel;
@@ -24,11 +24,10 @@ pub fn run_table4(effort: Effort, k: usize) -> ExperimentOutput {
     let mut json_rows = Vec::new();
     for name in graphs {
         let (_, s) = registry_graph(name, effort);
-        let a = bench_features(s.cols(), k);
         let mut row = vec![name.to_string()];
         let mut entry = serde_json::Map::new();
         for kern in &kernels {
-            let t = time_spmm(kern.as_ref(), &device, &s, &a);
+            let t = time_spmm(kern.as_ref(), &device, &s, k);
             row.push(table::ms(t.preprocess_ms));
             row.push(table::ms(t.exec_ms));
             entry.insert(
@@ -36,7 +35,7 @@ pub fn run_table4(effort: Effort, k: usize) -> ExperimentOutput {
                 json!({ "pre_ms": t.preprocess_ms, "exec_ms": t.exec_ms }),
             );
         }
-        let hp = time_hp_spmm(&device, &s, &a);
+        let hp = time_hp_spmm(&device, &s, k);
         row.push(table::ms(hp.exec_ms));
         entry.insert("HP-SpMM".into(), json!({ "exec_ms": hp.exec_ms }));
         entry.insert("graph".into(), json!(name));
@@ -73,9 +72,8 @@ pub fn run_table4(effort: Effort, k: usize) -> ExperimentOutput {
 pub fn run_tcgnn(effort: Effort, k: usize) -> ExperimentOutput {
     let device = DeviceSpec::rtx3090();
     let (_, s) = registry_graph("Yelp", effort);
-    let a = bench_features(s.cols(), k);
-    let hp = time_hp_spmm(&device, &s, &a);
-    let tc = time_spmm(&TcGnn::default(), &device, &s, &a);
+    let hp = time_hp_spmm(&device, &s, k);
+    let tc = time_spmm(&TcGnn::default(), &device, &s, k);
     let text = format!(
         "§IV-C — low-precision Tensor-Core comparison on {} (Yelp, K = {k})\n\n\
          HP-SpMM : {} ms\n\

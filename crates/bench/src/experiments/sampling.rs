@@ -8,8 +8,8 @@
 
 use crate::experiments::{Effort, ExperimentOutput};
 use crate::runner::{
-    geomean, operands, sddmm_contenders, spmm_contenders, sweep_key, time_hp_sddmm, time_hp_spmm,
-    time_sddmm, time_spmm, BaselineStats, SweepKey,
+    geomean, sddmm_contenders, spmm_contenders, sweep_key, time_hp_sddmm, time_hp_spmm, time_sddmm,
+    time_spmm, BaselineStats, SweepKey,
 };
 use crate::table;
 use hpsparse_datasets::store::{self, Memo};
@@ -45,16 +45,18 @@ fn sweep(device: &DeviceSpec, effort: Effort, k: usize) -> CorpusStats {
     let per_graph: Vec<(usize, Vec<f64>)> = corpus
         .par_iter()
         .map(|g| {
-            let (s, a, a1, a2t) = operands(g, k);
-            let hp = time_hp_spmm(device, &s, &a);
+            let s = g.to_hybrid();
+            let hp = time_hp_spmm(device, &s, k);
             let mut speedups: Vec<f64> = spmm_set
                 .iter()
-                .map(|kern| time_spmm(kern.as_ref(), device, &s, &a).exec_ms / hp.exec_ms)
+                .map(|kern| time_spmm(kern.as_ref(), device, &s, k).exec_ms / hp.exec_ms)
                 .collect();
-            let hp_sd = time_hp_sddmm(device, &s, &a1, &a2t);
-            speedups.extend(sddmm_set.iter().map(|kern| {
-                time_sddmm(kern.as_ref(), device, &s, &a1, &a2t).exec_ms / hp_sd.exec_ms
-            }));
+            let hp_sd = time_hp_sddmm(device, &s, k);
+            speedups.extend(
+                sddmm_set
+                    .iter()
+                    .map(|kern| time_sddmm(kern.as_ref(), device, &s, k).exec_ms / hp_sd.exec_ms),
+            );
             (s.nnz(), speedups)
         })
         .collect();

@@ -3,7 +3,7 @@
 use crate::experiments::Effort;
 use hpsparse_core::baselines::{sddmm_by_id, spmm_by_id};
 use hpsparse_core::hp::{HpSddmm, HpSpmm};
-use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
+use hpsparse_core::traits::{KernelCost, SddmmKernel, SpmmKernel};
 use hpsparse_datasets::{registry, store};
 use hpsparse_sim::DeviceSpec;
 use hpsparse_sparse::{Dense, Graph, Hybrid};
@@ -52,57 +52,55 @@ pub fn bench_features(rows: usize, k: usize) -> Dense {
     Dense::from_fn(rows, k, |i, j| (((i * 131 + j * 17) % 1000) as f32) * 1e-3)
 }
 
-/// Runs one SpMM kernel cold and converts its run into a [`KernelTiming`].
+/// A cold cost walk of `kernel` at feature dimension `k` as a
+/// [`KernelTiming`]. A timing reads launch profiles only, so no feature
+/// matrix is built and no float computed.
+fn timing(kernel: &str, cost: KernelCost, s: &Hybrid, k: usize) -> KernelTiming {
+    let flops = 2.0 * s.nnz() as f64 * k as f64;
+    let exec_ms = cost.report.time_ms;
+    KernelTiming {
+        kernel: kernel.to_string(),
+        exec_ms,
+        preprocess_ms: cost.preprocess.as_ref().map_or(0.0, |p| p.time_ms),
+        gflops: flops / (exec_ms * 1e6),
+        l2_hit_rate: cost.report.l2_hit_rate,
+    }
+}
+
+/// Times one SpMM kernel cold at feature dimension `k`.
 pub fn time_spmm(
     kernel: &dyn SpmmKernel,
     device: &DeviceSpec,
     s: &Hybrid,
-    a: &Dense,
+    k: usize,
 ) -> KernelTiming {
-    let run = kernel
-        .run(device, s, a)
+    let cost = kernel
+        .cost(device, s, k)
         .expect("benchmark shapes are valid");
-    let flops = 2.0 * s.nnz() as f64 * a.cols() as f64;
-    KernelTiming {
-        kernel: kernel.name().to_string(),
-        exec_ms: run.exec_ms(),
-        preprocess_ms: run.preprocess_ms(),
-        gflops: flops / (run.exec_ms() * 1e6),
-        l2_hit_rate: run.report.l2_hit_rate,
-    }
+    timing(kernel.name(), cost, s, k)
 }
 
-/// Runs HP-SpMM (auto DTP + HVMA) cold.
-pub fn time_hp_spmm(device: &DeviceSpec, s: &Hybrid, a: &Dense) -> KernelTiming {
-    let kernel = HpSpmm::auto(device, s, a.cols());
-    time_spmm(&kernel, device, s, a)
+/// Times HP-SpMM (auto DTP + HVMA) cold.
+pub fn time_hp_spmm(device: &DeviceSpec, s: &Hybrid, k: usize) -> KernelTiming {
+    time_spmm(&HpSpmm::auto(device, s, k), device, s, k)
 }
 
-/// Runs one SDDMM kernel cold.
+/// Times one SDDMM kernel cold at feature dimension `k`.
 pub fn time_sddmm(
     kernel: &dyn SddmmKernel,
     device: &DeviceSpec,
     s: &Hybrid,
-    a1: &Dense,
-    a2t: &Dense,
+    k: usize,
 ) -> KernelTiming {
-    let run = kernel
-        .run(device, s, a1, a2t)
+    let cost = kernel
+        .cost(device, s, k)
         .expect("benchmark shapes are valid");
-    let flops = 2.0 * s.nnz() as f64 * a1.cols() as f64;
-    KernelTiming {
-        kernel: kernel.name().to_string(),
-        exec_ms: run.exec_ms(),
-        preprocess_ms: run.preprocess.as_ref().map_or(0.0, |p| p.time_ms),
-        gflops: flops / (run.exec_ms() * 1e6),
-        l2_hit_rate: run.report.l2_hit_rate,
-    }
+    timing(kernel.name(), cost, s, k)
 }
 
-/// Runs HP-SDDMM (auto) cold.
-pub fn time_hp_sddmm(device: &DeviceSpec, s: &Hybrid, a1: &Dense, a2t: &Dense) -> KernelTiming {
-    let kernel = HpSddmm::auto(device, s, a1.cols());
-    time_sddmm(&kernel, device, s, a1, a2t)
+/// Times HP-SDDMM (auto) cold.
+pub fn time_hp_sddmm(device: &DeviceSpec, s: &Hybrid, k: usize) -> KernelTiming {
+    time_sddmm(&HpSddmm::auto(device, s, k), device, s, k)
 }
 
 /// A registry graph at `effort`'s edge budget (memoised by the dataset
@@ -112,15 +110,6 @@ pub fn registry_graph(name: &str, effort: Effort) -> (Arc<Graph>, Hybrid) {
     let g = store::graph(&spec, effort.max_edges());
     let s = g.to_hybrid();
     (g, s)
-}
-
-/// Converts a graph into the operand set for kernel benchmarks.
-pub fn operands(g: &Graph, k: usize) -> (Hybrid, Dense, Dense, Dense) {
-    let s = g.to_hybrid();
-    let a = bench_features(s.cols(), k);
-    let a1 = bench_features(s.rows(), k);
-    let a2t = bench_features(s.cols(), k);
-    (s, a, a1, a2t)
 }
 
 /// HP's speedups over one baseline across a dataset — the unit Fig. 9,
@@ -198,12 +187,12 @@ mod tests {
             seed: 1,
         }
         .generate();
-        let (s, a, a1, a2t) = operands(&g, 32);
+        let s = g.to_hybrid();
         let v100 = DeviceSpec::v100();
-        let hp = time_hp_spmm(&v100, &s, &a);
+        let hp = time_hp_spmm(&v100, &s, 32);
         assert!(hp.exec_ms > 0.0);
         assert!(hp.gflops > 0.0);
-        let sd = time_hp_sddmm(&v100, &s, &a1, &a2t);
+        let sd = time_hp_sddmm(&v100, &s, 32);
         assert!(sd.exec_ms > 0.0);
     }
 

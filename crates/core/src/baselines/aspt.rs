@@ -8,10 +8,11 @@
 //! panel.
 
 use crate::baselines::common::{
-    emit_row_warp_launch, host_pass_report, merge_reports, run_row_warp_spmm, split_row_tasks,
+    emit_row_warp_launch, host_pass_report, merge_reports, row_warp_cost, split_row_tasks,
     RowTaskKind, RowWarpSpec,
 };
-use crate::traits::{check_spmm_dims, SpmmKernel, SpmmRun};
+use crate::numerics::{segment_sums, Cut};
+use crate::traits::{KernelCost, SpmmKernel};
 use hpsparse_sim::{
     Distinct, GpuSim, KernelResources, LaunchConfig, PlanBuilder, SymBufferRole, SymExpr,
     SymbolicPlan,
@@ -48,8 +49,7 @@ impl SpmmKernel for Aspt {
         "ASpT"
     }
 
-    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
-        check_spmm_dims(s, a)?;
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
         let csr = s.to_csr();
         let nnz = s.nnz();
 
@@ -96,13 +96,14 @@ impl SpmmKernel for Aspt {
         // Execution: panel-bounded row segments with shared-memory reuse
         // and moderately vectorized loads.
         let tasks = split_row_tasks(&csr, self.panel_rows);
-        let spec = Self::spec();
-        let (output, report) = run_row_warp_spmm(self.name(), sim, &csr, a, &tasks, &spec);
-        Ok(SpmmRun {
-            output,
-            report,
+        Ok(KernelCost {
+            report: row_warp_cost(self.name(), sim, &csr, k, &tasks, &Self::spec()),
             preprocess: Some(preprocess),
         })
+    }
+
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        segment_sums(s, a, Cut::PerRow(self.panel_rows))
     }
 
     fn symbolic_plans(&self) -> Vec<SymbolicPlan> {

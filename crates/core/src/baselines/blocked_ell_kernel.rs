@@ -9,9 +9,10 @@
 //! frameworks don't adopt the format and the paper's kernels stay on
 //! hybrid CSR/COO.
 
-use crate::traits::{check_spmm_dims, SpmmKernel, SpmmRun};
+use crate::traits::{check_spmm_dims, KernelCost, SpmmKernel, SpmmRun};
 use hpsparse_sim::{
-    GpuSim, KernelResources, LaunchConfig, PlanBuilder, SymBufferRole, SymExpr, SymbolicPlan,
+    GpuSim, KernelResources, LaunchConfig, LaunchReport, PlanBuilder, SymBufferRole, SymExpr,
+    SymbolicPlan,
 };
 use hpsparse_sparse::{BlockedEll, Dense, FormatError, Hybrid};
 
@@ -29,28 +30,21 @@ impl Default for CusparseBlockedEll {
     }
 }
 
-impl SpmmKernel for CusparseBlockedEll {
-    fn name(&self) -> &'static str {
-        "cuSPARSE(Blocked-ELL)"
+impl CusparseBlockedEll {
+    fn format_of(&self, s: &Hybrid) -> Result<BlockedEll, FormatError> {
+        BlockedEll::from_csr(&s.to_csr(), self.block.max(1))
     }
 
-    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
-        check_spmm_dims(s, a)?;
-        let k = a.cols();
-        let m = s.rows();
-        let b = self.block.max(1);
-        let bell = BlockedEll::from_csr(&s.to_csr(), b)?;
+    /// The cost walk over an already-built format at feature width `k`.
+    fn walk(&self, sim: &mut GpuSim, bell: &BlockedEll, k: usize) -> LaunchReport {
+        let (m, n, b) = (bell.rows(), bell.cols(), bell.block());
         let width = bell.width();
         let block_rows = m.div_ceil(b);
 
         let payload_buf = sim.alloc_input(block_rows * width * b * b, "ell_payload");
         let colidx_buf = sim.alloc_input(block_rows * width, "ell_colidx");
-        let a_buf = sim.alloc_input(a.rows() * k, "A");
+        let a_buf = sim.alloc_input(n * k, "A");
         let o_buf = sim.alloc_output(m * k, "O");
-
-        // Real numerics via the format's own SpMM (verified against the
-        // reference in `hpsparse-sparse`).
-        let output = bell.spmm(a)?;
 
         let slots = (block_rows * width.max(1)) as u64;
         let launch = LaunchConfig {
@@ -61,7 +55,7 @@ impl SpmmKernel for CusparseBlockedEll {
                 shared_mem_per_block: (b * b * 4) as u32 * 8,
             },
         };
-        let report = sim.launch_named(self.name(), launch, |warp_id, tally| {
+        sim.launch_named(self.name(), launch, |warp_id, tally| {
             if width == 0 || warp_id >= slots {
                 return;
             }
@@ -80,7 +74,7 @@ impl SpmmKernel for CusparseBlockedEll {
             // One feature-row read per block column (clamped: edge blocks
             // of a matrix narrower than `b` have fewer real columns), one
             // output-tile accumulation per block row.
-            for lc in 0..b.min(a.rows()) {
+            for lc in 0..b.min(n) {
                 tally.global_read(a_buf.elem_addr((lc * k) as u64, 4), k as u64 * 4, 2);
                 tally.compute((k as u64).div_ceil(32) * b as u64 / 8 + 1);
             }
@@ -91,10 +85,36 @@ impl SpmmKernel for CusparseBlockedEll {
                 }
                 tally.global_atomic(o_buf.elem_addr((r * k) as u64, 4), k as u64 * 4);
             }
-        });
+        })
+    }
+}
+
+impl SpmmKernel for CusparseBlockedEll {
+    fn name(&self) -> &'static str {
+        "cuSPARSE(Blocked-ELL)"
+    }
+
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
+        let bell = self.format_of(s)?;
+        Ok(KernelCost {
+            report: self.walk(sim, &bell, k),
+            preprocess: None,
+        })
+    }
+
+    /// The format's own SpMM (verified against the reference in
+    /// `hpsparse-sparse`).
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        self.format_of(s)?.spmm(a)
+    }
+
+    /// Cost walk and accumulation both need the format: build it once.
+    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
+        check_spmm_dims(s, a)?;
+        let bell = self.format_of(s)?;
         Ok(SpmmRun {
-            output,
-            report,
+            report: self.walk(sim, &bell, a.cols()),
+            output: bell.spmm(a)?,
             preprocess: None,
         })
     }

@@ -10,12 +10,10 @@
 //! indexing), which is why the paper beats it by an order of magnitude.
 
 use crate::baselines::common::{
-    merge_reports, row_warp_symbolic_plan, run_row_warp_spmm, split_row_tasks, RowTaskKind,
-    RowWarpSpec,
+    merge_reports, row_warp_cost, row_warp_symbolic_plan, split_row_tasks, RowTaskKind, RowWarpSpec,
 };
-use crate::traits::{
-    check_sddmm_dims, check_spmm_dims, SddmmKernel, SddmmRun, SpmmKernel, SpmmRun,
-};
+use crate::numerics::{element_order, segment_sums, Cut};
+use crate::traits::{KernelCost, SddmmKernel, SpmmKernel};
 use hpsparse_sim::{
     Distinct, GpuSim, KernelResources, LaunchConfig, PlanBuilder, SymBufferRole, SymExpr,
     SymbolicPlan,
@@ -28,6 +26,9 @@ use hpsparse_sparse::{Dense, FormatError, Hybrid};
 pub struct CusparseCsrAlg2;
 
 impl CusparseCsrAlg2 {
+    /// Rows longer than this are split into atomic segments.
+    const SPLIT: usize = 256;
+
     fn spec(vector_width: u32) -> RowWarpSpec {
         RowWarpSpec {
             vector_width,
@@ -42,20 +43,21 @@ impl SpmmKernel for CusparseCsrAlg2 {
         "cuSPARSE(CSR,ALG2)"
     }
 
-    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
-        check_spmm_dims(s, a)?;
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
         let csr = s.to_csr();
         // Row-per-warp with long rows chunked: ALG2 still inherits the
         // bulk of the degree distribution but does not let one hub row
         // stall an entire wave.
-        let tasks = split_row_tasks(&csr, 256);
-        let spec = Self::spec(if a.cols() >= 64 { 2 } else { 1 });
-        let (output, report) = run_row_warp_spmm(self.name(), sim, &csr, a, &tasks, &spec);
-        Ok(SpmmRun {
-            output,
-            report,
+        let tasks = split_row_tasks(&csr, Self::SPLIT);
+        let spec = Self::spec(if k >= 64 { 2 } else { 1 });
+        Ok(KernelCost {
+            report: row_warp_cost(self.name(), sim, &csr, k, &tasks, &spec),
             preprocess: None,
         })
+    }
+
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        segment_sums(s, a, Cut::PerRow(Self::SPLIT))
     }
 
     fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
@@ -78,8 +80,7 @@ impl SpmmKernel for CusparseCsrAlg3 {
         "cuSPARSE(CSR,ALG3)"
     }
 
-    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
-        check_spmm_dims(s, a)?;
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
         let nnz = s.nnz();
         let m = s.rows();
         // Partition kernel: one binary search over RowOffset per chunk.
@@ -122,21 +123,17 @@ impl SpmmKernel for CusparseCsrAlg3 {
         // one chunk but — lacking HP-SpMM's row-switch procedure —
         // accumulates into `O` with an atomic add per element, and reads
         // the per-chunk row bounds from the auxiliary array.
-        let k = a.cols();
-        let m_rows = s.rows();
         let k_cols_per_warp = 32usize;
         let k_slices = k.div_ceil(k_cols_per_warp) as u64;
 
         let row_buf = sim.alloc_input(nnz, "row_ind");
         let col_buf = sim.alloc_input(nnz, "col_ind");
         let val_buf = sim.alloc_input(nnz, "values");
-        let a_buf = sim.alloc_input(a.rows() * k, "A");
-        let o_buf = sim.alloc_output(m_rows * k, "O");
+        let a_buf = sim.alloc_input(s.cols() * k, "A");
+        let o_buf = sim.alloc_output(m * k, "O");
 
-        let mut output = Dense::zeros(m_rows, k);
         let row_ind = s.row_indices();
         let col_ind = s.col_indices();
-        let values = s.values();
 
         let launch = LaunchConfig {
             num_warps: chunks * k_slices,
@@ -170,7 +167,6 @@ impl SpmmKernel for CusparseCsrAlg3 {
             for j in start..end {
                 let r = row_ind[j] as usize;
                 let c = col_ind[j] as usize;
-                let v = values[j];
                 for buf in [&row_buf, &col_buf, &val_buf] {
                     tally.global_read(buf.elem_addr(j as u64, 4), 4, 1);
                 }
@@ -184,17 +180,16 @@ impl SpmmKernel for CusparseCsrAlg3 {
                     o_buf.elem_addr((r * k + k_base) as u64, 4),
                     k_width as u64 * 4,
                 );
-                let a_row = a.row(c);
-                for kk in 0..k_width {
-                    output.data_mut()[r * k + k_base + kk] += v * a_row[k_base + kk];
-                }
             }
         });
-        Ok(SpmmRun {
-            output,
+        Ok(KernelCost {
             report: merge_reports(&exec, &partition),
             preprocess: None,
         })
+    }
+
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        element_order(s, a)
     }
 
     fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
@@ -280,9 +275,7 @@ impl SpmmKernel for CusparseCooAlg4 {
         "cuSPARSE(COO,ALG4)"
     }
 
-    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
-        check_spmm_dims(s, a)?;
-        let k = a.cols();
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
         let m = s.rows();
         let nnz = s.nnz();
         let k_cols_per_warp = 32usize;
@@ -292,13 +285,11 @@ impl SpmmKernel for CusparseCooAlg4 {
         let row_buf = sim.alloc_input(nnz, "row_ind");
         let col_buf = sim.alloc_input(nnz, "col_ind");
         let val_buf = sim.alloc_input(nnz, "values");
-        let a_buf = sim.alloc_input(a.rows() * k, "A");
+        let a_buf = sim.alloc_input(s.cols() * k, "A");
         let o_buf = sim.alloc_output(m * k, "O");
 
-        let mut output = Dense::zeros(m, k);
         let row_ind = s.row_indices();
         let col_ind = s.col_indices();
-        let values = s.values();
 
         let launch = LaunchConfig {
             num_warps: chunks * k_slices,
@@ -329,7 +320,6 @@ impl SpmmKernel for CusparseCooAlg4 {
             for j in start..end {
                 let r = row_ind[j] as usize;
                 let c = col_ind[j] as usize;
-                let v = values[j];
                 tally.global_read(
                     a_buf.elem_addr((c * k + k_base) as u64, 4),
                     k_width as u64 * 4,
@@ -342,17 +332,16 @@ impl SpmmKernel for CusparseCooAlg4 {
                     o_buf.elem_addr((r * k + k_base) as u64, 4),
                     k_width as u64 * 4,
                 );
-                let a_row = a.row(c);
-                for kk in 0..k_width {
-                    output.data_mut()[r * k + k_base + kk] += v * a_row[k_base + kk];
-                }
             }
         });
-        Ok(SpmmRun {
-            output,
+        Ok(KernelCost {
             report,
             preprocess: None,
         })
+    }
+
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        element_order(s, a)
     }
 
     fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
@@ -413,15 +402,7 @@ impl SddmmKernel for CusparseCsrSddmm {
         "cuSPARSE(CSR,DEFAULT)"
     }
 
-    fn run_on(
-        &self,
-        sim: &mut GpuSim,
-        s: &Hybrid,
-        a1: &Dense,
-        a2t: &Dense,
-    ) -> Result<SddmmRun, FormatError> {
-        check_sddmm_dims(s, a1, a2t)?;
-        let k = a1.cols();
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
         let n = s.cols();
         let nnz = s.nnz();
         let csr = s.to_csr();
@@ -435,9 +416,7 @@ impl SddmmKernel for CusparseCsrSddmm {
         let a2_buf = sim.alloc_input(k * n, "A2");
         let so_buf = sim.alloc_output(nnz, "S_O");
 
-        let mut out = vec![0f32; nnz];
         let col_ind = csr.col_indices();
-        let values = csr.values();
         // SDDMM outputs are per-element, so long rows can be split across
         // warps with no write conflicts — the kernel's cost is the strided
         // column traffic, not hub imbalance.
@@ -492,19 +471,13 @@ impl SddmmKernel for CusparseCsrSddmm {
                 );
                 tally.compute(k as u64);
                 for j in i..i + tile_len {
-                    let c = col_ind[j] as usize;
                     tally.shuffle_reduce(32);
                     tally.global_write(so_buf.elem_addr(j as u64, 4), 4, 1);
-                    let dot: f32 = a1.row(r).iter().zip(a2t.row(c)).map(|(x, y)| x * y).sum();
-                    out[j] = dot * values[j];
                 }
                 i += tile_len;
             }
         });
-        // Re-align output to the hybrid's element order (identical order:
-        // hybrid is CSR-sorted, so positions match).
-        Ok(SddmmRun {
-            output_values: out,
+        Ok(KernelCost {
             report,
             preprocess: None,
         })

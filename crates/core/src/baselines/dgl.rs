@@ -7,12 +7,12 @@
 //! row-switch procedure eliminates — and a warp count equal to `NNZ`,
 //! which over-subscribes the scheduler on big graphs.
 
-use crate::traits::{check_sddmm_dims, SddmmKernel, SddmmRun};
+use crate::traits::{KernelCost, SddmmKernel};
 use hpsparse_sim::{
     Distinct, GpuSim, KernelResources, LaunchConfig, PlanBuilder, SymBufferRole, SymExpr,
     SymbolicPlan,
 };
-use hpsparse_sparse::{Dense, FormatError, Hybrid};
+use hpsparse_sparse::{FormatError, Hybrid};
 
 /// DGL-SDDMM: edge-parallel SDDMM.
 #[derive(Debug, Clone, Copy, Default)]
@@ -23,28 +23,18 @@ impl SddmmKernel for DglSddmm {
         "DGL-SDDMM"
     }
 
-    fn run_on(
-        &self,
-        sim: &mut GpuSim,
-        s: &Hybrid,
-        a1: &Dense,
-        a2t: &Dense,
-    ) -> Result<SddmmRun, FormatError> {
-        check_sddmm_dims(s, a1, a2t)?;
-        let k = a1.cols();
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
         let nnz = s.nnz();
 
         let row_buf = sim.alloc_input(nnz, "row_ind");
         let col_buf = sim.alloc_input(nnz, "col_ind");
         let val_buf = sim.alloc_input(nnz, "values");
-        let a1_buf = sim.alloc_input(a1.rows() * k, "A1");
-        let a2_buf = sim.alloc_input(a2t.rows() * k, "A2T");
+        let a1_buf = sim.alloc_input(s.rows() * k, "A1");
+        let a2_buf = sim.alloc_input(s.cols() * k, "A2T");
         let so_buf = sim.alloc_output(nnz, "S_O");
 
-        let mut out = vec![0f32; nnz];
         let row_ind = s.row_indices();
         let col_ind = s.col_indices();
-        let values = s.values();
 
         let launch = LaunchConfig {
             num_warps: nnz as u64,
@@ -78,11 +68,8 @@ impl SddmmKernel for DglSddmm {
             tally.compute((k as u64).div_ceil(32).max(1));
             tally.shuffle_reduce(32);
             tally.global_write(so_buf.elem_addr(j as u64, 4), 4, 1);
-            let dot: f32 = a1.row(r).iter().zip(a2t.row(c)).map(|(x, y)| x * y).sum();
-            out[j] = dot * values[j];
         });
-        Ok(SddmmRun {
-            output_values: out,
+        Ok(KernelCost {
             report,
             preprocess: None,
         })
@@ -133,7 +120,7 @@ mod tests {
     use super::*;
     use crate::hp::sddmm::HpSddmm;
     use hpsparse_sim::DeviceSpec;
-    use hpsparse_sparse::reference;
+    use hpsparse_sparse::{reference, Dense};
 
     #[test]
     fn matches_reference() {

@@ -8,10 +8,11 @@
 //! (73 ms on AM, 28× its own execution time).
 
 use crate::baselines::common::{
-    host_pass_report, row_warp_symbolic_plan, run_row_warp_spmm, split_row_tasks, RowTaskKind,
+    host_pass_report, row_warp_cost, row_warp_symbolic_plan, split_row_tasks, RowTaskKind,
     RowWarpSpec,
 };
-use crate::traits::{check_spmm_dims, SpmmKernel, SpmmRun};
+use crate::numerics::{segment_sums, Cut};
+use crate::traits::{KernelCost, SpmmKernel};
 use hpsparse_sim::{GpuSim, SymbolicPlan};
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
 
@@ -45,21 +46,21 @@ impl SpmmKernel for Huang {
         "Huang's method"
     }
 
-    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
-        check_spmm_dims(s, a)?;
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
         let csr = s.to_csr();
         // Preprocessing: the grouping pass walks every element to emit the
         // regrouped arrays — a host-side pass in the original
         // implementation.
         let preprocess = host_pass_report(sim.device(), s.nnz() as u64, 14.0);
         let tasks = split_row_tasks(&csr, self.group_size);
-        let spec = Self::spec();
-        let (output, report) = run_row_warp_spmm(self.name(), sim, &csr, a, &tasks, &spec);
-        Ok(SpmmRun {
-            output,
-            report,
+        Ok(KernelCost {
+            report: row_warp_cost(self.name(), sim, &csr, k, &tasks, &Self::spec()),
             preprocess: Some(preprocess),
         })
+    }
+
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        segment_sums(s, a, Cut::PerRow(self.group_size))
     }
 
     fn symbolic_plans(&self) -> Vec<SymbolicPlan> {

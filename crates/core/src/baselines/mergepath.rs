@@ -10,7 +10,7 @@
 
 use crate::hp::config::HpConfig;
 use crate::hp::spmm::{emit_hp_spmm_launch, HpSpmm};
-use crate::traits::{check_spmm_dims, SpmmKernel, SpmmRun};
+use crate::traits::{KernelCost, SpmmKernel};
 use hpsparse_sim::{
     Distinct, GpuSim, KernelResources, LaunchConfig, PlanBuilder, SymBufferRole, SymExpr,
 };
@@ -31,13 +31,25 @@ impl Default for MergePath {
     }
 }
 
+impl MergePath {
+    /// The execution phase: the HP skeleton at the segment size, scalar
+    /// loads.
+    fn exec(&self) -> HpSpmm {
+        HpSpmm::new(HpConfig {
+            nnz_per_warp: self.items_per_segment,
+            vector_width: 1,
+            warps_per_block: 8,
+            alpha: 1.0,
+        })
+    }
+}
+
 impl SpmmKernel for MergePath {
     fn name(&self) -> &'static str {
         "Merge-path"
     }
 
-    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
-        check_spmm_dims(s, a)?;
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
         let m = s.rows();
         let nnz = s.nnz();
         let segments = nnz.div_ceil(self.items_per_segment).max(1) as u64;
@@ -80,19 +92,16 @@ impl SpmmKernel for MergePath {
         // per-segment row index from the auxiliary array (modelled by the
         // hybrid row-index reads the HP skeleton already performs —
         // identical traffic shape).
-        let exec = HpSpmm::new(HpConfig {
-            nnz_per_warp: self.items_per_segment,
-            vector_width: 1,
-            warps_per_block: 8,
-            alpha: 1.0,
-        })
-        .run_on(sim, s, a)?;
+        let exec = self.exec().cost_on(sim, s, k)?;
 
-        Ok(SpmmRun {
-            output: exec.output,
+        Ok(KernelCost {
             report: exec.report,
             preprocess: Some(preprocess),
         })
+    }
+
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        self.exec().accumulate(s, a)
     }
 
     fn symbolic_plans(&self) -> Vec<hpsparse_sim::SymbolicPlan> {
@@ -128,20 +137,7 @@ impl SpmmKernel for MergePath {
         l.done();
 
         // The execution phase reuses the HP skeleton at the segment size.
-        emit_hp_spmm_launch(
-            &mut b,
-            "exec",
-            HpConfig {
-                nnz_per_warp: self.items_per_segment,
-                vector_width: 1,
-                warps_per_block: 8,
-                alpha: 1.0,
-            },
-            &m,
-            &n,
-            &nnz,
-            &k,
-        );
+        emit_hp_spmm_launch(&mut b, "exec", self.exec().config, &m, &n, &nnz, &k);
         vec![b.build()]
     }
 }

@@ -6,9 +6,10 @@
 //! per-lane scattered feature reads rather than warp-coalesced row loads.
 
 use crate::baselines::common::{
-    row_warp_symbolic_plan, run_row_warp_spmm, whole_row_tasks, RowTaskKind, RowWarpSpec,
+    row_warp_cost, row_warp_symbolic_plan, whole_row_tasks, RowTaskKind, RowWarpSpec,
 };
-use crate::traits::{check_spmm_dims, SpmmKernel, SpmmRun};
+use crate::numerics::{segment_sums, Cut};
+use crate::traits::{KernelCost, SpmmKernel};
 use hpsparse_sim::{GpuSim, SymbolicPlan};
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
 
@@ -33,17 +34,17 @@ impl SpmmKernel for RowSplit {
         "Row-split"
     }
 
-    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
-        check_spmm_dims(s, a)?;
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
         let csr = s.to_csr();
         let tasks = whole_row_tasks(&csr, None);
-        let spec = Self::spec();
-        let (output, report) = run_row_warp_spmm(self.name(), sim, &csr, a, &tasks, &spec);
-        Ok(SpmmRun {
-            output,
-            report,
+        Ok(KernelCost {
+            report: row_warp_cost(self.name(), sim, &csr, k, &tasks, &Self::spec()),
             preprocess: None,
         })
+    }
+
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        segment_sums(s, a, Cut::PerRow(usize::MAX))
     }
 
     fn symbolic_plans(&self) -> Vec<SymbolicPlan> {

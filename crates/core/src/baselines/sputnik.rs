@@ -9,10 +9,11 @@
 //! preprocessing up to 26× execution on AM).
 
 use crate::baselines::common::{
-    host_pass_report, row_warp_symbolic_plan, run_row_warp_spmm, whole_row_tasks, RowTaskKind,
+    host_pass_report, row_warp_cost, row_warp_symbolic_plan, whole_row_tasks, RowTaskKind,
     RowWarpSpec,
 };
-use crate::traits::{check_spmm_dims, SpmmKernel, SpmmRun};
+use crate::numerics::{segment_sums, Cut};
+use crate::traits::{KernelCost, SpmmKernel};
 use hpsparse_sim::{GpuSim, SymbolicPlan};
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
 
@@ -46,8 +47,7 @@ impl SpmmKernel for Sputnik {
         "Sputnik"
     }
 
-    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
-        check_spmm_dims(s, a)?;
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
         let csr = s.to_csr();
         let m = csr.rows();
 
@@ -60,13 +60,16 @@ impl SpmmKernel for Sputnik {
         let preprocess = host_pass_report(sim.device(), m as u64 * log_m, 3.0);
 
         let tasks = whole_row_tasks(&csr, Some(&order));
-        let spec = self.spec();
-        let (output, report) = run_row_warp_spmm(self.name(), sim, &csr, a, &tasks, &spec);
-        Ok(SpmmRun {
-            output,
-            report,
+        Ok(KernelCost {
+            report: row_warp_cost(self.name(), sim, &csr, k, &tasks, &self.spec()),
             preprocess: Some(preprocess),
         })
+    }
+
+    /// The sort permutes whole rows, and every row is one segment summed
+    /// on its own: the processing order never reaches a float.
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        segment_sums(s, a, Cut::PerRow(usize::MAX))
     }
 
     fn symbolic_plans(&self) -> Vec<SymbolicPlan> {

@@ -8,7 +8,8 @@
 //! matrices (8.28 ms vs 17.40 ms on Yelp, RTX 3090), even though the MMA
 //! itself is fast.
 
-use crate::traits::{check_spmm_dims, SpmmKernel, SpmmRun};
+use crate::numerics::element_order;
+use crate::traits::{KernelCost, SpmmKernel};
 use hpsparse_sim::{
     Distinct, GpuSim, KernelResources, LaunchConfig, PlanBuilder, SymBufferRole, SymExpr,
     SymbolicPlan,
@@ -38,9 +39,7 @@ impl SpmmKernel for TcGnn {
         "TC-GNN"
     }
 
-    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
-        check_spmm_dims(s, a)?;
-        let k = a.cols();
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
         let m = s.rows();
         let nnz = s.nnz();
         let csr = s.to_csr();
@@ -62,11 +61,10 @@ impl SpmmKernel for TcGnn {
             window_cols.push(cols);
         }
 
-        let a_buf = sim.alloc_input(a.rows() * k, "A");
+        let a_buf = sim.alloc_input(s.cols() * k, "A");
         let o_buf = sim.alloc_output(m * k, "O");
         let meta_buf = sim.alloc_input(nnz * 2, "window_meta");
 
-        let mut output = Dense::zeros(m, k);
         let cost = sim.device().cost;
         let k_chunks = k.div_ceil(16).max(1);
 
@@ -130,25 +128,18 @@ impl SpmmKernel for TcGnn {
             for r in r0..r1 {
                 tally.global_write(o_buf.elem_addr((r * k) as u64, 4), k as u64 * 4, 4);
             }
-            // Real numerics: plain accumulation over the window's nnz.
-            for r in r0..r1 {
-                for e in csr.row_range(r) {
-                    let c = csr.col_indices()[e] as usize;
-                    let v = csr.values()[e];
-                    let a_row = a.row(c);
-                    let out_row = &mut output.data_mut()[r * k..(r + 1) * k];
-                    for (o, &x) in out_row.iter_mut().zip(a_row) {
-                        *o += v * x;
-                    }
-                }
-            }
         });
 
-        Ok(SpmmRun {
-            output,
+        Ok(KernelCost {
             report,
             preprocess: None,
         })
+    }
+
+    /// The MMA fragments accumulate each output row over its window's
+    /// non-zeros in stored order.
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        element_order(s, a)
     }
 
     fn symbolic_plans(&self) -> Vec<SymbolicPlan> {

@@ -10,12 +10,12 @@
 //! reuse registers.
 
 use crate::hp::config::HpConfig;
-use crate::traits::{check_sddmm_dims, SddmmKernel, SddmmRun};
+use crate::traits::{KernelCost, SddmmKernel};
 use hpsparse_sim::{
     DeviceSpec, Distinct, GpuSim, KernelResources, LaunchConfig, PlanBuilder, SymBufferRole,
     SymExpr, SymbolicPlan,
 };
-use hpsparse_sparse::{Dense, FormatError, Hybrid};
+use hpsparse_sparse::{FormatError, Hybrid};
 
 /// The hybrid-parallel SDDMM kernel.
 #[derive(Debug, Clone, Copy)]
@@ -67,15 +67,7 @@ impl SddmmKernel for HpSddmm {
         "HP-SDDMM"
     }
 
-    fn run_on(
-        &self,
-        sim: &mut GpuSim,
-        s: &Hybrid,
-        a1: &Dense,
-        a2t: &Dense,
-    ) -> Result<SddmmRun, FormatError> {
-        check_sddmm_dims(s, a1, a2t)?;
-        let k = a1.cols();
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
         let nnz = s.nnz();
         let cfg = self.config;
         let vw = cfg.vector_width;
@@ -85,14 +77,12 @@ impl SddmmKernel for HpSddmm {
         let row_buf = sim.alloc_input(nnz, "row_ind");
         let col_buf = sim.alloc_input(nnz, "col_ind");
         let val_buf = sim.alloc_input(nnz, "values");
-        let a1_buf = sim.alloc_input(a1.rows() * k, "A1");
-        let a2_buf = sim.alloc_input(a2t.rows() * k, "A2T");
+        let a1_buf = sim.alloc_input(s.rows() * k, "A1");
+        let a2_buf = sim.alloc_input(s.cols() * k, "A2T");
         let so_buf = sim.alloc_output(nnz, "S_O");
 
-        let mut out = vec![0f32; nnz];
         let row_ind = s.row_indices();
         let col_ind = s.col_indices();
-        let values = s.values();
 
         let launch = LaunchConfig {
             num_warps: cfg.num_chunks(nnz),
@@ -140,17 +130,14 @@ impl SddmmKernel for HpSddmm {
                     // Lane-wise products then a 32-lane shuffle reduction.
                     tally.compute((k as u64).div_ceil(32).max(1));
                     tally.shuffle_reduce(32);
-                    let dot: f32 = a1.row(r).iter().zip(a2t.row(c)).map(|(x, y)| x * y).sum();
                     // Lane 0 stores the masked product (4-byte store).
                     tally.global_write(so_buf.elem_addr(j as u64, 4), 4, 1);
-                    out[j] = dot * values[j];
                 }
                 i += tile_len;
             }
         });
 
-        Ok(SddmmRun {
-            output_values: out,
+        Ok(KernelCost {
             report,
             preprocess: None,
         })
@@ -221,7 +208,7 @@ impl SddmmKernel for HpSddmm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpsparse_sparse::reference;
+    use hpsparse_sparse::{reference, Dense};
 
     fn fig2() -> Hybrid {
         Hybrid::from_sorted_parts(

@@ -12,9 +12,11 @@
 //! long row writes global memory exactly once.
 
 use crate::hp::config::HpConfig;
-use crate::traits::{check_spmm_dims, SpmmKernel, SpmmRun};
+use crate::numerics::{segment_sums, Cut};
+use crate::traits::{KernelCost, SpmmKernel};
 use hpsparse_sim::{
-    DeviceSpec, Distinct, GpuSim, LaunchConfig, PlanBuilder, SymBufferRole, SymExpr, SymbolicPlan,
+    DeviceSpec, Distinct, GpuSim, LaunchConfig, LaunchReport, PlanBuilder, SymBufferRole, SymExpr,
+    SymbolicPlan,
 };
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
 
@@ -45,10 +47,16 @@ impl SpmmKernel for HpSpmm {
         "HP-SpMM"
     }
 
-    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
-        check_spmm_dims(s, a)?;
-        let resources = self.config.resources(a.cols());
-        execute_hp_spmm(self.name(), self.config, resources, sim, s, a)
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
+        let resources = self.config.resources(k);
+        Ok(KernelCost {
+            report: hp_spmm_cost(self.name(), self.config, resources, sim, s, k),
+            preprocess: None,
+        })
+    }
+
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        hp_spmm_accumulate(self.config, s, a)
     }
 
     fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
@@ -86,8 +94,7 @@ impl SpmmKernel for HpSpmmLean {
         "HP-SpMM (register-lean)"
     }
 
-    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
-        check_spmm_dims(s, a)?;
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
         let mut cfg = self.config;
         cfg.vector_width = 1;
         // Flat register budget: one accumulator per lane, K-independent.
@@ -96,7 +103,14 @@ impl SpmmKernel for HpSpmmLean {
             registers_per_thread: 32,
             shared_mem_per_block: 3 * 32 * 4 * cfg.warps_per_block,
         };
-        execute_hp_spmm(self.name(), cfg, resources, sim, s, a)
+        Ok(KernelCost {
+            report: hp_spmm_cost(self.name(), cfg, resources, sim, s, k),
+            preprocess: None,
+        })
+    }
+
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        hp_spmm_accumulate(self.config, s, a)
     }
 
     fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
@@ -200,135 +214,117 @@ pub(crate) fn hp_spmm_plan(name: &str, cfg: HpConfig) -> SymbolicPlan {
     b.build()
 }
 
-/// Shared executor for the HP-SpMM variants (Algorithm 3).
-fn execute_hp_spmm(
+/// Algorithm 3's accumulation order: each warp's row-switch procedure
+/// flushes one partial sum per same-row run of its `NnzPerWarp` chunk, so
+/// the segments are the same-row runs that cross no chunk boundary. The
+/// vector width only partitions columns and does not enter.
+fn hp_spmm_accumulate(cfg: HpConfig, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+    segment_sums(s, a, Cut::Every(cfg.nnz_per_warp.max(1)))
+}
+
+/// Shared cost walk of the HP-SpMM variants (Algorithm 3) at feature width
+/// `k`.
+fn hp_spmm_cost(
     name: &str,
     cfg: HpConfig,
     resources: hpsparse_sim::KernelResources,
     sim: &mut GpuSim,
     s: &Hybrid,
-    a: &Dense,
-) -> Result<SpmmRun, FormatError> {
-    {
-        let k = a.cols();
-        let m = s.rows();
-        let nnz = s.nnz();
-        let vw = cfg.vector_width;
-        let npw = cfg.nnz_per_warp.max(1);
-        let tile_elems = (32 * vw as usize).min(npw.max(1));
-        let chunks = cfg.num_chunks(nnz);
-        let k_cols_per_warp = 32 * vw as usize;
+    k: usize,
+) -> LaunchReport {
+    let m = s.rows();
+    let nnz = s.nnz();
+    let vw = cfg.vector_width;
+    let npw = cfg.nnz_per_warp.max(1);
+    let tile_elems = (32 * vw as usize).min(npw.max(1));
+    let chunks = cfg.num_chunks(nnz);
+    let k_cols_per_warp = 32 * vw as usize;
 
-        // Logical device allocations (addresses drive alignment/caching).
-        let row_buf = sim.alloc_input(nnz, "row_ind");
-        let col_buf = sim.alloc_input(nnz, "col_ind");
-        let val_buf = sim.alloc_input(nnz, "values");
-        let a_buf = sim.alloc_input(a.rows() * k, "A");
-        let o_buf = sim.alloc_output(m * k, "O");
+    // Logical device allocations (addresses drive alignment/caching).
+    let row_buf = sim.alloc_input(nnz, "row_ind");
+    let col_buf = sim.alloc_input(nnz, "col_ind");
+    let val_buf = sim.alloc_input(nnz, "values");
+    let a_buf = sim.alloc_input(s.cols() * k, "A");
+    let o_buf = sim.alloc_output(m * k, "O");
 
-        let mut output = Dense::zeros(m, k);
-        let mut res = vec![0f32; k_cols_per_warp];
+    let row_ind = s.row_indices();
+    let col_ind = s.col_indices();
 
-        let row_ind = s.row_indices();
-        let col_ind = s.col_indices();
-        let values = s.values();
+    let launch = LaunchConfig {
+        num_warps: cfg.spmm_warps(nnz, k),
+        resources,
+    };
+    sim.launch_named(name, launch, |warp_id, tally| {
+        let chunk = warp_id % chunks.max(1);
+        let kslice = warp_id / chunks.max(1);
+        let start = chunk as usize * npw;
+        let end = (start + npw).min(nnz);
+        if start >= end {
+            return;
+        }
+        let k_base = kslice as usize * k_cols_per_warp;
+        let k_width = k_cols_per_warp.min(k - k_base);
+        // The only data-dependent contribution to the cache-independent
+        // counters is the number of row-switch flushes, which a single
+        // scan recovers; everything else is a function of the chunk
+        // length, its alignment class and the K-slice width once the
+        // feature-row base `c*k` cannot change a read's vector
+        // eligibility (`k % vw == 0`).
+        if k.is_multiple_of(vw as usize) && end - start < (1 << 24) {
+            let switches = (start + 1..end)
+                .filter(|&j| row_ind[j] != row_ind[j - 1])
+                .count() as u64;
+            let sig = (end - start) as u64
+                | (switches << 24)
+                | ((start as u64 & 7) << 48)
+                | ((k_width as u64) << 51);
+            tally.begin_memo(sig);
+        }
+        // Kernel prologue: index math and bounds checks.
+        tally.compute(12);
 
-        let launch = LaunchConfig {
-            num_warps: cfg.spmm_warps(nnz, k),
-            resources,
-        };
-        let report = sim.launch_named(name, launch, |warp_id, tally| {
-            let chunk = warp_id % chunks.max(1);
-            let kslice = warp_id / chunks.max(1);
-            let start = chunk as usize * npw;
-            let end = (start + npw).min(nnz);
-            if start >= end {
-                return;
+        let mut cur_row = row_ind[start] as usize;
+
+        let mut i = start;
+        while i < end {
+            let tile_len = tile_elems.min(end - i);
+            // Cooperative tile load of the three sparse arrays
+            // (coalesced; vectorized when HVMA aligned the tile).
+            for buf in [&row_buf, &col_buf, &val_buf] {
+                tally.global_read(buf.elem_addr(i as u64, 4), tile_len as u64 * 4, vw);
             }
-            let k_base = kslice as usize * k_cols_per_warp;
-            let k_width = k_cols_per_warp.min(k - k_base);
-            // The only data-dependent contribution to the cache-independent
-            // counters is the number of row-switch flushes, which a single
-            // scan recovers; everything else is a function of the chunk
-            // length, its alignment class and the K-slice width once the
-            // feature-row base `c*k` cannot change a read's vector
-            // eligibility (`k % vw == 0`).
-            if k.is_multiple_of(vw as usize) && end - start < (1 << 24) {
-                let switches = (start + 1..end)
-                    .filter(|&j| row_ind[j] != row_ind[j - 1])
-                    .count() as u64;
-                let sig = (end - start) as u64
-                    | (switches << 24)
-                    | ((start as u64 & 7) << 48)
-                    | ((k_width as u64) << 51);
-                tally.begin_memo(sig);
-            }
-            // Kernel prologue: index math and bounds checks.
-            tally.compute(12);
+            // 3 cooperative shared stores + one broadcast read per
+            // element consumed.
+            tally.shared_op(3 + tile_len as u64);
 
-            let mut cur_row = row_ind[start] as usize;
-            res[..k_width].fill(0.0);
-
-            let mut i = start;
-            while i < end {
-                let tile_len = tile_elems.min(end - i);
-                // Cooperative tile load of the three sparse arrays
-                // (coalesced; vectorized when HVMA aligned the tile).
-                for buf in [&row_buf, &col_buf, &val_buf] {
-                    tally.global_read(buf.elem_addr(i as u64, 4), tile_len as u64 * 4, vw);
-                }
-                // 3 cooperative shared stores + one broadcast read per
-                // element consumed.
-                tally.shared_op(3 + tile_len as u64);
-
-                for j in i..i + tile_len {
-                    let r = row_ind[j] as usize;
-                    let c = col_ind[j] as usize;
-                    let v = values[j];
-                    if r != cur_row {
-                        // Row-switch procedure: flush accumulators.
-                        tally.global_atomic(
-                            o_buf.elem_addr((cur_row * k + k_base) as u64, 4),
-                            k_width as u64 * 4,
-                        );
-                        for (kk, slot) in res[..k_width].iter_mut().enumerate() {
-                            output.data_mut()[cur_row * k + k_base + kk] += *slot;
-                            *slot = 0.0;
-                        }
-                        cur_row = r;
-                    }
-                    // Coalesced vectorized read of A[c][k_base..k_base+kw].
-                    tally.global_read(
-                        a_buf.elem_addr((c * k + k_base) as u64, 4),
+            for j in i..i + tile_len {
+                let r = row_ind[j] as usize;
+                let c = col_ind[j] as usize;
+                if r != cur_row {
+                    // Row-switch procedure: flush accumulators.
+                    tally.global_atomic(
+                        o_buf.elem_addr((cur_row * k + k_base) as u64, 4),
                         k_width as u64 * 4,
-                        vw,
                     );
-                    // One FMA per vector lane register plus loop overhead.
-                    tally.compute(vw as u64 + 1);
-                    let a_row = a.row(c);
-                    for (kk, slot) in res[..k_width].iter_mut().enumerate() {
-                        *slot += v * a_row[k_base + kk];
-                    }
+                    cur_row = r;
                 }
-                i += tile_len;
+                // Coalesced vectorized read of A[c][k_base..k_base+kw].
+                tally.global_read(
+                    a_buf.elem_addr((c * k + k_base) as u64, 4),
+                    k_width as u64 * 4,
+                    vw,
+                );
+                // One FMA per vector lane register plus loop overhead.
+                tally.compute(vw as u64 + 1);
             }
-            // Final flush (line 22 of Algorithm 3).
-            tally.global_atomic(
-                o_buf.elem_addr((cur_row * k + k_base) as u64, 4),
-                k_width as u64 * 4,
-            );
-            for (kk, slot) in res[..k_width].iter_mut().enumerate() {
-                output.data_mut()[cur_row * k + k_base + kk] += *slot;
-                *slot = 0.0;
-            }
-        });
-
-        Ok(SpmmRun {
-            output,
-            report,
-            preprocess: None,
-        })
-    }
+            i += tile_len;
+        }
+        // Final flush (line 22 of Algorithm 3).
+        tally.global_atomic(
+            o_buf.elem_addr((cur_row * k + k_base) as u64, 4),
+            k_width as u64 * 4,
+        );
+    })
 }
 
 #[cfg(test)]

@@ -3,11 +3,12 @@
 //!
 //! Each kernel exists in two forms:
 //!
-//! * a **simulated GPU form** that executes the real arithmetic while
-//!   describing its architectural events (warp assignment, tile loads,
-//!   vectorized accesses, atomics, row switches) to the
-//!   [`hpsparse_sim`] execution model — this is what reproduces the paper's
-//!   performance comparisons; and
+//! * a **simulated GPU form**: a *cost walk* that describes its
+//!   architectural events (warp assignment, tile loads, vectorized
+//!   accesses, atomics, row switches) to the [`hpsparse_sim`] execution
+//!   model — this is what reproduces the paper's performance comparisons —
+//!   plus an *accumulation order* ([`numerics`]) that computes the real
+//!   arithmetic in the sequence those warps would ([`traits`]); and
 //! * a **parallel CPU form** ([`cpu`]) built on rayon, used for real
 //!   wall-clock Criterion benchmarks and as an independent numerical check.
 //!
@@ -18,6 +19,7 @@
 //! | [`hp`] | §III-A Algorithms 3–4, §III-B DTP + HVMA |
 //! | [`baselines`] | §IV-A2 (cuSPARSE, GE-SpMM, Row-split, Merge-path, ASpT, Sputnik, Huang, DGL-SDDMM, TC-GNN) |
 //! | [`cpu`] | rayon CPU executions |
+//! | [`numerics`] | the three accumulation orders of the simulated kernels |
 //! | [`traits`] | the `SpmmKernel` / `SddmmKernel` interfaces |
 
 #![forbid(unsafe_code)]
@@ -26,6 +28,7 @@ pub mod baselines;
 pub mod cpu;
 pub mod hp;
 pub mod mutants;
+pub mod numerics;
 pub mod traits;
 
-pub use traits::{SddmmKernel, SddmmRun, SpmmKernel, SpmmRun};
+pub use traits::{KernelCost, SddmmKernel, SddmmRun, SpmmKernel, SpmmRun};

@@ -17,14 +17,14 @@
 //! has not yet made visible — the exact bug HP-Fused-MHA's spill path
 //! avoids by splitting into a score/apply launch pair.
 //!
-//! The mutants compute *correct numerics* (via the sequential reference)
-//! while mis-describing their memory traffic — the simulated analogue of a
-//! CUDA kernel whose bug corrupts memory without changing the tested
-//! output. They are deliberately kept out of the benchmark registry;
+//! The mutants compute *correct numerics* (their accumulation order is the
+//! sequential reference's) while their cost walks mis-describe the memory
+//! traffic — the simulated analogue of a CUDA kernel whose bug corrupts
+//! memory without changing the tested output. They are deliberately kept out of the benchmark registry;
 //! `repro -- sanitize` and the sanitizer's integration tests are their
 //! only callers.
 
-use crate::traits::{check_spmm_dims, SpmmKernel, SpmmRun};
+use crate::traits::{KernelCost, SpmmKernel};
 use hpsparse_sim::{
     cond_le, Distinct, GpuSim, KernelResources, LaunchConfig, PlanBuilder, SymBufferRole, SymExpr,
     SymbolicPlan,
@@ -46,26 +46,23 @@ fn mutant_resources() -> KernelResources {
 
 /// The shared skeleton: allocates the HP-SpMM buffer set, runs one warp
 /// per `NNZ_PER_WARP`-element chunk, and lets the mutant hook describe the
-/// chunk's traffic. Returns correct numerics from the reference SpMM.
-fn run_mutant(
+/// chunk's traffic.
+fn walk_mutant(
     name: &'static str,
     sim: &mut GpuSim,
     s: &Hybrid,
-    a: &Dense,
+    k: usize,
     body: impl Fn(&mut hpsparse_sim::WarpTally, MutantChunk<'_>) + Sync,
-) -> Result<SpmmRun, FormatError> {
-    check_spmm_dims(s, a)?;
+) -> Result<KernelCost, FormatError> {
     let nnz = s.nnz();
     let m = s.rows();
-    let k = a.cols();
     let row_buf = sim.alloc_input(nnz, "row_ind");
     let col_buf = sim.alloc_input(nnz, "col_ind");
     let val_buf = sim.alloc_input(nnz, "values");
     // Declared for a faithful extent map even though the mutants' seeded
     // defects never touch the dense operand.
-    sim.alloc_input(a.rows() * k, "A");
+    sim.alloc_input(s.cols() * k, "A");
     let o_buf = sim.alloc_output(m * k, "O");
-    let output = reference::spmm(s, a)?;
     let row_ind = s.row_indices();
 
     let num_warps = nnz.div_ceil(NNZ_PER_WARP).max(1) as u64;
@@ -94,8 +91,7 @@ fn run_mutant(
             },
         );
     });
-    Ok(SpmmRun {
-        output,
+    Ok(KernelCost {
         report,
         preprocess: None,
     })
@@ -115,7 +111,7 @@ struct MutantSym {
     o_buf: usize,
 }
 
-/// Shared symbolic skeleton mirroring [`run_mutant`]: the HP buffer set
+/// Shared symbolic skeleton mirroring [`walk_mutant`]: the HP buffer set
 /// and the per-chunk element slice; `body` emits the (deliberately buggy)
 /// traffic of one warp.
 fn mutant_plan(
@@ -178,8 +174,12 @@ impl SpmmKernel for MutantOobTail {
         "mutant:oob-tail"
     }
 
-    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
-        run_mutant(self.name(), sim, s, a, |tally, c| {
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        reference::spmm(s, a)
+    }
+
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
+        walk_mutant(self.name(), sim, s, k, |tally, c| {
             let len = (c.end - c.start) as u64;
             tally.global_read(c.row_buf.elem_addr(c.start as u64, 4), len * 4, 1);
             // BUG: the last chunk reads len+1 elements. The bad address is
@@ -239,8 +239,12 @@ impl SpmmKernel for MutantRacyTail {
         "mutant:racy-tail"
     }
 
-    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
-        run_mutant(self.name(), sim, s, a, |tally, c| {
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        reference::spmm(s, a)
+    }
+
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
+        walk_mutant(self.name(), sim, s, k, |tally, c| {
             let len = (c.end - c.start) as u64;
             for buf in [c.row_buf, c.col_buf, c.val_buf] {
                 tally.global_read(buf.elem_addr(c.start as u64, 4), len * 4, 1);
@@ -291,8 +295,12 @@ impl SpmmKernel for MutantUninitAcc {
         "mutant:uninit-acc"
     }
 
-    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
-        run_mutant(self.name(), sim, s, a, |tally, c| {
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        reference::spmm(s, a)
+    }
+
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
+        walk_mutant(self.name(), sim, s, k, |tally, c| {
             let len = (c.end - c.start) as u64;
             for buf in [c.row_buf, c.col_buf, c.val_buf] {
                 tally.global_read(buf.elem_addr(c.start as u64, 4), len * 4, 1);
@@ -339,19 +347,20 @@ impl SpmmKernel for MutantEagerNorm {
         "mutant:eager-norm"
     }
 
-    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
-        check_spmm_dims(s, a)?;
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        reference::spmm(s, a)
+    }
+
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
         let nnz = s.nnz();
         let m = s.rows();
-        let k = a.cols();
         let row_buf = sim.alloc_input(nnz, "row_ind");
         let col_buf = sim.alloc_input(nnz, "col_ind");
         let val_buf = sim.alloc_input(nnz, "values");
-        sim.alloc_input(a.rows() * k, "A");
+        sim.alloc_input(s.cols() * k, "A");
         let o_buf = sim.alloc_output(m * k, "O");
         let num_warps = nnz.div_ceil(NNZ_PER_WARP).max(1);
         let score_buf = sim.alloc_scratch(num_warps * NNZ_PER_WARP, "scores");
-        let output = reference::spmm(s, a)?;
         let row_ind = s.row_indices();
 
         let launch = LaunchConfig {
@@ -377,8 +386,7 @@ impl SpmmKernel for MutantEagerNorm {
             let r = row_ind[start] as usize;
             tally.global_atomic(o_buf.elem_addr((r * k) as u64, 4), k as u64 * 4);
         });
-        Ok(SpmmRun {
-            output,
+        Ok(KernelCost {
             report,
             preprocess: None,
         })

@@ -1,7 +1,56 @@
 //! Kernel interfaces shared by HP kernels and all baselines.
+//!
+//! # A kernel is a cost walk plus an accumulation order
+//!
+//! Every simulated kernel is two independent things, and the traits keep
+//! them apart:
+//!
+//! * a **cost walk** ([`SpmmKernel::cost_on`], [`SddmmKernel::cost_on`]) —
+//!   the kernel's allocations and its `launch_named` closures, which make
+//!   tally calls and nothing else. It sees the sparse operand and the
+//!   feature width `k`, never a feature matrix, so it cannot compute a
+//!   float by construction. A cost walk may read `RowInd` / `ColInd` /
+//!   offsets (addresses and row switches are data-dependent); it may not
+//!   read `Value`s or a `Dense`, write an output, or skip an allocation
+//!   the full kernel makes — `O` / `S_O` are still allocated, because
+//!   every later buffer's address, and so its alignment class and L2 set,
+//!   depends on them.
+//! * an **accumulation order** — which floats are added to which, in what
+//!   sequence. It is executed once per run, K-wide, outside the launch, by
+//!   one of the three routines in [`crate::numerics`] (segment sums for the
+//!   chunked and row-per-warp SpMMs, element order for the per-element
+//!   atomics kernels, one masked dot for every SDDMM); blocked-ELL keeps
+//!   its format's own SpMM. The order is part of the kernel's contract:
+//!   outputs are `to_bits`-stable across builds and thread counts
+//!   (`tests/kernel_consistency.rs` records them).
+//!
+//! `run_on` is the two together. Callers that only read a
+//! [`LaunchReport`] — the Measured planner, the experiment sweeps — call
+//! the cost walk alone; its [`KernelCost`] equals the `report` /
+//! `preprocess` of a full run on the same simulator state, under either
+//! cost engine and with any sink attached (proptested in
+//! `crates/core/tests/cost_walk.rs`).
 
+use crate::numerics;
 use hpsparse_sim::{DeviceSpec, GpuSim, LaunchReport, SymbolicPlan};
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
+
+/// What a cost walk reports: the launch profiles of a run, without its
+/// floats.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KernelCost {
+    /// Profile of the execution launch.
+    pub report: LaunchReport,
+    /// Profile of the preprocessing launch, for kernels that need one.
+    pub preprocess: Option<LaunchReport>,
+}
+
+impl KernelCost {
+    /// Execution plus preprocessing cycles — what a planner compares.
+    pub fn total_cycles(&self) -> u64 {
+        self.report.cycles + self.preprocess.as_ref().map_or(0, |p| p.cycles)
+    }
+}
 
 /// Result of running an SpMM kernel on the simulator.
 #[derive(Debug, Clone)]
@@ -29,6 +78,14 @@ impl SpmmRun {
     pub fn preprocess_ms(&self) -> f64 {
         self.preprocess.as_ref().map_or(0.0, |r| r.time_ms)
     }
+
+    /// The run without its floats: what the cost walk alone reports.
+    pub fn into_cost(self) -> KernelCost {
+        KernelCost {
+            report: self.report,
+            preprocess: self.preprocess,
+        }
+    }
 }
 
 /// Result of running an SDDMM kernel on the simulator.
@@ -48,6 +105,14 @@ impl SddmmRun {
     pub fn exec_ms(&self) -> f64 {
         self.report.time_ms
     }
+
+    /// The run without its floats: what the cost walk alone reports.
+    pub fn into_cost(self) -> KernelCost {
+        KernelCost {
+            report: self.report,
+            preprocess: self.preprocess,
+        }
+    }
 }
 
 /// A simulated SpMM kernel: computes `O = S · A` with `S` in hybrid
@@ -62,13 +127,35 @@ pub trait SpmmKernel: Send + Sync {
     /// Kernel name as used in the paper's figures.
     fn name(&self) -> &'static str;
 
-    /// Runs on an existing simulator (persistent L2 across launches).
-    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError>;
+    /// The cost walk: describes the kernel's traffic for `s` at feature
+    /// width `k` to an existing simulator (persistent L2 across launches)
+    /// and returns the launch profiles. Computes no float.
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError>;
+
+    /// The accumulation order: `O = S·A` with the floats added in the
+    /// sequence this kernel's warps would add them. Touches no simulator.
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError>;
+
+    /// Runs on an existing simulator: cost walk, then accumulation.
+    fn run_on(&self, sim: &mut GpuSim, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
+        check_spmm_dims(s, a)?;
+        let KernelCost { report, preprocess } = self.cost_on(sim, s, a.cols())?;
+        Ok(SpmmRun {
+            output: self.accumulate(s, a)?,
+            report,
+            preprocess,
+        })
+    }
 
     /// Convenience: runs on a fresh, cold-cache simulator for `device`.
     fn run(&self, device: &DeviceSpec, s: &Hybrid, a: &Dense) -> Result<SpmmRun, FormatError> {
         let mut sim = GpuSim::new(device.clone());
         self.run_on(&mut sim, s, a)
+    }
+
+    /// Convenience: the cost walk on a fresh, cold-cache simulator.
+    fn cost(&self, device: &DeviceSpec, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
+        self.cost_on(&mut GpuSim::new(device.clone()), s, k)
     }
 
     /// Symbolic descriptor plans for `hpsparse-verify`, one per
@@ -91,14 +178,28 @@ pub trait SddmmKernel: Send + Sync {
     /// Kernel name as used in the paper's figures.
     fn name(&self) -> &'static str;
 
-    /// Runs on an existing simulator.
+    /// The cost walk: describes the kernel's traffic for `s` at feature
+    /// width `k` to an existing simulator and returns the launch profiles.
+    /// Computes no float.
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError>;
+
+    /// Runs on an existing simulator: cost walk, then the masked dot every
+    /// SDDMM kernel shares ([`numerics::masked_dots`]).
     fn run_on(
         &self,
         sim: &mut GpuSim,
         s: &Hybrid,
         a1: &Dense,
         a2t: &Dense,
-    ) -> Result<SddmmRun, FormatError>;
+    ) -> Result<SddmmRun, FormatError> {
+        check_sddmm_dims(s, a1, a2t)?;
+        let KernelCost { report, preprocess } = self.cost_on(sim, s, a1.cols())?;
+        Ok(SddmmRun {
+            output_values: numerics::masked_dots(s, a1, a2t)?,
+            report,
+            preprocess,
+        })
+    }
 
     /// Convenience: runs on a fresh, cold-cache simulator for `device`.
     fn run(
@@ -110,6 +211,11 @@ pub trait SddmmKernel: Send + Sync {
     ) -> Result<SddmmRun, FormatError> {
         let mut sim = GpuSim::new(device.clone());
         self.run_on(&mut sim, s, a1, a2t)
+    }
+
+    /// Convenience: the cost walk on a fresh, cold-cache simulator.
+    fn cost(&self, device: &DeviceSpec, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
+        self.cost_on(&mut GpuSim::new(device.clone()), s, k)
     }
 
     /// Symbolic descriptor plans for `hpsparse-verify`; see

@@ -113,6 +113,8 @@ pub fn unfused_mha(
     let scale = 1.0 / (d as f32).sqrt();
     let mut outputs = Vec::with_capacity(q.len());
     let mut attn = Vec::with_capacity(q.len());
+    // One copy of the structure per call; each head overwrites its values.
+    let mut weighted = s.clone();
     for h in 0..q.len() {
         let scores: Vec<f32> = backend
             .sddmm(s, &q[h], &k[h])
@@ -121,8 +123,7 @@ pub fn unfused_mha(
             .collect();
         backend.account_dense(edge_softmax_cycles(&device, s.nnz()) + LAUNCH_OVERHEAD_CYCLES);
         let weights = edge_softmax(s.row_indices(), &scores);
-        let mut weighted = s.clone();
-        weighted.set_values(weights.clone());
+        weighted.values_mut().copy_from_slice(&weights);
         outputs.push(backend.spmm(&weighted, &v[h]));
         attn.push(weights);
     }
@@ -357,8 +358,8 @@ impl AutoBackend {
             return plan.clone();
         }
         let plan = match op {
-            OpKind::Spmm => self.planner.plan_spmm(s, k),
-            OpKind::Sddmm => self.planner.plan_sddmm(s, k),
+            OpKind::Spmm => self.planner.plan_spmm_for(&fp, s),
+            OpKind::Sddmm => self.planner.plan_sddmm_for(&fp, s),
             // Attention plans carry a head count in their key, so they go
             // through `plan_mha_for` instead.
             OpKind::FusedMha => unreachable!("fused-mha plans go through plan_mha_for"),
@@ -374,7 +375,7 @@ impl AutoBackend {
         if let Some(plan) = self.cache.get(OpKind::FusedMha, key) {
             return plan.clone();
         }
-        let plan = self.planner.plan_mha(s, head_dim, heads);
+        let plan = self.planner.plan_mha_for(&fp, s, heads);
         self.cache
             .insert(OpKind::FusedMha, key, fp.mha_encoding(heads), plan.clone());
         plan

@@ -18,9 +18,11 @@
 //! * **Reference** — element-wise descriptor expansion, no memoization;
 //!   the differential-testing oracle.
 //!
-//! Kernel bodies run sequentially in global warp order under both (they
-//! compute real f32 numerics whose accumulation order must not change);
-//! parallelism lives above the launch, in the harness's graph × kernel
+//! Kernel bodies run sequentially in global warp order under both: they
+//! probe one LRU-ordered L2 model, so the hit/miss split depends on the
+//! order. The bodies are cost walks — tally calls only; a kernel's f32
+//! numerics run outside the launch (`hpsparse-core`'s `traits` docs).
+//! Parallelism lives above the launch, in the harness's graph × kernel
 //! fan-out, where every task owns a private simulator.
 
 use crate::cache::SectorCache;

@@ -21,9 +21,11 @@
 //!   set-associative LRU sector cache modelling L2 ([`cache`]), so
 //!   reordering the graph genuinely changes the hit rate.
 //!
-//! Kernels drive the model through [`tally::WarpTally`], which both counts
-//! cost *and* lets the kernel compute real numeric results, so correctness
-//! and performance shape come from one execution.
+//! Kernels drive the model through [`tally::WarpTally`]: a launch body is a
+//! *cost walk* that describes one warp's accesses and instructions. The
+//! kernel's real numeric results are computed beside the launch, in the
+//! order its warps would add them, so correctness and performance shape
+//! come from one description of the partitioning.
 
 #![forbid(unsafe_code)]
 

@@ -4,11 +4,11 @@
 
 use hpsparse::datasets::generators::{GeneratorConfig, Topology};
 use hpsparse::kernels::baselines::{
-    Aspt, CusparseCooAlg4, CusparseCsrAlg2, CusparseCsrAlg3, CusparseCsrSddmm, DglSddmm, GeSpmm,
-    Huang, MergePath, RowSplit, Sputnik, TcGnn,
+    all_sddmm, all_spmm, Aspt, CusparseCooAlg4, CusparseCsrAlg2, CusparseCsrAlg3, CusparseCsrSddmm,
+    DglSddmm, GeSpmm, Huang, MergePath, RowSplit, Sputnik, TcGnn,
 };
 use hpsparse::kernels::cpu;
-use hpsparse::kernels::hp::{HpSddmm, HpSpmm};
+use hpsparse::kernels::hp::{HpSddmm, HpSpmm, HpSpmmLean};
 use hpsparse::kernels::{SddmmKernel, SpmmKernel};
 use hpsparse::sim::{CostEngine, DeviceSpec, GpuSim};
 use hpsparse::sparse::{reference, Dense, Graph, Hybrid};
@@ -197,4 +197,155 @@ fn cost_engines_report_identical_launches() {
     let batched = on(CostEngine::Batched);
     assert!(batched.iter().all(|r| r.cycles > 0));
     assert_eq!(batched, on(CostEngine::Reference));
+}
+
+/// The seeded power-law graph the recorded output bits below were taken
+/// on, with signed non-unit values. The shape facts the record relies on
+/// are asserted, not assumed.
+fn pinned_graph() -> Hybrid {
+    let mut s = GeneratorConfig {
+        nodes: 1_500,
+        edges: 14_000,
+        topology: Topology::PowerLaw { alpha: 1.9 },
+        seed: 18,
+    }
+    .generate()
+    .to_hybrid();
+    let values = (0..s.nnz())
+        .map(|j| ((j * 37 + 11) % 401) as f32 * 5e-3 - 1.0)
+        .collect();
+    s.set_values(values);
+    let csr = s.to_csr();
+    let longest = (0..csr.rows()).map(|r| csr.row_len(r)).max().unwrap();
+    assert!(longest > 2 * 256, "a hub row every splitting kernel splits");
+    assert!((0..csr.rows()).any(|r| (33..256).contains(&csr.row_len(r))));
+    assert!(
+        (0..csr.rows()).any(|r| csr.row_len(r) == 0),
+        "isolated rows"
+    );
+    assert!(!s.nnz().is_multiple_of(32), "ragged last chunk");
+    s
+}
+
+fn pinned_features(rows: usize, k: usize, salt: usize) -> Dense {
+    Dense::from_fn(rows, k, |i, j| {
+        ((i * 131 + j * 17 + salt * 29) % 1000) as f32 * 2e-3 - 1.0
+    })
+}
+
+fn fnv_of_bits(values: &[f32]) -> u64 {
+    values.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+        (h ^ u64::from(v.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// K values of [`RECORDED_OUTPUT_BITS`]' columns: an odd width (ragged
+/// K-slices, no vector loads), the benchmark default, and two K-slices of
+/// the widest vector width.
+const RECORDED_KS: [usize; 3] = [33, 64, 128];
+
+/// FNV-1a over `to_bits()` of every kernel's output on [`pinned_graph`],
+/// one column per [`RECORDED_KS`] entry, taken from the commit before the
+/// float loops left the warp closures (PR 18). A kernel's accumulation
+/// order is part of its contract: these must hold in debug and `--release`
+/// at any `RAYON_NUM_THREADS`.
+const RECORDED_OUTPUT_BITS: [(&str, [u64; 3]); 16] = [
+    (
+        "hp-spmm",
+        [0xd8c8d5dcffce3fc2, 0x89d3f43c703f570c, 0x0479a53f9a5eacbd],
+    ),
+    (
+        "hp-spmm-lean",
+        [0xd8c8d5dcffce3fc2, 0x89d3f43c703f570c, 0x0479a53f9a5eacbd],
+    ),
+    (
+        "cusparse-csr-alg2",
+        [0x67912e92b732bb06, 0x412d70ea442bffb1, 0xcc1439b31ff9b7c0],
+    ),
+    (
+        "cusparse-csr-alg3",
+        [0x4bfc7350eb631dd6, 0xba804ed4b086819a, 0xb9f8d215a1572f69],
+    ),
+    (
+        "cusparse-coo-alg4",
+        [0x4bfc7350eb631dd6, 0xba804ed4b086819a, 0xb9f8d215a1572f69],
+    ),
+    (
+        "gespmm",
+        [0x4bfc7350eb631dd6, 0xba804ed4b086819a, 0xb9f8d215a1572f69],
+    ),
+    (
+        "row-split",
+        [0x4bfc7350eb631dd6, 0xba804ed4b086819a, 0xb9f8d215a1572f69],
+    ),
+    (
+        "merge-path",
+        [0x8c1c4cb3e4bcfb9a, 0xc912522890cfc61e, 0xeb9d08a177a587bc],
+    ),
+    (
+        "aspt",
+        [0x67912e92b732bb06, 0x412d70ea442bffb1, 0xcc1439b31ff9b7c0],
+    ),
+    (
+        "sputnik",
+        [0x4bfc7350eb631dd6, 0xba804ed4b086819a, 0xb9f8d215a1572f69],
+    ),
+    (
+        "huang",
+        [0x72aa0f66a8f67e12, 0x84a2351bf183b226, 0x20599fbaf7a41848],
+    ),
+    (
+        "tcgnn",
+        [0x4bfc7350eb631dd6, 0xba804ed4b086819a, 0xb9f8d215a1572f69],
+    ),
+    (
+        "cusparse-blocked-ell",
+        [0x4bfc7350eb631dd6, 0xba804ed4b086819a, 0xb9f8d215a1572f69],
+    ),
+    (
+        "hp-sddmm",
+        [0xcb7ec85b18587ed8, 0x8688f41f58f7f847, 0xb524190b23690a27],
+    ),
+    (
+        "dgl-sddmm",
+        [0xcb7ec85b18587ed8, 0x8688f41f58f7f847, 0xb524190b23690a27],
+    ),
+    (
+        "cusparse-csr-sddmm",
+        [0xcb7ec85b18587ed8, 0x8688f41f58f7f847, 0xb524190b23690a27],
+    ),
+];
+
+#[test]
+fn kernel_outputs_keep_their_recorded_bits() {
+    let v100 = DeviceSpec::v100();
+    let s = pinned_graph();
+    let mut got = RECORDED_OUTPUT_BITS.map(|(id, _)| (id, [0u64; 3]));
+    let mut record = |id: &str, col: usize, bits: u64| {
+        let row = got.iter_mut().find(|(i, _)| *i == id);
+        row.unwrap_or_else(|| panic!("{id} has no recorded bits")).1[col] = bits;
+    };
+    for (col, k) in RECORDED_KS.into_iter().enumerate() {
+        let a = pinned_features(s.cols(), k, 0);
+        let a1 = pinned_features(s.rows(), k, 1);
+        let mut spmm: Vec<(&str, Box<dyn SpmmKernel>)> = vec![
+            ("hp-spmm", Box::new(HpSpmm::auto(&v100, &s, k))),
+            ("hp-spmm-lean", Box::new(HpSpmmLean::auto(&v100, &s, k))),
+        ];
+        spmm.extend(all_spmm());
+        for (id, kernel) in spmm {
+            let run = kernel.run(&v100, &s, &a).unwrap();
+            record(id, col, fnv_of_bits(run.output.data()));
+        }
+        let mut sddmm: Vec<(&str, Box<dyn SddmmKernel>)> =
+            vec![("hp-sddmm", Box::new(HpSddmm::auto(&v100, &s, k)))];
+        sddmm.extend(all_sddmm());
+        for (id, kernel) in sddmm {
+            let run = kernel.run(&v100, &s, &a1, &a).unwrap();
+            record(id, col, fnv_of_bits(&run.output_values));
+        }
+    }
+    for ((id, got), (_, want)) in got.iter().zip(&RECORDED_OUTPUT_BITS) {
+        assert_eq!(got, want, "{id}: got {got:#018x?}");
+    }
 }
