@@ -12,7 +12,8 @@ use hpsparse_datasets::features::{planted_labels, random_features};
 use hpsparse_datasets::registry::by_name;
 use hpsparse_datasets::store;
 use hpsparse_gnn::{
-    train_full_graph, train_graph_sampling, BaselineBackend, GcnConfig, HpBackend, TrainConfig,
+    train_full_graph, train_graph_sampling, BaselineBackend, GcnConfig, HpBackend, SparseBackend,
+    TrainConfig,
 };
 use hpsparse_sim::DeviceSpec;
 use serde_json::json;
@@ -95,25 +96,16 @@ pub fn run(effort: Effort) -> ExperimentOutput {
                 sample_nodes: (g.num_nodes() / 8).clamp(256, 4096),
                 seed: 3,
             };
-            let run_one = |hp: bool| {
-                if hp {
-                    let mut b = HpBackend::new(device.clone());
-                    if w.sampling {
-                        train_graph_sampling(&mut b, &g, &features, &labels, model_cfg, train_cfg).1
-                    } else {
-                        train_full_graph(&mut b, &g, &features, &labels, model_cfg, train_cfg).1
-                    }
-                } else {
-                    let mut b = BaselineBackend::new(device.clone());
-                    if w.sampling {
-                        train_graph_sampling(&mut b, &g, &features, &labels, model_cfg, train_cfg).1
-                    } else {
-                        train_full_graph(&mut b, &g, &features, &labels, model_cfg, train_cfg).1
-                    }
-                }
+            let trainer = if w.sampling {
+                train_graph_sampling
+            } else {
+                train_full_graph
             };
-            let base = run_one(false);
-            let hp = run_one(true);
+            let run_on = |backend: &mut dyn SparseBackend| {
+                trainer(backend, &g, &features, &labels, model_cfg, train_cfg).1
+            };
+            let base = run_on(&mut BaselineBackend::new(device.clone()));
+            let hp = run_on(&mut HpBackend::new(device.clone()));
             let speedup = base.total_ms / hp.total_ms;
             rows.push(vec![
                 w.framework.to_string(),

@@ -18,7 +18,7 @@ use hpsparse_core::hp::{HpFusedMha, HpSddmm, HpSpmm};
 
 use crate::gat::edge_softmax;
 use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
-use hpsparse_sim::{DeviceSpec, GpuSim};
+use hpsparse_sim::{DeviceSpec, GpuSim, LaunchReport};
 use hpsparse_sparse::{Dense, Hybrid};
 
 /// FP32 FMA throughput used for the dense-GEMM roofline, in FLOPs per SM
@@ -49,6 +49,19 @@ pub fn elementwise_cycles(device: &DeviceSpec, elems: usize) -> u64 {
 /// kernel-swap speedups (≈ 3.5 µs at V100 clocks). Shared with the
 /// autotuner so planned cycle estimates and backend accounting agree.
 pub const LAUNCH_OVERHEAD_CYCLES: u64 = hpsparse_autotune::LAUNCH_OVERHEAD_CYCLES;
+
+/// Accounts one dense `m×k · k×n` GEMM launch: its roofline estimate plus
+/// the launch overhead.
+pub(crate) fn account_gemm(backend: &mut dyn SparseBackend, m: usize, k: usize, n: usize) {
+    let cycles = dense_gemm_cycles(backend.device(), m, k, n);
+    backend.account_dense(cycles + LAUNCH_OVERHEAD_CYCLES);
+}
+
+/// Accounts one elementwise launch over `elems` floats.
+pub(crate) fn account_elementwise(backend: &mut dyn SparseBackend, elems: usize) {
+    let cycles = elementwise_cycles(backend.device(), elems);
+    backend.account_dense(cycles + LAUNCH_OVERHEAD_CYCLES);
+}
 
 /// A sparse execution engine with time accounting.
 pub trait SparseBackend {
@@ -108,7 +121,6 @@ pub fn unfused_mha(
     k: &[Dense],
     v: &[Dense],
 ) -> (Vec<Dense>, Vec<Vec<f32>>) {
-    let device = backend.device().clone();
     let d = q.first().map_or(1, Dense::cols);
     let scale = 1.0 / (d as f32).sqrt();
     let mut outputs = Vec::with_capacity(q.len());
@@ -121,7 +133,8 @@ pub fn unfused_mha(
             .into_iter()
             .map(|e| e * scale)
             .collect();
-        backend.account_dense(edge_softmax_cycles(&device, s.nnz()) + LAUNCH_OVERHEAD_CYCLES);
+        let softmax = edge_softmax_cycles(backend.device(), s.nnz());
+        backend.account_dense(softmax + LAUNCH_OVERHEAD_CYCLES);
         let weights = edge_softmax(s.row_indices(), &scores);
         weighted.values_mut().copy_from_slice(&weights);
         outputs.push(backend.spmm(&weighted, &v[h]));
@@ -130,44 +143,81 @@ pub fn unfused_mha(
     (outputs, attn)
 }
 
-/// Backend running the paper's HP kernels (auto DTP + HVMA per call).
-pub struct HpBackend {
+/// What tells one simulator backend from another: which kernel runs each
+/// sparse call. Everything else — the simulator, the counters, the charge
+/// — is [`SimBackend`]'s and therefore the same by construction.
+pub trait KernelSelector {
+    /// Backend name for reports.
+    const NAME: &'static str;
+    /// The SpMM kernel for `s` at feature width `k`.
+    fn spmm(&mut self, device: &DeviceSpec, s: &Hybrid, k: usize) -> Box<dyn SpmmKernel>;
+    /// The SDDMM kernel for `s` at feature width `k`.
+    fn sddmm(&mut self, device: &DeviceSpec, s: &Hybrid, k: usize) -> Box<dyn SddmmKernel>;
+    /// The fused attention kernel for `heads` heads of width `head_dim`,
+    /// or `None` (the default) to run [`unfused_mha`] on this selector's
+    /// SDDMM and SpMM.
+    fn fused_mha(
+        &mut self,
+        _device: &DeviceSpec,
+        _s: &Hybrid,
+        _head_dim: usize,
+        _heads: usize,
+    ) -> Option<HpFusedMha> {
+        None
+    }
+}
+
+/// A backend that runs its selector's kernels on one persistent simulator
+/// and accounts what they cost. Every sparse launch is charged by the one
+/// rule in `charge`: execution + preprocessing + launch overhead.
+pub struct SimBackend<K> {
     sim: GpuSim,
+    kernels: K,
     sparse_cycles: u64,
     dense_cycles: u64,
 }
 
-impl HpBackend {
-    /// Builds an HP backend for `device`.
+impl<K: KernelSelector + Default> SimBackend<K> {
+    /// Builds the backend for `device`.
     pub fn new(device: DeviceSpec) -> Self {
+        Self::with_kernels(device, K::default())
+    }
+}
+
+impl<K> SimBackend<K> {
+    fn with_kernels(device: DeviceSpec, kernels: K) -> Self {
         Self {
             sim: GpuSim::new(device),
+            kernels,
             sparse_cycles: 0,
             dense_cycles: 0,
         }
     }
+
+    fn charge(&mut self, exec: &LaunchReport, preprocess: Option<&LaunchReport>) {
+        self.sparse_cycles +=
+            exec.cycles + preprocess.map_or(0, |p| p.cycles) + LAUNCH_OVERHEAD_CYCLES;
+    }
 }
 
-impl SparseBackend for HpBackend {
+impl<K: KernelSelector> SparseBackend for SimBackend<K> {
     fn name(&self) -> &'static str {
-        "hp"
+        K::NAME
     }
 
     fn spmm(&mut self, s: &Hybrid, a: &Dense) -> Dense {
-        let device = self.sim.device().clone();
-        let kernel = HpSpmm::auto(&device, s, a.cols());
+        let kernel = self.kernels.spmm(self.sim.device(), s, a.cols());
         let run = kernel.run_on(&mut self.sim, s, a).expect("valid dims");
-        self.sparse_cycles += run.report.cycles + LAUNCH_OVERHEAD_CYCLES;
+        self.charge(&run.report, run.preprocess.as_ref());
         run.output
     }
 
     fn sddmm(&mut self, s: &Hybrid, a1: &Dense, a2t: &Dense) -> Vec<f32> {
-        let device = self.sim.device().clone();
-        let kernel = HpSddmm::auto(&device, s, a1.cols());
+        let kernel = self.kernels.sddmm(self.sim.device(), s, a1.cols());
         let run = kernel
             .run_on(&mut self.sim, s, a1, a2t)
             .expect("valid dims");
-        self.sparse_cycles += run.report.cycles + LAUNCH_OVERHEAD_CYCLES;
+        self.charge(&run.report, run.preprocess.as_ref());
         run.output_values
     }
 
@@ -178,13 +228,19 @@ impl SparseBackend for HpBackend {
         k: &[Dense],
         v: &[Dense],
     ) -> (Vec<Dense>, Vec<Vec<f32>>) {
-        let device = self.sim.device().clone();
-        let kernel = HpFusedMha::auto(&device, s, q.first().map_or(1, Dense::cols));
+        let head_dim = q.first().map_or(1, Dense::cols);
+        let fused = self
+            .kernels
+            .fused_mha(self.sim.device(), s, head_dim, q.len());
+        let Some(kernel) = fused else {
+            return unfused_mha(self, s, q, k, v);
+        };
         let run = kernel
             .run_on(&mut self.sim, s, q, k, v)
             .expect("valid dims");
-        self.sparse_cycles +=
-            run.total_cycles() + run.reports.len() as u64 * LAUNCH_OVERHEAD_CYCLES;
+        for launch in &run.reports {
+            self.charge(launch, None);
+        }
         (run.outputs, run.attn)
     }
 
@@ -214,97 +270,136 @@ impl SparseBackend for HpBackend {
     }
 }
 
-/// Backend running the framework-default kernels the paper replaces:
-/// cuSPARSE CSR SpMM (DGL's default) and DGL's edge-parallel SDDMM.
-pub struct BaselineBackend {
-    sim: GpuSim,
-    sparse_cycles: u64,
-    dense_cycles: u64,
-}
+/// Selects the paper's HP kernels (auto DTP + HVMA per call) and the fused
+/// attention kernel.
+#[derive(Default)]
+pub struct HpKernels;
 
-impl BaselineBackend {
-    /// Builds a baseline backend for `device`.
-    pub fn new(device: DeviceSpec) -> Self {
-        Self {
-            sim: GpuSim::new(device),
-            sparse_cycles: 0,
-            dense_cycles: 0,
-        }
-    }
-}
+impl KernelSelector for HpKernels {
+    const NAME: &'static str = "hp";
 
-impl SparseBackend for BaselineBackend {
-    fn name(&self) -> &'static str {
-        "baseline"
+    fn spmm(&mut self, device: &DeviceSpec, s: &Hybrid, k: usize) -> Box<dyn SpmmKernel> {
+        Box::new(HpSpmm::auto(device, s, k))
     }
 
-    fn spmm(&mut self, s: &Hybrid, a: &Dense) -> Dense {
-        let run = CusparseCsrAlg2
-            .run_on(&mut self.sim, s, a)
-            .expect("valid dims");
-        self.sparse_cycles += run.report.cycles + LAUNCH_OVERHEAD_CYCLES;
-        run.output
+    fn sddmm(&mut self, device: &DeviceSpec, s: &Hybrid, k: usize) -> Box<dyn SddmmKernel> {
+        Box::new(HpSddmm::auto(device, s, k))
     }
 
-    fn sddmm(&mut self, s: &Hybrid, a1: &Dense, a2t: &Dense) -> Vec<f32> {
-        let run = DglSddmm
-            .run_on(&mut self.sim, s, a1, a2t)
-            .expect("valid dims");
-        self.sparse_cycles += run.report.cycles + LAUNCH_OVERHEAD_CYCLES;
-        run.output_values
-    }
-
-    fn mha(
+    fn fused_mha(
         &mut self,
+        device: &DeviceSpec,
         s: &Hybrid,
-        q: &[Dense],
-        k: &[Dense],
-        v: &[Dense],
-    ) -> (Vec<Dense>, Vec<Vec<f32>>) {
-        unfused_mha(self, s, q, k, v)
-    }
-
-    fn account_dense(&mut self, cycles: u64) {
-        self.dense_cycles += cycles;
-    }
-
-    fn sparse_cycles(&self) -> u64 {
-        self.sparse_cycles
-    }
-
-    fn dense_cycles(&self) -> u64 {
-        self.dense_cycles
-    }
-
-    fn device(&self) -> &DeviceSpec {
-        self.sim.device()
-    }
-
-    fn sim_mut(&mut self) -> Option<&mut GpuSim> {
-        Some(&mut self.sim)
-    }
-
-    fn reset_counters(&mut self) {
-        self.sparse_cycles = 0;
-        self.dense_cycles = 0;
+        head_dim: usize,
+        _heads: usize,
+    ) -> Option<HpFusedMha> {
+        Some(HpFusedMha::auto(device, s, head_dim))
     }
 }
 
-/// Autotuning backend: plans the kernel on first sight of each sparse
-/// shape (via `hpsparse-autotune`), replays cached plans thereafter.
-///
-/// Execution cycles land in `sparse_cycles` exactly like the other
-/// accounting backends (exec + preprocessing + launch overhead); the cost
-/// of *planning* — the simulator runs the `Measured` strategy performs —
-/// is metered separately in [`AutoBackend::planning_cycles`], so reports
-/// can show both "steady-state speed" and "price paid to find the plan".
-pub struct AutoBackend {
-    sim: GpuSim,
+/// Backend running the paper's HP kernels.
+pub type HpBackend = SimBackend<HpKernels>;
+
+/// Selects the framework-default kernels the paper replaces: cuSPARSE CSR
+/// SpMM (DGL's default), DGL's edge-parallel SDDMM, and no fusion.
+#[derive(Default)]
+pub struct FrameworkKernels;
+
+impl KernelSelector for FrameworkKernels {
+    const NAME: &'static str = "baseline";
+
+    fn spmm(&mut self, _: &DeviceSpec, _: &Hybrid, _: usize) -> Box<dyn SpmmKernel> {
+        Box::new(CusparseCsrAlg2)
+    }
+
+    fn sddmm(&mut self, _: &DeviceSpec, _: &Hybrid, _: usize) -> Box<dyn SddmmKernel> {
+        Box::new(DglSddmm)
+    }
+}
+
+/// Backend running the framework-default kernels.
+pub type BaselineBackend = SimBackend<FrameworkKernels>;
+
+/// Selects what the autotuner plans: the kernel is planned on first sight
+/// of each sparse shape (via `hpsparse-autotune`) and replayed from the
+/// plan cache thereafter.
+pub struct PlannedKernels {
     planner: Planner,
     cache: PlanCache,
-    sparse_cycles: u64,
-    dense_cycles: u64,
 }
+
+impl PlannedKernels {
+    /// The cached plan for `op` on `s` at width `k`, planning it on a miss.
+    /// `heads` is read for [`OpKind::FusedMha`] only, whose plans carry the
+    /// head count in their key.
+    fn plan(
+        &mut self,
+        op: OpKind,
+        device: &DeviceSpec,
+        s: &Hybrid,
+        k: usize,
+        heads: usize,
+    ) -> Plan {
+        let fp = GraphFingerprint::of(s, k, device);
+        let key = match op {
+            OpKind::FusedMha => fp.mha_key(heads),
+            OpKind::Spmm | OpKind::Sddmm => fp.key(),
+        };
+        if let Some(plan) = self.cache.get(op, key) {
+            return plan.clone();
+        }
+        let (plan, encoding) = match op {
+            OpKind::Spmm => (self.planner.plan_spmm_for(&fp, s), fp.canonical_encoding()),
+            OpKind::Sddmm => (self.planner.plan_sddmm_for(&fp, s), fp.canonical_encoding()),
+            OpKind::FusedMha => (
+                self.planner.plan_mha_for(&fp, s, heads),
+                fp.mha_encoding(heads),
+            ),
+        };
+        self.cache.insert(op, key, encoding, plan.clone());
+        plan
+    }
+}
+
+// A stale persisted cache may name a kernel this build doesn't know; each
+// method falls back to the paper's selector rather than failing.
+impl KernelSelector for PlannedKernels {
+    const NAME: &'static str = "auto";
+
+    fn spmm(&mut self, device: &DeviceSpec, s: &Hybrid, k: usize) -> Box<dyn SpmmKernel> {
+        let plan = self.plan(OpKind::Spmm, device, s, k, 1);
+        instantiate_spmm(&plan.candidate()).unwrap_or_else(|| HpKernels.spmm(device, s, k))
+    }
+
+    fn sddmm(&mut self, device: &DeviceSpec, s: &Hybrid, k: usize) -> Box<dyn SddmmKernel> {
+        let plan = self.plan(OpKind::Sddmm, device, s, k, 1);
+        instantiate_sddmm(&plan.candidate()).unwrap_or_else(|| HpKernels.sddmm(device, s, k))
+    }
+
+    fn fused_mha(
+        &mut self,
+        device: &DeviceSpec,
+        s: &Hybrid,
+        head_dim: usize,
+        heads: usize,
+    ) -> Option<HpFusedMha> {
+        let plan = self.plan(OpKind::FusedMha, device, s, head_dim, heads);
+        if !plan.kernel_id.starts_with("hp-fused-mha") {
+            return None;
+        }
+        instantiate_fused_mha(&plan.candidate())
+            .or_else(|| HpKernels.fused_mha(device, s, head_dim, heads))
+    }
+}
+
+/// Autotuning backend.
+///
+/// Execution cycles land in `sparse_cycles` exactly like the other
+/// accounting backends; the cost of *planning* — the simulator runs the
+/// `Measured` strategy performs — is metered separately in
+/// [`AutoBackend::planning_cycles`], so reports can show both
+/// "steady-state speed" and "price paid to find the plan".
+pub type AutoBackend = SimBackend<PlannedKernels>;
 
 impl AutoBackend {
     /// Auto backend with the default (`Measured`) planning strategy and an
@@ -322,143 +417,29 @@ impl AutoBackend {
     /// [`PlanCache::load`]); shapes already in the cache replay without a
     /// single planning simulation.
     pub fn with_cache(device: DeviceSpec, strategy: PlanStrategy, cache: PlanCache) -> Self {
-        Self {
-            sim: GpuSim::new(device.clone()),
-            planner: Planner::new(device, strategy),
-            cache,
-            sparse_cycles: 0,
-            dense_cycles: 0,
-        }
+        let planner = Planner::new(device.clone(), strategy);
+        Self::with_kernels(device, PlannedKernels { planner, cache })
     }
 
     /// The plan cache (hit/miss counters included).
     pub fn cache(&self) -> &PlanCache {
-        &self.cache
+        &self.kernels.cache
     }
 
     /// Consumes the backend and returns its cache, e.g. to persist it.
     pub fn into_cache(self) -> PlanCache {
-        self.cache
+        self.kernels.cache
     }
 
     /// Simulator kernel runs spent planning so far (0 under `Heuristic`
     /// or when every shape hits the cache).
     pub fn planning_sim_launches(&self) -> u64 {
-        self.planner.sim_launches()
+        self.kernels.planner.sim_launches()
     }
 
     /// Simulated cycles spent planning — kept out of `sparse_cycles`.
     pub fn planning_cycles(&self) -> u64 {
-        self.planner.planning_cycles()
-    }
-
-    fn plan_for(&mut self, op: OpKind, s: &Hybrid, k: usize) -> Plan {
-        let fp = GraphFingerprint::of(s, k, self.sim.device());
-        if let Some(plan) = self.cache.get(op, fp.key()) {
-            return plan.clone();
-        }
-        let plan = match op {
-            OpKind::Spmm => self.planner.plan_spmm_for(&fp, s),
-            OpKind::Sddmm => self.planner.plan_sddmm_for(&fp, s),
-            // Attention plans carry a head count in their key, so they go
-            // through `plan_mha_for` instead.
-            OpKind::FusedMha => unreachable!("fused-mha plans go through plan_mha_for"),
-        };
-        self.cache
-            .insert(op, fp.key(), fp.canonical_encoding(), plan.clone());
-        plan
-    }
-
-    fn plan_mha_for(&mut self, s: &Hybrid, head_dim: usize, heads: usize) -> Plan {
-        let fp = GraphFingerprint::of(s, head_dim, self.sim.device());
-        let key = fp.mha_key(heads);
-        if let Some(plan) = self.cache.get(OpKind::FusedMha, key) {
-            return plan.clone();
-        }
-        let plan = self.planner.plan_mha_for(&fp, s, heads);
-        self.cache
-            .insert(OpKind::FusedMha, key, fp.mha_encoding(heads), plan.clone());
-        plan
-    }
-}
-
-impl SparseBackend for AutoBackend {
-    fn name(&self) -> &'static str {
-        "auto"
-    }
-
-    fn spmm(&mut self, s: &Hybrid, a: &Dense) -> Dense {
-        let plan = self.plan_for(OpKind::Spmm, s, a.cols());
-        // A stale persisted cache may name a kernel this build doesn't
-        // know; fall back to the paper's selector rather than failing.
-        let kernel = instantiate_spmm(&plan.candidate())
-            .unwrap_or_else(|| Box::new(HpSpmm::auto(self.sim.device(), s, a.cols())));
-        let run = kernel.run_on(&mut self.sim, s, a).expect("valid dims");
-        self.sparse_cycles += run.report.cycles
-            + run.preprocess.as_ref().map_or(0, |p| p.cycles)
-            + LAUNCH_OVERHEAD_CYCLES;
-        run.output
-    }
-
-    fn sddmm(&mut self, s: &Hybrid, a1: &Dense, a2t: &Dense) -> Vec<f32> {
-        let plan = self.plan_for(OpKind::Sddmm, s, a1.cols());
-        let kernel = instantiate_sddmm(&plan.candidate())
-            .unwrap_or_else(|| Box::new(HpSddmm::auto(self.sim.device(), s, a1.cols())));
-        let run = kernel
-            .run_on(&mut self.sim, s, a1, a2t)
-            .expect("valid dims");
-        self.sparse_cycles += run.report.cycles
-            + run.preprocess.as_ref().map_or(0, |p| p.cycles)
-            + LAUNCH_OVERHEAD_CYCLES;
-        run.output_values
-    }
-
-    fn mha(
-        &mut self,
-        s: &Hybrid,
-        q: &[Dense],
-        k: &[Dense],
-        v: &[Dense],
-    ) -> (Vec<Dense>, Vec<Vec<f32>>) {
-        let head_dim = q.first().map_or(1, Dense::cols);
-        let plan = self.plan_mha_for(s, head_dim, q.len());
-        if plan.kernel_id.starts_with("hp-fused-mha") {
-            let kernel = instantiate_fused_mha(&plan.candidate())
-                .unwrap_or_else(|| HpFusedMha::auto(self.sim.device(), s, head_dim));
-            let run = kernel
-                .run_on(&mut self.sim, s, q, k, v)
-                .expect("valid dims");
-            self.sparse_cycles +=
-                run.total_cycles() + run.reports.len() as u64 * LAUNCH_OVERHEAD_CYCLES;
-            (run.outputs, run.attn)
-        } else {
-            unfused_mha(self, s, q, k, v)
-        }
-    }
-
-    fn account_dense(&mut self, cycles: u64) {
-        self.dense_cycles += cycles;
-    }
-
-    fn sparse_cycles(&self) -> u64 {
-        self.sparse_cycles
-    }
-
-    fn dense_cycles(&self) -> u64 {
-        self.dense_cycles
-    }
-
-    fn device(&self) -> &DeviceSpec {
-        self.sim.device()
-    }
-
-    fn sim_mut(&mut self) -> Option<&mut GpuSim> {
-        Some(&mut self.sim)
-    }
-
-    fn reset_counters(&mut self) {
-        self.sparse_cycles = 0;
-        self.dense_cycles = 0;
+        self.kernels.planner.planning_cycles()
     }
 }
 
@@ -527,6 +508,7 @@ impl SparseBackend for CpuBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpsparse_core::baselines::Sputnik;
     use hpsparse_sparse::reference;
 
     fn small_graph() -> Hybrid {
@@ -609,21 +591,69 @@ mod tests {
         assert_eq!(warm.cache().hits(), 1);
     }
 
+    /// A selector no shipped backend uses: its SpMM (Sputnik) sorts rows
+    /// in a preprocessing launch of its own.
+    struct PreprocessingKernels;
+
+    impl KernelSelector for PreprocessingKernels {
+        const NAME: &'static str = "preprocessing";
+
+        fn spmm(&mut self, _: &DeviceSpec, _: &Hybrid, _: usize) -> Box<dyn SpmmKernel> {
+            Box::new(Sputnik::default())
+        }
+
+        fn sddmm(&mut self, _: &DeviceSpec, _: &Hybrid, _: usize) -> Box<dyn SddmmKernel> {
+            Box::new(DglSddmm)
+        }
+    }
+
     #[test]
-    fn backends_accumulate_and_reset() {
+    fn a_sparse_launch_is_charged_exec_plus_preprocess_plus_overhead() {
         let s = small_graph();
         let a = Dense::from_fn(6, 8, |i, j| (i + j) as f32);
-        let mut hp = HpBackend::new(DeviceSpec::v100());
-        hp.spmm(&s, &a);
-        let after_one = hp.sparse_cycles();
-        hp.spmm(&s, &a);
-        assert!(hp.sparse_cycles() > after_one);
-        hp.account_dense(1000);
-        assert_eq!(hp.dense_cycles(), 1000);
-        assert!(hp.total_ms() > 0.0);
-        hp.reset_counters();
-        assert_eq!(hp.sparse_cycles(), 0);
-        assert_eq!(hp.dense_cycles(), 0);
+        let device = DeviceSpec::v100();
+        // The backend's first call meets a cold simulator, as `cost` does.
+        let cost = Sputnik::default().cost(&device, &s, a.cols()).unwrap();
+        let preprocess = cost.preprocess.expect("Sputnik preprocesses").cycles;
+        assert!(preprocess > 0);
+        let mut backend = SimBackend::with_kernels(device, PreprocessingKernels);
+        assert_eq!(backend.name(), "preprocessing");
+        backend.spmm(&s, &a);
+        assert_eq!(
+            backend.sparse_cycles(),
+            cost.report.cycles + preprocess + LAUNCH_OVERHEAD_CYCLES
+        );
+        assert_eq!(backend.dense_cycles(), 0);
+    }
+
+    #[test]
+    fn every_sim_backend_accumulates_and_resets_alike() {
+        let s = small_graph();
+        let a = Dense::from_fn(6, 8, |i, j| (i + j) as f32);
+        let device = DeviceSpec::v100();
+        let mut hp = HpBackend::new(device.clone());
+        let mut base = BaselineBackend::new(device.clone());
+        let mut auto = AutoBackend::new(device.clone());
+        for b in [&mut hp as &mut dyn SparseBackend, &mut base, &mut auto] {
+            b.spmm(&s, &a);
+            let after_one = b.sparse_cycles();
+            assert!(after_one > LAUNCH_OVERHEAD_CYCLES, "{}", b.name());
+            b.spmm(&s, &a);
+            let after_two = b.sparse_cycles();
+            assert!(after_two > after_one, "{}", b.name());
+            b.account_dense(1000);
+            b.account_dense(24);
+            assert_eq!(b.dense_cycles(), 1024, "{}", b.name());
+            assert_eq!(b.sparse_cycles(), after_two, "{}", b.name());
+            assert_eq!(b.total_ms(), device.cycles_to_ms(after_two + 1024));
+            b.reset_counters();
+            assert_eq!(
+                (b.sparse_cycles(), b.dense_cycles()),
+                (0, 0),
+                "{}",
+                b.name()
+            );
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::backend::{dense_gemm_cycles, SparseBackend};
 use crate::linalg;
+use crate::params::Xorshift64Star;
 use hpsparse_sparse::{Dense, Hybrid};
 
 /// One attention head: projections `Wq`, `Wk`, `Wv`.
@@ -24,15 +25,8 @@ pub struct GatLayer {
 impl GatLayer {
     /// Deterministic small-weight initialisation.
     pub fn new(in_dim: usize, head_dim: usize, seed: u64) -> Self {
-        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        let mut next = move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            ((state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64 * 2.0
-                - 1.0) as f32
-                * 0.2
-        };
+        let mut rng = Xorshift64Star::new(seed);
+        let mut next = move || (rng.unit() * 2.0 - 1.0) as f32 * 0.2;
         Self {
             wq: Dense::from_fn(in_dim, head_dim, |_, _| next()),
             wk: Dense::from_fn(in_dim, head_dim, |_, _| next()),
@@ -52,6 +46,16 @@ impl GatLayer {
         (out, weights)
     }
 
+    /// The projections `(Q, K, V) = (X·Wq, X·Wk, X·Wv)`, accounted as three
+    /// dense GEMMs.
+    pub(crate) fn project(&self, backend: &mut dyn SparseBackend, x: &Dense) -> [Dense; 3] {
+        [&self.wq, &self.wk, &self.wv].map(|w| {
+            let cycles = dense_gemm_cycles(backend.device(), x.rows(), x.cols(), w.cols());
+            backend.account_dense(cycles);
+            linalg::matmul(x, w)
+        })
+    }
+
     /// Forward pass that also returns the cache needed by
     /// [`GatLayer::backward`].
     pub fn forward_cached(
@@ -60,22 +64,13 @@ impl GatLayer {
         s: &Hybrid,
         x: &Dense,
     ) -> (Dense, Vec<f32>, GatCache) {
-        let device = backend.device().clone();
-        let n = x.rows();
-        for w in [&self.wq, &self.wk, &self.wv] {
-            backend.account_dense(dense_gemm_cycles(&device, n, x.cols(), w.cols()));
-        }
-        let q = linalg::matmul(x, &self.wq);
-        let k = linalg::matmul(x, &self.wk);
-        let v = linalg::matmul(x, &self.wv);
+        let [q, k, v] = self.project(backend, x);
 
-        // Raw scores: SDDMM with all-ones mask values so the score is the
-        // pure dot product q_r · k_c.
-        let mut mask = s.clone();
-        mask.set_values(vec![1.0; s.nnz()]);
+        // Raw scores: SDDMM over the unit mask, so the score is the pure
+        // dot product q_r · k_c.
         let scale = 1.0 / (self.wq.cols() as f32).sqrt();
         let scores: Vec<f32> = backend
-            .sddmm(&mask, &q, &k)
+            .sddmm(&unit_mask(s), &q, &k)
             .into_iter()
             .map(|e| e * scale)
             .collect();
@@ -84,9 +79,7 @@ impl GatLayer {
         let weights = edge_softmax(s.row_indices(), &scores);
 
         // Aggregate: SpMM over the attention-weighted adjacency.
-        let mut attn = s.clone();
-        attn.set_values(weights.clone());
-        let out = backend.spmm(&attn, &v);
+        let out = backend.spmm(&with_values(s, weights.clone()), &v);
         let cache = GatCache {
             q,
             k,
@@ -121,15 +114,12 @@ impl GatLayer {
         let scale = 1.0 / (head_dim as f32).sqrt();
 
         // dV = Attnᵀ · dOut (SpMM over the transposed attention matrix).
-        let mut attn = s.clone();
-        attn.set_values(cache.weights.clone());
+        let attn = with_values(s, cache.weights.clone());
         let attn_t = attn.to_csr().transpose().to_hybrid();
         let d_v = backend.spmm(&attn_t, d_out);
 
         // dAttn (per edge) = dOut[r] · V[c] — an SDDMM with unit mask.
-        let mut pattern = s.clone();
-        pattern.set_values(vec![1.0; s.nnz()]);
-        let d_attn = backend.sddmm(&pattern, d_out, &cache.v);
+        let d_attn = backend.sddmm(&unit_mask(s), d_out, &cache.v);
 
         // Edge-softmax backward: for each destination row,
         // d_score_e = w_e (d_attn_e − Σ_f w_f d_attn_f).
@@ -139,8 +129,7 @@ impl GatLayer {
 
         // dQ = dScores · K, dK = dScoresᵀ · Q (two SpMMs over the
         // score-gradient matrix).
-        let mut dscore_mat = s.clone();
-        dscore_mat.set_values(d_scores);
+        let dscore_mat = with_values(s, d_scores);
         let d_q = backend.spmm(&dscore_mat, &cache.k);
         let dscore_t = dscore_mat.to_csr().transpose().to_hybrid();
         let d_k = backend.spmm(&dscore_t, &cache.q);
@@ -178,39 +167,40 @@ impl GatLayer {
     }
 }
 
-/// Cached forward activations for [`GatLayer::backward`].
+/// Cached forward activations for [`GatLayer::backward`]. The batched
+/// multi-head path ([`crate::mha::SparseMha`]) fills one per head from its
+/// single attention call, so the backward pass is this layer's unchanged.
 pub struct GatCache {
-    q: Dense,
-    k: Dense,
-    v: Dense,
-    weights: Vec<f32>,
-    x: Dense,
+    pub(crate) q: Dense,
+    pub(crate) k: Dense,
+    pub(crate) v: Dense,
+    pub(crate) weights: Vec<f32>,
+    pub(crate) x: Dense,
 }
 
-impl GatCache {
-    /// Assembles a cache from externally-computed activations — the
-    /// batched multi-head path ([`crate::mha::SparseMha`]) projects all
-    /// heads itself and runs one fused attention call, then rebuilds a
-    /// per-head cache so [`GatLayer::backward`] works unchanged.
-    pub(crate) fn from_parts(q: Dense, k: Dense, v: Dense, weights: Vec<f32>, x: Dense) -> Self {
-        Self {
-            q,
-            k,
-            v,
-            weights,
-            x,
-        }
-    }
+/// The structure of `s` holding `values`.
+fn with_values(s: &Hybrid, values: Vec<f32>) -> Hybrid {
+    let mut out = s.clone();
+    out.set_values(values);
+    out
 }
 
-/// Gradients of the three projection matrices.
-pub struct GatGrads {
-    /// Query-projection gradient.
-    pub wq: Dense,
-    /// Key-projection gradient.
-    pub wk: Dense,
-    /// Value-projection gradient.
-    pub wv: Dense,
+/// `s` with every value 1: under it an SDDMM is the pure dot product.
+pub(crate) fn unit_mask(s: &Hybrid) -> Hybrid {
+    with_values(s, vec![1.0; s.nnz()])
+}
+
+/// Gradients of the three projection matrices, shaped like the layer.
+pub type GatGrads = GatLayer;
+
+/// The element ranges of the contiguous equal-row groups of `row_indices`.
+fn row_groups(row_indices: &[u32]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    let mut start = 0;
+    row_indices.chunk_by(|a, b| a == b).map(move |group| {
+        let range = start..start + group.len();
+        start = range.end;
+        range
+    })
 }
 
 /// Backward of [`edge_softmax`] over contiguous row groups:
@@ -219,18 +209,11 @@ pub fn edge_softmax_backward(row_indices: &[u32], weights: &[f32], d_weights: &[
     assert_eq!(row_indices.len(), weights.len());
     assert_eq!(row_indices.len(), d_weights.len());
     let mut out = vec![0f32; weights.len()];
-    let mut start = 0usize;
-    while start < weights.len() {
-        let row = row_indices[start];
-        let mut end = start;
-        while end < weights.len() && row_indices[end] == row {
-            end += 1;
-        }
-        let dot: f32 = (start..end).map(|i| weights[i] * d_weights[i]).sum();
-        for i in start..end {
+    for row in row_groups(row_indices) {
+        let dot: f32 = row.clone().map(|i| weights[i] * d_weights[i]).sum();
+        for i in row {
             out[i] = weights[i] * (d_weights[i] - dot);
         }
-        start = end;
     }
     out
 }
@@ -239,26 +222,19 @@ pub fn edge_softmax_backward(row_indices: &[u32], weights: &[f32], d_weights: &[
 pub fn edge_softmax(row_indices: &[u32], scores: &[f32]) -> Vec<f32> {
     assert_eq!(row_indices.len(), scores.len());
     let mut out = vec![0f32; scores.len()];
-    let mut start = 0usize;
-    while start < scores.len() {
-        let row = row_indices[start];
-        let mut end = start;
-        while end < scores.len() && row_indices[end] == row {
-            end += 1;
-        }
-        let max = scores[start..end]
+    for row in row_groups(row_indices) {
+        let max = scores[row.clone()]
             .iter()
             .copied()
             .fold(f32::NEG_INFINITY, f32::max);
         let mut denom = 0f32;
-        for i in start..end {
+        for i in row.clone() {
             out[i] = (scores[i] - max).exp();
             denom += out[i];
         }
-        for o in &mut out[start..end] {
+        for o in &mut out[row] {
             *o /= denom;
         }
-        start = end;
     }
     out
 }

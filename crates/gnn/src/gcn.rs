@@ -6,10 +6,9 @@
 //! backward), so kernel quality shows up twice per layer per iteration,
 //! exactly as in DGL/PyG training.
 
-use crate::backend::{
-    dense_gemm_cycles, elementwise_cycles, SparseBackend, LAUNCH_OVERHEAD_CYCLES,
-};
+use crate::backend::{account_elementwise, account_gemm, SparseBackend};
 use crate::linalg;
+use crate::params::{Model, Xorshift64Star};
 use hpsparse_sparse::{Dense, Hybrid};
 
 /// Model shape.
@@ -43,51 +42,40 @@ pub struct Cache {
     pre_activations: Vec<Dense>,
 }
 
-/// Parameter gradients, aligned with [`Gcn::weights`] / [`Gcn::biases`].
-pub struct Grads {
-    /// Weight gradients.
-    pub weights: Vec<Dense>,
-    /// Bias gradients.
-    pub biases: Vec<Vec<f32>>,
+/// Parameter gradients, shaped like the model.
+pub type Grads = Gcn;
+
+/// `(fan_in, fan_out)` of each layer of an `in_dim → hidden → … → classes`
+/// stack.
+pub(crate) fn layer_dims(
+    in_dim: usize,
+    hidden: usize,
+    classes: usize,
+    layers: usize,
+) -> impl Iterator<Item = (usize, usize)> {
+    (0..layers).map(move |l| {
+        let fan_in = if l == 0 { in_dim } else { hidden };
+        let fan_out = if l == layers - 1 { classes } else { hidden };
+        (fan_in, fan_out)
+    })
 }
 
 impl Gcn {
     /// Glorot-uniform initialisation.
     pub fn new(config: GcnConfig) -> Self {
         assert!(config.layers >= 1);
-        let dims = Self::layer_dims(&config);
-        let mut state = config.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        let mut next = move || {
-            // xorshift64* — deterministic, dependency-free init.
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let dims = layer_dims(config.in_dim, config.hidden, config.classes, config.layers);
+        let mut rng = Xorshift64Star::new(config.seed);
         let mut weights = Vec::with_capacity(config.layers);
         let mut biases = Vec::with_capacity(config.layers);
         for (fan_in, fan_out) in dims {
             let limit = (6.0 / (fan_in + fan_out) as f64).sqrt();
             weights.push(Dense::from_fn(fan_in, fan_out, |_, _| {
-                ((next() * 2.0 - 1.0) * limit) as f32
+                ((rng.unit() * 2.0 - 1.0) * limit) as f32
             }));
             biases.push(vec![0f32; fan_out]);
         }
         Self { weights, biases }
-    }
-
-    fn layer_dims(config: &GcnConfig) -> Vec<(usize, usize)> {
-        (0..config.layers)
-            .map(|l| {
-                let fan_in = if l == 0 { config.in_dim } else { config.hidden };
-                let fan_out = if l == config.layers - 1 {
-                    config.classes
-                } else {
-                    config.hidden
-                };
-                (fan_in, fan_out)
-            })
-            .collect()
     }
 
     /// Number of layers.
@@ -102,7 +90,6 @@ impl Gcn {
         s: &Hybrid,
         x: &Dense,
     ) -> (Dense, Cache) {
-        let device = backend.device().clone();
         let layers = self.num_layers();
         let mut aggregated = Vec::with_capacity(layers);
         let mut pre_activations = Vec::with_capacity(layers);
@@ -110,17 +97,13 @@ impl Gcn {
         for l in 0..layers {
             let z = backend.spmm(s, &h);
             let w = &self.weights[l];
-            backend.account_dense(
-                dense_gemm_cycles(&device, z.rows(), z.cols(), w.cols()) + LAUNCH_OVERHEAD_CYCLES,
-            );
+            account_gemm(backend, z.rows(), z.cols(), w.cols());
             let mut y = linalg::matmul(&z, w);
             linalg::add_bias(&mut y, &self.biases[l]);
             aggregated.push(z);
             pre_activations.push(y.clone());
             if l + 1 < layers {
-                backend.account_dense(
-                    elementwise_cycles(&device, y.rows() * y.cols()) + LAUNCH_OVERHEAD_CYCLES,
-                );
+                account_elementwise(backend, y.rows() * y.cols());
                 linalg::relu(&mut y);
             }
             h = y;
@@ -143,133 +126,49 @@ impl Gcn {
         cache: &Cache,
         grad_logits: Dense,
     ) -> Grads {
-        let device = backend.device().clone();
-        let layers = self.num_layers();
-        let mut w_grads: Vec<Option<Dense>> = (0..layers).map(|_| None).collect();
-        let mut b_grads: Vec<Option<Vec<f32>>> = (0..layers).map(|_| None).collect();
+        let mut grads = Grads {
+            weights: Vec::with_capacity(self.num_layers()),
+            biases: Vec::with_capacity(self.num_layers()),
+        };
         let mut d_y = grad_logits;
-        for l in (0..layers).rev() {
+        for l in (0..self.num_layers()).rev() {
             let z = &cache.aggregated[l];
             let w = &self.weights[l];
-            backend.account_dense(
-                dense_gemm_cycles(&device, w.rows(), z.rows(), w.cols()) + LAUNCH_OVERHEAD_CYCLES,
-            );
-            w_grads[l] = Some(linalg::matmul_transpose_a(z, &d_y));
-            b_grads[l] = Some(linalg::column_sums(&d_y));
+            account_gemm(backend, w.rows(), z.rows(), w.cols());
+            grads.weights.push(linalg::matmul_transpose_a(z, &d_y));
+            grads.biases.push(linalg::column_sums(&d_y));
             if l == 0 {
                 break;
             }
-            backend.account_dense(
-                dense_gemm_cycles(&device, d_y.rows(), d_y.cols(), w.rows())
-                    + LAUNCH_OVERHEAD_CYCLES,
-            );
+            account_gemm(backend, d_y.rows(), d_y.cols(), w.rows());
             let d_z = linalg::matmul_transpose_b(&d_y, w);
             let mut d_h = backend.spmm(s_t, &d_z);
-            backend.account_dense(
-                elementwise_cycles(&device, d_h.rows() * d_h.cols()) + LAUNCH_OVERHEAD_CYCLES,
-            );
+            account_elementwise(backend, d_h.rows() * d_h.cols());
             linalg::relu_backward(&mut d_h, &cache.pre_activations[l - 1]);
             d_y = d_h;
         }
-        Grads {
-            weights: w_grads.into_iter().map(Option::unwrap).collect(),
-            biases: b_grads.into_iter().map(Option::unwrap).collect(),
-        }
+        // Pushed last layer first.
+        grads.weights.reverse();
+        grads.biases.reverse();
+        grads
     }
 }
 
-/// Adam optimiser over the GCN's parameters.
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    t: i32,
-    m_w: Vec<Vec<f32>>,
-    v_w: Vec<Vec<f32>>,
-    m_b: Vec<Vec<f32>>,
-    v_b: Vec<Vec<f32>>,
-}
+impl Model for Gcn {
+    type Grads = Gcn;
 
-impl Adam {
-    /// Builds Adam state shaped after `model`.
-    pub fn new(model: &Gcn, lr: f32) -> Self {
-        Self {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m_w: model
-                .weights
-                .iter()
-                .map(|w| vec![0.0; w.data().len()])
-                .collect(),
-            v_w: model
-                .weights
-                .iter()
-                .map(|w| vec![0.0; w.data().len()])
-                .collect(),
-            m_b: model.biases.iter().map(|b| vec![0.0; b.len()]).collect(),
-            v_b: model.biases.iter().map(|b| vec![0.0; b.len()]).collect(),
-        }
+    fn params(&self) -> impl Iterator<Item = &[f32]> {
+        let biases = self.biases.iter().map(Vec::as_slice);
+        self.weights.iter().map(Dense::data).chain(biases)
     }
 
-    /// Applies one Adam update.
-    pub fn step(&mut self, model: &mut Gcn, grads: &Grads) {
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t);
-        let bc2 = 1.0 - self.beta2.powi(self.t);
-        for l in 0..model.weights.len() {
-            Self::update(
-                model.weights[l].data_mut(),
-                grads.weights[l].data(),
-                &mut self.m_w[l],
-                &mut self.v_w[l],
-                self.lr,
-                self.beta1,
-                self.beta2,
-                self.eps,
-                bc1,
-                bc2,
-            );
-            Self::update(
-                &mut model.biases[l],
-                &grads.biases[l],
-                &mut self.m_b[l],
-                &mut self.v_b[l],
-                self.lr,
-                self.beta1,
-                self.beta2,
-                self.eps,
-                bc1,
-                bc2,
-            );
-        }
+    fn params_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
+        let biases = self.biases.iter_mut().map(Vec::as_mut_slice);
+        self.weights.iter_mut().map(Dense::data_mut).chain(biases)
     }
 
-    /// One Adam parameter update over flat slices (shared with the
-    /// GraphSAGE optimiser).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn update(
-        param: &mut [f32],
-        grad: &[f32],
-        m: &mut [f32],
-        v: &mut [f32],
-        lr: f32,
-        beta1: f32,
-        beta2: f32,
-        eps: f32,
-        bc1: f32,
-        bc2: f32,
-    ) {
-        for i in 0..param.len() {
-            m[i] = beta1 * m[i] + (1.0 - beta1) * grad[i];
-            v[i] = beta2 * v[i] + (1.0 - beta2) * grad[i] * grad[i];
-            let m_hat = m[i] / bc1;
-            let v_hat = v[i] / bc2;
-            param[i] -= lr * m_hat / (v_hat.sqrt() + eps);
-        }
+    fn grads(grads: &Gcn) -> impl Iterator<Item = &[f32]> {
+        grads.params()
     }
 }
 
@@ -277,6 +176,7 @@ impl Adam {
 mod tests {
     use super::*;
     use crate::backend::CpuBackend;
+    use crate::params::Adam;
     use hpsparse_sparse::Graph;
 
     fn line_graph_hybrid(n: usize) -> (Hybrid, Hybrid) {

@@ -2,11 +2,14 @@
 //!
 //! The paper embeds its kernels into DGL and PyG and measures end-to-end
 //! training time. This crate is the equivalent substrate: dense linear
-//! algebra on rayon ([`linalg`]), a pluggable sparse backend that runs
-//! either the HP kernels or the cuSPARSE-style baselines on the simulator
-//! while accounting GPU time ([`backend`]), a GCN with manual reverse-mode
-//! backpropagation ([`gcn`]), a GAT-style attention layer exercising SDDMM
-//! ([`gat`]), and full-graph / GraphSAINT training loops ([`train`]).
+//! algebra on rayon ([`linalg`]); a pluggable sparse backend that runs the
+//! HP kernels, the cuSPARSE-style baselines or the autotuner's plan on the
+//! simulator under one GPU-time accounting rule ([`backend`]); GCN
+//! ([`gcn`]), GraphSAGE ([`sage`]) and a graph transformer over batched
+//! sparse attention ([`mha`], [`gat`]) with manual reverse-mode
+//! backpropagation; one initialiser and one Adam for all three
+//! ([`params`]); and one training loop behind the full-graph and GraphSAINT
+//! entry points ([`train`]).
 //!
 //! Numerics always run on the CPU (real training, loss really decreases);
 //! the backend simultaneously accounts the *simulated GPU cycles* each
@@ -16,10 +19,10 @@
 
 pub mod backend;
 pub mod gat;
-pub mod gat_model;
 pub mod gcn;
 pub mod linalg;
 pub mod mha;
+pub mod params;
 pub mod sage;
 pub mod train;
 
@@ -27,10 +30,10 @@ pub use backend::{
     dense_gemm_cycles, unfused_mha, AutoBackend, BaselineBackend, CpuBackend, HpBackend,
     SparseBackend,
 };
-pub use gat_model::{GatAdam, GatConfig, GatModel};
-pub use gcn::{Adam, Gcn, GcnConfig};
+pub use gcn::{Gcn, GcnConfig};
 pub use mha::{
     GraphTransformer, MhaCache, SparseMha, TransformerAdam, TransformerConfig, TransformerGrads,
 };
+pub use params::{Adam, Model};
 pub use sage::{mean_operator, Sage, SageAdam, SageConfig};
 pub use train::{train_full_graph, train_graph_sampling, TrainConfig, TrainStats};

@@ -253,6 +253,11 @@ pub fn column_sums(x: &Dense) -> Vec<f32> {
 /// Softmax cross-entropy over rows. Returns `(mean loss, gradient)` where
 /// the gradient is `(softmax(x) − onehot(label)) / rows` — ready to feed
 /// into backprop.
+///
+/// # Panics
+///
+/// If a label is not a class of `logits` (`label ≥ logits.cols()`), naming
+/// the row, the label and the class count.
 pub fn softmax_cross_entropy(logits: &Dense, labels: &[u32]) -> (f32, Dense) {
     assert_eq!(logits.rows(), labels.len());
     let n = logits.cols();
@@ -260,6 +265,14 @@ pub fn softmax_cross_entropy(logits: &Dense, labels: &[u32]) -> (f32, Dense) {
     let mut grad = Dense::zeros(logits.rows(), n);
     if n == 0 {
         return (0.0, grad);
+    }
+    // Checked here, on the caller's thread: the rows below index
+    // `row[label]` inside the pool.
+    if let Some(row) = labels.iter().position(|&label| label as usize >= n) {
+        panic!(
+            "softmax_cross_entropy: row {row} has label {}, but the logits have {n} classes",
+            labels[row]
+        );
     }
     let loss: f32 = grad
         .data_mut()
@@ -283,7 +296,8 @@ pub fn softmax_cross_entropy(logits: &Dense, labels: &[u32]) -> (f32, Dense) {
     (loss / rows as f32, grad)
 }
 
-/// Classification accuracy of row-wise argmax against labels.
+/// Classification accuracy of row-wise argmax against labels. A label that
+/// is not a class of `logits` matches nothing.
 pub fn accuracy(logits: &Dense, labels: &[u32]) -> f64 {
     assert_eq!(logits.rows(), labels.len());
     if labels.is_empty() {
@@ -297,7 +311,7 @@ pub fn accuracy(logits: &Dense, labels: &[u32]) -> f64 {
                 .iter()
                 .enumerate()
                 .max_by(|a, b| a.1.total_cmp(b.1))
-                .is_some_and(|(j, _)| j as u32 == labels[i])
+                .is_some_and(|(j, _)| j == labels[i] as usize)
         })
         .count();
     correct as f64 / labels.len() as f64
@@ -548,5 +562,15 @@ mod tests {
         let logits = Dense::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 0.0]).unwrap();
         assert!((accuracy(&logits, &[0, 1, 1]) - 2.0 / 3.0).abs() < 1e-9);
         assert_eq!(accuracy(&Dense::zeros(0, 2), &[]), 0.0);
+        // A label outside the classes is wrong, not a panic.
+        assert!((accuracy(&logits, &[0, 1, 2]) - 2.0 / 3.0).abs() < 1e-9);
+        assert_eq!(accuracy(&logits, &[2, u32::MAX, 7]), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "row 1 has label 3, but the logits have 3 classes")]
+    fn cross_entropy_names_a_label_outside_the_classes() {
+        let logits = Dense::from_fn(2, 3, |i, j| (i + j) as f32);
+        softmax_cross_entropy(&logits, &[2, 3]);
     }
 }

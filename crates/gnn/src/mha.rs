@@ -1,40 +1,34 @@
-//! Batched sparse multi-head attention and a graph-transformer model.
+//! Batched sparse multi-head attention and a graph-transformer model —
+//! the crate's one attention model.
 //!
-//! [`GatModel`](crate::gat_model::GatModel) runs its heads one at a time —
-//! each head pays the full SDDMM → edge-softmax → SpMM pipeline, three
-//! kernel launches and a round trip of per-edge scores through DRAM.
-//! [`SparseMha`] batches all heads into *one* [`SparseBackend::mha`] call,
-//! which fuses the pipeline into a single launch on backends that support
-//! it (scores live in shared memory, never touching DRAM) and falls back
-//! to the three-launch pipeline elsewhere. The numerics are identical
-//! either way, so the backward pass reuses [`GatLayer::backward`] per head
-//! unchanged.
+//! [`SparseMha`] projects Q/K/V for every head and hands all heads to
+//! *one* [`SparseBackend::mha`] call. A backend that can fuse runs the
+//! whole SDDMM → edge-softmax → SpMM pipeline as a single launch (scores
+//! live in shared memory, never touching DRAM); the others run the three
+//! launches per head ([`crate::backend::unfused_mha`]) — on
+//! `BaselineBackend` that is the per-head pipeline a framework without the
+//! paper's kernels executes. The numerics are identical either way, so the
+//! backward pass is [`GatLayer::backward`] per head.
 
-use crate::backend::{dense_gemm_cycles, SparseBackend, LAUNCH_OVERHEAD_CYCLES};
-use crate::gat::{GatCache, GatGrads, GatLayer};
-use crate::gcn::Adam;
+use crate::backend::{account_gemm, SparseBackend};
+use crate::gat::{unit_mask, GatCache, GatGrads, GatLayer};
 use crate::linalg;
+use crate::params::{Adam, Model, Xorshift64Star};
 use hpsparse_sparse::{Dense, Hybrid};
 
 /// Multi-head sparse attention over a shared graph: H projection triples
 /// (one [`GatLayer`] per head) feeding one batched attention call.
 pub struct SparseMha {
-    /// Per-head projections. Seeding matches
-    /// [`GatModel`](crate::gat_model::GatModel) head for head, so a
-    /// `SparseMha` and a `GatModel` built from the same seed compute the
-    /// same function.
+    /// Per-head projections.
     pub heads: Vec<GatLayer>,
 }
 
 /// Forward cache for [`SparseMha::backward`]: one [`GatCache`] per head,
 /// assembled from the batched call's activations.
-pub struct MhaCache {
-    head_caches: Vec<GatCache>,
-}
+pub type MhaCache = Vec<GatCache>;
 
 impl SparseMha {
-    /// Deterministic initialisation; head `h` uses seed
-    /// `seed + h·7919` exactly like the per-head model.
+    /// Deterministic initialisation; head `h` uses seed `seed + h·7919`.
     pub fn new(in_dim: usize, head_dim: usize, heads: usize, seed: u64) -> Self {
         Self {
             heads: (0..heads)
@@ -57,26 +51,21 @@ impl SparseMha {
         s: &Hybrid,
         x: &Dense,
     ) -> (Dense, MhaCache) {
-        let device = backend.device().clone();
         let n = x.rows();
         let d = self.head_dim();
         let mut qs = Vec::with_capacity(self.heads.len());
         let mut ks = Vec::with_capacity(self.heads.len());
         let mut vs = Vec::with_capacity(self.heads.len());
         for head in &self.heads {
-            for w in [&head.wq, &head.wk, &head.wv] {
-                backend.account_dense(dense_gemm_cycles(&device, n, x.cols(), w.cols()));
-            }
-            qs.push(linalg::matmul(x, &head.wq));
-            ks.push(linalg::matmul(x, &head.wk));
-            vs.push(linalg::matmul(x, &head.wv));
+            let [q, k, v] = head.project(backend, x);
+            qs.push(q);
+            ks.push(k);
+            vs.push(v);
         }
 
         // Unit-valued mask: the attention score is the pure scaled dot
         // product, exactly as in `GatLayer::forward_cached`.
-        let mut mask = s.clone();
-        mask.set_values(vec![1.0; s.nnz()]);
-        let (outs, attn) = backend.mha(&mask, &qs, &ks, &vs);
+        let (outs, attn) = backend.mha(&unit_mask(s), &qs, &ks, &vs);
 
         let mut concat = Dense::zeros(n, self.heads.len() * d);
         let mut head_caches = Vec::with_capacity(self.heads.len());
@@ -86,9 +75,16 @@ impl SparseMha {
             for i in 0..n {
                 concat.row_mut(i)[h * d..(h + 1) * d].copy_from_slice(out.row(i));
             }
-            head_caches.push(GatCache::from_parts(q, k, v, weights, x.clone()));
+            let x = x.clone();
+            head_caches.push(GatCache {
+                q,
+                k,
+                v,
+                weights,
+                x,
+            });
         }
-        (concat, MhaCache { head_caches })
+        (concat, head_caches)
     }
 
     /// Backward pass from the gradient w.r.t. the concatenated output.
@@ -113,7 +109,7 @@ impl SparseMha {
                     .row_mut(i)
                     .copy_from_slice(&d_concat.row(i)[h * d..(h + 1) * d]);
             }
-            let (grads, dx_h) = head.backward(backend, s, &cache.head_caches[h], &d_head);
+            let (grads, dx_h) = head.backward(backend, s, &cache[h], &d_head);
             head_grads.push(grads);
             match &mut d_x {
                 None => d_x = Some(dx_h),
@@ -166,28 +162,13 @@ pub struct TransformerCache {
     ffn: Dense,
 }
 
-/// Parameter gradients.
-pub struct TransformerGrads {
-    /// Per-head projection gradients.
-    pub heads: Vec<GatGrads>,
-    /// Feed-forward gradient.
-    pub w_ff: Dense,
-    /// Classifier gradient.
-    pub w_out: Dense,
-}
+/// Parameter gradients, shaped like the model.
+pub type TransformerGrads = GraphTransformer;
 
 fn xavier_init(rows: usize, cols: usize, seed: u64) -> Dense {
     let limit = (6.0 / (rows + cols) as f64).sqrt() as f32;
-    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-    let mut next = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        ((state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0)
-            as f32
-            * limit
-    };
-    Dense::from_fn(rows, cols, |_, _| next())
+    let mut rng = Xorshift64Star::new(seed);
+    Dense::from_fn(rows, cols, |_, _| (rng.unit() * 2.0 - 1.0) as f32 * limit)
 }
 
 impl GraphTransformer {
@@ -212,14 +193,10 @@ impl GraphTransformer {
         s: &Hybrid,
         x: &Dense,
     ) -> (Dense, TransformerCache) {
-        let device = backend.device().clone();
         let n = x.rows();
         let (concat, attn_cache) = self.attn.forward_cached(backend, s, x);
-        backend.account_dense(
-            dense_gemm_cycles(&device, n, concat.cols(), self.w_ff.cols())
-                + dense_gemm_cycles(&device, n, self.w_ff.cols(), self.w_out.cols())
-                + 2 * LAUNCH_OVERHEAD_CYCLES,
-        );
+        account_gemm(backend, n, concat.cols(), self.w_ff.cols());
+        account_gemm(backend, n, self.w_ff.cols(), self.w_out.cols());
         let ffn_pre = linalg::matmul(&concat, &self.w_ff);
         let mut ffn = ffn_pre.clone();
         linalg::relu(&mut ffn);
@@ -250,88 +227,39 @@ impl GraphTransformer {
         let d_concat = linalg::matmul_transpose_b(&d_ffn, &self.w_ff);
         let (heads, _d_x) = self.attn.backward(backend, s, &cache.attn, &d_concat);
         TransformerGrads {
-            heads,
+            attn: SparseMha { heads },
             w_ff: w_ff_grad,
             w_out: w_out_grad,
         }
     }
 }
 
+impl Model for GraphTransformer {
+    type Grads = GraphTransformer;
+
+    fn params(&self) -> impl Iterator<Item = &[f32]> {
+        let heads = self.attn.heads.iter();
+        heads
+            .flat_map(|h| [&h.wq, &h.wk, &h.wv])
+            .chain([&self.w_ff, &self.w_out])
+            .map(Dense::data)
+    }
+
+    fn params_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
+        let heads = self.attn.heads.iter_mut();
+        heads
+            .flat_map(|h| [&mut h.wq, &mut h.wk, &mut h.wv])
+            .chain([&mut self.w_ff, &mut self.w_out])
+            .map(Dense::data_mut)
+    }
+
+    fn grads(grads: &GraphTransformer) -> impl Iterator<Item = &[f32]> {
+        grads.params()
+    }
+}
+
 /// Adam over the transformer's parameters.
-pub struct TransformerAdam {
-    lr: f32,
-    t: i32,
-    m: Vec<Vec<f32>>,
-    v: Vec<Vec<f32>>,
-}
-
-impl TransformerAdam {
-    /// Builds optimiser state shaped after `model`.
-    pub fn new(model: &GraphTransformer, lr: f32) -> Self {
-        let mut sizes = Vec::new();
-        for head in &model.attn.heads {
-            for w in [&head.wq, &head.wk, &head.wv] {
-                sizes.push(w.data().len());
-            }
-        }
-        sizes.push(model.w_ff.data().len());
-        sizes.push(model.w_out.data().len());
-        Self {
-            lr,
-            t: 0,
-            m: sizes.iter().map(|&s| vec![0.0; s]).collect(),
-            v: sizes.iter().map(|&s| vec![0.0; s]).collect(),
-        }
-    }
-
-    /// Applies one update.
-    pub fn step(&mut self, model: &mut GraphTransformer, grads: &TransformerGrads) {
-        self.t += 1;
-        let (b1, b2, eps) = (0.9f32, 0.999f32, 1e-8f32);
-        let bc1 = 1.0 - b1.powi(self.t);
-        let bc2 = 1.0 - b2.powi(self.t);
-        let mut slot = 0;
-        for (head, hg) in model.attn.heads.iter_mut().zip(&grads.heads) {
-            for (w, g) in [
-                (&mut head.wq, &hg.wq),
-                (&mut head.wk, &hg.wk),
-                (&mut head.wv, &hg.wv),
-            ] {
-                Adam::update(
-                    w.data_mut(),
-                    g.data(),
-                    &mut self.m[slot],
-                    &mut self.v[slot],
-                    self.lr,
-                    b1,
-                    b2,
-                    eps,
-                    bc1,
-                    bc2,
-                );
-                slot += 1;
-            }
-        }
-        for (w, g) in [
-            (&mut model.w_ff, &grads.w_ff),
-            (&mut model.w_out, &grads.w_out),
-        ] {
-            Adam::update(
-                w.data_mut(),
-                g.data(),
-                &mut self.m[slot],
-                &mut self.v[slot],
-                self.lr,
-                b1,
-                b2,
-                eps,
-                bc1,
-                bc2,
-            );
-            slot += 1;
-        }
-    }
-}
+pub type TransformerAdam = Adam<GraphTransformer>;
 
 #[cfg(test)]
 mod tests {
@@ -513,6 +441,29 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Training runs both of the paper's kernels in both directions. The
+    /// unfused pipeline is where that shows launch by launch: forward is one
+    /// SDDMM + one SpMM per head, backward one SDDMM + three SpMMs.
+    #[test]
+    fn unfused_backend_accounts_sddmm_in_both_directions() {
+        let (s, x, y) = two_cluster_graph();
+        let model = GraphTransformer::new(TransformerConfig {
+            in_dim: 8,
+            head_dim: 4,
+            heads: 2,
+            ffn_dim: 8,
+            classes: 2,
+            seed: 1,
+        });
+        let mut backend = BaselineBackend::new(DeviceSpec::v100());
+        let (logits, cache) = model.forward(&mut backend, &s, &x);
+        let fwd_cycles = backend.sparse_cycles();
+        assert!(fwd_cycles > 0);
+        let (_, grad) = linalg::softmax_cross_entropy(&logits, &y);
+        let _ = model.backward(&mut backend, &s, &cache, &grad);
+        assert!(backend.sparse_cycles() > 2 * fwd_cycles);
     }
 
     #[test]

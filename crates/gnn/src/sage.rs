@@ -7,27 +7,14 @@
 //! SpMM backward per layer, exactly like GCN, plus a second (dense) branch
 //! for the self features.
 
-use crate::backend::{
-    dense_gemm_cycles, elementwise_cycles, SparseBackend, LAUNCH_OVERHEAD_CYCLES,
-};
-use crate::gcn::Adam;
+use crate::backend::{account_elementwise, account_gemm, SparseBackend};
+use crate::gcn::{layer_dims, GcnConfig};
 use crate::linalg;
+use crate::params::{Adam, Model, Xorshift64Star};
 use hpsparse_sparse::{Csr, Dense, FormatError, Graph, Hybrid};
 
-/// Model shape (mirrors [`crate::gcn::GcnConfig`]).
-#[derive(Debug, Clone, Copy)]
-pub struct SageConfig {
-    /// Input feature dimension.
-    pub in_dim: usize,
-    /// Hidden width.
-    pub hidden: usize,
-    /// Number of layers.
-    pub layers: usize,
-    /// Output classes.
-    pub classes: usize,
-    /// Weight-init seed.
-    pub seed: u64,
-}
+/// Model shape: the same five numbers as a GCN's.
+pub type SageConfig = GcnConfig;
 
 /// GraphSAGE with mean aggregation.
 pub struct Sage {
@@ -46,28 +33,17 @@ pub struct SageCache {
     pre_activations: Vec<Dense>,
 }
 
-/// Gradients aligned with the model's parameters.
-pub struct SageGrads {
-    /// Self-weight gradients.
-    pub w_self: Vec<Dense>,
-    /// Neighbour-weight gradients.
-    pub w_nbr: Vec<Dense>,
-    /// Bias gradients.
-    pub biases: Vec<Vec<f32>>,
-}
+/// Parameter gradients, shaped like the model.
+pub type SageGrads = Sage;
 
 /// Builds the mean-normalised operator pair `(S̄, S̄ᵀ)`: each row of the
 /// adjacency divided by its degree (no self loops — GraphSAGE keeps the
 /// self branch separate).
 pub fn mean_operator(g: &Graph) -> Result<(Hybrid, Hybrid), FormatError> {
     let adj = g.adjacency();
-    let triplets: Vec<(u32, u32, f32)> = (0..adj.rows())
-        .flat_map(|r| {
-            let len = adj.row_len(r).max(1) as f32;
-            adj.row_range(r).map(move |e| (r as u32, e, len))
-        })
-        .zip(adj.col_indices().iter().zip(adj.values()))
-        .map(|((r, _e, len), (&c, &v))| (r, c, v / len))
+    let triplets: Vec<(u32, u32, f32)> = adj
+        .iter()
+        .map(|(r, c, v)| (r, c, v / adj.row_len(r as usize).max(1) as f32))
         .collect();
     let norm = Csr::from_triplets(adj.rows(), adj.cols(), &triplets)?;
     Ok((norm.to_hybrid(), norm.transpose().to_hybrid()))
@@ -77,25 +53,15 @@ impl Sage {
     /// Glorot-style deterministic initialisation.
     pub fn new(config: SageConfig) -> Self {
         assert!(config.layers >= 1);
-        let mut state = config.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        let mut next = move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut rng = Xorshift64Star::new(config.seed);
         let mut w_self = Vec::new();
         let mut w_nbr = Vec::new();
         let mut biases = Vec::new();
-        for l in 0..config.layers {
-            let fan_in = if l == 0 { config.in_dim } else { config.hidden };
-            let fan_out = if l == config.layers - 1 {
-                config.classes
-            } else {
-                config.hidden
-            };
+        for (fan_in, fan_out) in
+            layer_dims(config.in_dim, config.hidden, config.classes, config.layers)
+        {
             let limit = (6.0 / (fan_in + fan_out) as f64).sqrt();
-            let mut init = |_: usize, _: usize| ((next() * 2.0 - 1.0) * limit) as f32;
+            let mut init = |_: usize, _: usize| ((rng.unit() * 2.0 - 1.0) * limit) as f32;
             w_self.push(Dense::from_fn(fan_in, fan_out, &mut init));
             w_nbr.push(Dense::from_fn(fan_in, fan_out, &mut init));
             biases.push(vec![0f32; fan_out]);
@@ -119,7 +85,6 @@ impl Sage {
         s_mean: &Hybrid,
         x: &Dense,
     ) -> (Dense, SageCache) {
-        let device = backend.device().clone();
         let layers = self.num_layers();
         let mut inputs = Vec::with_capacity(layers);
         let mut aggregated = Vec::with_capacity(layers);
@@ -129,10 +94,7 @@ impl Sage {
             inputs.push(h.clone());
             let z = backend.spmm(s_mean, &h);
             for w in [&self.w_self[l], &self.w_nbr[l]] {
-                backend.account_dense(
-                    dense_gemm_cycles(&device, h.rows(), h.cols(), w.cols())
-                        + LAUNCH_OVERHEAD_CYCLES,
-                );
+                account_gemm(backend, h.rows(), h.cols(), w.cols());
             }
             let mut y = linalg::matmul(&h, &self.w_self[l]);
             let y_nbr = linalg::matmul(&z, &self.w_nbr[l]);
@@ -143,9 +105,7 @@ impl Sage {
             aggregated.push(z);
             pre_activations.push(y.clone());
             if l + 1 < layers {
-                backend.account_dense(
-                    elementwise_cycles(&device, y.rows() * y.cols()) + LAUNCH_OVERHEAD_CYCLES,
-                );
+                account_elementwise(backend, y.rows() * y.cols());
                 linalg::relu(&mut y);
             }
             h = y;
@@ -168,29 +128,25 @@ impl Sage {
         cache: &SageCache,
         grad_logits: Dense,
     ) -> SageGrads {
-        let device = backend.device().clone();
         let layers = self.num_layers();
-        let mut gs: Vec<Option<Dense>> = (0..layers).map(|_| None).collect();
-        let mut gn: Vec<Option<Dense>> = (0..layers).map(|_| None).collect();
-        let mut gb: Vec<Option<Vec<f32>>> = (0..layers).map(|_| None).collect();
+        let mut grads = SageGrads {
+            w_self: Vec::with_capacity(layers),
+            w_nbr: Vec::with_capacity(layers),
+            biases: Vec::with_capacity(layers),
+        };
         let mut d_y = grad_logits;
         for l in (0..layers).rev() {
             let h = &cache.inputs[l];
             let z = &cache.aggregated[l];
-            backend.account_dense(
-                dense_gemm_cycles(&device, h.cols(), h.rows(), d_y.cols()) + LAUNCH_OVERHEAD_CYCLES,
-            );
-            gs[l] = Some(linalg::matmul_transpose_a(h, &d_y));
-            gn[l] = Some(linalg::matmul_transpose_a(z, &d_y));
-            gb[l] = Some(linalg::column_sums(&d_y));
+            account_gemm(backend, h.cols(), h.rows(), d_y.cols());
+            grads.w_self.push(linalg::matmul_transpose_a(h, &d_y));
+            grads.w_nbr.push(linalg::matmul_transpose_a(z, &d_y));
+            grads.biases.push(linalg::column_sums(&d_y));
             if l == 0 {
                 break;
             }
             // dH = dY·W_selfᵀ + S̄ᵀ·(dY·W_nbrᵀ)
-            backend.account_dense(
-                dense_gemm_cycles(&device, d_y.rows(), d_y.cols(), self.w_self[l].rows())
-                    + LAUNCH_OVERHEAD_CYCLES,
-            );
+            account_gemm(backend, d_y.rows(), d_y.cols(), self.w_self[l].rows());
             let mut d_h = linalg::matmul_transpose_b(&d_y, &self.w_self[l]);
             let d_z = linalg::matmul_transpose_b(&d_y, &self.w_nbr[l]);
             let d_agg = backend.spmm(s_mean_t, &d_z);
@@ -200,96 +156,35 @@ impl Sage {
             linalg::relu_backward(&mut d_h, &cache.pre_activations[l - 1]);
             d_y = d_h;
         }
-        SageGrads {
-            w_self: gs.into_iter().map(Option::unwrap).collect(),
-            w_nbr: gn.into_iter().map(Option::unwrap).collect(),
-            biases: gb.into_iter().map(Option::unwrap).collect(),
-        }
+        // Pushed last layer first.
+        grads.w_self.reverse();
+        grads.w_nbr.reverse();
+        grads.biases.reverse();
+        grads
     }
 }
 
-/// Adam optimiser over a GraphSAGE model, built on the same update rule as
-/// [`crate::gcn::Adam`].
-pub struct SageAdam {
-    lr: f32,
-    t: i32,
-    m: Vec<Vec<f32>>,
-    v: Vec<Vec<f32>>,
-}
+impl Model for Sage {
+    type Grads = Sage;
 
-impl SageAdam {
-    /// Builds optimiser state shaped after `model`.
-    pub fn new(model: &Sage, lr: f32) -> Self {
-        let mut sizes = Vec::new();
-        for w in model.w_self.iter().chain(&model.w_nbr) {
-            sizes.push(w.data().len());
-        }
-        for b in &model.biases {
-            sizes.push(b.len());
-        }
-        Self {
-            lr,
-            t: 0,
-            m: sizes.iter().map(|&n| vec![0.0; n]).collect(),
-            v: sizes.iter().map(|&n| vec![0.0; n]).collect(),
-        }
+    fn params(&self) -> impl Iterator<Item = &[f32]> {
+        let weights = self.w_self.iter().chain(&self.w_nbr).map(Dense::data);
+        weights.chain(self.biases.iter().map(Vec::as_slice))
     }
 
-    /// Applies one update.
-    pub fn step(&mut self, model: &mut Sage, grads: &SageGrads) {
-        self.t += 1;
-        let (b1, b2, eps) = (0.9f32, 0.999f32, 1e-8f32);
-        let bc1 = 1.0 - b1.powi(self.t);
-        let bc2 = 1.0 - b2.powi(self.t);
-        let layers = model.w_self.len();
-        let mut slot = 0;
-        for l in 0..layers {
-            Adam::update(
-                model.w_self[l].data_mut(),
-                grads.w_self[l].data(),
-                &mut self.m[slot],
-                &mut self.v[slot],
-                self.lr,
-                b1,
-                b2,
-                eps,
-                bc1,
-                bc2,
-            );
-            slot += 1;
-        }
-        for l in 0..layers {
-            Adam::update(
-                model.w_nbr[l].data_mut(),
-                grads.w_nbr[l].data(),
-                &mut self.m[slot],
-                &mut self.v[slot],
-                self.lr,
-                b1,
-                b2,
-                eps,
-                bc1,
-                bc2,
-            );
-            slot += 1;
-        }
-        for l in 0..layers {
-            Adam::update(
-                &mut model.biases[l],
-                &grads.biases[l],
-                &mut self.m[slot],
-                &mut self.v[slot],
-                self.lr,
-                b1,
-                b2,
-                eps,
-                bc1,
-                bc2,
-            );
-            slot += 1;
-        }
+    fn params_mut(&mut self) -> impl Iterator<Item = &mut [f32]> {
+        let weights = self.w_self.iter_mut().chain(&mut self.w_nbr);
+        let biases = self.biases.iter_mut().map(Vec::as_mut_slice);
+        weights.map(Dense::data_mut).chain(biases)
+    }
+
+    fn grads(grads: &Sage) -> impl Iterator<Item = &[f32]> {
+        grads.params()
     }
 }
+
+/// Adam over a GraphSAGE model.
+pub type SageAdam = Adam<Sage>;
 
 #[cfg(test)]
 mod tests {

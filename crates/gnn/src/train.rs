@@ -1,13 +1,16 @@
-//! Training loops: full-graph and GraphSAINT graph-sampling — the two
-//! modes of Table V.
+//! Training: full-graph and GraphSAINT graph-sampling — the two modes of
+//! Table V — over one loop that differs only in where a step's batch comes
+//! from.
 
 use crate::backend::SparseBackend;
-use crate::gcn::{Adam, Gcn, GcnConfig};
+use crate::gcn::{Gcn, GcnConfig};
 use crate::linalg;
-use hpsparse_datasets::sampling::NodeSampler;
+use crate::params::Adam;
 use hpsparse_sparse::{Dense, Graph, Hybrid};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::borrow::{Borrow, Cow};
+use std::collections::HashSet;
 
 /// Training-run parameters.
 #[derive(Debug, Clone, Copy)]
@@ -56,6 +59,52 @@ pub fn prepare_operator(g: &Graph) -> (Hybrid, Hybrid) {
     (s, st)
 }
 
+/// What one training step runs on: the operator pair and the node
+/// features and labels it covers.
+struct Batch<'a> {
+    s: Hybrid,
+    st: Hybrid,
+    features: Cow<'a, Dense>,
+    labels: Cow<'a, [u32]>,
+}
+
+/// The training loop: `cfg.epochs` forward/loss/backward/Adam steps, each
+/// on the batch `next_batch` hands out — by reference when every step
+/// shares one, by value when each step gets its own.
+fn train<'a, B: Borrow<Batch<'a>>>(
+    backend: &mut dyn SparseBackend,
+    model_cfg: GcnConfig,
+    cfg: TrainConfig,
+    mut next_batch: impl FnMut() -> B,
+) -> (Gcn, TrainStats) {
+    let mut model = Gcn::new(model_cfg);
+    let mut opt = Adam::new(&model, cfg.lr);
+    backend.reset_counters();
+    let mut losses = Vec::with_capacity(cfg.epochs);
+    let mut final_accuracy = 0.0;
+    for epoch in 0..cfg.epochs {
+        let batch = next_batch();
+        let batch = batch.borrow();
+        let (logits, cache) = model.forward(backend, &batch.s, &batch.features);
+        let (loss, grad) = linalg::softmax_cross_entropy(&logits, &batch.labels);
+        let grads = model.backward(backend, &batch.st, &cache, grad);
+        opt.step(&mut model, &grads);
+        losses.push(loss);
+        if epoch + 1 == cfg.epochs {
+            final_accuracy = linalg::accuracy(&logits, &batch.labels);
+        }
+    }
+    let device = backend.device();
+    let stats = TrainStats {
+        losses,
+        final_accuracy,
+        sparse_ms: device.cycles_to_ms(backend.sparse_cycles()),
+        dense_ms: device.cycles_to_ms(backend.dense_cycles()),
+        total_ms: backend.total_ms(),
+    };
+    (model, stats)
+}
+
 /// Full-graph training: the whole adjacency every iteration (GCN mode of
 /// Table V).
 pub fn train_full_graph(
@@ -69,24 +118,13 @@ pub fn train_full_graph(
     assert_eq!(features.rows(), g.num_nodes());
     assert_eq!(labels.len(), g.num_nodes());
     let (s, st) = prepare_operator(g);
-    let mut model = Gcn::new(model_cfg);
-    let mut opt = Adam::new(&model, cfg.lr);
-    backend.reset_counters();
-    let mut losses = Vec::with_capacity(cfg.epochs);
-    let mut final_logits = None;
-    for _ in 0..cfg.epochs {
-        let (logits, cache) = model.forward(backend, &s, features);
-        let (loss, grad) = linalg::softmax_cross_entropy(&logits, labels);
-        let grads = model.backward(backend, &st, &cache, grad);
-        opt.step(&mut model, &grads);
-        losses.push(loss);
-        final_logits = Some(logits);
-    }
-    let final_accuracy = final_logits
-        .map(|l| linalg::accuracy(&l, labels))
-        .unwrap_or(0.0);
-    let stats = stats_from(backend, losses, final_accuracy);
-    (model, stats)
+    let batch = Batch {
+        s,
+        st,
+        features: Cow::Borrowed(features),
+        labels: Cow::Borrowed(labels),
+    };
+    train(backend, model_cfg, cfg, || &batch)
 }
 
 /// GraphSAINT-style graph-sampling training: a fresh node-sampled subgraph
@@ -103,49 +141,41 @@ pub fn train_graph_sampling(
     assert_eq!(features.rows(), g.num_nodes());
     assert_eq!(labels.len(), g.num_nodes());
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let sampler = NodeSampler {
-        budget: cfg.sample_nodes,
-    };
-    let mut model = Gcn::new(model_cfg);
-    let mut opt = Adam::new(&model, cfg.lr);
-    backend.reset_counters();
-    let mut losses = Vec::with_capacity(cfg.epochs);
-    let mut last_acc = 0.0;
-    for _ in 0..cfg.epochs {
+    let cumulative = cumulative_degrees(g);
+    train(backend, model_cfg, cfg, || {
         // Sample node ids first so features/labels can be gathered; the
         // induced subgraph preserves sampled order for unique nodes.
-        let nodes = sample_node_ids(g, &sampler, &mut rng);
-        let sub = g.induced_subgraph(&nodes);
-        let sub_feats = gather_rows(features, &nodes);
-        let sub_labels: Vec<u32> = nodes.iter().map(|&v| labels[v as usize]).collect();
-        let (s, st) = prepare_operator(&sub);
-        let (logits, cache) = model.forward(backend, &s, &sub_feats);
-        let (loss, grad) = linalg::softmax_cross_entropy(&logits, &sub_labels);
-        let grads = model.backward(backend, &st, &cache, grad);
-        opt.step(&mut model, &grads);
-        losses.push(loss);
-        last_acc = linalg::accuracy(&logits, &sub_labels);
-    }
-    let stats = stats_from(backend, losses, last_acc);
-    (model, stats)
+        let nodes = sample_node_ids(&cumulative, cfg.sample_nodes, &mut rng);
+        let (s, st) = prepare_operator(&g.induced_subgraph(&nodes));
+        Batch {
+            s,
+            st,
+            features: Cow::Owned(gather_rows(features, &nodes)),
+            labels: Cow::Owned(nodes.iter().map(|&v| labels[v as usize]).collect()),
+        }
+    })
 }
 
-fn sample_node_ids(g: &Graph, sampler: &NodeSampler, rng: &mut StdRng) -> Vec<u32> {
-    // GraphSAINT's node sampler draws nodes with probability proportional
-    // to degree (importance sampling), which keeps the induced subgraph
-    // densely connected; uniform sampling of a sparse graph would return
-    // a near-empty edge set.
-    use rand::Rng;
-    let n = g.num_nodes();
-    let budget = sampler.budget.min(n);
-    let mut cumulative: Vec<u64> = Vec::with_capacity(n);
+/// Running sum of `degree + 1` over the nodes: the table GraphSAINT's node
+/// sampler inverts to draw a node with probability proportional to degree
+/// (importance sampling). That keeps the induced subgraph densely
+/// connected; uniform sampling of a sparse graph would return a near-empty
+/// edge set.
+fn cumulative_degrees(g: &Graph) -> Vec<u64> {
     let mut acc = 0u64;
-    for v in 0..n {
-        acc += g.degree(v) as u64 + 1;
-        cumulative.push(acc);
-    }
-    let total = acc.max(1);
-    let mut chosen = std::collections::HashSet::with_capacity(budget * 2);
+    (0..g.num_nodes())
+        .map(|v| {
+            acc += g.degree(v) as u64 + 1;
+            acc
+        })
+        .collect()
+}
+
+/// Up to `budget` distinct nodes, each draw proportional to degree.
+fn sample_node_ids(cumulative: &[u64], budget: usize, rng: &mut StdRng) -> Vec<u32> {
+    let budget = budget.min(cumulative.len());
+    let total = cumulative.last().copied().unwrap_or(0).max(1);
+    let mut chosen = HashSet::with_capacity(budget * 2);
     let mut nodes = Vec::with_capacity(budget);
     let mut guard = 0usize;
     while nodes.len() < budget && guard < budget * 20 {
@@ -166,17 +196,6 @@ fn gather_rows(x: &Dense, rows: &[u32]) -> Dense {
         out.row_mut(i).copy_from_slice(x.row(r as usize));
     }
     out
-}
-
-fn stats_from(backend: &dyn SparseBackend, losses: Vec<f32>, final_accuracy: f64) -> TrainStats {
-    let device = backend.device();
-    TrainStats {
-        losses,
-        final_accuracy,
-        sparse_ms: device.cycles_to_ms(backend.sparse_cycles()),
-        dense_ms: device.cycles_to_ms(backend.dense_cycles()),
-        total_ms: backend.total_ms(),
-    }
 }
 
 #[cfg(test)]

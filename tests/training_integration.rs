@@ -2,12 +2,14 @@
 //! learning, the simulated costs differ in the paper's direction, and the
 //! full pipeline (datasets → reorder → kernels → GNN) composes.
 
+use hpsparse::autotune::PlanStrategy;
 use hpsparse::datasets::features::{planted_labels, random_features};
 use hpsparse::datasets::generators::{GeneratorConfig, Topology};
 use hpsparse::gnn::gat::GatLayer;
 use hpsparse::gnn::{
-    train_full_graph, train_graph_sampling, BaselineBackend, CpuBackend, GcnConfig, HpBackend,
-    SparseBackend, TrainConfig,
+    linalg, mean_operator, train_full_graph, train_graph_sampling, AutoBackend, BaselineBackend,
+    CpuBackend, GcnConfig, GraphTransformer, HpBackend, Sage, SageAdam, SageConfig, SparseBackend,
+    TrainConfig, TransformerAdam, TransformerConfig,
 };
 use hpsparse::reorder::gcr_reorder;
 use hpsparse::sim::DeviceSpec;
@@ -165,4 +167,138 @@ fn cpu_backend_losses_keep_their_recorded_bits() {
         "losses {:?}",
         stats.losses
     );
+}
+
+fn loss_bits(losses: &[f32]) -> Vec<u32> {
+    losses.iter().map(|l| l.to_bits()).collect()
+}
+
+/// Three epochs of the graph transformer: initialiser, batched attention
+/// (fused on `HpBackend`, three launches per head on `CpuBackend`), its
+/// backward and the optimiser, at `to_bits`. Recorded at commit 22872ca,
+/// before the optimisers and initialisers were merged; identical in debug
+/// and `--release` at any `RAYON_NUM_THREADS`.
+#[test]
+fn transformer_losses_keep_their_recorded_bits() {
+    let (g, x, y) = problem(1);
+    let s = g.with_self_loops().to_hybrid();
+    let run = |backend: &mut dyn SparseBackend| {
+        let mut model = GraphTransformer::new(TransformerConfig {
+            in_dim: 16,
+            head_dim: 8,
+            heads: 2,
+            ffn_dim: 24,
+            classes: 4,
+            seed: 3,
+        });
+        let mut opt = TransformerAdam::new(&model, 0.02);
+        let losses: Vec<f32> = (0..3)
+            .map(|_| {
+                let (logits, cache) = model.forward(backend, &s, &x);
+                let (loss, grad) = linalg::softmax_cross_entropy(&logits, &y);
+                let grads = model.backward(backend, &s, &cache, &grad);
+                opt.step(&mut model, &grads);
+                loss
+            })
+            .collect();
+        loss_bits(&losses)
+    };
+    // The fused kernel and the three-launch pipeline add the same floats
+    // in the same order, so one record serves both.
+    const RECORDED: [u32; 3] = [0x3fb1a349, 0x3fac15b1, 0x3fa6d792];
+    let cpu = run(&mut CpuBackend::new());
+    assert_eq!(cpu, RECORDED, "cpu {cpu:#x?}");
+    let mut hp = HpBackend::new(DeviceSpec::v100());
+    let fused = run(&mut hp);
+    assert_eq!(fused, RECORDED, "hp (fused) {fused:#x?}");
+    assert_eq!((hp.sparse_cycles(), hp.dense_cycles()), (189_000, 32_673));
+}
+
+/// Three epochs of GraphSAGE on the CPU kernels, recorded at commit 22872ca.
+#[test]
+fn sage_losses_keep_their_recorded_bits() {
+    let (g, x, y) = problem(1);
+    let (s, st) = mean_operator(&g).unwrap();
+    let mut model = Sage::new(SageConfig {
+        in_dim: 16,
+        hidden: 24,
+        layers: 2,
+        classes: 4,
+        seed: 3,
+    });
+    let mut opt = SageAdam::new(&model, 0.02);
+    let mut backend = CpuBackend::new();
+    let losses: Vec<f32> = (0..3)
+        .map(|_| {
+            let (logits, cache) = model.forward(&mut backend, &s, &x);
+            let (loss, grad) = linalg::softmax_cross_entropy(&logits, &y);
+            let grads = model.backward(&mut backend, &st, &cache, grad);
+            opt.step(&mut model, &grads);
+            loss
+        })
+        .collect();
+    let bits = loss_bits(&losses);
+    assert_eq!(bits, [0x3fde711c, 0x3fbd8554, 0x3fa8e0ae], "{bits:#x?}");
+}
+
+/// What the three simulator backends charge for two GCN epochs, full-graph
+/// and sampled: `(sparse_cycles, dense_cycles)` per backend, and for the
+/// planning backend its cache `(hits, misses, len)` and planning launches.
+/// Recorded at commit 22872ca, when each backend carried its own copy of
+/// the accounting rule.
+#[test]
+fn simulated_training_costs_keep_their_recorded_cycles() {
+    // Large enough that kernels clear the simulator's launch floor, so the
+    // three backends charge three different totals.
+    let g = GeneratorConfig {
+        nodes: 4_000,
+        edges: 60_000,
+        topology: Topology::PowerLaw { alpha: 2.0 },
+        seed: 6,
+    }
+    .generate();
+    let x = random_features(4_000, 16, 6);
+    let y = planted_labels(&x, 4, 6);
+    let cfg = TrainConfig {
+        epochs: 2,
+        lr: 0.02,
+        sample_nodes: 1_500,
+        seed: 8,
+    };
+    let device = DeviceSpec::v100();
+    let mut got = Vec::new();
+    let mut planning = Vec::new();
+    for sampling in [false, true] {
+        let mut train = |b: &mut dyn SparseBackend| {
+            if sampling {
+                train_graph_sampling(b, &g, &x, &y, model(), cfg);
+            } else {
+                train_full_graph(b, &g, &x, &y, model(), cfg);
+            }
+            got.push((b.sparse_cycles(), b.dense_cycles()));
+        };
+        train(&mut HpBackend::new(device.clone()));
+        train(&mut BaselineBackend::new(device.clone()));
+        let mut auto = AutoBackend::with_strategy(device.clone(), PlanStrategy::Heuristic);
+        train(&mut auto);
+        let cache = auto.cache();
+        planning.push((
+            cache.hits(),
+            cache.misses(),
+            cache.len(),
+            auto.planning_sim_launches(),
+        ));
+    }
+    assert_eq!(
+        got,
+        [
+            (59_142, 82_776),
+            (118_504, 82_776),
+            (61_008, 82_776),
+            (45_494, 74_806),
+            (102_501, 74_806),
+            (45_494, 74_806),
+        ]
+    );
+    assert_eq!(planning, [(3, 3, 3, 0), (0, 6, 6, 0)]);
 }
