@@ -115,8 +115,10 @@ impl PlanCache {
     }
 
     /// Deserialises a cache written by [`Self::to_json_string`]. Unknown
-    /// versions are rejected; malformed entries are skipped (a stale cache
-    /// degrades to extra planning, never to an error at startup).
+    /// versions are rejected; malformed entries — unparsable fields, or a
+    /// configuration that fails [`HpConfig::is_launchable`] — are skipped
+    /// (a stale or corrupt cache degrades to extra planning, never to an
+    /// error at startup or a kernel that cannot launch).
     pub fn from_json_str(text: &str) -> Result<Self, serde_json::Error> {
         let doc = serde_json::from_str(text)?;
         let mut cache = Self::new();
@@ -158,12 +160,21 @@ fn parse_entry(e: &Value) -> Option<(OpKind, u64, CachedPlan)> {
     let key = u64::from_str_radix(e.get("key")?.as_str()?, 16).ok()?;
     let config = match e.get("config") {
         None | Some(Value::Null) => None,
-        Some(c) => Some(HpConfig {
-            nnz_per_warp: c.get("nnz_per_warp")?.as_u64()? as usize,
-            vector_width: c.get("vector_width")?.as_u64()? as u32,
-            warps_per_block: c.get("warps_per_block")?.as_u64()? as u32,
-            alpha: c.get("alpha")?.as_f64()?,
-        }),
+        Some(c) => {
+            let field = |name: &str| c.get(name)?.as_u64();
+            let config = HpConfig {
+                nnz_per_warp: usize::try_from(field("nnz_per_warp")?).ok()?,
+                vector_width: u32::try_from(field("vector_width")?).ok()?,
+                warps_per_block: u32::try_from(field("warps_per_block")?).ok()?,
+                alpha: c.get("alpha")?.as_f64()?,
+            };
+            // A config no kernel can launch with (a zero width or block
+            // size from a corrupt or hand-edited file) is a malformed entry.
+            if !config.is_launchable() {
+                return None;
+            }
+            Some(config)
+        }
     };
     Some((
         op,
@@ -267,6 +278,33 @@ mod tests {
         ]}"#;
         let cache = PlanCache::from_json_str(text).unwrap();
         assert_eq!(cache.len(), 1, "only the well-formed entry survives");
+    }
+
+    #[test]
+    fn unlaunchable_configs_are_malformed_entries() {
+        let entry = |config: &str| {
+            format!(
+                r#"{{"version": 1, "entries": [{{"op": "spmm", "key": "2a", "fingerprint": "f",
+                "kernel_id": "hp:npw=8", "config": {config}, "predicted_cycles": 1,
+                "rationale": "r"}}]}}"#
+            )
+        };
+        let ok = r#"{"nnz_per_warp": 8, "vector_width": 1, "warps_per_block": 8, "alpha": 4.0}"#;
+        assert_eq!(PlanCache::from_json_str(&entry(ok)).unwrap().len(), 1);
+        for bad in [
+            ok.replace(r#""vector_width": 1"#, r#""vector_width": 0"#),
+            ok.replace(r#""vector_width": 1"#, r#""vector_width": 4294967297"#),
+            ok.replace(r#""warps_per_block": 8"#, r#""warps_per_block": 0"#),
+            ok.replace(
+                r#""warps_per_block": 8"#,
+                r#""warps_per_block": 4294967304"#,
+            ),
+            ok.replace(r#""nnz_per_warp": 8"#, r#""nnz_per_warp": 0"#),
+            ok.replace(r#""alpha": 4.0"#, r#""alpha": -1.0"#),
+        ] {
+            let cache = PlanCache::from_json_str(&entry(&bad)).unwrap();
+            assert!(cache.is_empty(), "{bad} must be skipped");
+        }
     }
 
     #[test]

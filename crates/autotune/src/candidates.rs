@@ -8,9 +8,7 @@
 //! parameters that were chosen, not a re-derivation that could drift.
 
 use hpsparse_core::baselines::{sddmm_by_id, spmm_by_id, SDDMM_IDS, SPMM_IDS};
-use hpsparse_core::hp::config::{
-    hvma_vector_width, HpConfig, DEFAULT_ALPHA, NNZ_PER_WARP_CANDIDATES, WARPS_PER_BLOCK,
-};
+use hpsparse_core::hp::config::{HpConfig, NNZ_PER_WARP_CANDIDATES};
 use hpsparse_core::hp::{HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
 use hpsparse_sim::DeviceSpec;
@@ -29,84 +27,48 @@ pub struct Candidate {
     pub config: Option<HpConfig>,
 }
 
-/// The vector-width cap the feature dimension imposes (mirrors the HVMA
-/// rule inside `HpConfig::with_hvma`): a warp covers `32 × vw` columns, so
-/// widths beyond `K/32` would idle lanes; snap down to a supported width.
-fn capped_vw(nnz_per_warp: usize, k: usize) -> u32 {
-    let v = hvma_vector_width(nnz_per_warp).min((k / 32).max(1) as u32);
-    match v {
-        4.. => 4,
-        2..=3 => 2,
-        _ => 1,
-    }
+/// `prefix`-named HP candidates — one per [`NNZ_PER_WARP_CANDIDATES`] entry,
+/// configured by `at`, then the paper-auto configuration — followed by the
+/// registry baselines `ids`. Order is deterministic and id-stable.
+fn hp_then_registry(
+    prefix: &str,
+    at: impl Fn(usize) -> HpConfig,
+    auto: HpConfig,
+    ids: &[&str],
+) -> Vec<Candidate> {
+    let hp = NNZ_PER_WARP_CANDIDATES.iter().map(|&npw| Candidate {
+        kernel_id: format!("{prefix}:npw={npw}"),
+        config: Some(at(npw)),
+    });
+    let auto = Candidate {
+        kernel_id: format!("{prefix}:auto"),
+        config: Some(auto),
+    };
+    let registry = ids.iter().map(|&id| Candidate {
+        kernel_id: id.into(),
+        config: None,
+    });
+    hp.chain([auto]).chain(registry).collect()
 }
 
-/// Enumerates the SpMM candidate space for a fingerprinted input:
-/// `NNZ_PER_WARP_CANDIDATES.len() + 1` HP configurations followed by every
-/// registry baseline. Order is deterministic and id-stable.
+/// Enumerates the SpMM candidate space for a fingerprinted input: every
+/// HP-SpMM configuration DTP would consider, HVMA vector width attached,
+/// then the registry.
 pub fn spmm_candidates(device: &DeviceSpec, fp: &GraphFingerprint) -> Vec<Candidate> {
-    let mut out = Vec::with_capacity(NNZ_PER_WARP_CANDIDATES.len() + 1 + SPMM_IDS.len());
-    for &npw in &NNZ_PER_WARP_CANDIDATES {
-        out.push(Candidate {
-            kernel_id: format!("hp:npw={npw}"),
-            config: Some(HpConfig {
-                nnz_per_warp: npw,
-                vector_width: capped_vw(npw, fp.k),
-                warps_per_block: WARPS_PER_BLOCK,
-                alpha: DEFAULT_ALPHA,
-            }),
-        });
-    }
-    out.push(Candidate {
-        kernel_id: "hp:auto".into(),
-        config: Some(HpConfig::auto(device, fp.nnz, fp.rows, fp.k)),
-    });
-    for id in SPMM_IDS {
-        out.push(Candidate {
-            kernel_id: id.into(),
-            config: None,
-        });
-    }
-    out
+    let auto = HpConfig::auto(device, fp.nnz, fp.rows, fp.k);
+    hp_then_registry("hp", |npw| HpConfig::hvma_at(npw, fp.k), auto, &SPMM_IDS)
 }
 
 /// Enumerates the SDDMM candidate space: HP-SDDMM at every `NnzPerWarp`
-/// plus the auto configuration, then the registry baselines. The vector
-/// width follows `HpSddmm::auto`'s rule (set by K alone — SDDMM's
-/// feature-row reads vectorise independently of tile alignment).
+/// plus the auto configuration ([`HpConfig::edge_parallel`], whose vector
+/// width every candidate shares — it is set by K alone), then the registry.
 pub fn sddmm_candidates(device: &DeviceSpec, fp: &GraphFingerprint) -> Vec<Candidate> {
-    let sddmm_vw = if fp.k >= 128 {
-        4
-    } else if fp.k >= 64 {
-        2
-    } else {
-        1
+    let auto = HpConfig::edge_parallel(device, fp.nnz, fp.rows, fp.k);
+    let at = |npw| HpConfig {
+        nnz_per_warp: npw,
+        ..auto
     };
-    let mut out = Vec::with_capacity(NNZ_PER_WARP_CANDIDATES.len() + 1 + SDDMM_IDS.len());
-    for &npw in &NNZ_PER_WARP_CANDIDATES {
-        out.push(Candidate {
-            kernel_id: format!("hp-sddmm:npw={npw}"),
-            config: Some(HpConfig {
-                nnz_per_warp: npw,
-                vector_width: sddmm_vw,
-                warps_per_block: WARPS_PER_BLOCK,
-                alpha: DEFAULT_ALPHA,
-            }),
-        });
-    }
-    let mut auto = HpConfig::auto(device, fp.nnz, fp.rows, 32);
-    auto.vector_width = sddmm_vw;
-    out.push(Candidate {
-        kernel_id: "hp-sddmm:auto".into(),
-        config: Some(auto),
-    });
-    for id in SDDMM_IDS {
-        out.push(Candidate {
-            kernel_id: id.into(),
-            config: None,
-        });
-    }
-    out
+    hp_then_registry("hp-sddmm", at, auto, &SDDMM_IDS)
 }
 
 /// Candidate id of the fused one-launch attention kernel.
@@ -120,18 +82,10 @@ pub const MHA_UNFUSED_ID: &str = "mha-unfused:3-launch";
 /// it exactly) and the three-launch unfused pipeline. `fp.k` is the head
 /// dimension.
 pub fn mha_candidates(device: &DeviceSpec, fp: &GraphFingerprint) -> Vec<Candidate> {
-    let mut config = HpConfig::auto(device, fp.nnz, fp.rows, 32);
-    config.vector_width = if fp.k >= 128 {
-        4
-    } else if fp.k >= 64 {
-        2
-    } else {
-        1
-    };
     vec![
         Candidate {
             kernel_id: MHA_FUSED_ID.into(),
-            config: Some(config),
+            config: Some(HpConfig::edge_parallel(device, fp.nnz, fp.rows, fp.k)),
         },
         Candidate {
             kernel_id: MHA_UNFUSED_ID.into(),

@@ -18,7 +18,7 @@
 
 use hpsparse_core::hp::HpConfig;
 use hpsparse_sim::occupancy::tail_stretch;
-use hpsparse_sim::{occupancy_of, DeviceSpec, KernelResources};
+use hpsparse_sim::{occupancy_of, DeviceSpec, KernelResources, Occupancy};
 
 use crate::candidates::Candidate;
 use crate::fingerprint::GraphFingerprint;
@@ -48,6 +48,18 @@ impl CostTerms {
         } else {
             "compute"
         }
+    }
+}
+
+/// The roofline every estimate ends in: `insts` over the issue throughput
+/// the device sustains at occupancy `occ` (floored at 5 %), stretched by
+/// `tail` (the launch's [`tail_stretch`], or `1.0`), against `bytes` over
+/// the DRAM bandwidth.
+fn roofline(device: &DeviceSpec, occ: &Occupancy, insts: f64, tail: f64, bytes: f64) -> CostTerms {
+    let throughput = device.num_sms as f64 * device.cost.smt_width * occ.warp_occupancy.max(0.05);
+    CostTerms {
+        compute: insts / throughput * tail,
+        bandwidth: bytes / device.dram_bytes_per_cycle,
     }
 }
 
@@ -83,17 +95,14 @@ fn hp_spmm_cycles(device: &DeviceSpec, fp: &GraphFingerprint, cfg: &HpConfig) ->
     let fmas = nnz * k / 32.0;
     let flushes = (fp.rows as f64).min(nnz) * k_slices * (2.0 + device.cost.atomic / 4.0);
     let insts = (tile_loads + fmas + flushes) * device.cost.issue + warps * 30.0;
-    let throughput = device.num_sms as f64 * device.cost.smt_width * occ.warp_occupancy.max(0.05);
-    let compute = insts / throughput * tail_stretch(blocks, occ.full_wave_size);
 
     // Bandwidth roofline: 12 B/nnz of sparse arrays per K-slice pass,
     // `nnz·K` feature reads filtered by L2, plus the output write.
     let bytes = 12.0 * nnz * k_slices
         + 4.0 * nnz * k * l2_miss_factor(device, fp)
         + 4.0 * fp.rows as f64 * k;
-    let bandwidth = bytes / device.dram_bytes_per_cycle;
-
-    CostTerms { compute, bandwidth }
+    let tail = tail_stretch(blocks, occ.full_wave_size);
+    roofline(device, &occ, insts, tail, bytes)
 }
 
 /// Estimated execution cycles of an HP-SDDMM configuration.
@@ -112,15 +121,12 @@ fn hp_sddmm_cycles(device: &DeviceSpec, fp: &GraphFingerprint, cfg: &HpConfig) -
         (nnz * 3.0 / vw + nnz * (k / 32.0 + device.cost.shuffle * 5.0) + row_switches * k / 32.0)
             * device.cost.issue
             + warps * 30.0;
-    let throughput = device.num_sms as f64 * device.cost.smt_width * occ.warp_occupancy.max(0.05);
-    let compute = insts / throughput * tail_stretch(blocks, occ.full_wave_size);
-
     let bytes = 12.0 * nnz
         + 4.0 * nnz * k * l2_miss_factor(device, fp)
         + 4.0 * row_switches * k
         + 4.0 * nnz;
-    let bandwidth = bytes / device.dram_bytes_per_cycle;
-    CostTerms { compute, bandwidth }
+    let tail = tail_stretch(blocks, occ.full_wave_size);
+    roofline(device, &occ, insts, tail, bytes)
 }
 
 /// Per-baseline modelling knobs, relative to an ideal balanced kernel.
@@ -269,9 +275,8 @@ fn baseline_cycles(
     device: &DeviceSpec,
     fp: &GraphFingerprint,
     profile: &BaselineProfile,
-    warps: u64,
-    work_per_warp: f64,
 ) -> CostTerms {
+    let warps = fp.rows.max(1) as u64; // one warp per row
     let nnz = fp.nnz as f64;
     let k = fp.k as f64;
     let res = KernelResources {
@@ -284,19 +289,20 @@ fn baseline_cycles(
 
     let insts =
         (nnz * k / 32.0 + nnz * 2.0) * profile.inst * device.cost.issue + warps as f64 * 30.0;
-    let throughput = device.num_sms as f64 * device.cost.smt_width * occ.warp_occupancy.max(0.05);
-    let mut compute = insts / throughput * tail_stretch(blocks, occ.full_wave_size);
-    if profile.row_critical_path {
-        // One warp walks the heaviest row alone: a hard floor on any
-        // row-parallel kernel, however many rows run beside it.
-        let critical = fp.max_degree as f64 * (k / 32.0 + 2.0) * device.cost.issue * work_per_warp;
-        compute = compute.max(critical);
-    }
-
     let bytes = 12.0 * nnz
         + 4.0 * nnz * k * l2_miss_factor(device, fp) * profile.traffic
         + 4.0 * fp.rows as f64 * k;
-    let bandwidth = bytes / device.dram_bytes_per_cycle;
+    let tail = tail_stretch(blocks, occ.full_wave_size);
+    let CostTerms {
+        mut compute,
+        bandwidth,
+    } = roofline(device, &occ, insts, tail, bytes);
+    if profile.row_critical_path {
+        // One warp walks the heaviest row alone: a hard floor on any
+        // row-parallel kernel, however many rows run beside it.
+        let critical = fp.max_degree as f64 * (k / 32.0 + 2.0) * device.cost.issue;
+        compute = compute.max(critical);
+    }
     // The imbalance penalty applies after the roofline: straggler warps on
     // skewed degree distributions idle compute *and* memory pipelines.
     // Scaling both terms by it keeps `cycles()` identical to the old
@@ -358,8 +364,6 @@ fn mha_fused_cycles(
         * (nnz * 3.0 / cfg.vector_width as f64
             + nnz * (2.0 * k / 32.0 + device.cost.shuffle * 5.0 + 3.0))
         * device.cost.issue;
-    let throughput = device.num_sms as f64 * device.cost.smt_width * occ.warp_occupancy.max(0.05);
-    let compute = insts / throughput;
 
     // Sparse arrays + Q/K/V feature streams + the two outputs; no score
     // round trip and no second pass over the sparse arrays.
@@ -368,14 +372,14 @@ fn mha_fused_cycles(
             + 4.0 * nnz * k * l2_miss_factor(device, fp)
             + 8.0 * fp.rows as f64 * k
             + 4.0 * nnz);
-    let bandwidth = bytes / device.dram_bytes_per_cycle;
 
     let spill_launches = if fp.max_degree > hpsparse_core::hp::fused_mha::SMEM_SCORE_CAP {
         2.0
     } else {
         0.0
     };
-    compute.max(bandwidth) + (1.0 + spill_launches) * LAUNCH_OVERHEAD_CYCLES as f64
+    roofline(device, &occ, insts, 1.0, bytes).cycles()
+        + (1.0 + spill_launches) * LAUNCH_OVERHEAD_CYCLES as f64
 }
 
 /// Estimated execution cycles for a multi-head-attention candidate (the
@@ -392,20 +396,14 @@ pub fn mha_cost(device: &DeviceSpec, fp: &GraphFingerprint, heads: usize, c: &Ca
 fn spmm_terms(device: &DeviceSpec, fp: &GraphFingerprint, c: &Candidate) -> CostTerms {
     match &c.config {
         Some(cfg) => hp_spmm_cycles(device, fp, cfg),
-        None => {
-            let profile = spmm_profile(&c.kernel_id, fp);
-            baseline_cycles(device, fp, &profile, fp.rows.max(1) as u64, 1.0)
-        }
+        None => baseline_cycles(device, fp, &spmm_profile(&c.kernel_id, fp)),
     }
 }
 
 fn sddmm_terms(device: &DeviceSpec, fp: &GraphFingerprint, c: &Candidate) -> CostTerms {
     match &c.config {
         Some(cfg) => hp_sddmm_cycles(device, fp, cfg),
-        None => {
-            let profile = sddmm_profile(&c.kernel_id);
-            baseline_cycles(device, fp, &profile, fp.rows.max(1) as u64, 1.0)
-        }
+        None => baseline_cycles(device, fp, &sddmm_profile(&c.kernel_id)),
     }
 }
 

@@ -11,6 +11,8 @@
 use hpsparse_sim::DeviceSpec;
 use hpsparse_sparse::{DegreeStats, Hybrid};
 
+use crate::planner::OpKind;
+
 /// Everything the planner looks at, condensed. Obtain via
 /// [`GraphFingerprint::of`].
 #[derive(Debug, Clone, PartialEq)]
@@ -98,22 +100,21 @@ impl GraphFingerprint {
         fnv1a(&self.canonical_encoding())
     }
 
-    /// Canonical encoding of a multi-head attention planning input: the
-    /// base fingerprint (with `k` = head dimension) plus the head count,
-    /// which multiplies every traffic term and therefore changes the
-    /// fuse/no-fuse decision.
-    pub fn mha_encoding(&self, heads: usize) -> String {
-        format!("{}|heads={heads}", self.canonical_encoding())
-    }
-
-    /// Cache key for a fused-attention plan: [`Self::key`] extended with
-    /// the head count via [`Self::mha_encoding`].
-    pub fn mha_key(&self, heads: usize) -> u64 {
-        fnv1a(&self.mha_encoding(heads))
+    /// The plan-cache key of `op` on this input and the encoding it hashes.
+    /// SpMM and SDDMM plans key on [`Self::canonical_encoding`]; an
+    /// attention plan (`k` = head dimension) also on `heads`, which
+    /// multiplies every traffic term and so changes the fuse/no-fuse
+    /// decision.
+    pub fn cache_entry(&self, op: OpKind, heads: usize) -> (u64, String) {
+        let mut encoding = self.canonical_encoding();
+        if op == OpKind::FusedMha {
+            encoding.push_str(&format!("|heads={heads}"));
+        }
+        (fnv1a(&encoding), encoding)
     }
 }
 
-fn fnv1a(text: &str) -> u64 {
+pub(crate) fn fnv1a(text: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in text.bytes() {
         h ^= b as u64;
@@ -167,13 +168,17 @@ mod tests {
     }
 
     #[test]
-    fn mha_key_separates_head_counts() {
+    fn cache_entries_separate_head_counts_for_attention_only() {
         let s = power_law_ish();
         let fp = GraphFingerprint::of(&s, 64, &DeviceSpec::v100());
-        assert_eq!(fp.mha_key(4), fp.mha_key(4));
-        assert_ne!(fp.mha_key(1), fp.mha_key(4));
-        assert_ne!(fp.mha_key(1), fp.key(), "heads=1 is still a distinct op");
-        assert!(fp.mha_encoding(4).ends_with("|heads=4"));
+        let mha = |heads| fp.cache_entry(OpKind::FusedMha, heads);
+        assert_eq!(mha(4), mha(4));
+        assert_ne!(mha(1).0, mha(4).0);
+        assert_ne!(mha(1).0, fp.key(), "heads=1 is still a distinct op");
+        assert!(mha(4).1.ends_with("|heads=4"));
+        for op in [OpKind::Spmm, OpKind::Sddmm] {
+            assert_eq!(fp.cache_entry(op, 4), (fp.key(), fp.canonical_encoding()));
+        }
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //! 1. **Fingerprinting** ([`fingerprint`]) — condense a sparse input into
 //!    the shape/skew/device features the decision depends on, with a
 //!    stable 64-bit cache key.
-//! 2. **Planning** ([`planner`], [`candidates`], [`cost`]) — rank
-//!    candidates with an analytic cost model (imbalance, tail, bandwidth),
-//!    optionally re-measure the front-runners on the simulator, and emit
-//!    an explainable [`Plan`].
+//! 2. **Planning** ([`planner`], [`candidates`], [`cost`]) — one path for
+//!    SpMM, SDDMM and the attention fuse/no-fuse knob
+//!    ([`Planner::plan_for`]): rank candidates with an analytic cost model
+//!    (imbalance, tail, bandwidth), optionally re-measure the front-runners
+//!    by cost walk on the simulator, and emit an explainable [`Plan`].
 //! 3. **Caching** ([`cache`]) — plans keyed by fingerprint, hit/miss
-//!    accounted, persistable as JSON so the next process skips planning.
+//!    accounted, persistable as JSON so the next process skips planning; a
+//!    loaded entry no kernel could launch with is skipped and re-planned.
 //!
 //! ```
 //! use hpsparse_autotune::{PlanCache, Planner, PlanStrategy, GraphFingerprint, OpKind};
@@ -57,6 +59,6 @@ pub use cost::{
 };
 pub use fingerprint::GraphFingerprint;
 pub use planner::{
-    measure_fused_mha, measure_unfused_mha, measurement_features, mha_measurement_heads, OpKind,
-    Plan, PlanStrategy, Planner,
+    measure_fused_mha, measure_unfused_mha, measurement_features, OpKind, Plan, PlanStrategy,
+    Planner,
 };

@@ -8,10 +8,14 @@
 //!   of the top `top_n` candidates on a cold [`GpuSim`] against the
 //!   *actual* matrix and pick by measured cycles. A measurement is a cost
 //!   walk (`cost_on`): it reports exactly what a full run would and
-//!   computes no float, so SpMM/SDDMM planning builds no feature matrix.
+//!   computes no float, so planning builds no feature matrix.
 //!   The heuristic's top pick is always in the measured set, so `Measured`
 //!   never chooses a kernel worse than `Heuristic`'s (a property the test
 //!   suite pins down).
+//!
+//! All three operations go through one path, [`Planner::plan_for`]; an
+//! [`OpKind`] contributes only its candidates, its analytic cost, its
+//! bound hint and how one candidate is measured.
 //!
 //! Planning is deterministic: candidate enumeration order is fixed, every
 //! simulator run starts cold, and ties break toward the better heuristic
@@ -21,6 +25,7 @@ use hpsparse_core::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
 use hpsparse_sim::{CostEngine, DeviceSpec, GpuSim};
 use hpsparse_sparse::{Dense, Hybrid};
+use serde_json::json;
 
 use crate::candidates::{
     instantiate_fused_mha, instantiate_sddmm, instantiate_spmm, mha_candidates, sddmm_candidates,
@@ -90,7 +95,7 @@ pub enum OpKind {
     Sddmm,
     /// Multi-head attention `O_h = softmax((Q_h·K_hᵀ)⊙S/√d) · V_h` — the
     /// fuse/no-fuse decision. Cache keys for this op carry the head count
-    /// ([`GraphFingerprint::mha_key`]).
+    /// ([`GraphFingerprint::cache_entry`]).
     FusedMha,
 }
 
@@ -113,6 +118,75 @@ impl OpKind {
             _ => None,
         }
     }
+
+    /// What the op contributes to [`Planner::plan_for`] besides its
+    /// measurement.
+    fn model(self) -> OpModel {
+        match self {
+            OpKind::Spmm => OpModel {
+                span: "autotune:plan-spmm",
+                candidates: spmm_candidates,
+                cost: |device, fp, _, c| spmm_cost(device, fp, c),
+                bound_hint: Some(spmm_bound_hint),
+            },
+            OpKind::Sddmm => OpModel {
+                span: "autotune:plan-sddmm",
+                candidates: sddmm_candidates,
+                cost: |device, fp, _, c| sddmm_cost(device, fp, c),
+                bound_hint: Some(sddmm_bound_hint),
+            },
+            OpKind::FusedMha => OpModel {
+                span: "autotune:plan-mha",
+                candidates: mha_candidates,
+                cost: mha_cost,
+                bound_hint: None,
+            },
+        }
+    }
+
+    /// One cold measurement of `c` on `s`: cycles (execution plus
+    /// preprocessing) and, where one launch report exists to attribute, the
+    /// bottleneck verdict [`hpsparse_sim::attribute`] gives it. `None` when
+    /// the candidate does not instantiate or refuses the shape.
+    fn measure(
+        self,
+        device: &DeviceSpec,
+        engine: CostEngine,
+        c: &Candidate,
+        s: &Hybrid,
+        k: usize,
+        heads: usize,
+    ) -> Option<(u64, Option<String>)> {
+        let sim = || cold_sim(device, engine);
+        let cost = match self {
+            OpKind::Spmm => instantiate_spmm(c)?.cost_on(&mut sim(), s, k).ok()?,
+            OpKind::Sddmm => instantiate_sddmm(c)?.cost_on(&mut sim(), s, k).ok()?,
+            OpKind::FusedMha => {
+                let cycles = match instantiate_fused_mha(c) {
+                    Some(kernel) => measure_fused_mha(device, engine, &kernel, s, k, heads),
+                    None => {
+                        measure_unfused_mha(device, engine, s, k, heads).map(|(cycles, _)| cycles)
+                    }
+                };
+                return Some((cycles?, None));
+            }
+        };
+        let verdict = hpsparse_sim::attribute(&cost.report, device).verdict();
+        Some((cost.total_cycles(), Some(verdict)))
+    }
+}
+
+/// The analytic side of one [`OpKind`].
+struct OpModel {
+    /// Trace-span name of a planning call.
+    span: &'static str,
+    /// The search space, in its fixed enumeration order.
+    candidates: fn(&DeviceSpec, &GraphFingerprint) -> Vec<Candidate>,
+    /// The estimate candidates are ranked by, at a given head count.
+    cost: fn(&DeviceSpec, &GraphFingerprint, usize, &Candidate) -> f64,
+    /// Which roofline side the model says binds a candidate; `None` for
+    /// attention, whose model sums launches and has no one side to name.
+    bound_hint: Option<fn(&DeviceSpec, &GraphFingerprint, &Candidate) -> &'static str>,
 }
 
 /// Plans kernels for sparse inputs on a fixed device.
@@ -178,152 +252,75 @@ impl Planner {
 
     /// Plans SpMM for `s` at feature dimension `k`.
     pub fn plan_spmm(&mut self, s: &Hybrid, k: usize) -> Plan {
-        self.plan_spmm_for(&GraphFingerprint::of(s, k, &self.device), s)
-    }
-
-    /// [`Self::plan_spmm`] for a caller that already fingerprinted `s`
-    /// (a plan-cache miss): `fp` must be `GraphFingerprint::of(s, k,
-    /// self.device())`; the feature dimension is `fp.k`.
-    pub fn plan_spmm_for(&mut self, fp: &GraphFingerprint, s: &Hybrid) -> Plan {
-        let k = fp.k;
-        let _span = hpsparse_trace::span_with(
-            "autotune:plan-spmm",
-            &[
-                ("rows", serde_json::json!(s.rows())),
-                ("nnz", serde_json::json!(s.nnz())),
-                ("k", serde_json::json!(k)),
-            ],
-        );
-        let launches_before = self.sim_launches;
-        let ranked = rank(spmm_candidates(&self.device, fp), |c| {
-            spmm_cost(&self.device, fp, c)
-        });
-        let plan = match self.strategy {
-            PlanStrategy::Heuristic => {
-                let mut plan = heuristic_plan(fp, ranked);
-                let hint = spmm_bound_hint(&self.device, fp, &plan.candidate());
-                plan.rationale
-                    .push_str(&format!("; model-side bound: {hint}"));
-                plan
-            }
-            PlanStrategy::Measured { top_n } => {
-                let engine = self.engine;
-                self.measured_plan(fp, ranked, top_n, |device, c| {
-                    let cost = instantiate_spmm(c)?
-                        .cost_on(&mut cold_sim(device, engine), s, k)
-                        .ok()?;
-                    let verdict = hpsparse_sim::attribute(&cost.report, device).verdict();
-                    Some((cost.total_cycles(), Some(verdict)))
-                })
-            }
-        };
-        self.record_planning_metrics(launches_before);
-        plan
+        let fp = GraphFingerprint::of(s, k, &self.device);
+        self.plan_for(OpKind::Spmm, &fp, s, 1)
     }
 
     /// Plans SDDMM for `s` at feature dimension `k`.
     pub fn plan_sddmm(&mut self, s: &Hybrid, k: usize) -> Plan {
-        self.plan_sddmm_for(&GraphFingerprint::of(s, k, &self.device), s)
+        let fp = GraphFingerprint::of(s, k, &self.device);
+        self.plan_for(OpKind::Sddmm, &fp, s, 1)
     }
 
-    /// [`Self::plan_sddmm`] with the caller's fingerprint; see
-    /// [`Self::plan_spmm_for`].
-    pub fn plan_sddmm_for(&mut self, fp: &GraphFingerprint, s: &Hybrid) -> Plan {
-        let k = fp.k;
+    /// Plans multi-head attention for `s` — the fuse/no-fuse knob — at
+    /// per-head feature dimension `head_dim`. Under `Measured` both
+    /// candidates are always measured (the space has exactly two points),
+    /// so the pick is the true cold-run winner by construction.
+    pub fn plan_mha(&mut self, s: &Hybrid, head_dim: usize, heads: usize) -> Plan {
+        let fp = GraphFingerprint::of(s, head_dim, &self.device);
+        self.plan_for(OpKind::FusedMha, &fp, s, heads)
+    }
+
+    /// Plans `op` for a caller that already fingerprinted `s` (a plan-cache
+    /// miss): `fp` must be `GraphFingerprint::of(s, k, self.device())`, and
+    /// the feature dimension is `fp.k`. `heads` is read for
+    /// [`OpKind::FusedMha`] only: it multiplies every traffic term and is
+    /// part of that op's cache key ([`GraphFingerprint::cache_entry`]).
+    pub fn plan_for(
+        &mut self,
+        op: OpKind,
+        fp: &GraphFingerprint,
+        s: &Hybrid,
+        heads: usize,
+    ) -> Plan {
+        let model = op.model();
         let _span = hpsparse_trace::span_with(
-            "autotune:plan-sddmm",
+            model.span,
             &[
-                ("rows", serde_json::json!(s.rows())),
-                ("nnz", serde_json::json!(s.nnz())),
-                ("k", serde_json::json!(k)),
+                ("rows", json!(s.rows())),
+                ("nnz", json!(s.nnz())),
+                ("k", json!(fp.k)),
+                ("heads", json!(heads)),
             ],
         );
         let launches_before = self.sim_launches;
-        let ranked = rank(sddmm_candidates(&self.device, fp), |c| {
-            sddmm_cost(&self.device, fp, c)
+        let ranked = rank((model.candidates)(&self.device, fp), |c| {
+            (model.cost)(&self.device, fp, heads, c)
         });
         let plan = match self.strategy {
             PlanStrategy::Heuristic => {
                 let mut plan = heuristic_plan(fp, ranked);
-                let hint = sddmm_bound_hint(&self.device, fp, &plan.candidate());
-                plan.rationale
-                    .push_str(&format!("; model-side bound: {hint}"));
+                if let Some(bound_hint) = model.bound_hint {
+                    let hint = bound_hint(&self.device, fp, &plan.candidate());
+                    plan.rationale
+                        .push_str(&format!("; model-side bound: {hint}"));
+                }
                 plan
             }
             PlanStrategy::Measured { top_n } => {
                 let engine = self.engine;
+                let top_n = if op == OpKind::FusedMha { 2 } else { top_n };
                 self.measured_plan(fp, ranked, top_n, |device, c| {
-                    let cost = instantiate_sddmm(c)?
-                        .cost_on(&mut cold_sim(device, engine), s, k)
-                        .ok()?;
-                    let verdict = hpsparse_sim::attribute(&cost.report, device).verdict();
-                    Some((cost.total_cycles(), Some(verdict)))
+                    op.measure(device, engine, c, s, fp.k, heads)
                 })
             }
         };
-        self.record_planning_metrics(launches_before);
-        plan
-    }
-
-    /// Plans multi-head attention for `s` — the fuse/no-fuse knob. `fp.k`
-    /// is the per-head feature dimension `head_dim`; `heads` multiplies
-    /// every traffic term and is part of the cache key
-    /// ([`GraphFingerprint::mha_key`]). Under `Measured` both candidates
-    /// are always measured (the space has exactly two points), so the pick
-    /// is the true cold-run winner by construction.
-    pub fn plan_mha(&mut self, s: &Hybrid, head_dim: usize, heads: usize) -> Plan {
-        self.plan_mha_for(&GraphFingerprint::of(s, head_dim, &self.device), s, heads)
-    }
-
-    /// [`Self::plan_mha`] with the caller's fingerprint (`fp.k` is the
-    /// head dimension); see [`Self::plan_spmm_for`].
-    pub fn plan_mha_for(&mut self, fp: &GraphFingerprint, s: &Hybrid, heads: usize) -> Plan {
-        let head_dim = fp.k;
-        let _span = hpsparse_trace::span_with(
-            "autotune:plan-mha",
-            &[
-                ("rows", serde_json::json!(s.rows())),
-                ("nnz", serde_json::json!(s.nnz())),
-                ("head_dim", serde_json::json!(head_dim)),
-                ("heads", serde_json::json!(heads)),
-            ],
-        );
-        let launches_before = self.sim_launches;
-        let ranked = rank(mha_candidates(&self.device, fp), |c| {
-            mha_cost(&self.device, fp, heads, c)
-        });
-        let plan = match self.strategy {
-            PlanStrategy::Heuristic => heuristic_plan(fp, ranked),
-            PlanStrategy::Measured { .. } => {
-                // Only the fused kernel (numerics still in its launch)
-                // needs operands.
-                let q = mha_measurement_heads(s.rows(), head_dim, heads, 0);
-                let kv = mha_measurement_heads(s.cols(), head_dim, heads, 1);
-                let engine = self.engine;
-                self.measured_plan(fp, ranked, 2, |device, c| {
-                    // Multi-launch pipelines have no single launch report to
-                    // attribute, so the fuse/no-fuse rationale carries no
-                    // per-launch verdict.
-                    let cycles = match instantiate_fused_mha(c) {
-                        Some(kernel) => measure_fused_mha(device, engine, &kernel, s, &q, &kv),
-                        None => measure_unfused_mha(device, engine, s, head_dim, heads),
-                    }?;
-                    Some((cycles, None))
-                })
-            }
-        };
-        self.record_planning_metrics(launches_before);
-        plan
-    }
-
-    /// Counts one finished plan (and the simulator launches it spent) into
-    /// the installed trace session's registry; a no-op when detached.
-    fn record_planning_metrics(&self, launches_before: u64) {
+        // One finished plan and the simulator launches it spent, into the
+        // installed trace session's registry; a no-op when detached.
         hpsparse_trace::counter_add("autotune.plans", 1);
-        hpsparse_trace::counter_add(
-            "autotune.plan_sim_launches",
-            self.sim_launches - launches_before,
-        );
+        let launches = self.sim_launches - launches_before;
+        hpsparse_trace::counter_add("autotune.plan_sim_launches", launches);
+        plan
     }
 
     /// Measures the top `top_n` ranked candidates with `measure` (one cold
@@ -449,65 +446,59 @@ pub fn measurement_features(rows: usize, k: usize) -> Dense {
     Dense::from_fn(rows, k, |i, j| (((i * 131 + j * 17) % 1000) as f32) * 1e-3)
 }
 
-/// Deterministic per-head feature matrices for attention measurement:
-/// head- and side-salted so Q and K/V (and heads) differ without any
-/// runtime randomness.
-pub fn mha_measurement_heads(rows: usize, k: usize, heads: usize, salt: usize) -> Vec<Dense> {
-    (0..heads)
-        .map(|h| {
-            Dense::from_fn(rows, k, |i, j| {
-                (((i * 131 + j * 17 + h * 53 + salt * 29) % 1000) as f32) * 1e-3
-            })
-        })
-        .collect()
-}
-
-/// Cold measured cycles of the fused attention kernel on cost engine
-/// `engine`, launch overheads included (one per launch — the spill pair,
-/// when present, pays too).
+/// Cold measured cycles of the fused attention kernel's cost walk on cost
+/// engine `engine`, launch overheads included (one per launch — the spill
+/// pair, when present, pays too).
 pub fn measure_fused_mha(
     device: &DeviceSpec,
     engine: CostEngine,
     kernel: &HpFusedMha,
     s: &Hybrid,
-    q: &[Dense],
-    kv: &[Dense],
+    head_dim: usize,
+    heads: usize,
 ) -> Option<u64> {
-    let run = kernel
-        .run_on(&mut cold_sim(device, engine), s, q, kv, kv)
+    let cost = kernel
+        .cost_on(&mut cold_sim(device, engine), s, head_dim, heads)
         .ok()?;
-    Some(run.total_cycles() + run.reports.len() as u64 * LAUNCH_OVERHEAD_CYCLES)
+    Some(
+        cost.reports
+            .iter()
+            .map(|r| r.cycles + LAUNCH_OVERHEAD_CYCLES)
+            .sum(),
+    )
 }
 
-/// Cold measured cycles of the unfused three-launch pipeline: per head an
-/// HP-SDDMM launch, a rooflined edge-softmax pass, and an HP-SpMM launch,
-/// each with its launch overhead — exactly how the accounting backends
-/// charge the no-fuse path, so the knob's comparison is apples-to-apples.
-/// Both launches are cost walks: the pipeline's cycles depend on the head
-/// shape, not on any operand value.
+/// Cold measurement of the unfused three-launch pipeline, as `(cycles,
+/// DRAM bytes)`: per head an HP-SDDMM launch, a rooflined edge-softmax pass
+/// that round-trips scores and weights through DRAM (8 B per edge), and an
+/// HP-SpMM launch, each with its launch overhead — exactly how the
+/// accounting backends charge the no-fuse path, so the knob's comparison is
+/// apples-to-apples. Both launches are cost walks: the pipeline's profile
+/// depends on the head shape, not on any operand value.
 pub fn measure_unfused_mha(
     device: &DeviceSpec,
     engine: CostEngine,
     s: &Hybrid,
     head_dim: usize,
     heads: usize,
-) -> Option<u64> {
+) -> Option<(u64, u64)> {
     if heads == 0 {
-        return None; // nothing to measure, as for an empty `q`
+        return None; // nothing to measure, as the fused kernel refuses too
     }
     let sddmm = HpSddmm::auto(device, s, head_dim);
     let spmm = HpSpmm::auto(device, s, head_dim);
-    let mut total = 0u64;
+    let (mut cycles, mut dram) = (0u64, 0u64);
     for _ in 0..heads {
         let mut sim = cold_sim(device, engine);
-        let sd = sddmm.cost_on(&mut sim, s, head_dim).ok()?;
-        let sp = spmm.cost_on(&mut sim, s, head_dim).ok()?;
-        total += sd.report.cycles
+        let sd = sddmm.cost_on(&mut sim, s, head_dim).ok()?.report;
+        let sp = spmm.cost_on(&mut sim, s, head_dim).ok()?.report;
+        cycles += sd.cycles
             + edge_softmax_cycles(device, s.nnz())
-            + sp.report.cycles
+            + sp.cycles
             + 3 * LAUNCH_OVERHEAD_CYCLES;
+        dram += sd.dram_bytes() + 8 * s.nnz() as u64 + sp.dram_bytes();
     }
-    Some(total)
+    Some((cycles, dram))
 }
 
 #[cfg(test)]
@@ -658,19 +649,10 @@ mod tests {
         let plan = p.plan_mha(&s, 32, 4);
         assert_eq!(p.sim_launches(), 2, "exactly the fuse/no-fuse pair");
         // The pick must be the cheaper of the two direct measurements.
-        let q = mha_measurement_heads(s.rows(), 32, 4, 0);
-        let kv = mha_measurement_heads(s.cols(), 32, 4, 1);
         let v100 = DeviceSpec::v100();
-        let fused = measure_fused_mha(
-            &v100,
-            CostEngine::Batched,
-            &HpFusedMha::auto(&v100, &s, 32),
-            &s,
-            &q,
-            &kv,
-        )
-        .unwrap();
-        let unfused = measure_unfused_mha(&v100, CostEngine::Batched, &s, 32, 4).unwrap();
+        let kernel = HpFusedMha::auto(&v100, &s, 32);
+        let fused = measure_fused_mha(&v100, CostEngine::Batched, &kernel, &s, 32, 4).unwrap();
+        let (unfused, _) = measure_unfused_mha(&v100, CostEngine::Batched, &s, 32, 4).unwrap();
         let oracle = if fused <= unfused {
             crate::candidates::MHA_FUSED_ID
         } else {
@@ -696,5 +678,41 @@ mod tests {
             let plan = Planner::new(v100.clone(), PlanStrategy::default()).plan_mha(&s, 32, 2);
             assert!(!plan.kernel_id.is_empty());
         }
+    }
+
+    /// `(head_dim, heads)` ∈ {0, 1}², Heuristic then Measured: kernel id,
+    /// predicted cycles and FNV-1a of the rationale, recorded before the
+    /// fused measurement became a cost walk (PR 20). A zero head count or
+    /// width is refused by the fused kernel with a typed error, so the
+    /// planner measures what remains or falls back to the model — it never
+    /// panics.
+    #[test]
+    fn degenerate_head_shapes_keep_their_recorded_plans() {
+        const FUSED: &str = crate::candidates::MHA_FUSED_ID;
+        const UNFUSED: &str = crate::candidates::MHA_UNFUSED_ID;
+        let recorded = [
+            (FUSED, 5147, 0xabb51da6e3d9ea61),
+            (FUSED, 5147, 0xabb51da6e3d9ea61),
+            (FUSED, 5161, 0xf64836d10016995e),
+            (FUSED, 5161, 0xf64836d10016995e),
+            (FUSED, 5147, 0x401e0d4c7bb837db),
+            (UNFUSED, 17074, 0x89c45fabdd8184d9),
+            (FUSED, 5161, 0x6bcf7be170e481e0),
+            (FUSED, 7000, 0x621bd845e2b67dd9),
+        ];
+        let s = graph(4, 800, 6_000);
+        let mut got = Vec::new();
+        for strategy in [PlanStrategy::Heuristic, PlanStrategy::default()] {
+            for head_dim in [0usize, 1] {
+                for heads in [0usize, 1] {
+                    let plan =
+                        Planner::new(DeviceSpec::v100(), strategy).plan_mha(&s, head_dim, heads);
+                    let rationale = crate::fingerprint::fnv1a(&plan.rationale);
+                    got.push((plan.kernel_id, plan.predicted_cycles, rationale));
+                }
+            }
+        }
+        let got: Vec<_> = got.iter().map(|(id, c, r)| (id.as_str(), *c, *r)).collect();
+        assert_eq!(got, recorded, "{got:#x?}");
     }
 }

@@ -5,10 +5,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hpsparse_core::baselines::{CusparseCooAlg4, CusparseCsrAlg2, GeSpmm};
-use hpsparse_core::hp::HpSpmm;
+use hpsparse_core::hp::{HpFusedMha, HpSpmm};
 use hpsparse_core::traits::SpmmKernel;
 use hpsparse_datasets::generators::{GeneratorConfig, Topology};
-use hpsparse_sim::DeviceSpec;
+use hpsparse_sim::{DeviceSpec, GpuSim};
 use hpsparse_sparse::Dense;
 
 fn bench_sim_throughput(c: &mut Criterion) {
@@ -44,6 +44,29 @@ fn bench_sim_throughput(c: &mut Criterion) {
             b.iter(|| kernel.run(&v100, &s, &a).unwrap())
         });
     }
+    group.finish();
+
+    // Fused attention, four heads of 32: the full run and its cost walk.
+    let heads = |rows: usize| -> Vec<Dense> {
+        (0..4)
+            .map(|h| Dense::from_fn(rows, 32, |i, j| ((i + j + h) as f32 * 1e-3).sin()))
+            .collect()
+    };
+    let (q, kv) = (heads(s.rows()), heads(s.cols()));
+    let fused = HpFusedMha::auto(&v100, &s, 32);
+    let mut group = c.benchmark_group("fused_mha");
+    group.sample_size(10);
+    group.throughput(Throughput::Elements(4 * s.nnz() as u64));
+    group.bench_function("full", |b| {
+        b.iter(|| fused.run(&v100, &s, &q, &kv, &kv).unwrap())
+    });
+    group.bench_function("cost", |b| {
+        b.iter(|| {
+            fused
+                .cost_on(&mut GpuSim::new(v100.clone()), &s, 32, 4)
+                .unwrap()
+        })
+    });
     group.finish();
 }
 

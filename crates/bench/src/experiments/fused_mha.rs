@@ -11,12 +11,8 @@
 
 use crate::experiments::{Effort, ExperimentOutput};
 use crate::table;
-use hpsparse_autotune::{
-    measure_fused_mha, measure_unfused_mha, mha_measurement_heads, PlanStrategy, Planner,
-    LAUNCH_OVERHEAD_CYCLES,
-};
-use hpsparse_core::hp::{HpFusedMha, HpSddmm, HpSpmm};
-use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
+use hpsparse_autotune::{measure_unfused_mha, PlanStrategy, Planner, LAUNCH_OVERHEAD_CYCLES};
+use hpsparse_core::hp::HpFusedMha;
 use hpsparse_datasets::{full_graph_dataset, store};
 use hpsparse_sim::{DeviceSpec, GpuSim};
 use hpsparse_sparse::Hybrid;
@@ -78,48 +74,31 @@ impl Cell {
     }
 }
 
-/// Measures one cell: fused and unfused cold runs plus the planner's pick.
+/// Measures one cell: each path once, cold, as a cost walk — the table and
+/// the oracle read the same two measurements — plus the planner's pick.
 fn measure_cell(device: &DeviceSpec, graph: &str, s: &Hybrid, heads: usize, d: usize) -> Cell {
-    let q = mha_measurement_heads(s.rows(), d, heads, 0);
-    let kv = mha_measurement_heads(s.cols(), d, heads, 1);
-
-    // Fused path: one cold simulator, every launch (spills included).
-    let kernel = HpFusedMha::auto(device, s, d);
-    let mut sim = GpuSim::new(device.clone());
-    let run = kernel
-        .run_on(&mut sim, s, &q, &kv, &kv)
-        .expect("valid dims");
-    let fused_cycles = run.total_cycles() + run.reports.len() as u64 * LAUNCH_OVERHEAD_CYCLES;
-    let fused_dram = run.dram_bytes();
-
-    // Unfused path: per head an SDDMM launch, an edge-softmax launch that
-    // round-trips scores and weights through DRAM (2 × 4·nnz bytes), and
-    // an SpMM launch over the attention-weighted adjacency.
-    let sddmm = HpSddmm::auto(device, s, d);
-    let spmm = HpSpmm::auto(device, s, d);
-    let mut unfused_cycles = 0u64;
-    let mut unfused_dram = 0u64;
-    for _ in 0..heads {
-        // Cost walks: neither launch's profile depends on an operand value.
-        let sd = sddmm.cost(device, s, d).expect("valid dims");
-        unfused_cycles +=
-            sd.report.cycles + hpsparse_autotune::edge_softmax_cycles(device, s.nnz());
-        unfused_dram += sd.report.dram_bytes() + 8 * s.nnz() as u64;
-        let sp = spmm.cost(device, s, d).expect("valid dims");
-        unfused_cycles += sp.report.cycles + 3 * LAUNCH_OVERHEAD_CYCLES;
-        unfused_dram += sp.report.dram_bytes();
-    }
-
-    // The planner under test, cold, against the measured oracle built from
-    // the same measurement helpers it uses internally.
+    // The planner under test, cold; the oracle runs on its cost engine.
     let mut planner = Planner::new(device.clone(), PlanStrategy::default());
     let plan = planner.plan_mha(s, d, heads);
-    let engine = planner.engine();
-    let oracle_fused =
-        measure_fused_mha(device, engine, &kernel, s, &q, &kv).expect("fused measures");
-    let oracle_unfused =
-        measure_unfused_mha(device, engine, s, d, heads).expect("unfused measures");
-    let plan_match = plan.predicted_cycles == oracle_fused.min(oracle_unfused);
+    let mut sim = GpuSim::new(device.clone());
+    sim.set_engine(planner.engine());
+
+    // Fused path: every launch (spills included) pays a launch overhead.
+    let run = HpFusedMha::auto(device, s, d)
+        .cost_on(&mut sim, s, d, heads)
+        .expect("valid dims");
+    let fused_cycles: u64 = run
+        .reports
+        .iter()
+        .map(|r| r.cycles + LAUNCH_OVERHEAD_CYCLES)
+        .sum();
+    let fused_dram: u64 = run.reports.iter().map(|r| r.dram_bytes()).sum();
+
+    // Unfused path: the three-launch pipeline per head, score round trip
+    // through DRAM included.
+    let (unfused_cycles, unfused_dram) =
+        measure_unfused_mha(device, planner.engine(), s, d, heads).expect("unfused measures");
+    let plan_match = plan.predicted_cycles == fused_cycles.min(unfused_cycles);
 
     hpsparse_trace::counter_add(names::FUSED_MHA_ROWS_SPILLED, run.spilled_rows as u64);
     hpsparse_trace::counter_add(

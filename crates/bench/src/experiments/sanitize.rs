@@ -178,18 +178,11 @@ pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Vec<KernelVerdi
         );
         let mut verdict = new_verdict(id.clone());
         for (graph, s) in &graphs {
-            let kernel = HpFusedMha::auto(device, s, k);
-            let q: Vec<_> = (0..2)
-                .map(|_| crate::runner::bench_features(s.rows(), k))
-                .collect();
-            let kv: Vec<_> = (0..2)
-                .map(|_| crate::runner::bench_features(s.cols(), k))
-                .collect();
             let sanitizer = Sanitizer::new();
             let mut sim = GpuSim::new(device.clone());
             sim.attach_sink(sanitizer.sink());
-            kernel
-                .run_on(&mut sim, s, &q, &kv, &kv)
+            HpFusedMha::auto(device, s, k)
+                .cost_on(&mut sim, s, k, 2)
                 .unwrap_or_else(|e| panic!("{id} on {graph}: {e:?}"));
             fold(&mut verdict, graph, &sanitizer.report());
         }

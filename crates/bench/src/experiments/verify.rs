@@ -164,15 +164,8 @@ fn escalate(device: &DeviceSpec, id: &str) -> Escalation {
     let s = witness_graph();
     let report = sanitize_run(device.clone(), |sim| {
         if id == "hp-fused-mha" {
-            let kernel = HpFusedMha::auto(device, &s, VERIFY_K);
-            let q: Vec<_> = (0..2)
-                .map(|_| crate::runner::bench_features(s.rows(), VERIFY_K))
-                .collect();
-            let kv: Vec<_> = (0..2)
-                .map(|_| crate::runner::bench_features(s.cols(), VERIFY_K))
-                .collect();
-            kernel
-                .run_on(sim, &s, &q, &kv, &kv)
+            HpFusedMha::auto(device, &s, VERIFY_K)
+                .cost_on(sim, &s, VERIFY_K, 2)
                 .unwrap_or_else(|e| panic!("escalation {id}: {e:?}"));
         } else if id == "hp-spmm" || registry::spmm_by_id(id).is_some() {
             let kernel: Box<dyn hpsparse_core::SpmmKernel> = if id == "hp-spmm" {

@@ -36,28 +36,25 @@ pub struct HpConfig {
     pub alpha: f64,
 }
 
-/// Vector width HVMA associates with an `NnzPerWarp` value: `int4/float4`
-/// from 128 up, `int2/float2` at 64, scalar below (§III-B2).
-pub fn hvma_vector_width(nnz_per_warp: usize) -> u32 {
-    if nnz_per_warp >= 128 {
+/// Widest vector load `x` consecutive 4-byte elements support:
+/// `int4/float4` from 128 up, `int2/float2` from 64, scalar below
+/// (§III-B2).
+fn width_at(x: usize) -> u32 {
+    if x >= 128 {
         4
-    } else if nnz_per_warp >= 64 {
+    } else if x >= 64 {
         2
     } else {
         1
     }
 }
 
-/// Largest vector width the feature dimension supports: a warp covers
-/// `32 × vw` columns, so `vw` beyond `K/32` would leave lanes idle.
-fn cap_vw_by_k(vw: u32, k: usize) -> u32 {
-    let max_by_k = (k / 32).max(1);
-    let mut v = vw.min(max_by_k as u32);
-    // Keep it a supported width.
-    while v != 1 && v != 2 && v != 4 {
-        v -= 1;
-    }
-    v
+/// Vector width HVMA associates with an `NnzPerWarp` value at feature
+/// width `k`: the width the sparse tile supports, capped by what `k` does —
+/// a warp covers `32 × vw` columns, so a width beyond `K/32` would leave
+/// lanes idle.
+pub fn hvma_vector_width(nnz_per_warp: usize, k: usize) -> u32 {
+    width_at(nnz_per_warp).min(width_at(k))
 }
 
 impl HpConfig {
@@ -132,9 +129,15 @@ impl HpConfig {
             .copied()
             .find(|&c| c <= base)
             .unwrap_or(8);
+        Self::hvma_at(npw, k)
+    }
+
+    /// The HVMA configuration at one `NnzPerWarp`: its vector width at
+    /// feature width `k`, the default block shape and `alpha`.
+    pub fn hvma_at(nnz_per_warp: usize, k: usize) -> Self {
         Self {
-            nnz_per_warp: npw,
-            vector_width: cap_vw_by_k(hvma_vector_width(npw), k),
+            nnz_per_warp,
+            vector_width: hvma_vector_width(nnz_per_warp, k),
             warps_per_block: WARPS_PER_BLOCK,
             alpha: DEFAULT_ALPHA,
         }
@@ -157,25 +160,40 @@ impl HpConfig {
         alpha: f64,
     ) -> Self {
         let _ = rows;
-        for &candidate in &NNZ_PER_WARP_CANDIDATES {
-            let cfg = Self {
-                nnz_per_warp: candidate,
-                vector_width: cap_vw_by_k(hvma_vector_width(candidate), k),
-                warps_per_block: WARPS_PER_BLOCK,
-                alpha,
-            };
-            let needed = Self::alpha_wave_blocks(device, &cfg, k);
-            if cfg.spmm_blocks(nnz, k) >= needed {
-                return cfg;
-            }
-        }
-        let npw = *NNZ_PER_WARP_CANDIDATES.last().unwrap();
-        Self {
-            nnz_per_warp: npw,
-            vector_width: cap_vw_by_k(hvma_vector_width(npw), k),
-            warps_per_block: WARPS_PER_BLOCK,
+        let at = |npw| Self {
             alpha,
+            ..Self::hvma_at(npw, k)
+        };
+        NNZ_PER_WARP_CANDIDATES
+            .iter()
+            .map(|&candidate| at(candidate))
+            .find(|cfg| cfg.spmm_blocks(nnz, k) >= Self::alpha_wave_blocks(device, cfg, k))
+            .unwrap_or_else(|| at(*NNZ_PER_WARP_CANDIDATES.last().unwrap()))
+    }
+
+    /// The selection rule of the edge-parallel kernels (HP-SDDMM, fused
+    /// attention). A warp reduces across all of K, so there is no
+    /// K-slicing: DTP is evaluated with `k_slices = 1`, which `k = 32`
+    /// achieves. The vector width is set by K alone: feature-row reads are
+    /// contiguous K-float spans from 256-byte-aligned bases, so they
+    /// vectorise however the sparse tile is aligned.
+    pub fn edge_parallel(device: &DeviceSpec, nnz: usize, rows: usize, k: usize) -> Self {
+        Self {
+            vector_width: width_at(k),
+            ..Self::auto(device, nnz, rows, 32)
         }
+    }
+
+    /// Whether a kernel can launch with this configuration. Every
+    /// constructor here satisfies it; a configuration from outside the
+    /// program (a plan-cache file) must pass it before it reaches a kernel,
+    /// whose tile and block arithmetic divides and steps by these fields.
+    pub fn is_launchable(&self) -> bool {
+        matches!(self.vector_width, 1 | 2 | 4)
+            && self.nnz_per_warp >= 1
+            && (1..=32).contains(&self.warps_per_block)
+            && self.alpha.is_finite()
+            && self.alpha > 0.0
     }
 
     /// `alpha × FullWaveSize` — the block count Ineq. 5 demands.
@@ -191,11 +209,78 @@ mod tests {
 
     #[test]
     fn hvma_widths_follow_the_paper() {
-        assert_eq!(hvma_vector_width(8), 1);
-        assert_eq!(hvma_vector_width(32), 1);
-        assert_eq!(hvma_vector_width(64), 2);
-        assert_eq!(hvma_vector_width(128), 4);
-        assert_eq!(hvma_vector_width(512), 4);
+        assert_eq!(hvma_vector_width(8, 512), 1);
+        assert_eq!(hvma_vector_width(32, 512), 1);
+        assert_eq!(hvma_vector_width(64, 512), 2);
+        assert_eq!(hvma_vector_width(128, 512), 4);
+        assert_eq!(hvma_vector_width(512, 512), 4);
+    }
+
+    #[test]
+    fn hvma_width_is_the_k_over_32_cap_snapped_to_a_supported_width() {
+        for npw in [1, 8, 63, 64, 127, 128, 512] {
+            let uncapped = hvma_vector_width(npw, usize::MAX);
+            for k in 0..300 {
+                let mut want = uncapped.min((k / 32).max(1) as u32);
+                while !matches!(want, 1 | 2 | 4) {
+                    want -= 1;
+                }
+                assert_eq!(hvma_vector_width(npw, k), want, "npw={npw} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn edge_parallel_is_dtp_at_one_k_slice_with_the_width_from_k() {
+        let v100 = DeviceSpec::v100();
+        for (nnz, rows) in [(0, 0), (20_000, 3_000), (50_000_000, 1_000_000)] {
+            for (k, vw) in [(0, 1), (33, 1), (64, 2), (127, 2), (128, 4), (512, 4)] {
+                let cfg = HpConfig::edge_parallel(&v100, nnz, rows, k);
+                let dtp = HpConfig::auto(&v100, nnz, rows, 32);
+                assert_eq!(cfg.vector_width, vw, "k={k}");
+                assert_eq!(cfg.nnz_per_warp, dtp.nnz_per_warp);
+                assert!(cfg.is_launchable() && dtp.is_launchable());
+            }
+        }
+    }
+
+    #[test]
+    fn unlaunchable_configs_are_recognised() {
+        let ok = HpConfig::base(1000, 100);
+        assert!(ok.is_launchable());
+        for bad in [
+            HpConfig {
+                vector_width: 0,
+                ..ok
+            },
+            HpConfig {
+                vector_width: 3,
+                ..ok
+            },
+            HpConfig {
+                nnz_per_warp: 0,
+                ..ok
+            },
+            HpConfig {
+                warps_per_block: 0,
+                ..ok
+            },
+            HpConfig {
+                warps_per_block: 33,
+                ..ok
+            },
+            HpConfig { alpha: 0.0, ..ok },
+            HpConfig {
+                alpha: f64::NAN,
+                ..ok
+            },
+            HpConfig {
+                alpha: f64::INFINITY,
+                ..ok
+            },
+        ] {
+            assert!(!bad.is_launchable(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -35,23 +35,26 @@
 //! streams never displace the reusable high-degree K/V feature rows; see
 //! [`WarpTally::global_read_streaming`].
 //!
-//! Numerics are bit-identical to the sequential reference pipeline
-//! (`reference::sddmm` → `× scale` → `edge_softmax` → `reference::spmm`):
-//! every row's scores are produced and reduced in ascending element
-//! order by exactly one warp — the tile owner, or the cooperative lead
-//! warp folding the block's shared slices — so dot products, the max
-//! fold, the exp/denominator accumulation, and the weighted aggregation
-//! all associate exactly as the reference does. The unfused HP
-//! three-launch pipeline may differ from both by a few ULP on rows that
-//! HP-SpMM splits across chunks (chunked partial sums regroup the
-//! additions); see DESIGN.md "Fused attention".
+//! Like every kernel ([`crate::traits`]) this one is a cost walk
+//! ([`HpFusedMha::cost_on`]) plus an accumulation order
+//! ([`numerics::attention`]). The order is the sequential reference
+//! pipeline's (`reference::sddmm` → `× scale` → `edge_softmax` →
+//! `reference::spmm`), bit for bit: every row's scores are produced and
+//! reduced in ascending element order by exactly one warp — the tile
+//! owner, or the cooperative lead warp folding the block's shared slices —
+//! so no partitioning regroups an addition. The unfused HP three-launch
+//! pipeline may differ from both by a few ULP on rows that HP-SpMM splits
+//! across chunks; see DESIGN.md "Fused attention".
 
 use crate::hp::config::HpConfig;
+use crate::numerics::{self, segments, Cut};
+use crate::traits::check_mha_dims;
 use hpsparse_sim::{
-    DeviceSpec, Distinct, GpuSim, KernelResources, LaunchConfig, LaunchReport, PlanBuilder,
-    SymBufferRole, SymExpr, SymbolicPlan, WarpTally,
+    Buffer, DeviceSpec, Distinct, GpuSim, KernelResources, LaunchBuilder, LaunchConfig,
+    LaunchReport, PlanBuilder, SymBufferRole, SymExpr, SymbolicPlan, WarpTally,
 };
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
+use std::ops::Range;
 
 /// Per-warp shared-memory score-tile capacity, in f32 elements. Rows
 /// longer than this spill through L2.
@@ -69,6 +72,16 @@ pub struct HpFusedMha {
     pub config: HpConfig,
 }
 
+/// What the fused kernel's cost walk reports: its launches, without floats.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FusedMhaCost {
+    /// Launch profiles: the fused main launch, plus the spill score/apply
+    /// pair when any row overflowed the shared tile.
+    pub reports: Vec<LaunchReport>,
+    /// Number of rows that spilled through L2.
+    pub spilled_rows: usize,
+}
+
 /// Result of one fused multi-head attention run.
 #[derive(Debug, Clone)]
 pub struct FusedMhaRun {
@@ -77,8 +90,7 @@ pub struct FusedMhaRun {
     /// Per-head softmaxed attention weights, aligned with the sparse
     /// matrix's element order (the backward pass consumes these).
     pub attn: Vec<Vec<f32>>,
-    /// Launch profiles: the fused main launch, plus the spill score/apply
-    /// pair when any row overflowed the shared tile.
+    /// Launch profiles, as in [`FusedMhaCost::reports`].
     pub reports: Vec<LaunchReport>,
     /// Number of rows that spilled through L2.
     pub spilled_rows: usize,
@@ -107,54 +119,44 @@ impl FusedMhaRun {
 /// rows (split across the warps of one thread block), and rows longer
 /// than [`SMEM_SCORE_CAP`] go to the spill list.
 struct FusedPartition {
-    /// Element ranges `[start, end)`, each covering whole rows of at most
-    /// `target` elements total.
-    tiles: Vec<(usize, usize)>,
-    /// `(row, start, end)` for rows longer than `target` that still fit
-    /// the shared tile — processed cooperatively by one block.
-    coop: Vec<(usize, usize, usize)>,
-    /// `(row, start, end)` for rows longer than the shared tile.
-    spills: Vec<(usize, usize, usize)>,
+    /// Element ranges, each covering whole rows of at most `target`
+    /// elements total.
+    tiles: Vec<Range<usize>>,
+    /// `(row, elements)` for rows longer than `target` that still fit the
+    /// shared tile — processed cooperatively by one block.
+    coop: Vec<(usize, Range<usize>)>,
+    /// `(row, elements)` for rows longer than the shared tile.
+    spills: Vec<(usize, Range<usize>)>,
 }
 
 fn partition(row_ind: &[u32], target: usize) -> FusedPartition {
-    let target = target.clamp(1, SMEM_SCORE_CAP);
-    let nnz = row_ind.len();
-    let mut tiles = Vec::new();
-    let mut coop = Vec::new();
-    let mut spills = Vec::new();
-    let mut tile_start = 0usize;
-    let mut i = 0usize;
-    while i < nnz {
-        let r = row_ind[i];
-        let mut j = i + 1;
-        while j < nnz && row_ind[j] == r {
-            j += 1;
-        }
-        if j - i > target {
-            if tile_start < i {
-                tiles.push((tile_start, i));
+    let mut part = FusedPartition {
+        tiles: Vec::new(),
+        coop: Vec::new(),
+        spills: Vec::new(),
+    };
+    let mut tile_start = 0;
+    for row in segments(row_ind, Cut::PerRow(usize::MAX)) {
+        if row.len() > target {
+            if tile_start < row.start {
+                part.tiles.push(tile_start..row.start);
             }
-            if j - i > SMEM_SCORE_CAP {
-                spills.push((r as usize, i, j));
+            tile_start = row.end;
+            let long = if row.len() > SMEM_SCORE_CAP {
+                &mut part.spills
             } else {
-                coop.push((r as usize, i, j));
-            }
-            tile_start = j;
-        } else if i > tile_start && j - tile_start > target {
-            tiles.push((tile_start, i));
-            tile_start = i;
+                &mut part.coop
+            };
+            long.push((row_ind[row.start] as usize, row));
+        } else if row.start > tile_start && row.end - tile_start > target {
+            part.tiles.push(tile_start..row.start);
+            tile_start = row.start;
         }
-        i = j;
     }
-    if tile_start < nnz {
-        tiles.push((tile_start, nnz));
+    if tile_start < row_ind.len() {
+        part.tiles.push(tile_start..row_ind.len());
     }
-    FusedPartition {
-        tiles,
-        coop,
-        spills,
-    }
+    part
 }
 
 /// Dispatches a global atomic either through the cache or through an
@@ -182,97 +184,34 @@ fn read_hinted(tally: &mut WarpTally, stream: bool, addr: u64, len_bytes: u64, v
     }
 }
 
+/// A data-dependent index in `0..=upper` of a symbolic launch, the same
+/// across warps or not.
+fn index(l: &mut LaunchBuilder, name: &str, upper: SymExpr) -> SymExpr {
+    l.data(name, SymExpr::Const(0), upper, Distinct::No, 0)
+}
+
+/// Lane-parallel instructions covering `n` elements: one per 32, at least
+/// one.
+fn warp_steps(n: usize) -> u64 {
+    (n as u64).div_ceil(32).max(1)
+}
+
 /// One warp's assignment in the fused main launch.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum WarpJob {
-    /// A row-aligned tile processed solo: element range `[start, end)`.
-    Tile(usize, usize),
-    /// One segment of a block-cooperative row:
-    /// `(row, row_start, row_end, seg_start, seg_end, lead)`. The lead
-    /// segment's warp performs the whole-row max/denominator reduction
-    /// over the block's shared score slices.
-    Coop(usize, usize, usize, usize, usize, bool),
+    /// A row-aligned tile processed solo.
+    Tile(Range<usize>),
+    /// One segment of a block-cooperative row. The lead segment's warp
+    /// performs the whole-row max/denominator reduction over the block's
+    /// shared score slices.
+    Coop {
+        row: usize,
+        row_len: usize,
+        seg: Range<usize>,
+        lead: bool,
+    },
     /// Block-alignment padding (keeps a cooperative row inside one block).
     Idle,
-}
-
-/// Computes one row's scaled scores → stable softmax → weighted
-/// aggregation in the exact sequential reference order, filling the
-/// attention weights `attn_h[i..j]` and the row's output slice. Shared by
-/// solo-tile warps and the lead warp of a cooperative row, so fused
-/// numerics are bit-identical regardless of how the row was partitioned.
-#[allow(clippy::too_many_arguments)]
-fn row_numerics(
-    qh: &Dense,
-    kh: &Dense,
-    vh: &Dense,
-    col_ind: &[u32],
-    values: &[f32],
-    scale: f32,
-    r: usize,
-    i: usize,
-    j: usize,
-    scores: &mut [f32],
-    acc: &mut [f32],
-    attn_h: &mut [f32],
-    out_h: &mut [f32],
-) {
-    let rl = j - i;
-    for e in i..j {
-        let c = col_ind[e] as usize;
-        let dot: f32 = qh.row(r).iter().zip(kh.row(c)).map(|(x, y)| x * y).sum();
-        scores[e - i] = dot * values[e] * scale;
-    }
-    let max = scores[..rl]
-        .iter()
-        .copied()
-        .fold(f32::NEG_INFINITY, f32::max);
-    let mut denom = 0f32;
-    for w in &mut scores[..rl] {
-        *w = (*w - max).exp();
-        denom += *w;
-    }
-    for w in &mut scores[..rl] {
-        *w /= denom;
-    }
-    attn_h[i..j].copy_from_slice(&scores[..rl]);
-    let d = acc.len();
-    acc.fill(0.0);
-    for e in i..j {
-        let c = col_ind[e] as usize;
-        let w = scores[e - i];
-        for (t, a) in acc.iter_mut().enumerate() {
-            *a += w * vh.row(c)[t];
-        }
-    }
-    out_h[r * d..(r + 1) * d].copy_from_slice(acc);
-}
-
-fn check_mha_dims(s: &Hybrid, q: &[Dense], k: &[Dense], v: &[Dense]) -> Result<(), FormatError> {
-    if q.is_empty() || q.len() != k.len() || q.len() != v.len() {
-        return Err(FormatError::DimensionMismatch {
-            context: "fused-mha: head counts of Q/K/V differ or are zero",
-        });
-    }
-    let d = q[0].cols();
-    for h in 0..q.len() {
-        if q[h].rows() != s.rows() {
-            return Err(FormatError::DimensionMismatch {
-                context: "fused-mha: Q.rows != S.rows",
-            });
-        }
-        if k[h].rows() != s.cols() || v[h].rows() != s.cols() {
-            return Err(FormatError::DimensionMismatch {
-                context: "fused-mha: K.rows/V.rows != S.cols",
-            });
-        }
-        if q[h].cols() != d || k[h].cols() != d || v[h].cols() != d || d == 0 {
-            return Err(FormatError::DimensionMismatch {
-                context: "fused-mha: head dims differ or are zero",
-            });
-        }
-    }
-    Ok(())
 }
 
 impl HpFusedMha {
@@ -281,19 +220,11 @@ impl HpFusedMha {
         Self { config }
     }
 
-    /// Builds the kernel with DTP-derived block shape and the vector width
-    /// set by the head dimension (the feature-row reads are contiguous
-    /// `d`-float spans, exactly as in HP-SDDMM).
+    /// Builds the kernel with the edge-parallel selection rule
+    /// ([`HpConfig::edge_parallel`]): the feature-row reads are contiguous
+    /// `d`-float spans, exactly as in HP-SDDMM.
     pub fn auto(device: &DeviceSpec, s: &Hybrid, head_dim: usize) -> Self {
-        let mut config = HpConfig::auto(device, s.nnz(), s.rows(), 32);
-        config.vector_width = if head_dim >= 128 {
-            4
-        } else if head_dim >= 64 {
-            2
-        } else {
-            1
-        };
-        Self { config }
+        Self::new(HpConfig::edge_parallel(device, s.nnz(), s.rows(), head_dim))
     }
 
     /// Kernel display name.
@@ -330,8 +261,8 @@ impl HpFusedMha {
 
     /// Runs fused multi-head attention: per head `h`,
     /// `O_h = softmax_row((Q_h · K_hᵀ) ⊙ S / √d) · V_h`, with the sparse
-    /// mask's values multiplying the scores exactly as SDDMM does.
-    #[allow(clippy::too_many_lines)]
+    /// mask's values multiplying the scores exactly as SDDMM does. The
+    /// cost walk, then [`numerics::attention`].
     pub fn run_on(
         &self,
         sim: &mut GpuSim,
@@ -341,17 +272,46 @@ impl HpFusedMha {
         v: &[Dense],
     ) -> Result<FusedMhaRun, FormatError> {
         check_mha_dims(s, q, k, v)?;
-        let heads = q.len();
-        let d = q[0].cols();
-        let m = s.rows();
-        let n = s.cols();
-        let nnz = s.nnz();
-        let vw = self.config.vector_width;
-        let scale = 1.0 / (d as f32).sqrt();
+        let FusedMhaCost {
+            reports,
+            spilled_rows,
+        } = self.cost_on(sim, s, q[0].cols(), q.len())?;
+        let (outputs, attn) = numerics::attention(s, q, k, v)?;
+        Ok(FusedMhaRun {
+            outputs,
+            attn,
+            reports,
+            spilled_rows,
+        })
+    }
 
-        let row_ind = s.row_indices();
-        let col_ind = s.col_indices();
-        let values = s.values();
+    /// The cost walk: describes the traffic of `heads` heads of width
+    /// `head_dim` over `s` to an existing simulator and returns the launch
+    /// profiles. The partition, the job table, the streaming-hint policy
+    /// and the column degrees all follow from `RowInd` / `ColInd` and the
+    /// shape, so it computes no float ([`crate::traits`]).
+    #[allow(clippy::too_many_lines)]
+    pub fn cost_on(
+        &self,
+        sim: &mut GpuSim,
+        s: &Hybrid,
+        head_dim: usize,
+        heads: usize,
+    ) -> Result<FusedMhaCost, FormatError> {
+        if heads == 0 {
+            return Err(FormatError::DimensionMismatch {
+                context: "fused-mha: head counts of Q/K/V differ or are zero",
+            });
+        }
+        if head_dim == 0 {
+            return Err(FormatError::DimensionMismatch {
+                context: "fused-mha: head dims differ or are zero",
+            });
+        }
+        let d = head_dim;
+        let (m, n, nnz) = (s.rows(), s.cols(), s.nnz());
+        let vw = self.config.vector_width;
+        let (row_ind, col_ind) = (s.row_indices(), s.col_indices());
         let target = self.config.nnz_per_warp.clamp(1, SMEM_SCORE_CAP);
         let wpb = self.config.warps_per_block.max(1) as usize;
         let part = partition(row_ind, target);
@@ -361,26 +321,22 @@ impl HpFusedMha {
         // boundary), then the solo tiles, padded to a whole block so every
         // head starts block-aligned.
         let mut jobs: Vec<WarpJob> = Vec::new();
-        for &(r, rs, re) in &part.coop {
-            let rl = re - rs;
-            let seg_len = target.max(rl.div_ceil(wpb));
-            let nseg = rl.div_ceil(seg_len);
-            if jobs.len() % wpb + nseg > wpb {
-                while !jobs.len().is_multiple_of(wpb) {
-                    jobs.push(WarpJob::Idle);
-                }
+        for (row, elems) in &part.coop {
+            let seg_len = target.max(elems.len().div_ceil(wpb));
+            if jobs.len() % wpb + elems.len().div_ceil(seg_len) > wpb {
+                jobs.resize(jobs.len().next_multiple_of(wpb), WarpJob::Idle);
             }
-            for (si, ss) in (rs..re).step_by(seg_len).enumerate() {
-                let se = (ss + seg_len).min(re);
-                jobs.push(WarpJob::Coop(r, rs, re, ss, se, si == 0));
+            for start in elems.clone().step_by(seg_len) {
+                jobs.push(WarpJob::Coop {
+                    row: *row,
+                    row_len: elems.len(),
+                    seg: start..(start + seg_len).min(elems.end),
+                    lead: start == elems.start,
+                });
             }
         }
-        for &(ts, te) in &part.tiles {
-            jobs.push(WarpJob::Tile(ts, te));
-        }
-        while !jobs.is_empty() && !jobs.len().is_multiple_of(wpb) {
-            jobs.push(WarpJob::Idle);
-        }
+        jobs.extend(part.tiles.iter().cloned().map(WarpJob::Tile));
+        jobs.resize(jobs.len().next_multiple_of(wpb), WarpJob::Idle);
         let plan_len = jobs.len();
 
         // Streaming-hint policy: one head's pass touches Q + K + V + O
@@ -395,18 +351,14 @@ impl HpFusedMha {
         // Spill worklists: per spill row, per head, SPILL_SEG-element
         // segments — consecutive per (row, head) so the apply warp reads
         // one contiguous scratch span.
-        let mut segs: Vec<(usize, usize, usize, usize)> = Vec::new(); // (head, row, start, len)
-        let mut apps: Vec<(usize, usize, usize, usize, usize, usize)> = Vec::new();
-        for &(r, rs, re) in &part.spills {
+        let mut segs: Vec<(usize, usize, Range<usize>)> = Vec::new(); // (head, row, elements)
+        let mut apps: Vec<(usize, usize, Range<usize>, usize)> = Vec::new(); // (.., first segment)
+        for (row, elems) in &part.spills {
             for h in 0..heads {
-                let seg0 = segs.len();
-                let mut e = rs;
-                while e < re {
-                    let sl = SPILL_SEG.min(re - e);
-                    segs.push((h, r, e, sl));
-                    e += sl;
+                apps.push((h, *row, elems.clone(), segs.len()));
+                for start in elems.clone().step_by(SPILL_SEG) {
+                    segs.push((h, *row, start..(start + SPILL_SEG).min(elems.end)));
                 }
-                apps.push((h, r, rs, re, seg0, segs.len() - seg0));
             }
         }
 
@@ -420,10 +372,6 @@ impl HpFusedMha {
         let w_buf = sim.alloc_output(heads * nnz, "attn_w");
         let o_buf = sim.alloc_output(heads * m * d, "O");
 
-        let mut out_vals = vec![vec![0f32; m * d]; heads];
-        let mut attn = vec![vec![0f32; nnz]; heads];
-        let mut reports = Vec::new();
-
         // Degree-aware gather hinting (streaming mode only): a column with
         // a single incident edge contributes K/V feature rows that are read
         // exactly once per head, so caching them floods L2 the same way an
@@ -436,9 +384,43 @@ impl HpFusedMha {
         }
 
         let tile_elems = (32 * vw as usize).min(SMEM_SCORE_CAP);
-        let mut scores = vec![0f32; SMEM_SCORE_CAP];
-        let mut acc = vec![0f32; d];
+        let row_bytes = d as u64 * 4;
+        // Address of feature row `row` of head `h` in a `rows`-row operand.
+        let row_addr = |buf: &Buffer, h: usize, rows: usize, row: usize| {
+            buf.elem_addr(((h * rows + row) * d) as u64, 4)
+        };
+        // Stages `elems` of each sparse array in `bufs` through shared
+        // memory, one `tile_elems` tile at a time.
+        let stage = |tally: &mut WarpTally, stream: bool, bufs: &[&Buffer], elems: Range<usize>| {
+            for i in elems.clone().step_by(tile_elems) {
+                let tl = tile_elems.min(elems.end - i) as u64;
+                for buf in bufs {
+                    read_hinted(tally, stream, buf.elem_addr(i as u64, 4), tl * 4, vw);
+                }
+                tally.shared_op(bufs.len() as u64 + tl);
+            }
+        };
+        // Gathers head `h`'s `K` or `V` row of every column in `elems` and
+        // issues the lane-wise products over it; `reduce` adds the SDDMM
+        // dot product's 32-lane shuffle reduction.
+        let gather = |tally: &mut WarpTally,
+                      stream: bool,
+                      buf: &Buffer,
+                      h: usize,
+                      elems: Range<usize>,
+                      reduce: bool| {
+            for &c in &col_ind[elems] {
+                let once = stream && col_deg[c as usize] == 1;
+                let addr = row_addr(buf, h, n, c as usize);
+                read_hinted(tally, once, addr, row_bytes, vw);
+                tally.compute(warp_steps(d));
+                if reduce {
+                    tally.shuffle_reduce(32);
+                }
+            }
+        };
 
+        let mut reports = Vec::new();
         if plan_len > 0 {
             let launch = LaunchConfig {
                 num_warps: (plan_len * heads) as u64,
@@ -447,200 +429,88 @@ impl HpFusedMha {
             // No memoization: the per-row shared-memory transaction counts
             // depend on the tile's full row-length profile, which a compact
             // signature cannot capture faithfully.
-            let report = sim.launch_named("fused-mha", launch, |warp_id, tally| {
+            reports.push(sim.launch_named("fused-mha", launch, |warp_id, tally| {
                 // Head-major mapping: one head's K/V gather working set at
                 // a time stays L2-resident; interleaving heads would double
                 // the hot set and thrash the gathers.
                 let h = warp_id as usize / plan_len;
                 let idx = warp_id as usize % plan_len;
-                let (qh, kh, vh) = (&q[h], &k[h], &v[h]);
-                match jobs[idx] {
+                match &jobs[idx] {
                     WarpJob::Idle => {}
-                    WarpJob::Tile(start, end) => {
+                    WarpJob::Tile(tile) => {
                         tally.compute(16);
                         tally.global_read(tile_tab.elem_addr(idx as u64, 4), 8, 1);
                         // Stage the tile's sparse triplets, as HP-SDDMM
                         // does — with the streaming hint: the triplets are
                         // single-use per warp, so caching them would only
                         // evict reusable K/V feature rows.
-                        let mut i = start;
-                        while i < end {
-                            let tl = tile_elems.min(end - i);
-                            for buf in [&row_buf, &col_buf, &val_buf] {
-                                read_hinted(
-                                    tally,
-                                    stream,
-                                    buf.elem_addr(i as u64, 4),
-                                    tl as u64 * 4,
-                                    vw,
-                                );
-                            }
-                            tally.shared_op(3 + tl as u64);
-                            i += tl;
-                        }
-                        let mut i = start;
-                        while i < end {
-                            let r = row_ind[i] as usize;
-                            let mut j = i + 1;
-                            while j < end && row_ind[j] as usize == r {
-                                j += 1;
-                            }
-                            let rl = j - i;
-                            row_numerics(
-                                qh,
-                                kh,
-                                vh,
-                                col_ind,
-                                values,
-                                scale,
-                                r,
-                                i,
-                                j,
-                                &mut scores,
-                                &mut acc,
-                                &mut attn[h],
-                                &mut out_vals[h],
-                            );
+                        stage(tally, stream, &[&row_buf, &col_buf, &val_buf], tile.clone());
+                        let mut i = tile.start;
+                        for row in row_ind[tile.clone()].chunk_by(|a, b| a == b) {
+                            let (r, rl) = (row[0] as usize, row.len());
+                            let elems = i..i + rl;
+                            i = elems.end;
                             // SDDMM stage: Q[r] once per row (streaming —
                             // each Q row is read exactly once per head),
                             // K[c] per element, scores into the shared
                             // tile.
-                            read_hinted(
-                                tally,
-                                stream,
-                                q_buf.elem_addr(((h * m + r) * d) as u64, 4),
-                                d as u64 * 4,
-                                vw,
-                            );
-                            for &ce in &col_ind[i..j] {
-                                let c = ce as usize;
-                                read_hinted(
-                                    tally,
-                                    stream && col_deg[c] == 1,
-                                    k_buf.elem_addr(((h * n + c) * d) as u64, 4),
-                                    d as u64 * 4,
-                                    vw,
-                                );
-                                tally.compute((d as u64).div_ceil(32).max(1));
-                                tally.shuffle_reduce(32);
-                            }
+                            let q_addr = row_addr(&q_buf, h, m, r);
+                            read_hinted(tally, stream, q_addr, row_bytes, vw);
+                            gather(tally, stream, &k_buf, h, elems.clone(), true);
                             tally.shared_write(rl as u64);
                             // Softmax stage, in the exact edge_softmax
                             // order: running max, exp + denominator,
                             // renormalize in place.
                             tally.shared_read(rl as u64);
-                            tally.compute((rl as u64).div_ceil(32).max(1));
+                            tally.compute(warp_steps(rl));
                             tally.shared_read(rl as u64);
                             tally.shared_write(rl as u64);
-                            tally.compute(2 * (rl as u64).div_ceil(32).max(1));
+                            tally.compute(2 * warp_steps(rl));
                             tally.shared_read(rl as u64);
                             tally.shared_write(rl as u64);
-                            tally.compute((rl as u64).div_ceil(32).max(1));
+                            tally.compute(warp_steps(rl));
                             // SpMM stage straight out of the shared tile.
                             tally.shared_read(rl as u64);
-                            for &ce in &col_ind[i..j] {
-                                let c = ce as usize;
-                                read_hinted(
-                                    tally,
-                                    stream && col_deg[c] == 1,
-                                    v_buf.elem_addr(((h * n + c) * d) as u64, 4),
-                                    d as u64 * 4,
-                                    vw,
-                                );
-                                tally.compute((d as u64).div_ceil(32).max(1));
-                            }
+                            gather(tally, stream, &v_buf, h, elems, false);
                             // A solo row's output slice is touched exactly
                             // once per head, so under the streaming policy
                             // the atomic goes through an evict-first window
                             // instead of displacing K/V gather lines.
-                            atomic_hinted(
-                                tally,
-                                stream,
-                                o_buf.elem_addr(((h * m + r) * d) as u64, 4),
-                                d as u64 * 4,
-                            );
-                            i = j;
+                            atomic_hinted(tally, stream, row_addr(&o_buf, h, m, r), row_bytes);
                         }
                         // Final weights go to DRAM once (backward needs
                         // them), batched as one coalesced store of the
                         // whole tile out of the shared buffer; the raw
                         // scores never left the shared tile.
-                        tally.shared_read((end - start) as u64);
-                        atomic_hinted(
-                            tally,
-                            stream,
-                            w_buf.elem_addr((h * nnz + start) as u64, 4),
-                            (end - start) as u64 * 4,
-                        );
+                        tally.shared_read(tile.len() as u64);
+                        let w_addr = w_buf.elem_addr((h * nnz + tile.start) as u64, 4);
+                        atomic_hinted(tally, stream, w_addr, tile.len() as u64 * 4);
                     }
-                    WarpJob::Coop(r, rs, re, ss, se, lead) => {
-                        let sl = se - ss;
-                        let rl = re - rs;
+                    WarpJob::Coop {
+                        row,
+                        row_len,
+                        seg,
+                        lead,
+                    } => {
+                        let (r, rl, sl) = (*row, *row_len, seg.len());
                         tally.compute(16);
                         tally.global_read(tile_tab.elem_addr(idx as u64, 4), 8, 1);
                         // Stage the segment's columns and values (the row
                         // index is implied by the job table).
-                        let mut i = ss;
-                        while i < se {
-                            let tl = tile_elems.min(se - i);
-                            for buf in [&col_buf, &val_buf] {
-                                read_hinted(
-                                    tally,
-                                    stream,
-                                    buf.elem_addr(i as u64, 4),
-                                    tl as u64 * 4,
-                                    vw,
-                                );
-                            }
-                            tally.shared_op(2 + tl as u64);
-                            i += tl;
-                        }
-                        if lead {
-                            row_numerics(
-                                qh,
-                                kh,
-                                vh,
-                                col_ind,
-                                values,
-                                scale,
-                                r,
-                                rs,
-                                re,
-                                &mut scores,
-                                &mut acc,
-                                &mut attn[h],
-                                &mut out_vals[h],
-                            );
-                        }
+                        stage(tally, stream, &[&col_buf, &val_buf], seg.clone());
                         // SDDMM stage over the segment, scores into the
                         // warp's shared slice. The lead warp stages the
                         // row's Q vector into shared once; the other
                         // segments read it from there instead of issuing
                         // their own redundant global fetch.
-                        if lead {
-                            read_hinted(
-                                tally,
-                                stream,
-                                q_buf.elem_addr(((h * m + r) * d) as u64, 4),
-                                d as u64 * 4,
-                                vw,
-                            );
+                        if *lead {
+                            let q_addr = row_addr(&q_buf, h, m, r);
+                            read_hinted(tally, stream, q_addr, row_bytes, vw);
                             tally.shared_write(d as u64);
                         } else {
                             tally.shared_read(d as u64);
                         }
-                        for &ce in &col_ind[ss..se] {
-                            let c = ce as usize;
-                            read_hinted(
-                                tally,
-                                stream && col_deg[c] == 1,
-                                k_buf.elem_addr(((h * n + c) * d) as u64, 4),
-                                d as u64 * 4,
-                                vw,
-                            );
-                            tally.compute((d as u64).div_ceil(32).max(1));
-                            tally.shuffle_reduce(32);
-                        }
+                        gather(tally, stream, &k_buf, h, seg.clone(), true);
                         tally.shared_write(sl as u64);
                         // Block-cooperative softmax, sequential semantics:
                         // after a barrier the lead warp alone folds the
@@ -649,170 +519,86 @@ impl HpFusedMha {
                         // associates exactly as the reference) and posts
                         // both to the block's broadcast slots; every
                         // segment then renormalizes its own slice.
-                        if lead {
+                        if *lead {
                             tally.shared_read(rl as u64);
-                            tally.compute((rl as u64).div_ceil(32).max(1));
+                            tally.compute(warp_steps(rl));
                             tally.shared_read(rl as u64);
-                            tally.compute(2 * (rl as u64).div_ceil(32).max(1));
+                            tally.compute(2 * warp_steps(rl));
                         }
                         tally.shared_op(2); // post / read the broadcast slots
                         tally.shared_read(sl as u64);
                         tally.shared_write(sl as u64);
-                        tally.compute((sl as u64).div_ceil(32).max(1));
-                        atomic_hinted(
-                            tally,
-                            stream,
-                            w_buf.elem_addr((h * nnz + ss) as u64, 4),
-                            sl as u64 * 4,
-                        );
+                        tally.compute(warp_steps(sl));
+                        let w_addr = w_buf.elem_addr((h * nnz + seg.start) as u64, 4);
+                        atomic_hinted(tally, stream, w_addr, sl as u64 * 4);
                         // SpMM stage over the segment; the row's output
                         // accumulates across segments via atomics, exactly
                         // as HP-SpMM combines split rows.
                         tally.shared_read(sl as u64);
-                        for &ce in &col_ind[ss..se] {
-                            let c = ce as usize;
-                            read_hinted(
-                                tally,
-                                stream && col_deg[c] == 1,
-                                v_buf.elem_addr(((h * n + c) * d) as u64, 4),
-                                d as u64 * 4,
-                                vw,
-                            );
-                            tally.compute((d as u64).div_ceil(32).max(1));
-                        }
+                        gather(tally, stream, &v_buf, h, seg.clone(), false);
                         // The segments of a row are adjacent warps, so
                         // their accumulating atomics land while the
                         // evict-first line is still resident.
-                        atomic_hinted(
-                            tally,
-                            stream,
-                            o_buf.elem_addr(((h * m + r) * d) as u64, 4),
-                            d as u64 * 4,
-                        );
+                        atomic_hinted(tally, stream, row_addr(&o_buf, h, m, r), row_bytes);
                     }
                 }
-            });
-            reports.push(report);
+            }));
         }
 
         if !segs.is_empty() {
             let seg_tab = sim.alloc_input(4 * segs.len(), "seg_tab");
             let app_tab = sim.alloc_input(6 * apps.len(), "app_tab");
             let spill_buf = sim.alloc_scratch(segs.len() * SPILL_SEG, "spill_scores");
-            let mut spill_host = vec![0f32; segs.len() * SPILL_SEG];
 
             let score_launch = LaunchConfig {
                 num_warps: segs.len() as u64,
                 resources: self.resources(d),
             };
-            let report = sim.launch_named("fused-mha-spill-score", score_launch, |w, tally| {
-                let (h, r, ss, sl) = segs[w as usize];
+            let score = |w: u64, tally: &mut WarpTally| {
+                let (h, r, seg) = &segs[w as usize];
                 tally.compute(16);
                 tally.global_read(seg_tab.elem_addr(w * 4, 4), 16, 1);
-                let mut i = ss;
-                while i < ss + sl {
-                    let tl = tile_elems.min(ss + sl - i);
-                    for buf in [&col_buf, &val_buf] {
-                        tally.global_read(buf.elem_addr(i as u64, 4), tl as u64 * 4, vw);
-                    }
-                    tally.shared_op(2 + tl as u64);
-                    i += tl;
-                }
-                let qh = &q[h];
-                tally.global_read(
-                    q_buf.elem_addr(((h * m + r) * d) as u64, 4),
-                    d as u64 * 4,
-                    vw,
-                );
-                let base = w as usize * SPILL_SEG;
-                for e in ss..ss + sl {
-                    let c = col_ind[e] as usize;
-                    tally.global_read(
-                        k_buf.elem_addr(((h * n + c) * d) as u64, 4),
-                        d as u64 * 4,
-                        vw,
-                    );
-                    tally.compute((d as u64).div_ceil(32).max(1));
-                    tally.shuffle_reduce(32);
-                    let dot: f32 = qh.row(r).iter().zip(k[h].row(c)).map(|(x, y)| x * y).sum();
-                    spill_host[base + (e - ss)] = dot * values[e] * scale;
-                }
-                // Zero-pad the stripe tail: the whole segment is written so
-                // the launch-granular initcheck sees full coverage.
-                for t in sl..SPILL_SEG {
-                    spill_host[base + t] = 0.0;
-                }
-                tally.global_write(
-                    spill_buf.elem_addr(base as u64, 4),
-                    SPILL_SEG as u64 * 4,
-                    vw,
-                );
-            });
-            reports.push(report);
+                stage(tally, false, &[&col_buf, &val_buf], seg.clone());
+                tally.global_read(row_addr(&q_buf, *h, m, *r), row_bytes, vw);
+                gather(tally, false, &k_buf, *h, seg.clone(), true);
+                // The whole stripe is written, its tail zero-padded, so the
+                // launch-granular initcheck sees full coverage.
+                let stripe = spill_buf.elem_addr(w * SPILL_SEG as u64, 4);
+                tally.global_write(stripe, SPILL_SEG as u64 * 4, vw);
+            };
+            reports.push(sim.launch_named("fused-mha-spill-score", score_launch, score));
 
             let apply_launch = LaunchConfig {
                 num_warps: apps.len() as u64,
                 resources: self.resources(d),
             };
-            let report = sim.launch_named("fused-mha-spill-apply", apply_launch, |p, tally| {
-                let (h, r, rs, re, seg0, nsg) = apps[p as usize];
-                let rl = re - rs;
+            let apply = |p: u64, tally: &mut WarpTally| {
+                let (h, r, elems, seg0) = &apps[p as usize];
+                let rl = elems.len();
                 tally.compute(16);
                 tally.global_read(app_tab.elem_addr(p * 6, 4), 24, 1);
-                let mut i = rs;
-                while i < re {
-                    let tl = tile_elems.min(re - i);
-                    tally.global_read(col_buf.elem_addr(i as u64, 4), tl as u64 * 4, vw);
-                    tally.shared_op(1 + tl as u64);
-                    i += tl;
-                }
-                let base = seg0 * SPILL_SEG;
-                let span = (nsg * SPILL_SEG) as u64 * 4;
+                stage(tally, false, &[&col_buf], elems.clone());
+                let scores = spill_buf.elem_addr((seg0 * SPILL_SEG) as u64, 4);
+                let span = (rl.div_ceil(SPILL_SEG) * SPILL_SEG) as u64 * 4;
                 // Pass 1: running max over the spilled scores (via L2).
-                tally.global_read(spill_buf.elem_addr(base as u64, 4), span, vw);
-                tally.compute((rl as u64).div_ceil(32).max(1));
-                let max = spill_host[base..base + rl]
-                    .iter()
-                    .copied()
-                    .fold(f32::NEG_INFINITY, f32::max);
+                tally.global_read(scores, span, vw);
+                tally.compute(warp_steps(rl));
                 // Pass 2: exp + denominator, in edge_softmax's exact order.
-                tally.global_read(spill_buf.elem_addr(base as u64, 4), span, vw);
-                tally.compute(2 * (rl as u64).div_ceil(32).max(1));
-                let mut denom = 0f32;
-                for t in 0..rl {
-                    denom += (spill_host[base + t] - max).exp();
-                }
+                tally.global_read(scores, span, vw);
+                tally.compute(2 * warp_steps(rl));
                 // Pass 3: weights + aggregation.
-                tally.global_read(spill_buf.elem_addr(base as u64, 4), span, vw);
-                tally.global_atomic(w_buf.elem_addr((h * nnz + rs) as u64, 4), rl as u64 * 4);
-                acc.fill(0.0);
-                for e in rs..re {
-                    let c = col_ind[e] as usize;
-                    tally.global_read(
-                        v_buf.elem_addr(((h * n + c) * d) as u64, 4),
-                        d as u64 * 4,
-                        vw,
-                    );
-                    tally.compute((d as u64).div_ceil(32).max(1));
-                    let w = (spill_host[base + (e - rs)] - max).exp() / denom;
-                    attn[h][e] = w;
-                    for (t, a) in acc.iter_mut().enumerate() {
-                        *a += w * v[h].row(c)[t];
-                    }
-                }
-                tally.global_atomic(o_buf.elem_addr(((h * m + r) * d) as u64, 4), d as u64 * 4);
-                out_vals[h][r * d..(r + 1) * d].copy_from_slice(&acc);
-            });
-            reports.push(report);
+                tally.global_read(scores, span, vw);
+                tally.global_atomic(
+                    w_buf.elem_addr((h * nnz + elems.start) as u64, 4),
+                    rl as u64 * 4,
+                );
+                gather(tally, false, &v_buf, *h, elems.clone(), false);
+                tally.global_atomic(row_addr(&o_buf, *h, m, *r), row_bytes);
+            };
+            reports.push(sim.launch_named("fused-mha-spill-apply", apply_launch, apply));
         }
 
-        let outputs = out_vals
-            .into_iter()
-            .map(|vals| Dense::from_fn(m, d, |i, j| vals[i * d + j]))
-            .collect();
-        Ok(FusedMhaRun {
-            outputs,
-            attn,
+        Ok(FusedMhaCost {
             reports,
             spilled_rows: part.spills.len(),
         })
@@ -902,35 +688,21 @@ impl HpFusedMha {
             Distinct::ByVar(tile_var),
             0,
         );
-        let tl = l.data(
+        let tl = index(
+            &mut l,
             "tl",
-            SymExpr::Const(0),
             SymExpr::Const(cap).min(nnz.clone() - ts.clone()),
-            Distinct::No,
-            0,
         );
         l.read(tile_tab, tile.clone(), SymExpr::Const(2));
         l.read(row_buf, ts.clone(), tl.clone());
         l.read(col_buf, ts.clone(), tl.clone());
         l.read(val_buf, ts.clone(), tl.clone());
         let _e = l.begin_for("e", tl.clone());
-        let c = l.data(
-            "c",
-            SymExpr::Const(0),
-            n.clone() - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
+        let c = index(&mut l, "c", n.clone() - SymExpr::Const(1));
         l.read(k_buf, (h.clone() * n.clone() + c) * kd.clone(), kd.clone());
         l.begin_cases();
         l.begin_arm(None); // row switch: refresh the register copy of Q[r]
-        let r = l.data(
-            "r",
-            SymExpr::Const(0),
-            m.clone() - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
+        let r = index(&mut l, "r", m.clone() - SymExpr::Const(1));
         l.read(
             q_buf,
             (h.clone() * m.clone() + r.clone()) * kd.clone(),
@@ -951,13 +723,7 @@ impl HpFusedMha {
         l.read(smem, slice.clone(), tl.clone()); // weighted-aggregation pass
         l.atomic(w_out, h.clone() * nnz.clone() + ts.clone(), tl.clone());
         let _e2 = l.begin_for("e2", tl.clone());
-        let c2 = l.data(
-            "c2",
-            SymExpr::Const(0),
-            n.clone() - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
+        let c2 = index(&mut l, "c2", n.clone() - SymExpr::Const(1));
         l.read(v_buf, (h.clone() * n.clone() + c2) * kd.clone(), kd.clone());
         l.end_for();
         l.atomic(o_buf, (h * m.clone() + r) * kd.clone(), kd.clone());
@@ -966,28 +732,14 @@ impl HpFusedMha {
         // ---- spill launch pair --------------------------------------------
         let mut l = b.launch("fused-mha-spill-score");
         let w = l.axis("w", nseg.clone());
-        let ss = l.data("ss", SymExpr::Const(0), nnz.clone(), Distinct::No, 0);
-        let sl = l.data(
+        let ss = index(&mut l, "ss", nnz.clone());
+        let sl = index(
+            &mut l,
             "sl",
-            SymExpr::Const(0),
             SymExpr::Const(seg).min(nnz.clone() - ss.clone()),
-            Distinct::No,
-            0,
         );
-        let h2 = l.data(
-            "h2",
-            SymExpr::Const(0),
-            heads.clone() - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
-        let r2 = l.data(
-            "r2",
-            SymExpr::Const(0),
-            m.clone() - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
+        let h2 = index(&mut l, "h2", heads.clone() - SymExpr::Const(1));
+        let r2 = index(&mut l, "r2", m.clone() - SymExpr::Const(1));
         l.read(seg_tab, w.clone() * SymExpr::Const(4), SymExpr::Const(4));
         l.read(col_buf, ss.clone(), sl.clone());
         l.read(val_buf, ss.clone(), sl.clone());
@@ -997,13 +749,7 @@ impl HpFusedMha {
             kd.clone(),
         );
         let _e3 = l.begin_for("e3", sl);
-        let c3 = l.data(
-            "c3",
-            SymExpr::Const(0),
-            n.clone() - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
+        let c3 = index(&mut l, "c3", n.clone() - SymExpr::Const(1));
         l.read(k_buf, (h2 * n.clone() + c3) * kd.clone(), kd.clone());
         l.end_for();
         // The padded stripe: disjoint per warp, and together the stripes
@@ -1013,36 +759,12 @@ impl HpFusedMha {
 
         let mut l = b.launch("fused-mha-spill-apply");
         let p = l.axis("p", nspill.clone());
-        let g0 = l.data("g0", SymExpr::Const(0), nseg.clone(), Distinct::No, 0);
-        let gn = l.data(
-            "gn",
-            SymExpr::Const(0),
-            nseg.clone() - g0.clone(),
-            Distinct::No,
-            0,
-        );
-        let rs2 = l.data("rs2", SymExpr::Const(0), nnz.clone(), Distinct::No, 0);
-        let rl2 = l.data(
-            "rl2",
-            SymExpr::Const(0),
-            nnz.clone() - rs2.clone(),
-            Distinct::No,
-            0,
-        );
-        let h3 = l.data(
-            "h3",
-            SymExpr::Const(0),
-            heads.clone() - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
-        let r3 = l.data(
-            "r3",
-            SymExpr::Const(0),
-            m.clone() - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
+        let g0 = index(&mut l, "g0", nseg.clone());
+        let gn = index(&mut l, "gn", nseg.clone() - g0.clone());
+        let rs2 = index(&mut l, "rs2", nnz.clone());
+        let rl2 = index(&mut l, "rl2", nnz.clone() - rs2.clone());
+        let h3 = index(&mut l, "h3", heads.clone() - SymExpr::Const(1));
+        let r3 = index(&mut l, "r3", m.clone() - SymExpr::Const(1));
         l.read(app_tab, p * SymExpr::Const(6), SymExpr::Const(6));
         l.read(col_buf, rs2.clone(), rl2.clone());
         let span_off = g0 * SymExpr::Const(seg);
@@ -1052,13 +774,7 @@ impl HpFusedMha {
         l.read(spill, span_off, span_len); // weights + aggregation pass
         l.atomic(w_out, h3.clone() * nnz.clone() + rs2, rl2.clone());
         let _e4 = l.begin_for("e4", rl2);
-        let c4 = l.data(
-            "c4",
-            SymExpr::Const(0),
-            n.clone() - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
+        let c4 = index(&mut l, "c4", n.clone() - SymExpr::Const(1));
         l.read(v_buf, (h3.clone() * n + c4) * kd.clone(), kd.clone());
         l.end_for();
         l.atomic(o_buf, (h3 * m + r3) * kd.clone(), kd);

@@ -30,23 +30,10 @@ impl HpSddmm {
         Self { config }
     }
 
-    /// Builds the kernel with DTP + HVMA selection. For SDDMM there is no
-    /// K-slicing (the warp reduces across all of K), so the wave constraint
-    /// is evaluated with `k_slices = 1`; passing `k = 32` to the selector
-    /// achieves exactly that.
+    /// Builds the kernel with the edge-parallel selection rule
+    /// ([`HpConfig::edge_parallel`]).
     pub fn auto(device: &DeviceSpec, s: &Hybrid, k: usize) -> Self {
-        let mut config = HpConfig::auto(device, s.nnz(), s.rows(), 32);
-        // Vector width is set by K alone: the kernel's feature-row reads
-        // are contiguous K-float spans from 256-byte-aligned bases, so
-        // they vectorize regardless of how the sparse tile is aligned.
-        config.vector_width = if k >= 128 {
-            4
-        } else if k >= 64 {
-            2
-        } else {
-            1
-        };
-        Self { config }
+        Self::new(HpConfig::edge_parallel(device, s.nnz(), s.rows(), k))
     }
 
     /// Per-block resources: SDDMM keeps `A1[r]` in registers, so register

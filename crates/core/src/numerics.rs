@@ -1,4 +1,5 @@
-//! The f32 side of every simulated kernel: three accumulation orders.
+//! The f32 side of every simulated kernel: three accumulation orders and
+//! the attention routine composed from two of them.
 //!
 //! A kernel is a cost walk plus an accumulation order ([`crate::traits`]).
 //! The cost walk describes traffic to the simulator and never touches a
@@ -12,6 +13,7 @@
 //! | [`segment_sums`] | per segment a partial sum from `+0.0` in element order, added to the output row in segment order | HP-SpMM, its register-lean variant and Merge-path ([`Cut::Every`]); ALG2, GE-SpMM, Row-split, Sputnik, Huang, ASpT ([`Cut::PerRow`]) |
 //! | [`element_order`] | `O[r] += v·A[c]` per stored element | ALG3, COO-ALG4, TC-GNN |
 //! | [`masked_dots`] | per element `(Σₖ A1[r][k]·A2ᵀ[c][k]) · v`, the sum a sequential fold | HP-SDDMM, DGL-SDDMM, cuSPARSE CSR SDDMM |
+//! | [`attention`] | per head [`masked_dots`] `× 1/√d` → [`edge_softmax`] per row → [`element_order`] over the reweighted structure | HP-Fused-MHA |
 //!
 //! K-slices never appear: they partition columns, a column's sum never
 //! crosses a slice, and slices run chunk-fastest, so merging them is
@@ -19,7 +21,7 @@
 //! operand propagate as IEEE-754 says they do.
 
 use crate::cpu::axpy;
-use crate::traits::{check_sddmm_dims, check_spmm_dims};
+use crate::traits::{check_mha_dims, check_sddmm_dims, check_spmm_dims};
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
 use std::ops::Range;
 
@@ -106,4 +108,59 @@ pub fn masked_dots(s: &Hybrid, a1: &Dense, a2t: &Dense) -> Result<Vec<f32>, Form
             x.iter().zip(y).map(|(x, y)| x * y).sum::<f32>() * v
         })
         .collect())
+}
+
+/// Numerically-stable softmax over the contiguous equal-row groups of
+/// `scores`: per row the running max, then `exp(score − max)` accumulated
+/// into the denominator in element order, then the division.
+pub fn edge_softmax(row_indices: &[u32], scores: &[f32]) -> Vec<f32> {
+    assert_eq!(row_indices.len(), scores.len());
+    let mut out = vec![0f32; scores.len()];
+    for row in segments(row_indices, Cut::PerRow(usize::MAX)) {
+        let max = scores[row.clone()]
+            .iter()
+            .copied()
+            .fold(f32::NEG_INFINITY, f32::max);
+        let mut denom = 0f32;
+        for i in row.clone() {
+            out[i] = (scores[i] - max).exp();
+            denom += out[i];
+        }
+        for o in &mut out[row] {
+            *o /= denom;
+        }
+    }
+    out
+}
+
+/// Multi-head masked attention, per head `h`
+/// `O_h = softmax_row((Q_h·K_hᵀ) ⊙ S / √d) · V_h`: [`masked_dots`], each
+/// score times `1/√d`, [`edge_softmax`], then [`element_order`] over `S`
+/// carrying the attention weights as its values. Returns the per-head
+/// outputs and the per-head weights (element-aligned with `s`). However a
+/// kernel tiles the rows, each row's scores are produced and reduced in
+/// element order by one warp, so this is the order of every partitioning.
+pub fn attention(
+    s: &Hybrid,
+    q: &[Dense],
+    k: &[Dense],
+    v: &[Dense],
+) -> Result<(Vec<Dense>, Vec<Vec<f32>>), FormatError> {
+    check_mha_dims(s, q, k, v)?;
+    let scale = 1.0 / (q[0].cols() as f32).sqrt();
+    // One copy of the structure; each head overwrites its values.
+    let mut weighted = s.clone();
+    let mut outputs = Vec::with_capacity(q.len());
+    let mut attn = Vec::with_capacity(q.len());
+    for h in 0..q.len() {
+        let mut scores = masked_dots(s, &q[h], &k[h])?;
+        for e in &mut scores {
+            *e *= scale;
+        }
+        let weights = edge_softmax(s.row_indices(), &scores);
+        weighted.values_mut().copy_from_slice(&weights);
+        outputs.push(element_order(&weighted, &v[h])?);
+        attn.push(weights);
+    }
+    Ok((outputs, attn))
 }

@@ -5,30 +5,32 @@
 //! Every simulated kernel is two independent things, and the traits keep
 //! them apart:
 //!
-//! * a **cost walk** ([`SpmmKernel::cost_on`], [`SddmmKernel::cost_on`]) —
-//!   the kernel's allocations and its `launch_named` closures, which make
-//!   tally calls and nothing else. It sees the sparse operand and the
-//!   feature width `k`, never a feature matrix, so it cannot compute a
-//!   float by construction. A cost walk may read `RowInd` / `ColInd` /
-//!   offsets (addresses and row switches are data-dependent); it may not
-//!   read `Value`s or a `Dense`, write an output, or skip an allocation
-//!   the full kernel makes — `O` / `S_O` are still allocated, because
-//!   every later buffer's address, and so its alignment class and L2 set,
-//!   depends on them.
+//! * a **cost walk** ([`SpmmKernel::cost_on`], [`SddmmKernel::cost_on`],
+//!   [`HpFusedMha::cost_on`](crate::hp::HpFusedMha::cost_on)) — the
+//!   kernel's allocations and its `launch_named` closures, which make tally
+//!   calls and nothing else. It sees the sparse operand and the feature
+//!   width `k`, never a feature matrix, so it cannot compute a float by
+//!   construction. A cost walk may read `RowInd` / `ColInd` / offsets
+//!   (addresses, row switches and row-aligned tilings are data-dependent);
+//!   it may not read `Value`s or a `Dense`, write an output, or skip an
+//!   allocation the full kernel makes — `O` / `S_O` are still allocated,
+//!   because every later buffer's address, and so its alignment class and
+//!   L2 set, depends on them.
 //! * an **accumulation order** — which floats are added to which, in what
 //!   sequence. It is executed once per run, K-wide, outside the launch, by
-//!   one of the three routines in [`crate::numerics`] (segment sums for the
+//!   one of the routines in [`crate::numerics`] (segment sums for the
 //!   chunked and row-per-warp SpMMs, element order for the per-element
-//!   atomics kernels, one masked dot for every SDDMM); blocked-ELL keeps
-//!   its format's own SpMM. The order is part of the kernel's contract:
-//!   outputs are `to_bits`-stable across builds and thread counts
+//!   atomics kernels, one masked dot for every SDDMM, and their composition
+//!   through a row softmax for fused attention); blocked-ELL keeps its
+//!   format's own SpMM. The order is part of the kernel's contract: outputs
+//!   are `to_bits`-stable across builds and thread counts
 //!   (`tests/kernel_consistency.rs` records them).
 //!
 //! `run_on` is the two together. Callers that only read a
-//! [`LaunchReport`] — the Measured planner, the experiment sweeps — call
-//! the cost walk alone; its [`KernelCost`] equals the `report` /
-//! `preprocess` of a full run on the same simulator state, under either
-//! cost engine and with any sink attached (proptested in
+//! [`LaunchReport`] — the planner's one measure path, the experiment
+//! sweeps — call the cost walk alone; its [`KernelCost`] equals the
+//! `report` / `preprocess` of a full run on the same simulator state, under
+//! either cost engine and with any sink attached (proptested in
 //! `crates/core/tests/cost_walk.rs`).
 
 use crate::numerics;
@@ -251,6 +253,40 @@ pub fn check_sddmm_dims(s: &Hybrid, a1: &Dense, a2t: &Dense) -> Result<(), Forma
         return Err(FormatError::DimensionMismatch {
             context: "sddmm: A1.cols != A2T.cols",
         });
+    }
+    Ok(())
+}
+
+/// Validates multi-head attention operand shapes: one or more heads, the
+/// same count for `Q`/`K`/`V`, one non-zero head dimension throughout.
+pub fn check_mha_dims(
+    s: &Hybrid,
+    q: &[Dense],
+    k: &[Dense],
+    v: &[Dense],
+) -> Result<(), FormatError> {
+    if q.is_empty() || q.len() != k.len() || q.len() != v.len() {
+        return Err(FormatError::DimensionMismatch {
+            context: "fused-mha: head counts of Q/K/V differ or are zero",
+        });
+    }
+    let d = q[0].cols();
+    for h in 0..q.len() {
+        if q[h].rows() != s.rows() {
+            return Err(FormatError::DimensionMismatch {
+                context: "fused-mha: Q.rows != S.rows",
+            });
+        }
+        if k[h].rows() != s.cols() || v[h].rows() != s.cols() {
+            return Err(FormatError::DimensionMismatch {
+                context: "fused-mha: K.rows/V.rows != S.cols",
+            });
+        }
+        if q[h].cols() != d || k[h].cols() != d || v[h].cols() != d || d == 0 {
+            return Err(FormatError::DimensionMismatch {
+                context: "fused-mha: head dims differ or are zero",
+            });
+        }
     }
     Ok(())
 }

@@ -1,8 +1,9 @@
 //! A kernel is a cost walk plus an accumulation order: both halves held to
 //! their contracts.
 //!
-//! * **Cost-only ≡ full run.** For every kernel, `cost_on` reports exactly
-//!   the `report` / `preprocess` of `run_on` from the same simulator state
+//! * **Cost-only ≡ full run.** For every kernel — the fused attention
+//!   kernel's launches included — `cost_on` reports exactly the `report` /
+//!   `preprocess` of `run_on` from the same simulator state
 //!   — cold, warm after other launches, under the reference engine, and
 //!   with a recording sink attached (same declarations, same events) — and
 //!   leaves the simulator where the full run leaves it: the next allocation
@@ -13,7 +14,8 @@
 //! * **Hostile shapes** go through both entries without a panic.
 
 use hpsparse_core::baselines::{all_sddmm, all_spmm, Aspt, Huang, MergePath};
-use hpsparse_core::hp::{HpConfig, HpSddmm, HpSpmm, HpSpmmLean};
+use hpsparse_core::hp::fused_mha::SMEM_SCORE_CAP;
+use hpsparse_core::hp::{FusedMhaCost, HpConfig, HpFusedMha, HpSddmm, HpSpmm, HpSpmmLean};
 use hpsparse_core::mutants::all_mutants;
 use hpsparse_core::numerics::{element_order, masked_dots, segment_sums, segments, Cut};
 use hpsparse_core::{KernelCost, SddmmKernel, SpmmKernel};
@@ -150,18 +152,18 @@ fn prepared(device: &DeviceSpec, state: State) -> (GpuSim, Recorder) {
 
 /// Everything observable about a simulator after an entry ran on it.
 #[derive(Debug, PartialEq)]
-struct Aftermath {
-    cost: KernelCost,
+struct Aftermath<C> {
+    cost: C,
     seen: Vec<Seen>,
     next_alloc_base: u64,
     next_launches: Vec<KernelCost>,
 }
 
-fn aftermath(
+fn aftermath<C>(
     device: &DeviceSpec,
     state: State,
-    entry: impl FnOnce(&mut GpuSim) -> KernelCost,
-) -> Aftermath {
+    entry: impl FnOnce(&mut GpuSim) -> C,
+) -> Aftermath<C> {
     let (mut sim, recorder) = prepared(device, state);
     let cost = entry(&mut sim);
     sim.detach_sink();
@@ -185,6 +187,23 @@ fn sparse_matrix() -> impl Strategy<Value = (usize, usize, Vec<(u32, u32, f32)>)
                 (row, c, v as f32 * 0.01 - 5.0)
             });
         proptest::collection::vec(triplet, 0..200).prop_map(move |t| (rows, cols, t))
+    })
+}
+
+/// Strategy: a 600-column matrix whose row 0 is a hub of `hub` consecutive
+/// columns — past [`SMEM_SCORE_CAP`] the fused kernel spills it, below it
+/// is block-cooperative or a solo tile — over a scatter of short rows.
+/// Returns the hub length with the matrix.
+fn hub_matrix() -> impl Strategy<Value = (usize, Hybrid)> {
+    // Half the draws below 40, half within 20 of the cap on either side.
+    let hub = (0usize..80).prop_map(|x| if x < 40 { x } else { SMEM_SCORE_CAP - 60 + x });
+    (2usize..12, hub).prop_flat_map(|(rows, hub)| {
+        let scatter = proptest::collection::vec((1..rows as u32, 0u32..600), 0..80);
+        scatter.prop_map(move |scatter| {
+            let mut triplets: Vec<_> = (0..hub as u32).map(|c| (0, c, 1.0)).collect();
+            triplets.extend(scatter.into_iter().map(|(r, c)| (r, c, 0.5)));
+            (hub, Hybrid::from_triplets(rows, 600, &triplets).unwrap())
+        })
     })
 }
 
@@ -323,6 +342,43 @@ proptest! {
         }
     }
 
+    /// The same for the fused attention kernel's one to three launches, on
+    /// matrices with and without spilled rows and on both sides of the
+    /// streaming-hint policy (one head's footprint crosses the small L2 as
+    /// `d` grows).
+    #[test]
+    fn fused_attention_cost_only_equals_the_full_run(
+        (hub, s) in hub_matrix(),
+        d in 1usize..40,
+        heads in 1usize..3,
+    ) {
+        let tiny = HpConfig {
+            nnz_per_warp: 5,
+            vector_width: 2,
+            warps_per_block: 4,
+            alpha: 2.0,
+        };
+        let q: Vec<Dense> = (0..heads as u32).map(|h| planted(s.rows(), d, h, u32::MAX)).collect();
+        let kv: Vec<Dense> = (0..heads as u32).map(|h| planted(600, d, 7 + h, u32::MAX)).collect();
+        let small_l2 = DeviceSpec { l2_bytes: 64 << 10, ..DeviceSpec::v100() };
+        for device in [DeviceSpec::v100(), small_l2] {
+            for kernel in [HpFusedMha::auto(&device, &s, d), HpFusedMha::new(tiny)] {
+                for state in STATES {
+                    let full = aftermath(&device, state, |sim| {
+                        let run = kernel.run_on(sim, &s, &q, &kv, &kv).unwrap();
+                        FusedMhaCost { reports: run.reports, spilled_rows: run.spilled_rows }
+                    });
+                    let cost = aftermath(&device, state, |sim| {
+                        kernel.cost_on(sim, &s, d, heads).unwrap()
+                    });
+                    prop_assert_eq!(&cost, &full, "{:?} from {:?}", kernel.config, state);
+                    prop_assert_eq!(full.seen.is_empty(), !matches!(state, State::WarmWithSink));
+                    prop_assert_eq!(full.cost.spilled_rows, usize::from(hub > SMEM_SCORE_CAP));
+                }
+            }
+        }
+    }
+
     /// The three numerics routines against scalar transcriptions of their
     /// documented orders, specials planted in `S`, `A`, `A1`.
     #[test]
@@ -409,6 +465,26 @@ fn hostile_shapes_pass_through_both_entries() {
                 assert_eq!(run.output_values.len(), s.nnz());
                 let cost = kernel.cost(&device, s, k).unwrap();
                 assert_eq!(cost, run.into_cost(), "{} on {what}", kernel.name());
+            }
+            // Fused attention refuses zero heads and a zero head width with
+            // the same typed error from both entries.
+            let fused = HpFusedMha::auto(&device, s, k);
+            for heads in [0usize, 1, 2] {
+                let (q, kv) = (vec![a1.clone(); heads], vec![a.clone(); heads]);
+                let run = fused.run(&device, s, &q, &kv, &kv);
+                let cost = fused.cost_on(&mut GpuSim::new(device.clone()), s, k, heads);
+                match (run, cost) {
+                    (Ok(run), Ok(cost)) => {
+                        assert!(heads > 0 && k > 0, "{what} heads={heads}");
+                        assert_eq!(run.outputs.len(), heads);
+                        assert_eq!(cost.reports, run.reports, "{what} heads={heads}");
+                    }
+                    (Err(run), Err(cost)) => {
+                        assert!(heads == 0 || k == 0, "{what} heads={heads}");
+                        assert_eq!(run, cost);
+                    }
+                    (run, cost) => panic!("{what} heads={heads}: {run:?} vs {cost:?}"),
+                }
             }
         }
     }

@@ -15,8 +15,7 @@ use hpsparse_autotune::{
 use hpsparse_core::baselines::{CusparseCsrAlg2, DglSddmm};
 use hpsparse_core::cpu;
 use hpsparse_core::hp::{HpFusedMha, HpSddmm, HpSpmm};
-
-use crate::gat::edge_softmax;
+use hpsparse_core::numerics::edge_softmax;
 use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
 use hpsparse_sim::{DeviceSpec, GpuSim, LaunchReport};
 use hpsparse_sparse::{Dense, Hybrid};
@@ -341,21 +340,11 @@ impl PlannedKernels {
         heads: usize,
     ) -> Plan {
         let fp = GraphFingerprint::of(s, k, device);
-        let key = match op {
-            OpKind::FusedMha => fp.mha_key(heads),
-            OpKind::Spmm | OpKind::Sddmm => fp.key(),
-        };
+        let (key, encoding) = fp.cache_entry(op, heads);
         if let Some(plan) = self.cache.get(op, key) {
             return plan.clone();
         }
-        let (plan, encoding) = match op {
-            OpKind::Spmm => (self.planner.plan_spmm_for(&fp, s), fp.canonical_encoding()),
-            OpKind::Sddmm => (self.planner.plan_sddmm_for(&fp, s), fp.canonical_encoding()),
-            OpKind::FusedMha => (
-                self.planner.plan_mha_for(&fp, s, heads),
-                fp.mha_encoding(heads),
-            ),
-        };
+        let plan = self.planner.plan_for(op, &fp, s, heads);
         self.cache.insert(op, key, encoding, plan.clone());
         plan
     }
@@ -779,5 +768,74 @@ mod tests {
         let v4 = heads_for(6, 16, 4, 2);
         auto.mha(&s, &q4, &k4, &v4);
         assert_eq!(auto.cache().misses(), 2);
+    }
+
+    /// A corrupt or hand-edited cache file: every entry below used to reach
+    /// a kernel and divide by zero, never return, or panic in the occupancy
+    /// model. Each is now skipped at load, so its shape misses once, is
+    /// re-planned, and computes what an empty cache computes.
+    #[test]
+    fn unlaunchable_cached_configs_are_replanned_not_run() {
+        let s = small_graph();
+        let device = DeviceSpec::v100();
+        let (q, k, v) = (
+            heads_for(6, 16, 2, 0),
+            heads_for(6, 16, 2, 1),
+            heads_for(6, 16, 2, 2),
+        );
+        let run = |op: OpKind, backend: &mut AutoBackend| -> Vec<f32> {
+            match op {
+                OpKind::Spmm => backend.spmm(&s, &q[0]).into_vec(),
+                OpKind::Sddmm => backend.sddmm(&s, &q[0], &k[0]),
+                OpKind::FusedMha => {
+                    let (out, attn) = backend.mha(&s, &q, &k, &v);
+                    out.into_iter()
+                        .flat_map(Dense::into_vec)
+                        .chain(attn.concat())
+                        .collect()
+                }
+            }
+        };
+        let good = r#""nnz_per_warp": 8, "vector_width": 1, "warps_per_block": 8"#;
+        for (op, kernel_id) in [
+            (OpKind::Spmm, "hp:npw=8"),
+            (OpKind::Sddmm, "hp-sddmm:npw=8"),
+            (OpKind::FusedMha, "hp-fused-mha:auto"),
+        ] {
+            let heuristic = PlanStrategy::Heuristic;
+            let expected = run(
+                op,
+                &mut AutoBackend::with_strategy(device.clone(), heuristic),
+            );
+            let (key, _) = GraphFingerprint::of(&s, 16, &device).cache_entry(op, 2);
+            // Runs `op` on a backend seeded with one entry for its shape;
+            // returns the output and the cache's (hits, misses).
+            let run_seeded = |config: String| {
+                let text = format!(
+                    r#"{{"version": 1, "entries": [{{"op": "{}", "key": "{key:016x}",
+                    "fingerprint": "f", "kernel_id": "{kernel_id}", "predicted_cycles": 1,
+                    "rationale": "r", "config": {{{config}, "alpha": 4.0}}}}]}}"#,
+                    op.tag(),
+                );
+                let cache = PlanCache::from_json_str(&text).unwrap();
+                let mut auto = AutoBackend::with_cache(device.clone(), heuristic, cache);
+                let got = run(op, &mut auto);
+                (got, (auto.cache().hits(), auto.cache().misses()))
+            };
+            for (field, bad) in [
+                (r#""vector_width": 1"#, r#""vector_width": 0"#),
+                (r#""warps_per_block": 8"#, r#""warps_per_block": 0"#),
+                (r#""vector_width": 1"#, r#""vector_width": 4294967297"#),
+                (r#""nnz_per_warp": 8"#, r#""nnz_per_warp": 0"#),
+            ] {
+                let (got, counters) = run_seeded(good.replace(field, bad));
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&expected), "{kernel_id} with {bad}");
+                assert_eq!(counters, (0, 1), "{kernel_id} with {bad}");
+            }
+            // The uncorrupted entry is a hit: the key above is the one
+            // looked up.
+            assert_eq!(run_seeded(good.into()).1, (1, 0), "{kernel_id}");
+        }
     }
 }

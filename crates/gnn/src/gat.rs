@@ -10,6 +10,8 @@
 use crate::backend::{dense_gemm_cycles, SparseBackend};
 use crate::linalg;
 use crate::params::Xorshift64Star;
+pub use hpsparse_core::numerics::edge_softmax;
+use hpsparse_core::numerics::{segments, Cut};
 use hpsparse_sparse::{Dense, Hybrid};
 
 /// One attention head: projections `Wq`, `Wk`, `Wv`.
@@ -193,47 +195,16 @@ pub(crate) fn unit_mask(s: &Hybrid) -> Hybrid {
 /// Gradients of the three projection matrices, shaped like the layer.
 pub type GatGrads = GatLayer;
 
-/// The element ranges of the contiguous equal-row groups of `row_indices`.
-fn row_groups(row_indices: &[u32]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-    let mut start = 0;
-    row_indices.chunk_by(|a, b| a == b).map(move |group| {
-        let range = start..start + group.len();
-        start = range.end;
-        range
-    })
-}
-
 /// Backward of [`edge_softmax`] over contiguous row groups:
 /// `d_score_e = w_e (d_w_e − Σ_f w_f d_w_f)` within each row.
 pub fn edge_softmax_backward(row_indices: &[u32], weights: &[f32], d_weights: &[f32]) -> Vec<f32> {
     assert_eq!(row_indices.len(), weights.len());
     assert_eq!(row_indices.len(), d_weights.len());
     let mut out = vec![0f32; weights.len()];
-    for row in row_groups(row_indices) {
+    for row in segments(row_indices, Cut::PerRow(usize::MAX)) {
         let dot: f32 = row.clone().map(|i| weights[i] * d_weights[i]).sum();
         for i in row {
             out[i] = weights[i] * (d_weights[i] - dot);
-        }
-    }
-    out
-}
-
-/// Numerically-stable softmax over contiguous row groups of `scores`.
-pub fn edge_softmax(row_indices: &[u32], scores: &[f32]) -> Vec<f32> {
-    assert_eq!(row_indices.len(), scores.len());
-    let mut out = vec![0f32; scores.len()];
-    for row in row_groups(row_indices) {
-        let max = scores[row.clone()]
-            .iter()
-            .copied()
-            .fold(f32::NEG_INFINITY, f32::max);
-        let mut denom = 0f32;
-        for i in row.clone() {
-            out[i] = (scores[i] - max).exp();
-            denom += out[i];
-        }
-        for o in &mut out[row] {
-            *o /= denom;
         }
     }
     out

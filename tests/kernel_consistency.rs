@@ -8,7 +8,7 @@ use hpsparse::kernels::baselines::{
     DglSddmm, GeSpmm, Huang, MergePath, RowSplit, Sputnik, TcGnn,
 };
 use hpsparse::kernels::cpu;
-use hpsparse::kernels::hp::{HpSddmm, HpSpmm, HpSpmmLean};
+use hpsparse::kernels::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm, HpSpmmLean};
 use hpsparse::kernels::{SddmmKernel, SpmmKernel};
 use hpsparse::sim::{CostEngine, DeviceSpec, GpuSim};
 use hpsparse::sparse::{reference, Dense, Graph, Hybrid};
@@ -348,4 +348,185 @@ fn kernel_outputs_keep_their_recorded_bits() {
     for ((id, got), (_, want)) in got.iter().zip(&RECORDED_OUTPUT_BITS) {
         assert_eq!(got, want, "{id}: got {got:#018x?}");
     }
+}
+
+/// One recorded fused-attention run: `(heads, head_dim, explicit config)`
+/// on both sides of the streaming-hint policy. `None` is
+/// [`HpFusedMha::auto`] (`NnzPerWarp` 8 on [`pinned_graph`]); the explicit
+/// configuration has 4-warp blocks, so cooperative rows need idle padding.
+const FUSED_CASES: [(usize, usize, Option<HpConfig>); 4] = [
+    (1, 33, None),
+    (2, 64, None),
+    (4, 32, None),
+    (
+        2,
+        64,
+        Some(HpConfig {
+            nnz_per_warp: 128,
+            vector_width: 4,
+            warps_per_block: 4,
+            alpha: 4.0,
+        }),
+    ),
+];
+
+/// `(outputs, attention weights, launch reports, cycles, DRAM bytes,
+/// spilled rows)` of one fused-attention run.
+type FusedRecord = (u64, u64, u64, u64, u64, usize);
+
+/// Per [`FUSED_CASES`] entry, cached then streaming: FNV-1a over the
+/// output bits of every head, over the attention-weight bits of every
+/// head, and over the `Debug` text of every [`LaunchReport`] (cycles,
+/// totals, DRAM sectors, schedule — every field), then total cycles, DRAM
+/// bytes and spilled rows in the clear. Taken from the commit before the
+/// fused kernel's floats left its launch closures (PR 20); the same
+/// contract as [`RECORDED_OUTPUT_BITS`].
+const RECORDED_FUSED_MHA: [[FusedRecord; 2]; 4] = [
+    [
+        (
+            0x01f9d606a98bed42,
+            0xe14f850eeb78e84f,
+            0x1a5dd0424990bd0c,
+            57623,
+            948064,
+            2,
+        ),
+        (
+            0x01f9d606a98bed42,
+            0xe14f850eeb78e84f,
+            0x90c7285f23fe65c8,
+            80346,
+            1200992,
+            2,
+        ),
+    ],
+    [
+        (
+            0xab95c2726a96e8d1,
+            0xef194e536af455f8,
+            0xefbc049069afc71a,
+            86306,
+            3132608,
+            2,
+        ),
+        (
+            0xab95c2726a96e8d1,
+            0xef194e536af455f8,
+            0x3af138930e6b926c,
+            210095,
+            6500352,
+            2,
+        ),
+    ],
+    [
+        (
+            0x2110b2596816b74a,
+            0x334e1a9733bde0c4,
+            0xa9e0ae736480c779,
+            61685,
+            3261184,
+            2,
+        ),
+        (
+            0x2110b2596816b74a,
+            0x334e1a9733bde0c4,
+            0x80c847c528f4772b,
+            124665,
+            5332480,
+            2,
+        ),
+    ],
+    [
+        (
+            0xab95c2726a96e8d1,
+            0xef194e536af455f8,
+            0x0cb9eb6ab69941b8,
+            99984,
+            3150272,
+            2,
+        ),
+        (
+            0xab95c2726a96e8d1,
+            0xef194e536af455f8,
+            0xf5afea025941b101,
+            221804,
+            6479744,
+            2,
+        ),
+    ],
+];
+
+#[test]
+fn fused_attention_keeps_its_recorded_bits_and_reports() {
+    // `pinned_graph` ends on a full 8-element tile; three elements fewer
+    // leave the last tile ragged.
+    let full = pinned_graph();
+    let keep = full.nnz() - 3;
+    let s = Hybrid::from_sorted_parts(
+        full.rows(),
+        full.cols(),
+        full.row_indices()[..keep].to_vec(),
+        full.col_indices()[..keep].to_vec(),
+        full.values()[..keep].to_vec(),
+    )
+    .unwrap();
+    let csr = s.to_csr();
+    let row_lens: Vec<usize> = (0..csr.rows()).map(|r| csr.row_len(r)).collect();
+    let cached = DeviceSpec::v100();
+    let streaming = DeviceSpec {
+        l2_bytes: 256 * 1024,
+        ..DeviceSpec::v100()
+    };
+    let mut got: [[FusedRecord; 2]; 4] = Default::default();
+    for (case, (heads, d, config)) in FUSED_CASES.into_iter().enumerate() {
+        // One head's footprint (Q + K + V + O + triplets + weights) sits
+        // between the two L2 sizes, so the pair straddles the policy.
+        let footprint = ((2 * s.rows() + 2 * s.cols()) * d * 4 + 16 * s.nnz()) as u64;
+        assert!(streaming.l2_bytes < footprint && footprint <= cached.l2_bytes);
+        let [q, k, v] = [0, 1, 2].map(|salt| -> Vec<Dense> {
+            let rows = if salt == 0 { s.rows() } else { s.cols() };
+            (0..heads)
+                .map(|h| pinned_features(rows, d, 3 * h + salt))
+                .collect()
+        });
+        for (side, device) in [&cached, &streaming].into_iter().enumerate() {
+            let kernel = config.map_or_else(|| HpFusedMha::auto(device, &s, d), HpFusedMha::new);
+            let npw = kernel.config.nnz_per_warp;
+            // The shape facts the record relies on: solo tiles with a
+            // ragged last one, cooperative rows, spilled rows, empty rows.
+            let last_tile = row_lens.iter().fold(0, |fill, &len| match len {
+                _ if len > npw => 0,
+                _ if fill + len > npw => len,
+                _ => fill + len,
+            });
+            assert!((1..npw).contains(&last_tile), "ragged last tile");
+            assert!(row_lens.iter().any(|&l| l > npw && l <= 512), "coop rows");
+            assert!(row_lens.contains(&0), "isolated rows");
+            let spills = row_lens.iter().filter(|&&l| l > 512).count();
+            assert!(spills > 0, "spilled rows");
+
+            let run = kernel.run(device, &s, &q, &k, &v).unwrap();
+            assert_eq!(run.reports.len(), 3, "main launch + spill pair");
+            assert_eq!(run.spilled_rows, spills);
+            let outputs: Vec<f32> = run
+                .outputs
+                .iter()
+                .flat_map(|o| o.data().iter().copied())
+                .collect();
+            let reports = run.reports.iter().fold(0xcbf2_9ce4_8422_2325, |h, r| {
+                format!("{r:?}").bytes().fold(h, |h: u64, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+            });
+            got[case][side] = (
+                fnv_of_bits(&outputs),
+                fnv_of_bits(&run.attn.concat()),
+                reports,
+                run.total_cycles(),
+                run.dram_bytes(),
+                run.spilled_rows,
+            );
+        }
+    }
+    assert_eq!(got, RECORDED_FUSED_MHA, "got {got:#018x?}");
 }
