@@ -344,7 +344,7 @@ impl Planner {
             // The paper-auto incumbent is always measured, wherever the
             // heuristic ranked it: the tuned choice can then never be
             // slower than `HpConfig::auto`'s.
-            let incumbent = cand.kernel_id == "hp:auto" || cand.kernel_id == "hp-sddmm:auto";
+            let incumbent = matches!(cand.kernel_id.as_str(), "hp:auto" | "hp-sddmm:auto");
             if rank_idx >= n && !incumbent {
                 continue;
             }

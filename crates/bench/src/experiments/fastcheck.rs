@@ -1,9 +1,9 @@
 //! `fastcheck` — differential test of the two cost engines and of the
 //! cost-only entry.
 //!
-//! Every SpMM/SDDMM kernel (HP kernels plus every registry baseline) runs
-//! on every full-graph registry dataset three times: in full on the
-//! **reference** engine (element-wise descriptor expansion, no
+//! Every catalogue kernel — the fused attention kernel at [`HEADS`] heads
+//! included — runs on every full-graph registry dataset three times: in
+//! full on the **reference** engine (element-wise descriptor expansion, no
 //! memoization), in full on the **batched** engine (descriptor batching +
 //! warp-signature memoization), and as a bare **cost walk** (`cost_on`: no
 //! feature operand, no float) on the batched engine. The three profiles
@@ -21,12 +21,11 @@
 //! ragged tails in the stepped gathers).
 
 use crate::experiments::{Effort, ExperimentOutput};
+use crate::runner::bench_features;
 use crate::table;
-use hpsparse_core::baselines::registry;
-use hpsparse_core::hp::{HpSddmm, HpSpmm};
-use hpsparse_core::{KernelCost, SddmmRun, SpmmRun};
+use hpsparse_core::catalog::{Kernel, Launches, Row, HEADS, KERNELS};
 use hpsparse_datasets::{full_graph_dataset, store};
-use hpsparse_sim::{CostEngine, DeviceSpec, GpuSim};
+use hpsparse_sim::{CostEngine, DeviceSpec, GpuSim, LaunchReport};
 use hpsparse_sparse::{FormatError, Hybrid};
 use serde_json::json;
 
@@ -45,8 +44,9 @@ fn edge_cap(effort: Effort) -> usize {
 }
 
 /// Outcome of the differential sweep for one kernel.
+#[derive(Default)]
 pub struct KernelDiff {
-    /// Kernel registry id (or `hp-spmm` / `hp-sddmm`).
+    /// Catalogue id.
     pub id: String,
     /// Cells checked (graphs × feature dimensions).
     pub cells: usize,
@@ -61,43 +61,26 @@ pub struct KernelDiff {
 }
 
 impl KernelDiff {
-    fn new(id: &str) -> Self {
-        Self {
-            id: id.to_string(),
-            cells: 0,
-            matching: 0,
-            cost_matching: 0,
-            cycles: 0,
-            mismatches: Vec::new(),
-        }
-    }
-
     /// Reference ≡ batched ≡ cost-only on every cell?
     pub fn passed(&self) -> bool {
         self.matching == self.cells && self.cost_matching == self.cells
     }
 
     /// Books one cell: the two full runs' profiles and the cost walk's.
-    fn fold(
-        &mut self,
-        graph: &str,
-        k: usize,
-        refr: &KernelCost,
-        fast: &KernelCost,
-        cost: &KernelCost,
-    ) {
+    fn fold(&mut self, graph: &str, k: usize, refr: &Launches, fast: &Launches, cost: &Launches) {
+        let exec = |c: &Launches, f: fn(&LaunchReport) -> u64| c.exec.iter().map(f).sum::<u64>();
         self.cells += 1;
-        self.cycles += refr.report.cycles;
+        self.cycles += exec(refr, |r| r.cycles);
         self.matching += usize::from(fast == refr);
         self.cost_matching += usize::from(cost == fast);
-        let show = |c: &KernelCost| {
+        let show = |c: &Launches| {
             format!(
                 "{{cycles {}, pre {}, tx {}, l2_hits {}, dram {}}}",
-                c.report.cycles,
+                exec(c, |r| r.cycles),
                 c.preprocess.as_ref().map_or(0, |p| p.cycles),
-                c.report.totals.transactions,
-                c.report.totals.l2_hit_sectors,
-                c.report.totals.dram_sectors,
+                exec(c, |r| r.totals.transactions),
+                exec(c, |r| r.totals.l2_hit_sectors),
+                exec(c, |r| r.totals.dram_sectors),
             )
         };
         for (what, got, against, want) in [
@@ -132,71 +115,52 @@ pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelDiff> {
         .map(|spec| (spec.name.to_string(), store::graph(&spec, cap).to_hybrid()))
         .collect();
 
-    let spmm_ids: Vec<String> = std::iter::once("hp-spmm".to_string())
-        .chain(registry::SPMM_IDS.iter().map(|id| id.to_string()))
-        .collect();
-    let sddmm_ids: Vec<String> = std::iter::once("hp-sddmm".to_string())
-        .chain(registry::SDDMM_IDS.iter().map(|id| id.to_string()))
-        .collect();
-
-    // One cell: the kernel in full on both engines, then its bare cost
-    // walk on the batched one, each from a cold simulator.
-    type Entry<'a> = &'a dyn Fn(&mut GpuSim) -> Result<KernelCost, FormatError>;
-    let cell = |what: &str, full: Entry, cost: Entry| {
-        let on = |entry: Entry, engine: CostEngine| {
-            entry(&mut sim_on(device, engine))
-                .unwrap_or_else(|e| panic!("{what} ({}): {e:?}", engine.label()))
+    type Entry<'a> = &'a dyn Fn(&mut GpuSim) -> Result<Launches, FormatError>;
+    let diff_of = |row: &Row| {
+        let mut diff = KernelDiff {
+            id: row.id.to_string(),
+            ..KernelDiff::default()
         };
-        [
-            on(full, CostEngine::Reference),
-            on(full, CostEngine::Batched),
-            on(cost, CostEngine::Batched),
-        ]
+        for (graph, s) in &graphs {
+            for k in CHECK_KS {
+                let kernel = row.auto(device, s, k);
+                // The full run is the one place that needs operands, so it
+                // is the one place that asks which operation this is.
+                let (by_row, by_col) = (bench_features(s.rows(), k), bench_features(s.cols(), k));
+                let full = |sim: &mut GpuSim| -> Result<Launches, FormatError> {
+                    Ok(match &kernel {
+                        Kernel::Spmm(kern) => kern.run_on(sim, s, &by_col)?.into_cost().into(),
+                        Kernel::Sddmm(kern) => {
+                            kern.run_on(sim, s, &by_row, &by_col)?.into_cost().into()
+                        }
+                        Kernel::FusedMha(kern) => {
+                            let (q, kv) =
+                                (vec![by_row.clone(); HEADS], vec![by_col.clone(); HEADS]);
+                            let run = kern.run_on(sim, s, &q, &kv, &kv)?;
+                            Launches {
+                                preprocess: None,
+                                exec: run.reports,
+                            }
+                        }
+                    })
+                };
+                let cost = |sim: &mut GpuSim| kernel.cost_on(sim, s, k);
+                // One cell: the kernel in full on both engines, then its
+                // bare cost walk on the batched one, each from a cold
+                // simulator.
+                let on = |entry: Entry, engine: CostEngine| {
+                    entry(&mut sim_on(device, engine)).unwrap_or_else(|e| {
+                        panic!("{} on {graph} K={k} ({}): {e:?}", row.id, engine.label())
+                    })
+                };
+                let refr = on(&full, CostEngine::Reference);
+                let fast = on(&full, CostEngine::Batched);
+                diff.fold(graph, k, &refr, &fast, &on(&cost, CostEngine::Batched));
+            }
+        }
+        diff
     };
-
-    let mut diffs: Vec<KernelDiff> = Vec::new();
-    for id in &spmm_ids {
-        let mut diff = KernelDiff::new(id);
-        for (graph, s) in &graphs {
-            for k in CHECK_KS {
-                let kernel: Box<dyn hpsparse_core::SpmmKernel> = if id == "hp-spmm" {
-                    Box::new(HpSpmm::auto(device, s, k))
-                } else {
-                    registry::spmm_by_id(id).expect("registry id resolves")
-                };
-                let a = crate::runner::bench_features(s.cols(), k);
-                let [refr, fast, cost] = cell(
-                    &format!("{id} on {graph} K={k}"),
-                    &|sim| kernel.run_on(sim, s, &a).map(SpmmRun::into_cost),
-                    &|sim| kernel.cost_on(sim, s, k),
-                );
-                diff.fold(graph, k, &refr, &fast, &cost);
-            }
-        }
-        diffs.push(diff);
-    }
-    for id in &sddmm_ids {
-        let mut diff = KernelDiff::new(id);
-        for (graph, s) in &graphs {
-            for k in CHECK_KS {
-                let kernel: Box<dyn hpsparse_core::SddmmKernel> = if id == "hp-sddmm" {
-                    Box::new(HpSddmm::auto(device, s, k))
-                } else {
-                    registry::sddmm_by_id(id).expect("registry id resolves")
-                };
-                let a1 = crate::runner::bench_features(s.rows(), k);
-                let a2t = crate::runner::bench_features(s.cols(), k);
-                let [refr, fast, cost] = cell(
-                    &format!("{id} on {graph} K={k}"),
-                    &|sim| kernel.run_on(sim, s, &a1, &a2t).map(SddmmRun::into_cost),
-                    &|sim| kernel.cost_on(sim, s, k),
-                );
-                diff.fold(graph, k, &refr, &fast, &cost);
-            }
-        }
-        diffs.push(diff);
-    }
-    diffs
+    KERNELS.iter().map(diff_of).collect()
 }
 
 /// Runs the sweep and renders the verdict table.
@@ -293,11 +257,11 @@ mod tests {
         let out = run(&DeviceSpec::v100(), Effort::Quick);
         assert_eq!(out.json["all_match"].as_bool(), Some(true), "{}", out.text);
         // The batched engine checked against the reference, and the cost
-        // walk against the batched full run, on every cell: 12 SpMM (hp +
-        // 11 registry) + 3 SDDMM (hp + 2 registry), each on 19 graphs × 2
-        // feature dimensions — 570 cells in total.
+        // walk against the batched full run, on every cell: the sixteen
+        // catalogue kernels, each on 19 graphs × 2 feature dimensions —
+        // 608 cells in total.
         let kernels = out.json["kernels"].as_array().unwrap();
-        assert_eq!(kernels.len(), 15);
+        assert_eq!(kernels.len(), KERNELS.len());
         assert_eq!(out.json["engines"], json!(["reference", "batched"]));
         let mut cells = 0;
         for k in kernels {
@@ -307,6 +271,6 @@ mod tests {
             assert!(k["cycles"].as_u64().unwrap() > 0, "{}", k["id"]);
             cells += k["cells"].as_u64().unwrap();
         }
-        assert_eq!(cells, 570);
+        assert_eq!(cells, 608);
     }
 }

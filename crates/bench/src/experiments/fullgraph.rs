@@ -2,11 +2,9 @@
 //! K = 64, Tesla V100).
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::{
-    sddmm_contenders, spmm_contenders, sweep_key, time_hp_sddmm, time_hp_spmm, time_sddmm,
-    time_spmm, BaselineStats, SweepKey,
-};
+use crate::runner::{contenders, sweep_key, time, time_id, BaselineStats, SweepKey};
 use crate::table;
+use hpsparse_core::catalog::Op;
 use hpsparse_datasets::full_graph_dataset;
 use hpsparse_datasets::store::{self, Memo};
 use hpsparse_sim::DeviceSpec;
@@ -47,41 +45,26 @@ pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Arc<Vec<GraphRe
 /// launches never share mutable state. Results are `collect`ed in input
 /// order, keeping the rendered tables byte-identical to a sequential run.
 fn sweep(device: &DeviceSpec, effort: Effort, k: usize) -> Vec<GraphRecord> {
-    let spmm_set = spmm_contenders();
-    let sddmm_set = sddmm_contenders();
     full_graph_dataset()
         .into_par_iter()
         .map(|spec| {
             let g = store::graph(&spec, effort.max_edges());
             let s = g.to_hybrid();
-            let hp = time_hp_spmm(device, &s, k);
-            let spmm_baselines = spmm_set
-                .par_iter()
-                .map(|kern| {
-                    (
-                        kern.name().to_string(),
-                        time_spmm(kern.as_ref(), device, &s, k).exec_ms,
-                    )
-                })
-                .collect();
-            let hp_sd = time_hp_sddmm(device, &s, k);
-            let sddmm_baselines = sddmm_set
-                .par_iter()
-                .map(|kern| {
-                    (
-                        kern.name().to_string(),
-                        time_sddmm(kern.as_ref(), device, &s, k).exec_ms,
-                    )
-                })
-                .collect();
+            let baselines = |op| {
+                let rows: Vec<_> = contenders(op).collect();
+                rows.par_iter()
+                    .map(|row| time(&row.auto(device, &s, k), device, &s, k))
+                    .map(|t| (t.kernel, t.exec_ms))
+                    .collect()
+            };
             GraphRecord {
                 graph: spec.name.to_string(),
                 nnz: s.nnz(),
                 scale_factor: spec.scale_factor(effort.max_edges()),
-                hp_spmm_ms: hp.exec_ms,
-                spmm_baselines,
-                hp_sddmm_ms: hp_sd.exec_ms,
-                sddmm_baselines,
+                hp_spmm_ms: time_id("hp-spmm", device, &s, k).exec_ms,
+                spmm_baselines: baselines(Op::Spmm),
+                hp_sddmm_ms: time_id("hp-sddmm", device, &s, k).exec_ms,
+                sddmm_baselines: baselines(Op::Sddmm),
             }
         })
         .collect()

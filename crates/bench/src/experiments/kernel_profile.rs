@@ -8,11 +8,9 @@
 //! registry fills with the NCU-style counters `render_metrics` prints.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::{bench_features, registry_graph};
-use hpsparse_core::baselines::{CusparseCsrAlg2, DglSddmm, GeSpmm};
-use hpsparse_core::hp::{HpSddmm, HpSpmm};
-use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
-use hpsparse_sim::{profile, DeviceSpec, GpuSim, LaunchReport};
+use crate::runner::registry_graph;
+use hpsparse_core::catalog;
+use hpsparse_sim::{profile, DeviceSpec, GpuSim};
 use serde_json::{json, ToJson};
 
 /// A fresh cold-cache simulator with the globally installed trace session
@@ -25,30 +23,21 @@ fn profiled_sim(device: &DeviceSpec) -> GpuSim {
     sim
 }
 
-fn record(
-    text: &mut String,
-    json_rows: &mut Vec<serde_json::Value>,
-    name: &str,
-    report: &LaunchReport,
-    device: &DeviceSpec,
-) {
-    text.push_str(&profile::render(name, report, device));
-    text.push_str(&profile::render_metrics(report));
-    text.push('\n');
-    json_rows.push(json!({
-        "kernel": name,
-        "cycles": report.cycles,
-        "report": report.to_json(),
-    }));
-}
+/// The profiled kernels: ours and representative baselines of each op.
+const PROFILED: [&str; 5] = [
+    "hp-spmm",
+    "cusparse-csr-alg2",
+    "gespmm",
+    "hp-sddmm",
+    "dgl-sddmm",
+];
 
-/// Profiles HP and representative baselines on Flickr.
+/// Profiles HP and representative baselines on Flickr. A profile reads the
+/// launch report (and the tracer the launch itself), so each kernel is its
+/// bare cost walk.
 pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
     let device = DeviceSpec::v100();
     let (_, s) = registry_graph("Flickr", effort);
-    let a = bench_features(s.cols(), k);
-    let a1 = bench_features(s.rows(), k);
-    let a2t = bench_features(s.cols(), k);
 
     let mut text = format!(
         "Kernel profiles on Flickr ({} nodes, {} edges, K = {k}, {})\n\n",
@@ -57,46 +46,24 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
         device.name
     );
     let mut json_rows = Vec::new();
-
-    let hp = HpSpmm::auto(&device, &s, k);
-    let run = hp.run_on(&mut profiled_sim(&device), &s, &a).unwrap();
-    record(&mut text, &mut json_rows, hp.name(), &run.report, &device);
-
-    for kernel in [
-        Box::new(CusparseCsrAlg2) as Box<dyn SpmmKernel>,
-        Box::new(GeSpmm),
-    ] {
-        let run = kernel.run_on(&mut profiled_sim(&device), &s, &a).unwrap();
-        record(
-            &mut text,
-            &mut json_rows,
-            kernel.name(),
-            &run.report,
-            &device,
-        );
+    for id in PROFILED {
+        let kernel = catalog::by_id(id)
+            .expect("profiled ids are catalogue ids")
+            .auto(&device, &s, k);
+        let launches = kernel
+            .cost_on(&mut profiled_sim(&device), &s, k)
+            .expect("benchmark shapes are valid");
+        for report in &launches.exec {
+            text.push_str(&profile::render(kernel.name(), report, &device));
+            text.push_str(&profile::render_metrics(report));
+            text.push('\n');
+            json_rows.push(json!({
+                "kernel": kernel.name(),
+                "cycles": report.cycles,
+                "report": report.to_json(),
+            }));
+        }
     }
-
-    let hp_sd = HpSddmm::auto(&device, &s, k);
-    let run = hp_sd
-        .run_on(&mut profiled_sim(&device), &s, &a1, &a2t)
-        .unwrap();
-    record(
-        &mut text,
-        &mut json_rows,
-        hp_sd.name(),
-        &run.report,
-        &device,
-    );
-    let run = DglSddmm
-        .run_on(&mut profiled_sim(&device), &s, &a1, &a2t)
-        .unwrap();
-    record(
-        &mut text,
-        &mut json_rows,
-        DglSddmm.name(),
-        &run.report,
-        &device,
-    );
 
     ExperimentOutput::new(
         text,

@@ -3,9 +3,8 @@
 //! grows, and the corresponding decline in relative speedup.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::{registry_graph, time_hp_spmm, time_spmm};
+use crate::runner::{registry_graph, time_id};
 use crate::table;
-use hpsparse_core::baselines::{CusparseCsrAlg2, GeSpmm};
 use hpsparse_sim::DeviceSpec;
 use serde_json::json;
 
@@ -20,9 +19,9 @@ pub fn run(effort: Effort) -> ExperimentOutput {
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     for &k in &K_VALUES {
-        let hp = time_hp_spmm(&device, &s, k);
-        let alg2 = time_spmm(&CusparseCsrAlg2, &device, &s, k);
-        let ge = time_spmm(&GeSpmm, &device, &s, k);
+        let hp = time_id("hp-spmm", &device, &s, k);
+        let alg2 = time_id("cusparse-csr-alg2", &device, &s, k);
+        let ge = time_id("gespmm", &device, &s, k);
         rows.push(vec![
             k.to_string(),
             format!("{:.1}", hp.gflops),

@@ -3,10 +3,8 @@
 //! A30; plus the §IV-C TC-GNN comparison on the RTX 3090.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::{registry_graph, time_hp_spmm, time_spmm};
+use crate::runner::{registry_graph, time_id};
 use crate::table;
-use hpsparse_core::baselines::{Aspt, Huang, MergePath, Sputnik, TcGnn};
-use hpsparse_core::traits::SpmmKernel;
 use hpsparse_sim::DeviceSpec;
 use serde_json::json;
 
@@ -14,28 +12,23 @@ use serde_json::json;
 pub fn run_table4(effort: Effort, k: usize) -> ExperimentOutput {
     let device = DeviceSpec::a30();
     let graphs = ["CoraFull", "AM", "Amazon"];
-    let kernels: Vec<Box<dyn SpmmKernel>> = vec![
-        Box::new(Aspt::default()),
-        Box::new(Sputnik::default()),
-        Box::new(MergePath::default()),
-        Box::new(Huang::default()),
-    ];
+    let kernels = ["aspt", "sputnik", "merge-path", "huang"];
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     for name in graphs {
         let (_, s) = registry_graph(name, effort);
         let mut row = vec![name.to_string()];
         let mut entry = serde_json::Map::new();
-        for kern in &kernels {
-            let t = time_spmm(kern.as_ref(), &device, &s, k);
+        for id in kernels {
+            let t = time_id(id, &device, &s, k);
             row.push(table::ms(t.preprocess_ms));
             row.push(table::ms(t.exec_ms));
             entry.insert(
-                kern.name().into(),
+                t.kernel,
                 json!({ "pre_ms": t.preprocess_ms, "exec_ms": t.exec_ms }),
             );
         }
-        let hp = time_hp_spmm(&device, &s, k);
+        let hp = time_id("hp-spmm", &device, &s, k);
         row.push(table::ms(hp.exec_ms));
         entry.insert("HP-SpMM".into(), json!({ "exec_ms": hp.exec_ms }));
         entry.insert("graph".into(), json!(name));
@@ -72,8 +65,8 @@ pub fn run_table4(effort: Effort, k: usize) -> ExperimentOutput {
 pub fn run_tcgnn(effort: Effort, k: usize) -> ExperimentOutput {
     let device = DeviceSpec::rtx3090();
     let (_, s) = registry_graph("Yelp", effort);
-    let hp = time_hp_spmm(&device, &s, k);
-    let tc = time_spmm(&TcGnn::default(), &device, &s, k);
+    let hp = time_id("hp-spmm", &device, &s, k);
+    let tc = time_id("tcgnn", &device, &s, k);
     let text = format!(
         "§IV-C — low-precision Tensor-Core comparison on {} (Yelp, K = {k})\n\n\
          HP-SpMM : {} ms\n\

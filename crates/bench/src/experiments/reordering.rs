@@ -7,7 +7,7 @@
 //! index distance) and the L2 hit rate HP-SpMM sees after each reordering.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::time_hp_spmm;
+use crate::runner::time_id;
 use crate::table;
 use hpsparse_datasets::registry::by_name;
 use hpsparse_datasets::store;
@@ -82,5 +82,5 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
 
 fn kernel_hit_rate(device: &DeviceSpec, g: &Graph, k: usize) -> f64 {
     let s = g.to_hybrid();
-    time_hp_spmm(device, &s, k).l2_hit_rate
+    time_id("hp-spmm", device, &s, k).l2_hit_rate
 }

@@ -7,11 +7,9 @@
 //! a size-bucketed breakdown.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::{
-    geomean, sddmm_contenders, spmm_contenders, sweep_key, time_hp_sddmm, time_hp_spmm, time_sddmm,
-    time_spmm, BaselineStats, SweepKey,
-};
+use crate::runner::{contenders, geomean, sweep_key, time, time_id, BaselineStats, SweepKey};
 use crate::table;
+use hpsparse_core::catalog::Op;
 use hpsparse_datasets::store::{self, Memo};
 use hpsparse_sim::DeviceSpec;
 use rayon::prelude::*;
@@ -38,37 +36,31 @@ pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Arc<CorpusStats
 /// from it, percentiles included — matches the sequential run exactly.
 fn sweep(device: &DeviceSpec, effort: Effort, k: usize) -> CorpusStats {
     let corpus = store::corpus(effort.corpus_size(), 0xc0ffee);
-    let spmm_set = spmm_contenders();
-    let sddmm_set = sddmm_contenders();
+    let sides = [(Op::Spmm, "hp-spmm"), (Op::Sddmm, "hp-sddmm")];
     // Per subgraph: its nnz and HP's speedup over each SpMM, then each
     // SDDMM, baseline.
     let per_graph: Vec<(usize, Vec<f64>)> = corpus
         .par_iter()
         .map(|g| {
             let s = g.to_hybrid();
-            let hp = time_hp_spmm(device, &s, k);
-            let mut speedups: Vec<f64> = spmm_set
-                .iter()
-                .map(|kern| time_spmm(kern.as_ref(), device, &s, k).exec_ms / hp.exec_ms)
-                .collect();
-            let hp_sd = time_hp_sddmm(device, &s, k);
-            speedups.extend(
-                sddmm_set
-                    .iter()
-                    .map(|kern| time_sddmm(kern.as_ref(), device, &s, k).exec_ms / hp_sd.exec_ms),
-            );
+            let mut speedups = Vec::new();
+            for (op, ours) in sides {
+                let hp = time_id(ours, device, &s, k);
+                let baselines =
+                    contenders(op).map(|row| time(&row.auto(device, &s, k), device, &s, k));
+                speedups.extend(baselines.map(|t| t.exec_ms / hp.exec_ms));
+            }
             (s.nnz(), speedups)
         })
         .collect();
 
-    let spmm_names = spmm_set.iter().map(|kern| (kern.name(), true));
-    let sddmm_names = sddmm_set.iter().map(|kern| (kern.name(), false));
-    let stats = spmm_names
-        .chain(sddmm_names)
+    let rows = sides.iter().flat_map(|&(op, _)| contenders(op));
+    let stats = rows
         .enumerate()
-        .map(|(i, (name, is_spmm))| BaselineStats {
-            kernel: name.to_string(),
-            is_spmm,
+        .map(|(i, row)| BaselineStats {
+            // A baseline has one planner variant: its default instance.
+            kernel: row.planner_variants()[0].name().to_string(),
+            is_spmm: row.op == Op::Spmm,
             speedups: per_graph.iter().map(|(_, sp)| sp[i]).collect(),
         })
         .collect();

@@ -1,11 +1,11 @@
-//! `sanitize` — compute-sanitizer sweep over the kernel registry.
+//! `sanitize` — compute-sanitizer sweep over the kernel catalogue.
 //!
-//! Part 1: every SpMM/SDDMM kernel (HP kernels plus every registry
-//! baseline) runs on every full-graph registry dataset with an
-//! `hpsparse-sanitize` sink attached, and must come back clean under all
-//! three checkers — memcheck, racecheck, initcheck. This is the repo's
-//! analogue of running `compute-sanitizer --tool <each>` over the whole
-//! benchmark suite before trusting its performance numbers.
+//! Part 1: every catalogue kernel's cost walk runs on every full-graph
+//! registry dataset with an `hpsparse-sanitize` sink attached, and must
+//! come back clean under all three checkers — memcheck, racecheck,
+//! initcheck. This is the repo's analogue of running `compute-sanitizer
+//! --tool <each>` over the whole benchmark suite before trusting its
+//! performance numbers.
 //!
 //! Part 2: the seeded mutants of `hpsparse_core::mutants` run under the
 //! same sink, and each must be flagged by *exactly* the checker its defect
@@ -14,12 +14,11 @@
 
 use crate::experiments::{Effort, ExperimentOutput};
 use crate::table;
-use hpsparse_core::baselines::registry;
-use hpsparse_core::hp::{HpFusedMha, HpSddmm, HpSpmm};
-use hpsparse_core::mutants;
+use hpsparse_core::catalog::{Row, KERNELS};
+use hpsparse_core::mutants::{self, Defect};
 use hpsparse_datasets::{full_graph_dataset, store};
-use hpsparse_sanitize::{Checker, Report, Sanitizer};
-use hpsparse_sim::{DeviceSpec, GpuSim};
+use hpsparse_sanitize::{sanitize_run, Checker, Report};
+use hpsparse_sim::DeviceSpec;
 use hpsparse_sparse::Hybrid;
 use serde_json::json;
 
@@ -34,13 +33,15 @@ fn edge_cap(effort: Effort) -> usize {
     }
 }
 
-/// Feature dimension for the sweep: large enough to exercise vectorized
-/// access paths, small enough to bound per-lane event volume.
-const SANITIZE_K: usize = 32;
+/// Feature dimension for the sweep and for `verify`'s dynamic escalations:
+/// large enough to exercise vectorized access paths, small enough to bound
+/// per-lane event volume.
+pub const SANITIZE_K: usize = 32;
 
 /// Aggregated verdict for one kernel across every registry graph.
+#[derive(Default)]
 pub struct KernelVerdict {
-    /// Kernel registry id (or `hp-spmm` / `hp-sddmm`).
+    /// Catalogue id.
     pub id: String,
     /// Graphs the kernel was checked on.
     pub graphs: usize,
@@ -89,22 +90,9 @@ fn fold(verdict: &mut KernelVerdict, graph: &str, report: &Report) {
     }
 }
 
-fn new_verdict(id: String) -> KernelVerdict {
-    KernelVerdict {
-        id,
-        graphs: 0,
-        launches: 0,
-        events: 0,
-        memcheck: 0,
-        racecheck: 0,
-        initcheck: 0,
-        failing_graphs: Vec::new(),
-        examples: Vec::new(),
-    }
-}
-
-/// Runs the registry sweep: every kernel × every registry graph, one
-/// fresh sanitized simulator per cell.
+/// Runs the catalogue sweep: every kernel × every registry graph, one
+/// fresh sanitized simulator per cell. The sink sees the cost walk's
+/// accesses, which are the full run's.
 pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Vec<KernelVerdict> {
     let cap = edge_cap(effort);
     let graphs: Vec<(String, Hybrid)> = full_graph_dataset()
@@ -112,83 +100,36 @@ pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Vec<KernelVerdi
         .map(|spec| (spec.name.to_string(), store::graph(&spec, cap).to_hybrid()))
         .collect();
 
-    let spmm_ids: Vec<String> = std::iter::once("hp-spmm".to_string())
-        .chain(registry::SPMM_IDS.iter().map(|id| id.to_string()))
-        .collect();
-    let sddmm_ids: Vec<String> = std::iter::once("hp-sddmm".to_string())
-        .chain(registry::SDDMM_IDS.iter().map(|id| id.to_string()))
-        .collect();
+    let verdict_of = |row: &Row| {
+        let id = row.id;
+        let _span = hpsparse_trace::span_with(
+            &format!("sanitize:{id}"),
+            &[("graphs", json!(graphs.len()))],
+        );
+        let mut verdict = KernelVerdict {
+            id: id.to_string(),
+            ..KernelVerdict::default()
+        };
+        for (graph, s) in &graphs {
+            let report = sanitize_run(device.clone(), |sim| {
+                row.auto(device, s, k)
+                    .cost_on(sim, s, k)
+                    .unwrap_or_else(|e| panic!("{id} on {graph}: {e:?}"));
+            });
+            fold(&mut verdict, graph, &report);
+        }
+        verdict
+    };
+    KERNELS.iter().map(verdict_of).collect()
+}
 
-    let mut verdicts: Vec<KernelVerdict> = Vec::new();
-    for id in &spmm_ids {
-        let _span = hpsparse_trace::span_with(
-            &format!("sanitize:{id}"),
-            &[("graphs", json!(graphs.len()))],
-        );
-        let mut verdict = new_verdict(id.clone());
-        for (graph, s) in &graphs {
-            let kernel: Box<dyn hpsparse_core::SpmmKernel> = if id == "hp-spmm" {
-                Box::new(HpSpmm::auto(device, s, k))
-            } else {
-                registry::spmm_by_id(id).expect("registry id resolves")
-            };
-            let a = crate::runner::bench_features(s.cols(), k);
-            let sanitizer = Sanitizer::new();
-            let mut sim = GpuSim::new(device.clone());
-            sim.attach_sink(sanitizer.sink());
-            kernel
-                .run_on(&mut sim, s, &a)
-                .unwrap_or_else(|e| panic!("{id} on {graph}: {e:?}"));
-            fold(&mut verdict, graph, &sanitizer.report());
-        }
-        verdicts.push(verdict);
+/// The dynamic checker a seeded defect must trip.
+pub fn checker_of(defect: Defect) -> Checker {
+    match defect {
+        Defect::Bounds => Checker::Memcheck,
+        Defect::Race => Checker::Racecheck,
+        Defect::Init => Checker::Initcheck,
     }
-    for id in &sddmm_ids {
-        let _span = hpsparse_trace::span_with(
-            &format!("sanitize:{id}"),
-            &[("graphs", json!(graphs.len()))],
-        );
-        let mut verdict = new_verdict(id.clone());
-        for (graph, s) in &graphs {
-            let kernel: Box<dyn hpsparse_core::SddmmKernel> = if id == "hp-sddmm" {
-                Box::new(HpSddmm::auto(device, s, k))
-            } else {
-                registry::sddmm_by_id(id).expect("registry id resolves")
-            };
-            let a1 = crate::runner::bench_features(s.rows(), k);
-            let a2t = crate::runner::bench_features(s.cols(), k);
-            let sanitizer = Sanitizer::new();
-            let mut sim = GpuSim::new(device.clone());
-            sim.attach_sink(sanitizer.sink());
-            kernel
-                .run_on(&mut sim, s, &a1, &a2t)
-                .unwrap_or_else(|e| panic!("{id} on {graph}: {e:?}"));
-            fold(&mut verdict, graph, &sanitizer.report());
-        }
-        verdicts.push(verdict);
-    }
-    // The fused attention kernel joins the sweep with its own harness —
-    // two heads so the multi-head indexing and the shared-tile/spill split
-    // are both exercised under the sanitizer.
-    {
-        let id = "hp-fused-mha".to_string();
-        let _span = hpsparse_trace::span_with(
-            &format!("sanitize:{id}"),
-            &[("graphs", json!(graphs.len()))],
-        );
-        let mut verdict = new_verdict(id.clone());
-        for (graph, s) in &graphs {
-            let sanitizer = Sanitizer::new();
-            let mut sim = GpuSim::new(device.clone());
-            sim.attach_sink(sanitizer.sink());
-            HpFusedMha::auto(device, s, k)
-                .cost_on(&mut sim, s, k, 2)
-                .unwrap_or_else(|e| panic!("{id} on {graph}: {e:?}"));
-            fold(&mut verdict, graph, &sanitizer.report());
-        }
-        verdicts.push(verdict);
-    }
-    verdicts
 }
 
 /// One mutant's verdict: which checkers fired, and whether that matches
@@ -198,14 +139,8 @@ pub struct MutantVerdict {
     pub name: String,
     /// The checker the seeded defect must trip.
     pub expected: Checker,
-    /// Violations per checker.
-    pub memcheck: u64,
-    /// Racecheck violations.
-    pub racecheck: u64,
-    /// Initcheck violations.
-    pub initcheck: u64,
-    /// First example violation (kernel + address attribution).
-    pub example: String,
+    /// What the sanitizer saw.
+    pub report: Report,
 }
 
 impl MutantVerdict {
@@ -213,48 +148,30 @@ impl MutantVerdict {
     pub fn exactly_intended(&self) -> bool {
         [Checker::Memcheck, Checker::Racecheck, Checker::Initcheck]
             .into_iter()
-            .all(|c| {
-                let n = match c {
-                    Checker::Memcheck => self.memcheck,
-                    Checker::Racecheck => self.racecheck,
-                    Checker::Initcheck => self.initcheck,
-                };
-                (n > 0) == (c == self.expected)
-            })
+            .all(|c| (self.report.count(c) > 0) == (c == self.expected))
+    }
+
+    /// First example violation (kernel + address attribution).
+    fn example(&self) -> String {
+        let first = self.report.examples.first();
+        first.map_or_else(|| "none".into(), |v| v.to_string())
     }
 }
 
-/// Runs every seeded mutant under the sanitizer.
+/// Runs every seeded mutant's cost walk under the sanitizer.
 pub fn collect_mutants(device: &DeviceSpec) -> Vec<MutantVerdict> {
     let _span = hpsparse_trace::span("sanitize:mutants");
     let s = mutants::mutant_test_graph();
-    let a = crate::runner::bench_features(s.cols(), SANITIZE_K);
     mutants::all_mutants()
         .into_iter()
-        .map(|m| {
-            let expected = match m.name() {
-                "mutant:oob-tail" => Checker::Memcheck,
-                "mutant:racy-tail" => Checker::Racecheck,
-                "mutant:uninit-acc" => Checker::Initcheck,
-                "mutant:eager-norm" => Checker::Initcheck,
-                other => panic!("unknown mutant {other}"),
-            };
-            let sanitizer = Sanitizer::new();
-            let mut sim = GpuSim::new(device.clone());
-            sim.attach_sink(sanitizer.sink());
-            m.run_on(&mut sim, &s, &a).expect("mutants run");
-            let report = sanitizer.report();
+        .map(|(defect, m)| {
+            let report = sanitize_run(device.clone(), |sim| {
+                m.cost_on(sim, &s, SANITIZE_K).expect("mutants run");
+            });
             MutantVerdict {
                 name: m.name().to_string(),
-                expected,
-                memcheck: report.memcheck,
-                racecheck: report.racecheck,
-                initcheck: report.initcheck,
-                example: report
-                    .examples
-                    .first()
-                    .map(|v| v.to_string())
-                    .unwrap_or_else(|| "none".into()),
+                expected: checker_of(defect),
+                report,
             }
         })
         .collect()
@@ -299,9 +216,9 @@ pub fn render(
             vec![
                 m.name.clone(),
                 m.expected.to_string(),
-                format!("{}", m.memcheck),
-                format!("{}", m.racecheck),
-                format!("{}", m.initcheck),
+                format!("{}", m.report.memcheck),
+                format!("{}", m.report.racecheck),
+                format!("{}", m.report.initcheck),
                 if m.exactly_intended() {
                     "flagged as intended"
                 } else {
@@ -330,7 +247,7 @@ pub fn render(
     }
     let examples: String = mutant_verdicts
         .iter()
-        .map(|m| format!("  {}\n", m.example))
+        .map(|m| format!("  {}\n", m.example()))
         .collect();
 
     let text = format!(
@@ -379,11 +296,11 @@ pub fn render(
             json!({
                 "name": m.name.as_str(),
                 "expected": m.expected.to_string(),
-                "memcheck": m.memcheck,
-                "racecheck": m.racecheck,
-                "initcheck": m.initcheck,
+                "memcheck": m.report.memcheck,
+                "racecheck": m.report.racecheck,
+                "initcheck": m.report.initcheck,
                 "exactly_intended": m.exactly_intended(),
-                "example": m.example.as_str(),
+                "example": m.example(),
             })
         })
         .collect();
@@ -417,10 +334,9 @@ mod tests {
             "{}",
             out.text
         );
-        // 12 SpMM (hp + 11 registry) + 3 SDDMM (hp + 2 registry) + the
-        // fused attention kernel, 19 graphs.
+        // Every catalogue kernel, 19 graphs.
         let kernels = out.json["kernels"].as_array().unwrap();
-        assert_eq!(kernels.len(), 16);
+        assert_eq!(kernels.len(), KERNELS.len());
         for k in kernels {
             assert_eq!(k["graphs"].as_u64(), Some(19), "{}", k["id"]);
             assert!(k["events"].as_u64().unwrap() > 0, "{}", k["id"]);

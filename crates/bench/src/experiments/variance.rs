@@ -4,9 +4,8 @@
 //! r = 0.90).
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::{time_hp_spmm, time_spmm};
+use crate::runner::time_id;
 use crate::table;
-use hpsparse_core::baselines::GeSpmm;
 use hpsparse_datasets::variance_family;
 use hpsparse_sim::DeviceSpec;
 use hpsparse_sparse::DegreeStats;
@@ -50,8 +49,8 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
     for (i, g) in family.iter().enumerate() {
         let stats = DegreeStats::of(g.adjacency());
         let s = g.to_hybrid();
-        let hp = time_hp_spmm(&device, &s, k);
-        let ge = time_spmm(&GeSpmm, &device, &s, k);
+        let hp = time_id("hp-spmm", &device, &s, k);
+        let ge = time_id("gespmm", &device, &s, k);
         let speedup = ge.exec_ms / hp.exec_ms;
         stds.push(stats.std_dev);
         speedups.push(speedup);

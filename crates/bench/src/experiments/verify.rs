@@ -1,7 +1,7 @@
 //! `verify` — prove-or-escalate static verification gate.
 //!
-//! Part 1: every registry kernel's symbolic plans (for HP kernels, every
-//! configuration the autotuner can pick) run through the
+//! Part 1: every catalogue kernel's symbolic plans (for HP kernels, every
+//! configuration a planner can pick) run through the
 //! `hpsparse-verify` abstract interpreter, which returns a three-valued
 //! verdict per checker — `Proved`, `Refuted(counterexample)`, or
 //! `Unknown`. Verdicts aggregate worst-over-variant per kernel. Any
@@ -18,38 +18,15 @@
 //! every statically `Proved` kernel must come back clean from the full
 //! dynamic sanitizer sweep (every kernel × every registry graph).
 
-use crate::experiments::{sanitize, Effort, ExperimentOutput};
+use crate::experiments::sanitize::{self, SANITIZE_K};
+use crate::experiments::{Effort, ExperimentOutput};
 use crate::table;
-use hpsparse_core::baselines::registry;
-use hpsparse_core::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
-use hpsparse_core::mutants;
-use hpsparse_sanitize::sanitize_run;
+use hpsparse_core::catalog::{Row, KERNELS};
+use hpsparse_core::mutants::{self, Defect};
+use hpsparse_sanitize::{sanitize_run, Report};
 use hpsparse_sim::{DeviceSpec, SymbolicPlan};
-use hpsparse_sparse::Hybrid;
 use hpsparse_verify::{verify_plan, CheckKind, CheckVerdict};
 use serde_json::{json, ToJson};
-
-/// Feature dimension for the dynamic escalation runs; matches the
-/// sanitizer sweep's choice (large enough for vectorized paths, small
-/// enough to bound event volume).
-const VERIFY_K: usize = 32;
-
-/// Every HP configuration the autotuner enumerates; the static gate must
-/// prove all of them, not just the one `auto` picks for some graph.
-fn hp_configs() -> Vec<HpConfig> {
-    let mut out = Vec::new();
-    for npw in [512usize, 256, 128, 64, 32, 8] {
-        for vw in [1u32, 2, 4] {
-            out.push(HpConfig {
-                nnz_per_warp: npw,
-                vector_width: vw,
-                warps_per_block: 8,
-                alpha: 1.0,
-            });
-        }
-    }
-    out
-}
 
 /// Worst-over-variant aggregate for one checker on one kernel.
 pub struct CheckAgg {
@@ -59,27 +36,9 @@ pub struct CheckAgg {
     pub variant: String,
 }
 
-/// Dynamic escalation outcome for a kernel the prover could not fully
-/// discharge.
-pub struct Escalation {
-    /// Violations per dynamic checker on the witness graph.
-    pub memcheck: u64,
-    /// Racecheck violations.
-    pub racecheck: u64,
-    /// Initcheck violations.
-    pub initcheck: u64,
-}
-
-impl Escalation {
-    /// Clean under all three dynamic checkers?
-    pub fn passed(&self) -> bool {
-        self.memcheck + self.racecheck + self.initcheck == 0
-    }
-}
-
 /// Static verdicts for one kernel, aggregated over its plan variants.
 pub struct KernelStaticVerdict {
-    /// Kernel registry id (or `hp-spmm` / `hp-sddmm`).
+    /// Catalogue id.
     pub id: String,
     /// Symbolic plans examined.
     pub plans: usize,
@@ -89,9 +48,10 @@ pub struct KernelStaticVerdict {
     pub race: CheckAgg,
     /// Worst init verdict.
     pub init: CheckAgg,
-    /// Dynamic run on the witness graph; `None` when fully proved (the
-    /// whole point of the gate: proved kernels skip the dynamic pass).
-    pub escalation: Option<Escalation>,
+    /// The dynamic sanitizer's report on the witness graph; `None` when
+    /// fully proved (the whole point of the gate: proved kernels skip the
+    /// dynamic pass).
+    pub escalation: Option<Report>,
 }
 
 impl KernelStaticVerdict {
@@ -150,99 +110,34 @@ fn aggregate(id: &str, plans: &[SymbolicPlan]) -> KernelStaticVerdict {
     }
 }
 
-/// The escalation witness graph: same triplet family as the mutant test
-/// graph — rows split across warps, scattered columns — so a dynamic run
-/// exercises chunk boundaries and gather paths.
-fn witness_graph() -> Hybrid {
-    mutants::mutant_test_graph()
-}
-
-/// Dynamic sanitizer run for one non-proved kernel on the witness graph.
-fn escalate(device: &DeviceSpec, id: &str) -> Escalation {
+/// Dynamic sanitizer run for one non-proved kernel on the witness graph:
+/// the mutant test graph — rows split across warps, scattered columns — so
+/// the run exercises chunk boundaries and gather paths.
+fn escalate(device: &DeviceSpec, row: &Row) -> Report {
     let _span = hpsparse_trace::span("verify:escalate");
     hpsparse_trace::counter_add("verify.escalations", 1);
-    let s = witness_graph();
-    let report = sanitize_run(device.clone(), |sim| {
-        if id == "hp-fused-mha" {
-            HpFusedMha::auto(device, &s, VERIFY_K)
-                .cost_on(sim, &s, VERIFY_K, 2)
-                .unwrap_or_else(|e| panic!("escalation {id}: {e:?}"));
-        } else if id == "hp-spmm" || registry::spmm_by_id(id).is_some() {
-            let kernel: Box<dyn hpsparse_core::SpmmKernel> = if id == "hp-spmm" {
-                Box::new(HpSpmm::auto(device, &s, VERIFY_K))
-            } else {
-                registry::spmm_by_id(id).expect("checked above")
-            };
-            let a = crate::runner::bench_features(s.cols(), VERIFY_K);
-            kernel
-                .run_on(sim, &s, &a)
-                .unwrap_or_else(|e| panic!("escalation {id}: {e:?}"));
-        } else {
-            let kernel: Box<dyn hpsparse_core::SddmmKernel> = if id == "hp-sddmm" {
-                Box::new(HpSddmm::auto(device, &s, VERIFY_K))
-            } else {
-                registry::sddmm_by_id(id).expect("registry id resolves")
-            };
-            let a1 = crate::runner::bench_features(s.rows(), VERIFY_K);
-            let a2t = crate::runner::bench_features(s.cols(), VERIFY_K);
-            kernel
-                .run_on(sim, &s, &a1, &a2t)
-                .unwrap_or_else(|e| panic!("escalation {id}: {e:?}"));
-        }
-    });
-    Escalation {
-        memcheck: report.memcheck,
-        racecheck: report.racecheck,
-        initcheck: report.initcheck,
-    }
+    let s = mutants::mutant_test_graph();
+    sanitize_run(device.clone(), |sim| {
+        row.auto(device, &s, SANITIZE_K)
+            .cost_on(sim, &s, SANITIZE_K)
+            .unwrap_or_else(|e| panic!("escalation {}: {e:?}", row.id));
+    })
 }
 
-/// Static verdicts for every registry kernel, escalating non-proved ones
-/// to the dynamic sanitizer. Hard-asserts the gate's invariants: all 16
-/// kernels get a verdict and no unmutated kernel is statically refuted.
+/// Static verdicts for every catalogue kernel over all its planner
+/// variants, escalating non-proved ones to the dynamic sanitizer.
+/// Hard-asserts the gate's invariant: no unmutated kernel is statically
+/// refuted.
 pub fn collect(device: &DeviceSpec) -> Vec<KernelStaticVerdict> {
-    let mut verdicts: Vec<KernelStaticVerdict> = Vec::new();
-
-    {
-        let _span = hpsparse_trace::span("verify:hp-spmm");
-        let plans: Vec<SymbolicPlan> = hp_configs()
-            .into_iter()
-            .flat_map(|config| hpsparse_core::SpmmKernel::symbolic_plans(&HpSpmm { config }))
-            .collect();
-        verdicts.push(aggregate("hp-spmm", &plans));
-    }
-    for id in registry::SPMM_IDS {
-        let _span = hpsparse_trace::span(&format!("verify:{id}"));
-        let kernel = registry::spmm_by_id(id).expect("registry id resolves");
-        verdicts.push(aggregate(id, &kernel.symbolic_plans()));
-    }
-    {
-        let _span = hpsparse_trace::span("verify:hp-sddmm");
-        let plans: Vec<SymbolicPlan> = hp_configs()
-            .into_iter()
-            .flat_map(|config| hpsparse_core::SddmmKernel::symbolic_plans(&HpSddmm { config }))
-            .collect();
-        verdicts.push(aggregate("hp-sddmm", &plans));
-    }
-    for id in registry::SDDMM_IDS {
-        let _span = hpsparse_trace::span(&format!("verify:{id}"));
-        let kernel = registry::sddmm_by_id(id).expect("registry id resolves");
-        verdicts.push(aggregate(id, &kernel.symbolic_plans()));
-    }
-    {
-        let _span = hpsparse_trace::span("verify:hp-fused-mha");
-        let plans: Vec<SymbolicPlan> = hp_configs()
-            .into_iter()
-            .flat_map(|config| HpFusedMha { config }.symbolic_plans())
-            .collect();
-        verdicts.push(aggregate("hp-fused-mha", &plans));
-    }
-
-    for v in &mut verdicts {
+    let verdict_of = |row: &Row| {
+        let _span = hpsparse_trace::span(&format!("verify:{}", row.id));
+        let variants = row.planner_variants();
+        let plans: Vec<SymbolicPlan> = variants.iter().flat_map(|v| v.symbolic_plans()).collect();
+        let mut v = aggregate(row.id, &plans);
         if v.fully_proved() {
             hpsparse_trace::counter_add("verify.proved", 1);
         } else {
-            v.escalation = Some(escalate(device, &v.id));
+            v.escalation = Some(escalate(device, row));
         }
         assert!(
             !v.any_refuted(),
@@ -252,13 +147,18 @@ pub fn collect(device: &DeviceSpec) -> Vec<KernelStaticVerdict> {
             v.race.verdict.status(),
             v.init.verdict.status()
         );
+        v
+    };
+    KERNELS.iter().map(verdict_of).collect()
+}
+
+/// The static check a seeded defect must be refuted on.
+pub fn check_kind_of(defect: Defect) -> CheckKind {
+    match defect {
+        Defect::Bounds => CheckKind::Bounds,
+        Defect::Race => CheckKind::Race,
+        Defect::Init => CheckKind::Init,
     }
-    assert_eq!(
-        verdicts.len(),
-        1 + registry::SPMM_IDS.len() + 1 + registry::SDDMM_IDS.len() + 1,
-        "every registry kernel must get a verdict"
-    );
-    verdicts
 }
 
 /// One mutant's gate verdict: statically refuted by exactly the intended
@@ -291,14 +191,10 @@ pub fn collect_mutants(device: &DeviceSpec) -> Vec<MutantStaticVerdict> {
     let dynamic = sanitize::collect_mutants(device);
     let verdicts: Vec<MutantStaticVerdict> = mutants::all_mutants()
         .into_iter()
-        .map(|m| {
-            let expected = match m.name() {
-                "mutant:oob-tail" => CheckKind::Bounds,
-                "mutant:racy-tail" => CheckKind::Race,
-                "mutant:uninit-acc" => CheckKind::Init,
-                "mutant:eager-norm" => CheckKind::Init,
-                other => panic!("unknown mutant {other}"),
-            };
+        .zip(&dynamic)
+        .map(|((defect, m), dynamic)| {
+            assert_eq!(dynamic.name, m.name(), "one mutant list, one order");
+            let expected = check_kind_of(defect);
             let plans = m.symbolic_plans();
             assert_eq!(plans.len(), 1, "{}: one plan expected", m.name());
             let v = verify_plan(&plans[0]);
@@ -306,15 +202,12 @@ pub fn collect_mutants(device: &DeviceSpec) -> Vec<MutantStaticVerdict> {
                 .into_iter()
                 .filter(|k| *k != expected)
                 .all(|k| !v.check(k).is_refuted());
-            let dynamically_confirmed = dynamic
-                .iter()
-                .any(|d| d.name == m.name() && d.exactly_intended());
             MutantStaticVerdict {
                 name: m.name().to_string(),
                 expected,
                 verdict: v.check(expected).clone(),
                 others_clean,
-                dynamically_confirmed,
+                dynamically_confirmed: dynamic.exactly_intended(),
             }
         })
         .collect();
@@ -339,7 +232,7 @@ fn cross_validate(
     verdicts: &[KernelStaticVerdict],
 ) -> (usize, usize) {
     let _span = hpsparse_trace::span("verify:cross-validate");
-    let dynamic = sanitize::collect(device, effort, VERIFY_K);
+    let dynamic = sanitize::collect(device, effort, SANITIZE_K);
     let mut checked = 0;
     let mut graphs = 0;
     for v in verdicts.iter().filter(|v| v.fully_proved()) {
@@ -530,7 +423,7 @@ mod tests {
     fn acceptance_all_kernels_proved_and_mutants_refuted() {
         let out = run(&DeviceSpec::v100(), Effort::Quick);
         let kernels = out.json["kernels"].as_array().unwrap();
-        assert_eq!(kernels.len(), 16);
+        assert_eq!(kernels.len(), KERNELS.len());
         assert_eq!(
             out.json["kernels_proved"].as_u64(),
             Some(16),
@@ -542,7 +435,7 @@ mod tests {
             assert_eq!(k["fully_proved"].as_bool(), Some(true), "{}", k["id"]);
             assert!(k["plans"].as_u64().unwrap() > 0, "{}", k["id"]);
         }
-        // The HP kernels aggregate over the full autotuner enumeration.
+        // The HP kernels aggregate over every planner variant.
         assert!(kernels[0]["plans"].as_u64().unwrap() >= 18);
         let mutants = out.json["mutants"].as_array().unwrap();
         assert_eq!(mutants.len(), 4);

@@ -1,11 +1,9 @@
 //! Kernel execution helpers shared by the experiments.
 
 use crate::experiments::Effort;
-use hpsparse_core::baselines::{sddmm_by_id, spmm_by_id};
-use hpsparse_core::hp::{HpSddmm, HpSpmm};
-use hpsparse_core::traits::{KernelCost, SddmmKernel, SpmmKernel};
+use hpsparse_core::catalog::{self, Kernel, Op};
 use hpsparse_datasets::{registry, store};
-use hpsparse_sim::DeviceSpec;
+use hpsparse_sim::{DeviceSpec, GpuSim};
 use hpsparse_sparse::{Dense, Graph, Hybrid};
 use std::sync::Arc;
 
@@ -24,27 +22,11 @@ pub struct KernelTiming {
     pub l2_hit_rate: f64,
 }
 
-/// The SpMM baselines of Fig. 9/10 (ours is run separately so callers can
-/// position it first).
-pub fn spmm_contenders() -> Vec<Box<dyn SpmmKernel>> {
-    [
-        "cusparse-csr-alg2",
-        "cusparse-csr-alg3",
-        "cusparse-coo-alg4",
-        "gespmm",
-        "row-split",
-    ]
-    .iter()
-    .map(|id| spmm_by_id(id).expect("paper contender ids are registered"))
-    .collect()
-}
-
-/// The SDDMM baselines of Fig. 9/10.
-pub fn sddmm_contenders() -> Vec<Box<dyn SddmmKernel>> {
-    ["dgl-sddmm", "cusparse-csr-sddmm"]
-        .iter()
-        .map(|id| sddmm_by_id(id).expect("paper contender ids are registered"))
-        .collect()
+/// The baselines of `op` that Fig. 9/10 compare HP against (ours is timed
+/// separately so callers can position it first).
+pub fn contenders(op: Op) -> impl Iterator<Item = &'static catalog::Row> {
+    let rows = catalog::KERNELS.iter();
+    rows.filter(move |row| row.op == op && row.contender)
 }
 
 /// Deterministic feature matrix for kernel benchmarks.
@@ -52,55 +34,28 @@ pub fn bench_features(rows: usize, k: usize) -> Dense {
     Dense::from_fn(rows, k, |i, j| (((i * 131 + j * 17) % 1000) as f32) * 1e-3)
 }
 
-/// A cold cost walk of `kernel` at feature dimension `k` as a
-/// [`KernelTiming`]. A timing reads launch profiles only, so no feature
-/// matrix is built and no float computed.
-fn timing(kernel: &str, cost: KernelCost, s: &Hybrid, k: usize) -> KernelTiming {
+/// Times one kernel cold at feature dimension `k`. A timing reads launch
+/// profiles only, so this is the bare cost walk: no feature matrix is
+/// built and no float computed.
+pub fn time(kernel: &Kernel, device: &DeviceSpec, s: &Hybrid, k: usize) -> KernelTiming {
+    let launches = kernel
+        .cost_on(&mut GpuSim::new(device.clone()), s, k)
+        .expect("benchmark shapes are valid");
     let flops = 2.0 * s.nnz() as f64 * k as f64;
-    let exec_ms = cost.report.time_ms;
+    let exec_ms: f64 = launches.exec.iter().map(|r| r.time_ms).sum();
     KernelTiming {
-        kernel: kernel.to_string(),
+        kernel: kernel.name().to_string(),
         exec_ms,
-        preprocess_ms: cost.preprocess.as_ref().map_or(0.0, |p| p.time_ms),
+        preprocess_ms: launches.preprocess.as_ref().map_or(0.0, |p| p.time_ms),
         gflops: flops / (exec_ms * 1e6),
-        l2_hit_rate: cost.report.l2_hit_rate,
+        l2_hit_rate: launches.exec.first().map_or(0.0, |r| r.l2_hit_rate),
     }
 }
 
-/// Times one SpMM kernel cold at feature dimension `k`.
-pub fn time_spmm(
-    kernel: &dyn SpmmKernel,
-    device: &DeviceSpec,
-    s: &Hybrid,
-    k: usize,
-) -> KernelTiming {
-    let cost = kernel
-        .cost(device, s, k)
-        .expect("benchmark shapes are valid");
-    timing(kernel.name(), cost, s, k)
-}
-
-/// Times HP-SpMM (auto DTP + HVMA) cold.
-pub fn time_hp_spmm(device: &DeviceSpec, s: &Hybrid, k: usize) -> KernelTiming {
-    time_spmm(&HpSpmm::auto(device, s, k), device, s, k)
-}
-
-/// Times one SDDMM kernel cold at feature dimension `k`.
-pub fn time_sddmm(
-    kernel: &dyn SddmmKernel,
-    device: &DeviceSpec,
-    s: &Hybrid,
-    k: usize,
-) -> KernelTiming {
-    let cost = kernel
-        .cost(device, s, k)
-        .expect("benchmark shapes are valid");
-    timing(kernel.name(), cost, s, k)
-}
-
-/// Times HP-SDDMM (auto) cold.
-pub fn time_hp_sddmm(device: &DeviceSpec, s: &Hybrid, k: usize) -> KernelTiming {
-    time_sddmm(&HpSddmm::auto(device, s, k), device, s, k)
+/// [`time`] of catalogue kernel `id`, configured for this input.
+pub fn time_id(id: &str, device: &DeviceSpec, s: &Hybrid, k: usize) -> KernelTiming {
+    let row = catalog::by_id(id).unwrap_or_else(|| panic!("{id} is not in the kernel catalogue"));
+    time(&row.auto(device, s, k), device, s, k)
 }
 
 /// A registry graph at `effort`'s edge budget (memoised by the dataset
@@ -170,12 +125,12 @@ mod tests {
 
     #[test]
     fn contender_sets_match_the_paper() {
-        let spmm: Vec<String> = spmm_contenders().iter().map(|k| k.name().into()).collect();
-        assert!(spmm.contains(&"cuSPARSE(CSR,ALG2)".to_string()));
-        assert!(spmm.contains(&"GE-SpMM".to_string()));
-        assert!(spmm.contains(&"Row-split".to_string()));
-        let sddmm: Vec<String> = sddmm_contenders().iter().map(|k| k.name().into()).collect();
-        assert!(sddmm.contains(&"DGL-SDDMM".to_string()));
+        let ids = |op| contenders(op).map(|row| row.id).collect::<Vec<_>>();
+        assert_eq!(ids(Op::Spmm).len(), 5);
+        assert!(ids(Op::Spmm).contains(&"cusparse-csr-alg2"));
+        assert!(ids(Op::Spmm).contains(&"gespmm"));
+        assert!(ids(Op::Spmm).contains(&"row-split"));
+        assert_eq!(ids(Op::Sddmm), ["dgl-sddmm", "cusparse-csr-sddmm"]);
     }
 
     #[test]
@@ -189,11 +144,15 @@ mod tests {
         .generate();
         let s = g.to_hybrid();
         let v100 = DeviceSpec::v100();
-        let hp = time_hp_spmm(&v100, &s, 32);
+        let hp = time_id("hp-spmm", &v100, &s, 32);
+        assert_eq!(hp.kernel, "HP-SpMM");
         assert!(hp.exec_ms > 0.0);
         assert!(hp.gflops > 0.0);
-        let sd = time_hp_sddmm(&v100, &s, 32);
-        assert!(sd.exec_ms > 0.0);
+        let pre = time_id("merge-path", &v100, &s, 32);
+        assert!(pre.preprocess_ms > 0.0);
+        // The fused kernel's launches are all execution.
+        let fused = time_id("hp-fused-mha", &v100, &s, 32);
+        assert!(fused.exec_ms > 0.0 && fused.preprocess_ms == 0.0);
     }
 
     #[test]

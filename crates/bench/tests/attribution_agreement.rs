@@ -1,6 +1,5 @@
 //! Pins the planner ↔ profiler attribution contract on the full kernel
-//! registry: for every one of the 15 kernels (HP-SpMM, HP-SDDMM, 11 SpMM
-//! baselines, 2 SDDMM baselines) on quick graphs,
+//! catalogue: for every one of its kernels on quick graphs,
 //!
 //! * the cold-run attribution verdict is well-formed — a bound class from
 //!   the five-way taxonomy plus a quantified headroom percentage,
@@ -15,9 +14,7 @@
 use hpsparse_autotune::{
     instantiate_sddmm, instantiate_spmm, measurement_features, PlanStrategy, Planner,
 };
-use hpsparse_core::baselines::registry;
-use hpsparse_core::hp::{HpSddmm, HpSpmm};
-use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
+use hpsparse_core::catalog::KERNELS;
 use hpsparse_datasets::registry::by_name;
 use hpsparse_datasets::store;
 use hpsparse_sim::{attribute, profile, DeviceSpec, GpuSim, LaunchReport};
@@ -83,48 +80,19 @@ fn check(kernel: &str, graph: &str, device: &DeviceSpec, run: impl Fn() -> Launc
 }
 
 #[test]
-fn all_fifteen_registry_kernels_attribute_cleanly_on_quick_graphs() {
+fn every_catalogue_kernel_attributes_cleanly_on_quick_graphs() {
     let device = DeviceSpec::v100();
-    let graphs = quick_graphs();
-    let mut kernels = 0usize;
-    for (graph, s) in &graphs {
-        let a = measurement_features(s.cols(), K);
-        let a1 = measurement_features(s.rows(), K);
-
-        let spmm_ids: Vec<String> = std::iter::once("hp-spmm".to_string())
-            .chain(registry::SPMM_IDS.iter().map(|id| id.to_string()))
-            .collect();
-        for id in &spmm_ids {
-            let kernel: Box<dyn SpmmKernel> = if id == "hp-spmm" {
-                Box::new(HpSpmm::auto(&device, s, K))
-            } else {
-                registry::spmm_by_id(id).expect("registry id resolves")
-            };
-            check(id, graph, &device, || {
-                let mut sim = GpuSim::new(device.clone());
-                kernel.run_on(&mut sim, s, &a).unwrap().report
+    for (graph, s) in &quick_graphs() {
+        for row in &KERNELS {
+            let kernel = row.auto(&device, s, K);
+            // Attribution reads a launch report, so the cost walk is enough;
+            // the verdict checked is the main execution launch's.
+            check(row.id, graph, &device, || {
+                let launches = kernel.cost_on(&mut GpuSim::new(device.clone()), s, K);
+                launches.unwrap().exec.swap_remove(0)
             });
-            kernels += 1;
-        }
-
-        let sddmm_ids: Vec<String> = std::iter::once("hp-sddmm".to_string())
-            .chain(registry::SDDMM_IDS.iter().map(|id| id.to_string()))
-            .collect();
-        for id in &sddmm_ids {
-            let kernel: Box<dyn SddmmKernel> = if id == "hp-sddmm" {
-                Box::new(HpSddmm::auto(&device, s, K))
-            } else {
-                registry::sddmm_by_id(id).expect("registry id resolves")
-            };
-            check(id, graph, &device, || {
-                let mut sim = GpuSim::new(device.clone());
-                kernel.run_on(&mut sim, s, &a1, &a).unwrap().report
-            });
-            kernels += 1;
         }
     }
-    // 15 kernels on each of the two quick graphs.
-    assert_eq!(kernels, 30);
 }
 
 #[test]

@@ -1,9 +1,11 @@
 //! The experiment table, `repro`'s usage line and DESIGN.md's two
 //! experiment tables must name the same set of experiments: a name added
 //! to one and forgotten in another is a `repro` user typing a documented
-//! command that does not exist (or the reverse).
+//! command that does not exist (or the reverse). DESIGN.md's kernel table
+//! is held to the kernel catalogue the same way.
 
 use hpsparse_bench::experiments::EXPERIMENTS;
+use hpsparse_core::catalog::KERNELS;
 use std::collections::BTreeSet;
 use std::process::Command;
 
@@ -57,4 +59,37 @@ fn table_usage_and_design_tables_name_the_same_experiments() {
         );
     }
     assert_eq!(usage, table, "repro usage line vs EXPERIMENTS");
+}
+
+#[test]
+fn design_kernel_table_is_the_catalogue() {
+    let design = include_str!("../../../DESIGN.md");
+    let start = design
+        .find("## Kernel catalogue")
+        .expect("kernel catalogue section");
+    let documented: Vec<&str> = design[start..]
+        .lines()
+        .skip_while(|line| !line.starts_with("|---"))
+        .skip(1)
+        .take_while(|line| line.starts_with('|'))
+        .collect();
+    let catalogue: Vec<String> = KERNELS
+        .iter()
+        .map(|row| {
+            let variants = row.planner_variants();
+            let contender = match (row.contender, variants.len()) {
+                (true, _) => "yes",
+                (false, 1) => "no",
+                (false, _) => "ours",
+            };
+            format!(
+                "| `{}` | `{:?}` | {} | {contender} | {} |",
+                row.id,
+                row.op,
+                variants[0].name(),
+                variants.len()
+            )
+        })
+        .collect();
+    assert_eq!(documented, catalogue, "DESIGN.md kernel table vs KERNELS");
 }

@@ -1,29 +1,14 @@
-//! Static verifier verdicts over the kernel registry.
+//! Static verifier verdicts over the kernel catalogue.
 //!
-//! Every registry kernel's symbolic plans must come back fully `Proved` on
-//! all three checkers — for every HP configuration the autotuner can pick —
+//! Every catalogue kernel's symbolic plans must come back fully `Proved` on
+//! all three checkers — for every HP configuration a planner can pick —
 //! and each seeded mutant must be statically `Refuted` by exactly the
 //! checker its defect targets, with a concrete counterexample attached.
 
-use hpsparse_core::baselines::registry;
-use hpsparse_core::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
+use hpsparse_bench::experiments::verify::check_kind_of;
+use hpsparse_core::catalog::KERNELS;
 use hpsparse_core::mutants;
 use hpsparse_verify::{verify_plan, CheckKind, CheckVerdict};
-
-fn hp_configs() -> Vec<HpConfig> {
-    let mut out = Vec::new();
-    for npw in [512usize, 256, 128, 64, 32, 8] {
-        for vw in [1u32, 2, 4] {
-            out.push(HpConfig {
-                nnz_per_warp: npw,
-                vector_width: vw,
-                warps_per_block: 8,
-                alpha: 1.0,
-            });
-        }
-    }
-    out
-}
 
 fn expect_all_proved(
     label: &str,
@@ -54,57 +39,23 @@ fn expect_all_proved(
 }
 
 #[test]
-fn hp_kernels_fully_proved_for_every_config() {
+fn every_catalogue_kernel_fully_proved_on_every_planner_variant() {
     let mut failures = Vec::new();
-    for cfg in hp_configs() {
-        let spmm = HpSpmm { config: cfg };
-        expect_all_proved(
-            "hp-spmm",
-            &hpsparse_core::SpmmKernel::symbolic_plans(&spmm),
-            &mut failures,
-        );
-        let sddmm = HpSddmm { config: cfg };
-        expect_all_proved(
-            "hp-sddmm",
-            &hpsparse_core::SddmmKernel::symbolic_plans(&sddmm),
-            &mut failures,
-        );
-        // The fused attention plan covers all three launches, including the
+    for row in &KERNELS {
+        // HP rows: every configuration a planner can pick. The fused
+        // attention plan covers all three launches, including the
         // shared-memory score tile and the L2 spill path.
-        let fused = HpFusedMha { config: cfg };
-        expect_all_proved("hp-fused-mha", &fused.symbolic_plans(), &mut failures);
-    }
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
-}
-
-#[test]
-fn registry_baselines_fully_proved() {
-    let mut failures = Vec::new();
-    for id in registry::SPMM_IDS {
-        let kernel = registry::spmm_by_id(id).expect("registry id resolves");
-        expect_all_proved(id, &kernel.symbolic_plans(), &mut failures);
-    }
-    for id in registry::SDDMM_IDS {
-        let kernel = registry::sddmm_by_id(id).expect("registry id resolves");
-        expect_all_proved(id, &kernel.symbolic_plans(), &mut failures);
+        for kernel in row.planner_variants() {
+            expect_all_proved(row.id, &kernel.symbolic_plans(), &mut failures);
+        }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 #[test]
 fn mutants_statically_refuted_by_their_target_checker() {
-    let expectations = [
-        ("mutant:oob-tail", CheckKind::Bounds),
-        ("mutant:racy-tail", CheckKind::Race),
-        ("mutant:uninit-acc", CheckKind::Init),
-        ("mutant:eager-norm", CheckKind::Init),
-    ];
-    for m in mutants::all_mutants() {
-        let expected = expectations
-            .iter()
-            .find(|(name, _)| *name == m.name())
-            .map(|(_, k)| *k)
-            .unwrap_or_else(|| panic!("unknown mutant {}", m.name()));
+    for (defect, m) in mutants::all_mutants() {
+        let expected = check_kind_of(defect);
         let plans = m.symbolic_plans();
         assert_eq!(plans.len(), 1, "{}: one plan expected", m.name());
         let v = verify_plan(&plans[0]);

@@ -10,6 +10,7 @@
 //! `int4/float4` (npw ≥ 128) instructions.
 
 use hpsparse_sim::{occupancy_of, DeviceSpec, KernelResources};
+use hpsparse_sparse::FormatError;
 
 /// The paper's candidate set for `NnzPerWarp` (§III-B2).
 pub const NNZ_PER_WARP_CANDIDATES: [usize; 6] = [512, 256, 128, 64, 32, 8];
@@ -185,15 +186,26 @@ impl HpConfig {
     }
 
     /// Whether a kernel can launch with this configuration. Every
-    /// constructor here satisfies it; a configuration from outside the
-    /// program (a plan-cache file) must pass it before it reaches a kernel,
-    /// whose tile and block arithmetic divides and steps by these fields.
+    /// constructor here satisfies it; a hand-built one or one from outside
+    /// the program (a plan-cache file) may not, and a kernel's tile and
+    /// block arithmetic divides and steps by these fields.
     pub fn is_launchable(&self) -> bool {
         matches!(self.vector_width, 1 | 2 | 4)
             && self.nnz_per_warp >= 1
             && (1..=32).contains(&self.warps_per_block)
             && self.alpha.is_finite()
             && self.alpha > 0.0
+    }
+
+    /// What every HP cost walk checks first: a typed error for `kernel`
+    /// instead of a division by zero, a loop that never advances or an
+    /// occupancy panic further in.
+    pub fn check_launchable(&self, kernel: &'static str) -> Result<(), FormatError> {
+        if self.is_launchable() {
+            Ok(())
+        } else {
+            Err(FormatError::InvalidConfig { context: kernel })
+        }
     }
 
     /// `alpha × FullWaveSize` — the block count Ineq. 5 demands.

@@ -298,6 +298,7 @@ impl HpFusedMha {
         head_dim: usize,
         heads: usize,
     ) -> Result<FusedMhaCost, FormatError> {
+        self.config.check_launchable(self.name())?;
         if heads == 0 {
             return Err(FormatError::DimensionMismatch {
                 context: "fused-mha: head counts of Q/K/V differ or are zero",

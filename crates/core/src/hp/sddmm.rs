@@ -55,6 +55,7 @@ impl SddmmKernel for HpSddmm {
     }
 
     fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
+        self.config.check_launchable(self.name())?;
         let nnz = s.nnz();
         let cfg = self.config;
         let vw = cfg.vector_width;

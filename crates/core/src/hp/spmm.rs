@@ -48,6 +48,7 @@ impl SpmmKernel for HpSpmm {
     }
 
     fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
+        self.config.check_launchable(self.name())?;
         let resources = self.config.resources(k);
         Ok(KernelCost {
             report: hp_spmm_cost(self.name(), self.config, resources, sim, s, k),
@@ -97,6 +98,7 @@ impl SpmmKernel for HpSpmmLean {
     fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
         let mut cfg = self.config;
         cfg.vector_width = 1;
+        cfg.check_launchable(self.name())?;
         // Flat register budget: one accumulator per lane, K-independent.
         let resources = hpsparse_sim::KernelResources {
             warps_per_block: cfg.warps_per_block,

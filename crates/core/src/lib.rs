@@ -12,10 +12,12 @@
 //! * a **parallel CPU form** ([`cpu`]) built on rayon, used for real
 //!   wall-clock Criterion benchmarks and as an independent numerical check.
 //!
-//! The module layout mirrors the paper:
+//! "Every kernel" means [`catalog::KERNELS`]: the sixteen rows every sweep,
+//! gate and witness iterates. The rest of the layout mirrors the paper:
 //!
 //! | Module | Paper section |
 //! |---|---|
+//! | [`catalog`] | the kernel list of Fig. 9/10 and Table III |
 //! | [`hp`] | §III-A Algorithms 3–4, §III-B DTP + HVMA |
 //! | [`baselines`] | §IV-A2 (cuSPARSE, GE-SpMM, Row-split, Merge-path, ASpT, Sputnik, Huang, DGL-SDDMM, TC-GNN) |
 //! | [`cpu`] | rayon CPU executions |
@@ -25,6 +27,7 @@
 #![forbid(unsafe_code)]
 
 pub mod baselines;
+pub mod catalog;
 pub mod cpu;
 pub mod hp;
 pub mod mutants;

@@ -2,14 +2,14 @@
 //!
 //! Each mutant is a seeded-defect variant of the HP-SpMM COO tail loop —
 //! same work assignment, same buffers — with exactly one bug injected, so
-//! exactly one checker must flag it:
+//! exactly one checker must flag it — the one its [`Defect`] names:
 //!
-//! | Mutant | Injected bug | Must trip |
+//! | Mutant | Injected bug | [`Defect`] |
 //! |---|---|---|
-//! | [`MutantOobTail`] | tile load runs one element past `col_ind` | memcheck |
-//! | [`MutantRacyTail`] | row flush de-atomicized to a plain store | racecheck |
-//! | [`MutantUninitAcc`] | accumulator read from `O` before any store | initcheck |
-//! | [`MutantEagerNorm`] | fused softmax normalizer reads scores in the launch that wrote them | initcheck |
+//! | [`MutantOobTail`] | tile load runs one element past `col_ind` | `Bounds` |
+//! | [`MutantRacyTail`] | row flush de-atomicized to a plain store | `Race` |
+//! | [`MutantUninitAcc`] | accumulator read from `O` before any store | `Init` |
+//! | [`MutantEagerNorm`] | fused softmax normalizer reads scores in the launch that wrote them | `Init` |
 //!
 //! [`MutantEagerNorm`] is the fused-attention variant: it un-fuses the
 //! shared-memory score tile into a *global* scratch buffer but keeps the
@@ -433,13 +433,25 @@ impl SpmmKernel for MutantEagerNorm {
     }
 }
 
-/// The four mutants, boxed, for sweep-style callers.
-pub fn all_mutants() -> Vec<Box<dyn SpmmKernel>> {
+/// The property a mutant's seeded bug violates — the one checker, static or
+/// dynamic, that must flag it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Defect {
+    /// An access leaves its allocation.
+    Bounds,
+    /// Two warps store to one address without atomics.
+    Race,
+    /// A read of memory no finished launch has written.
+    Init,
+}
+
+/// The four mutants, each with the defect it seeds.
+pub fn all_mutants() -> Vec<(Defect, Box<dyn SpmmKernel>)> {
     vec![
-        Box::new(MutantOobTail),
-        Box::new(MutantRacyTail),
-        Box::new(MutantUninitAcc),
-        Box::new(MutantEagerNorm),
+        (Defect::Bounds, Box::new(MutantOobTail)),
+        (Defect::Race, Box::new(MutantRacyTail)),
+        (Defect::Init, Box::new(MutantUninitAcc)),
+        (Defect::Init, Box::new(MutantEagerNorm)),
     ]
 }
 
@@ -463,7 +475,7 @@ mod tests {
         let a = Dense::from_fn(50, 16, |i, j| ((i * 16 + j) as f32 * 1e-2).sin());
         let expected = reference::spmm(&s, &a).unwrap();
         let device = hpsparse_sim::DeviceSpec::v100();
-        for m in all_mutants() {
+        for (_, m) in all_mutants() {
             let run = m.run(&device, &s, &a).unwrap();
             assert!(run.output.approx_eq(&expected, 1e-5, 1e-6), "{}", m.name());
             assert!(run.report.cycles > 0);

@@ -1,4 +1,6 @@
-//! Kernel interfaces shared by HP kernels and all baselines.
+//! Kernel interfaces shared by HP kernels and all baselines. The kernels
+//! themselves are listed once, in [`crate::catalog`], whose
+//! [`Kernel`](crate::catalog::Kernel) dispatches over these traits.
 //!
 //! # A kernel is a cost walk plus an accumulation order
 //!

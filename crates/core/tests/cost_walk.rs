@@ -14,6 +14,7 @@
 //! * **Hostile shapes** go through both entries without a panic.
 
 use hpsparse_core::baselines::{all_sddmm, all_spmm, Aspt, Huang, MergePath};
+use hpsparse_core::catalog::{Kernel, Launches, HEADS, KERNELS};
 use hpsparse_core::hp::fused_mha::SMEM_SCORE_CAP;
 use hpsparse_core::hp::{FusedMhaCost, HpConfig, HpFusedMha, HpSddmm, HpSpmm, HpSpmmLean};
 use hpsparse_core::mutants::all_mutants;
@@ -45,7 +46,7 @@ fn spmm_kernels(device: &DeviceSpec, s: &Hybrid, k: usize) -> Vec<Box<dyn SpmmKe
         Box::new(Aspt { panel_rows: 4 }),
     ];
     kernels.extend(all_spmm().into_iter().map(|(_, kernel)| kernel));
-    kernels.extend(all_mutants());
+    kernels.extend(all_mutants().into_iter().map(|(_, kernel)| kernel));
     kernels
 }
 
@@ -488,4 +489,42 @@ fn hostile_shapes_pass_through_both_entries() {
             }
         }
     }
+}
+
+/// The catalogue's one cost-only entry loses no launch: for every row it
+/// reports what that variant's own full run does — preprocessing included,
+/// the fused kernel's spill pair included (row 0 is a 600-element hub).
+#[test]
+fn the_catalogue_entry_reports_every_launch_of_the_variants_full_run() {
+    let device = DeviceSpec::v100();
+    let mut triplets: Vec<_> = (0..600u32).map(|c| (0, c, 1.0)).collect();
+    triplets.extend((0..900u32).map(|i| (1 + i % 29, (i * 7) % 600, 0.5)));
+    let s = Hybrid::from_triplets(30, 600, &triplets).unwrap();
+    let k = 24;
+    let (a1, a) = (planted(30, k, 1, u32::MAX), planted(600, k, 2, u32::MAX));
+    let mut preprocessing = 0;
+    for row in &KERNELS {
+        let kernel = row.auto(&device, &s, k);
+        let sim = &mut GpuSim::new(device.clone());
+        let full: Launches = match &kernel {
+            Kernel::Spmm(kern) => kern.run_on(sim, &s, &a).unwrap().into_cost().into(),
+            Kernel::Sddmm(kern) => kern.run_on(sim, &s, &a1, &a).unwrap().into_cost().into(),
+            Kernel::FusedMha(kern) => {
+                let (q, kv) = (vec![a1.clone(); HEADS], vec![a.clone(); HEADS]);
+                let run = kern.run_on(sim, &s, &q, &kv, &kv).unwrap();
+                assert_eq!((run.spilled_rows, run.reports.len()), (1, 3));
+                Launches {
+                    preprocess: None,
+                    exec: run.reports,
+                }
+            }
+        };
+        let cost = kernel.cost_on(&mut GpuSim::new(device.clone()), &s, k);
+        assert_eq!(cost.unwrap(), full, "{}", row.id);
+        preprocessing += usize::from(full.preprocess.is_some());
+    }
+    assert!(
+        preprocessing >= 4,
+        "Merge-path, ASpT, Sputnik and Huang preprocess"
+    );
 }

@@ -3,12 +3,12 @@
 //! targets — named by kernel, with the offending address attributed to the
 //! right buffer.
 
-use hpsparse_core::baselines::registry;
-use hpsparse_core::hp::{HpSddmm, HpSpmm};
-use hpsparse_core::mutants::{all_mutants, mutant_test_graph, MutantOobTail};
-use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
+use hpsparse_core::catalog::KERNELS;
+use hpsparse_core::hp::HpSpmm;
+use hpsparse_core::mutants::{all_mutants, mutant_test_graph, Defect, MutantOobTail};
+use hpsparse_core::traits::SpmmKernel;
 use hpsparse_datasets::{full_graph_dataset, store};
-use hpsparse_sanitize::{Checker, Report, Sanitizer};
+use hpsparse_sanitize::{sanitize_run, Checker, Report, Sanitizer};
 use hpsparse_sim::{DeviceSpec, GpuSim};
 use hpsparse_sparse::{Dense, Hybrid};
 
@@ -36,37 +36,17 @@ fn quick_graph() -> Hybrid {
 }
 
 #[test]
-fn full_registry_passes_all_checkers_on_quick_graph() {
+fn full_catalogue_passes_all_checkers_on_quick_graph() {
     let s = quick_graph();
     let k = 32;
-    let a = Dense::from_fn(s.cols(), k, |i, j| ((i * k + j) as f32 * 1e-3).sin());
     let v100 = DeviceSpec::v100();
-
-    let mut kernels: Vec<(String, Box<dyn SpmmKernel>)> = registry::all_spmm()
-        .into_iter()
-        .map(|(id, kernel)| (id.to_string(), kernel))
-        .collect();
-    kernels.push(("hp-spmm".into(), Box::new(HpSpmm::auto(&v100, &s, k))));
-    for (id, kernel) in kernels {
-        let report = sanitized_spmm(kernel.as_ref(), &s, &a);
-        assert!(report.passed(), "{id}: {report}");
-        assert!(report.events > 0, "{id} produced no events");
-    }
-
-    let a1 = Dense::from_fn(s.rows(), k, |i, j| ((i + j) as f32 * 1e-2).cos());
-    let a2t = Dense::from_fn(s.cols(), k, |i, j| ((i * 2 + j) as f32 * 1e-2).sin());
-    let mut sddmm: Vec<(String, Box<dyn SddmmKernel>)> = registry::all_sddmm()
-        .into_iter()
-        .map(|(id, kernel)| (id.to_string(), kernel))
-        .collect();
-    sddmm.push(("hp-sddmm".into(), Box::new(HpSddmm::auto(&v100, &s, k))));
-    for (id, kernel) in sddmm {
-        let sanitizer = Sanitizer::new();
-        let mut sim = GpuSim::new(DeviceSpec::v100());
-        sim.attach_sink(sanitizer.sink());
-        kernel.run_on(&mut sim, &s, &a1, &a2t).expect("kernel runs");
-        let report = sanitizer.report();
-        assert!(report.passed(), "{id}: {report}");
+    for row in &KERNELS {
+        let kernel = row.auto(&v100, &s, k);
+        let report = sanitize_run(v100.clone(), |sim| {
+            kernel.cost_on(sim, &s, k).expect("kernel runs");
+        });
+        assert!(report.passed(), "{}: {report}", row.id);
+        assert!(report.events > 0, "{} produced no events", row.id);
     }
 }
 
@@ -109,13 +89,11 @@ fn oob_mutant_trips_memcheck_with_kernel_and_address() {
 fn each_mutant_trips_exactly_its_intended_checker() {
     let s = mutant_test_graph();
     let a = Dense::from_fn(s.cols(), 16, |i, j| (i * 3 + j) as f32);
-    for mutant in all_mutants() {
-        let expected = match mutant.name() {
-            "mutant:oob-tail" => Checker::Memcheck,
-            "mutant:racy-tail" => Checker::Racecheck,
-            "mutant:uninit-acc" => Checker::Initcheck,
-            "mutant:eager-norm" => Checker::Initcheck,
-            other => panic!("unknown mutant {other}"),
+    for (defect, mutant) in all_mutants() {
+        let expected = match defect {
+            Defect::Bounds => Checker::Memcheck,
+            Defect::Race => Checker::Racecheck,
+            Defect::Init => Checker::Initcheck,
         };
         let report = sanitized_spmm(mutant.as_ref(), &s, &a);
         assert!(

@@ -30,7 +30,7 @@
 //! `max(ready, device_free, halo_done)`. Time the device sits idle only
 //! because its inputs are in flight is reported as **halo stall**.
 
-use crate::cluster::Cluster;
+use crate::cluster::{BatchError, Cluster};
 use hpsparse_datasets::sampling::{RandomWalkSampler, Sampler};
 use hpsparse_sim::LinkTimeline;
 use hpsparse_sparse::Graph;
@@ -391,12 +391,21 @@ fn plan_batches(cluster: &Cluster, requests: &[Request], cfg: &BatcherConfig) ->
 /// * per-stage latency histograms ([`names::SERVE_REQUEST_LATENCY`],
 ///   [`names::SERVE_STAGE_QUEUE`], …) and per-batch halo-byte histograms
 ///   in the session's metrics registry.
-pub fn serve(
+///
+/// A target that names no node of the shard plan is refused here, on the
+/// caller's thread and before anything launches, with the error
+/// [`Cluster::run_batch`] has for it.
+pub fn try_serve(
     cluster: &mut Cluster,
     requests: &[Request],
     cfg: &BatcherConfig,
     trace: Option<&TraceSession>,
-) -> ServeOutcome {
+) -> Result<ServeOutcome, BatchError> {
+    let num_nodes = cluster.plan().assignment.len();
+    let mut targets = requests.iter().flat_map(|r| &r.targets);
+    if let Some(&node) = targets.find(|&&t| t as usize >= num_nodes) {
+        return Err(BatchError::UnknownNode { node });
+    }
     let k = cluster.feature_dim();
     let num_devices = cluster.num_devices();
     let batches = plan_batches(cluster, requests, cfg);
@@ -600,11 +609,24 @@ pub fn serve(
         halo_transfers,
         per_device,
     };
-    ServeOutcome {
+    Ok(ServeOutcome {
         report,
         outputs,
         completions,
-    }
+    })
+}
+
+/// [`try_serve`] for requests known to name nodes of the plan.
+///
+/// # Panics
+/// When a target is not a node of the shard plan.
+pub fn serve(
+    cluster: &mut Cluster,
+    requests: &[Request],
+    cfg: &BatcherConfig,
+    trace: Option<&TraceSession>,
+) -> ServeOutcome {
+    try_serve(cluster, requests, cfg, trace).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs the same requests on `cluster` and on a single-device cluster

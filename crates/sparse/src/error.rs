@@ -23,6 +23,8 @@ pub enum FormatError {
     DenseLengthMismatch { expected: usize, found: usize },
     /// Dimension mismatch between operands of a kernel.
     DimensionMismatch { context: &'static str },
+    /// A kernel was built with launch parameters it cannot launch with.
+    InvalidConfig { context: &'static str },
 }
 
 impl fmt::Display for FormatError {
@@ -59,6 +61,9 @@ impl fmt::Display for FormatError {
             ),
             FormatError::DimensionMismatch { context } => {
                 write!(f, "dimension mismatch in {context}")
+            }
+            FormatError::InvalidConfig { context } => {
+                write!(f, "unlaunchable configuration in {context}")
             }
         }
     }

@@ -9,7 +9,8 @@ use hpsparse::datasets::generators::{GeneratorConfig, Topology};
 use hpsparse::sim::{DeviceSpec, LinkSpec};
 use hpsparse::sparse::{reference, Dense, Graph};
 use hpsparse_serve::{
-    serve, synthetic_workload, BatcherConfig, Cluster, ShardPlan, WorkloadConfig,
+    serve, synthetic_workload, try_serve, BatchError, BatcherConfig, Cluster, Request, ShardPlan,
+    WorkloadConfig,
 };
 
 const K: usize = 16;
@@ -104,4 +105,41 @@ fn sharded_serving_is_lossless_correct_and_pinned() {
         (OUTPUT_BITS_FNV, P99_CYCLES, NUM_BATCHES, HALO_BYTES),
         "(output FNV, p99 cycles, batches, halo bytes) moved from the recorded parent values"
     );
+}
+
+/// ROADMAP 7(b): a request for a node the plan does not contain is a typed
+/// error on the caller's thread — not an index panic on a pool thread
+/// inside the batcher's `rayon::scope` — and nothing launches.
+#[test]
+fn an_unknown_target_is_refused_before_anything_launches() {
+    let g = graph();
+    let f = Dense::from_fn(g.num_nodes(), K, |i, j| (i + j) as f32);
+    let cfg = BatcherConfig {
+        max_batch_rows: 16,
+        max_wait_cycles: 100_000,
+    };
+    let mut cluster = Cluster::new(&g, &f, 4, 2, DeviceSpec::v100(), LinkSpec::nvlink());
+    let beyond = g.num_nodes() as u32;
+    let requests = [
+        Request {
+            id: 0,
+            arrival_cycle: 0,
+            targets: vec![3, 7],
+        },
+        Request {
+            id: 1,
+            arrival_cycle: 10,
+            targets: vec![5, beyond],
+        },
+    ];
+    match try_serve(&mut cluster, &requests, &cfg, None) {
+        Err(e) => assert_eq!(e, BatchError::UnknownNode { node: beyond }),
+        Ok(_) => panic!("a target past the plan was served"),
+    }
+    for d in 0..cluster.num_devices() {
+        assert_eq!(cluster.device_kernel_cycles(d), 0, "device {d} launched");
+    }
+    // The valid prefix alone is served.
+    let served = try_serve(&mut cluster, &requests[..1], &cfg, None).unwrap();
+    assert_eq!(served.outputs[0].len(), 2 * K);
 }
