@@ -14,7 +14,7 @@ use hpsparse_core::hp::{HpSpmm, HpSpmmLean};
 use hpsparse_core::traits::SpmmKernel;
 use hpsparse_datasets::generators::{GeneratorConfig, Topology};
 use hpsparse_sim::DeviceSpec;
-use hpsparse_sparse::BlockedEll;
+use hpsparse_sparse::BlockedEllShape;
 use serde_json::json;
 
 /// Register-lean HP-SpMM vs the paper's kernel as K grows (extends
@@ -121,7 +121,7 @@ pub fn run_bell(effort: Effort) -> ExperimentOutput {
         ("power-law", &power_law),
     ] {
         let s = g.to_hybrid();
-        let fill = BlockedEll::from_csr(&s.to_csr(), 16).unwrap().fill_ratio();
+        let fill = BlockedEllShape::of(&s.to_csr(), 16).unwrap().fill_ratio();
         let a = bench_features(s.cols(), k);
         let hp = HpSpmm::auto(&device, &s, k).run(&device, &s, &a).unwrap();
         let bell = CusparseBlockedEll::default().run(&device, &s, &a).unwrap();

@@ -8,13 +8,17 @@
 //! [`BlockedEll::fill_ratio`]) is pure wasted bandwidth — which is why GNN
 //! frameworks don't adopt the format and the paper's kernels stay on
 //! hybrid CSR/COO.
+//!
+//! The padding is accounted, not stored: the cost walk charges the padded
+//! device buffers from a [`BlockedEllShape`] alone, and the host-side
+//! [`BlockedEll`] behind `accumulate` holds only the payload's non-zeros.
 
 use crate::traits::{check_spmm_dims, KernelCost, SpmmKernel, SpmmRun};
 use hpsparse_sim::{
     GpuSim, KernelResources, LaunchConfig, LaunchReport, PlanBuilder, SymBufferRole, SymExpr,
     SymbolicPlan,
 };
-use hpsparse_sparse::{BlockedEll, Dense, FormatError, Hybrid};
+use hpsparse_sparse::{BlockedEll, BlockedEllShape, Dense, FormatError, Hybrid};
 
 /// Blocked-ELL SpMM with a configurable block size.
 #[derive(Debug, Clone, Copy)]
@@ -35,14 +39,14 @@ impl CusparseBlockedEll {
         BlockedEll::from_csr(&s.to_csr(), self.block.max(1))
     }
 
-    /// The cost walk over an already-built format at feature width `k`.
-    fn walk(&self, sim: &mut GpuSim, bell: &BlockedEll, k: usize) -> LaunchReport {
-        let (m, n, b) = (bell.rows(), bell.cols(), bell.block());
-        let width = bell.width();
-        let block_rows = m.div_ceil(b);
+    /// The cost walk over the format's padded shape at feature width `k`.
+    fn walk(&self, sim: &mut GpuSim, shape: BlockedEllShape, k: usize) -> LaunchReport {
+        let (m, n, b) = (shape.rows(), shape.cols(), shape.block());
+        let width = shape.width();
+        let block_rows = shape.block_rows();
 
-        let payload_buf = sim.alloc_input(block_rows * width * b * b, "ell_payload");
-        let colidx_buf = sim.alloc_input(block_rows * width, "ell_colidx");
+        let payload_buf = sim.alloc_input(shape.payload_len(), "ell_payload");
+        let colidx_buf = sim.alloc_input(shape.slots(), "ell_colidx");
         let a_buf = sim.alloc_input(n * k, "A");
         let o_buf = sim.alloc_output(m * k, "O");
 
@@ -95,9 +99,9 @@ impl SpmmKernel for CusparseBlockedEll {
     }
 
     fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
-        let bell = self.format_of(s)?;
+        let shape = BlockedEllShape::of(&s.to_csr(), self.block.max(1))?;
         Ok(KernelCost {
-            report: self.walk(sim, &bell, k),
+            report: self.walk(sim, shape, k),
             preprocess: None,
         })
     }
@@ -113,7 +117,7 @@ impl SpmmKernel for CusparseBlockedEll {
         check_spmm_dims(s, a)?;
         let bell = self.format_of(s)?;
         Ok(SpmmRun {
-            report: self.walk(sim, &bell, a.cols()),
+            report: self.walk(sim, bell.shape(), a.cols()),
             output: bell.spmm(a)?,
             preprocess: None,
         })

@@ -29,7 +29,7 @@ pub mod io;
 pub mod reference;
 pub mod stats;
 
-pub use blocked_ell::BlockedEll;
+pub use blocked_ell::{BlockedEll, BlockedEllShape};
 pub use coo::Coo;
 pub use csr::Csr;
 pub use dense::Dense;
