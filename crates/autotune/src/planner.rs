@@ -11,7 +11,9 @@
 //!   computes no float, so planning builds no feature matrix.
 //!   The heuristic's top pick is always in the measured set, so `Measured`
 //!   never chooses a kernel worse than `Heuristic`'s (a property the test
-//!   suite pins down).
+//!   suite pins down). The search is branch and bound: each candidate after
+//!   the first walks under a cycle budget of the best so far and stops as
+//!   soon as it provably cannot beat it; the pick is the exhaustive one.
 //!
 //! All three operations go through one path, [`Planner::plan_for`]; an
 //! [`OpKind`] contributes only its candidates, its analytic cost, its
@@ -22,7 +24,7 @@
 //! rank.
 
 use hpsparse_core::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
-use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
+use hpsparse_core::traits::{KernelCost, SddmmKernel, SpmmKernel};
 use hpsparse_sim::{CostEngine, DeviceSpec, GpuSim};
 use hpsparse_sparse::{Dense, Hybrid};
 use serde_json::json;
@@ -144,35 +146,43 @@ impl OpKind {
         }
     }
 
-    /// One cold measurement of `c` on `s`: cycles (execution plus
-    /// preprocessing) and, where one launch report exists to attribute, the
-    /// bottleneck verdict [`hpsparse_sim::attribute`] gives it. `None` when
-    /// the candidate does not instantiate or refuses the shape.
+    /// One measurement of `c` on `s` on `sim`, which starts cold: cycles
+    /// (execution plus preprocessing) and, where one launch report exists
+    /// to attribute, the bottleneck verdict [`hpsparse_sim::attribute`]
+    /// gives it. `None` when the candidate does not instantiate or refuses
+    /// the shape.
+    ///
+    /// Under a `budget` the walk stops once its cycles provably reach it
+    /// ([`GpuSim::set_cycle_budget`]); a stopped walk reports the budget
+    /// itself, which loses the planner's strict `<` against the incumbent
+    /// that set it and is what a timing tuner would have waited.
     fn measure(
         self,
-        device: &DeviceSpec,
-        engine: CostEngine,
+        sim: &mut GpuSim,
         c: &Candidate,
         s: &Hybrid,
         k: usize,
         heads: usize,
+        budget: Option<u64>,
     ) -> Option<(u64, Option<String>)> {
-        let sim = || cold_sim(device, engine);
-        let cost = match self {
-            OpKind::Spmm => instantiate_spmm(c)?.cost_on(&mut sim(), s, k).ok()?,
-            OpKind::Sddmm => instantiate_sddmm(c)?.cost_on(&mut sim(), s, k).ok()?,
-            OpKind::FusedMha => {
-                let cycles = match instantiate_fused_mha(c) {
-                    Some(kernel) => measure_fused_mha(device, engine, &kernel, s, k, heads),
-                    None => {
-                        measure_unfused_mha(device, engine, s, k, heads).map(|(cycles, _)| cycles)
-                    }
-                };
-                return Some((cycles?, None));
-            }
+        if let Some(limit) = budget {
+            sim.set_cycle_budget(limit);
+        }
+        let whole = |cost: KernelCost| (cost.total_cycles(), Some(cost.report));
+        let (cycles, report) = match self {
+            OpKind::Spmm => whole(instantiate_spmm(c)?.cost_on(sim, s, k).ok()?),
+            OpKind::Sddmm => whole(instantiate_sddmm(c)?.cost_on(sim, s, k).ok()?),
+            OpKind::FusedMha => match instantiate_fused_mha(c) {
+                Some(kernel) => (fused_mha_on(sim, &kernel, s, k, heads)?, None),
+                None => (unfused_mha_on(sim, s, k, heads, budget)?.0, None),
+            },
         };
-        let verdict = hpsparse_sim::attribute(&cost.report, device).verdict();
-        Some((cost.total_cycles(), Some(verdict)))
+        if sim.budget_stop().is_some() {
+            hpsparse_trace::counter_add("autotune.plan_sim_launches_stopped", 1);
+            return budget.map(|limit| (limit, None));
+        }
+        let verdict = report.map(|r| hpsparse_sim::attribute(&r, sim.device()).verdict());
+        Some((cycles, verdict))
     }
 }
 
@@ -310,8 +320,9 @@ impl Planner {
             PlanStrategy::Measured { top_n } => {
                 let engine = self.engine;
                 let top_n = if op == OpKind::FusedMha { 2 } else { top_n };
-                self.measured_plan(fp, ranked, top_n, |device, c| {
-                    op.measure(device, engine, c, s, fp.k, heads)
+                self.measured_plan(fp, ranked, top_n, |device, c, budget| {
+                    let mut sim = cold_sim(device, engine);
+                    op.measure(&mut sim, c, s, fp.k, heads, budget)
                 })
             }
         };
@@ -330,12 +341,18 @@ impl Planner {
     /// measurable (degenerate inputs). The winner's verdict is appended to
     /// the rationale, so a measured plan explains its choice with exactly
     /// the words `repro -- profile` would use for the same launch.
+    ///
+    /// Branch and bound: the first measurable candidate is walked in full,
+    /// every later one under a budget of the best cycles so far. A walk
+    /// that reaches its budget could only tie or lose, and a tie keeps the
+    /// better rank, so it stops there; the winner is always walked to
+    /// completion and the plan is the exhaustive search's.
     fn measured_plan(
         &mut self,
         fp: &GraphFingerprint,
         ranked: Vec<(f64, Candidate)>,
         top_n: usize,
-        mut measure: impl FnMut(&DeviceSpec, &Candidate) -> Option<(u64, Option<String>)>,
+        mut measure: impl FnMut(&DeviceSpec, &Candidate, Option<u64>) -> Option<(u64, Option<String>)>,
     ) -> Plan {
         let n = top_n.clamp(1, ranked.len().max(1));
         let mut best: Option<(u64, usize, Option<String>)> = None;
@@ -348,7 +365,8 @@ impl Planner {
             if rank_idx >= n && !incumbent {
                 continue;
             }
-            let Some((cycles, verdict)) = measure(&self.device, cand) else {
+            let budget = best.as_ref().map(|(b, _, _)| *b);
+            let Some((cycles, verdict)) = measure(&self.device, cand, budget) else {
                 continue;
             };
             self.sim_launches += 1;
@@ -457,9 +475,18 @@ pub fn measure_fused_mha(
     head_dim: usize,
     heads: usize,
 ) -> Option<u64> {
-    let cost = kernel
-        .cost_on(&mut cold_sim(device, engine), s, head_dim, heads)
-        .ok()?;
+    fused_mha_on(&mut cold_sim(device, engine), kernel, s, head_dim, heads)
+}
+
+/// [`measure_fused_mha`] on a cold simulator the caller made.
+fn fused_mha_on(
+    sim: &mut GpuSim,
+    kernel: &HpFusedMha,
+    s: &Hybrid,
+    head_dim: usize,
+    heads: usize,
+) -> Option<u64> {
+    let cost = kernel.cost_on(sim, s, head_dim, heads).ok()?;
     Some(
         cost.reports
             .iter()
@@ -482,23 +509,36 @@ pub fn measure_unfused_mha(
     head_dim: usize,
     heads: usize,
 ) -> Option<(u64, u64)> {
+    unfused_mha_on(&mut cold_sim(device, engine), s, head_dim, heads, None)
+}
+
+/// [`measure_unfused_mha`] on a cold simulator the caller made. Every head
+/// walks the same two launches from a cold L2, so one head is walked and
+/// counted `heads` times. Under `budget` the head's launches get the share
+/// that keeps `heads` copies of the pipeline below it.
+fn unfused_mha_on(
+    sim: &mut GpuSim,
+    s: &Hybrid,
+    head_dim: usize,
+    heads: usize,
+    budget: Option<u64>,
+) -> Option<(u64, u64)> {
     if heads == 0 {
         return None; // nothing to measure, as the fused kernel refuses too
     }
-    let sddmm = HpSddmm::auto(device, s, head_dim);
-    let spmm = HpSpmm::auto(device, s, head_dim);
-    let (mut cycles, mut dram) = (0u64, 0u64);
-    for _ in 0..heads {
-        let mut sim = cold_sim(device, engine);
-        let sd = sddmm.cost_on(&mut sim, s, head_dim).ok()?.report;
-        let sp = spmm.cost_on(&mut sim, s, head_dim).ok()?.report;
-        cycles += sd.cycles
-            + edge_softmax_cycles(device, s.nnz())
-            + sp.cycles
-            + 3 * LAUNCH_OVERHEAD_CYCLES;
-        dram += sd.dram_bytes() + 8 * s.nnz() as u64 + sp.dram_bytes();
+    let heads = heads as u64;
+    let device = sim.device().clone();
+    let fixed = edge_softmax_cycles(&device, s.nnz()) + 3 * LAUNCH_OVERHEAD_CYCLES;
+    if let Some(limit) = budget {
+        sim.set_cycle_budget(limit.div_ceil(heads).saturating_sub(fixed));
     }
-    Some((cycles, dram))
+    let sddmm = HpSddmm::auto(&device, s, head_dim);
+    let spmm = HpSpmm::auto(&device, s, head_dim);
+    let sd = sddmm.cost_on(sim, s, head_dim).ok()?.report;
+    let sp = spmm.cost_on(sim, s, head_dim).ok()?.report;
+    let cycles = sd.cycles + sp.cycles + fixed;
+    let dram = sd.dram_bytes() + 8 * s.nnz() as u64 + sp.dram_bytes();
+    Some((heads * cycles, heads * dram))
 }
 
 #[cfg(test)]
@@ -537,6 +577,44 @@ mod tests {
         assert!(p.planning_cycles() > 0);
         assert!(plan.predicted_cycles > 0);
         assert!(plan.rationale.contains("/18 candidates on cold"));
+    }
+
+    /// Branch and bound on a closed form: a shortlisted candidate that
+    /// cannot beat the best so far stops there and is charged exactly that
+    /// best; any other is walked in full and charged its cycles. The plan
+    /// is the exhaustive search's, and at least one walk was cut short.
+    #[test]
+    fn a_losing_candidate_is_charged_the_budget_it_was_stopped_at() {
+        let (s, k, top_n) = (graph(8, 2000, 16_000), 64, 6);
+        let v100 = DeviceSpec::v100();
+        let mut p = Planner::new(v100.clone(), PlanStrategy::Measured { top_n });
+        let plan = p.plan_spmm(&s, k);
+
+        let fp = GraphFingerprint::of(&s, k, &v100);
+        let ranked = rank(spmm_candidates(&v100, &fp), |c| spmm_cost(&v100, &fp, c));
+        let (mut best, mut charged, mut exhaustive, mut walks) = (None, 0, 0, 0);
+        for (i, (_, c)) in ranked.iter().enumerate() {
+            if i >= top_n && c.kernel_id != "hp:auto" {
+                continue;
+            }
+            let Some(Ok(cost)) = instantiate_spmm(c).map(|kernel| kernel.cost(&v100, &s, k)) else {
+                continue;
+            };
+            let cycles = cost.total_cycles();
+            walks += 1;
+            exhaustive += cycles;
+            match best {
+                Some((b, _)) if cycles >= b => charged += b,
+                _ => {
+                    charged += cycles;
+                    best = Some((cycles, c.kernel_id.as_str()));
+                }
+            }
+        }
+        assert_eq!(best, Some((plan.predicted_cycles, plan.kernel_id.as_str())));
+        assert_eq!(p.sim_launches(), walks);
+        assert_eq!(p.planning_cycles(), charged);
+        assert!(charged < exhaustive, "{charged} vs {exhaustive}");
     }
 
     #[test]
@@ -642,24 +720,47 @@ mod tests {
         assert_eq!(OpKind::from_tag("gemm"), None);
     }
 
+    /// The fuse/no-fuse pair over head counts and widths: the pick is the
+    /// cheaper of two full measurements. Whichever side ranks second walks
+    /// under the first's cycles, so the pair is charged the first plus the
+    /// cheaper of the two — when the unfused pipeline ranks second and
+    /// loses, its heads' shared budget stops it.
     #[test]
     fn mha_plan_measures_both_candidates_and_picks_the_winner() {
-        let s = graph(4, 800, 6_000);
-        let mut p = Planner::new(DeviceSpec::v100(), PlanStrategy::default());
-        let plan = p.plan_mha(&s, 32, 4);
-        assert_eq!(p.sim_launches(), 2, "exactly the fuse/no-fuse pair");
-        // The pick must be the cheaper of the two direct measurements.
         let v100 = DeviceSpec::v100();
-        let kernel = HpFusedMha::auto(&v100, &s, 32);
-        let fused = measure_fused_mha(&v100, CostEngine::Batched, &kernel, &s, 32, 4).unwrap();
-        let (unfused, _) = measure_unfused_mha(&v100, CostEngine::Batched, &s, 32, 4).unwrap();
-        let oracle = if fused <= unfused {
-            crate::candidates::MHA_FUSED_ID
-        } else {
-            crate::candidates::MHA_UNFUSED_ID
-        };
-        assert_eq!(plan.kernel_id, oracle, "{}", plan.rationale);
-        assert_eq!(plan.predicted_cycles, fused.min(unfused));
+        let mut unfused_cut_short = false;
+        for (s, head_dim, heads) in [
+            (graph(4, 800, 6_000), 32, 4),
+            (graph(4, 800, 6_000), 8, 1),
+            (graph(9, 300, 12_000), 64, 3),
+            (graph(1, 40, 20_000), 64, 4),
+        ] {
+            let mut p = Planner::new(v100.clone(), PlanStrategy::default());
+            let plan = p.plan_mha(&s, head_dim, heads);
+            assert_eq!(p.sim_launches(), 2, "exactly the fuse/no-fuse pair");
+            let kernel = HpFusedMha::auto(&v100, &s, head_dim);
+            let fused = measure_fused_mha(&v100, CostEngine::Batched, &kernel, &s, head_dim, heads)
+                .unwrap();
+            let (unfused, _) =
+                measure_unfused_mha(&v100, CostEngine::Batched, &s, head_dim, heads).unwrap();
+            let oracle = if fused <= unfused {
+                crate::candidates::MHA_FUSED_ID
+            } else {
+                crate::candidates::MHA_UNFUSED_ID
+            };
+            assert_eq!(plan.kernel_id, oracle, "{}", plan.rationale);
+            assert_eq!(plan.predicted_cycles, fused.min(unfused));
+
+            let fp = GraphFingerprint::of(&s, head_dim, &v100);
+            let ranked = rank(mha_candidates(&v100, &fp), |c| {
+                mha_cost(&v100, &fp, heads, c)
+            });
+            let fused_first = ranked[0].1.kernel_id == crate::candidates::MHA_FUSED_ID;
+            let first = if fused_first { fused } else { unfused };
+            assert_eq!(p.planning_cycles(), first + fused.min(unfused));
+            unfused_cut_short |= fused_first && fused < unfused;
+        }
+        assert!(unfused_cut_short);
     }
 
     #[test]

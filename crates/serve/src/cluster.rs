@@ -62,8 +62,9 @@ pub struct BatchResult {
     pub gathered_rows: usize,
 }
 
-/// Why [`Cluster::run_batch`] refused a batch. Nothing was launched and no
-/// device state changed.
+/// Why [`Cluster::run_batch`] refused a batch, or
+/// [`try_serve`](crate::try_serve) a request stream. Nothing was launched
+/// and no device state changed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchError {
     /// The plan has no shard with this index.
@@ -83,6 +84,14 @@ pub enum BatchError {
         /// The shard the batch was submitted to.
         shard: usize,
     },
+    /// A batch opened by an arrival would time out past the serving
+    /// clock's horizon ([`crate::server::DEADLINE_HORIZON`]).
+    DeadlineBeyondClock {
+        /// The latest arrival cycle of the stream.
+        arrival_cycle: u64,
+        /// The batcher's wait.
+        max_wait_cycles: u64,
+    },
 }
 
 impl fmt::Display for BatchError {
@@ -93,6 +102,14 @@ impl fmt::Display for BatchError {
             Self::NotOwned { node, shard } => {
                 write!(f, "node {node} is not owned by shard {shard}")
             }
+            Self::DeadlineBeyondClock {
+                arrival_cycle,
+                max_wait_cycles,
+            } => write!(
+                f,
+                "a batch opened at cycle {arrival_cycle} would time out {max_wait_cycles} \
+                 cycles later, past the serving clock's horizon"
+            ),
         }
     }
 }

@@ -139,6 +139,13 @@ impl Default for BatcherConfig {
     }
 }
 
+/// The latest batch deadline (`arrival + max_wait_cycles`) a run accepts:
+/// half the cycle clock, leaving the other half for the halo transfers and
+/// kernels scheduled after it (2⁶³ cycles is centuries at any device
+/// clock). A wait meant as "never time out" is any value that keeps the
+/// stream's deadlines below it.
+pub const DEADLINE_HORIZON: u64 = u64::MAX / 2;
+
 /// A request's slice of a batch: which output rows belong to it.
 ///
 /// A shard's targets are *not* contiguous inside the request in general
@@ -292,7 +299,8 @@ pub struct ServeOutcome {
 /// Splits `requests` into per-shard sub-request streams and folds each
 /// into batches. The per-shard work is independent, so it fans out on the
 /// rayon pool — the fold itself depends only on arrival order, keeping the
-/// result thread-count independent.
+/// result thread-count independent. Every deadline is at most
+/// [`DEADLINE_HORIZON`] ([`try_serve`] refused the stream otherwise).
 fn plan_batches(cluster: &Cluster, requests: &[Request], cfg: &BatcherConfig) -> Vec<PlannedBatch> {
     let num_shards = cluster.plan().num_shards;
     let mut per_shard: Vec<Vec<PlannedBatch>> = Vec::with_capacity(num_shards);
@@ -394,7 +402,8 @@ fn plan_batches(cluster: &Cluster, requests: &[Request], cfg: &BatcherConfig) ->
 ///
 /// A target that names no node of the shard plan is refused here, on the
 /// caller's thread and before anything launches, with the error
-/// [`Cluster::run_batch`] has for it.
+/// [`Cluster::run_batch`] has for it; so is a wait that would put a batch
+/// deadline past [`DEADLINE_HORIZON`].
 pub fn try_serve(
     cluster: &mut Cluster,
     requests: &[Request],
@@ -405,6 +414,16 @@ pub fn try_serve(
     let mut targets = requests.iter().flat_map(|r| &r.targets);
     if let Some(&node) = targets.find(|&&t| t as usize >= num_nodes) {
         return Err(BatchError::UnknownNode { node });
+    }
+    let last_arrival = requests.iter().map(|r| r.arrival_cycle).max();
+    if let Some(arrival_cycle) = last_arrival {
+        let deadline = arrival_cycle.checked_add(cfg.max_wait_cycles);
+        if deadline.is_none_or(|d| d > DEADLINE_HORIZON) {
+            return Err(BatchError::DeadlineBeyondClock {
+                arrival_cycle,
+                max_wait_cycles: cfg.max_wait_cycles,
+            });
+        }
     }
     let k = cluster.feature_dim();
     let num_devices = cluster.num_devices();
@@ -601,7 +620,9 @@ pub fn try_serve(
         mean_cycles: if latencies.is_empty() {
             0.0
         } else {
-            latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
+            // Summed in f64: exact below 2⁵³ cycles, and no overflow when
+            // deadlines sit near the horizon.
+            latencies.iter().map(|&l| l as f64).sum::<f64>() / latencies.len() as f64
         },
         max_cycles: latencies.last().copied().unwrap_or(0),
         ms_per_cycle,
@@ -619,7 +640,8 @@ pub fn try_serve(
 /// [`try_serve`] for requests known to name nodes of the plan.
 ///
 /// # Panics
-/// When a target is not a node of the shard plan.
+/// When a target is not a node of the shard plan, or a batch deadline
+/// falls past [`DEADLINE_HORIZON`].
 pub fn serve(
     cluster: &mut Cluster,
     requests: &[Request],
@@ -985,5 +1007,42 @@ mod tests {
         let ob = serve(&mut b, &reqs, &cfg, None);
         assert_eq!(oa.report.num_batches, ob.report.num_batches);
         assert_eq!(oa.outputs, ob.outputs);
+    }
+
+    /// A wait that would put a batch deadline past the clock's horizon is
+    /// refused on the caller's thread before anything launches — in release
+    /// too, where the deadline used to wrap and time every batch out on the
+    /// next arrival — and the longest wait the horizon allows closes batches
+    /// by size, not by time.
+    #[test]
+    fn a_deadline_past_the_clock_horizon_is_refused() {
+        let g = graph();
+        let f = features(&g, 8);
+        let mut cluster = Cluster::new(&g, &f, 2, 2, DeviceSpec::v100(), LinkSpec::nvlink());
+        let reqs = workload(&g, 60);
+        let last = reqs.iter().map(|r| r.arrival_cycle).max().unwrap();
+        for max_wait_cycles in [u64::MAX, u64::MAX - last, DEADLINE_HORIZON - last + 1] {
+            let cfg = BatcherConfig {
+                max_wait_cycles,
+                ..BatcherConfig::default()
+            };
+            let refused = try_serve(&mut cluster, &reqs, &cfg, None).map(|o| o.report.num_batches);
+            let want = BatchError::DeadlineBeyondClock {
+                arrival_cycle: last,
+                max_wait_cycles,
+            };
+            assert_eq!(refused, Err(want));
+        }
+        for d in 0..cluster.num_devices() {
+            assert_eq!(cluster.device_kernel_cycles(d), 0, "device {d} launched");
+        }
+        let patient = BatcherConfig {
+            max_wait_cycles: DEADLINE_HORIZON - last,
+            ..BatcherConfig::default()
+        };
+        let patient = serve(&mut cluster, &reqs, &patient, None).report;
+        let default = serve(&mut cluster, &reqs, &BatcherConfig::default(), None).report;
+        assert!(patient.num_batches < default.num_batches);
+        assert!(patient.p50_cycles > default.p50_cycles);
     }
 }

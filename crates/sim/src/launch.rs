@@ -24,6 +24,18 @@
 //! numerics run outside the launch (`hpsparse-core`'s `traits` docs).
 //! Parallelism lives above the launch, in the harness's graph × kernel
 //! fan-out, where every task owns a private simulator.
+//!
+//! # Cycle budgets
+//!
+//! A measurement that only needs to know whether it beats an incumbent can
+//! set a [cycle budget](GpuSim::set_cycle_budget). After every block the
+//! wave loop prices what it has walked so far — the completed waves plus
+//! the current wave's running maximum, against the DRAM roofline of the
+//! sectors fetched so far, with the same rule that prices the finished
+//! launch — which is a lower bound on the launch's final `cycles`: every
+//! accumulator only grows. Once that bound plus the cycles of the
+//! measurement's earlier launches reaches the budget, the walk stops, and
+//! every later launch of the measurement is skipped.
 
 use crate::cache::SectorCache;
 use crate::device::{CostEngine, DeviceSpec};
@@ -230,6 +242,35 @@ impl serde_json::ToJson for LaunchReport {
     }
 }
 
+/// Where a budgeted measurement stopped walking ([`GpuSim::budget_stop`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BudgetStop {
+    /// Launches the measurement completed before the one that stopped.
+    pub launch: u64,
+    /// Blocks the stopping launch walked, the stopping block included.
+    pub blocks: u64,
+    /// The lower bound on the measurement's total cycles that reached the
+    /// budget: the earlier launches' cycles plus the stopping launch's
+    /// running bound.
+    pub cycles_at_least: u64,
+}
+
+/// A measurement's cycle budget and how much of it its launches used.
+#[derive(Debug, Clone)]
+struct CycleBudget {
+    limit: u64,
+    /// Cycles of the measurement's completed launches.
+    spent: u64,
+    /// Launches completed since the budget was set.
+    launches: u64,
+    stop: Option<BudgetStop>,
+    /// Every running bound the launches checked, in order (unit tests
+    /// only: the bound must never decrease within a launch and must end at
+    /// the launch's `cycles`).
+    #[cfg(test)]
+    checked: Vec<u64>,
+}
+
 /// The simulated GPU: a device spec plus mutable L2 state that persists
 /// across launches (reset it for cold-cache measurements).
 pub struct GpuSim {
@@ -253,6 +294,8 @@ pub struct GpuSim {
     /// launches into device `d`'s Perfetto lane group; `None` (the
     /// default) keeps the single-device layout. Never affects costs.
     device_index: Option<u32>,
+    /// Cycle budget of the current measurement, once one is set.
+    budget: Option<CycleBudget>,
 }
 
 impl GpuSim {
@@ -270,6 +313,7 @@ impl GpuSim {
             engine: crate::device::default_engine(),
             tracer: None,
             device_index: None,
+            budget: None,
         }
     }
 
@@ -339,6 +383,30 @@ impl GpuSim {
     /// The cluster position set by [`Self::set_device_index`], if any.
     pub fn device_index(&self) -> Option<u32> {
         self.device_index
+    }
+
+    /// Starts a measurement bounded at `limit` cycles: from now on, once
+    /// the launches' cycles provably reach `limit`, the launch in progress
+    /// stops walking its warps and every later launch is skipped (module
+    /// docs, "Cycle budgets"). [`Self::budget_stop`] then says where; the
+    /// reports of a stopped measurement describe only what was walked and
+    /// mean nothing else. A measurement that finishes below `limit` is
+    /// untouched: same reports, same L2 state. A simulator with a sink or
+    /// tracer attached never stops, since those observe every event.
+    pub fn set_cycle_budget(&mut self, limit: u64) {
+        self.budget = Some(CycleBudget {
+            limit,
+            spent: 0,
+            launches: 0,
+            stop: None,
+            #[cfg(test)]
+            checked: Vec::new(),
+        });
+    }
+
+    /// Where the budgeted measurement stopped, if it did.
+    pub fn budget_stop(&self) -> Option<BudgetStop> {
+        self.budget.as_ref().and_then(|b| b.stop)
     }
 
     /// Allocates logical device memory (256-byte aligned).
@@ -442,6 +510,38 @@ impl GpuSim {
         let cost = self.device.cost;
         let num_sms = self.device.num_sms as usize;
 
+        // Resident warps hide latency: below 50 % occupancy both the SMT
+        // pipeline's effective width and the achievable HBM bandwidth
+        // degrade proportionally (the register-scarcity effect of the
+        // paper's §IV-F); above it they saturate.
+        let occ_factor = (occ.warp_occupancy * 2.0).clamp(0.05, 1.0);
+        let effective_width = cost.smt_width * occ_factor;
+        let dram_bytes_per_cycle = self.device.dram_bytes_per_cycle * occ_factor;
+        let floor = if config.num_warps > 0 {
+            KERNEL_FLOOR_CYCLES
+        } else {
+            0.0
+        };
+        // Only L2 misses consume HBM bandwidth; hits are served on chip.
+        let dram_bound = |sectors: u64| {
+            (sectors * crate::memory::SECTOR_BYTES as u64) as f64 / dram_bytes_per_cycle
+        };
+        // The launch's cycles, from its wave schedule and DRAM sectors: the
+        // one pricing rule, applied to the finished launch and, mid-walk,
+        // to what has been walked so far (a lower bound, since both only
+        // grow).
+        let price = |schedule: f64, sectors: u64| {
+            schedule.max(dram_bound(sectors)).max(floor).ceil() as u64
+        };
+        // The cycles this launch may reach before its measurement is over
+        // budget; `None` walks every warp. Once a measurement stopped, its
+        // later launches walk nothing.
+        let observed = self.sink.is_some() || self.tracer.is_some();
+        let budget = self.budget.as_ref().filter(|_| !observed);
+        let skipped = budget.is_some_and(|b| b.stop.is_some());
+        let budget_left = budget.map(|b| b.limit.saturating_sub(b.spent));
+        let mut stopped: Option<(u64, u64)> = None;
+
         let mut totals = WarpCounters::default();
         let mut max_warp_cycles = 0f64;
         let mut sum_warp_cycles = 0f64;
@@ -471,9 +571,15 @@ impl GpuSim {
 
         let mut warp_id: u64 = 0;
         let mut block_id: u64 = 0;
-        for _wave in 0..num_waves {
+        'walk: for _wave in 0..if skipped { 0 } else { num_waves } {
             sm_sum.fill(0.0);
             sm_max_block.fill(0.0);
+            // An SM finishes when its slowest block does, or when its
+            // aggregate warp-cycles drain through the SMT pipeline,
+            // whichever is later; the wave, when its slowest SM does. Every
+            // term only grows as blocks land, so the running maximum over
+            // the SMs' updates is the wave's time once its last block has.
+            let mut wave_time = 0f64;
             let wave_hits0 = totals.l2_hit_sectors;
             let wave_dram0 = totals.dram_sectors;
             let blocks_this_wave = occ.full_wave_size.min(blocks - block_id);
@@ -497,23 +603,23 @@ impl GpuSim {
                 }
                 sm_sum[sm] += block_max * warps_in_block as f64;
                 sm_max_block[sm] = sm_max_block[sm].max(block_max);
+                wave_time = wave_time.max(sm_max_block[sm].max(sm_sum[sm] / effective_width));
                 if let Some(tl) = timeline.as_mut() {
                     tl.record_block(sm, block_max, warps_in_block);
                 }
+                if let Some(left) = budget_left {
+                    let bound = price(schedule_cycles + wave_time, totals.dram_sectors);
+                    #[cfg(test)]
+                    if let Some(b) = self.budget.as_mut() {
+                        b.checked.push(bound);
+                    }
+                    if bound >= left {
+                        stopped = Some((block_id + slot + 1, bound));
+                        break 'walk;
+                    }
+                }
             }
             block_id += blocks_this_wave;
-            // An SM finishes when its slowest block does, or when its
-            // aggregate warp-cycles drain through the SMT pipeline,
-            // whichever is later. The pipeline's effective width
-            // depends on how many warps are resident to hide latency:
-            // it saturates at 50% occupancy (typical for memory-bound
-            // kernels) and degrades below that — the register-scarcity
-            // effect of the paper's §IV-F.
-            let occ_factor = (occ.warp_occupancy * 2.0).clamp(0.05, 1.0);
-            let effective_width = cost.smt_width * occ_factor;
-            let wave_time = (0..num_sms)
-                .map(|sm| sm_max_block[sm].max(sm_sum[sm] / effective_width))
-                .fold(0f64, f64::max);
             schedule_cycles += wave_time;
             if let Some(tl) = timeline.as_mut() {
                 let hits = totals.l2_hit_sectors - wave_hits0;
@@ -531,20 +637,23 @@ impl GpuSim {
             sink.end_launch();
         }
 
-        // Saturating HBM needs enough warps in flight to keep loads
-        // outstanding; below ~50% occupancy the achievable bandwidth
-        // degrades proportionally (the flip side of the same
-        // latency-hiding limit that throttles the SM pipeline).
-        let occ_factor = (occ.warp_occupancy * 2.0).clamp(0.05, 1.0);
-        // Only L2 misses consume HBM bandwidth; hits are served on chip.
-        let dram_bytes = totals.dram_sectors * crate::memory::SECTOR_BYTES as u64;
-        let dram_bound = dram_bytes as f64 / (self.device.dram_bytes_per_cycle * occ_factor);
-        let floor = if config.num_warps > 0 {
-            KERNEL_FLOOR_CYCLES
-        } else {
-            0.0
-        };
-        let cycles = schedule_cycles.max(dram_bound).max(floor).ceil() as u64;
+        let cycles = price(schedule_cycles, totals.dram_sectors);
+        if let Some(b) = self.budget.as_mut() {
+            match stopped {
+                Some((blocks, bound)) => {
+                    b.stop = Some(BudgetStop {
+                        launch: b.launches,
+                        blocks,
+                        cycles_at_least: b.spent.saturating_add(bound),
+                    })
+                }
+                None if !skipped => {
+                    b.spent = b.spent.saturating_add(cycles);
+                    b.launches += 1;
+                }
+                None => {}
+            }
+        }
         let report = LaunchReport {
             cycles,
             time_ms: self.device.cycles_to_ms(cycles),
@@ -563,7 +672,7 @@ impl GpuSim {
             } else {
                 sum_warp_cycles / config.num_warps as f64
             },
-            dram_bound_cycles: dram_bound.ceil() as u64,
+            dram_bound_cycles: dram_bound(totals.dram_sectors).ceil() as u64,
             schedule_cycles: schedule_cycles.ceil() as u64,
         };
         if let Some(tl) = timeline {
@@ -942,6 +1051,140 @@ mod tests {
         assert_eq!(report_ref, report_bat);
         assert_eq!(metrics_ref, metrics_bat);
         assert_eq!(trace_ref, trace_bat);
+    }
+
+    type Body = fn(u64, &mut WarpTally);
+
+    /// Launch shapes for the budget tests: many waves with cross-warp L2
+    /// reuse and memoization, a DRAM-bound stream, one slow warp, exactly
+    /// one block, and a floor-bound partial block.
+    fn budget_workloads() -> [(u64, Body); 5] {
+        [
+            (20_705, |w, t| {
+                t.begin_memo(w % 11);
+                t.compute(10 + w % 11);
+                let base = if w % 5 == 0 { 0 } else { w * 8192 };
+                t.global_read(base, 1024, 4);
+            }),
+            (10_000, |w, t| t.global_read(w * 4096, 4096, 4)),
+            (64, |w, t| t.compute(if w == 0 { 1_280_000 } else { 0 })),
+            (8, |_, t| t.compute(20_000)),
+            (3, |_, t| t.compute(10)),
+        ]
+    }
+
+    /// Under any budget the running bound is checked once per block, never
+    /// decreases and ends at the launch's `cycles`; a walk stops at the
+    /// first block whose bound reaches the budget — the same block on both
+    /// engines — and one that never reaches it reports what an unbudgeted
+    /// launch does.
+    #[test]
+    fn a_budget_stops_at_the_first_block_whose_bound_reaches_it() {
+        for (warps, body) in budget_workloads() {
+            let cfg = LaunchConfig {
+                num_warps: warps,
+                resources: small_res(),
+            };
+            let free = GpuSim::new(DeviceSpec::v100()).launch(cfg, body);
+            let mut sim = GpuSim::new(DeviceSpec::v100());
+            sim.set_cycle_budget(u64::MAX);
+            assert_eq!(sim.launch(cfg, body), free, "{warps} warps");
+            assert_eq!(sim.budget_stop(), None);
+            let bounds = sim.budget.take().unwrap().checked;
+            assert_eq!(bounds.len() as u64, free.blocks);
+            assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "{warps} warps");
+            assert_eq!(bounds.last(), Some(&free.cycles));
+
+            let c = free.cycles;
+            for budget in [0, 1, c / 3, c / 2, c - 1, c, c + 1] {
+                let first_reaching = bounds.iter().position(|&b| b >= budget);
+                let want = first_reaching.map(|i| BudgetStop {
+                    launch: 0,
+                    blocks: i as u64 + 1,
+                    cycles_at_least: bounds[i],
+                });
+                for engine in [CostEngine::Batched, CostEngine::Reference] {
+                    let mut sim = GpuSim::new(DeviceSpec::v100());
+                    sim.set_engine(engine);
+                    sim.set_cycle_budget(budget);
+                    let report = sim.launch(cfg, body);
+                    assert_eq!(sim.budget_stop(), want, "{warps} warps, budget {budget}");
+                    if want.is_none() {
+                        assert_eq!(report, free);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A budget bounds the measurement, not one launch: earlier launches'
+    /// cycles count against it, a launch of no warps checks nothing, and a
+    /// measurement that stopped walks none of its later launches.
+    #[test]
+    fn a_budget_spans_the_measurements_launches() {
+        let cfg = |num_warps| LaunchConfig {
+            num_warps,
+            resources: small_res(),
+        };
+        let body = |w: u64, t: &mut WarpTally| t.global_read(w * 4096, 2048, 4);
+        let mut free = GpuSim::new(DeviceSpec::v100());
+        let first = free.launch(cfg(2_000), body).cycles;
+        assert_eq!(free.launch(cfg(0), body).cycles, 0);
+        let total = first + free.launch(cfg(3_000), body).cycles;
+        for (budget, stopped_in) in [
+            (0, Some(0)),
+            (first, Some(0)),
+            (first + 1, Some(2)),
+            (total, Some(2)),
+            (total + 1, None),
+            (u64::MAX, None),
+        ] {
+            let mut sim = GpuSim::new(DeviceSpec::v100());
+            sim.set_cycle_budget(budget);
+            sim.launch(cfg(2_000), body);
+            sim.launch(cfg(0), body);
+            let mut last_walked = 0;
+            sim.launch(cfg(3_000), |w, t| {
+                last_walked += 1;
+                body(w, t)
+            });
+            let stop = sim.budget_stop();
+            assert_eq!(stop.map(|s| s.launch), stopped_in, "budget {budget}");
+            if let Some(stop) = stop {
+                assert!((budget..=total).contains(&stop.cycles_at_least), "{stop:?}");
+            }
+            assert_eq!(last_walked == 0, stopped_in == Some(0), "budget {budget}");
+        }
+    }
+
+    /// A sink or tracer observes every event, so it overrides any budget.
+    #[test]
+    fn an_observed_launch_never_stops() {
+        use crate::sink::{AccessEvent, AccessSink, BufferDecl};
+        struct Ignore;
+        impl AccessSink for Ignore {
+            fn begin_launch(&mut self, _: &str, _: u64) {}
+            fn register_buffer(&mut self, _: &BufferDecl) {}
+            fn record(&mut self, _: &AccessEvent) {}
+            fn end_launch(&mut self) {}
+        }
+        let (warps, body) = budget_workloads()[0];
+        let cfg = LaunchConfig {
+            num_warps: warps,
+            resources: small_res(),
+        };
+        let free = GpuSim::new(DeviceSpec::v100()).launch(cfg, body);
+        for sink in [true, false] {
+            let mut sim = GpuSim::new(DeviceSpec::v100());
+            if sink {
+                sim.attach_sink(Box::new(Ignore));
+            } else {
+                sim.attach_tracer(TraceSession::new());
+            }
+            sim.set_cycle_budget(0);
+            assert_eq!(sim.launch(cfg, body), free);
+            assert_eq!(sim.budget_stop(), None);
+        }
     }
 
     /// Every traced launch records an attribution verdict with headroom in

@@ -21,6 +21,10 @@
 //!   set-associative LRU sector cache modelling L2 ([`cache`]), so
 //!   reordering the graph genuinely changes the hit rate.
 //!
+//! A measurement that only has to beat an incumbent can carry a cycle
+//! budget and stop walking once it provably cannot ([`launch`], "Cycle
+//! budgets").
+//!
 //! Kernels drive the model through [`tally::WarpTally`]: a launch body is a
 //! *cost walk* that describes one warp's accesses and instructions. The
 //! kernel's real numeric results are computed beside the launch, in the
@@ -45,7 +49,7 @@ pub use attribution::{attribute, Attribution, Bound};
 pub use cache::SectorCache;
 pub use device::{default_engine, set_default_engine, CostEngine, CostModel, DeviceSpec};
 pub use interconnect::{LinkKind, LinkSpec, LinkTimeline, TransferDescriptor};
-pub use launch::{GpuSim, LaunchConfig, LaunchReport};
+pub use launch::{BudgetStop, GpuSim, LaunchConfig, LaunchReport};
 pub use memory::{Buffer, MemorySpace, SECTOR_BYTES};
 pub use occupancy::{occupancy_of, tail_stretch, KernelResources, Occupancy};
 pub use sink::{AccessEvent, AccessKind, AccessSink, BufferDecl, BufferRole};
