@@ -123,6 +123,7 @@ pub fn run(effort: Effort) -> ExperimentOutput {
                 table::ms(base.total_ms),
                 table::ms(hp.total_ms),
                 table::speedup(speedup),
+                format!("{:.2}", hp.activation_bytes as f64 / (1 << 20) as f64),
             ]);
             json_rows.push(json!({
                 "framework": w.framework,
@@ -135,6 +136,7 @@ pub fn run(effort: Effort) -> ExperimentOutput {
                 "baseline_sparse_ms": base.sparse_ms,
                 "hp_sparse_ms": hp.sparse_ms,
                 "speedup": speedup,
+                "activation_bytes": hp.activation_bytes,
             }));
         }
     }
@@ -151,6 +153,7 @@ pub fn run(effort: Effort) -> ExperimentOutput {
                 "w/o HP (ms)",
                 "w/ HP (ms)",
                 "Speedup",
+                "Acts kept (MiB)",
             ],
             &rows
         )

@@ -59,13 +59,13 @@ impl GatLayer {
     }
 
     /// Forward pass that also returns the cache needed by
-    /// [`GatLayer::backward`].
-    pub fn forward_cached(
+    /// [`GatLayer::backward`], which borrows `x`.
+    pub fn forward_cached<'x>(
         &self,
         backend: &mut dyn SparseBackend,
         s: &Hybrid,
-        x: &Dense,
-    ) -> (Dense, Vec<f32>, GatCache) {
+        x: &'x Dense,
+    ) -> (Dense, Vec<f32>, GatCache<'x>) {
         let [q, k, v] = self.project(backend, x);
 
         // Raw scores: SDDMM over the unit mask, so the score is the pure
@@ -87,7 +87,7 @@ impl GatLayer {
             k,
             v,
             weights: weights.clone(),
-            x: x.clone(),
+            x,
         };
         (out, weights, cache)
     }
@@ -111,43 +111,9 @@ impl GatLayer {
         cache: &GatCache,
         d_out: &Dense,
     ) -> (GatGrads, Dense) {
-        let device = backend.device().clone();
-        let head_dim = self.wq.cols();
-        let scale = 1.0 / (head_dim as f32).sqrt();
-
-        // dV = Attnᵀ · dOut (SpMM over the transposed attention matrix).
-        let attn = with_values(s, cache.weights.clone());
-        let attn_t = attn.to_csr().transpose().to_hybrid();
-        let d_v = backend.spmm(&attn_t, d_out);
-
-        // dAttn (per edge) = dOut[r] · V[c] — an SDDMM with unit mask.
-        let d_attn = backend.sddmm(&unit_mask(s), d_out, &cache.v);
-
-        // Edge-softmax backward: for each destination row,
-        // d_score_e = w_e (d_attn_e − Σ_f w_f d_attn_f).
-        let d_scores = edge_softmax_backward(s.row_indices(), &cache.weights, &d_attn);
-        // Undo the 1/sqrt(d) scaling applied to the raw scores.
-        let d_scores: Vec<f32> = d_scores.iter().map(|g| g * scale).collect();
-
-        // dQ = dScores · K, dK = dScoresᵀ · Q (two SpMMs over the
-        // score-gradient matrix).
-        let dscore_mat = with_values(s, d_scores);
-        let d_q = backend.spmm(&dscore_mat, &cache.k);
-        let dscore_t = dscore_mat.to_csr().transpose().to_hybrid();
-        let d_k = backend.spmm(&dscore_t, &cache.q);
-
-        // Projection gradients: dW* = Xᵀ · d*, dX = Σ d*·W*ᵀ.
-        for _ in 0..3 {
-            backend.account_dense(dense_gemm_cycles(
-                &device,
-                cache.x.cols(),
-                cache.x.rows(),
-                head_dim,
-            ));
-        }
-        let d_wq = linalg::matmul_transpose_a(&cache.x, &d_q);
-        let d_wk = linalg::matmul_transpose_a(&cache.x, &d_k);
-        let d_wv = linalg::matmul_transpose_a(&cache.x, &d_v);
+        let (grads, [d_q, d_k, d_v]) =
+            self.projection_backward(backend, &mut Pattern::of(s), cache, d_out);
+        // dX = Σ d*·W*ᵀ.
         let mut d_x = linalg::matmul_transpose_b(&d_q, &self.wq);
         let d_x_k = linalg::matmul_transpose_b(&d_k, &self.wk);
         let d_x_v = linalg::matmul_transpose_b(&d_v, &self.wv);
@@ -158,26 +124,97 @@ impl GatLayer {
         {
             *a += b + c;
         }
-        (
-            GatGrads {
-                wq: d_wq,
-                wk: d_wk,
-                wv: d_wv,
-            },
-            d_x,
-        )
+        (grads, d_x)
+    }
+
+    /// [`GatLayer::backward`] up to the projections: the parameter
+    /// gradients and `[dQ, dK, dV]`, over `s`'s [`Pattern`].
+    pub(crate) fn projection_backward(
+        &self,
+        backend: &mut dyn SparseBackend,
+        pattern: &mut Pattern,
+        cache: &GatCache,
+        d_out: &Dense,
+    ) -> (GatGrads, [Dense; 3]) {
+        let device = backend.device().clone();
+        let head_dim = self.wq.cols();
+        let scale = 1.0 / (head_dim as f32).sqrt();
+
+        // dV = Attnᵀ · dOut (SpMM over the transposed attention matrix).
+        let d_v = backend.spmm(pattern.transposed(&cache.weights), d_out);
+
+        // dAttn (per edge) = dOut[r] · V[c] — an SDDMM with unit mask.
+        let d_attn = backend.sddmm(&pattern.unit, d_out, &cache.v);
+
+        // Edge-softmax backward: for each destination row,
+        // d_score_e = w_e (d_attn_e − Σ_f w_f d_attn_f).
+        let d_scores = edge_softmax_backward(pattern.unit.row_indices(), &cache.weights, &d_attn);
+        // Undo the 1/sqrt(d) scaling applied to the raw scores.
+        let d_scores: Vec<f32> = d_scores.iter().map(|g| g * scale).collect();
+
+        // dQ = dScores · K, dK = dScoresᵀ · Q (two SpMMs over the
+        // score-gradient matrix).
+        let dscore_mat = with_values(&pattern.unit, d_scores);
+        let d_q = backend.spmm(&dscore_mat, &cache.k);
+        let d_k = backend.spmm(pattern.transposed(dscore_mat.values()), &cache.q);
+
+        // Projection gradients: dW* = Xᵀ · d*.
+        let x = cache.x;
+        for _ in 0..3 {
+            backend.account_dense(dense_gemm_cycles(&device, x.cols(), x.rows(), head_dim));
+        }
+        let grads = GatGrads {
+            wq: linalg::matmul_transpose_a(x, &d_q),
+            wk: linalg::matmul_transpose_a(x, &d_k),
+            wv: linalg::matmul_transpose_a(x, &d_v),
+        };
+        (grads, [d_q, d_k, d_v])
     }
 }
 
 /// Cached forward activations for [`GatLayer::backward`]. The batched
 /// multi-head path ([`crate::mha::SparseMha`]) fills one per head from its
 /// single attention call, so the backward pass is this layer's unchanged.
-pub struct GatCache {
+pub struct GatCache<'x> {
     pub(crate) q: Dense,
     pub(crate) k: Dense,
     pub(crate) v: Dense,
     pub(crate) weights: Vec<f32>,
-    pub(crate) x: Dense,
+    /// The layer's input, borrowed: every head of a batched call shares it.
+    pub(crate) x: &'x Dense,
+}
+
+/// What attention backward needs of `s` besides its values, built once per
+/// call and shared by its heads: the unit mask, and `sᵀ` with the element
+/// of `s` that each of its elements holds (`source`).
+pub(crate) struct Pattern {
+    unit: Hybrid,
+    transposed: Hybrid,
+    source: Vec<usize>,
+}
+
+impl Pattern {
+    pub(crate) fn of(s: &Hybrid) -> Self {
+        let unit = unit_mask(s);
+        let transposed = unit.to_csr().transpose().to_hybrid();
+        // `Csr::transpose` orders elements by a stable sort on the column.
+        let mut source: Vec<usize> = (0..s.nnz()).collect();
+        source.sort_by_key(|&e| s.col_indices()[e]);
+        Self {
+            unit,
+            transposed,
+            source,
+        }
+    }
+
+    /// `sᵀ` holding `values`, given in `s`'s element order: equal to
+    /// `with_values(s, values).to_csr().transpose().to_hybrid()`.
+    fn transposed(&mut self, values: &[f32]) -> &Hybrid {
+        for (slot, &e) in self.transposed.values_mut().iter_mut().zip(&self.source) {
+            *slot = values[e];
+        }
+        &self.transposed
+    }
 }
 
 /// The structure of `s` holding `values`.
@@ -274,6 +311,37 @@ mod tests {
         let v = linalg::matmul(&x, &layer.wv);
         for j in 0..8 {
             assert!((out.get(3, j) - v.get(3, j)).abs() < 1e-5);
+        }
+    }
+
+    /// Backward builds `sᵀ` once per call and rewrites its values per use:
+    /// each use must equal what `to_csr().transpose().to_hybrid()` builds.
+    #[test]
+    fn pattern_transposes_like_the_csr_round_trip() {
+        let rectangular = Hybrid::from_triplets(
+            3,
+            5,
+            &[
+                (0, 4, 1.0),
+                (0, 1, 1.0),
+                (2, 1, 1.0),
+                (2, 0, 1.0),
+                (2, 4, 1.0),
+            ],
+        )
+        .unwrap();
+        let empty = Hybrid::from_triplets(2, 3, &[]).unwrap();
+        for s in [path_hybrid(), rectangular, empty] {
+            let mut pattern = Pattern::of(&s);
+            assert_eq!(pattern.unit, unit_mask(&s));
+            for phase in [0.0f32, 1.3] {
+                let values: Vec<f32> = (0..s.nnz()).map(|i| (i as f32 + phase).sin()).collect();
+                let expected = with_values(&s, values.clone())
+                    .to_csr()
+                    .transpose()
+                    .to_hybrid();
+                assert_eq!(pattern.transposed(&values), &expected);
+            }
         }
     }
 

@@ -34,12 +34,23 @@ pub struct Gcn {
     pub biases: Vec<Vec<f32>>,
 }
 
-/// Forward activations kept for the backward pass.
+/// Forward activations kept for the backward pass — each tensor once, and
+/// only those backward reads. [`Gcn::backward`] consumes the cache and
+/// frees each tensor after its last read.
 pub struct Cache {
     /// Aggregated features `Z_l = S · H_{l-1}`, length `layers`.
     aggregated: Vec<Dense>,
-    /// Pre-activations `Y_l`, length `layers`.
-    pre_activations: Vec<Dense>,
+    /// Post-activations `H_l = relu(Y_l)` of the hidden layers, length
+    /// `layers − 1`: layer `l + 1`'s input and the ReLU mask of `dY_l`.
+    activations: Vec<Dense>,
+}
+
+impl Cache {
+    /// Bytes of activations held for backward.
+    pub fn bytes(&self) -> usize {
+        let tensors = self.aggregated.iter().chain(&self.activations);
+        tensors.map(|t| size_of_val(t.data())).sum()
+    }
 }
 
 /// Parameter gradients, shaped like the model.
@@ -92,38 +103,39 @@ impl Gcn {
     ) -> (Dense, Cache) {
         let layers = self.num_layers();
         let mut aggregated = Vec::with_capacity(layers);
-        let mut pre_activations = Vec::with_capacity(layers);
-        let mut h = x.clone();
+        let mut activations = Vec::with_capacity(layers);
         for l in 0..layers {
-            let z = backend.spmm(s, &h);
+            let z = backend.spmm(s, activations.last().unwrap_or(x));
             let w = &self.weights[l];
             account_gemm(backend, z.rows(), z.cols(), w.cols());
             let mut y = linalg::matmul(&z, w);
             linalg::add_bias(&mut y, &self.biases[l]);
             aggregated.push(z);
-            pre_activations.push(y.clone());
             if l + 1 < layers {
                 account_elementwise(backend, y.rows() * y.cols());
                 linalg::relu(&mut y);
             }
-            h = y;
+            activations.push(y);
         }
+        let logits = activations.pop().expect("at least one layer");
         (
-            h,
+            logits,
             Cache {
                 aggregated,
-                pre_activations,
+                activations,
             },
         )
     }
 
     /// Backward pass from the logits gradient. `s_t` is the transposed
-    /// adjacency in hybrid form (precomputed once per graph).
+    /// adjacency in hybrid form (precomputed once per graph). Consumes the
+    /// cache: `Z_l` is freed after the weight gradient reads it, `H_{l-1}`
+    /// after the ReLU mask does.
     pub fn backward(
         &self,
         backend: &mut dyn SparseBackend,
         s_t: &Hybrid,
-        cache: &Cache,
+        mut cache: Cache,
         grad_logits: Dense,
     ) -> Grads {
         let mut grads = Grads {
@@ -132,19 +144,20 @@ impl Gcn {
         };
         let mut d_y = grad_logits;
         for l in (0..self.num_layers()).rev() {
-            let z = &cache.aggregated[l];
+            let z = cache.aggregated.pop().expect("one aggregate per layer");
             let w = &self.weights[l];
             account_gemm(backend, w.rows(), z.rows(), w.cols());
-            grads.weights.push(linalg::matmul_transpose_a(z, &d_y));
+            grads.weights.push(linalg::matmul_transpose_a(&z, &d_y));
+            drop(z);
             grads.biases.push(linalg::column_sums(&d_y));
-            if l == 0 {
+            let Some(h) = cache.activations.pop() else {
                 break;
-            }
+            };
             account_gemm(backend, d_y.rows(), d_y.cols(), w.rows());
             let d_z = linalg::matmul_transpose_b(&d_y, w);
             let mut d_h = backend.spmm(s_t, &d_z);
             account_elementwise(backend, d_h.rows() * d_h.cols());
-            linalg::relu_backward(&mut d_h, &cache.pre_activations[l - 1]);
+            linalg::relu_backward(&mut d_h, &h);
             d_y = d_h;
         }
         // Pushed last layer first.
@@ -225,7 +238,7 @@ mod tests {
         let mut backend = CpuBackend::new();
         let (logits, cache) = model.forward(&mut backend, &s, &x);
         let (_, grad_logits) = linalg::softmax_cross_entropy(&logits, &labels);
-        let grads = model.backward(&mut backend, &st, &cache, grad_logits);
+        let grads = model.backward(&mut backend, &st, cache, grad_logits);
 
         let eps = 1e-3f32;
         for idx in 0..model.weights[0].data().len() {
@@ -265,7 +278,7 @@ mod tests {
         let mut backend = CpuBackend::new();
         let (logits, cache) = model.forward(&mut backend, &s, &x);
         let (_, grad_logits) = linalg::softmax_cross_entropy(&logits, &labels);
-        let grads = model.backward(&mut backend, &st, &cache, grad_logits);
+        let grads = model.backward(&mut backend, &st, cache, grad_logits);
         let eps = 1e-2f32;
         // Spot-check a handful of first-layer weights (through ReLU+SpMM).
         for idx in [0usize, 3, 7, 11, 19] {
@@ -307,7 +320,7 @@ mod tests {
         for _ in 0..80 {
             let (logits, cache) = model.forward(&mut backend, &s, &x);
             let (loss, grad) = linalg::softmax_cross_entropy(&logits, &labels);
-            let grads = model.backward(&mut backend, &st, &cache, grad);
+            let grads = model.backward(&mut backend, &st, cache, grad);
             opt.step(&mut model, &grads);
             first_loss.get_or_insert(loss);
             last_loss = loss;

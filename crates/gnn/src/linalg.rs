@@ -223,14 +223,17 @@ pub fn relu(x: &mut Dense) {
         });
 }
 
-/// ReLU backward: zeroes gradient entries where the forward input was
-/// non-positive. `grad` and `pre_activation` must have the same shape.
-pub fn relu_backward(grad: &mut Dense, pre_activation: &Dense) {
-    assert_eq!(grad.rows(), pre_activation.rows());
-    assert_eq!(grad.cols(), pre_activation.cols());
+/// ReLU backward: zeroes gradient entries where `activation` is
+/// non-positive. `activation` may be the forward input `y` or its output
+/// `relu(y)` — `relu(y) ≤ 0` exactly when `y ≤ 0`, ±0 and NaN included — so
+/// a trainer keeps only the output, which the next layer reads anyway.
+/// `grad` and `activation` must have the same shape.
+pub fn relu_backward(grad: &mut Dense, activation: &Dense) {
+    assert_eq!(grad.rows(), activation.rows());
+    assert_eq!(grad.cols(), activation.cols());
     grad.data_mut()
         .par_chunks_mut(ELEMENTWISE_CHUNK)
-        .zip(pre_activation.data().par_chunks(ELEMENTWISE_CHUNK))
+        .zip(activation.data().par_chunks(ELEMENTWISE_CHUNK))
         .for_each(|(g_chunk, z_chunk)| {
             for (g, &z) in g_chunk.iter_mut().zip(z_chunk) {
                 *g = if z <= 0.0 { 0.0 } else { *g };
@@ -503,6 +506,58 @@ mod tests {
         let mut g = Dense::from_vec(1, 4, vec![1.0, 1.0, 1.0, 1.0]).unwrap();
         relu_backward(&mut g, &pre);
         assert_eq!(g.data(), &[0.0, 0.0, 1.0, 0.0]);
+    }
+
+    /// The trainers take the ReLU mask from the post-activation they keep:
+    /// the gradient must be the pre-activation mask's at `to_bits` for
+    /// every `f32`, special or not, across several element-wise chunks.
+    #[test]
+    fn relu_backward_masks_the_same_from_the_post_activation() {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001), // signalling NaN
+            f32::from_bits(0x0000_0001), // smallest subnormal
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007f_ffff), // largest subnormal
+            f32::from_bits(0x807f_ffff),
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut random_bits = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            f32::from_bits((state >> 32) as u32)
+        };
+        // Every special activation meets every special gradient first, then
+        // random bit patterns of both.
+        let n = specials.len();
+        let len = 3 * ELEMENTWISE_CHUNK + 17;
+        let (y, g): (Vec<f32>, Vec<f32>) = (0..len)
+            .map(|i| {
+                if i < n * n {
+                    (specials[i % n], specials[i / n])
+                } else {
+                    (random_bits(), random_bits())
+                }
+            })
+            .unzip();
+        let y = Dense::from_vec(1, len, y).unwrap();
+        let mut h = y.clone();
+        relu(&mut h);
+        let mut from_pre = Dense::from_vec(1, len, g).unwrap();
+        let mut from_post = from_pre.clone();
+        relu_backward(&mut from_pre, &y);
+        relu_backward(&mut from_post, &h);
+        assert_eq!(bits(&from_pre), bits(&from_post));
     }
 
     #[test]

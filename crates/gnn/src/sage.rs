@@ -26,11 +26,18 @@ pub struct Sage {
     pub biases: Vec<Vec<f32>>,
 }
 
-/// Forward activations for backprop.
-pub struct SageCache {
-    inputs: Vec<Dense>,
+/// Forward activations for backprop — each tensor once, and only those
+/// backward reads. [`Sage::backward`] consumes the cache and frees each
+/// tensor after its last read.
+pub struct SageCache<'x> {
+    /// The model input: layer 0's self branch, borrowed.
+    x: &'x Dense,
+    /// Post-activations `H_l = relu(Y_l)` of the hidden layers, length
+    /// `layers − 1`: layer `l + 1`'s self-branch input and the ReLU mask
+    /// of `dY_l`.
+    activations: Vec<Dense>,
+    /// Aggregated features `Z_l = S̄ · H_{l-1}`, length `layers`.
     aggregated: Vec<Dense>,
-    pre_activations: Vec<Dense>,
 }
 
 /// Parameter gradients, shaped like the model.
@@ -79,53 +86,53 @@ impl Sage {
     }
 
     /// Forward pass over the mean-normalised operator.
-    pub fn forward(
+    pub fn forward<'x>(
         &self,
         backend: &mut dyn SparseBackend,
         s_mean: &Hybrid,
-        x: &Dense,
-    ) -> (Dense, SageCache) {
+        x: &'x Dense,
+    ) -> (Dense, SageCache<'x>) {
         let layers = self.num_layers();
-        let mut inputs = Vec::with_capacity(layers);
+        let mut activations = Vec::with_capacity(layers);
         let mut aggregated = Vec::with_capacity(layers);
-        let mut pre_activations = Vec::with_capacity(layers);
-        let mut h = x.clone();
         for l in 0..layers {
-            inputs.push(h.clone());
-            let z = backend.spmm(s_mean, &h);
+            let h = activations.last().unwrap_or(x);
+            let z = backend.spmm(s_mean, h);
             for w in [&self.w_self[l], &self.w_nbr[l]] {
                 account_gemm(backend, h.rows(), h.cols(), w.cols());
             }
-            let mut y = linalg::matmul(&h, &self.w_self[l]);
+            let mut y = linalg::matmul(h, &self.w_self[l]);
             let y_nbr = linalg::matmul(&z, &self.w_nbr[l]);
             for (a, b) in y.data_mut().iter_mut().zip(y_nbr.data()) {
                 *a += b;
             }
             linalg::add_bias(&mut y, &self.biases[l]);
             aggregated.push(z);
-            pre_activations.push(y.clone());
             if l + 1 < layers {
                 account_elementwise(backend, y.rows() * y.cols());
                 linalg::relu(&mut y);
             }
-            h = y;
+            activations.push(y);
         }
+        let logits = activations.pop().expect("at least one layer");
         (
-            h,
+            logits,
             SageCache {
-                inputs,
+                x,
+                activations,
                 aggregated,
-                pre_activations,
             },
         )
     }
 
-    /// Backward pass (mirrors the forward's two branches).
+    /// Backward pass (mirrors the forward's two branches). Consumes the
+    /// cache: `Z_l` is freed after the neighbour-weight gradient reads it,
+    /// `H_{l-1}` after the self-weight gradient and the ReLU mask do.
     pub fn backward(
         &self,
         backend: &mut dyn SparseBackend,
         s_mean_t: &Hybrid,
-        cache: &SageCache,
+        mut cache: SageCache,
         grad_logits: Dense,
     ) -> SageGrads {
         let layers = self.num_layers();
@@ -136,15 +143,17 @@ impl Sage {
         };
         let mut d_y = grad_logits;
         for l in (0..layers).rev() {
-            let h = &cache.inputs[l];
-            let z = &cache.aggregated[l];
-            account_gemm(backend, h.cols(), h.rows(), d_y.cols());
-            grads.w_self.push(linalg::matmul_transpose_a(h, &d_y));
-            grads.w_nbr.push(linalg::matmul_transpose_a(z, &d_y));
+            let h = cache.activations.pop();
+            let z = cache.aggregated.pop().expect("one aggregate per layer");
+            let input = h.as_ref().unwrap_or(cache.x);
+            account_gemm(backend, input.cols(), input.rows(), d_y.cols());
+            grads.w_self.push(linalg::matmul_transpose_a(input, &d_y));
+            grads.w_nbr.push(linalg::matmul_transpose_a(&z, &d_y));
+            drop(z);
             grads.biases.push(linalg::column_sums(&d_y));
-            if l == 0 {
+            let Some(h) = h else {
                 break;
-            }
+            };
             // dH = dY·W_selfᵀ + S̄ᵀ·(dY·W_nbrᵀ)
             account_gemm(backend, d_y.rows(), d_y.cols(), self.w_self[l].rows());
             let mut d_h = linalg::matmul_transpose_b(&d_y, &self.w_self[l]);
@@ -153,7 +162,7 @@ impl Sage {
             for (a, b) in d_h.data_mut().iter_mut().zip(d_agg.data()) {
                 *a += b;
             }
-            linalg::relu_backward(&mut d_h, &cache.pre_activations[l - 1]);
+            linalg::relu_backward(&mut d_h, &h);
             d_y = d_h;
         }
         // Pushed last layer first.
@@ -251,7 +260,7 @@ mod tests {
         let mut backend = CpuBackend::new();
         let (logits, cache) = model.forward(&mut backend, &s, &x);
         let (_, grad_logits) = linalg::softmax_cross_entropy(&logits, &labels);
-        let grads = model.backward(&mut backend, &st, &cache, grad_logits);
+        let grads = model.backward(&mut backend, &st, cache, grad_logits);
         let eps = 1e-2f32;
         // Spot check a few parameters in each branch of layer 0.
         for idx in [0usize, 5, 11] {
@@ -309,7 +318,7 @@ mod tests {
         for _ in 0..60 {
             let (logits, cache) = model.forward(&mut backend, &s, &x);
             let (loss, grad) = linalg::softmax_cross_entropy(&logits, &labels);
-            let grads = model.backward(&mut backend, &st, &cache, grad);
+            let grads = model.backward(&mut backend, &st, cache, grad);
             opt.step(&mut model, &grads);
             first.get_or_insert(loss);
             last = loss;

@@ -49,6 +49,8 @@ pub struct TrainStats {
     pub dense_ms: f64,
     /// Total simulated GPU time (ms) — the Table V quantity.
     pub total_ms: f64,
+    /// The most bytes of activations one step's forward kept for backward.
+    pub activation_bytes: usize,
 }
 
 /// Prepares the self-looped, GCN-normalised operator pair `(S, Sᵀ)`.
@@ -82,12 +84,14 @@ fn train<'a, B: Borrow<Batch<'a>>>(
     backend.reset_counters();
     let mut losses = Vec::with_capacity(cfg.epochs);
     let mut final_accuracy = 0.0;
+    let mut activation_bytes = 0;
     for epoch in 0..cfg.epochs {
         let batch = next_batch();
         let batch = batch.borrow();
         let (logits, cache) = model.forward(backend, &batch.s, &batch.features);
+        activation_bytes = cache.bytes().max(activation_bytes);
         let (loss, grad) = linalg::softmax_cross_entropy(&logits, &batch.labels);
-        let grads = model.backward(backend, &batch.st, &cache, grad);
+        let grads = model.backward(backend, &batch.st, cache, grad);
         opt.step(&mut model, &grads);
         losses.push(loss);
         if epoch + 1 == cfg.epochs {
@@ -101,6 +105,7 @@ fn train<'a, B: Borrow<Batch<'a>>>(
         sparse_ms: device.cycles_to_ms(backend.sparse_cycles()),
         dense_ms: device.cycles_to_ms(backend.dense_cycles()),
         total_ms: backend.total_ms(),
+        activation_bytes,
     };
     (model, stats)
 }
@@ -251,6 +256,37 @@ mod tests {
             (stats.losses.first(), stats.losses.last())
         );
         assert!(stats.final_accuracy > 0.5, "acc {}", stats.final_accuracy);
+    }
+
+    /// A GCN step keeps `Z_l` (`n × fan_in(l)`) for every layer and the
+    /// post-activation `H_l` (`n × hidden`) for every hidden layer — no
+    /// pre-activations, no copy of the input, no logits.
+    #[test]
+    fn gcn_keeps_each_activation_once() {
+        let (g, x, y) = toy_problem();
+        let (n, in_dim, hidden, layers) = (g.num_nodes(), 12, 16, 3);
+        let (_, stats) = train_full_graph(
+            &mut CpuBackend::new(),
+            &g,
+            &x,
+            &y,
+            GcnConfig {
+                in_dim,
+                hidden,
+                layers,
+                classes: 3,
+                seed: 1,
+            },
+            TrainConfig {
+                epochs: 2,
+                ..Default::default()
+            },
+        );
+        let fan_in_sum = in_dim + (layers - 1) * hidden;
+        assert_eq!(
+            stats.activation_bytes,
+            4 * n * (fan_in_sum + (layers - 1) * hidden)
+        );
     }
 
     #[test]

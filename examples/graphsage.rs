@@ -49,7 +49,7 @@ fn main() {
     for epoch in 0..15 {
         let (logits, cache) = model.forward(&mut backend, &s_mean, &features);
         let (loss, grad) = linalg::softmax_cross_entropy(&logits, &labels);
-        let grads = model.backward(&mut backend, &s_mean_t, &cache, grad);
+        let grads = model.backward(&mut backend, &s_mean_t, cache, grad);
         opt.step(&mut model, &grads);
         if epoch % 5 == 0 || epoch == 14 {
             let acc = linalg::accuracy(&logits, &labels);

@@ -232,7 +232,7 @@ fn sage_losses_keep_their_recorded_bits() {
         .map(|_| {
             let (logits, cache) = model.forward(&mut backend, &s, &x);
             let (loss, grad) = linalg::softmax_cross_entropy(&logits, &y);
-            let grads = model.backward(&mut backend, &st, &cache, grad);
+            let grads = model.backward(&mut backend, &st, cache, grad);
             opt.step(&mut model, &grads);
             loss
         })
