@@ -49,7 +49,7 @@ fn bench_cache_probes(c: &mut Criterion) {
         })
     });
     // The same sector volume expressed as coalesced 8-sector runs — the
-    // batch form the strided descriptors feed.
+    // form every coalesced read and write probes in.
     group.bench_function("access_run_x8", |b| {
         let mut cache = l2();
         b.iter(|| {
@@ -151,12 +151,14 @@ fn bench_cache_probes(c: &mut Criterion) {
     group.finish();
 }
 
-/// One warp's worth of descriptor traffic: a strided feature read, a lane
-/// gather, and the surrounding arithmetic — the body every registry
-/// kernel's launch closure reduces to.
+/// One warp's worth of traffic: sixteen feature-row reads, a lane gather,
+/// and the surrounding arithmetic — the body every registry kernel's
+/// launch closure reduces to.
 fn warp_body(tally: &mut WarpTally<'_>, indices: &[u32]) {
     tally.compute(12);
-    tally.global_read_strided(4_096, 256, 16, 256, 4);
+    for row in 0..16 {
+        tally.global_read(4_096 + row * 256, 256, 4);
+    }
     tally.global_gather(indices.iter().map(|&c| 1 << 20 | (c as u64 * 4)), 4);
     tally.shared_op(35);
     tally.shuffle_reduce(32);

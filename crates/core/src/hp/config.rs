@@ -197,15 +197,23 @@ impl HpConfig {
             && self.alpha > 0.0
     }
 
-    /// What every HP cost walk checks first: a typed error for `kernel`
-    /// instead of a division by zero, a loop that never advances or an
-    /// occupancy panic further in.
-    pub fn check_launchable(&self, kernel: &'static str) -> Result<(), FormatError> {
+    /// What every HP cost walk checks first: the per-block `resources` it
+    /// launches with, or a typed error for `kernel` instead of a division
+    /// by zero, a loop that never advances, an occupancy panic further in,
+    /// or a launch whose blocks fit no SM of `device`.
+    pub fn check_launchable(
+        &self,
+        kernel: &'static str,
+        device: &DeviceSpec,
+        resources: impl FnOnce() -> KernelResources,
+    ) -> Result<KernelResources, FormatError> {
         if self.is_launchable() {
-            Ok(())
-        } else {
-            Err(FormatError::InvalidConfig { context: kernel })
+            let res = resources();
+            if occupancy_of(device, &res).active_blocks_per_sm > 0 {
+                return Ok(res);
+            }
         }
+        Err(FormatError::InvalidConfig { context: kernel })
     }
 
     /// `alpha × FullWaveSize` — the block count Ineq. 5 demands.

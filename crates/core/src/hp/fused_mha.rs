@@ -298,7 +298,9 @@ impl HpFusedMha {
         head_dim: usize,
         heads: usize,
     ) -> Result<FusedMhaCost, FormatError> {
-        self.config.check_launchable(self.name())?;
+        let resources = self
+            .config
+            .check_launchable(self.name(), sim.device(), || self.resources(head_dim))?;
         if heads == 0 {
             return Err(FormatError::DimensionMismatch {
                 context: "fused-mha: head counts of Q/K/V differ or are zero",
@@ -425,7 +427,7 @@ impl HpFusedMha {
         if plan_len > 0 {
             let launch = LaunchConfig {
                 num_warps: (plan_len * heads) as u64,
-                resources: self.resources(d),
+                resources,
             };
             // No memoization: the per-row shared-memory transaction counts
             // depend on the tile's full row-length profile, which a compact
@@ -553,7 +555,7 @@ impl HpFusedMha {
 
             let score_launch = LaunchConfig {
                 num_warps: segs.len() as u64,
-                resources: self.resources(d),
+                resources,
             };
             let score = |w: u64, tally: &mut WarpTally| {
                 let (h, r, seg) = &segs[w as usize];
@@ -571,7 +573,7 @@ impl HpFusedMha {
 
             let apply_launch = LaunchConfig {
                 num_warps: apps.len() as u64,
-                resources: self.resources(d),
+                resources,
             };
             let apply = |p: u64, tally: &mut WarpTally| {
                 let (h, r, elems, seg0) = &apps[p as usize];

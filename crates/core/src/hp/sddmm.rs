@@ -55,7 +55,9 @@ impl SddmmKernel for HpSddmm {
     }
 
     fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
-        self.config.check_launchable(self.name())?;
+        let resources = self
+            .config
+            .check_launchable(self.name(), sim.device(), || self.resources(k))?;
         let nnz = s.nnz();
         let cfg = self.config;
         let vw = cfg.vector_width;
@@ -74,7 +76,7 @@ impl SddmmKernel for HpSddmm {
 
         let launch = LaunchConfig {
             num_warps: cfg.num_chunks(nnz),
-            resources: self.resources(k),
+            resources,
         };
         let report = sim.launch_named(self.name(), launch, |warp_id, tally| {
             let start = warp_id as usize * npw;

@@ -48,8 +48,9 @@ impl SpmmKernel for HpSpmm {
     }
 
     fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
-        self.config.check_launchable(self.name())?;
-        let resources = self.config.resources(k);
+        let resources = self
+            .config
+            .check_launchable(self.name(), sim.device(), || self.config.resources(k))?;
         Ok(KernelCost {
             report: hp_spmm_cost(self.name(), self.config, resources, sim, s, k),
             preprocess: None,
@@ -98,13 +99,14 @@ impl SpmmKernel for HpSpmmLean {
     fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
         let mut cfg = self.config;
         cfg.vector_width = 1;
-        cfg.check_launchable(self.name())?;
         // Flat register budget: one accumulator per lane, K-independent.
-        let resources = hpsparse_sim::KernelResources {
-            warps_per_block: cfg.warps_per_block,
-            registers_per_thread: 32,
-            shared_mem_per_block: 3 * 32 * 4 * cfg.warps_per_block,
-        };
+        let resources = cfg.check_launchable(self.name(), sim.device(), || {
+            hpsparse_sim::KernelResources {
+                warps_per_block: cfg.warps_per_block,
+                registers_per_thread: 32,
+                shared_mem_per_block: 3 * 32 * 4 * cfg.warps_per_block,
+            }
+        })?;
         Ok(KernelCost {
             report: hp_spmm_cost(self.name(), cfg, resources, sim, s, k),
             preprocess: None,

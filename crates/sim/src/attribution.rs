@@ -1,33 +1,29 @@
 //! Bottleneck attribution: *why* a launch took the cycles it took.
 //!
-//! A [`LaunchReport`] records three candidate limits — the wave-schedule
-//! time, the DRAM-bandwidth roofline and the pipeline floor — plus the
-//! per-warp statistics that explain the schedule. [`attribute`] folds them
-//! into a single verdict with quantified headroom:
+//! A launch's cycles are the largest of three [`Limits`] — the wave
+//! schedule, the DRAM roofline and the fill/drain floor. [`attribute`]
+//! reads them back from a [`LaunchReport`] and folds them into a single
+//! verdict with quantified headroom:
 //!
-//! * the **binding limit** is whichever of `schedule_cycles`,
-//!   `dram_bound_cycles` and the kernel floor produced `cycles`;
+//! * the **binding limit** is whichever of the three produced `cycles`;
 //! * a schedule-bound launch is split further: a dominant
-//!   [`LaunchReport::imbalance`] factor means straggler warps, a dominant
-//!   [`tail_stretch`] means a mostly-idle final wave, and otherwise the
-//!   aggregate warp-cycle decomposition (instructions vs L2 hits vs DRAM
-//!   sectors, weighted by the device [`CostModel`](crate::CostModel))
-//!   names the pipeline the warps actually waited on;
+//!   [`LaunchReport::imbalance`] means straggler warps, a dominant
+//!   [`tail_stretch`] a mostly-idle final wave, and otherwise the
+//!   [per-pipeline cycles](crate::WarpCounters::pipeline_cycles) name the
+//!   pipeline the warps waited on;
 //! * **headroom** is `1 − alternative/cycles`, where `alternative` is the
-//!   launch time with the diagnosed bottleneck removed (perfect balance,
-//!   no tail, or the dominant pipeline share deleted) but every *other*
-//!   limit still in place. 0% headroom means the verdict is only
-//!   marginally binding; 60% means fixing it could shed 60% of the time.
+//!   same [pricing rule](Limits::cycles) with the diagnosed bottleneck
+//!   removed and every *other* limit in place: 0% means marginally
+//!   binding, 60% that fixing it could shed 60% of the time.
 //!
-//! The same decomposition backs the `repro -- profile` report, the
-//! `attribution__*` trace metrics, and the autotune planner's rationale —
-//! one implementation, so profiler verdicts and planner explanations
-//! cannot silently disagree (pinned by `hpsparse-bench`'s
-//! attribution-agreement test).
+//! The `repro -- profile` report, the `attribution__*` trace metrics and
+//! the autotune planner's rationale all call [`attribute`], so they cannot
+//! disagree (pinned by `hpsparse-bench`'s attribution-agreement test).
 
 use crate::device::DeviceSpec;
-use crate::launch::{LaunchReport, KERNEL_FLOOR_CYCLES};
+use crate::launch::LaunchReport;
 use crate::occupancy::tail_stretch;
+use crate::price::Limits;
 use hpsparse_trace::{names, MetricsRegistry};
 
 /// Threshold on the imbalance / tail-stretch factors above which the
@@ -36,22 +32,23 @@ use hpsparse_trace::{names, MetricsRegistry};
 /// micro-optimising the pipeline.
 const SKEW_THRESHOLD: f64 = 1.25;
 
-/// The five-way verdict taxonomy (DESIGN.md "Attribution").
+/// The five-way verdict taxonomy (DESIGN.md "Attribution"); the
+/// discriminant is the stable [`Bound::id`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bound {
     /// The DRAM roofline, or a schedule dominated by DRAM-sector latency.
-    DramBandwidth,
+    DramBandwidth = 0,
     /// Schedule dominated by L2-hit latency: traffic that stays on chip
     /// but still stalls warps.
-    L2Latency,
+    L2Latency = 1,
     /// Schedule dominated by issued instructions (plus shared memory,
     /// atomics and shuffles).
-    Compute,
+    Compute = 2,
     /// Straggler warps: the slowest warp far above the mean.
-    Imbalance,
+    Imbalance = 3,
     /// A mostly-idle final wave, or the pipeline fill/drain floor of a
     /// microscopic launch.
-    Tail,
+    Tail = 4,
 }
 
 impl Bound {
@@ -69,13 +66,7 @@ impl Bound {
 
     /// Stable numeric id for the `attribution__bound.id` gauge.
     pub fn id(&self) -> u32 {
-        match self {
-            Bound::DramBandwidth => 0,
-            Bound::L2Latency => 1,
-            Bound::Compute => 2,
-            Bound::Imbalance => 3,
-            Bound::Tail => 4,
-        }
+        *self as u32
     }
 }
 
@@ -103,25 +94,20 @@ pub struct Attribution {
 impl Attribution {
     /// One-line verdict, e.g. `DRAM bandwidth (42% headroom)`.
     pub fn verdict(&self) -> String {
-        format!(
-            "{} ({:.0}% headroom)",
-            self.bound.label(),
-            self.headroom * 100.0
-        )
+        let (label, pct) = (self.bound.label(), self.headroom * 100.0);
+        format!("{label} ({pct:.0}% headroom)")
     }
 
     /// Records the verdict and decomposition as `launch.<kernel>.*` gauges
     /// next to [`LaunchReport::record_metrics`]'s counters.
     pub fn record_metrics(&self, metrics: &MetricsRegistry, kernel: &str) {
-        let set = |name: &str, v: f64| metrics.set(&names::launch_metric(kernel, name), v);
-        set(names::ATTRIBUTION_BOUND_ID, self.bound.id() as f64);
-        set(names::ATTRIBUTION_HEADROOM_PCT, self.headroom * 100.0);
-        set(
-            names::ATTRIBUTION_COMPUTE_SHARE_PCT,
-            self.compute_share * 100.0,
-        );
-        set(names::ATTRIBUTION_L2_SHARE_PCT, self.l2_share * 100.0);
-        set(names::ATTRIBUTION_DRAM_SHARE_PCT, self.dram_share * 100.0);
+        use names::*;
+        let set = |name: &str, v: f64| metrics.set(&launch_metric(kernel, name), v);
+        set(ATTRIBUTION_BOUND_ID, self.bound.id() as f64);
+        set(ATTRIBUTION_HEADROOM_PCT, self.headroom * 100.0);
+        set(ATTRIBUTION_COMPUTE_SHARE_PCT, self.compute_share * 100.0);
+        set(ATTRIBUTION_L2_SHARE_PCT, self.l2_share * 100.0);
+        set(ATTRIBUTION_DRAM_SHARE_PCT, self.dram_share * 100.0);
     }
 }
 
@@ -129,25 +115,12 @@ impl Attribution {
 /// verdict depends only on the report and the device spec, so any engine —
 /// and any consumer holding a report — reproduces it exactly.
 pub fn attribute(report: &LaunchReport, device: &DeviceSpec) -> Attribution {
-    let cost = &device.cost;
-    let t = &report.totals;
-    // Aggregate warp-cycle decomposition: where the warps' cycles went.
-    let compute_cyc = t.instructions as f64 * cost.issue
-        + t.shared_ops as f64 * cost.shared
-        + t.atomics as f64 * cost.atomic
-        + t.shuffles as f64 * cost.shuffle;
-    let l2_cyc = t.l2_hit_sectors as f64 * cost.l2_hit;
-    let dram_cyc = t.dram_sectors as f64 * cost.dram;
-    let warp_total = compute_cyc + l2_cyc + dram_cyc;
-    let (compute_share, l2_share, dram_share) = if warp_total > 0.0 {
-        (
-            compute_cyc / warp_total,
-            l2_cyc / warp_total,
-            dram_cyc / warp_total,
-        )
-    } else {
-        (0.0, 0.0, 0.0)
-    };
+    // Where the warps' cycles went, by pipeline.
+    let p = report.totals.pipeline_cycles(&device.cost);
+    let warp_total = p.total();
+    // A launch that spent no cycles has shares 0/0 = NaN, which `max` drops.
+    let share = |c: f64| (c / warp_total).max(0.0);
+    let (compute_share, l2_share, dram_share) = (share(p.compute), share(p.l2), share(p.dram));
     let imbalance = report.imbalance();
     let tail = tail_stretch(report.blocks, report.full_wave_size);
 
@@ -164,61 +137,42 @@ pub fn attribute(report: &LaunchReport, device: &DeviceSpec) -> Attribution {
     if cycles <= 0.0 {
         return base; // empty launch: nothing to attribute
     }
-    let schedule = report.schedule_cycles as f64;
-    let dram_bound = report.dram_bound_cycles as f64;
-    let floor = if report.warps > 0 {
-        KERNEL_FLOOR_CYCLES
-    } else {
-        0.0
+    let limits = Limits::of(report);
+    let schedule = limits.schedule;
+    // Headroom against the launch priced with the diagnosed bottleneck
+    // removed but every other limit still binding.
+    let headroom = |without: Limits| {
+        (1.0 - without.cycles() / cycles)
+            .clamp(0.0, 1.0)
+            .min(0.9999)
     };
-    // Headroom against `alt`, the launch time with the diagnosed
-    // bottleneck removed but every other limit still binding.
-    let headroom = |alt: f64| (1.0 - alt / cycles).clamp(0.0, 1.0).min(0.9999);
-
-    if floor >= schedule.max(dram_bound) {
-        // The pipeline fill/drain floor binds: a microscopic launch.
-        return Attribution {
-            bound: Bound::Tail,
-            headroom: headroom(schedule.max(dram_bound)),
-            ..base
-        };
-    }
-    if dram_bound >= schedule {
-        // The whole-launch DRAM roofline binds.
-        return Attribution {
-            bound: Bound::DramBandwidth,
-            headroom: headroom(schedule.max(floor)),
-            ..base
-        };
-    }
-    // Schedule-bound: split by what stretched the schedule.
-    if imbalance > SKEW_THRESHOLD && imbalance >= tail {
-        let alt = (schedule / imbalance).max(dram_bound).max(floor);
-        return Attribution {
-            bound: Bound::Imbalance,
-            headroom: headroom(alt),
-            ..base
-        };
-    }
-    if tail > SKEW_THRESHOLD {
-        let alt = (schedule / tail).max(dram_bound).max(floor);
-        return Attribution {
-            bound: Bound::Tail,
-            headroom: headroom(alt),
-            ..base
-        };
-    }
-    let (bound, dominant) = if dram_share >= l2_share && dram_share >= compute_share {
-        (Bound::DramBandwidth, dram_share)
-    } else if l2_share >= compute_share {
-        (Bound::L2Latency, l2_share)
+    let (bound, without) = if limits.floor >= schedule.max(limits.dram) {
+        let floor = 0.0; // The fill/drain floor binds: a microscopic launch.
+        (Bound::Tail, Limits { floor, ..limits })
+    } else if limits.dram >= schedule {
+        let dram = 0.0; // The whole-launch DRAM roofline binds.
+        (Bound::DramBandwidth, Limits { dram, ..limits })
+    } else if imbalance > SKEW_THRESHOLD && imbalance >= tail {
+        // Schedule-bound from here on: split by what stretched it.
+        let schedule = schedule / imbalance;
+        (Bound::Imbalance, Limits { schedule, ..limits })
+    } else if tail > SKEW_THRESHOLD {
+        let schedule = schedule / tail;
+        (Bound::Tail, Limits { schedule, ..limits })
     } else {
-        (Bound::Compute, compute_share)
+        let (bound, dominant) = if dram_share >= l2_share && dram_share >= compute_share {
+            (Bound::DramBandwidth, dram_share)
+        } else if l2_share >= compute_share {
+            (Bound::L2Latency, l2_share)
+        } else {
+            (Bound::Compute, compute_share)
+        };
+        let schedule = schedule * (1.0 - dominant);
+        (bound, Limits { schedule, ..limits })
     };
-    let alt = (schedule * (1.0 - dominant)).max(dram_bound).max(floor);
     Attribution {
         bound,
-        headroom: headroom(alt),
+        headroom: headroom(without),
         ..base
     }
 }

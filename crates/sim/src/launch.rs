@@ -1,56 +1,39 @@
-//! Kernel launch scheduling: blocks → waves → SMs → warps.
+//! Kernel launches: `launch = price ∘ walk`.
 //!
-//! The scheduler reproduces the execution-shape the paper reasons about in
-//! §III-B1 (Fig. 6): a launch of `B` blocks at occupancy `A` blocks/SM runs
-//! as `ceil(B / (NumSM·A))` waves; each wave costs as long as its slowest
-//! SM, and an SM costs as long as its slowest block or its aggregate warp
-//! throughput, whichever dominates. A partial final wave therefore wastes
-//! the idle SMs — the tail effect.
+//! The **walk** ([`GpuSim::launch_named`]) runs the kernel body once per
+//! warp, in block-scheduling order, on one [`WarpTally`]; it drives the L2
+//! model and any attached sink, and prices nothing. Each warp's
+//! [`WarpCounters`] go to the **price**, the [`crate::price`] fold of
+//! §III-B1's schedule (Eq. 3–5), which the cycle budget, the trace timeline
+//! and [`crate::attribution`] read.
 //!
 //! # Engines
 //!
-//! The schedule exists once, in [`GpuSim::launch_named`]'s wave loop; a
-//! launch runs it under one of two cost engines (selected by
-//! [`CostEngine`], bit-identical in what they report):
-//!
-//! * **Batched** — the fast engine and the default: descriptor batching +
-//!   warp-signature memoization against the live L2.
-//! * **Reference** — element-wise descriptor expansion, no memoization;
-//!   the differential-testing oracle.
-//!
-//! Kernel bodies run sequentially in global warp order under both: they
-//! probe one LRU-ordered L2 model, so the hit/miss split depends on the
-//! order. The bodies are cost walks — tally calls only; a kernel's f32
-//! numerics run outside the launch (`hpsparse-core`'s `traits` docs).
-//! Parallelism lives above the launch, in the harness's graph × kernel
-//! fan-out, where every task owns a private simulator.
+//! The walk runs under one of two cost engines ([`CostEngine`]) with
+//! bit-identical counters: **Batched**, the default (descriptor batching +
+//! warp-signature memoization), and **Reference**, element-wise without
+//! memoization — the differential-testing oracle. Bodies run in global
+//! warp order under both, since the one LRU L2's hit/miss split depends on
+//! that order; they are cost walks, tally calls only. Parallelism lives
+//! above the launch, in the harness's graph × kernel fan-out.
 //!
 //! # Cycle budgets
 //!
 //! A measurement that only needs to know whether it beats an incumbent can
 //! set a [cycle budget](GpuSim::set_cycle_budget). After every block the
-//! wave loop prices what it has walked so far — the completed waves plus
-//! the current wave's running maximum, against the DRAM roofline of the
-//! sectors fetched so far, with the same rule that prices the finished
-//! launch — which is a lower bound on the launch's final `cycles`: every
-//! accumulator only grows. Once that bound plus the cycles of the
-//! measurement's earlier launches reaches the budget, the walk stops, and
-//! every later launch of the measurement is skipped.
+//! walk reads the fold's running cycles, a lower bound on the final count
+//! since every term only grows. Once that bound plus the measurement's
+//! earlier launches reaches the budget, the walk stops, and every later
+//! launch of the measurement is skipped.
 
 use crate::cache::SectorCache;
 use crate::device::{CostEngine, DeviceSpec};
-use crate::memory::MemorySpace;
-use crate::occupancy::{occupancy_of, tail_utilization, waves, KernelResources};
+use crate::memory::{MemorySpace, SECTOR_BYTES};
+use crate::occupancy::KernelResources;
+use crate::price::Schedule;
 use crate::sink::{AccessSink, BufferDecl, BufferRole};
 use crate::tally::{WarpCounters, WarpTally};
 use hpsparse_trace::{names, LaunchTimeline, MetricsRegistry, TraceSession};
-
-/// No kernel completes faster than the pipeline fill/drain floor
-/// (~1.5 µs): microscopic launches — tiny sampled subgraphs — are
-/// floor-bound on every kernel alike. Shared with the attribution module,
-/// whose verdicts must know when the floor (not the schedule or the DRAM
-/// roofline) produced [`LaunchReport::cycles`].
-pub const KERNEL_FLOOR_CYCLES: f64 = 2_000.0;
 
 /// Launch geometry: total warps and the per-block resources that determine
 /// occupancy via Eq. 3.
@@ -124,7 +107,7 @@ impl LaunchReport {
 
     /// Bytes fetched from DRAM (only L2 misses reach HBM).
     pub fn dram_bytes(&self) -> u64 {
-        self.totals.dram_sectors * crate::memory::SECTOR_BYTES as u64
+        self.totals.dram_sectors * SECTOR_BYTES as u64
     }
 
     /// The launch's scalar metrics under the stable NCU-style names of
@@ -134,62 +117,36 @@ impl LaunchReport {
     /// list behind [`Self::record_metrics`] and
     /// [`crate::profile::render_metrics`].
     pub fn metric_values(&self) -> Vec<(&'static str, f64, bool)> {
+        use names::*;
+        let (t, active_blocks) = (&self.totals, self.active_blocks_per_sm.into());
         vec![
-            (names::GPU_CYCLES, self.cycles as f64, true),
-            (names::GPU_TIME_MS, self.time_ms, false),
-            (names::LAUNCH_BLOCKS, self.blocks as f64, true),
-            (names::LAUNCH_WARPS, self.warps as f64, true),
-            (names::LAUNCH_WAVES, self.num_waves as f64, true),
-            (names::LAUNCH_FULL_WAVE, self.full_wave_size as f64, false),
-            (
-                names::LAUNCH_ACTIVE_BLOCKS,
-                self.active_blocks_per_sm as f64,
-                false,
-            ),
-            (
-                names::WARP_OCCUPANCY_PCT,
-                self.warp_occupancy * 100.0,
-                false,
-            ),
-            (
-                names::TAIL_UTILIZATION_PCT,
-                self.tail_utilization * 100.0,
-                false,
-            ),
-            (names::INST_EXECUTED, self.totals.instructions as f64, true),
-            (names::SHARED_OPS, self.totals.shared_ops as f64, true),
-            (names::ATOMICS, self.totals.atomics as f64, true),
-            (names::SHUFFLES, self.totals.shuffles as f64, true),
-            (names::GLOBAL_BYTES, self.totals.global_bytes as f64, true),
-            (names::TRANSACTIONS, self.totals.transactions as f64, true),
-            (
-                names::DESCRIPTOR_FALLBACKS,
-                self.totals.descriptor_fallbacks as f64,
-                true,
-            ),
-            (names::L2_SECTORS, self.traffic() as f64, true),
-            (
-                names::L2_HIT_SECTORS,
-                self.totals.l2_hit_sectors as f64,
-                true,
-            ),
-            (names::L2_HIT_RATE_PCT, self.l2_hit_rate * 100.0, false),
-            (names::DRAM_SECTORS, self.totals.dram_sectors as f64, true),
-            (names::DRAM_BYTES, self.dram_bytes() as f64, true),
-            (
-                names::BYTES_PER_CYCLE,
-                self.achieved_bytes_per_cycle(),
-                false,
-            ),
-            (names::WARP_CYCLES_MAX, self.max_warp_cycles, false),
-            (names::WARP_CYCLES_AVG, self.mean_warp_cycles, false),
-            (names::WARP_IMBALANCE, self.imbalance(), false),
-            (
-                names::DRAM_BOUND_CYCLES,
-                self.dram_bound_cycles as f64,
-                true,
-            ),
-            (names::SCHEDULE_CYCLES, self.schedule_cycles as f64, true),
+            (GPU_CYCLES, self.cycles as f64, true),
+            (GPU_TIME_MS, self.time_ms, false),
+            (LAUNCH_BLOCKS, self.blocks as f64, true),
+            (LAUNCH_WARPS, self.warps as f64, true),
+            (LAUNCH_WAVES, self.num_waves as f64, true),
+            (LAUNCH_FULL_WAVE, self.full_wave_size as f64, false),
+            (LAUNCH_ACTIVE_BLOCKS, active_blocks, false),
+            (WARP_OCCUPANCY_PCT, self.warp_occupancy * 100.0, false),
+            (TAIL_UTILIZATION_PCT, self.tail_utilization * 100.0, false),
+            (INST_EXECUTED, t.instructions as f64, true),
+            (SHARED_OPS, t.shared_ops as f64, true),
+            (ATOMICS, t.atomics as f64, true),
+            (SHUFFLES, t.shuffles as f64, true),
+            (GLOBAL_BYTES, t.global_bytes as f64, true),
+            (TRANSACTIONS, t.transactions as f64, true),
+            (DESCRIPTOR_FALLBACKS, t.descriptor_fallbacks as f64, true),
+            (L2_SECTORS, self.traffic() as f64, true),
+            (L2_HIT_SECTORS, t.l2_hit_sectors as f64, true),
+            (L2_HIT_RATE_PCT, self.l2_hit_rate * 100.0, false),
+            (DRAM_SECTORS, t.dram_sectors as f64, true),
+            (DRAM_BYTES, self.dram_bytes() as f64, true),
+            (BYTES_PER_CYCLE, self.achieved_bytes_per_cycle(), false),
+            (WARP_CYCLES_MAX, self.max_warp_cycles, false),
+            (WARP_CYCLES_AVG, self.mean_warp_cycles, false),
+            (WARP_IMBALANCE, self.imbalance(), false),
+            (DRAM_BOUND_CYCLES, self.dram_bound_cycles as f64, true),
+            (SCHEDULE_CYCLES, self.schedule_cycles as f64, true),
         ]
     }
 
@@ -264,15 +221,10 @@ struct CycleBudget {
     /// Launches completed since the budget was set.
     launches: u64,
     stop: Option<BudgetStop>,
-    /// Every running bound the launches checked, in order (unit tests
-    /// only: the bound must never decrease within a launch and must end at
-    /// the launch's `cycles`).
-    #[cfg(test)]
-    checked: Vec<u64>,
 }
 
 /// The simulated GPU: a device spec plus mutable L2 state that persists
-/// across launches (reset it for cold-cache measurements).
+/// across launches (a new simulator starts cold).
 pub struct GpuSim {
     device: DeviceSpec,
     l2: SectorCache,
@@ -399,8 +351,6 @@ impl GpuSim {
             spent: 0,
             launches: 0,
             stop: None,
-            #[cfg(test)]
-            checked: Vec::new(),
         });
     }
 
@@ -468,12 +418,7 @@ impl GpuSim {
         buf
     }
 
-    /// Clears L2 contents and statistics (cold-cache start).
-    pub fn reset_cache(&mut self) {
-        self.l2.reset();
-    }
-
-    /// Current L2 hit rate since the last reset.
+    /// L2 hit rate over every launch so far.
     pub fn l2_hit_rate(&self) -> f64 {
         self.l2.hit_rate()
     }
@@ -501,135 +446,56 @@ impl GpuSim {
         if let Some(sink) = self.sink.as_mut() {
             sink.begin_launch(name, config.num_warps);
         }
-        let res = config.resources;
-        let occ = occupancy_of(&self.device, &res);
-        let wpb = res.warps_per_block as u64;
-        let blocks = config.num_warps.div_ceil(wpb.max(1));
-        let num_waves = waves(blocks, occ.full_wave_size);
-        let tail = tail_utilization(blocks, occ.full_wave_size);
-        let cost = self.device.cost;
-        let num_sms = self.device.num_sms as usize;
-
-        // Resident warps hide latency: below 50 % occupancy both the SMT
-        // pipeline's effective width and the achievable HBM bandwidth
-        // degrade proportionally (the register-scarcity effect of the
-        // paper's §IV-F); above it they saturate.
-        let occ_factor = (occ.warp_occupancy * 2.0).clamp(0.05, 1.0);
-        let effective_width = cost.smt_width * occ_factor;
-        let dram_bytes_per_cycle = self.device.dram_bytes_per_cycle * occ_factor;
-        let floor = if config.num_warps > 0 {
-            KERNEL_FLOOR_CYCLES
-        } else {
-            0.0
-        };
-        // Only L2 misses consume HBM bandwidth; hits are served on chip.
-        let dram_bound = |sectors: u64| {
-            (sectors * crate::memory::SECTOR_BYTES as u64) as f64 / dram_bytes_per_cycle
-        };
-        // The launch's cycles, from its wave schedule and DRAM sectors: the
-        // one pricing rule, applied to the finished launch and, mid-walk,
-        // to what has been walked so far (a lower bound, since both only
-        // grow).
-        let price = |schedule: f64, sectors: u64| {
-            schedule.max(dram_bound(sectors)).max(floor).ceil() as u64
-        };
-        // The cycles this launch may reach before its measurement is over
-        // budget; `None` walks every warp. Once a measurement stopped, its
-        // later launches walk nothing.
+        let mut schedule = Schedule::new(&self.device, config);
+        // What this launch may reach before its measurement is over budget
+        // (`None`: no limit); once a measurement stopped, nothing is walked.
         let observed = self.sink.is_some() || self.tracer.is_some();
         let budget = self.budget.as_ref().filter(|_| !observed);
         let skipped = budget.is_some_and(|b| b.stop.is_some());
         let budget_left = budget.map(|b| b.limit.saturating_sub(b.spent));
         let mut stopped: Option<(u64, u64)> = None;
+        // Buffers locally and takes the session lock only at begin/finish.
+        let mut timeline = self.tracer.as_ref().map(|t| {
+            LaunchTimeline::begin_on(t, name, self.device.num_sms as usize, self.device_index)
+        });
 
-        let mut totals = WarpCounters::default();
-        let mut max_warp_cycles = 0f64;
-        let mut sum_warp_cycles = 0f64;
-        let mut schedule_cycles = 0f64;
-
-        // Timeline builder while a tracer is attached. It buffers locally
-        // and touches the session lock only at begin/finish, so the warp
-        // loop below pays one `Option` branch per warp/block — the same
-        // discipline as the sink.
-        let mut timeline = self
-            .tracer
-            .as_ref()
-            .map(|t| LaunchTimeline::begin_on(t, name, num_sms, self.device_index));
-
-        // One tally and one set of per-SM accumulators serve the whole
-        // launch; per-warp/per-wave state is reset in place. This keeps
-        // the inner loop (millions of warps for the large graphs) free
-        // of heap allocation.
+        // One tally serves the whole launch: the warp loop allocates nothing.
         let mut tally = WarpTally::with_sink(
             &mut self.l2,
             self.device.warp_size,
             self.sink.as_deref_mut(),
         );
         tally.set_reference(self.engine == CostEngine::Reference);
-        let mut sm_sum = vec![0f64; num_sms];
-        let mut sm_max_block = vec![0f64; num_sms];
-
-        let mut warp_id: u64 = 0;
-        let mut block_id: u64 = 0;
-        'walk: for _wave in 0..if skipped { 0 } else { num_waves } {
-            sm_sum.fill(0.0);
-            sm_max_block.fill(0.0);
-            // An SM finishes when its slowest block does, or when its
-            // aggregate warp-cycles drain through the SMT pipeline,
-            // whichever is later; the wave, when its slowest SM does. Every
-            // term only grows as blocks land, so the running maximum over
-            // the SMs' updates is the wave's time once its last block has.
-            let mut wave_time = 0f64;
-            let wave_hits0 = totals.l2_hit_sectors;
-            let wave_dram0 = totals.dram_sectors;
-            let blocks_this_wave = occ.full_wave_size.min(blocks - block_id);
-            for slot in 0..blocks_this_wave {
-                let sm = (slot as usize) % num_sms;
-                let mut block_max = 0f64;
-                let warps_in_block = wpb.min(config.num_warps - warp_id);
-                for _ in 0..warps_in_block {
-                    tally.set_warp(warp_id);
-                    body(warp_id, &mut tally);
-                    let counters = tally.take_counters();
-                    let wc = counters.cycles(&cost);
-                    totals.add(&counters);
-                    sum_warp_cycles += wc;
-                    max_warp_cycles = max_warp_cycles.max(wc);
-                    block_max = block_max.max(wc);
-                    if let Some(tl) = timeline.as_mut() {
-                        tl.record_warp(wc);
-                    }
-                    warp_id += 1;
-                }
-                sm_sum[sm] += block_max * warps_in_block as f64;
-                sm_max_block[sm] = sm_max_block[sm].max(block_max);
-                wave_time = wave_time.max(sm_max_block[sm].max(sm_sum[sm] / effective_width));
+        let (mut totals, mut wave_start) = (WarpCounters::default(), WarpCounters::default());
+        for id in 0..if skipped { 0 } else { schedule.blocks } {
+            let block = schedule.block(id);
+            for warp_id in block.warps.clone() {
+                tally.set_warp(warp_id);
+                body(warp_id, &mut tally);
+                let counters = tally.take_counters();
+                totals.add(&counters);
+                let cycles = schedule.warp(&counters);
                 if let Some(tl) = timeline.as_mut() {
-                    tl.record_block(sm, block_max, warps_in_block);
-                }
-                if let Some(left) = budget_left {
-                    let bound = price(schedule_cycles + wave_time, totals.dram_sectors);
-                    #[cfg(test)]
-                    if let Some(b) = self.budget.as_mut() {
-                        b.checked.push(bound);
-                    }
-                    if bound >= left {
-                        stopped = Some((block_id + slot + 1, bound));
-                        break 'walk;
-                    }
+                    tl.record_warp(cycles);
                 }
             }
-            block_id += blocks_this_wave;
-            schedule_cycles += wave_time;
+            let cycles = schedule.end_block(&block);
+            if let Some(left) = budget_left {
+                let bound = schedule.cycles(totals.dram_sectors);
+                if bound >= left {
+                    stopped = Some((id + 1, bound));
+                    break;
+                }
+            }
+            let wave_time = block.ends_wave.then(|| schedule.end_wave());
             if let Some(tl) = timeline.as_mut() {
-                let hits = totals.l2_hit_sectors - wave_hits0;
-                let dram = totals.dram_sectors - wave_dram0;
-                tl.end_wave(
-                    wave_time,
-                    hits,
-                    dram,
-                    dram * crate::memory::SECTOR_BYTES as u64,
-                );
+                tl.record_block(block.sm, cycles, block.warps.end - block.warps.start);
+                if let Some(wave_time) = wave_time {
+                    let hits = totals.l2_hit_sectors - wave_start.l2_hit_sectors;
+                    let dram = totals.dram_sectors - wave_start.dram_sectors;
+                    tl.end_wave(wave_time, hits, dram, dram * SECTOR_BYTES as u64);
+                    wave_start = totals;
+                }
             }
         }
         drop(tally);
@@ -637,44 +503,20 @@ impl GpuSim {
             sink.end_launch();
         }
 
-        let cycles = price(schedule_cycles, totals.dram_sectors);
+        let report = schedule.report(totals);
         if let Some(b) = self.budget.as_mut() {
-            match stopped {
-                Some((blocks, bound)) => {
-                    b.stop = Some(BudgetStop {
-                        launch: b.launches,
-                        blocks,
-                        cycles_at_least: b.spent.saturating_add(bound),
-                    })
-                }
-                None if !skipped => {
-                    b.spent = b.spent.saturating_add(cycles);
-                    b.launches += 1;
-                }
-                None => {}
+            if let Some((blocks, bound)) = stopped {
+                let (launch, cycles_at_least) = (b.launches, b.spent.saturating_add(bound));
+                b.stop = Some(BudgetStop {
+                    launch,
+                    blocks,
+                    cycles_at_least,
+                });
+            } else if !skipped {
+                b.spent = b.spent.saturating_add(report.cycles);
+                b.launches += 1;
             }
         }
-        let report = LaunchReport {
-            cycles,
-            time_ms: self.device.cycles_to_ms(cycles),
-            blocks,
-            warps: config.num_warps,
-            num_waves,
-            full_wave_size: occ.full_wave_size,
-            active_blocks_per_sm: occ.active_blocks_per_sm,
-            warp_occupancy: occ.warp_occupancy,
-            tail_utilization: tail,
-            totals,
-            l2_hit_rate: totals.l2_hit_rate(),
-            max_warp_cycles,
-            mean_warp_cycles: if config.num_warps == 0 {
-                0.0
-            } else {
-                sum_warp_cycles / config.num_warps as f64
-            },
-            dram_bound_cycles: dram_bound(totals.dram_sectors).ceil() as u64,
-            schedule_cycles: schedule_cycles.ceil() as u64,
-        };
         if let Some(tl) = timeline {
             tl.finish(report.cycles as f64);
             if let Some(t) = self.tracer.as_ref() {
@@ -690,6 +532,7 @@ impl GpuSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::occupancy::occupancy_of;
 
     fn small_res() -> KernelResources {
         KernelResources {
@@ -829,6 +672,25 @@ mod tests {
         assert_eq!(cold, 128); // 4096 / 32 fetched exactly once
     }
 
+    /// A block of 32 warps × 118 registers a thread needs 120 832
+    /// registers; a V100 SM has 65 536, so the launch has no schedule.
+    #[test]
+    #[should_panic(expected = "fits no SM of the Tesla V100")]
+    fn a_launch_no_sm_can_hold_panics() {
+        let resources = KernelResources {
+            warps_per_block: 32,
+            registers_per_thread: 118,
+            shared_mem_per_block: 0,
+        };
+        GpuSim::new(DeviceSpec::v100()).launch(
+            LaunchConfig {
+                num_warps: 4096,
+                resources,
+            },
+            |_, t| t.compute(1),
+        );
+    }
+
     /// One set, two ways: tags run out at 2^24 sectors = 512 MiB. The guard
     /// is an `assert!`, so this must hold in `--release` too — there the
     /// per-probe `debug_assert!` is gone and the tags would alias silently.
@@ -951,22 +813,6 @@ mod tests {
         assert_eq!(*log.lock().unwrap(), vec!["<unnamed>", "<anonymous>"]);
     }
 
-    #[test]
-    fn reset_cache_makes_reruns_cold() {
-        let mut sim = GpuSim::new(DeviceSpec::v100());
-        let res = small_res();
-        let cfg = LaunchConfig {
-            num_warps: 8,
-            resources: res,
-        };
-        let first = sim.launch(cfg, |_, t| t.global_read(0, 4096, 4));
-        let warm = sim.launch(cfg, |_, t| t.global_read(0, 4096, 4));
-        sim.reset_cache();
-        let cold = sim.launch(cfg, |_, t| t.global_read(0, 4096, 4));
-        assert!(warm.totals.dram_sectors < first.totals.dram_sectors.max(1));
-        assert_eq!(cold.totals.dram_sectors, first.totals.dram_sectors);
-    }
-
     /// A messy two-launch workload touching every probe path: runs (with
     /// cross-warp reuse), a stepped gather, a scatter-shaped gather list,
     /// atomics, shared/shuffle/compute — plus warp-signature memoization
@@ -1073,11 +919,36 @@ mod tests {
         ]
     }
 
-    /// Under any budget the running bound is checked once per block, never
-    /// decreases and ends at the launch's `cycles`; a walk stops at the
-    /// first block whose bound reaches the budget — the same block on both
-    /// engines — and one that never reaches it reports what an unbudgeted
-    /// launch does.
+    /// The running bound after every block of a launch of `cfg`: the
+    /// pricing rule over a walk of the same warps, outside any simulator.
+    fn block_bounds(cfg: LaunchConfig, body: Body) -> Vec<u64> {
+        let device = DeviceSpec::v100();
+        let mut l2 = SectorCache::new(device.l2_bytes, device.l2_assoc);
+        let mut tally = WarpTally::new(&mut l2, device.warp_size);
+        let mut schedule = Schedule::new(&device, cfg);
+        let mut dram_sectors = 0;
+        let mut bounds = Vec::new();
+        for id in 0..schedule.blocks {
+            let block = schedule.block(id);
+            for w in block.warps.clone() {
+                body(w, &mut tally);
+                let counters = tally.take_counters();
+                dram_sectors += counters.dram_sectors;
+                schedule.warp(&counters);
+            }
+            schedule.end_block(&block);
+            bounds.push(schedule.cycles(dram_sectors));
+            if block.ends_wave {
+                schedule.end_wave();
+            }
+        }
+        bounds
+    }
+
+    /// Under any budget the walk stops at the first block whose running
+    /// bound reaches it — the same block on both engines — and one that
+    /// never reaches it reports what an unbudgeted launch does. The bound
+    /// never decreases and ends at the launch's `cycles`.
     #[test]
     fn a_budget_stops_at_the_first_block_whose_bound_reaches_it() {
         for (warps, body) in budget_workloads() {
@@ -1090,7 +961,7 @@ mod tests {
             sim.set_cycle_budget(u64::MAX);
             assert_eq!(sim.launch(cfg, body), free, "{warps} warps");
             assert_eq!(sim.budget_stop(), None);
-            let bounds = sim.budget.take().unwrap().checked;
+            let bounds = block_bounds(cfg, body);
             assert_eq!(bounds.len() as u64, free.blocks);
             assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "{warps} warps");
             assert_eq!(bounds.last(), Some(&free.cycles));

@@ -40,6 +40,7 @@ pub mod interconnect;
 pub mod launch;
 pub mod memory;
 pub mod occupancy;
+pub mod price;
 pub mod profile;
 pub mod sink;
 pub mod symbolic;

@@ -3,8 +3,8 @@
 //! A kernel describes each warp's architectural events to a [`WarpTally`]:
 //! global reads/writes (decomposed into sectors and filtered through the
 //! shared L2 model), shared-memory traffic, compute instructions, atomics
-//! and shuffle reductions. The tally converts events into warp cycles using
-//! the device [`CostModel`].
+//! and shuffle reductions, and [`WarpCounters::cycles`] prices the counts
+//! under the device [`CostModel`].
 //!
 //! # The batched engine
 //!
@@ -15,14 +15,13 @@
 //! bit-for-bit (asserted by `repro -- fastcheck`) — and both probe the one
 //! live [`SectorCache`] the tally borrows:
 //!
-//! * **Descriptors** ([`global_read_strided`], [`global_write_strided`],
-//!   [`gather_rows`], [`global_gather_stepped`]) let a kernel describe a
-//!   whole family of accesses in one call. Descriptors expand to contiguous
-//!   *sector runs*, and the stepped gather sorts its lane indices once
-//!   instead of once per step. Whenever an [`AccessSink`] is attached (the
-//!   sanitizer) — or the tally is put in reference mode — descriptors fall
-//!   back to the element-wise expansion so the sink observes the exact
-//!   per-event stream.
+//! * **The stepped-gather descriptor** ([`global_gather_stepped`]) lets a
+//!   kernel describe a whole family of lane gathers in one call: it sorts
+//!   its lane indices once instead of once per step. Whenever an
+//!   [`AccessSink`] is attached (the sanitizer) — or the tally is put in
+//!   reference mode — it falls back to the per-step gathers so the sink
+//!   observes the exact per-event stream. ([`gather_rows`] is not a
+//!   descriptor: it is the loop of [`global_read`] calls it abbreviates.)
 //!
 //! * **Warp-signature memoization** ([`begin_memo`]): the cache-independent
 //!   counter components of a warp (instructions, shared ops, atomics,
@@ -47,9 +46,8 @@
 //! arrive ascending — CSR column order usually hands them over that way.
 //!
 //! [`SectorCache`]: crate::cache::SectorCache
-//! [`global_read_strided`]: WarpTally::global_read_strided
-//! [`global_write_strided`]: WarpTally::global_write_strided
 //! [`gather_rows`]: WarpTally::gather_rows
+//! [`global_read`]: WarpTally::global_read
 //! [`global_gather_stepped`]: WarpTally::global_gather_stepped
 //! [`begin_memo`]: WarpTally::begin_memo
 //! [`SectorCache::access_run`]: crate::cache::SectorCache::access_run
@@ -82,8 +80,8 @@ pub struct WarpCounters {
     pub global_bytes: u64,
     /// Global memory transactions (sector touches, hit or miss).
     pub transactions: u64,
-    /// Descriptor calls whose fast-path precondition failed (non-sector
-    /// stride, multi-sector gather lanes), forcing element-wise expansion.
+    /// Descriptor calls whose fast-path precondition failed (gather lanes
+    /// spanning more than one sector), forcing element-wise expansion.
     /// Such accesses bypass the descriptor structure the static verifier
     /// models, so a nonzero count flags a kernel drifting out of the IR.
     /// Free of cycle cost; engine-independent (reference and batched count
@@ -91,15 +89,41 @@ pub struct WarpCounters {
     pub descriptor_fallbacks: u64,
 }
 
+/// Cycles split by the pipeline that spent them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PipelineCycles {
+    /// Issued instructions, shared-memory ops, atomics and shuffles.
+    pub compute: f64,
+    /// Sectors served by L2.
+    pub l2: f64,
+    /// Sectors fetched from DRAM.
+    pub dram: f64,
+}
+
+impl PipelineCycles {
+    /// Cycles over every pipeline.
+    pub fn total(&self) -> f64 {
+        self.compute + self.l2 + self.dram
+    }
+}
+
 impl WarpCounters {
+    /// The counts priced per pipeline under a cost model: the one dot
+    /// product behind warp cycles and attribution's pipeline shares.
+    pub fn pipeline_cycles(&self, cost: &CostModel) -> PipelineCycles {
+        PipelineCycles {
+            compute: self.instructions as f64 * cost.issue
+                + self.shared_ops as f64 * cost.shared
+                + self.atomics as f64 * cost.atomic
+                + self.shuffles as f64 * cost.shuffle,
+            l2: self.l2_hit_sectors as f64 * cost.l2_hit,
+            dram: self.dram_sectors as f64 * cost.dram,
+        }
+    }
+
     /// Converts raw counts into cycles under a cost model.
     pub fn cycles(&self, cost: &CostModel) -> f64 {
-        self.instructions as f64 * cost.issue
-            + self.shared_ops as f64 * cost.shared
-            + self.l2_hit_sectors as f64 * cost.l2_hit
-            + self.dram_sectors as f64 * cost.dram
-            + self.atomics as f64 * cost.atomic
-            + self.shuffles as f64 * cost.shuffle
+        self.pipeline_cycles(cost).total()
     }
 
     /// Accumulates another warp's counters (used for launch totals).
@@ -440,88 +464,12 @@ impl<'a> WarpTally<'a> {
         self.touch(addr, len_bytes);
     }
 
-    /// Descriptor: `count` coalesced reads of `len_bytes` each, the `i`-th
-    /// at `base + i * stride_bytes`. Equivalent to that many
-    /// [`global_read`] calls, in `i` order.
-    ///
-    /// [`global_read`]: WarpTally::global_read
-    pub fn global_read_strided(
-        &mut self,
-        base: u64,
-        stride_bytes: u64,
-        count: u64,
-        len_bytes: u64,
-        vw: u32,
-    ) {
-        self.strided_access(AccessKind::Read, base, stride_bytes, count, len_bytes, vw);
-    }
-
-    /// Descriptor: the write counterpart of
-    /// [`WarpTally::global_read_strided`].
-    pub fn global_write_strided(
-        &mut self,
-        base: u64,
-        stride_bytes: u64,
-        count: u64,
-        len_bytes: u64,
-        vw: u32,
-    ) {
-        self.strided_access(AccessKind::Write, base, stride_bytes, count, len_bytes, vw);
-    }
-
-    fn strided_access(
-        &mut self,
-        kind: AccessKind,
-        base: u64,
-        stride_bytes: u64,
-        count: u64,
-        len_bytes: u64,
-        vw: u32,
-    ) {
-        let one = |t: &mut Self, addr: u64| match kind {
-            AccessKind::Write => t.global_write(addr, len_bytes, vw),
-            _ => t.global_read(addr, len_bytes, vw),
-        };
-        // A sector-multiple stride keeps every access in the same alignment
-        // class (vw * 4 divides 32), so the per-access instruction count and
-        // sector span are uniform and can be hoisted out of the loop.
-        let uniform = stride_bytes.is_multiple_of(SECTOR_BYTES as u64);
-        // Precondition failure (not engine choice): counted in both engines
-        // before the expansion decision so they agree; replay warps inherit
-        // the count from the memo base.
-        if !uniform && count > 0 && len_bytes > 0 && !self.probing() {
-            self.counters.descriptor_fallbacks += 1;
-        }
-        if self.expand_elementwise() || !uniform {
-            for i in 0..count {
-                one(self, base + i * stride_bytes);
-            }
-            return;
-        }
-        if count == 0 || len_bytes == 0 {
-            return;
-        }
-        let first = base / SECTOR_BYTES as u64;
-        let n = (base + len_bytes - 1) / SECTOR_BYTES as u64 - first + 1;
-        let sector_stride = stride_bytes / SECTOR_BYTES as u64;
-        if !self.probing() {
-            let eff_vw = if vector_aligned(base, vw) { vw } else { 1 };
-            let elems = len_bytes / 4;
-            let per_instr = self.warp_size as u64 * eff_vw as u64;
-            self.counters.instructions += count * elems.div_ceil(per_instr).max(1);
-            self.counters.global_bytes += count * len_bytes;
-        }
-        for i in 0..count {
-            self.probe_run(first + i * sector_stride, n);
-        }
-    }
-
-    /// Descriptor: for every index `c` (in order) a coalesced read of the
-    /// dense row segment `[c * row_stride + first, + elems)` of 4-byte
-    /// elements from `base`, issued in chunks of at most `chunk_elems`
-    /// elements with vector width `vw` — the shape of a warp streaming
-    /// gathered feature rows. Equivalent to the per-row loop of
-    /// [`global_read`] calls.
+    /// For every index `c` (in order) a coalesced read of the dense row
+    /// segment `[c * row_stride + first, + elems)` of 4-byte elements from
+    /// `base`, issued in chunks of at most `chunk_elems` elements with
+    /// vector width `vw` — the shape of a warp streaming gathered feature
+    /// rows. A shorthand for that loop of [`global_read`] calls, which it
+    /// runs as written.
     ///
     /// [`global_read`]: WarpTally::global_read
     #[allow(clippy::too_many_arguments)]
@@ -957,17 +905,6 @@ mod tests {
     }
 
     #[test]
-    fn strided_descriptor_matches_elementwise_reads() {
-        // Sector-multiple stride (uniform fast path) and odd stride
-        // (per-access fallback), reads and writes.
-        assert_matches_reference(|t| t.global_read_strided(256, 256, 7, 48, 4));
-        assert_matches_reference(|t| t.global_read_strided(260, 100, 5, 64, 2));
-        assert_matches_reference(|t| t.global_write_strided(512, 64, 9, 64, 4));
-        assert_matches_reference(|t| t.global_read_strided(0, 32, 0, 32, 1)); // count 0
-        assert_matches_reference(|t| t.global_read_strided(0, 32, 3, 0, 1)); // len 0
-    }
-
-    #[test]
     fn gather_rows_matches_elementwise_reads() {
         let idx = [5u32, 1, 9, 1, 200];
         assert_matches_reference(|t| t.gather_rows(256, &idx, 64, 8, 40, 32, 2));
@@ -989,35 +926,31 @@ mod tests {
 
     #[test]
     fn descriptor_fallbacks_count_precondition_failures_only() {
+        let idx = [17u32, 3, 250];
         let mut cache = mk_cache();
         let mut t = WarpTally::new(&mut cache, 32);
-        t.global_read_strided(256, 256, 7, 48, 4); // sector stride: fast path
-        assert_eq!(t.counters().descriptor_fallbacks, 0);
-        t.global_read_strided(260, 100, 5, 64, 2); // odd stride: fallback
-        assert_eq!(t.counters().descriptor_fallbacks, 1);
-        t.global_read_strided(260, 100, 0, 64, 2); // no work: not counted
-        t.global_read_strided(260, 100, 5, 0, 2);
-        assert_eq!(t.counters().descriptor_fallbacks, 1);
-        let idx = [17u32, 3, 250];
         t.global_gather_stepped(256, &idx, 300, 0, 300, 4, 4); // single-sector
-        assert_eq!(t.counters().descriptor_fallbacks, 1);
+        assert_eq!(t.counters().descriptor_fallbacks, 0);
         t.global_gather_stepped(256, &idx, 64, 0, 16, 4, 16); // 16B lanes
+        assert_eq!(t.counters().descriptor_fallbacks, 1);
+        t.global_gather_stepped(258, &idx, 64, 0, 16, 4, 4); // misaligned base
         assert_eq!(t.counters().descriptor_fallbacks, 2);
         t.global_gather_stepped(256, &[], 64, 0, 16, 4, 16); // no lanes
+        t.global_gather_stepped(256, &idx, 64, 0, 16, 0, 16); // no steps
         assert_eq!(t.counters().descriptor_fallbacks, 2);
         // Reference mode counts the same calls, so engines agree.
         let mut ref_cache = mk_cache();
         let mut r = WarpTally::new(&mut ref_cache, 32);
         r.set_reference(true);
-        r.global_read_strided(260, 100, 5, 64, 2);
+        r.global_gather_stepped(256, &idx, 300, 0, 300, 4, 4);
         r.global_gather_stepped(256, &idx, 64, 0, 16, 4, 16);
-        assert_eq!(r.counters().descriptor_fallbacks, 2);
+        assert_eq!(r.counters().descriptor_fallbacks, 1);
     }
 
     #[test]
     fn memo_replay_preserves_fallback_count() {
         let body = |t: &mut WarpTally<'_>| {
-            t.global_read_strided(260, 100, 5, 64, 2); // fallback
+            t.global_gather_stepped(256, &[17, 3, 250], 64, 0, 16, 4, 16); // fallback
         };
         let mut cache = mk_cache();
         let mut t = WarpTally::new(&mut cache, 32);

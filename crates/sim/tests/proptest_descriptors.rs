@@ -1,6 +1,6 @@
-//! Property tests for the fast cost engine's descriptor API: for arbitrary
-//! bases, strides, counts, widths, and index sets, every batched descriptor
-//! on [`WarpTally`] must produce counters — and leave the L2 in a state —
+//! Property tests for the fast cost engine's batched calls: for arbitrary
+//! bases, strides, widths, and index sets, every batched call on
+//! [`WarpTally`] must produce counters — and leave the L2 in a state —
 //! identical to the element-wise calls it abbreviates. The element-wise
 //! side runs on the reference engine ([`WarpTally::set_reference`]), so
 //! each property pins the full chain: fast descriptor ≡ reference
@@ -47,43 +47,7 @@ fn observe(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Strided read/write descriptors ≡ the per-access loop, for any base
-    /// alignment, stride (sector-multiple or not), count, and width.
-    #[test]
-    fn strided_descriptors_match_elementwise(
-        base in 0u64..16_384,
-        stride in 0u64..96,
-        count in 0u64..24,
-        elems in 0u64..40,
-        (vw_sel, assoc_sel) in (0u32..3, 0u32..2),
-        warm in proptest::collection::vec(0u64..2_048, 0..16),
-    ) {
-        let (vw, len) = (vw_for(vw_sel), elems * 4);
-        let mut fast = observe(assoc_sel, false, &warm, |t| {
-            t.global_read_strided(base, stride, count, len, vw);
-            t.global_write_strided(base + 8, stride, count, len, vw);
-        });
-        let slow = observe(assoc_sel, true, &warm, |t| {
-            for i in 0..count {
-                t.global_read(base + i * stride, len, vw);
-            }
-            for i in 0..count {
-                t.global_write(base + 8 + i * stride, len, vw);
-            }
-        });
-        // The fallback diagnostic is a descriptor-level counter: the
-        // hand-written loop never increments it. Pin it separately, then
-        // require everything else identical.
-        let expect_fb = if !stride.is_multiple_of(32) && count > 0 && len > 0 { 2 } else { 0 };
-        prop_assert_eq!(fast.0.descriptor_fallbacks, expect_fb);
-        fast.0.descriptor_fallbacks = 0;
-        prop_assert_eq!(
-            fast, slow,
-            "base {} stride {} count {} len {} vw {}", base, stride, count, len, vw
-        );
-    }
-
-    /// Row-gather descriptors ≡ the per-row chunked read loop.
+    /// Row gathers ≡ the per-row chunked read loop.
     #[test]
     fn gather_rows_matches_elementwise(
         indices in proptest::collection::vec(0u32..600, 0..24),
@@ -155,8 +119,7 @@ proptest! {
     #[test]
     fn memoized_warps_match_raw_warps(
         base in 0u64..8_192,
-        stride in 0u64..96,
-        count in 0u64..16,
+        (lane_stride, steps) in (0u64..96, 0u64..16),
         elems in 0u64..24,
         (vw_sel, assoc_sel, sig) in (0u32..3, 0u32..2, 0u64..1_000),
         indices in proptest::collection::vec(0u32..300, 0..24),
@@ -165,7 +128,8 @@ proptest! {
         let warps = 3u64;
         let body = |t: &mut WarpTally<'_>| {
             t.compute(3);
-            t.global_read_strided(base, stride, count, len, vw);
+            t.global_read(base, len, vw);
+            t.global_gather_stepped(base, &indices, lane_stride, 0, 8, steps, 4);
             t.global_gather(indices.iter().map(|&c| base + c as u64 * 4), 4);
             t.shared_op(2);
             t.shuffle_reduce(32);

@@ -127,13 +127,23 @@ fn unlaunchable_hp_configs_are_typed_errors() {
             Kernel::FusedMha(HpFusedMha::new(config)),
         ]
     };
-    for config in bad {
+    // Every field in range, but at K = 400 a block of 32 warps needs 118
+    // registers a thread (SpMM) and fits no V100 SM.
+    let unresidentable = HpConfig {
+        nnz_per_warp: 32,
+        vector_width: 4,
+        warps_per_block: 32,
+        alpha: 2.0,
+    };
+    assert!(unresidentable.is_launchable());
+    let cases = bad.map(|config| (config, K)).into_iter();
+    for (config, k) in cases.chain([(unresidentable, 400)]) {
         for kernel in kernels_at(config) {
             let mut sim = GpuSim::new(device.clone());
-            let got = kernel.cost_on(&mut sim, &s, K);
+            let got = kernel.cost_on(&mut sim, &s, k);
             assert!(
                 matches!(got, Err(FormatError::InvalidConfig { .. })),
-                "{} at {config:?}: {got:?}",
+                "{} at {config:?}, k {k}: {got:?}",
                 kernel.name()
             );
             // Refused before anything was allocated or launched.
