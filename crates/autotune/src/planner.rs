@@ -25,7 +25,7 @@
 
 use hpsparse_core::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse_core::traits::{KernelCost, SddmmKernel, SpmmKernel};
-use hpsparse_sim::{CostEngine, DeviceSpec, GpuSim};
+use hpsparse_sim::{DeviceSpec, GpuSim};
 use hpsparse_sparse::{Dense, Hybrid};
 use serde_json::json;
 
@@ -204,37 +204,19 @@ struct OpModel {
 pub struct Planner {
     device: DeviceSpec,
     strategy: PlanStrategy,
-    engine: CostEngine,
     sim_launches: u64,
     planning_cycles: u64,
 }
 
 impl Planner {
-    /// A planner for `device` using `strategy`. Its measurement simulators
-    /// run on the process-wide default cost engine as of this call
-    /// ([`hpsparse_sim::default_engine`]), so `repro --engine` reaches
-    /// planner launches like every other launch.
+    /// A planner for `device` using `strategy`.
     pub fn new(device: DeviceSpec, strategy: PlanStrategy) -> Self {
         Self {
             device,
             strategy,
-            engine: hpsparse_sim::default_engine(),
             sim_launches: 0,
             planning_cycles: 0,
         }
-    }
-
-    /// Runs every measurement simulator on `engine` instead of the process
-    /// default. Plans and rationales are identical either way — the engines
-    /// produce the same counters — so [`CostEngine::Reference`] here is
-    /// purely a differential-testing oracle for the planning path.
-    pub fn set_engine(&mut self, engine: CostEngine) {
-        self.engine = engine;
-    }
-
-    /// The cost engine measurements run on.
-    pub fn engine(&self) -> CostEngine {
-        self.engine
     }
 
     /// The device plans are made for.
@@ -318,10 +300,9 @@ impl Planner {
                 plan
             }
             PlanStrategy::Measured { top_n } => {
-                let engine = self.engine;
                 let top_n = if op == OpKind::FusedMha { 2 } else { top_n };
                 self.measured_plan(fp, ranked, top_n, |device, c, budget| {
-                    let mut sim = cold_sim(device, engine);
+                    let mut sim = GpuSim::new(device.clone());
                     op.measure(&mut sim, c, s, fp.k, heads, budget)
                 })
             }
@@ -449,13 +430,6 @@ fn heuristic_plan(fp: &GraphFingerprint, ranked: Vec<(f64, Candidate)>) -> Plan 
     }
 }
 
-/// A fresh cold-L2 simulator on `engine` — one per measurement.
-fn cold_sim(device: &DeviceSpec, engine: CostEngine) -> GpuSim {
-    let mut sim = GpuSim::new(device.clone());
-    sim.set_engine(engine);
-    sim
-}
-
 /// Deterministic feature matrix for re-running a planned kernel in full
 /// next to its measurement (tests, the benchmark's oracle): a fixed
 /// function of shape. The planner itself measures by cost walk and builds
@@ -464,18 +438,17 @@ pub fn measurement_features(rows: usize, k: usize) -> Dense {
     Dense::from_fn(rows, k, |i, j| (((i * 131 + j * 17) % 1000) as f32) * 1e-3)
 }
 
-/// Cold measured cycles of the fused attention kernel's cost walk on cost
-/// engine `engine`, launch overheads included (one per launch — the spill
-/// pair, when present, pays too).
+/// Cold measured cycles of the fused attention kernel's cost walk, launch
+/// overheads included (one per launch — the spill pair, when present, pays
+/// too).
 pub fn measure_fused_mha(
     device: &DeviceSpec,
-    engine: CostEngine,
     kernel: &HpFusedMha,
     s: &Hybrid,
     head_dim: usize,
     heads: usize,
 ) -> Option<u64> {
-    fused_mha_on(&mut cold_sim(device, engine), kernel, s, head_dim, heads)
+    fused_mha_on(&mut GpuSim::new(device.clone()), kernel, s, head_dim, heads)
 }
 
 /// [`measure_fused_mha`] on a cold simulator the caller made.
@@ -504,12 +477,11 @@ fn fused_mha_on(
 /// depends on the head shape, not on any operand value.
 pub fn measure_unfused_mha(
     device: &DeviceSpec,
-    engine: CostEngine,
     s: &Hybrid,
     head_dim: usize,
     heads: usize,
 ) -> Option<(u64, u64)> {
-    unfused_mha_on(&mut cold_sim(device, engine), s, head_dim, heads, None)
+    unfused_mha_on(&mut GpuSim::new(device.clone()), s, head_dim, heads, None)
 }
 
 /// [`measure_unfused_mha`] on a cold simulator the caller made. Every head
@@ -739,10 +711,8 @@ mod tests {
             let plan = p.plan_mha(&s, head_dim, heads);
             assert_eq!(p.sim_launches(), 2, "exactly the fuse/no-fuse pair");
             let kernel = HpFusedMha::auto(&v100, &s, head_dim);
-            let fused = measure_fused_mha(&v100, CostEngine::Batched, &kernel, &s, head_dim, heads)
-                .unwrap();
-            let (unfused, _) =
-                measure_unfused_mha(&v100, CostEngine::Batched, &s, head_dim, heads).unwrap();
+            let fused = measure_fused_mha(&v100, &kernel, &s, head_dim, heads).unwrap();
+            let (unfused, _) = measure_unfused_mha(&v100, &s, head_dim, heads).unwrap();
             let oracle = if fused <= unfused {
                 crate::candidates::MHA_FUSED_ID
             } else {

@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks of the fast cost engine's hot loop: single
 //! sector probes vs batched runs on [`SectorCache`] — one mixed stream plus
 //! one row per probe shape the kernels actually produce (MRU re-runs,
-//! streamed misses, hashed and pre-sorted lane gathers) — and memoized vs
-//! raw warp tallies on [`WarpTally`]. These pin the primitives the
+//! streamed misses, hashed and pre-sorted lane gathers) — and whole warp
+//! tallies on [`WarpTally`] under both engines. These pin the primitives the
 //! descriptor API is built from, so a regression shows up here before it
 //! shows up as minutes in `repro -- selftime`. EXPERIMENTS.md "Probe
 //! microbenchmarks" keeps the before/after of every row.
@@ -165,7 +165,7 @@ fn warp_body(tally: &mut WarpTally<'_>, indices: &[u32]) {
     tally.global_write(1 << 22, 128, 4);
 }
 
-fn bench_tally_memo(c: &mut Criterion) {
+fn bench_tally_warps(c: &mut Criterion) {
     const WARPS: u64 = 20_000;
     let indices: Vec<u32> = (0..32u32).map(|i| i.wrapping_mul(97) % 4_096).collect();
 
@@ -184,24 +184,7 @@ fn bench_tally_memo(c: &mut Criterion) {
             black_box(total)
         })
     });
-    // Identical traffic with a shared warp signature: after the first warp
-    // records, every replay skips the cache-independent accounting and only
-    // probes the L2.
-    group.bench_function("memoized", |b| {
-        b.iter(|| {
-            let mut cache = l2();
-            let mut tally = WarpTally::new(&mut cache, 32);
-            let mut total = 0u64;
-            for _ in 0..WARPS {
-                tally.begin_memo(7);
-                warp_body(&mut tally, &indices);
-                total += tally.take_counters().instructions;
-            }
-            black_box(total)
-        })
-    });
-    // The reference engine on the same traffic: element-wise expansion,
-    // no memoization — the cost the descriptor API buys back.
+    // The reference engine on the same traffic: every access element-wise.
     group.bench_function("reference", |b| {
         b.iter(|| {
             let mut cache = l2();
@@ -218,5 +201,5 @@ fn bench_tally_memo(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cache_probes, bench_tally_memo);
+criterion_group!(benches, bench_cache_probes, bench_tally_warps);
 criterion_main!(benches);

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! repro [--quick|--full] [--json DIR] [--trace FILE] [--metrics FILE]
-//!       [--engine batched|reference]
 //!       <experiment>...
 //! repro perfdiff OLD.json NEW.json [--tolerance F] [--report FILE]
 //! repro list
@@ -23,12 +22,6 @@
 //! `--metrics FILE` exports the session's metrics registry (`.csv` for
 //! CSV, anything else for JSON). Both artefacts are deterministic:
 //! identical invocations produce byte-identical files.
-//!
-//! `--engine batched|reference` sets the process-wide default cost engine
-//! every simulator in the run — planner measurements included — starts on
-//! (`batched` unless given). Both engines produce bit-identical reports,
-//! traces and metrics — the flag exists so the byte-identity can be
-//! *demonstrated* (and is pinned by the `engine_bytes` integration test).
 //!
 //! `perfdiff OLD.json NEW.json` compares two snapshots (`BENCH_*.json`
 //! or `--metrics` exports) metric by metric: regressions beyond
@@ -71,13 +64,6 @@ fn main() {
             }
             "--metrics" => {
                 metrics_path = Some(it.next().unwrap_or_else(|| usage("--metrics needs a file")))
-            }
-            "--engine" => {
-                let name = it.next().unwrap_or_else(|| usage("--engine needs a name"));
-                let engine = hpsparse_sim::CostEngine::parse(&name).unwrap_or_else(|| {
-                    usage(&format!("--engine {name}: expected batched or reference"))
-                });
-                hpsparse_sim::set_default_engine(engine);
             }
             "--tolerance" => {
                 diff_tolerance = it
@@ -349,7 +335,6 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: repro [--quick|--full] [--json DIR] [--trace FILE] [--metrics FILE]\n\
-         \x20            [--engine batched|reference]\n\
          \x20            <experiment>...\n\
          \x20      repro perfdiff OLD.json NEW.json [--tolerance F] [--report FILE]\n\
          experiments: {}\n\

@@ -3,21 +3,18 @@
 //!
 //! Every catalogue kernel — the fused attention kernel at [`HEADS`] heads
 //! included — runs on every full-graph registry dataset three times: in
-//! full on the **reference** engine (element-wise descriptor expansion, no
-//! memoization), in full on the **batched** engine (descriptor batching +
-//! warp-signature memoization), and as a bare **cost walk** (`cost_on`: no
-//! feature operand, no float) on the batched engine. The three profiles
-//! must be *equal* — not approximately, field for field, preprocessing
-//! included — for every cell. This is the witness that the fast engine and
-//! the cost-only entry are pure optimisations: same model, fewer host
-//! instructions.
-//!
-//! Both engines are set via [`GpuSim::set_engine`], so the check does not
-//! depend on the process default (`repro --engine`).
+//! full on the **reference** engine (element-wise descriptor expansion), in
+//! full on the **batched** engine (the sort-once stepped-gather
+//! descriptor), and as a bare **cost walk** (`cost_on`: no feature operand,
+//! no float) on the batched engine. The three profiles must be *equal* —
+//! not approximately, field for field, preprocessing included — for every
+//! cell. This is the witness that the fast engine and the cost-only entry
+//! are pure optimisations: same model, fewer host instructions. Each
+//! simulator picks its engine with [`GpuSim::set_engine`].
 //!
 //! Two feature dimensions are checked per cell: the benchmark default
-//! (K = 64), which exercises the vectorized and memo-eligible paths, and an
-//! odd K (K = 33), which forces the alignment fallbacks (memo gates off,
+//! (K = 64), which exercises the vectorized paths, and an odd K (K = 33),
+//! which defeats the alignment and vector fast paths (scalar fallbacks,
 //! ragged tails in the stepped gathers).
 
 use crate::experiments::{Effort, ExperimentOutput};

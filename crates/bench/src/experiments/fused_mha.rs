@@ -77,11 +77,9 @@ impl Cell {
 /// Measures one cell: each path once, cold, as a cost walk — the table and
 /// the oracle read the same two measurements — plus the planner's pick.
 fn measure_cell(device: &DeviceSpec, graph: &str, s: &Hybrid, heads: usize, d: usize) -> Cell {
-    // The planner under test, cold; the oracle runs on its cost engine.
-    let mut planner = Planner::new(device.clone(), PlanStrategy::default());
-    let plan = planner.plan_mha(s, d, heads);
+    // The planner under test, cold.
+    let plan = Planner::new(device.clone(), PlanStrategy::default()).plan_mha(s, d, heads);
     let mut sim = GpuSim::new(device.clone());
-    sim.set_engine(planner.engine());
 
     // Fused path: every launch (spills included) pays a launch overhead.
     let run = HpFusedMha::auto(device, s, d)
@@ -97,7 +95,7 @@ fn measure_cell(device: &DeviceSpec, graph: &str, s: &Hybrid, heads: usize, d: u
     // Unfused path: the three-launch pipeline per head, score round trip
     // through DRAM included.
     let (unfused_cycles, unfused_dram) =
-        measure_unfused_mha(device, planner.engine(), s, d, heads).expect("unfused measures");
+        measure_unfused_mha(device, s, d, heads).expect("unfused measures");
     let plan_match = plan.predicted_cycles == fused_cycles.min(unfused_cycles);
 
     hpsparse_trace::counter_add(names::FUSED_MHA_ROWS_SPILLED, run.spilled_rows as u64);

@@ -31,9 +31,8 @@ fn quick_output_is_byte_identical_across_thread_counts() {
     // fullgraph (fig9) covers the parallel graph × kernel fan-out; fig10
     // covers the sampling corpus with its in-order fold; table3 then joins
     // their memoised V100 records with two A30 sweeps of its own, so the
-    // memo-hit path is byte-compared too. Launches run on one thread each
-    // under either engine, so the 4-thread leg checks the fan-out's
-    // scheduling.
+    // memo-hit path is byte-compared too. Each launch runs on one thread,
+    // so the 4-thread leg checks the fan-out's scheduling.
     let args = ["--quick", "fig9", "fig10", "table3"];
     let one = repro_stdout("1", &args);
     assert!(

@@ -1,29 +1,24 @@
-//! End-to-end byte-identity of observability artefacts across cost
-//! engines and thread counts: `repro --quick --engine E --trace --metrics
-//! profile serve` must export byte-identical trace and metrics files for
-//! both engines (reference, batched) at RAYON_NUM_THREADS 1 and 4 — four
-//! whole-process runs, one pair of artefact files each.
+//! End-to-end byte-identity of observability artefacts across thread
+//! counts: `repro --quick --trace --metrics profile serve` must export
+//! byte-identical trace and metrics files at RAYON_NUM_THREADS 1 and 4 —
+//! two whole-process runs, one pair of artefact files each.
 //!
-//! This is the artefact-level form of the engine contract: the engines
-//! are host-speed choices, and neither the engine nor the pool size may
-//! reach the timeline or the metrics registry. `profile` exercises
-//! per-launch SM timelines; `serve` exercises device batch and halo lanes
-//! plus the per-request span trees.
+//! The pool size is a host-speed choice and may not reach the timeline or
+//! the metrics registry. `profile` exercises per-launch SM timelines;
+//! `serve` exercises device batch and halo lanes plus the per-request span
+//! trees.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-fn run(engine: &str, threads: &str) -> (String, String) {
+fn run(threads: &str) -> (String, String) {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("engine_bytes");
     std::fs::create_dir_all(&dir).expect("create tmp dir");
-    let tag = format!("{engine}-{threads}");
-    let trace = dir.join(format!("trace-{tag}.json"));
-    let metrics = dir.join(format!("metrics-{tag}.json"));
+    let trace = dir.join(format!("trace-{threads}.json"));
+    let metrics = dir.join(format!("metrics-{threads}.json"));
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args([
             "--quick",
-            "--engine",
-            engine,
             "--trace",
             trace.to_str().unwrap(),
             "--metrics",
@@ -38,7 +33,7 @@ fn run(engine: &str, threads: &str) -> (String, String) {
         .expect("run repro");
     assert!(
         out.status.success(),
-        "repro --engine {engine} at {threads} thread(s) failed:\n{}",
+        "repro at {threads} thread(s) failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     (
@@ -48,30 +43,17 @@ fn run(engine: &str, threads: &str) -> (String, String) {
 }
 
 #[test]
-fn traced_exports_are_byte_identical_across_engines_and_threads() {
-    let (trace_ref, metrics_ref) = run("reference", "1");
+fn traced_exports_are_byte_identical_across_threads() {
+    let (trace_one, metrics_one) = run("1");
     assert!(
-        trace_ref.contains("\"requests\""),
+        trace_one.contains("\"requests\""),
         "serve request lanes present in the trace"
     );
     assert!(
-        metrics_ref.contains("serve.request.latency_cycles"),
+        metrics_one.contains("serve.request.latency_cycles"),
         "serve stage histograms present in the metrics"
     );
-    for engine in ["reference", "batched"] {
-        for threads in ["1", "4"] {
-            if engine == "reference" && threads == "1" {
-                continue;
-            }
-            let (trace, metrics) = run(engine, threads);
-            assert_eq!(
-                trace, trace_ref,
-                "trace bytes diverged: {engine} at {threads} thread(s)"
-            );
-            assert_eq!(
-                metrics, metrics_ref,
-                "metrics bytes diverged: {engine} at {threads} thread(s)"
-            );
-        }
-    }
+    let (trace, metrics) = run("4");
+    assert_eq!(trace, trace_one, "trace bytes diverged at 4 threads");
+    assert_eq!(metrics, metrics_one, "metrics bytes diverged at 4 threads");
 }

@@ -154,27 +154,11 @@ pub fn row_warp_cost(
         num_warps: num_tasks * k_slices,
         resources,
     };
-    // A warp's cache-independent counters are a pure function of its
-    // segment length, K-slice width, sparse-pointer alignment class and
-    // store kind — provided K is a whole number of sectors (so the
-    // data-dependent feature-row index never changes an access's alignment
-    // class) — so identical mid-distribution warps can share one memo.
-    let memoable = k.is_multiple_of(8);
     sim.launch_named(name, launch, |warp_id, tally| {
         let task = tasks[(warp_id % num_tasks.max(1)) as usize];
         let kslice = warp_id / num_tasks.max(1);
         let k_base = kslice as usize * k_cols_per_warp;
         let k_width = k_cols_per_warp.min(k - k_base);
-        // Fixed-tile kernels over-fetch `min(element_tile, nnz - i)` near
-        // the end of the matrix, so the last tasks' counters depend on the
-        // task position: leave them unmemoized.
-        if memoable && (spec.element_tile <= 32 || task.end as usize + spec.element_tile <= nnz) {
-            let sig = (task.end - task.start) as u64
-                | ((task.start as u64 & 7) << 32)
-                | ((k_width as u64) << 35)
-                | ((task.whole_row as u64) << 55);
-            tally.begin_memo(sig);
-        }
 
         // Kernel prologue: index math and bounds checks.
         tally.compute(12);

@@ -153,10 +153,6 @@ impl SpmmKernel for CusparseCsrAlg3 {
             }
             let k_base = kslice as usize * k_cols_per_warp;
             let k_width = k_cols_per_warp.min(k - k_base);
-            // Non-probe counters depend only on the chunk length and the
-            // K-slice width (every access is scalar, so alignment never
-            // changes the instruction count); L2 probes stay live.
-            tally.begin_memo((end - start) as u64 | (k_width as u64) << 32);
             tally.compute(12);
             // Read this chunk's partition entry.
             tally.global_read(part_buf.elem_addr(chunk_id, 4), 4, 1);
@@ -309,9 +305,6 @@ impl SpmmKernel for CusparseCooAlg4 {
             }
             let k_base = kslice as usize * k_cols_per_warp;
             let k_width = k_cols_per_warp.min(k - k_base);
-            // As for ALG3: scalar accesses everywhere, so the tile length
-            // and K-slice width determine every cache-independent counter.
-            tally.begin_memo((end - start) as u64 | (k_width as u64) << 32);
             tally.compute(12);
             let tile_len = end - start;
             for buf in [&row_buf, &col_buf, &val_buf] {
@@ -437,10 +430,6 @@ impl SddmmKernel for CusparseCsrSddmm {
             }
             let task = tasks[warp_id as usize];
             let r = task.row as usize;
-            // Scalar accesses only, so the segment length determines every
-            // cache-independent counter (the column gathers' transaction
-            // counts are data-dependent but stay live under the memo).
-            tally.begin_memo(task.end as u64 - task.start as u64);
             tally.compute(12);
             tally.global_read(off_buf.elem_addr(r as u64, 4), 8, 1);
             let (start, end) = (task.start as usize, task.end as usize);

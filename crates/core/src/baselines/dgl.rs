@@ -49,10 +49,6 @@ impl SddmmKernel for DglSddmm {
             if j >= nnz {
                 return;
             }
-            // Every in-bounds edge issues the same scalar instruction
-            // sequence (only the probed addresses differ, and those stay
-            // live under memoization), so one signature covers the launch.
-            tally.begin_memo(k as u64);
             // Kernel prologue — amortised over a single edge here, which
             // is the per-warp overhead tax of pure edge-parallelism.
             tally.compute(12);

@@ -429,9 +429,6 @@ impl HpFusedMha {
                 num_warps: (plan_len * heads) as u64,
                 resources,
             };
-            // No memoization: the per-row shared-memory transaction counts
-            // depend on the tile's full row-length profile, which a compact
-            // signature cannot capture faithfully.
             reports.push(sim.launch_named("fused-mha", launch, |warp_id, tally| {
                 // Head-major mapping: one head's K/V gather working set at
                 // a time stays L2-resident; interleaving heads would double

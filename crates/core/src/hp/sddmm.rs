@@ -84,17 +84,6 @@ impl SddmmKernel for HpSddmm {
             if start >= end {
                 return;
             }
-            // As in HP-SpMM, the row-switch count is the only data-dependent
-            // input to the cache-independent counters (it sets the number of
-            // `A1` refresh loads); `k % vw == 0` keeps the feature reads'
-            // vector eligibility index-independent.
-            if k.is_multiple_of(vw as usize) && end - start < (1 << 24) {
-                let switches = (start + 1..end)
-                    .filter(|&j| row_ind[j] != row_ind[j - 1])
-                    .count() as u64;
-                let sig = (end - start) as u64 | (switches << 24) | ((start as u64 & 7) << 48);
-                tally.begin_memo(sig);
-            }
             // Kernel prologue: index math and bounds checks.
             tally.compute(12);
             // Sentinel forces an A1 load for the first element.

@@ -268,22 +268,6 @@ fn hp_spmm_cost(
         }
         let k_base = kslice as usize * k_cols_per_warp;
         let k_width = k_cols_per_warp.min(k - k_base);
-        // The only data-dependent contribution to the cache-independent
-        // counters is the number of row-switch flushes, which a single
-        // scan recovers; everything else is a function of the chunk
-        // length, its alignment class and the K-slice width once the
-        // feature-row base `c*k` cannot change a read's vector
-        // eligibility (`k % vw == 0`).
-        if k.is_multiple_of(vw as usize) && end - start < (1 << 24) {
-            let switches = (start + 1..end)
-                .filter(|&j| row_ind[j] != row_ind[j - 1])
-                .count() as u64;
-            let sig = (end - start) as u64
-                | (switches << 24)
-                | ((start as u64 & 7) << 48)
-                | ((k_width as u64) << 51);
-            tally.begin_memo(sig);
-        }
         // Kernel prologue: index math and bounds checks.
         tally.compute(12);
 

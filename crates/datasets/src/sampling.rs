@@ -96,6 +96,9 @@ pub struct RandomWalkSampler {
 impl Sampler for RandomWalkSampler {
     fn sample_nodes(&self, parent: &Graph, rng: &mut StdRng) -> Vec<u32> {
         let n = parent.num_nodes();
+        if n == 0 {
+            return Vec::new(); // no node to root a walk at
+        }
         let mut nodes = Vec::with_capacity(self.roots * (self.depth + 1));
         for _ in 0..self.roots {
             let mut v = rng.random_range(0..n) as u32;
@@ -255,6 +258,30 @@ mod tests {
             // same draw.
             let g = sampler.sample(&p, &mut StdRng::seed_from_u64(11));
             assert_eq!(g.adjacency(), p.induced_subgraph(&nodes).adjacency());
+        }
+    }
+
+    #[test]
+    fn samplers_answer_empty_and_edgeless_graphs() {
+        let samplers = [
+            Box::new(NodeSampler { budget: 3 }) as Box<dyn Sampler>,
+            Box::new(EdgeSampler { budget: 3 }),
+            Box::new(RandomWalkSampler { roots: 3, depth: 2 }),
+        ];
+        for sampler in &samplers {
+            let mut rng = StdRng::seed_from_u64(5);
+            let empty = Graph::from_edges(0, &[]);
+            assert!(
+                sampler.sample_nodes(&empty, &mut rng).is_empty(),
+                "{}",
+                sampler.name()
+            );
+            assert_eq!(sampler.sample(&empty, &mut rng).num_nodes(), 0);
+            // Isolated nodes: walks stop at their roots, no edge to draw.
+            let isolated = Graph::from_edges(5, &[]);
+            let nodes = sampler.sample_nodes(&isolated, &mut rng);
+            assert!(nodes.iter().all(|&v| v < 5), "{}", sampler.name());
+            assert_eq!(sampler.sample(&isolated, &mut rng).num_edges(), 0);
         }
     }
 

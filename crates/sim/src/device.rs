@@ -1,9 +1,5 @@
 //! Device specifications for the GPUs used in the paper's evaluation, and
-//! the cost-engine vocabulary: [`CostEngine`] names the two engines,
-//! [`set_default_engine`] is the process-wide selector behind
-//! `repro --engine`.
-
-use std::sync::atomic::{AtomicBool, Ordering};
+//! [`CostEngine`], which names the two cost engines.
 
 /// Cycle costs charged by the model for each architectural event.
 ///
@@ -53,6 +49,8 @@ impl Default for CostModel {
 /// Which cost-engine implementation executes a launch. Both produce
 /// bit-identical [`LaunchReport`]s — `repro -- fastcheck` asserts it for
 /// every registry kernel — so the selection is purely a host-speed choice.
+/// [`GpuSim::set_engine`] is the one selector; a new simulator starts on
+/// [`CostEngine::Batched`].
 ///
 /// With an [`AccessSink`] attached the tally expands descriptors
 /// element-wise under either engine, so the observer sees the exact
@@ -62,57 +60,26 @@ impl Default for CostModel {
 /// counts (pinned by tests in `launch.rs` and `hpsparse-bench`).
 ///
 /// [`LaunchReport`]: crate::LaunchReport
+/// [`GpuSim::set_engine`]: crate::GpuSim::set_engine
 /// [`AccessSink`]: crate::sink::AccessSink
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CostEngine {
-    /// Element-wise descriptor expansion, no memoization: the slow
+    /// Every access element-wise, descriptors expanded: the slow
     /// differential-testing oracle.
     Reference,
-    /// The fast engine and the default: descriptor batching +
-    /// warp-signature memoization against the live L2.
+    /// The fast engine and the default: the element-wise accesses plus the
+    /// sort-once stepped-gather descriptor.
     #[default]
     Batched,
 }
 
 impl CostEngine {
-    /// Stable lowercase name — the `repro --engine` vocabulary.
+    /// Stable lowercase name, for diagnostics.
     pub fn label(self) -> &'static str {
         match self {
             CostEngine::Reference => "reference",
             CostEngine::Batched => "batched",
         }
-    }
-
-    /// Parses a [`label`](CostEngine::label) back; `None` on unknown names.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "reference" => Some(CostEngine::Reference),
-            "batched" => Some(CostEngine::Batched),
-            _ => None,
-        }
-    }
-}
-
-/// Whether the process-wide default engine is [`CostEngine::Reference`].
-static DEFAULT_IS_REFERENCE: AtomicBool = AtomicBool::new(false);
-
-/// Sets the process-wide engine new simulators start on
-/// ([`CostEngine::Batched`] unless overridden). This is how `repro --engine`
-/// puts every launch of a whole run — including the ones experiments and
-/// planners make internally — onto one engine, which the
-/// byte-identical-exports tests exploit to diff whole-run trace files across
-/// engines. Explicit `set_engine` calls on a simulator still win; reported
-/// numbers never change either way.
-pub fn set_default_engine(engine: CostEngine) {
-    DEFAULT_IS_REFERENCE.store(engine == CostEngine::Reference, Ordering::Relaxed);
-}
-
-/// The current process-wide default engine.
-pub fn default_engine() -> CostEngine {
-    if DEFAULT_IS_REFERENCE.load(Ordering::Relaxed) {
-        CostEngine::Reference
-    } else {
-        CostEngine::Batched
     }
 }
 
@@ -236,17 +203,6 @@ mod tests {
         // 1.38M cycles at 1380 MHz = 1 ms.
         let ms = v100.cycles_to_ms(1_380_000);
         assert!((ms - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn engine_labels_round_trip() {
-        for engine in [CostEngine::Reference, CostEngine::Batched] {
-            assert_eq!(CostEngine::parse(engine.label()), Some(engine));
-        }
-        for gone in ["parallel", "auto", "turbo", ""] {
-            assert_eq!(CostEngine::parse(gone), None, "{gone:?}");
-        }
-        assert_eq!(CostEngine::default(), CostEngine::Batched);
     }
 
     #[test]

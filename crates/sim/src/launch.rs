@@ -10,9 +10,9 @@
 //! # Engines
 //!
 //! The walk runs under one of two cost engines ([`CostEngine`]) with
-//! bit-identical counters: **Batched**, the default (descriptor batching +
-//! warp-signature memoization), and **Reference**, element-wise without
-//! memoization — the differential-testing oracle. Bodies run in global
+//! bit-identical counters: **Batched**, the default (the stepped-gather
+//! descriptor sorts its lanes once), and **Reference**, every access
+//! element-wise — the differential-testing oracle. Bodies run in global
 //! warp order under both, since the one LRU L2's hit/miss split depends on
 //! that order; they are cost walks, tally calls only. Parallelism lives
 //! above the launch, in the harness's graph × kernel fan-out.
@@ -251,9 +251,8 @@ pub struct GpuSim {
 }
 
 impl GpuSim {
-    /// Builds a simulator for `device` with a cold L2, starting on the
-    /// process-wide default cost engine ([`crate::device::default_engine`],
-    /// [`CostEngine::Batched`] unless `repro --engine` overrode it).
+    /// Builds a simulator for `device` with a cold L2, on the default
+    /// [`CostEngine::Batched`].
     pub fn new(device: DeviceSpec) -> Self {
         let l2 = SectorCache::new(device.l2_bytes, device.l2_assoc);
         Self {
@@ -262,7 +261,7 @@ impl GpuSim {
             memory: MemorySpace::new(),
             sink: None,
             decls: Vec::new(),
-            engine: crate::device::default_engine(),
+            engine: CostEngine::default(),
             tracer: None,
             device_index: None,
             budget: None,
@@ -279,11 +278,6 @@ impl GpuSim {
     /// [`CostEngine::Reference`] exists as the differential-testing oracle.
     pub fn set_engine(&mut self, engine: CostEngine) {
         self.engine = engine;
-    }
-
-    /// The currently selected cost engine.
-    pub fn engine(&self) -> CostEngine {
-        self.engine
     }
 
     /// Attaches an access-event observer. All buffers declared so far are
@@ -815,8 +809,8 @@ mod tests {
 
     /// A messy two-launch workload touching every probe path: runs (with
     /// cross-warp reuse), a stepped gather, a scatter-shaped gather list,
-    /// atomics, shared/shuffle/compute — plus warp-signature memoization
-    /// and cross-launch cache state (launch 2 re-reads launch 1's data).
+    /// atomics, shared/shuffle/compute — plus cross-launch cache state
+    /// (launch 2 re-reads launch 1's data).
     fn run_mixed_workload(engine: CostEngine) -> (Vec<LaunchReport>, f64) {
         let mut sim = GpuSim::new(DeviceSpec::v100());
         sim.set_engine(engine);
@@ -825,7 +819,6 @@ mod tests {
             resources: small_res(),
         };
         let a = sim.launch(cfg, |w, t| {
-            t.begin_memo(w % 7);
             t.compute(40 + (w % 7) * 3);
             // Strided base keeps neighbouring warps in different sets;
             // every 5th warp re-reads warp 0's block for L2 reuse.
@@ -838,8 +831,8 @@ mod tests {
             t.shuffle_reduce(32);
         });
         let b = sim.launch(cfg, |w, t| {
-            // No memo: every warp is live. Gather hits a pseudo-random
-            // sector list so single-sector probes spread over many sets.
+            // Gather hits a pseudo-random sector list so single-sector
+            // probes spread over many sets.
             let addrs = (0..24).map(|i| ((w * 31 + i * 97) % 4096) * 32);
             t.global_gather(addrs, 4);
             t.global_read(w * 8192, 2048, 4);
@@ -874,7 +867,6 @@ mod tests {
                 resources: small_res(),
             };
             let big = sim.launch_named("big", cfg, |w, t| {
-                t.begin_memo(w % 11);
                 t.compute(10 + w % 11);
                 let base = if w % 5 == 0 { 0 } else { w * 8192 };
                 t.global_read(base, 1024, 4);
@@ -902,12 +894,11 @@ mod tests {
     type Body = fn(u64, &mut WarpTally);
 
     /// Launch shapes for the budget tests: many waves with cross-warp L2
-    /// reuse and memoization, a DRAM-bound stream, one slow warp, exactly
+    /// reuse, a DRAM-bound stream, one slow warp, exactly
     /// one block, and a floor-bound partial block.
     fn budget_workloads() -> [(u64, Body); 5] {
         [
             (20_705, |w, t| {
-                t.begin_memo(w % 11);
                 t.compute(10 + w % 11);
                 let base = if w % 5 == 0 { 0 } else { w * 8192 };
                 t.global_read(base, 1024, 4);

@@ -48,7 +48,7 @@ pub mod tally;
 
 pub use attribution::{attribute, Attribution, Bound};
 pub use cache::SectorCache;
-pub use device::{default_engine, set_default_engine, CostEngine, CostModel, DeviceSpec};
+pub use device::{CostEngine, CostModel, DeviceSpec};
 pub use interconnect::{LinkKind, LinkSpec, LinkTimeline, TransferDescriptor};
 pub use launch::{BudgetStop, GpuSim, LaunchConfig, LaunchReport};
 pub use memory::{Buffer, MemorySpace, SECTOR_BYTES};

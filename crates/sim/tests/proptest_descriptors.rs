@@ -111,46 +111,4 @@ proptest! {
             "base {} bytes_each {} indices {:?}", base, bytes_each, indices
         );
     }
-
-    /// Memoized replays of an arbitrary warp body ≡ running it raw, warp
-    /// for warp: only the cache-dependent split may differ per warp, and
-    /// the counters must still come out identical because replays keep
-    /// probing the L2 live.
-    #[test]
-    fn memoized_warps_match_raw_warps(
-        base in 0u64..8_192,
-        (lane_stride, steps) in (0u64..96, 0u64..16),
-        elems in 0u64..24,
-        (vw_sel, assoc_sel, sig) in (0u32..3, 0u32..2, 0u64..1_000),
-        indices in proptest::collection::vec(0u32..300, 0..24),
-    ) {
-        let (vw, len) = (vw_for(vw_sel), elems * 4);
-        let warps = 3u64;
-        let body = |t: &mut WarpTally<'_>| {
-            t.compute(3);
-            t.global_read(base, len, vw);
-            t.global_gather_stepped(base, &indices, lane_stride, 0, 8, steps, 4);
-            t.global_gather(indices.iter().map(|&c| base + c as u64 * 4), 4);
-            t.shared_op(2);
-            t.shuffle_reduce(32);
-            t.global_write(base, 64, vw);
-        };
-        let mut memo_cache = cache_for(assoc_sel);
-        let mut raw_cache = cache_for(assoc_sel);
-        let mut memo_tally = WarpTally::new(&mut memo_cache, 32);
-        let mut raw_tally = WarpTally::new(&mut raw_cache, 32);
-        for w in 0..warps {
-            memo_tally.begin_memo(sig);
-            body(&mut memo_tally);
-            body(&mut raw_tally);
-            prop_assert_eq!(
-                memo_tally.take_counters(),
-                raw_tally.take_counters(),
-                "warp {} diverged", w
-            );
-        }
-        drop((memo_tally, raw_tally));
-        prop_assert_eq!(memo_cache.hits(), raw_cache.hits());
-        prop_assert_eq!(memo_cache.misses(), raw_cache.misses());
-    }
 }

@@ -196,18 +196,6 @@ impl Hybrid {
         let nnz = self.nnz();
         (0..nnz.div_ceil(chunk.max(1))).map(move |i| i * chunk..((i + 1) * chunk).min(nnz))
     }
-
-    /// Number of row switches a warp covering `range` performs — used by the
-    /// simulator to cost the row-switch procedure of Algorithm 3.
-    pub fn row_switches_in(&self, range: std::ops::Range<usize>) -> usize {
-        if range.is_empty() {
-            return 0;
-        }
-        self.row_indices[range]
-            .windows(2)
-            .filter(|w| w[0] != w[1])
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -289,17 +277,6 @@ mod tests {
         assert_eq!(ranges, vec![0..7]);
         let ranges: Vec<_> = h.chunks(100).collect();
         assert_eq!(ranges, vec![0..7]);
-    }
-
-    #[test]
-    fn row_switch_counting() {
-        let h = fig2_hybrid();
-        // rows: 0 0 | 1 2 2 | 2 3 when chunked by 3 and for full range.
-        assert_eq!(h.row_switches_in(0..7), 3);
-        assert_eq!(h.row_switches_in(0..2), 0);
-        assert_eq!(h.row_switches_in(2..5), 1);
-        assert_eq!(h.row_switches_in(0..0), 0);
-        assert_eq!(h.row_switches_in(6..7), 0);
     }
 
     #[test]

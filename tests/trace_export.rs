@@ -28,8 +28,7 @@ fn traced_session() -> TraceSession {
     let session = TraceSession::new();
     sim.attach_tracer(session.clone());
     // 2 589 blocks over 640-block waves: four full waves and a tail. Every
-    // fifth warp re-reads warp 0's line, and the memo replays eleven
-    // signatures.
+    // fifth warp re-reads warp 0's line.
     sim.launch_named(
         "big",
         LaunchConfig {
@@ -37,7 +36,6 @@ fn traced_session() -> TraceSession {
             resources,
         },
         |w, t| {
-            t.begin_memo(w % 11);
             t.compute(10 + w % 11);
             let base = if w % 5 == 0 { 0 } else { w * 8192 };
             t.global_read(base, 1024, 4);
