@@ -308,6 +308,12 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_cache_is_an_error_not_a_crash() {
+        let nested = format!(r#"{{"version": 1, "entries": {}"#, "[".repeat(100_000));
+        assert!(PlanCache::from_json_str(&nested).is_err());
+    }
+
+    #[test]
     fn unknown_version_yields_empty_cache() {
         let cache = PlanCache::from_json_str(r#"{"version": 99, "entries": []}"#).unwrap();
         assert!(cache.is_empty());

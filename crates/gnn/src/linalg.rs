@@ -24,24 +24,28 @@
 //! `f32::to_bits` at any `RAYON_NUM_THREADS`. No zero operand is skipped:
 //! `0 · NaN` and `0 · Inf` are NaN and propagate, as IEEE 754 says.
 //!
-//! The tile is safe Rust over the baseline target — no `unsafe`, no
-//! `target_feature` dispatch: its sizes fill the 16 SSE2 registers
-//! (8 accumulators, 2 `B` vectors, broadcast temporaries) and wider units
-//! would buy speed at the price of a second code path to keep bit-equal.
+//! The tile is safe Rust with one code path — no `unsafe`, no
+//! `target_feature`, no runtime dispatch. The repository builds for
+//! x86-64-v3 (`.cargo/config.toml`), and the sizes fill its 16 YMM
+//! registers: 12 accumulators, 2 `B` vectors and a broadcast. FMA
+//! instructions exist there, but Rust never contracts `a * b + c`, so an
+//! x86-64 baseline build (`RUSTFLAGS="-C target-cpu=x86-64"`) computes the
+//! same bits, only slower.
 
 use hpsparse_sparse::Dense;
 use rayon::prelude::*;
 use std::borrow::Cow;
 
 /// Rows of `C` in one register tile.
-const MR: usize = 4;
-/// Columns of `C` in one register tile (two 4-lane vectors).
-const NR: usize = 8;
+const MR: usize = 6;
+/// Columns of `C` in one register tile (two 8-lane vectors).
+const NR: usize = 16;
 /// Reduction rows a tile stays in registers for; bounds the `A`/`B` panel a
 /// block re-reads to what a cache level holds.
 const KP: usize = 128;
-/// Rows of `C` per [`matmul`] task.
-const MB: usize = 64;
+/// Rows of `C` per [`matmul`] task: whole tiles, so only the matrix's last
+/// block can end in a short one.
+const MB: usize = 10 * MR;
 /// Fixed reduction split of [`matmul_transpose_a`].
 const TRANSPOSE_A_CHUNKS: usize = 16;
 /// Elements per task of the element-wise passes.

@@ -6,7 +6,8 @@
 //! built on this vendored implementation instead of the real crate:
 //! [`Value`] / [`Map`] / [`Number`], the [`json!`] macro (flat objects,
 //! arrays and expression leaves), [`to_string`] / [`to_string_pretty`]
-//! serialisation, and a strict [`from_str`] recursive-descent parser.
+//! serialisation, and a strict [`from_str`] recursive-descent parser that,
+//! like the real crate, refuses documents nested more than 128 deep.
 //!
 //! Two deliberate simplifications, both observable only in edge cases this
 //! repository never hits: object keys keep **insertion order** (the real
@@ -406,9 +407,15 @@ pub fn to_string_pretty(value: &Value) -> Result<String, Error> {
     Ok(out)
 }
 
+/// Arrays and objects [`from_str`] nests before it refuses a document, as
+/// the real crate does: the parser recurses once per level, and an
+/// unbounded depth would let a few kilobytes of `[` overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -445,11 +452,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(Error::new(format!("unexpected byte at {}", self.pos))),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, or fails past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, kw: &str, value: Value) -> Result<Value, Error> {
@@ -624,6 +645,7 @@ pub fn from_str(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.parse_value()?;
     p.skip_ws();
@@ -684,6 +706,24 @@ mod tests {
         assert!(from_str("nul").is_err());
         assert!(from_str("{} x").is_err());
         assert!(from_str("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error_not_a_stack_overflow() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| format!("{}1{}", r#"{"k":"#.repeat(depth), "}".repeat(depth));
+        for nest in [arrays, objects] {
+            assert!(from_str(&nest(MAX_DEPTH)).is_ok());
+            let err = from_str(&nest(MAX_DEPTH + 1)).unwrap_err();
+            assert!(
+                err.to_string().contains("recursion limit exceeded"),
+                "{err}"
+            );
+        }
+        // Unterminated as well as too deep: the limit answers first, long
+        // before the recursion could exhaust the stack.
+        assert!(from_str(&"[".repeat(100_000)).is_err());
+        assert!(from_str(&r#"{"k":"#.repeat(100_000)).is_err());
     }
 
     #[test]
