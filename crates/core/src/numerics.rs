@@ -20,10 +20,31 @@
 //! bit-identical. Nothing here skips a zero: `±0.0`, NaN and Inf in either
 //! operand propagate as IEEE-754 says they do.
 
-use crate::cpu::axpy;
 use crate::traits::{check_mha_dims, check_sddmm_dims, check_spmm_dims};
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
 use std::ops::Range;
+
+/// f32 lanes [`axpy`] is tiled to: eight 4-byte lanes fill a 256-bit
+/// register.
+const LANES: usize = 8;
+
+/// `acc[i] += v * x[i]` tiled to `LANES`-wide chunks. Every element is
+/// independent, so this is bit-identical to the scalar loop — the fixed-width
+/// `chunks_exact` bodies only expose that independence to the vectorizer.
+#[inline]
+fn axpy(acc: &mut [f32], v: f32, x: &[f32]) {
+    debug_assert_eq!(acc.len(), x.len());
+    let mut a_it = acc.chunks_exact_mut(LANES);
+    let mut x_it = x.chunks_exact(LANES);
+    for (a8, x8) in a_it.by_ref().zip(x_it.by_ref()) {
+        for l in 0..LANES {
+            a8[l] += v * x8[l];
+        }
+    }
+    for (a, xv) in a_it.into_remainder().iter_mut().zip(x_it.remainder()) {
+        *a += v * *xv;
+    }
+}
 
 /// Where a segment-sum kernel cuts the element range, besides at every row
 /// switch.
@@ -163,4 +184,28 @@ pub fn attention(
         attn.push(weights);
     }
     Ok((outputs, attn))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::axpy;
+
+    #[test]
+    fn axpy_is_bit_identical_to_scalar_loop() {
+        // Tiling must not change results: every length, including ragged
+        // tails shorter than a lane block.
+        for n in [0, 1, 7, 8, 9, 16, 33, 64] {
+            let x: Vec<f32> = (0..n)
+                .map(|i| ((i * 37 + 11) as f32 * 1e-2).sin())
+                .collect();
+            let mut tiled: Vec<f32> = (0..n).map(|i| (i as f32 * 0.3).cos()).collect();
+            let mut scalar = tiled.clone();
+            let v = 0.731f32;
+            axpy(&mut tiled, v, &x);
+            for (a, xv) in scalar.iter_mut().zip(&x) {
+                *a += v * *xv;
+            }
+            assert_eq!(tiled, scalar, "n = {n}");
+        }
+    }
 }

@@ -13,9 +13,8 @@ use hpsparse_autotune::{
     GraphFingerprint, OpKind, Plan, PlanCache, PlanStrategy, Planner,
 };
 use hpsparse_core::baselines::{CusparseCsrAlg2, DglSddmm};
-use hpsparse_core::cpu;
 use hpsparse_core::hp::{HpFusedMha, HpSddmm, HpSpmm};
-use hpsparse_core::numerics::edge_softmax;
+use hpsparse_core::numerics::{edge_softmax, masked_dots};
 use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
 use hpsparse_sim::{DeviceSpec, GpuSim, LaunchReport};
 use hpsparse_sparse::{Dense, Hybrid};
@@ -227,10 +226,12 @@ impl<K: KernelSelector> SparseBackend for SimBackend<K> {
         k: &[Dense],
         v: &[Dense],
     ) -> (Vec<Dense>, Vec<Vec<f32>>) {
-        let head_dim = q.first().map_or(1, Dense::cols);
-        let fused = self
-            .kernels
-            .fused_mha(self.sim.device(), s, head_dim, q.len());
+        // Zero heads go unfused, which launches nothing: the fused kernel
+        // refuses an empty batch, and planning one would cache a dead plan.
+        let fused = q.first().and_then(|q0| {
+            self.kernels
+                .fused_mha(self.sim.device(), s, q0.cols(), q.len())
+        });
         let Some(kernel) = fused else {
             return unfused_mha(self, s, q, k, v);
         };
@@ -432,8 +433,10 @@ impl AutoBackend {
     }
 }
 
-/// Pure-CPU backend (rayon kernels, no GPU accounting): the fastest way to
-/// actually train on this machine. `total_ms` reports 0.
+/// [`BaselineBackend`] without the clock: the same floats, call for call —
+/// [`FrameworkKernels`]' SpMM accumulation order and the [`masked_dots`]
+/// every SDDMM kernel runs — with no cost walk and no simulator, on one
+/// thread. `total_ms` reports 0.
 pub struct CpuBackend {
     device: DeviceSpec,
 }
@@ -460,11 +463,12 @@ impl SparseBackend for CpuBackend {
     }
 
     fn spmm(&mut self, s: &Hybrid, a: &Dense) -> Dense {
-        cpu::par_spmm_hybrid(s, a, 0).expect("valid dims")
+        let kernel = FrameworkKernels.spmm(&self.device, s, a.cols());
+        kernel.accumulate(s, a).expect("valid dims")
     }
 
     fn sddmm(&mut self, s: &Hybrid, a1: &Dense, a2t: &Dense) -> Vec<f32> {
-        cpu::par_sddmm(s, a1, a2t).expect("valid dims")
+        masked_dots(s, a1, a2t).expect("valid dims")
     }
 
     fn mha(
@@ -724,6 +728,28 @@ mod tests {
         }
         assert!(hp.sparse_cycles() > 0);
         assert!(base.sparse_cycles() > 0);
+    }
+
+    /// Zero heads is no work on every backend: the simulated ones must not
+    /// ask for (or plan) a fused kernel that refuses an empty batch.
+    #[test]
+    fn zero_head_attention_launches_nothing_on_every_backend() {
+        let s = small_graph();
+        let mut hp = HpBackend::new(DeviceSpec::v100());
+        let mut base = BaselineBackend::new(DeviceSpec::v100());
+        let mut auto = AutoBackend::new(DeviceSpec::v100());
+        let mut cpu = CpuBackend::new();
+        for b in [
+            &mut hp as &mut dyn SparseBackend,
+            &mut base,
+            &mut auto,
+            &mut cpu,
+        ] {
+            let (out, attn) = b.mha(&s, &[], &[], &[]);
+            assert!(out.is_empty() && attn.is_empty(), "{}", b.name());
+            assert_eq!(b.sparse_cycles(), 0, "{}", b.name());
+        }
+        assert_eq!(auto.cache().misses(), 0);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Quickstart: run HP-SpMM and HP-SDDMM on a small graph, on both the
-//! simulated GPU (paper-shaped performance reports) and the real CPU path.
+//! simulated GPU (paper-shaped performance reports), then the CPU backend's
+//! SpMM, which computes the same floats as the simulated cuSPARSE default.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
 use hpsparse::datasets::generators::{GeneratorConfig, Topology};
-use hpsparse::kernels::cpu;
+use hpsparse::gnn::{CpuBackend, SparseBackend};
+use hpsparse::kernels::baselines::CusparseCsrAlg2;
 use hpsparse::kernels::hp::{HpSddmm, HpSpmm, SddmmKernel, SpmmKernel};
 use hpsparse::sim::DeviceSpec;
 use hpsparse::sparse::{reference, Dense};
@@ -70,14 +72,17 @@ fn main() {
         sd_run.output_values.len()
     );
 
-    // --- Real CPU execution (rayon) --------------------------------------
+    // --- The same floats without the clock -----------------------------
+    // `CpuBackend` is the framework-default backend minus the simulator: its
+    // SpMM adds the floats in cuSPARSE CSR ALG2's order, bit for bit.
     let t0 = std::time::Instant::now();
-    let cpu_out = cpu::par_spmm_hybrid(&s, &a, 0).expect("valid operands");
+    let cpu_out = CpuBackend::new().spmm(&s, &a);
     println!(
-        "\nCPU (rayon) SpMM: {:.2} ms wall clock on {} threads",
-        t0.elapsed().as_secs_f64() * 1e3,
-        rayon::current_num_threads()
+        "\nCpuBackend SpMM: {:.2} ms wall clock",
+        t0.elapsed().as_secs_f64() * 1e3
     );
-    assert!(cpu_out.approx_eq(&expected, 1e-4, 1e-5));
-    println!("CPU output matches too ✓");
+    let alg2 = CusparseCsrAlg2.run(&v100, &s, &a).expect("valid operands");
+    let bits = |d: &Dense| d.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&cpu_out), bits(&alg2.output));
+    println!("CPU output equals simulated cuSPARSE ALG2's bit for bit ✓");
 }

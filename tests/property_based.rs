@@ -2,7 +2,6 @@
 //! kernels: random sparse matrices and feature widths must preserve the
 //! library's invariants.
 
-use hpsparse::kernels::cpu;
 use hpsparse::kernels::hp::HpSpmm;
 use hpsparse::kernels::SpmmKernel;
 use hpsparse::reorder::gcr_reorder;
@@ -61,20 +60,6 @@ proptest! {
         let v100 = DeviceSpec::v100();
         let run = HpSpmm::auto(&v100, &s, k).run(&v100, &s, &a).unwrap();
         prop_assert!(run.output.approx_eq(&expected, 1e-3, 1e-4));
-    }
-
-    /// CPU hybrid-parallel SpMM equals the reference for any chunking.
-    #[test]
-    fn cpu_hybrid_spmm_matches_reference(
-        (rows, cols, triplets) in sparse_matrix(),
-        k in 1usize..24,
-        chunk in 1usize..64,
-    ) {
-        let s = Hybrid::from_triplets(rows, cols, &triplets).unwrap();
-        let a = Dense::from_fn(cols, k, |i, j| ((i + j) as f32 * 0.2).cos());
-        let expected = reference::spmm(&s, &a).unwrap();
-        let got = cpu::par_spmm_hybrid(&s, &a, chunk).unwrap();
-        prop_assert!(got.approx_eq(&expected, 1e-3, 1e-4));
     }
 
     /// SDDMM reference identities: scaling the mask scales the output.

@@ -13,7 +13,7 @@ use hpsparse::gnn::{
 };
 use hpsparse::reorder::gcr_reorder;
 use hpsparse::sim::DeviceSpec;
-use hpsparse::sparse::Graph;
+use hpsparse::sparse::{Dense, Graph};
 
 fn problem(seed: u64) -> (Graph, hpsparse::sparse::Dense, Vec<u32>) {
     let g = GeneratorConfig {
@@ -42,24 +42,82 @@ fn model() -> GcnConfig {
     }
 }
 
+/// `CpuBackend` is `BaselineBackend` without the clock: the same losses and
+/// the same trained state at `to_bits`. HP adds in its own order, so its
+/// losses agree only to rounding. Covers GCN on the community problems, a
+/// power-law graph whose hub rows are longer than ALG2's 256-element split,
+/// and attention at a head width (24) where a lane-striped dot would round
+/// differently from the sequential one.
 #[test]
 fn backends_produce_identical_training_trajectories() {
-    let (g, x, y) = problem(1);
+    type Run<'a> = &'a dyn Fn(&mut dyn SparseBackend) -> (Vec<f32>, Vec<f32>);
+    let check = |what: &str, run: Run| {
+        let (cpu, cpu_state) = run(&mut CpuBackend::new());
+        let (base, base_state) = run(&mut BaselineBackend::new(DeviceSpec::v100()));
+        assert_eq!(loss_bits(&cpu), loss_bits(&base), "{what}: cpu vs baseline");
+        assert!(
+            loss_bits(&cpu_state) == loss_bits(&base_state),
+            "{what}: trained state, cpu vs baseline"
+        );
+        let (hp, _) = run(&mut HpBackend::new(DeviceSpec::v100()));
+        for (a, b) in cpu.iter().zip(&hp) {
+            assert!((a - b).abs() < 1e-3, "{what}: cpu {a} vs hp {b}");
+        }
+    };
     let cfg = TrainConfig {
         epochs: 4,
         lr: 0.02,
         ..Default::default()
     };
-    let mut cpu = CpuBackend::new();
-    let (_, s_cpu) = train_full_graph(&mut cpu, &g, &x, &y, model(), cfg);
-    let mut hp = HpBackend::new(DeviceSpec::v100());
-    let (_, s_hp) = train_full_graph(&mut hp, &g, &x, &y, model(), cfg);
-    let mut base = BaselineBackend::new(DeviceSpec::v100());
-    let (_, s_base) = train_full_graph(&mut base, &g, &x, &y, model(), cfg);
-    for ((a, b), c) in s_cpu.losses.iter().zip(&s_hp.losses).zip(&s_base.losses) {
-        assert!((a - b).abs() < 1e-3, "cpu {a} vs hp {b}");
-        assert!((a - c).abs() < 1e-3, "cpu {a} vs baseline {c}");
+    let gcn = |(g, x, y): &(Graph, Dense, Vec<u32>), b: &mut dyn SparseBackend| {
+        let (model, stats) = train_full_graph(b, g, x, y, model(), cfg);
+        let weights = model.weights.iter().flat_map(|w| w.data().iter());
+        let state = weights.chain(model.biases.iter().flatten()).copied();
+        (stats.losses, state.collect())
+    };
+    for seed in 1..=4 {
+        let p = problem(seed);
+        check(&format!("problem({seed})"), &|b| gcn(&p, b));
     }
+    let hubs = GeneratorConfig {
+        nodes: 2_000,
+        edges: 40_000,
+        topology: Topology::PowerLaw { alpha: 1.8 },
+        seed: 9,
+    }
+    .generate();
+    let longest = (0..hubs.num_nodes()).map(|v| hubs.degree(v)).max();
+    assert!(longest > Some(256), "longest row {longest:?}");
+    let x = random_features(2_000, 16, 9);
+    let y = planted_labels(&x, 4, 9);
+    let p = (hubs, x, y);
+    check("power law", &|b| gcn(&p, b));
+
+    let (g, x, y) = problem(1);
+    let s = g.with_self_loops().to_hybrid();
+    check("transformer", &|backend| {
+        let mut model = GraphTransformer::new(TransformerConfig {
+            in_dim: 16,
+            head_dim: 24,
+            heads: 3,
+            ffn_dim: 24,
+            classes: 4,
+            seed: 3,
+        });
+        let mut opt = TransformerAdam::new(&model, 0.02);
+        let mut last_logits = Vec::new();
+        let losses = (0..3)
+            .map(|_| {
+                let (logits, cache) = model.forward(backend, &s, &x);
+                let (loss, grad) = linalg::softmax_cross_entropy(&logits, &y);
+                let grads = model.backward(backend, &s, &cache, &grad);
+                opt.step(&mut model, &grads);
+                last_logits = logits.into_vec();
+                loss
+            })
+            .collect();
+        (losses, last_logits)
+    });
 }
 
 #[test]
