@@ -16,7 +16,6 @@
 #![forbid(unsafe_code)]
 
 pub mod advisor;
-pub mod classic;
 pub mod gcr;
 pub mod locality;
 pub mod louvain;
@@ -24,7 +23,6 @@ pub mod lsh;
 pub mod partition;
 
 pub use advisor::advisor_reorder;
-pub use classic::{degree_sort_reorder, rcm_reorder};
 pub use gcr::{gcr_permutation, gcr_reorder, Reordered};
 pub use locality::{avg_neighbor_distance, working_set_spread};
 pub use louvain::{louvain, LouvainConfig, LouvainResult};

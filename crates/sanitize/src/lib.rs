@@ -63,6 +63,11 @@
 //! nothing about the kernel, only about the prover. [`sanitize_run`] is
 //! the escalation entry point.
 //!
+//! The verifier's refutations are this crate's verdicts too: its replay
+//! instantiates a plan at concrete shapes and emits every access into a
+//! fresh [`Sanitizer`], so the checkers have two producers — a simulated
+//! kernel's stream and a plan's — and one set of rules.
+//!
 //! [`Input`]: hpsparse_sim::BufferRole::Input
 
 #![forbid(unsafe_code)]
@@ -70,7 +75,7 @@
 mod interval;
 mod report;
 
-pub use report::{Checker, Report, Violation};
+pub use report::{Checker, Conflict, Report, Violation};
 
 use hpsparse_sim::{AccessEvent, AccessSink, BufferDecl, BufferRole};
 use interval::IntervalSet;
@@ -243,28 +248,22 @@ impl Inner {
         let decl = self.decl_at(ev.addr);
         let contained = decl.is_some_and(|d| d.contains(ev.addr, ev.len_bytes));
         if !contained {
-            let (buffer, detail) = match decl {
-                Some(d) => (
-                    Some(d.name),
-                    format!(
-                        "access of {} bytes at offset {} overruns the {}-byte allocation",
-                        ev.len_bytes,
-                        ev.addr - d.base,
-                        d.len_bytes
-                    ),
+            let detail = match decl {
+                Some(d) => format!(
+                    "access of {} bytes at offset {} overruns the {}-byte allocation",
+                    ev.len_bytes,
+                    ev.addr - d.base,
+                    d.len_bytes
                 ),
-                None => (
-                    None,
-                    "address outside every declared allocation".to_string(),
-                ),
+                None => "address outside every declared allocation".to_string(),
             };
             self.flag(
                 Checker::Memcheck,
                 ev.warp,
                 ev.addr,
                 ev.len_bytes,
-                buffer,
                 detail,
+                None,
             );
             return;
         }
@@ -279,11 +278,11 @@ impl Inner {
                 ev.warp,
                 ev.addr,
                 ev.len_bytes,
-                Some(d.name),
                 format!(
                     "address not aligned to its {}-element vector width",
                     ev.vector_width
                 ),
+                None,
             );
             return;
         }
@@ -299,8 +298,8 @@ impl Inner {
                 ev.warp,
                 ev.addr,
                 ev.len_bytes,
-                Some(d.name),
                 format!("read of uninitialised {:?} memory", d.role),
+                None,
             );
         }
 
@@ -321,8 +320,8 @@ impl Inner {
     fn end_launch(&mut self) {
         let mut plain = std::mem::take(&mut self.plain_writes);
         let mut atomics = std::mem::take(&mut self.atomic_writes);
-        plain.sort_unstable_by_key(|w| (w.addr, w.end));
-        atomics.sort_unstable_by_key(|w| (w.addr, w.end));
+        plain.sort_unstable_by_key(|w| (w.addr, w.end, w.warp));
+        atomics.sort_unstable_by_key(|w| (w.addr, w.end, w.warp));
 
         self.race_plain_vs_plain(&plain);
         self.race_plain_vs_atomic(&plain, &atomics);
@@ -336,9 +335,10 @@ impl Inner {
     }
 
     /// Conflicts between two non-atomic stores of different warps.
-    /// `plain` is sorted by address, so each overlapping pair is found
-    /// from its lower-addressed member; clean kernels have disjoint
-    /// non-atomic stores and the inner scan terminates immediately.
+    /// `plain` is sorted by (address, end, warp), so each overlapping pair
+    /// is found from its lower-addressed member, lower warp first on ties;
+    /// clean kernels have disjoint non-atomic stores and the inner scan
+    /// terminates immediately.
     fn race_plain_vs_plain(&mut self, plain: &[StoreSpan]) {
         let mut recorded = 0u64;
         for (i, a) in plain.iter().enumerate() {
@@ -352,11 +352,11 @@ impl Inner {
                         b.warp,
                         b.addr,
                         a.end.min(b.end) - b.addr,
-                        self.decl_at(b.addr).map(|d| d.name),
                         format!(
                             "non-atomic write conflicts with warp {}'s non-atomic write at {:#x}",
                             a.warp, a.addr
                         ),
+                        Some(Conflict::Plain(a.warp)),
                     );
                     recorded += 1;
                     if recorded >= RACE_PAIR_CAP {
@@ -408,8 +408,8 @@ impl Inner {
                         w.warp,
                         lo,
                         w.end.min(b.end) - lo,
-                        self.decl_at(lo).map(|d| d.name),
                         "non-atomic write conflicts with another warp's atomic".to_string(),
+                        Some(Conflict::Atomic(b.warp)),
                     );
                     recorded += 1;
                     if recorded >= RACE_PAIR_CAP {
@@ -426,8 +426,8 @@ impl Inner {
         warp: u64,
         addr: u64,
         len_bytes: u64,
-        buffer: Option<&'static str>,
         detail: String,
+        conflict: Option<Conflict>,
     ) {
         match checker {
             Checker::Memcheck => self.report.memcheck += 1,
@@ -446,8 +446,9 @@ impl Inner {
                 warp,
                 addr,
                 len_bytes,
-                buffer,
+                buffer: self.decl_at(addr).map(|d| d.name),
                 detail,
+                conflict,
             });
         }
     }
@@ -610,6 +611,20 @@ mod tests {
             ],
         );
         assert_eq!(s.report().racecheck, 1);
+    }
+
+    #[test]
+    fn racecheck_names_the_lowest_warps_whatever_the_arrival_order() {
+        let (s, mut sink) = harness();
+        let events: Vec<AccessEvent> = (0..40)
+            .rev()
+            .map(|w| event(w, AccessKind::Write, 512, 32))
+            .collect();
+        run_launch(sink.as_mut(), "k", &events);
+        let r = s.report();
+        let v = &r.examples[0];
+        assert_eq!(v.checker, Checker::Racecheck, "{r}");
+        assert_eq!((v.warp, v.conflict), (1, Some(Conflict::Plain(0))), "{v}");
     }
 
     #[test]

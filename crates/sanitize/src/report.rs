@@ -24,6 +24,15 @@ impl fmt::Display for Checker {
     }
 }
 
+/// The other warp's store a racecheck violation conflicts with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Conflict {
+    /// A non-atomic write by the given warp.
+    Plain(u64),
+    /// Atomics by the given warp, or by several warps (`None`).
+    Atomic(Option<u64>),
+}
+
 /// One flagged access, with enough context to locate the offending code:
 /// the kernel (launch name), the issuing warp, the byte address and length,
 /// and the declared buffer involved (when the address maps to one).
@@ -43,6 +52,8 @@ pub struct Violation {
     pub buffer: Option<&'static str>,
     /// Human-readable description of what went wrong.
     pub detail: String,
+    /// Racecheck only: the store this one conflicts with.
+    pub conflict: Option<Conflict>,
 }
 
 impl fmt::Display for Violation {
@@ -146,6 +157,7 @@ mod tests {
             len_bytes: 4,
             buffer: Some("col_ind"),
             detail: "access overruns allocation".into(),
+            conflict: None,
         };
         let s = v.to_string();
         assert!(s.contains("memcheck"));
@@ -170,6 +182,7 @@ mod tests {
             len_bytes: 8,
             buffer: Some("O"),
             detail: "conflicting write".into(),
+            conflict: Some(Conflict::Plain(0)),
         });
         assert!(!r.passed());
         assert_eq!(r.count(Checker::Racecheck), 4);

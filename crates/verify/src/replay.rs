@@ -1,14 +1,21 @@
-//! Concrete element-wise replay of a symbolic plan.
+//! Concrete replay of a symbolic plan through the dynamic sanitizer.
 //!
 //! The evaluator instantiates a plan at a concrete `(m, n, nnz, k)` shape,
-//! enumerates every warp of every launch, and feeds each access — element by
-//! element — through a miniature sanitizer implementing the same three
-//! judgements as the dynamic one: containment with overrun-vs-wild
-//! attribution, the end-of-launch cross-warp store-overlap sweep, and
-//! launch-granular init-before-read. Replay is the *refutation* half of the
-//! verifier: a violation here is a concrete counterexample (data values are
-//! always drawn within their declared ranges), while a clean replay proves
-//! nothing.
+//! enumerates every warp of every launch, and emits each access as one
+//! [`AccessEvent`] into a fresh [`Sanitizer`] — the memcheck, racecheck and
+//! initcheck that judge a simulated kernel's stream judge the plan's too.
+//! Plan buffer `i` is declared at byte base `(i + 1)·2⁴⁰`, so a violation's
+//! address maps back to its buffer and element offset. Replay is the
+//! *refutation* half of the verifier: a violation here is a concrete
+//! counterexample (data values are always drawn within their declared
+//! ranges), while a clean replay proves nothing.
+//!
+//! An access that leaves its buffer is emitted whole, which memcheck alone
+//! judges, and its in-bounds part again: an overrunning store still stores,
+//! races and initialises like the dynamic one. Shared tiles are declared
+//! `Input`, so the sanitizer judges their bounds and races; their reads are
+//! judged here, against the warp's own program-order earlier stores (a tile
+//! never persists past its warp).
 //!
 //! Data variables have no concrete backing store, so their values come from
 //! a [`DataPolicy`] (range floor or ceiling, with [`Distinct`] promises
@@ -18,8 +25,10 @@
 //! counterparts.
 
 use crate::report::{CheckKind, Counterexample, OobKind};
+use hpsparse_sanitize::{Checker, Conflict, Sanitizer, Violation};
 use hpsparse_sim::{
-    Distinct, SymAccessKind, SymArm, SymBufferRole, SymExpr, SymOp, SymbolicPlan, VarKind,
+    AccessEvent, AccessKind, AccessSink, BufferDecl, BufferRole, Distinct, SymAccess,
+    SymAccessKind, SymArm, SymBufferRole, SymExpr, SymOp, SymbolicPlan, VarKind,
 };
 use std::collections::{HashMap, HashSet};
 
@@ -56,23 +65,22 @@ pub const STRATEGIES: [ArmStrategy; 3] =
 pub const SHAPES: [(i64, i64, i64, i64); 3] = [(10, 50, 1000, 32), (4, 8, 40, 8), (3, 5, 17, 4)];
 
 const MAX_WARPS_PER_LAUNCH: u64 = 4096;
+/// Cap on in-bounds elements accessed per run.
 const MAX_EVENTS: u64 = 2_000_000;
+/// Byte distance between consecutive plan buffers' bases.
+const BUFFER_SPACING: u64 = 1 << 40;
+
+fn base(buffer: usize) -> u64 {
+    (buffer as u64 + 1) * BUFFER_SPACING
+}
 
 /// Outcome of one replay run.
 pub struct ReplayOutcome {
-    /// Violations in discovery order (at most one per checker kind).
+    /// The first violation of each checker kind found.
     pub violations: Vec<(CheckKind, Counterexample)>,
     /// `true` when a warp or event cap cut the run short — a clean
     /// truncated replay is inconclusive.
     pub truncated: bool,
-}
-
-/// Per-element store bookkeeping for the race sweep.
-#[derive(Clone, Copy, Default)]
-struct ElemStore {
-    plain: Option<u64>,
-    atomic_first: Option<u64>,
-    atomic_multi: bool,
 }
 
 struct Replayer<'a> {
@@ -82,21 +90,17 @@ struct Replayer<'a> {
     shape: (i64, i64, i64, i64),
     values: Vec<i64>,
     extents: Vec<i64>,
-    /// Elements of non-input buffers stored by *completed* launches.
-    initialized: HashSet<(usize, i64)>,
-    /// Stores made by the launch in flight (merged at launch end).
-    pending_init: HashSet<(usize, i64)>,
+    sink: Box<dyn AccessSink>,
     /// Shared-tile elements stored by the warp in flight: shared buffers
     /// have program-order visibility within one warp's block and no
     /// persistence past it, so the set resets per warp.
     shared_written: HashSet<(usize, i64)>,
-    /// Per-element store records for the current launch's race sweep.
-    stores: HashMap<(usize, i64), ElemStore>,
+    /// The first shared-tile read no same-warp store preceded.
+    shared_violation: Option<Counterexample>,
     global_counters: HashMap<usize, i64>,
     events: u64,
     launch_name: String,
     warp: u64,
-    violations: Vec<(CheckKind, Counterexample)>,
     truncated: bool,
 }
 
@@ -107,6 +111,7 @@ pub fn replay(
     policy: DataPolicy,
     strategy: ArmStrategy,
 ) -> ReplayOutcome {
+    let sanitizer = Sanitizer::new();
     let mut r = Replayer {
         plan,
         policy,
@@ -114,21 +119,36 @@ pub fn replay(
         shape,
         values: vec![0; plan.vars.len()],
         extents: Vec::new(),
-        initialized: HashSet::new(),
-        pending_init: HashSet::new(),
+        sink: sanitizer.sink(),
         shared_written: HashSet::new(),
-        stores: HashMap::new(),
+        shared_violation: None,
         global_counters: HashMap::new(),
         events: 0,
         launch_name: String::new(),
         warp: 0,
-        violations: Vec::new(),
         truncated: false,
     };
     r.run();
+    let examples = sanitizer.report().examples;
+    let shared = r.shared_violation.take().map(|cex| (CheckKind::Init, cex));
+    let found = examples.iter().map(|v| r.counterexample(v));
+    let mut violations = Vec::new();
+    keep_first(&mut violations, found.chain(shared));
     ReplayOutcome {
-        violations: r.violations,
+        violations,
         truncated: r.truncated,
+    }
+}
+
+/// Appends each of `found` whose kind `into` does not hold yet.
+fn keep_first(
+    into: &mut Vec<(CheckKind, Counterexample)>,
+    found: impl IntoIterator<Item = (CheckKind, Counterexample)>,
+) {
+    for (kind, cex) in found {
+        if !into.iter().any(|(k, _)| *k == kind) {
+            into.push((kind, cex));
+        }
     }
 }
 
@@ -143,11 +163,7 @@ pub fn replay_all(plan: &SymbolicPlan) -> (Vec<(CheckKind, Counterexample)>, boo
             for strategy in STRATEGIES {
                 let out = replay(plan, shape, policy, strategy);
                 truncated |= out.truncated;
-                for (kind, cex) in out.violations {
-                    if !found.iter().any(|(k, _)| *k == kind) {
-                        found.push((kind, cex));
-                    }
-                }
+                keep_first(&mut found, out.violations);
             }
         }
     }
@@ -157,10 +173,10 @@ pub fn replay_all(plan: &SymbolicPlan) -> (Vec<(CheckKind, Counterexample)>, boo
 impl Replayer<'_> {
     fn run(&mut self) {
         let (m, n, nnz, k) = self.shape;
+        let plan = self.plan;
         // Parameters first, in declaration order so defaults may reference
         // earlier ones.
-        for i in 0..self.plan.vars.len() {
-            let decl = self.plan.vars[i].clone();
+        for (i, decl) in plan.vars.iter().enumerate() {
             if !matches!(decl.kind, VarKind::Param) {
                 continue;
             }
@@ -175,17 +191,23 @@ impl Replayer<'_> {
                 },
             };
         }
-        self.extents = self
-            .plan
-            .buffers
-            .iter()
-            .map(|b| self.eval(&b.len.clone()).max(0))
-            .collect();
-        for li in 0..self.plan.launches.len() {
-            let launch = self.plan.launches[li].clone();
+        for (i, b) in plan.buffers.iter().enumerate() {
+            let extent = self.eval(&b.len).max(0);
+            self.extents.push(extent);
+            self.sink.register_buffer(&BufferDecl {
+                // Named through the layout: see `counterexample`.
+                name: "",
+                role: match b.role {
+                    SymBufferRole::Input | SymBufferRole::Shared => BufferRole::Input,
+                    SymBufferRole::Output => BufferRole::Output,
+                    SymBufferRole::Scratch => BufferRole::Scratch,
+                },
+                base: base(i),
+                len_bytes: extent as u64 * 4,
+            });
+        }
+        for launch in &plan.launches {
             self.launch_name = launch.name.clone();
-            self.stores.clear();
-            self.pending_init.clear();
             let mut warps: u64 = 1;
             for ext in &launch.extents {
                 let e = self.eval(ext).max(1) as u64;
@@ -197,6 +219,7 @@ impl Replayer<'_> {
                 self.truncated = true;
                 return;
             }
+            self.sink.begin_launch(&launch.name, warps);
             for w in 0..warps {
                 self.warp = w;
                 self.shared_written.clear();
@@ -209,11 +232,14 @@ impl Replayer<'_> {
                 self.assign_data_vars();
                 self.walk(&launch.ops);
                 if self.truncated {
-                    return;
+                    break;
                 }
             }
-            let pending: Vec<(usize, i64)> = self.pending_init.drain().collect();
-            self.initialized.extend(pending);
+            // A truncated launch still ends, so its stores are judged.
+            self.sink.end_launch();
+            if self.truncated {
+                return;
+            }
         }
     }
 
@@ -295,7 +321,7 @@ impl Replayer<'_> {
         Some(eligible[idx])
     }
 
-    fn access(&mut self, a: &hpsparse_sim::SymAccess) {
+    fn access(&mut self, a: &SymAccess) {
         let len = self.eval(&a.len);
         if len <= 0 {
             return;
@@ -303,122 +329,98 @@ impl Replayer<'_> {
         let offset = self.eval(&a.offset);
         let extent = self.extents[a.buffer];
         if offset < 0 || offset + len > extent {
-            let oob = if (0..extent).contains(&offset) {
-                OobKind::Overrun
-            } else {
-                OobKind::Wild
-            };
-            let detail = match oob {
-                OobKind::Overrun => format!("overruns the {extent}-element allocation"),
-                OobKind::Wild => format!("wild access outside the {extent}-element allocation"),
-            };
-            self.record(CheckKind::Bounds, a, offset, len, Some(oob), detail);
-            // The contained portion still happens (a racy or overrunning
-            // store still *writes* its in-bounds elements), so fall through
-            // and process it — otherwise init/race state would drift from
-            // the dynamic sanitizer's.
+            self.emit(a, offset, len);
         }
-        let role = self.plan.buffers[a.buffer].role;
-        let is_input = role == SymBufferRole::Input;
-        let is_shared = role == SymBufferRole::Shared;
-        for elem in offset.max(0)..(offset + len).min(extent) {
-            if self.events >= MAX_EVENTS {
-                self.truncated = true;
-                return;
-            }
-            self.events += 1;
-            // Shared tiles are on-chip: reads see the warp's own earlier
-            // stores (program order), stores never persist past the warp,
-            // and the cross-warp race sweep does not apply (the dynamic
-            // sanitizer has no shared-memory events to race on — the
-            // modeled per-warp slices are a static-side convention).
-            if is_shared {
-                match a.kind {
-                    SymAccessKind::Read => {
-                        if !self.shared_written.contains(&(a.buffer, elem)) {
-                            let detail =
-                                format!("read of shared element {elem} before any same-warp store");
-                            self.record(CheckKind::Init, a, offset, len, None, detail);
-                        }
-                    }
-                    SymAccessKind::Write | SymAccessKind::Atomic => {
-                        self.shared_written.insert((a.buffer, elem));
-                    }
-                }
-                continue;
-            }
-            match a.kind {
-                SymAccessKind::Read => {
-                    if !is_input && !self.initialized.contains(&(a.buffer, elem)) {
-                        let detail = format!("read of uninitialized element {elem}");
-                        self.record(CheckKind::Init, a, offset, len, None, detail);
-                    }
-                }
-                SymAccessKind::Write | SymAccessKind::Atomic => {
-                    let atomic = a.kind == SymAccessKind::Atomic;
-                    if !is_input {
-                        self.pending_init.insert((a.buffer, elem));
-                    }
-                    let w = self.warp;
-                    let rec = self.stores.entry((a.buffer, elem)).or_default();
-                    let plain_clash = rec.plain.is_some_and(|pw| pw != w);
-                    let atomic_clash =
-                        !atomic && (rec.atomic_first.is_some_and(|aw| aw != w) || rec.atomic_multi);
-                    let other = if plain_clash {
-                        rec.plain
-                    } else {
-                        rec.atomic_first
-                    };
-                    if atomic {
-                        match rec.atomic_first {
-                            None => rec.atomic_first = Some(w),
-                            Some(aw) if aw != w => rec.atomic_multi = true,
-                            Some(_) => {}
-                        }
-                    } else if rec.plain.is_none() {
-                        rec.plain = Some(w);
-                    }
-                    if plain_clash || atomic_clash {
-                        let detail = format!(
-                            "element {elem} also stored by warp {} ({})",
-                            other.unwrap_or(0),
-                            if plain_clash {
-                                "plain-vs-plain"
-                            } else {
-                                "plain-vs-atomic"
-                            }
-                        );
-                        self.record(CheckKind::Race, a, offset, len, None, detail);
-                    }
-                }
+        let lo = offset.max(0);
+        let inside = (offset + len).min(extent) - lo;
+        let kept = inside.min((MAX_EVENTS - self.events) as i64);
+        self.truncated |= kept < inside;
+        if kept <= 0 {
+            return;
+        }
+        self.events += kept as u64;
+        self.emit(a, lo, kept);
+        if self.plan.buffers[a.buffer].role != SymBufferRole::Shared {
+            return;
+        }
+        for elem in lo..lo + kept {
+            if a.kind != SymAccessKind::Read {
+                self.shared_written.insert((a.buffer, elem));
+            } else if self.shared_violation.is_none()
+                && !self.shared_written.contains(&(a.buffer, elem))
+            {
+                self.shared_violation = Some(Counterexample {
+                    shape: self.shape,
+                    launch: self.launch_name.clone(),
+                    warp: self.warp,
+                    buffer: self.plan.buffers[a.buffer].name.clone(),
+                    offset,
+                    len,
+                    oob: None,
+                    detail: format!("read of shared element {elem} before any same-warp store"),
+                });
             }
         }
     }
 
-    fn record(
-        &mut self,
-        kind: CheckKind,
-        a: &hpsparse_sim::SymAccess,
-        offset: i64,
-        len: i64,
-        oob: Option<OobKind>,
-        detail: String,
-    ) {
-        if self.violations.iter().any(|(k, _)| *k == kind) {
-            return;
-        }
-        self.violations.push((
+    fn emit(&mut self, a: &SymAccess, offset: i64, len: i64) {
+        let (kind, atomic) = match a.kind {
+            SymAccessKind::Read => (AccessKind::Read, false),
+            SymAccessKind::Write => (AccessKind::Write, false),
+            SymAccessKind::Atomic => (AccessKind::Atomic, true),
+        };
+        self.sink.record(&AccessEvent {
+            warp: self.warp,
             kind,
-            Counterexample {
-                shape: self.shape,
-                launch: self.launch_name.clone(),
-                warp: self.warp,
-                buffer: self.plan.buffers[a.buffer].name.clone(),
-                offset,
-                len,
-                oob,
-                detail,
-            },
-        ));
+            addr: base(a.buffer).wrapping_add_signed(offset * 4),
+            len_bytes: len as u64 * 4,
+            vector_width: 1,
+            atomic,
+        });
+    }
+
+    /// The sanitizer's violation in plan terms: every access stays within
+    /// half a spacing of its buffer's base, so the nearest base names it.
+    fn counterexample(&self, v: &Violation) -> (CheckKind, Counterexample) {
+        let buffer = ((v.addr + BUFFER_SPACING / 2) / BUFFER_SPACING - 1) as usize;
+        let offset = v.addr.wrapping_sub(base(buffer)) as i64 / 4;
+        let extent = self.extents[buffer];
+        let (kind, oob, detail) = match v.checker {
+            // Only an access starting inside its buffer has a declaration.
+            Checker::Memcheck if v.buffer.is_some() => (
+                CheckKind::Bounds,
+                Some(OobKind::Overrun),
+                format!("overruns the {extent}-element allocation"),
+            ),
+            Checker::Memcheck => (
+                CheckKind::Bounds,
+                Some(OobKind::Wild),
+                format!("wild access outside the {extent}-element allocation"),
+            ),
+            Checker::Racecheck => {
+                let with = match v.conflict {
+                    Some(Conflict::Plain(w)) => format!("warp {w} (plain-vs-plain)"),
+                    Some(Conflict::Atomic(Some(w))) => format!("warp {w} (plain-vs-atomic)"),
+                    _ => "several warps (plain-vs-atomic)".to_string(),
+                };
+                let detail = format!("element {offset} also stored by {with}");
+                (CheckKind::Race, None, detail)
+            }
+            Checker::Initcheck => {
+                let detail = format!("read of uninitialized element {offset}");
+                (CheckKind::Init, None, detail)
+            }
+        };
+        let cex = Counterexample {
+            shape: self.shape,
+            launch: v.kernel.clone(),
+            warp: v.warp,
+            buffer: self.plan.buffers[buffer].name.clone(),
+            offset,
+            len: (v.len_bytes / 4) as i64,
+            oob,
+            detail,
+        };
+        (kind, cex)
     }
 }

@@ -1,5 +1,6 @@
-//! Tier-1 witness for the autotuner (ROADMAP 7(a)): the default `Measured`
-//! strategy's SpMM and SDDMM plans on one quick registry graph keep the
+//! Tier-1 witness for the autotuner (ROADMAP "Robustness: a Tier-1 that
+//! means something"): the default `Measured` strategy's SpMM and SDDMM
+//! plans on one quick registry graph keep the
 //! kernel, cycles, rationale and simulator-launch count recorded before
 //! the planner learned to stop walking candidates that cannot win (PR 25 —
 //! never re-record them to make a change pass), and each equals an

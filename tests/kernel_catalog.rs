@@ -13,9 +13,22 @@ use hpsparse::kernels::mutants::{all_mutants, mutant_test_graph, Defect};
 use hpsparse::sim::{CostEngine, DeviceSpec, GpuSim};
 use hpsparse::sparse::FormatError;
 use hpsparse_sanitize::{sanitize_run, Checker};
-use hpsparse_verify::{verify_plan, CheckKind};
+use hpsparse_verify::{verify_plan, CheckKind, CheckVerdict};
 
 const K: usize = 32;
+
+/// Each mutant's static counterexample, in `all_mutants` order, after the
+/// witness shape `at (m=10, n=50, nnz=1000, k=32): `.
+const COUNTEREXAMPLES: [&str; 4] = [
+    "launch 'mutant:oob-tail' warp 15 buffer 'col_ind' [960, +41): \
+     overruns the 1000-element allocation",
+    "launch 'mutant:racy-tail' warp 1 buffer 'O' [0, +32): \
+     element 0 also stored by warp 0 (plain-vs-plain)",
+    "launch 'mutant:uninit-acc' warp 0 buffer 'O' [0, +32): \
+     read of uninitialized element 0",
+    "launch 'mutant:eager-norm' warp 0 buffer 'scores' [0, +64): \
+     read of uninitialized element 0",
+];
 
 #[test]
 fn the_catalogue_is_ours_then_the_registry_per_operation() {
@@ -70,7 +83,7 @@ fn every_row_is_clean_engine_independent_and_proved() {
 #[test]
 fn every_mutant_is_caught_statically_and_dynamically_on_its_defect_alone() {
     let s = mutant_test_graph();
-    for (defect, mutant) in all_mutants() {
+    for (i, (defect, mutant)) in all_mutants().into_iter().enumerate() {
         let (kind, checker) = match defect {
             Defect::Bounds => (CheckKind::Bounds, Checker::Memcheck),
             Defect::Race => (CheckKind::Race, Checker::Racecheck),
@@ -83,6 +96,11 @@ fn every_mutant_is_caught_statically_and_dynamically_on_its_defect_alone() {
             let refuted = verdict.check(k).is_refuted();
             assert_eq!(refuted, k == kind, "{} on {k}", mutant.name());
         }
+        let CheckVerdict::Refuted(cex) = verdict.check(kind) else {
+            unreachable!("refuted above")
+        };
+        let want = format!("at (m=10, n=50, nnz=1000, k=32): {}", COUNTEREXAMPLES[i]);
+        assert_eq!(cex.to_string(), want);
         let report = sanitize_run(DeviceSpec::v100(), |sim| {
             mutant.cost_on(sim, &s, K).unwrap();
         });
@@ -93,10 +111,11 @@ fn every_mutant_is_caught_statically_and_dynamically_on_its_defect_alone() {
     }
 }
 
-/// ROADMAP 7(c): a hand-built `HpConfig` the kernels cannot launch with —
-/// a zero or unsupported vector width (division by zero, a tile loop that
-/// never advances), an empty block, a NaN `alpha` — is refused by all three
-/// HP cost walks before any launch.
+/// ROADMAP "Robustness: … no panics at the boundary": a hand-built
+/// `HpConfig` the kernels cannot launch with — a zero or unsupported vector
+/// width (division by zero, a tile loop that never advances), an empty
+/// block, a NaN `alpha` — is refused by all three HP cost walks before any
+/// launch.
 #[test]
 fn unlaunchable_hp_configs_are_typed_errors() {
     let device = DeviceSpec::v100();
