@@ -5,8 +5,8 @@
 //! * [`PlanStrategy::Heuristic`] — rank every candidate with the analytic
 //!   cost model ([`crate::cost`]) and take the top. Zero simulator time.
 //! * [`PlanStrategy::Measured`] — rank heuristically, then walk the cost
-//!   of the top `top_n` candidates on a cold [`GpuSim`] against the
-//!   *actual* matrix and pick by measured cycles. A measurement is a cost
+//!   of the top [`MEASURED_TOP_N`] candidates on a cold [`GpuSim`]
+//!   against the *actual* matrix and pick by measured cycles. A measurement is a cost
 //!   walk (`cost_on`): it reports exactly what a full run would and
 //!   computes no float, so planning builds no feature matrix.
 //!   The heuristic's top pick is always in the measured set, so `Measured`
@@ -39,26 +39,23 @@ use crate::cost::{
 };
 use crate::fingerprint::GraphFingerprint;
 
+/// How many heuristic front-runners [`PlanStrategy::Measured`] walks: 12
+/// of the 18 SpMM candidates, wide enough that the analytic model only has
+/// to keep the true winner out of the bottom third. Fused attention has two
+/// candidates, so it measures both.
+pub const MEASURED_TOP_N: usize = 12;
+
 /// How the planner searches the candidate space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlanStrategy {
     /// Analytic cost model only — instant, no simulation.
     Heuristic,
-    /// Measure the `top_n` heuristic candidates — plus the paper-auto
-    /// incumbent, wherever it ranked — on the simulator with the actual
-    /// matrix; pick by measured cycles (exec + preprocessing).
-    Measured {
-        /// How many heuristic front-runners to measure.
-        top_n: usize,
-    },
-}
-
-impl Default for PlanStrategy {
-    fn default() -> Self {
-        // 12 of the 18 SpMM candidates: wide enough that the analytic
-        // model only has to keep the true winner out of the bottom third.
-        PlanStrategy::Measured { top_n: 12 }
-    }
+    /// Measure the [`MEASURED_TOP_N`] heuristic candidates — plus the
+    /// paper-auto incumbent, wherever it ranked — on the simulator with the
+    /// actual matrix; pick by measured cycles (exec + preprocessing). The
+    /// default.
+    #[default]
+    Measured,
 }
 
 /// The planner's decision for one `(graph, K, device)` input: which kernel
@@ -299,13 +296,10 @@ impl Planner {
                 }
                 plan
             }
-            PlanStrategy::Measured { top_n } => {
-                let top_n = if op == OpKind::FusedMha { 2 } else { top_n };
-                self.measured_plan(fp, ranked, top_n, |device, c, budget| {
-                    let mut sim = GpuSim::new(device.clone());
-                    op.measure(&mut sim, c, s, fp.k, heads, budget)
-                })
-            }
+            PlanStrategy::Measured => self.measured_plan(fp, ranked, |device, c, budget| {
+                let mut sim = GpuSim::new(device.clone());
+                op.measure(&mut sim, c, s, fp.k, heads, budget)
+            }),
         };
         // One finished plan and the simulator launches it spent, into the
         // installed trace session's registry; a no-op when detached.
@@ -315,13 +309,14 @@ impl Planner {
         plan
     }
 
-    /// Measures the top `top_n` ranked candidates with `measure` (one cold
-    /// simulator run each, returning cycles plus an optional bottleneck
-    /// verdict from [`hpsparse_sim::attribute`] on the run's report) and
-    /// picks the cheapest; falls back to the heuristic winner if nothing is
-    /// measurable (degenerate inputs). The winner's verdict is appended to
-    /// the rationale, so a measured plan explains its choice with exactly
-    /// the words `repro -- profile` would use for the same launch.
+    /// Measures the top [`MEASURED_TOP_N`] ranked candidates with `measure`
+    /// (one cold simulator run each, returning cycles plus an optional
+    /// bottleneck verdict from [`hpsparse_sim::attribute`] on the run's
+    /// report) and picks the cheapest; falls back to the heuristic winner
+    /// if nothing is measurable (degenerate inputs). The winner's verdict
+    /// is appended to the rationale, so a measured plan explains its choice
+    /// with exactly the words `repro -- profile` would use for the same
+    /// launch.
     ///
     /// Branch and bound: the first measurable candidate is walked in full,
     /// every later one under a budget of the best cycles so far. A walk
@@ -332,10 +327,8 @@ impl Planner {
         &mut self,
         fp: &GraphFingerprint,
         ranked: Vec<(f64, Candidate)>,
-        top_n: usize,
         mut measure: impl FnMut(&DeviceSpec, &Candidate, Option<u64>) -> Option<(u64, Option<String>)>,
     ) -> Plan {
-        let n = top_n.clamp(1, ranked.len().max(1));
         let mut best: Option<(u64, usize, Option<String>)> = None;
         let mut measured = 0usize;
         for (rank_idx, (_, cand)) in ranked.iter().enumerate() {
@@ -343,7 +336,7 @@ impl Planner {
             // heuristic ranked it: the tuned choice can then never be
             // slower than `HpConfig::auto`'s.
             let incumbent = matches!(cand.kernel_id.as_str(), "hp:auto" | "hp-sddmm:auto");
-            if rank_idx >= n && !incumbent {
+            if rank_idx >= MEASURED_TOP_N && !incumbent {
                 continue;
             }
             let budget = best.as_ref().map(|(b, _, _)| *b);
@@ -541,11 +534,12 @@ mod tests {
     #[test]
     fn measured_planner_counts_its_simulations() {
         let s = graph(2, 500, 3_000);
-        let mut p = Planner::new(DeviceSpec::v100(), PlanStrategy::Measured { top_n: 4 });
+        let mut p = Planner::new(DeviceSpec::v100(), PlanStrategy::Measured);
         let plan = p.plan_spmm(&s, 32);
-        // Top 4 by heuristic, plus the hp:auto incumbent if it ranked
-        // below 4th.
-        assert!((4..=5).contains(&p.sim_launches()), "{}", p.sim_launches());
+        // The shortlist by heuristic, plus the hp:auto incumbent if it
+        // ranked below it.
+        let (n, launches) = (MEASURED_TOP_N as u64, p.sim_launches());
+        assert!((n..=n + 1).contains(&launches), "{launches}");
         assert!(p.planning_cycles() > 0);
         assert!(plan.predicted_cycles > 0);
         assert!(plan.rationale.contains("/18 candidates on cold"));
@@ -557,16 +551,16 @@ mod tests {
     /// is the exhaustive search's, and at least one walk was cut short.
     #[test]
     fn a_losing_candidate_is_charged_the_budget_it_was_stopped_at() {
-        let (s, k, top_n) = (graph(8, 2000, 16_000), 64, 6);
+        let (s, k) = (graph(8, 2000, 16_000), 64);
         let v100 = DeviceSpec::v100();
-        let mut p = Planner::new(v100.clone(), PlanStrategy::Measured { top_n });
+        let mut p = Planner::new(v100.clone(), PlanStrategy::Measured);
         let plan = p.plan_spmm(&s, k);
 
         let fp = GraphFingerprint::of(&s, k, &v100);
         let ranked = rank(spmm_candidates(&v100, &fp), |c| spmm_cost(&v100, &fp, c));
         let (mut best, mut charged, mut exhaustive, mut walks) = (None, 0, 0, 0);
         for (i, (_, c)) in ranked.iter().enumerate() {
-            if i >= top_n && c.kernel_id != "hp:auto" {
+            if i >= MEASURED_TOP_N && c.kernel_id != "hp:auto" {
                 continue;
             }
             let Some(Ok(cost)) = instantiate_spmm(c).map(|kernel| kernel.cost(&v100, &s, k)) else {
@@ -593,7 +587,7 @@ mod tests {
     fn plans_are_byte_identical_across_runs() {
         let s = graph(3, 1000, 8_000);
         let v100 = DeviceSpec::v100();
-        for strategy in [PlanStrategy::Heuristic, PlanStrategy::Measured { top_n: 6 }] {
+        for strategy in [PlanStrategy::Heuristic, PlanStrategy::Measured] {
             let a = Planner::new(v100.clone(), strategy).plan_spmm(&s, 64);
             let b = Planner::new(v100.clone(), strategy).plan_spmm(&s, 64);
             assert_eq!(a, b);
@@ -610,7 +604,7 @@ mod tests {
         for seed in [1u64, 9, 42] {
             let s = graph(seed, 1500, 10_000);
             let h = Planner::new(v100.clone(), PlanStrategy::Heuristic).plan_spmm(&s, 64);
-            let mut mp = Planner::new(v100.clone(), PlanStrategy::Measured { top_n: 8 });
+            let mut mp = Planner::new(v100.clone(), PlanStrategy::Measured);
             let m = mp.plan_spmm(&s, 64);
             // Re-measure both plans under identical cold conditions.
             let a = measurement_features(s.cols(), 64);

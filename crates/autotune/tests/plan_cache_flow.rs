@@ -26,7 +26,7 @@ fn measured_plan_survives_disk_and_replays_without_simulation() {
     let v100 = DeviceSpec::v100();
 
     // Process 1: plan (costs simulator launches), cache, persist.
-    let mut planner = Planner::new(v100.clone(), PlanStrategy::Measured { top_n: 6 });
+    let mut planner = Planner::new(v100.clone(), PlanStrategy::Measured);
     let plan = planner.plan_spmm(&s, k);
     assert!(planner.sim_launches() > 0, "Measured planning simulates");
     let fp = GraphFingerprint::of(&s, k, &v100);
@@ -43,7 +43,7 @@ fn measured_plan_survives_disk_and_replays_without_simulation() {
     // Process 2: reload; the lookup is a hit and no planner (hence no
     // simulator) is ever consulted.
     let mut reloaded = PlanCache::load(&path).unwrap();
-    let fresh_planner = Planner::new(v100.clone(), PlanStrategy::Measured { top_n: 6 });
+    let fresh_planner = Planner::new(v100.clone(), PlanStrategy::Measured);
     let served = reloaded
         .get(OpKind::Spmm, GraphFingerprint::of(&s, k, &v100).key())
         .expect("persisted plan must hit");

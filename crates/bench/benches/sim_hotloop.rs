@@ -1,14 +1,25 @@
-//! Criterion microbenchmarks of the fast cost engine's hot loop: single
+//! Criterion microbenchmarks of the simulator's hot loop: single
 //! sector probes vs batched runs on [`SectorCache`] — one mixed stream plus
 //! one row per probe shape the kernels actually produce (MRU re-runs,
 //! streamed misses, hashed and pre-sorted lane gathers) — and whole warp
-//! tallies on [`WarpTally`] under both engines. These pin the primitives the
-//! descriptor API is built from, so a regression shows up here before it
-//! shows up as minutes in `repro -- selftime`. EXPERIMENTS.md "Probe
-//! microbenchmarks" keeps the before/after of every row.
+//! tallies on [`WarpTally`], unobserved and observed. These pin the
+//! primitives the descriptor API is built from, so a regression shows up
+//! here before it shows up as minutes in `repro -- selftime`.
+//! EXPERIMENTS.md "Probe microbenchmarks" keeps the before/after of every
+//! row.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use hpsparse_sim::{SectorCache, WarpTally};
+use hpsparse_sim::{AccessEvent, AccessSink, BufferDecl, SectorCache, WarpTally};
+
+/// A sink that keeps nothing: attaching it makes a tally observed.
+struct Ignore;
+
+impl AccessSink for Ignore {
+    fn begin_launch(&mut self, _: &str, _: u64) {}
+    fn register_buffer(&mut self, _: &BufferDecl) {}
+    fn record(&mut self, _: &AccessEvent) {}
+    fn end_launch(&mut self) {}
+}
 
 /// V100-shaped L2: 6 MiB, 16-way — the geometry whose slow path searches
 /// a set with one 16-lane compare mask.
@@ -184,12 +195,13 @@ fn bench_tally_warps(c: &mut Criterion) {
             black_box(total)
         })
     });
-    // The reference engine on the same traffic: every access element-wise.
-    group.bench_function("reference", |b| {
+    // The observed walk on the same traffic: a no-op sink expands every
+    // descriptor element-wise.
+    group.bench_function("observed", |b| {
         b.iter(|| {
             let mut cache = l2();
-            let mut tally = WarpTally::new(&mut cache, 32);
-            tally.set_reference(true);
+            let mut sink = Ignore;
+            let mut tally = WarpTally::with_sink(&mut cache, 32, Some(&mut sink));
             let mut total = 0u64;
             for _ in 0..WARPS {
                 warp_body(&mut tally, &indices);

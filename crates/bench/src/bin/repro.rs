@@ -25,11 +25,11 @@
 //!
 //! `perfdiff OLD.json NEW.json` compares two snapshots (`BENCH_*.json`
 //! or `--metrics` exports) metric by metric: regressions beyond
-//! `--tolerance` (fractional, default 0.25) and vanished metrics fail
-//! with exit 1, unreadable inputs with exit 2; `--report FILE` writes the
-//! machine-readable diff. Every `BENCH_*.json` carries a `host` section
-//! (core count, rayon threads) for provenance; `perfdiff` excludes it
-//! from comparison.
+//! `--tolerance` (fractional, finite and ≥ 0, default 0.25) and vanished
+//! metrics fail with exit 1, unreadable inputs and a bad tolerance with
+//! exit 2; `--report FILE` writes the machine-readable diff. Every
+//! `BENCH_*.json` carries a `host` section (core count, rayon threads) for
+//! provenance; `perfdiff` excludes it from comparison.
 //!
 //! `selftime` folds its run into `BENCH_repro.json` under a `runs` object
 //! keyed by thread count, so records at `RAYON_NUM_THREADS=1` and `=4`
@@ -68,8 +68,8 @@ fn main() {
             "--tolerance" => {
                 diff_tolerance = it
                     .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--tolerance needs a number"))
+                    .and_then(|v| perfdiff::parse_tolerance(&v))
+                    .unwrap_or_else(|| usage("--tolerance needs a finite number ≥ 0"))
             }
             "--report" => {
                 diff_report = Some(it.next().unwrap_or_else(|| usage("--report needs a file")))

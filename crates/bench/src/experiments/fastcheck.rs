@@ -1,16 +1,16 @@
-//! `fastcheck` — differential test of the two cost engines and of the
-//! cost-only entry.
+//! `fastcheck` — differential test of the unobserved walk and of the
+//! cost-only entry against the observed walk.
 //!
 //! Every catalogue kernel — the fused attention kernel at [`HEADS`] heads
 //! included — runs on every full-graph registry dataset three times: in
-//! full on the **reference** engine (element-wise descriptor expansion), in
-//! full on the **batched** engine (the sort-once stepped-gather
-//! descriptor), and as a bare **cost walk** (`cost_on`: no feature operand,
-//! no float) on the batched engine. The three profiles must be *equal* —
-//! not approximately, field for field, preprocessing included — for every
-//! cell. This is the witness that the fast engine and the cost-only entry
-//! are pure optimisations: same model, fewer host instructions. Each
-//! simulator picks its engine with [`GpuSim::set_engine`].
+//! full **observed** (a no-op [`AccessSink`] is attached, so every
+//! descriptor expands element-wise), in full **unobserved** (the sort-once
+//! stepped-gather descriptor), and as a bare unobserved **cost walk**
+//! (`cost_on`: no feature operand, no float). The three profiles must be
+//! *equal* — not approximately, field for field, preprocessing included —
+//! for every cell. This is the witness that the descriptor and the
+//! cost-only entry are pure optimisations: same model, fewer host
+//! instructions.
 //!
 //! Two feature dimensions are checked per cell: the benchmark default
 //! (K = 64), which exercises the vectorized paths, and an odd K (K = 33),
@@ -22,7 +22,7 @@ use crate::runner::bench_features;
 use crate::table;
 use hpsparse_core::catalog::{Kernel, Launches, Row, HEADS, KERNELS};
 use hpsparse_datasets::{full_graph_dataset, store};
-use hpsparse_sim::{CostEngine, DeviceSpec, GpuSim, LaunchReport};
+use hpsparse_sim::{AccessEvent, AccessSink, BufferDecl, DeviceSpec, GpuSim, LaunchReport};
 use hpsparse_sparse::{FormatError, Hybrid};
 use serde_json::json;
 
@@ -30,7 +30,7 @@ use serde_json::json;
 /// that defeats every alignment-based fast-path gate.
 pub const CHECK_KS: [usize; 2] = [64, 33];
 
-/// Edge cap for the sweep. The reference engine costs one host dispatch per
+/// Edge cap for the sweep. The observed walk costs one host dispatch per
 /// modelled sector, so the differential product uses tighter caps than the
 /// shared [`Effort::max_edges`].
 fn edge_cap(effort: Effort) -> usize {
@@ -47,28 +47,28 @@ pub struct KernelDiff {
     pub id: String,
     /// Cells checked (graphs × feature dimensions).
     pub cells: usize,
-    /// Cells whose batched and reference full runs reported equally.
+    /// Cells whose unobserved and observed full runs reported equally.
     pub matching: usize,
-    /// Cells whose cost walk reported what the batched full run did.
+    /// Cells whose cost walk reported what the unobserved full run did.
     pub cost_matching: usize,
-    /// Total modelled cycles (identical across engines when all match).
+    /// Total modelled cycles (identical across the three runs when all match).
     pub cycles: u64,
     /// Descriptions of the first few mismatching cells.
     pub mismatches: Vec<String>,
 }
 
 impl KernelDiff {
-    /// Reference ≡ batched ≡ cost-only on every cell?
+    /// Observed ≡ unobserved ≡ cost-only on every cell?
     pub fn passed(&self) -> bool {
         self.matching == self.cells && self.cost_matching == self.cells
     }
 
     /// Books one cell: the two full runs' profiles and the cost walk's.
-    fn fold(&mut self, graph: &str, k: usize, refr: &Launches, fast: &Launches, cost: &Launches) {
+    fn fold(&mut self, graph: &str, k: usize, obs: &Launches, fast: &Launches, cost: &Launches) {
         let exec = |c: &Launches, f: fn(&LaunchReport) -> u64| c.exec.iter().map(f).sum::<u64>();
         self.cells += 1;
-        self.cycles += exec(refr, |r| r.cycles);
-        self.matching += usize::from(fast == refr);
+        self.cycles += exec(obs, |r| r.cycles);
+        self.matching += usize::from(fast == obs);
         self.cost_matching += usize::from(cost == fast);
         let show = |c: &Launches| {
             format!(
@@ -81,8 +81,8 @@ impl KernelDiff {
             )
         };
         for (what, got, against, want) in [
-            ("batched", fast, "reference", refr),
-            ("cost-only", cost, "batched", fast),
+            ("unobserved", fast, "observed", obs),
+            ("cost-only", cost, "unobserved", fast),
         ] {
             if got != want && self.mismatches.len() < 4 {
                 self.mismatches.push(format!(
@@ -95,11 +95,15 @@ impl KernelDiff {
     }
 }
 
-/// A fresh cold-L2 simulator on `engine`.
-fn sim_on(device: &DeviceSpec, engine: CostEngine) -> GpuSim {
-    let mut sim = GpuSim::new(device.clone());
-    sim.set_engine(engine);
-    sim
+/// A sink that keeps nothing. Attaching it makes a walk observed, so every
+/// descriptor expands into the element-wise accesses it stands for.
+struct Ignore;
+
+impl AccessSink for Ignore {
+    fn begin_launch(&mut self, _: &str, _: u64) {}
+    fn register_buffer(&mut self, _: &BufferDecl) {}
+    fn record(&mut self, _: &AccessEvent) {}
+    fn end_launch(&mut self) {}
 }
 
 /// Runs the differential sweep: every kernel × every registry graph × every
@@ -142,17 +146,21 @@ pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelDiff> {
                     })
                 };
                 let cost = |sim: &mut GpuSim| kernel.cost_on(sim, s, k);
-                // One cell: the kernel in full on both engines, then its
-                // bare cost walk on the batched one, each from a cold
+                // One cell: the kernel in full observed and unobserved,
+                // then its bare cost walk unobserved, each from a cold
                 // simulator.
-                let on = |entry: Entry, engine: CostEngine| {
-                    entry(&mut sim_on(device, engine)).unwrap_or_else(|e| {
-                        panic!("{} on {graph} K={k} ({}): {e:?}", row.id, engine.label())
+                let on = |entry: Entry, observed: bool| {
+                    let mut sim = GpuSim::new(device.clone());
+                    if observed {
+                        sim.attach_sink(Box::new(Ignore));
+                    }
+                    entry(&mut sim).unwrap_or_else(|e| {
+                        panic!("{} on {graph} K={k} (observed: {observed}): {e:?}", row.id)
                     })
                 };
-                let refr = on(&full, CostEngine::Reference);
-                let fast = on(&full, CostEngine::Batched);
-                diff.fold(graph, k, &refr, &fast, &on(&cost, CostEngine::Batched));
+                let obs = on(&full, true);
+                let fast = on(&full, false);
+                diff.fold(graph, k, &obs, &fast, &on(&cost, false));
             }
         }
         diff
@@ -184,7 +192,7 @@ pub fn render(device: &DeviceSpec, effort: Effort, diffs: &[KernelDiff]) -> Expe
     let header = [
         "Kernel",
         "Cells",
-        "Batched",
+        "Unobserved",
         "Cost-only",
         "Cycles",
         "Verdict",
@@ -201,7 +209,7 @@ pub fn render(device: &DeviceSpec, effort: Effort, diffs: &[KernelDiff]) -> Expe
 
     let ks: Vec<String> = CHECK_KS.iter().map(|k| k.to_string()).collect();
     let text = format!(
-        "fastcheck — reference ≡ batched ≡ cost-only, K ∈ {{{}}}, {} ({}, edge cap {})\n\n{}\n  \
+        "fastcheck — observed ≡ unobserved ≡ cost-only, K ∈ {{{}}}, {} ({}, edge cap {})\n\n{}\n  \
          verdict: {}\n{}",
         ks.join(", "),
         device.name,
@@ -209,7 +217,7 @@ pub fn render(device: &DeviceSpec, effort: Effort, diffs: &[KernelDiff]) -> Expe
         edge_cap(effort),
         table::render(&header, &rows),
         if all_match {
-            "every LaunchReport identical across both engines and the cost-only entry"
+            "every LaunchReport identical observed, unobserved and cost-only"
         } else {
             "DIVERGENCE:"
         },
@@ -235,7 +243,7 @@ pub fn render(device: &DeviceSpec, effort: Effort, diffs: &[KernelDiff]) -> Expe
         text,
         json!({
             "device": device.name,
-            "engines": json!(["reference", "batched"]),
+            "walks": json!(["observed", "unobserved"]),
             "ks": CHECK_KS.iter().map(|&k| json!(k)).collect::<Vec<_>>(),
             "effort": effort.label(),
             "edge_cap": edge_cap(effort),
@@ -253,13 +261,13 @@ mod tests {
     fn acceptance_every_cell_matches() {
         let out = run(&DeviceSpec::v100(), Effort::Quick);
         assert_eq!(out.json["all_match"].as_bool(), Some(true), "{}", out.text);
-        // The batched engine checked against the reference, and the cost
-        // walk against the batched full run, on every cell: the sixteen
-        // catalogue kernels, each on 19 graphs × 2 feature dimensions —
-        // 608 cells in total.
+        // The unobserved walk checked against the observed one, and the
+        // cost walk against the unobserved full run, on every cell: the
+        // sixteen catalogue kernels, each on 19 graphs × 2 feature
+        // dimensions — 608 cells in total.
         let kernels = out.json["kernels"].as_array().unwrap();
         assert_eq!(kernels.len(), KERNELS.len());
-        assert_eq!(out.json["engines"], json!(["reference", "batched"]));
+        assert_eq!(out.json["walks"], json!(["observed", "unobserved"]));
         let mut cells = 0;
         for k in kernels {
             assert_eq!(k["cells"].as_u64(), Some(38), "{}", k["id"]);

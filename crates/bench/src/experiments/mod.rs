@@ -187,7 +187,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
         |e| sanitize::run(&DeviceSpec::v100(), e)),
     Experiment::new("verify", "static bounds/race/init verification with a prove-or-escalate gate",
         |e| verify::run(&DeviceSpec::v100(), e)).not_in_all(),
-    Experiment::new("fastcheck", "differential test: reference vs batched engine vs cost-only entry",
+    Experiment::new("fastcheck", "differential test: observed vs unobserved walk vs cost-only entry",
         |e| fastcheck::run(&DeviceSpec::v100(), e)).not_in_all(),
     Experiment::new("profile", "Nsight-style kernel profiles on Flickr",
         |e| kernel_profile::run(e, DEFAULT_K)).deep_trace(),

@@ -32,6 +32,14 @@ use std::collections::BTreeMap;
 /// reacts (wall-clock noise on shared CI machines is real).
 pub const DEFAULT_TOLERANCE: f64 = 0.25;
 
+/// Parses a `--tolerance` value: a finite fraction ≥ 0, else `None` (under
+/// NaN or ±∞ every comparison would pass).
+pub fn parse_tolerance(text: &str) -> Option<f64> {
+    text.parse()
+        .ok()
+        .filter(|t: &f64| t.is_finite() && *t >= 0.0)
+}
+
 /// Absolute floor: when two values differ by less than this, the pair
 /// passes regardless of relative movement. Absorbs 0.01 s → 0.02 s style
 /// noise on near-zero timings that a relative threshold would flag as a
@@ -333,6 +341,15 @@ pub fn diff(old: &Value, new: &Value, tolerance: f64) -> DiffReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_tolerance_is_a_finite_fraction_at_least_zero() {
+        assert_eq!(parse_tolerance("0"), Some(0.0));
+        assert_eq!(parse_tolerance("0.25"), Some(0.25));
+        for refused in ["nan", "inf", "-0.1", "abc"] {
+            assert_eq!(parse_tolerance(refused), None, "{refused}");
+        }
+    }
 
     #[test]
     fn flatten_keys_arrays_by_identity_field_and_skips_host_segments() {

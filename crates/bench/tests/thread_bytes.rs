@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 fn run(threads: &str) -> (String, String) {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("engine_bytes");
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("thread_bytes");
     std::fs::create_dir_all(&dir).expect("create tmp dir");
     let trace = dir.join(format!("trace-{threads}.json"));
     let metrics = dir.join(format!("metrics-{threads}.json"));

@@ -31,9 +31,8 @@
 //! `run_on` is the two together. Callers that only read a
 //! [`LaunchReport`] — the planner's one measure path, the experiment
 //! sweeps — call the cost walk alone; its [`KernelCost`] equals the
-//! `report` / `preprocess` of a full run on the same simulator state, under
-//! either cost engine and with any sink attached (proptested in
-//! `crates/core/tests/cost_walk.rs`).
+//! `report` / `preprocess` of a full run on the same simulator state,
+//! observed or not (proptested in `crates/core/tests/cost_walk.rs`).
 
 use crate::numerics;
 use hpsparse_sim::{DeviceSpec, GpuSim, LaunchReport, SymbolicPlan};

@@ -4,8 +4,8 @@
 //! * **Cost-only ≡ full run.** For every kernel — the fused attention
 //!   kernel's launches included — `cost_on` reports exactly the `report` /
 //!   `preprocess` of `run_on` from the same simulator state
-//!   — cold, warm after other launches, under the reference engine, and
-//!   with a recording sink attached (same declarations, same events) — and
+//!   — cold, warm after other launches, and with a recording sink attached
+//!   from cold or warm (same declarations, same events) — and
 //!   leaves the simulator where the full run leaves it: the next allocation
 //!   lands at the same address and the next launch reports the same.
 //! * **The numerics routines are their documented order.** Each equals a
@@ -20,7 +20,7 @@ use hpsparse_core::hp::{FusedMhaCost, HpConfig, HpFusedMha, HpSddmm, HpSpmm, HpS
 use hpsparse_core::mutants::all_mutants;
 use hpsparse_core::numerics::{element_order, masked_dots, segment_sums, segments, Cut};
 use hpsparse_core::{KernelCost, SddmmKernel, SpmmKernel};
-use hpsparse_sim::{AccessEvent, AccessSink, BufferDecl, CostEngine, DeviceSpec, GpuSim};
+use hpsparse_sim::{AccessEvent, AccessSink, BufferDecl, DeviceSpec, GpuSim};
 use hpsparse_sparse::{Dense, Hybrid};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
@@ -101,14 +101,21 @@ enum State {
     /// A persistent simulator that already ran other launches: allocation
     /// cursor advanced, L2 populated.
     Warm,
-    ColdReference,
+    /// A recording sink attached: every descriptor expands element-wise.
+    ColdWithSink,
     WarmWithSink,
+}
+
+impl State {
+    fn observed(self) -> bool {
+        matches!(self, State::ColdWithSink | State::WarmWithSink)
+    }
 }
 
 const STATES: [State; 4] = [
     State::Cold,
     State::Warm,
-    State::ColdReference,
+    State::ColdWithSink,
     State::WarmWithSink,
 ];
 
@@ -139,7 +146,7 @@ fn prepared(device: &DeviceSpec, state: State) -> (GpuSim, Recorder) {
     let recorder = Recorder::default();
     match state {
         State::Cold => {}
-        State::ColdReference => sim.set_engine(CostEngine::Reference),
+        State::ColdWithSink => sim.attach_sink(Box::new(recorder.clone())),
         State::Warm => {
             other_launches(&mut sim);
         }
@@ -331,7 +338,7 @@ proptest! {
                 });
                 let cost = aftermath(&device, state, |sim| kernel.cost_on(sim, &s, k).unwrap());
                 prop_assert_eq!(&cost, &full, "{} from {:?}", kernel.name(), state);
-                prop_assert_eq!(full.seen.is_empty(), !matches!(state, State::WarmWithSink));
+                prop_assert_eq!(full.seen.is_empty(), !state.observed());
             }
             for kernel in sddmm_kernels(&device, &s, k) {
                 let full = aftermath(&device, state, |sim| {
@@ -373,7 +380,7 @@ proptest! {
                         kernel.cost_on(sim, &s, d, heads).unwrap()
                     });
                     prop_assert_eq!(&cost, &full, "{:?} from {:?}", kernel.config, state);
-                    prop_assert_eq!(full.seen.is_empty(), !matches!(state, State::WarmWithSink));
+                    prop_assert_eq!(full.seen.is_empty(), !state.observed());
                     prop_assert_eq!(full.cost.spilled_rows, usize::from(hub > SMEM_SCORE_CAP));
                 }
             }

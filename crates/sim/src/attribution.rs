@@ -112,8 +112,8 @@ impl Attribution {
 }
 
 /// Classifies one launch (see the module docs for the decomposition). The
-/// verdict depends only on the report and the device spec, so any engine —
-/// and any consumer holding a report — reproduces it exactly.
+/// verdict depends only on the report and the device spec, so any
+/// consumer holding a report reproduces it exactly.
 pub fn attribute(report: &LaunchReport, device: &DeviceSpec) -> Attribution {
     // Where the warps' cycles went, by pipeline.
     let p = report.totals.pipeline_cycles(&device.cost);

@@ -46,9 +46,10 @@
 //!   repository benchmark's `sim.synth_*_ns_per_txn` **and**, over
 //!   alternating pairs, on its `sweep` workload's `wall_s`.
 //!
-//! Both cost engines share this file, so no engine-vs-engine check can see
-//! a probe bug: the `#[cfg(test)]` per-sector oracle below and the proptest
-//! against it are what hold the walker to the model bit for bit.
+//! The observed and unobserved walks share this file, so no check of one
+//! against the other can see a probe bug: the `#[cfg(test)]` per-sector
+//! oracle below and the proptest against it are what hold the walker to the
+//! model bit for bit.
 
 use crate::memory::SECTOR_BYTES;
 

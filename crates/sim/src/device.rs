@@ -1,5 +1,4 @@
-//! Device specifications for the GPUs used in the paper's evaluation, and
-//! [`CostEngine`], which names the two cost engines.
+//! Device specifications for the GPUs used in the paper's evaluation.
 
 /// Cycle costs charged by the model for each architectural event.
 ///
@@ -42,43 +41,6 @@ impl Default for CostModel {
             shuffle: 1.0,
             smt_width: 8.0,
             tensor_mma: 4.0,
-        }
-    }
-}
-
-/// Which cost-engine implementation executes a launch. Both produce
-/// bit-identical [`LaunchReport`]s — `repro -- fastcheck` asserts it for
-/// every registry kernel — so the selection is purely a host-speed choice.
-/// [`GpuSim::set_engine`] is the one selector; a new simulator starts on
-/// [`CostEngine::Batched`].
-///
-/// With an [`AccessSink`] attached the tally expands descriptors
-/// element-wise under either engine, so the observer sees the exact
-/// per-event stream. A tracer constrains nothing: it consumes the per-warp,
-/// per-block and per-wave aggregates the launch loop produces anyway, so
-/// trace and metrics exports are byte-identical across engines and thread
-/// counts (pinned by tests in `launch.rs` and `hpsparse-bench`).
-///
-/// [`LaunchReport`]: crate::LaunchReport
-/// [`GpuSim::set_engine`]: crate::GpuSim::set_engine
-/// [`AccessSink`]: crate::sink::AccessSink
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostEngine {
-    /// Every access element-wise, descriptors expanded: the slow
-    /// differential-testing oracle.
-    Reference,
-    /// The fast engine and the default: the element-wise accesses plus the
-    /// sort-once stepped-gather descriptor.
-    #[default]
-    Batched,
-}
-
-impl CostEngine {
-    /// Stable lowercase name, for diagnostics.
-    pub fn label(self) -> &'static str {
-        match self {
-            CostEngine::Reference => "reference",
-            CostEngine::Batched => "batched",
         }
     }
 }

@@ -7,15 +7,15 @@
 //! §III-B1's schedule (Eq. 3–5), which the cycle budget, the trace timeline
 //! and [`crate::attribution`] read.
 //!
-//! # Engines
+//! # One walk, observed or not
 //!
-//! The walk runs under one of two cost engines ([`CostEngine`]) with
-//! bit-identical counters: **Batched**, the default (the stepped-gather
-//! descriptor sorts its lanes once), and **Reference**, every access
-//! element-wise — the differential-testing oracle. Bodies run in global
-//! warp order under both, since the one LRU L2's hit/miss split depends on
-//! that order; they are cost walks, tally calls only. Parallelism lives
-//! above the launch, in the harness's graph × kernel fan-out.
+//! There is one walk. Its one descriptor, the stepped gather, sorts its
+//! lanes once; an attached [`AccessSink`] expands it element-wise, and that
+//! observed walk is the oracle of the unobserved one (`repro fastcheck`).
+//! Bodies run in global warp order, since the one LRU L2's hit/miss split
+//! depends on that order; they are cost walks, tally calls only.
+//! Parallelism lives above the launch, in the harness's graph × kernel
+//! fan-out.
 //!
 //! # Cycle budgets
 //!
@@ -27,7 +27,7 @@
 //! launch of the measurement is skipped.
 
 use crate::cache::SectorCache;
-use crate::device::{CostEngine, DeviceSpec};
+use crate::device::DeviceSpec;
 use crate::memory::{MemorySpace, SECTOR_BYTES};
 use crate::occupancy::KernelResources;
 use crate::price::Schedule;
@@ -235,8 +235,6 @@ pub struct GpuSim {
     /// Every declaration made so far, kept so a sink attached *after* some
     /// allocations still learns about them (replayed in `attach_sink`).
     decls: Vec<BufferDecl>,
-    /// Cost engine of subsequent launches. Never affects a reported number.
-    engine: CostEngine,
     /// Optional trace subscriber; while attached, every launch emits its
     /// wave-by-wave timeline and NCU-style metrics into the session. Same
     /// `Option`-test discipline as `sink`: detached costs one branch per
@@ -251,8 +249,7 @@ pub struct GpuSim {
 }
 
 impl GpuSim {
-    /// Builds a simulator for `device` with a cold L2, on the default
-    /// [`CostEngine::Batched`].
+    /// Builds a simulator for `device` with a cold L2.
     pub fn new(device: DeviceSpec) -> Self {
         let l2 = SectorCache::new(device.l2_bytes, device.l2_assoc);
         Self {
@@ -261,7 +258,6 @@ impl GpuSim {
             memory: MemorySpace::new(),
             sink: None,
             decls: Vec::new(),
-            engine: CostEngine::default(),
             tracer: None,
             device_index: None,
             budget: None,
@@ -273,15 +269,9 @@ impl GpuSim {
         &self.device
     }
 
-    /// Selects the cost engine for all subsequent launches. Counters are
-    /// guaranteed identical either way (`repro -- fastcheck` asserts it);
-    /// [`CostEngine::Reference`] exists as the differential-testing oracle.
-    pub fn set_engine(&mut self, engine: CostEngine) {
-        self.engine = engine;
-    }
-
     /// Attaches an access-event observer. All buffers declared so far are
-    /// replayed into it, so attaching after allocation loses nothing.
+    /// replayed into it, so attaching after allocation loses nothing. While
+    /// attached, descriptors expand element-wise and no budget stops a launch.
     pub fn attach_sink(&mut self, mut sink: Box<dyn AccessSink>) {
         for decl in &self.decls {
             sink.register_buffer(decl);
@@ -301,9 +291,9 @@ impl GpuSim {
 
     /// Attaches a trace session: subsequent launches emit their timeline
     /// (blocks on SM lanes, counter tracks) and record NCU-style metrics
-    /// into the session's registry. Unlike a sink, a tracer never forces
-    /// the reference engine — it only consumes the per-warp/per-wave
-    /// aggregates the fast engine already produces.
+    /// into the session's registry. Unlike a sink, a tracer expands no
+    /// descriptor — it only consumes the per-warp/per-wave aggregates the
+    /// unobserved walk already produces.
     pub fn attach_tracer(&mut self, tracer: TraceSession) {
         self.tracer = Some(tracer);
     }
@@ -459,7 +449,6 @@ impl GpuSim {
             self.device.warp_size,
             self.sink.as_deref_mut(),
         );
-        tally.set_reference(self.engine == CostEngine::Reference);
         let (mut totals, mut wave_start) = (WarpCounters::default(), WarpCounters::default());
         for id in 0..if skipped { 0 } else { schedule.blocks } {
             let block = schedule.block(id);
@@ -527,6 +516,16 @@ impl GpuSim {
 mod tests {
     use super::*;
     use crate::occupancy::occupancy_of;
+
+    /// A sink that observes and keeps nothing: attaching it makes a walk
+    /// observed, so every descriptor expands element-wise.
+    struct Ignore;
+    impl AccessSink for Ignore {
+        fn begin_launch(&mut self, _: &str, _: u64) {}
+        fn register_buffer(&mut self, _: &BufferDecl) {}
+        fn record(&mut self, _: &crate::sink::AccessEvent) {}
+        fn end_launch(&mut self) {}
+    }
 
     fn small_res() -> KernelResources {
         KernelResources {
@@ -811,9 +810,11 @@ mod tests {
     /// cross-warp reuse), a stepped gather, a scatter-shaped gather list,
     /// atomics, shared/shuffle/compute — plus cross-launch cache state
     /// (launch 2 re-reads launch 1's data).
-    fn run_mixed_workload(engine: CostEngine) -> (Vec<LaunchReport>, f64) {
+    fn run_mixed_workload(observed: bool) -> (Vec<LaunchReport>, f64) {
         let mut sim = GpuSim::new(DeviceSpec::v100());
-        sim.set_engine(engine);
+        if observed {
+            sim.attach_sink(Box::new(Ignore));
+        }
         let cfg = LaunchConfig {
             num_warps: 600,
             resources: small_res(),
@@ -842,24 +843,26 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_mixed_workload() {
-        let (ref_reports, ref_hr) = run_mixed_workload(CostEngine::Reference);
-        let (bat_reports, bat_hr) = run_mixed_workload(CostEngine::Batched);
-        assert_eq!(ref_reports, bat_reports);
+    fn observed_and_unobserved_walks_agree_on_mixed_workload() {
+        let (obs_reports, obs_hr) = run_mixed_workload(true);
+        let (fast_reports, fast_hr) = run_mixed_workload(false);
+        assert_eq!(obs_reports, fast_reports);
         // Cross-launch cache state must agree too.
-        assert_eq!(ref_hr.to_bits(), bat_hr.to_bits());
+        assert_eq!(obs_hr.to_bits(), fast_hr.to_bits());
     }
 
-    /// A tracer constrains nothing: with one attached, each engine runs as
-    /// selected and the exported timeline + metrics are byte-identical —
-    /// over a launch of many waves with cross-warp L2 reuse, then a small
-    /// one sharing the session.
+    /// A tracer constrains nothing: with one attached, an observed and an
+    /// unobserved walk export byte-identical timelines + metrics — over a
+    /// launch of many waves with cross-warp L2 reuse, then a small one
+    /// sharing the session.
     #[test]
-    fn traced_exports_are_byte_identical_across_engines() {
+    fn traced_exports_are_byte_identical_observed_or_not() {
         use hpsparse_trace::TraceSession;
-        let run = |engine: CostEngine| -> (String, String, LaunchReport) {
+        let run = |observed: bool| -> (String, String, LaunchReport) {
             let mut sim = GpuSim::new(DeviceSpec::v100());
-            sim.set_engine(engine);
+            if observed {
+                sim.attach_sink(Box::new(Ignore));
+            }
             let session = TraceSession::new();
             sim.attach_tracer(session.clone());
             let cfg = LaunchConfig {
@@ -872,7 +875,7 @@ mod tests {
                 t.global_read(base, 1024, 4);
             });
             // A second, small launch shares the session: the clock must
-            // advance identically across engines.
+            // advance identically observed or not.
             sim.launch_named(
                 "small",
                 LaunchConfig {
@@ -884,11 +887,11 @@ mod tests {
             let metrics = serde_json::to_string(&session.metrics().to_json()).unwrap();
             (session.to_chrome_json(), metrics, big)
         };
-        let (trace_ref, metrics_ref, report_ref) = run(CostEngine::Reference);
-        let (trace_bat, metrics_bat, report_bat) = run(CostEngine::Batched);
-        assert_eq!(report_ref, report_bat);
-        assert_eq!(metrics_ref, metrics_bat);
-        assert_eq!(trace_ref, trace_bat);
+        let (trace_obs, metrics_obs, report_obs) = run(true);
+        let (trace_fast, metrics_fast, report_fast) = run(false);
+        assert_eq!(report_obs, report_fast);
+        assert_eq!(metrics_obs, metrics_fast);
+        assert_eq!(trace_obs, trace_fast);
     }
 
     type Body = fn(u64, &mut WarpTally);
@@ -937,7 +940,7 @@ mod tests {
     }
 
     /// Under any budget the walk stops at the first block whose running
-    /// bound reaches it — the same block on both engines — and one that
+    /// bound reaches it, and one that
     /// never reaches it reports what an unbudgeted launch does. The bound
     /// never decreases and ends at the launch's `cycles`.
     #[test]
@@ -965,15 +968,12 @@ mod tests {
                     blocks: i as u64 + 1,
                     cycles_at_least: bounds[i],
                 });
-                for engine in [CostEngine::Batched, CostEngine::Reference] {
-                    let mut sim = GpuSim::new(DeviceSpec::v100());
-                    sim.set_engine(engine);
-                    sim.set_cycle_budget(budget);
-                    let report = sim.launch(cfg, body);
-                    assert_eq!(sim.budget_stop(), want, "{warps} warps, budget {budget}");
-                    if want.is_none() {
-                        assert_eq!(report, free);
-                    }
+                let mut sim = GpuSim::new(DeviceSpec::v100());
+                sim.set_cycle_budget(budget);
+                let report = sim.launch(cfg, body);
+                assert_eq!(sim.budget_stop(), want, "{warps} warps, budget {budget}");
+                if want.is_none() {
+                    assert_eq!(report, free);
                 }
             }
         }
@@ -1022,14 +1022,6 @@ mod tests {
     /// A sink or tracer observes every event, so it overrides any budget.
     #[test]
     fn an_observed_launch_never_stops() {
-        use crate::sink::{AccessEvent, AccessSink, BufferDecl};
-        struct Ignore;
-        impl AccessSink for Ignore {
-            fn begin_launch(&mut self, _: &str, _: u64) {}
-            fn register_buffer(&mut self, _: &BufferDecl) {}
-            fn record(&mut self, _: &AccessEvent) {}
-            fn end_launch(&mut self) {}
-        }
         let (warps, body) = budget_workloads()[0];
         let cfg = LaunchConfig {
             num_warps: warps,

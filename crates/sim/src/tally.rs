@@ -6,25 +6,24 @@
 //! and shuffle reductions, and [`WarpCounters::cycles`] prices the counts
 //! under the device [`CostModel`].
 //!
-//! # The batched engine
+//! # The one descriptor
 //!
-//! The element-wise API alone is the reference engine
-//! ([`WarpTally::set_reference`]). The batched engine — the default — adds
-//! one descriptor to it, [`global_gather_stepped`]: a whole family of lane
-//! gathers in one call, whose lane indices are sorted once instead of once
-//! per step. It reproduces the per-step gathers' counters bit for bit
-//! (asserted by `repro -- fastcheck`) against the one live [`SectorCache`]
-//! the tally borrows. Whenever an [`AccessSink`] is attached (the
-//! sanitizer), or the tally is put in reference mode, it expands into the
-//! per-step gathers so the sink observes the exact per-event stream.
+//! Besides the element-wise API the tally has one descriptor,
+//! [`global_gather_stepped`]: a whole family of lane gathers in one call,
+//! whose lane indices are sorted once instead of once per step. It
+//! reproduces the per-step gathers' counters bit for bit (asserted by
+//! `repro -- fastcheck`) against the one live [`SectorCache`] the tally
+//! borrows. Whenever an [`AccessSink`] is attached it expands into the
+//! per-step gathers, so the sink observes the exact per-event stream; that
+//! observed walk is the oracle the sorted path is checked against.
 //! ([`gather_rows`] is not a descriptor: it is the loop of [`global_read`]
 //! calls it abbreviates.)
 //!
 //! # How the L2 is probed
 //!
-//! Both engines pay for the cache the same way, because every coalesced
-//! access — element-wise or from a descriptor — is a sector run: one
-//! [`SectorCache::access_run`] call, one slice walk, statistics booked once
+//! Observed or not, the walk pays for the cache the same way. Every
+//! coalesced access — element-wise or from a descriptor — is a sector run:
+//! one [`SectorCache::access_run`] call, one slice walk, statistics booked once
 //! (see [`crate::cache`]). Only lane gathers and scatters probe sector by
 //! sector, through the cache's crate-private uncounted probe; they count
 //! their hits in a register and book once per gather (once per *stepped*
@@ -67,7 +66,7 @@ pub struct WarpCounters {
     /// spanning more than one sector), forcing element-wise expansion.
     /// Such accesses bypass the descriptor structure the static verifier
     /// models, so a nonzero count flags a kernel drifting out of the IR.
-    /// Free of cycle cost; engine-independent (reference and batched count
+    /// Free of cycle cost; observer-independent (an observed walk counts
     /// the same calls).
     pub descriptor_fallbacks: u64,
 }
@@ -179,10 +178,9 @@ pub struct WarpTally<'a> {
     gather_scratch: Vec<u64>,
     /// Reused between stepped gathers; holds the once-sorted lane indices.
     sort_scratch: Vec<u32>,
-    /// Reference mode: descriptors expand element-wise. A sink forces the
-    /// same expansion, so it sees every event.
-    reference: bool,
     /// Optional access-event observer (sanitizer); `None` in ordinary runs.
+    /// While attached, descriptors expand element-wise so it sees every
+    /// event.
     sink: Option<&'a mut (dyn AccessSink + 'static)>,
     /// Launch-global id of the warp currently being simulated, stamped onto
     /// every forwarded event.
@@ -210,17 +208,9 @@ impl<'a> WarpTally<'a> {
             counters: WarpCounters::default(),
             gather_scratch: Vec::new(),
             sort_scratch: Vec::new(),
-            reference: false,
             sink,
             warp: 0,
         }
-    }
-
-    /// Selects the reference engine: descriptors expand element-wise. The
-    /// differential `fastcheck` experiment runs every kernel in both modes
-    /// and asserts equal reports.
-    pub fn set_reference(&mut self, reference: bool) {
-        self.reference = reference;
     }
 
     /// Sets the warp id stamped onto forwarded events (called by the launch
@@ -400,8 +390,8 @@ impl<'a> WarpTally<'a> {
         if !single_sector && steps > 0 && !indices.is_empty() {
             self.counters.descriptor_fallbacks += 1;
         }
-        // Reference mode and a sink (which needs every event) expand too.
-        if self.reference || self.sink.is_some() || !single_sector {
+        // A sink, which needs every event, expands too.
+        if self.sink.is_some() || !single_sector {
             for s in 0..steps {
                 let off = first + s * step_stride;
                 self.global_gather(
@@ -559,6 +549,16 @@ mod tests {
 
     fn mk_cache() -> SectorCache {
         SectorCache::new(64 * 1024, 16)
+    }
+
+    /// A sink that keeps nothing: attaching it makes a tally observed, so
+    /// every descriptor expands element-wise.
+    struct Ignore;
+    impl AccessSink for Ignore {
+        fn begin_launch(&mut self, _: &str, _: u64) {}
+        fn register_buffer(&mut self, _: &crate::sink::BufferDecl) {}
+        fn record(&mut self, _: &AccessEvent) {}
+        fn end_launch(&mut self) {}
     }
 
     #[test]
@@ -734,19 +734,19 @@ mod tests {
         assert_eq!(t.counters().instructions, 0);
     }
 
-    /// Replays one closure on a fast tally and one on a reference tally
-    /// (fresh caches) and asserts identical counters.
+    /// Replays one closure on an unobserved tally and one on an observed
+    /// tally (fresh caches) and asserts identical counters.
     fn assert_matches_reference(f: impl Fn(&mut WarpTally<'_>)) {
         let mut fast_cache = mk_cache();
         let mut fast = WarpTally::new(&mut fast_cache, 32);
         f(&mut fast);
-        let mut ref_cache = mk_cache();
-        let mut reference = WarpTally::new(&mut ref_cache, 32);
-        reference.set_reference(true);
-        f(&mut reference);
-        assert_eq!(fast.take_counters(), reference.take_counters());
-        assert_eq!(fast_cache.hits(), ref_cache.hits());
-        assert_eq!(fast_cache.misses(), ref_cache.misses());
+        let mut obs_cache = mk_cache();
+        let mut sink = Ignore;
+        let mut observed = WarpTally::with_sink(&mut obs_cache, 32, Some(&mut sink));
+        f(&mut observed);
+        assert_eq!(fast.take_counters(), observed.take_counters());
+        assert_eq!(fast_cache.hits(), obs_cache.hits());
+        assert_eq!(fast_cache.misses(), obs_cache.misses());
     }
 
     #[test]
@@ -783,10 +783,10 @@ mod tests {
         t.global_gather_stepped(256, &[], 64, 0, 16, 4, 16); // no lanes
         t.global_gather_stepped(256, &idx, 64, 0, 16, 0, 16); // no steps
         assert_eq!(t.counters().descriptor_fallbacks, 2);
-        // Reference mode counts the same calls, so engines agree.
+        // An observed walk counts the same calls.
         let mut ref_cache = mk_cache();
-        let mut r = WarpTally::new(&mut ref_cache, 32);
-        r.set_reference(true);
+        let mut sink = Ignore;
+        let mut r = WarpTally::with_sink(&mut ref_cache, 32, Some(&mut sink));
         r.global_gather_stepped(256, &idx, 300, 0, 300, 4, 4);
         r.global_gather_stepped(256, &idx, 64, 0, 16, 4, 16);
         assert_eq!(r.counters().descriptor_fallbacks, 1);

@@ -1,10 +1,7 @@
-//! Property tests for the fast cost engine's batched calls: for arbitrary
-//! bases, strides, widths, and index sets, every batched call on
-//! [`WarpTally`] must produce counters — and leave the L2 in a state —
-//! identical to the element-wise calls it abbreviates. The element-wise
-//! side runs on the reference engine ([`WarpTally::set_reference`]), so
-//! each property pins the full chain: fast descriptor ≡ reference
-//! descriptor ≡ hand-written per-element loop.
+//! Property tests for the tally's batched calls: for arbitrary bases,
+//! strides, widths, and index sets, every batched call on [`WarpTally`]
+//! must produce counters — and leave the L2 in a state — identical to the
+//! hand-written per-element loop it abbreviates.
 
 use hpsparse_sim::{SectorCache, WarpTally};
 use proptest::prelude::*;
@@ -27,14 +24,12 @@ fn vw_for(sel: u32) -> u32 {
 /// tally's counters and the cache's (hits, misses).
 fn observe(
     assoc_sel: u32,
-    reference: bool,
     warm: &[u64],
     body: impl FnOnce(&mut WarpTally<'_>),
 ) -> (hpsparse_sim::tally::WarpCounters, u64, u64) {
     let mut cache = cache_for(assoc_sel);
     let counters = {
         let mut tally = WarpTally::new(&mut cache, 32);
-        tally.set_reference(reference);
         for &s in warm {
             tally.global_read(s * 32, 32, 1);
         }
@@ -58,10 +53,10 @@ proptest! {
         warm in proptest::collection::vec(0u64..2_048, 0..16),
     ) {
         let vw = vw_for(vw_sel);
-        let fast = observe(assoc_sel, false, &warm, |t| {
+        let fast = observe(assoc_sel, &warm, |t| {
             t.gather_rows(base, &indices, row_stride, first, elems, chunk, vw);
         });
-        let slow = observe(assoc_sel, true, &warm, |t| {
+        let slow = observe(assoc_sel, &warm, |t| {
             for &c in &indices {
                 let row_base = base + (c as u64 * row_stride + first) * 4;
                 let mut done = 0;
@@ -87,12 +82,12 @@ proptest! {
         warm in proptest::collection::vec(0u64..2_048, 0..16),
     ) {
         let base = 4_096 + base_off;
-        let mut fast = observe(assoc_sel, false, &warm, |t| {
+        let mut fast = observe(assoc_sel, &warm, |t| {
             t.global_gather_stepped(
                 base, &indices, lane_stride, first, step_stride, steps, bytes_each,
             );
         });
-        let slow = observe(assoc_sel, true, &warm, |t| {
+        let slow = observe(assoc_sel, &warm, |t| {
             for s in 0..steps {
                 let off = first + s * step_stride;
                 t.global_gather(

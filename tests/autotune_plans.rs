@@ -8,7 +8,7 @@
 
 use hpsparse::autotune::{
     instantiate_sddmm, instantiate_spmm, sddmm_candidates, sddmm_cost, spmm_candidates, spmm_cost,
-    Candidate, GraphFingerprint, Plan, PlanStrategy, Planner,
+    Candidate, GraphFingerprint, Plan, PlanStrategy, Planner, MEASURED_TOP_N,
 };
 use hpsparse::datasets::{registry, store};
 use hpsparse::sim::DeviceSpec;
@@ -35,14 +35,12 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// The exhaustive oracle: the `top_n` candidates by analytic estimate
-/// (stable on ties) plus the paper-auto incumbent wherever it ranked, each
-/// walked to completion on a cold simulator; the first strictly cheapest
-/// in rank order wins. Returns the winner's id, its cycles and the walks.
+/// The exhaustive oracle: the [`MEASURED_TOP_N`] candidates by analytic
+/// estimate (stable on ties) plus the paper-auto incumbent wherever it
+/// ranked, each walked to completion on a cold simulator; the first
+/// strictly cheapest in rank order wins. Returns the winner's id, its cycles and the walks.
 fn oracle(device: &DeviceSpec, s: &Hybrid, sddmm: bool) -> (String, u64, u64) {
-    let PlanStrategy::Measured { top_n } = PlanStrategy::default() else {
-        unreachable!("the default strategy measures")
-    };
+    assert_eq!(PlanStrategy::default(), PlanStrategy::Measured);
     let fp = GraphFingerprint::of(s, K, device);
     let mut ranked: Vec<(f64, Candidate)> = if sddmm {
         let cands = sddmm_candidates(device, &fp).into_iter();
@@ -56,7 +54,7 @@ fn oracle(device: &DeviceSpec, s: &Hybrid, sddmm: bool) -> (String, u64, u64) {
     let mut walks = 0;
     for (rank, (_, c)) in ranked.iter().enumerate() {
         let incumbent = matches!(c.kernel_id.as_str(), "hp:auto" | "hp-sddmm:auto");
-        if rank >= top_n && !incumbent {
+        if rank >= MEASURED_TOP_N && !incumbent {
             continue;
         }
         let cost = if sddmm {

@@ -10,8 +10,9 @@ use hpsparse::kernels::baselines::{
 };
 use hpsparse::kernels::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm, HpSpmmLean};
 use hpsparse::kernels::{SddmmKernel, SpmmKernel};
-use hpsparse::sim::{CostEngine, DeviceSpec, GpuSim};
+use hpsparse::sim::{DeviceSpec, GpuSim, LaunchReport};
 use hpsparse::sparse::{reference, Dense, Graph, Hybrid};
+use hpsparse_sanitize::sanitize_run;
 
 fn test_graph(seed: u64, topology: Topology) -> Graph {
     GeneratorConfig {
@@ -168,30 +169,33 @@ fn simulated_kernels_are_deterministic() {
 
 #[test]
 fn cost_engines_report_identical_launches() {
-    // The Tier-1 witness of `repro fastcheck`'s 570-cell differential: the
-    // batched engine and the reference oracle agree field for field on
-    // the paper's two kernels and a row-per-warp baseline.
+    // The Tier-1 witness of `repro fastcheck`'s 608-cell differential: a
+    // sanitized run, whose attached sink expands every descriptor, and an
+    // unobserved one agree field for field on the paper's two kernels and
+    // a row-per-warp baseline.
     let v100 = DeviceSpec::v100();
     let s = test_graph(8, Topology::PowerLaw { alpha: 2.1 }).to_hybrid();
     let (a, a1) = (features(s.cols(), 64, 0.2), features(s.rows(), 64, 0.4));
-    let on = |engine: CostEngine| {
-        let sim = || {
-            let mut sim = GpuSim::new(v100.clone());
-            sim.set_engine(engine);
-            sim
+    let (hp_spmm, hp_sddmm) = (HpSpmm::auto(&v100, &s, 64), HpSddmm::auto(&v100, &s, 64));
+    let on = |observed: bool| {
+        let run = |f: &dyn Fn(&mut GpuSim) -> LaunchReport| {
+            if !observed {
+                return f(&mut GpuSim::new(v100.clone()));
+            }
+            let mut report = None;
+            let verdict = sanitize_run(v100.clone(), |sim| report = Some(f(sim)));
+            assert!(verdict.passed(), "{verdict}");
+            report.unwrap()
         };
-        let hp_spmm = HpSpmm::auto(&v100, &s, 64).run_on(&mut sim(), &s, &a);
-        let ge_spmm = GeSpmm.run_on(&mut sim(), &s, &a);
-        let hp_sddmm = HpSddmm::auto(&v100, &s, 64).run_on(&mut sim(), &s, &a1, &a);
         [
-            hp_spmm.unwrap().report,
-            ge_spmm.unwrap().report,
-            hp_sddmm.unwrap().report,
+            run(&|sim| hp_spmm.run_on(sim, &s, &a).unwrap().report),
+            run(&|sim| GeSpmm.run_on(sim, &s, &a).unwrap().report),
+            run(&|sim| hp_sddmm.run_on(sim, &s, &a1, &a).unwrap().report),
         ]
     };
-    let batched = on(CostEngine::Batched);
-    assert!(batched.iter().all(|r| r.cycles > 0));
-    assert_eq!(batched, on(CostEngine::Reference));
+    let unobserved = on(false);
+    assert!(unobserved.iter().all(|r| r.cycles > 0));
+    assert_eq!(unobserved, on(true));
 }
 
 /// The seeded power-law graph the recorded output bits below were taken
