@@ -59,6 +59,5 @@ pub use cost::{
 };
 pub use fingerprint::GraphFingerprint;
 pub use planner::{
-    measure_fused_mha, measure_unfused_mha, measurement_features, OpKind, Plan, PlanStrategy,
-    Planner, MEASURED_TOP_N,
+    measure_unfused_mha, measurement_features, OpKind, Plan, PlanStrategy, Planner, MEASURED_TOP_N,
 };

@@ -431,20 +431,9 @@ pub fn measurement_features(rows: usize, k: usize) -> Dense {
     Dense::from_fn(rows, k, |i, j| (((i * 131 + j * 17) % 1000) as f32) * 1e-3)
 }
 
-/// Cold measured cycles of the fused attention kernel's cost walk, launch
-/// overheads included (one per launch — the spill pair, when present, pays
-/// too).
-pub fn measure_fused_mha(
-    device: &DeviceSpec,
-    kernel: &HpFusedMha,
-    s: &Hybrid,
-    head_dim: usize,
-    heads: usize,
-) -> Option<u64> {
-    fused_mha_on(&mut GpuSim::new(device.clone()), kernel, s, head_dim, heads)
-}
-
-/// [`measure_fused_mha`] on a cold simulator the caller made.
+/// Measured cycles of the fused attention kernel's cost walk on a cold
+/// simulator the caller made, launch overheads included (one per launch —
+/// the spill pair, when present, pays too).
 fn fused_mha_on(
     sim: &mut GpuSim,
     kernel: &HpFusedMha,
@@ -705,7 +694,8 @@ mod tests {
             let plan = p.plan_mha(&s, head_dim, heads);
             assert_eq!(p.sim_launches(), 2, "exactly the fuse/no-fuse pair");
             let kernel = HpFusedMha::auto(&v100, &s, head_dim);
-            let fused = measure_fused_mha(&v100, &kernel, &s, head_dim, heads).unwrap();
+            let fused =
+                fused_mha_on(&mut GpuSim::new(v100.clone()), &kernel, &s, head_dim, heads).unwrap();
             let (unfused, _) = measure_unfused_mha(&v100, &s, head_dim, heads).unwrap();
             let oracle = if fused <= unfused {
                 crate::candidates::MHA_FUSED_ID

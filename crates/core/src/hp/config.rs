@@ -54,7 +54,7 @@ fn width_at(x: usize) -> u32 {
 /// width `k`: the width the sparse tile supports, capped by what `k` does —
 /// a warp covers `32 × vw` columns, so a width beyond `K/32` would leave
 /// lanes idle.
-pub fn hvma_vector_width(nnz_per_warp: usize, k: usize) -> u32 {
+fn hvma_vector_width(nnz_per_warp: usize, k: usize) -> u32 {
     width_at(nnz_per_warp).min(width_at(k))
 }
 

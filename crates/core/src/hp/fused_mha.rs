@@ -63,7 +63,7 @@ pub const SMEM_SCORE_CAP: usize = 512;
 /// Spill-scratch segment length, in f32 elements. Each spill-score warp
 /// owns one padded segment stripe so the scratch buffer is fully
 /// initialized before the apply launch reads it.
-pub const SPILL_SEG: usize = 512;
+const SPILL_SEG: usize = 512;
 
 /// The fused multi-head attention kernel.
 #[derive(Debug, Clone, Copy)]

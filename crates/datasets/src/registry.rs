@@ -10,7 +10,8 @@
 use crate::generators::{GeneratorConfig, Topology};
 use hpsparse_sparse::Graph;
 
-/// Edge cap applied by [`DatasetSpec::generate_default`].
+/// Edge cap of the full-effort experiments: Table II graphs larger than
+/// this are generated scaled down by [`DatasetSpec::generate`].
 pub const DEFAULT_MAX_EDGES: usize = 1_500_000;
 
 /// Which benchmark suite a graph came from (Table II column 1).
@@ -100,16 +101,6 @@ impl DatasetSpec {
             seed: name_seed(self.name),
         }
         .generate()
-    }
-
-    /// Generates with the default cap of [`DEFAULT_MAX_EDGES`].
-    pub fn generate_default(&self) -> Graph {
-        self.generate(DEFAULT_MAX_EDGES)
-    }
-
-    /// Average degree reported in the paper (edges / nodes).
-    pub fn paper_avg_degree(&self) -> f64 {
-        self.paper_edges as f64 / self.paper_nodes as f64
     }
 }
 
@@ -319,7 +310,7 @@ mod tests {
         assert_eq!(reddit.paper_edges, 114_848_857);
         let ddi = by_name("ddi").unwrap();
         assert_eq!(ddi.paper_nodes, 4_267);
-        assert!(ddi.paper_avg_degree() > 400.0);
+        assert!(ddi.paper_edges as f64 / ddi.paper_nodes as f64 > 400.0);
     }
 
     #[test]
@@ -335,8 +326,9 @@ mod tests {
         assert!(n > 2 * linear_nodes, "nodes {n} vs linear {linear_nodes}");
         let scaled_deg = m as f64 / n as f64;
         assert!(scaled_deg > 5.0, "scaled degree collapsed: {scaled_deg}");
+        let paper_deg = amazon.paper_edges as f64 / amazon.paper_nodes as f64;
         assert!(
-            scaled_deg < amazon.paper_avg_degree(),
+            scaled_deg < paper_deg,
             "scaled degree should not exceed the paper's"
         );
     }
@@ -351,10 +343,10 @@ mod tests {
     }
 
     #[test]
-    fn generate_default_is_deterministic_and_close_to_spec() {
+    fn generate_is_deterministic_and_close_to_spec() {
         let flickr = by_name("Flickr").unwrap();
-        let g1 = flickr.generate_default();
-        let g2 = flickr.generate_default();
+        let g1 = flickr.generate(DEFAULT_MAX_EDGES);
+        let g2 = flickr.generate(DEFAULT_MAX_EDGES);
         assert_eq!(g1.adjacency(), g2.adjacency());
         assert_eq!(g1.num_nodes(), 89_250);
         assert!(g1.num_edges() > 900_000, "edges {}", g1.num_edges());

@@ -7,7 +7,7 @@
 //! such a family: fixed mean degree, log-normal degree spread swept from
 //! near-regular to heavily skewed.
 
-use hpsparse_sparse::{DegreeStats, Graph};
+use hpsparse_sparse::Graph;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,22 +61,15 @@ fn standard_normal(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// Degree statistics of each family member, convenient for reports.
-pub fn family_stats(family: &[Graph]) -> Vec<DegreeStats> {
-    family
-        .iter()
-        .map(|g| DegreeStats::of(g.adjacency()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpsparse_sparse::DegreeStats;
 
     #[test]
     fn family_keeps_mean_and_grows_std() {
         let fam = variance_family(4000, 23.0, 6, 17);
-        let stats = family_stats(&fam);
+        let stats: Vec<DegreeStats> = fam.iter().map(|g| DegreeStats::of(g.adjacency())).collect();
         for s in &stats {
             assert!(
                 s.mean > 17.0 && s.mean < 29.0,

@@ -36,7 +36,7 @@ pub fn dense_gemm_cycles(device: &DeviceSpec, m: usize, k: usize, n: usize) -> u
 
 /// Roofline cycle estimate of an elementwise pass over `elems` floats
 /// (read + write).
-pub fn elementwise_cycles(device: &DeviceSpec, elems: usize) -> u64 {
+fn elementwise_cycles(device: &DeviceSpec, elems: usize) -> u64 {
     (8.0 * elems as f64 / device.dram_bytes_per_cycle).ceil() as u64
 }
 

@@ -234,7 +234,7 @@ pub type GatGrads = GatLayer;
 
 /// Backward of [`edge_softmax`] over contiguous row groups:
 /// `d_score_e = w_e (d_w_e − Σ_f w_f d_w_f)` within each row.
-pub fn edge_softmax_backward(row_indices: &[u32], weights: &[f32], d_weights: &[f32]) -> Vec<f32> {
+fn edge_softmax_backward(row_indices: &[u32], weights: &[f32], d_weights: &[f32]) -> Vec<f32> {
     assert_eq!(row_indices.len(), weights.len());
     assert_eq!(row_indices.len(), d_weights.len());
     let mut out = vec![0f32; weights.len()];

@@ -54,7 +54,7 @@ pub struct TrainStats {
 }
 
 /// Prepares the self-looped, GCN-normalised operator pair `(S, Sᵀ)`.
-pub fn prepare_operator(g: &Graph) -> (Hybrid, Hybrid) {
+fn prepare_operator(g: &Graph) -> (Hybrid, Hybrid) {
     let norm = g.with_self_loops().gcn_normalized();
     let s = norm.to_hybrid();
     let st = norm.adjacency().transpose().to_hybrid();

@@ -74,11 +74,6 @@ pub struct GraphPartition {
 }
 
 impl GraphPartition {
-    /// The part owning node `v`.
-    pub fn part_of(&self, v: usize) -> u32 {
-        self.assignment[v]
-    }
-
     /// `heaviest part / mean part` weight ratio (1.0 = perfectly even).
     pub fn imbalance(&self) -> f64 {
         let total: u64 = self.part_weights.iter().sum();
@@ -224,7 +219,7 @@ mod tests {
         // Each cluster stays whole: all its nodes share one part.
         for c in 0..4 {
             let parts: std::collections::BTreeSet<u32> =
-                (0..12).map(|i| p.part_of(c * 12 + i)).collect();
+                (0..12).map(|i| p.assignment[c * 12 + i]).collect();
             assert_eq!(parts.len(), 1, "cluster {c} split across parts");
         }
         assert!(p.imbalance() <= 1.5);

@@ -67,7 +67,7 @@ impl MemorySpace {
     }
 
     /// Allocates `len_bytes`, returning a buffer whose base is 256-aligned.
-    pub fn alloc(&mut self, len_bytes: u64) -> Buffer {
+    fn alloc(&mut self, len_bytes: u64) -> Buffer {
         let base = self.next;
         let padded = len_bytes.div_ceil(256) * 256;
         self.next += padded.max(256);
@@ -78,31 +78,6 @@ impl MemorySpace {
     pub fn alloc_elems(&mut self, n: usize) -> Buffer {
         self.alloc(n as u64 * 4)
     }
-}
-
-/// Enumerates the 32-byte sector addresses a contiguous byte range touches.
-pub fn sectors_of_range(start_addr: u64, len_bytes: u64) -> impl Iterator<Item = u64> {
-    let first = start_addr / SECTOR_BYTES as u64;
-    let last = if len_bytes == 0 {
-        first
-    } else {
-        (start_addr + len_bytes - 1) / SECTOR_BYTES as u64
-    };
-    let empty = len_bytes == 0;
-    (first..=last)
-        .filter(move |_| !empty)
-        .map(|s| s * SECTOR_BYTES as u64)
-}
-
-/// Number of sectors touched by a contiguous range — the transaction count
-/// of a perfectly coalesced warp access with the given alignment.
-pub fn sector_count(start_addr: u64, len_bytes: u64) -> u64 {
-    if len_bytes == 0 {
-        return 0;
-    }
-    let first = start_addr / SECTOR_BYTES as u64;
-    let last = (start_addr + len_bytes - 1) / SECTOR_BYTES as u64;
-    last - first + 1
 }
 
 /// Whether a warp access starting at `addr` with vector width `vw`
@@ -125,30 +100,6 @@ mod tests {
         assert_eq!(b.base() % 256, 0);
         assert!(b.base() >= a.base() + 256);
         assert_ne!(a.base(), 0);
-    }
-
-    #[test]
-    fn aligned_range_touches_minimal_sectors() {
-        // 128 bytes starting at a sector boundary: exactly 4 sectors.
-        assert_eq!(sector_count(256, 128), 4);
-        // Same length misaligned by 4 bytes: spills into a 5th sector.
-        assert_eq!(sector_count(260, 128), 5);
-    }
-
-    #[test]
-    fn tiny_and_empty_ranges() {
-        assert_eq!(sector_count(256, 0), 0);
-        assert_eq!(sector_count(256, 1), 1);
-        assert_eq!(sector_count(287, 1), 1);
-        assert_eq!(sector_count(287, 2), 2); // crosses the boundary
-        assert_eq!(sectors_of_range(0, 0).count(), 0);
-    }
-
-    #[test]
-    fn sectors_of_range_enumerates_addresses() {
-        let v: Vec<u64> = sectors_of_range(40, 60).collect();
-        // bytes 40..100 -> sectors 32, 64, 96
-        assert_eq!(v, vec![32, 64, 96]);
     }
 
     #[test]

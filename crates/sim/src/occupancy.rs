@@ -15,7 +15,7 @@ pub struct KernelResources {
 
 impl KernelResources {
     /// Registers per block (`RegistersPerBlock` in Eq. 3).
-    pub fn registers_per_block(&self, warp_size: u32) -> u32 {
+    fn registers_per_block(&self, warp_size: u32) -> u32 {
         self.registers_per_thread * self.warps_per_block * warp_size
     }
 }

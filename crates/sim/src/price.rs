@@ -15,7 +15,7 @@ use std::ops::Range;
 /// No kernel completes faster than the pipeline fill/drain floor
 /// (~1.5 µs): microscopic launches — tiny sampled subgraphs — are
 /// floor-bound on every kernel alike.
-pub const KERNEL_FLOOR_CYCLES: f64 = 2_000.0;
+const KERNEL_FLOOR_CYCLES: f64 = 2_000.0;
 
 /// The three limits a launch's cycles are the largest of.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,7 +24,7 @@ pub struct Limits {
     pub schedule: f64,
     /// Cycles if the launch were purely DRAM-bandwidth-bound.
     pub dram: f64,
-    /// The fill/drain floor ([`KERNEL_FLOOR_CYCLES`]; none without warps).
+    /// The fill/drain floor (`KERNEL_FLOOR_CYCLES`; none without warps).
     pub floor: f64,
 }
 

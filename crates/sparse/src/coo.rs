@@ -110,15 +110,6 @@ impl Coo {
         &self.values
     }
 
-    /// Whether elements are already in CSR order (row-major, columns
-    /// ascending within a row).
-    pub fn is_csr_sorted(&self) -> bool {
-        self.row_indices
-            .windows(2)
-            .zip(self.col_indices.windows(2))
-            .all(|(r, c)| r[0] < r[1] || (r[0] == r[1] && c[0] <= c[1]))
-    }
-
     /// Converts into CSR, sorting elements as needed.
     pub fn to_csr(&self) -> Csr {
         let triplets: Vec<(u32, u32, f32)> = self
@@ -195,20 +186,9 @@ mod tests {
     }
 
     #[test]
-    fn sortedness_detection() {
-        let sorted = Coo::new(3, 3, vec![0, 0, 2], vec![0, 1, 2], vec![1.0; 3]).unwrap();
-        assert!(sorted.is_csr_sorted());
-        let unsorted = Coo::new(3, 3, vec![0, 2, 1], vec![0, 1, 2], vec![1.0; 3]).unwrap();
-        assert!(!unsorted.is_csr_sorted());
-        let col_unsorted = Coo::new(3, 3, vec![0, 0, 1], vec![2, 1, 0], vec![1.0; 3]).unwrap();
-        assert!(!col_unsorted.is_csr_sorted());
-    }
-
-    #[test]
     fn empty_matrix_is_valid() {
         let coo = Coo::new(0, 0, vec![], vec![], vec![]).unwrap();
         assert_eq!(coo.nnz(), 0);
-        assert!(coo.is_csr_sorted());
         assert_eq!(coo.to_csr().nnz(), 0);
     }
 }

@@ -115,22 +115,6 @@ impl Dense {
         out
     }
 
-    /// Maximum absolute element-wise difference against `other`.
-    ///
-    /// Returns `None` when shapes differ.
-    pub fn max_abs_diff(&self, other: &Dense) -> Option<f32> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return None;
-        }
-        Some(
-            self.data
-                .iter()
-                .zip(&other.data)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f32::max),
-        )
-    }
-
     /// Checks element-wise approximate equality with tolerance scaled to the
     /// magnitude of the values involved (sparse reductions reassociate
     /// floating-point sums, so bit equality is not expected).
@@ -210,7 +194,6 @@ mod tests {
         let a = Dense::zeros(2, 2);
         let b = Dense::zeros(2, 3);
         assert!(!a.approx_eq(&b, 1e-5, 1e-6));
-        assert_eq!(a.max_abs_diff(&b), None);
     }
 
     #[test]

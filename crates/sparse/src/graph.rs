@@ -18,13 +18,6 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Wraps an adjacency matrix. Square matrices model ordinary graphs;
-    /// rectangular ones model bipartite message passing (e.g. sampled
-    /// blocks).
-    pub fn from_adjacency(adj: Csr) -> Self {
-        Self { adj }
-    }
-
     /// Builds a graph on `n` nodes from an edge list `(dst, src)`,
     /// all edge weights 1.0. Duplicate edges are kept.
     pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
@@ -38,13 +31,6 @@ impl Graph {
     #[inline]
     pub fn num_nodes(&self) -> usize {
         self.adj.rows()
-    }
-
-    /// Number of source nodes (columns); equals `num_nodes` for square
-    /// graphs.
-    #[inline]
-    pub fn num_src_nodes(&self) -> usize {
-        self.adj.cols()
     }
 
     /// Number of edges.

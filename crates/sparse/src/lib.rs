@@ -25,7 +25,6 @@ pub mod dense;
 pub mod error;
 pub mod graph;
 pub mod hybrid;
-pub mod io;
 pub mod reference;
 pub mod stats;
 

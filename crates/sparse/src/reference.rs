@@ -93,33 +93,33 @@ pub fn sddmm_transposed(s: &Hybrid, a1: &Dense, a2t: &Dense) -> Result<Vec<f32>,
     Ok(out)
 }
 
-/// Dense reference `O = S_dense · A` used to validate [`spmm`] itself on
-/// small matrices: materialises `S` densely and multiplies.
-pub fn spmm_via_dense(s: &Hybrid, a: &Dense) -> Dense {
-    let mut sd = Dense::zeros(s.rows(), s.cols());
-    for (r, c, v) in s.iter() {
-        let cur = sd.get(r as usize, c as usize);
-        sd.set(r as usize, c as usize, cur + v);
-    }
-    let k = a.cols();
-    let mut o = Dense::zeros(s.rows(), k);
-    for i in 0..s.rows() {
-        for j in 0..s.cols() {
-            let v = sd.get(i, j);
-            if v != 0.0 {
-                for kk in 0..k {
-                    let cur = o.get(i, kk);
-                    o.set(i, kk, cur + v * a.get(j, kk));
-                }
-            }
-        }
-    }
-    o
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Dense reference `O = S_dense · A` used to validate [`spmm`] itself on
+    /// small matrices: materialises `S` densely and multiplies.
+    fn spmm_via_dense(s: &Hybrid, a: &Dense) -> Dense {
+        let mut sd = Dense::zeros(s.rows(), s.cols());
+        for (r, c, v) in s.iter() {
+            let cur = sd.get(r as usize, c as usize);
+            sd.set(r as usize, c as usize, cur + v);
+        }
+        let k = a.cols();
+        let mut o = Dense::zeros(s.rows(), k);
+        for i in 0..s.rows() {
+            for j in 0..s.cols() {
+                let v = sd.get(i, j);
+                if v != 0.0 {
+                    for kk in 0..k {
+                        let cur = o.get(i, kk);
+                        o.set(i, kk, cur + v * a.get(j, kk));
+                    }
+                }
+            }
+        }
+        o
+    }
 
     fn fig2_hybrid() -> Hybrid {
         Hybrid::from_sorted_parts(

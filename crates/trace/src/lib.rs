@@ -19,7 +19,7 @@
 //! # Zero cost when detached
 //!
 //! Instrumented code follows the same `Option`-test discipline as the
-//! simulator's `AccessSink`: the global facade ([`enabled`], [`span`],
+//! simulator's `AccessSink`: the global facade ([`current`], [`span`],
 //! [`counter_add`], …) is one relaxed atomic load when no session is
 //! installed, and `GpuSim` holds its tracer as an `Option` it tests once
 //! per launch. `repro -- fastcheck` and the self-timing baseline run with
@@ -69,7 +69,7 @@ pub fn uninstall() -> Option<TraceSession> {
 
 /// Whether a global subscriber is installed (one relaxed atomic load —
 /// the hot-path test).
-pub fn enabled() -> bool {
+fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
@@ -105,13 +105,6 @@ pub fn counter_add(name: &str, delta: u64) {
     }
 }
 
-/// Sets a gauge on the installed session's registry; no-op when detached.
-pub fn gauge_set(name: &str, value: f64) {
-    if let Some(s) = current() {
-        s.metrics().set(name, value);
-    }
-}
-
 /// Records a histogram observation on the installed session's registry;
 /// no-op when detached.
 pub fn observe(name: &str, value: f64) {
@@ -135,7 +128,6 @@ mod tests {
         // Detached calls are no-ops, not panics.
         let _g = span("ignored");
         counter_add("ignored", 1);
-        gauge_set("ignored", 1.0);
         observe("ignored", 1.0);
 
         let session = TraceSession::new();
@@ -144,7 +136,6 @@ mod tests {
         {
             let _g = span("while-installed");
             counter_add("facade.count", 2);
-            gauge_set("facade.gauge", 0.5);
             observe("facade.hist", 9.0);
         }
         let back = uninstall().expect("session was installed");
@@ -154,7 +145,6 @@ mod tests {
         // The handle we kept and the one returned see the same state.
         assert_eq!(session.event_count(), back.event_count());
         assert_eq!(back.metrics().get("facade.count"), Some(Metric::Counter(2)));
-        assert_eq!(back.metrics().get("facade.gauge"), Some(Metric::Gauge(0.5)));
         assert!(back.to_chrome_json().contains("while-installed"));
     }
 }

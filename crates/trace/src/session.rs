@@ -10,8 +10,8 @@
 //! so two identical runs export byte-identical traces.
 //!
 //! Multi-device runs place each simulated GPU in its own lane *group*
-//! (Perfetto process): [`TraceSession::ensure_device_lanes`] names the
-//! group, [`LaunchTimeline::begin_on`] routes a launch's SM lanes into it,
+//! (Perfetto process): the first device-scoped event names the group,
+//! [`LaunchTimeline::begin_on`] routes a launch's SM lanes into it,
 //! and [`TraceSession::device_slice`] / [`TraceSession::counter`] let a
 //! serving scheduler draw batch-compute and halo-transfer slices at its
 //! own u64 cycle timestamps.
@@ -42,6 +42,8 @@ struct Inner {
 }
 
 impl Inner {
+    /// Names device `device`'s lane group — the `GPU d` process title plus
+    /// its `compute` and `interconnect` lanes. Idempotent.
     fn ensure_device_lanes(&mut self, device: u32) {
         if self.device_groups.insert(device) {
             let pid = device_pid(device);
@@ -170,29 +172,6 @@ impl TraceSession {
         SpanGuard {
             session: Some((self.clone(), name.to_string())),
         }
-    }
-
-    /// Drops a thread-scoped instant tick on the harness lane.
-    pub fn instant(&self, name: &str) {
-        let mut inner = self.lock();
-        let ts = inner.now;
-        inner.now += 1.0;
-        inner.events.push(ChromeEvent {
-            name: name.to_string(),
-            ph: Phase::Instant,
-            ts,
-            dur: None,
-            pid: PID,
-            tid: HARNESS_TID,
-            args: Vec::new(),
-        });
-    }
-
-    /// Names device `device`'s lane group — the `GPU d` process title plus
-    /// its `compute` and `interconnect` lanes. Idempotent; called
-    /// automatically by the device-scoped emitters below.
-    pub fn ensure_device_lanes(&self, device: u32) {
-        self.lock().ensure_device_lanes(device);
     }
 
     /// Emits a complete slice on device `device`'s lane `tid`
@@ -373,16 +352,11 @@ pub struct LaunchTimeline {
 }
 
 impl LaunchTimeline {
-    /// Starts a timeline for `kernel` at the session's current time in the
-    /// host lane group. SM lanes are named on first use so the trace
-    /// always carries one lane per SM of the device.
-    pub fn begin(session: &TraceSession, kernel: &str, num_sms: usize) -> Self {
-        Self::begin_on(session, kernel, num_sms, None)
-    }
-
-    /// [`Self::begin`] routed to a lane group: `device = Some(d)` renders
-    /// the launch — SM lanes included — inside simulated GPU `d`'s group,
-    /// `None` keeps the single-device layout.
+    /// Starts a timeline for `kernel` at the session's current time.
+    /// `device = Some(d)` renders the launch — SM lanes included — inside
+    /// simulated GPU `d`'s lane group; `None` keeps the single-device
+    /// layout (the host lane group). SM lanes are named on first use so
+    /// the trace always carries one lane per SM of the device.
     pub fn begin_on(
         session: &TraceSession,
         kernel: &str,
@@ -577,7 +551,7 @@ mod tests {
     #[test]
     fn timeline_places_blocks_and_advances_past_launch() {
         let s = TraceSession::new();
-        let mut tl = LaunchTimeline::begin(&s, "demo", 2);
+        let mut tl = LaunchTimeline::begin_on(&s, "demo", 2, None);
         tl.record_warp(50.0);
         tl.record_warp(100.0);
         tl.record_block(0, 100.0, 2);
@@ -613,8 +587,8 @@ mod tests {
     #[test]
     fn sm_lanes_are_named_once_across_launches() {
         let s = TraceSession::new();
-        LaunchTimeline::begin(&s, "a", 4).finish(10.0);
-        LaunchTimeline::begin(&s, "b", 4).finish(10.0);
+        LaunchTimeline::begin_on(&s, "a", 4, None).finish(10.0);
+        LaunchTimeline::begin_on(&s, "b", 4, None).finish(10.0);
         let doc = serde_json::from_str(&s.to_chrome_json()).unwrap();
         let lanes = doc["traceEvents"]
             .as_array()
@@ -761,7 +735,7 @@ mod tests {
         let run = || {
             let s = TraceSession::new();
             let _e = s.span("experiment");
-            let mut tl = LaunchTimeline::begin(&s, "k", 3);
+            let mut tl = LaunchTimeline::begin_on(&s, "k", 3, None);
             for w in 0..6 {
                 tl.record_warp(10.0 * (w + 1) as f64);
             }

@@ -130,7 +130,7 @@ fn instance_vars(plan: &SymbolicPlan) -> Vec<VarId> {
 
 /// Prove every access in the plan in-bounds. `Err` names the first access
 /// whose containment obligation the prover could not discharge.
-pub fn check_bounds(plan: &SymbolicPlan) -> Result<(), String> {
+pub(crate) fn check_bounds(plan: &SymbolicPlan) -> Result<(), String> {
     let mut pv = Prover::new(&plan.vars);
     for launch in &plan.launches {
         for site in launch_sites(launch) {
@@ -164,7 +164,7 @@ pub fn check_bounds(plan: &SymbolicPlan) -> Result<(), String> {
 // ---- race-freedom ---------------------------------------------------------
 
 /// Prove the plan free of cross-warp store races, launch by launch.
-pub fn check_races(plan: &SymbolicPlan) -> Result<(), String> {
+pub(crate) fn check_races(plan: &SymbolicPlan) -> Result<(), String> {
     let instance = instance_vars(plan);
     let mut pv = Prover::new(&plan.vars);
     for launch in &plan.launches {
@@ -471,7 +471,7 @@ fn domain_split(
 
 /// Prove every read of a non-input buffer covered by a full-buffer store
 /// tiling from some *prior* launch.
-pub fn check_init(plan: &SymbolicPlan) -> Result<(), String> {
+pub(crate) fn check_init(plan: &SymbolicPlan) -> Result<(), String> {
     let mut pv = Prover::new(&plan.vars);
     let mut covered = vec![false; plan.buffers.len()];
     for launch in &plan.launches {

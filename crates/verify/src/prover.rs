@@ -140,11 +140,6 @@ impl Prover {
         ok
     }
 
-    /// Prove `a <= b` for every assignment within the declared ranges.
-    pub fn prove_le(&mut self, a: &SymExpr, b: &SymExpr) -> bool {
-        self.prove_nonneg(&(b.clone() - a.clone()))
-    }
-
     fn prove(&mut self, e: &SymExpr) -> bool {
         if self.fuel == 0 {
             return false;
@@ -799,8 +794,7 @@ mod tests {
         assert!(!pv.prove_nonneg(&SymExpr::Const(-1)));
         assert!(pv.prove_nonneg(&(m.clone() - 1)));
         assert!(!pv.prove_nonneg(&(m.clone() - 2)));
-        assert!(pv.prove_nonneg(&(m.clone() * k.clone())));
-        assert!(pv.prove_le(&m, &(m.clone() * k)));
+        assert!(pv.prove_nonneg(&(m.clone() * k)));
     }
 
     #[test]

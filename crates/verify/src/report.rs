@@ -201,15 +201,6 @@ impl PlanVerdict {
     pub fn any_refuted(&self) -> bool {
         CheckKind::ALL.iter().any(|k| self.check(*k).is_refuted())
     }
-
-    /// The checkers that did *not* prove, in report order (these are the
-    /// ones the dynamic sanitizer must still cover).
-    pub fn unproved(&self) -> Vec<CheckKind> {
-        CheckKind::ALL
-            .into_iter()
-            .filter(|k| !self.check(*k).is_proved())
-            .collect()
-    }
 }
 
 impl ToJson for PlanVerdict {

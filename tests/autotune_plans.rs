@@ -1,5 +1,5 @@
-//! Tier-1 witness for the autotuner (ROADMAP "Robustness: a Tier-1 that
-//! means something"): the default `Measured` strategy's SpMM and SDDMM
+//! Tier-1 witness for the autotuner, so that a moved plan fails the root
+//! test suite: the default `Measured` strategy's SpMM and SDDMM
 //! plans on one quick registry graph keep the
 //! kernel, cycles, rationale and simulator-launch count recorded before
 //! the planner learned to stop walking candidates that cannot win (PR 25 —

@@ -111,7 +111,7 @@ fn every_mutant_is_caught_statically_and_dynamically_on_its_defect_alone() {
     }
 }
 
-/// ROADMAP "Robustness: … no panics at the boundary": a hand-built
+/// Bad input at the kernel boundary is refused, not a panic: a hand-built
 /// `HpConfig` the kernels cannot launch with — a zero or unsupported vector
 /// width (division by zero, a tile loop that never advances), an empty
 /// block, a NaN `alpha` — is refused by all three HP cost walks before any

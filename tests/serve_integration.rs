@@ -107,10 +107,10 @@ fn sharded_serving_is_lossless_correct_and_pinned() {
     );
 }
 
-/// ROADMAP "Robustness: … no panics at the boundary": a request for a node
-/// the plan does not contain is a typed error on the caller's thread — not
-/// an index panic on a pool thread inside the batcher's `rayon::scope` —
-/// and nothing launches.
+/// Bad input at the serving boundary is refused, not a panic: a request
+/// for a node the plan does not contain is a typed error on the caller's
+/// thread — not an index panic on a pool thread inside the batcher's
+/// `rayon::scope` — and nothing launches.
 #[test]
 fn an_unknown_target_is_refused_before_anything_launches() {
     let g = graph();
