@@ -320,18 +320,22 @@ impl KernelSelector for FrameworkKernels {
 /// Backend running the framework-default kernels.
 pub type BaselineBackend = SimBackend<FrameworkKernels>;
 
-/// Selects what the autotuner plans: the kernel is planned on first sight
-/// of each sparse shape (via `hpsparse-autotune`) and replayed from the
-/// plan cache thereafter.
+/// Selects what the autotuner plans (via `hpsparse-autotune`). Every
+/// shape is looked up in the plan cache first, so seeded or loaded entries
+/// replay. A miss plans the shape; only a `Measured` plan is stored, since
+/// only it cost simulator walks. A Heuristic plan is a pure function of
+/// the fingerprint and is recomputed on every miss, so a long-lived
+/// Heuristic backend keeps no per-shape state.
 pub struct PlannedKernels {
     planner: Planner,
     cache: PlanCache,
 }
 
 impl PlannedKernels {
-    /// The cached plan for `op` on `s` at width `k`, planning it on a miss.
-    /// `heads` is read for [`OpKind::FusedMha`] only, whose plans carry the
-    /// head count in their key.
+    /// The cached plan for `op` on `s` at width `k`, planning it on a miss
+    /// and storing it when the strategy is `Measured`. `heads` is read for
+    /// [`OpKind::FusedMha`] only, whose plans carry the head count in
+    /// their key.
     fn plan(
         &mut self,
         op: OpKind,
@@ -346,7 +350,9 @@ impl PlannedKernels {
             return plan.clone();
         }
         let plan = self.planner.plan_for(op, &fp, s, heads);
-        self.cache.insert(op, key, encoding, plan.clone());
+        if self.planner.strategy() == PlanStrategy::Measured {
+            self.cache.insert(op, key, encoding, plan.clone());
+        }
         plan
     }
 }
@@ -389,6 +395,11 @@ impl KernelSelector for PlannedKernels {
 /// `Measured` strategy performs — is metered separately in
 /// [`AutoBackend::planning_cycles`], so reports can show both
 /// "steady-state speed" and "price paid to find the plan".
+///
+/// The plan cache stores measured plans; Heuristic plans are recomputed
+/// on each miss ([`PlannedKernels`]). A Heuristic backend's cache
+/// therefore holds only what it was seeded with, and every unseeded
+/// lookup counts a miss.
 pub type AutoBackend = SimBackend<PlannedKernels>;
 
 impl AutoBackend {
@@ -405,13 +416,14 @@ impl AutoBackend {
 
     /// Auto backend seeded with a pre-populated plan cache (e.g. from
     /// [`PlanCache::load`]); shapes already in the cache replay without a
-    /// single planning simulation.
+    /// single planning simulation, under either strategy.
     pub fn with_cache(device: DeviceSpec, strategy: PlanStrategy, cache: PlanCache) -> Self {
         let planner = Planner::new(device.clone(), strategy);
         Self::with_kernels(device, PlannedKernels { planner, cache })
     }
 
-    /// The plan cache (hit/miss counters included).
+    /// The plan cache (hit/miss counters included): seeded entries plus
+    /// the plans this backend measured.
     pub fn cache(&self) -> &PlanCache {
         &self.kernels.cache
     }

@@ -145,13 +145,16 @@ impl WGraph {
 
 /// Runs Louvain community detection on `g`.
 pub fn louvain(g: &Graph, config: LouvainConfig) -> LouvainResult {
-    let mut wg = WGraph::from_graph(g);
+    // The level-0 graph is kept: the final modularity is measured on it.
+    let base = WGraph::from_graph(g);
+    let mut coarse: Option<WGraph> = None;
     // community[level] maps this level's supernodes to the next grouping;
     // `assignment` maps original nodes to current supernodes.
     let mut assignment: Vec<u32> = (0..g.num_nodes() as u32).collect();
 
     for _level in 0..config.max_levels {
-        let (comm, improved) = local_moving(&wg, &config);
+        let wg = coarse.as_ref().unwrap_or(&base);
+        let (comm, improved) = local_moving(wg, &config);
         let compact = compact_labels(&comm);
         for a in assignment.iter_mut() {
             *a = compact[*a as usize];
@@ -159,15 +162,15 @@ pub fn louvain(g: &Graph, config: LouvainConfig) -> LouvainResult {
         if !improved {
             break;
         }
-        let next = aggregate(&wg, &compact);
+        let next = aggregate(wg, &compact);
         if next.n() == wg.n() {
             break;
         }
-        wg = next;
+        coarse = Some(next);
     }
     let compact = compact_labels(&assignment);
     let num_communities = compact.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
-    let modularity = modularity_of(&WGraph::from_graph(g), &compact);
+    let modularity = modularity_of(&base, &compact);
     LouvainResult {
         community: compact,
         num_communities,

@@ -93,8 +93,9 @@ const RACE_PAIR_CAP: u64 = 4096;
 /// Handle to an attached sanitizer.
 ///
 /// Create one, hand [`Sanitizer::sink`] to
-/// [`GpuSim::attach_sink`](hpsparse_sim::GpuSim::attach_sink), run
-/// kernels, then read the verdict with [`Sanitizer::report`]. The handle
+/// [`GpuSim::attach_sink`](hpsparse_sim::GpuSim::attach_sink) before the
+/// kernels allocate (buffers allocated earlier are never declared to it),
+/// run kernels, then read the verdict with [`Sanitizer::report`]. The handle
 /// and the sink share state, so the report may be taken at any point —
 /// including while the simulator still holds the sink.
 #[derive(Debug, Clone, Default)]

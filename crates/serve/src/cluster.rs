@@ -182,7 +182,10 @@ impl Cluster {
     /// [`AutoBackend`] per device. The Heuristic strategy keeps planning a
     /// pure function of each batch's shape, so identical batches pick
     /// identical kernels on every device — a serving-latency *and* a
-    /// reproducibility property.
+    /// reproducibility property. It also keeps the cluster's host state
+    /// flat under traffic: a Heuristic plan is recomputed per batch, never
+    /// stored, and the simulators keep no per-allocation record. What
+    /// still grows is each simulator's address space (see [`GpuSim`]).
     pub fn new(
         g: &Graph,
         features: &Dense,

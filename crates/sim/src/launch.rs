@@ -225,6 +225,13 @@ struct CycleBudget {
 
 /// The simulated GPU: a device spec plus mutable L2 state that persists
 /// across launches (a new simulator starts cold).
+///
+/// Device memory is a bump allocator that never reuses an address, so a
+/// long-lived simulator eventually allocates past
+/// [`SectorCache::addressable_bytes`] and panics (4 TiB on the V100
+/// geometry). A benchmark `serve` batch (Flickr at 400 k edges, K = 32, on
+/// a 4-V100 cluster) allocates ≈ 43 KB on its device, so each simulator
+/// lasts ≈ 10⁸ batches: about 26 000 passes of that workload.
 pub struct GpuSim {
     device: DeviceSpec,
     l2: SectorCache,
@@ -232,9 +239,6 @@ pub struct GpuSim {
     /// Optional access-event observer; every launch and allocation is
     /// forwarded while attached (see [`crate::sink`]).
     sink: Option<Box<dyn AccessSink>>,
-    /// Every declaration made so far, kept so a sink attached *after* some
-    /// allocations still learns about them (replayed in `attach_sink`).
-    decls: Vec<BufferDecl>,
     /// Optional trace subscriber; while attached, every launch emits its
     /// wave-by-wave timeline and NCU-style metrics into the session. Same
     /// `Option`-test discipline as `sink`: detached costs one branch per
@@ -257,7 +261,6 @@ impl GpuSim {
             l2,
             memory: MemorySpace::new(),
             sink: None,
-            decls: Vec::new(),
             tracer: None,
             device_index: None,
             budget: None,
@@ -269,13 +272,12 @@ impl GpuSim {
         &self.device
     }
 
-    /// Attaches an access-event observer. All buffers declared so far are
-    /// replayed into it, so attaching after allocation loses nothing. While
-    /// attached, descriptors expand element-wise and no budget stops a launch.
-    pub fn attach_sink(&mut self, mut sink: Box<dyn AccessSink>) {
-        for decl in &self.decls {
-            sink.register_buffer(decl);
-        }
+    /// Attaches an access-event observer. The sink judges the allocations
+    /// made after it attaches: buffers allocated earlier were never
+    /// declared to it, so attach before allocating anything it should
+    /// check. While attached, descriptors expand element-wise and no
+    /// budget stops a launch.
+    pub fn attach_sink(&mut self, sink: Box<dyn AccessSink>) {
         self.sink = Some(sink);
     }
 
@@ -389,15 +391,13 @@ impl GpuSim {
             "allocation `{name}` ends at byte {top}, beyond the {limit} bytes \
              the L2 model's sector tags can address"
         );
-        let decl = BufferDecl {
-            name,
-            role,
-            base: buf.base(),
-            len_bytes: buf.len_bytes(),
-        };
-        self.decls.push(decl);
         if let Some(sink) = self.sink.as_mut() {
-            sink.register_buffer(&decl);
+            sink.register_buffer(&BufferDecl {
+                name,
+                role,
+                base: buf.base(),
+                len_bytes: buf.len_bytes(),
+            });
         }
         buf
     }
@@ -713,7 +713,7 @@ mod tests {
     }
 
     #[test]
-    fn sink_sees_replayed_decls_launch_protocol_and_events() {
+    fn sink_sees_post_attach_decls_launch_protocol_and_events() {
         use crate::sink::{AccessEvent, AccessSink, BufferDecl};
         use std::sync::{Arc, Mutex};
         struct Rec(Arc<Mutex<Vec<String>>>);
@@ -742,7 +742,8 @@ mod tests {
         }
 
         let mut sim = GpuSim::new(DeviceSpec::v100());
-        let early = sim.alloc_input(8, "early"); // pre-attach: must be replayed
+        // Allocated before the sink attaches: never declared to it.
+        let early = sim.alloc_input(8, "early");
         let log = Arc::new(Mutex::new(Vec::new()));
         sim.attach_sink(Box::new(Rec(Arc::clone(&log))));
         assert!(sim.sink_attached());
@@ -765,7 +766,6 @@ mod tests {
         assert_eq!(
             *log,
             vec![
-                "decl early Input".to_string(),
                 "decl out Output".to_string(),
                 "begin demo-kernel warps=2".to_string(),
                 "Read w0".to_string(),

@@ -110,13 +110,13 @@ impl BufferDecl {
 ///
 /// Calls arrive in a strict protocol per launch: `begin_launch`, then any
 /// number of `record`s (grouped by warp in scheduling order), then
-/// `end_launch`. `register_buffer` may arrive at any point outside a
-/// launch — on allocation while attached, or as a replay of earlier
-/// allocations at attach time.
+/// `end_launch`. `register_buffer` arrives outside a launch, once per
+/// allocation made while the sink is attached; allocations made before it
+/// attached are never declared to it.
 pub trait AccessSink: Send {
     /// A kernel launch is starting.
     fn begin_launch(&mut self, kernel: &str, num_warps: u64);
-    /// A device allocation (new, or replayed on late attach).
+    /// A device allocation made while this sink is attached.
     fn register_buffer(&mut self, decl: &BufferDecl);
     /// One warp-level global access.
     fn record(&mut self, event: &AccessEvent);

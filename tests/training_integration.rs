@@ -2,7 +2,7 @@
 //! learning, the simulated costs differ in the paper's direction, and the
 //! full pipeline (datasets → reorder → kernels → GNN) composes.
 
-use hpsparse::autotune::PlanStrategy;
+use hpsparse::autotune::{GraphFingerprint, OpKind, Plan, PlanCache, PlanStrategy, Planner};
 use hpsparse::datasets::features::{planted_labels, random_features};
 use hpsparse::datasets::generators::{GeneratorConfig, Topology};
 use hpsparse::gnn::gat::GatLayer;
@@ -302,8 +302,9 @@ fn sage_losses_keep_their_recorded_bits() {
 /// What the three simulator backends charge for two GCN epochs, full-graph
 /// and sampled: `(sparse_cycles, dense_cycles)` per backend, and for the
 /// planning backend its cache `(hits, misses, len)` and planning launches.
-/// Recorded at commit 22872ca, when each backend carried its own copy of
-/// the accounting rule.
+/// Cycles recorded at commit 22872ca, when each backend carried its own
+/// copy of the accounting rule. A Heuristic backend stores no plan, so
+/// every lookup misses and the cache stays empty.
 #[test]
 fn simulated_training_costs_keep_their_recorded_cycles() {
     // Large enough that kernels clear the simulator's launch floor, so the
@@ -358,5 +359,61 @@ fn simulated_training_costs_keep_their_recorded_cycles() {
             (45_494, 74_806),
         ]
     );
-    assert_eq!(planning, [(3, 3, 3, 0), (0, 6, 6, 0)]);
+    assert_eq!(planning, [(0, 6, 0, 0), (0, 6, 0, 0)]);
+}
+
+/// A Heuristic `AutoBackend` stores no plan: each call recomputes what
+/// `Planner::plan_spmm` picks. An entry seeded through `with_cache` still
+/// replays, even one the planner would not pick.
+#[test]
+fn heuristic_plans_are_recomputed_and_seeded_plans_replay() {
+    let (g, x, _) = problem(5);
+    let s = g.to_hybrid();
+    let device = DeviceSpec::v100();
+    let heuristic = PlanStrategy::Heuristic;
+    let bits = |d: Dense| loss_bits(&d.into_vec());
+    // `calls` SpMMs on one backend: the last output's bits, the cycles
+    // charged, and the cache's (hits, misses, len).
+    let run = |backend: &mut AutoBackend, calls: usize| {
+        let out = (0..calls).map(|_| bits(backend.spmm(&s, &x))).last();
+        let cache = backend.cache();
+        let counters = (cache.hits(), cache.misses(), cache.len());
+        (out, backend.sparse_cycles(), counters)
+    };
+    let seeded = |plan: &Plan| {
+        let (key, encoding) =
+            GraphFingerprint::of(&s, x.cols(), &device).cache_entry(OpKind::Spmm, 1);
+        let mut cache = PlanCache::new();
+        cache.insert(OpKind::Spmm, key, encoding, plan.clone());
+        AutoBackend::with_cache(device.clone(), heuristic, cache)
+    };
+
+    let pick = Planner::new(device.clone(), heuristic).plan_spmm(&s, x.cols());
+    let mut recomputing = AutoBackend::with_strategy(device.clone(), heuristic);
+    let (out, cycles, counters) = run(&mut recomputing, 2);
+    assert_eq!(counters, (0, 2, 0), "nothing stored, both calls plan");
+    assert_eq!(recomputing.planning_sim_launches(), 0);
+    let (replayed, replayed_cycles, _) = run(&mut seeded(&pick), 2);
+    assert_eq!(
+        (out, cycles),
+        (replayed, replayed_cycles),
+        "the planner's pick"
+    );
+
+    let alg2 = "cusparse-csr-alg2";
+    assert_ne!(
+        pick.kernel_id, alg2,
+        "the seeded entry must differ from the pick"
+    );
+    let seed = Plan {
+        kernel_id: alg2.into(),
+        config: None,
+        predicted_cycles: 0,
+        rationale: String::new(),
+    };
+    let (out, cycles, counters) = run(&mut seeded(&seed), 1);
+    assert_eq!(counters, (1, 0, 1), "the seeded entry replays");
+    let mut baseline = BaselineBackend::new(device.clone());
+    let want = bits(baseline.spmm(&s, &x));
+    assert_eq!((out, cycles), (Some(want), baseline.sparse_cycles()));
 }
