@@ -1,71 +1,17 @@
-//! Extension experiments beyond the paper's evaluation:
-//!
-//! * `futurework` — the register-lean HP-SpMM variant (the paper's §IV-F
-//!   future work) against the paper's kernel across K.
-//! * `bell` — Blocked-ELL versus hybrid CSR/COO as graph structure moves
-//!   from block-dense to power-law (why §II's third cuSPARSE format is
-//!   absent from GNN frameworks).
+//! `bell` — an extension beyond the paper's evaluation: Blocked-ELL versus
+//! hybrid CSR/COO as graph structure moves from block-dense to power-law
+//! (why §II's third cuSPARSE format is absent from GNN frameworks).
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::{bench_features, registry_graph};
+use crate::runner::bench_features;
 use crate::table;
 use hpsparse_core::baselines::CusparseBlockedEll;
-use hpsparse_core::hp::{HpSpmm, HpSpmmLean};
+use hpsparse_core::hp::HpSpmm;
 use hpsparse_core::traits::SpmmKernel;
 use hpsparse_datasets::generators::{GeneratorConfig, Topology};
 use hpsparse_sim::DeviceSpec;
 use hpsparse_sparse::BlockedEllShape;
 use serde_json::json;
-
-/// Register-lean HP-SpMM vs the paper's kernel as K grows (extends
-/// Fig. 13 into the regime the paper leaves open).
-pub fn run_futurework(effort: Effort) -> ExperimentOutput {
-    let device = DeviceSpec::v100();
-    let (_, s) = registry_graph("Flickr", effort);
-    let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
-    for k in [64usize, 128, 256, 512] {
-        let a = bench_features(s.cols(), k);
-        let wide = HpSpmm::auto(&device, &s, k).run(&device, &s, &a).unwrap();
-        let lean = HpSpmmLean::auto(&device, &s, k)
-            .run(&device, &s, &a)
-            .unwrap();
-        rows.push(vec![
-            k.to_string(),
-            table::ms(wide.exec_ms()),
-            format!("{:.0}%", wide.report.warp_occupancy * 100.0),
-            table::ms(lean.exec_ms()),
-            format!("{:.0}%", lean.report.warp_occupancy * 100.0),
-            table::speedup(wide.exec_ms() / lean.exec_ms()),
-        ]);
-        json_rows.push(json!({
-            "k": k,
-            "hp_ms": wide.exec_ms(),
-            "hp_occupancy": wide.report.warp_occupancy,
-            "lean_ms": lean.exec_ms(),
-            "lean_occupancy": lean.report.warp_occupancy,
-            "lean_speedup": wide.exec_ms() / lean.exec_ms(),
-        }));
-    }
-    let text = format!(
-        "Future work (§IV-F) — register-lean HP-SpMM on Flickr, {}\n\n{}\n\
-         (the lean variant should cross over once the paper's kernel loses \
-         occupancy to registers)\n",
-        device.name,
-        table::render(
-            &[
-                "K",
-                "HP ms",
-                "HP occ",
-                "lean ms",
-                "lean occ",
-                "lean speedup"
-            ],
-            &rows
-        )
-    );
-    ExperimentOutput::new(text, json!({ "device": device.name, "points": json_rows }))
-}
 
 /// Blocked-ELL vs HP-SpMM across block-density regimes.
 pub fn run_bell(effort: Effort) -> ExperimentOutput {

@@ -14,7 +14,6 @@ pub mod ksweep;
 pub mod preprocessing;
 pub mod reordering;
 pub mod sampling;
-pub mod sanitize;
 pub mod selftime;
 pub mod serve;
 pub mod summary;
@@ -177,16 +176,13 @@ pub static EXPERIMENTS: &[Experiment] = &[
     Experiment::new("fig13", "feature-dimension (K) sensitivity", ksweep::run),
     Experiment::new("alpha", "DTP wave-factor design ablation",
         |e| ablation::alpha_sweep(e, DEFAULT_K)),
-    Experiment::new("futurework", "register-lean HP-SpMM at large K", extensions::run_futurework),
     Experiment::new("bell", "Blocked-ELL vs hybrid CSR/COO across structures",
         extensions::run_bell),
     Experiment::new("table5", "end-to-end GNN training", endtoend::run),
     Experiment::new("autotune", "kernel-planner evaluation: oracle match + plan cache",
         |e| autotune::run(&DeviceSpec::v100(), e, DEFAULT_K)),
-    Experiment::new("sanitize", "memcheck/racecheck/initcheck sweep over every kernel",
-        |e| sanitize::run(&DeviceSpec::v100(), e)),
-    Experiment::new("verify", "static bounds/race/init verification with a prove-or-escalate gate",
-        |e| verify::run(&DeviceSpec::v100(), e)).not_in_all(),
+    Experiment::new("verify", "memory safety: static proofs plus a sanitizer sweep over every kernel",
+        |e| verify::run(&DeviceSpec::v100(), e)),
     Experiment::new("fastcheck", "differential test: observed vs unobserved walk vs cost-only entry",
         |e| fastcheck::run(&DeviceSpec::v100(), e)).not_in_all(),
     Experiment::new("profile", "Nsight-style kernel profiles on Flickr",

@@ -2,8 +2,9 @@
 //! experiment tables must name the same set of experiments: a name added
 //! to one and forgotten in another is a `repro` user typing a documented
 //! command that does not exist (or the reverse). DESIGN.md's kernel table
-//! is held to the kernel catalogue the same way, and every module path it
-//! names to the workspace's crates.
+//! is held to the kernel catalogue the same way, every extension row to a
+//! stated question, and every module path it names to the workspace's
+//! crates.
 
 use hpsparse_bench::experiments::EXPERIMENTS;
 use hpsparse_core::catalog::KERNELS;
@@ -62,6 +63,34 @@ fn table_usage_and_design_tables_name_the_same_experiments() {
         );
     }
     assert_eq!(usage, table, "repro usage line vs EXPERIMENTS");
+}
+
+/// Every artefact beyond the paper answers a stated question: each row of
+/// DESIGN.md's "Extension experiments" table fills its question column.
+#[test]
+fn every_extension_row_states_its_question() {
+    let design = include_str!("../../../DESIGN.md");
+    let start = design
+        .find("## Extension experiments")
+        .expect("extension section");
+    let mut rows = design[start..]
+        .lines()
+        .skip_while(|line| !line.starts_with('|'))
+        .take_while(|line| line.starts_with('|'))
+        .map(|line| line.split('|').map(str::trim).collect::<Vec<_>>());
+    let header = rows.next().expect("extension table header");
+    let column = header
+        .iter()
+        .position(|cell| *cell == "Question it answers")
+        .expect("a question column");
+    let rows: Vec<Vec<&str>> = rows.skip(1).collect();
+    assert!(!rows.is_empty(), "extension table has no rows");
+    for row in rows {
+        assert!(
+            row.get(column).is_some_and(|cell| !cell.is_empty()),
+            "extension row without a question: {row:?}"
+        );
+    }
 }
 
 #[test]

@@ -16,7 +16,7 @@ pub mod spmm;
 pub use config::HpConfig;
 pub use fused_mha::{FusedMhaCost, FusedMhaRun, HpFusedMha};
 pub use sddmm::HpSddmm;
-pub use spmm::{HpSpmm, HpSpmmLean};
+pub use spmm::HpSpmm;
 
 // Re-export the kernel traits so `use hpsparse_core::hp::*` is enough to
 // run the flagship kernels.

@@ -48,11 +48,8 @@ impl SpmmKernel for HpSpmm {
     }
 
     fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
-        let resources = self
-            .config
-            .check_launchable(self.name(), sim.device(), || self.config.resources(k))?;
         Ok(KernelCost {
-            report: hp_spmm_cost(self.name(), self.config, resources, sim, s, k),
+            report: hp_spmm_cost(self.name(), self.config, sim, s, k)?,
             preprocess: None,
         })
     }
@@ -66,67 +63,9 @@ impl SpmmKernel for HpSpmm {
     }
 }
 
-/// The register-lean HP-SpMM variant — the direction the paper's §IV-F
-/// leaves as future work ("how to reduce the use of registers and improve
-/// performance when K gets very large").
-///
-/// Instead of widening each lane's accumulator set with K (which costs
-/// occupancy once registers run out), this variant pins the vector width
-/// to 1 — every warp covers exactly 32 feature columns and per-thread
-/// register usage stays flat regardless of K. It trades instruction count
-/// (scalar loads, more K-slices) for full occupancy; past the point where
-/// [`HpSpmm`]'s occupancy collapses (K ≳ 256 on V100), the trade wins.
-#[derive(Debug, Clone, Copy)]
-pub struct HpSpmmLean {
-    /// Launch parameters; the vector width is forced to 1.
-    pub config: HpConfig,
-}
-
-impl HpSpmmLean {
-    /// DTP selection with the lean layout.
-    pub fn auto(device: &DeviceSpec, s: &Hybrid, k: usize) -> Self {
-        let mut config = HpConfig::auto(device, s.nnz(), s.rows(), k);
-        config.vector_width = 1;
-        Self { config }
-    }
-}
-
-impl SpmmKernel for HpSpmmLean {
-    fn name(&self) -> &'static str {
-        "HP-SpMM (register-lean)"
-    }
-
-    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
-        let mut cfg = self.config;
-        cfg.vector_width = 1;
-        // Flat register budget: one accumulator per lane, K-independent.
-        let resources = cfg.check_launchable(self.name(), sim.device(), || {
-            hpsparse_sim::KernelResources {
-                warps_per_block: cfg.warps_per_block,
-                registers_per_thread: 32,
-                shared_mem_per_block: 3 * 32 * 4 * cfg.warps_per_block,
-            }
-        })?;
-        Ok(KernelCost {
-            report: hp_spmm_cost(self.name(), cfg, resources, sim, s, k),
-            preprocess: None,
-        })
-    }
-
-    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
-        hp_spmm_accumulate(self.config, s, a)
-    }
-
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        let mut cfg = self.config;
-        cfg.vector_width = 1;
-        vec![hp_spmm_plan(self.name(), cfg)]
-    }
-}
-
 /// Emits the Algorithm 3 buffer set and launch into `b` with the given
 /// shape expressions (`m` rows, `n` columns of `S` = rows of `A`, `nnz`
-/// elements, `k` feature columns). Shared by the HP-SpMM variants and the
+/// elements, `k` feature columns). Shared by HP-SpMM and the
 /// Merge-path baseline, whose execution phase *is* this kernel.
 pub(crate) fn emit_hp_spmm_launch(
     b: &mut PlanBuilder,
@@ -204,7 +143,7 @@ pub(crate) fn emit_hp_spmm_launch(
     l.done();
 }
 
-/// Complete symbolic plan for an HP-SpMM variant at one configuration.
+/// Complete symbolic plan for HP-SpMM at one configuration.
 pub(crate) fn hp_spmm_plan(name: &str, cfg: HpConfig) -> SymbolicPlan {
     let mut b = PlanBuilder::new(
         name,
@@ -226,16 +165,16 @@ fn hp_spmm_accumulate(cfg: HpConfig, s: &Hybrid, a: &Dense) -> Result<Dense, For
     segment_sums(s, a, Cut::Every(cfg.nnz_per_warp.max(1)))
 }
 
-/// Shared cost walk of the HP-SpMM variants (Algorithm 3) at feature width
-/// `k`.
+/// Cost walk of Algorithm 3 at feature width `k`; a configuration the
+/// device cannot launch is a typed error.
 fn hp_spmm_cost(
-    name: &str,
+    name: &'static str,
     cfg: HpConfig,
-    resources: hpsparse_sim::KernelResources,
     sim: &mut GpuSim,
     s: &Hybrid,
     k: usize,
-) -> LaunchReport {
+) -> Result<LaunchReport, FormatError> {
+    let resources = cfg.check_launchable(name, sim.device(), || cfg.resources(k))?;
     let m = s.rows();
     let nnz = s.nnz();
     let vw = cfg.vector_width;
@@ -258,7 +197,7 @@ fn hp_spmm_cost(
         num_warps: cfg.spmm_warps(nnz, k),
         resources,
     };
-    sim.launch_named(name, launch, |warp_id, tally| {
+    Ok(sim.launch_named(name, launch, |warp_id, tally| {
         let chunk = warp_id % chunks.max(1);
         let kslice = warp_id / chunks.max(1);
         let start = chunk as usize * npw;
@@ -312,7 +251,7 @@ fn hp_spmm_cost(
             o_buf.elem_addr((cur_row * k + k_base) as u64, 4),
             k_width as u64 * 4,
         );
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -458,61 +397,5 @@ mod tests {
             vector.report.totals.instructions,
             scalar.report.totals.instructions
         );
-    }
-}
-
-#[cfg(test)]
-mod lean_tests {
-    use super::*;
-    use hpsparse_sparse::reference;
-
-    fn community_graph() -> Hybrid {
-        let triplets: Vec<(u32, u32, f32)> = (0..60_000u32)
-            .map(|i| {
-                let comm = (i / 600) % 20;
-                (
-                    (comm * 250 + i % 250) % 5000,
-                    (comm * 250 + (i * 7) % 250) % 5000,
-                    1.0,
-                )
-            })
-            .collect();
-        Hybrid::from_triplets(5000, 5000, &triplets).unwrap()
-    }
-
-    #[test]
-    fn lean_variant_matches_reference() {
-        let s = community_graph();
-        let a = Dense::from_fn(5000, 96, |i, j| ((i + j) as f32 * 1e-3).sin());
-        let expected = reference::spmm(&s, &a).unwrap();
-        let v100 = DeviceSpec::v100();
-        let run = HpSpmmLean::auto(&v100, &s, 96).run(&v100, &s, &a).unwrap();
-        assert!(run.output.approx_eq(&expected, 1e-3, 1e-4));
-    }
-
-    #[test]
-    fn lean_variant_keeps_occupancy_at_large_k() {
-        let s = community_graph();
-        let v100 = DeviceSpec::v100();
-        let k = 512;
-        let a = Dense::from_fn(5000, k, |i, j| ((i * 3 + j) as f32 * 1e-4).cos());
-        let wide = HpSpmm::auto(&v100, &s, k).run(&v100, &s, &a).unwrap();
-        let lean = HpSpmmLean::auto(&v100, &s, k).run(&v100, &s, &a).unwrap();
-        assert!(
-            lean.report.warp_occupancy > wide.report.warp_occupancy,
-            "lean occ {} vs wide occ {}",
-            lean.report.warp_occupancy,
-            wide.report.warp_occupancy
-        );
-        // The future-work payoff: at K large enough to crush the wide
-        // variant's occupancy, the lean variant is faster.
-        assert!(
-            lean.report.cycles < wide.report.cycles,
-            "lean {} vs wide {}",
-            lean.report.cycles,
-            wide.report.cycles
-        );
-        // And both agree numerically.
-        assert!(lean.output.approx_eq(&wide.output, 1e-3, 1e-4));
     }
 }

@@ -21,8 +21,8 @@
 //! sequential reference's) while their cost walks mis-describe the memory
 //! traffic — the simulated analogue of a CUDA kernel whose bug corrupts
 //! memory without changing the tested output. They are deliberately kept out of the benchmark registry;
-//! `repro -- sanitize` and the sanitizer's integration tests are their
-//! only callers.
+//! `repro -- verify` and the sanitizer's and catalogue's integration tests
+//! are their only callers.
 
 use crate::traits::{KernelCost, SpmmKernel};
 use hpsparse_sim::{

@@ -10,7 +10,7 @@
 //!
 //! | Routine | Order | Kernels |
 //! |---|---|---|
-//! | [`segment_sums`] | per segment a partial sum from `+0.0` in element order, added to the output row in segment order | HP-SpMM, its register-lean variant and Merge-path ([`Cut::Every`]); ALG2, GE-SpMM, Row-split, Sputnik, Huang, ASpT ([`Cut::PerRow`]) |
+//! | [`segment_sums`] | per segment a partial sum from `+0.0` in element order, added to the output row in segment order | HP-SpMM and Merge-path ([`Cut::Every`]); ALG2, GE-SpMM, Row-split, Sputnik, Huang, ASpT ([`Cut::PerRow`]) |
 //! | [`element_order`] | `O[r] += v·A[c]` per stored element | ALG3, COO-ALG4, TC-GNN |
 //! | [`masked_dots`] | per element `(Σₖ A1[r][k]·A2ᵀ[c][k]) · v`, the sum a sequential fold | HP-SDDMM, DGL-SDDMM, cuSPARSE CSR SDDMM |
 //! | [`attention`] | per head [`masked_dots`] `× 1/√d` → [`edge_softmax`] per row → [`element_order`] over the reweighted structure | HP-Fused-MHA |

@@ -166,7 +166,7 @@ pub trait SpmmKernel: Send + Sync {
     /// vector-width switch emits one plan per width). The kernel's concrete
     /// configuration is baked in; the problem shape stays symbolic. An
     /// empty vector means the kernel has no symbolic model yet and the
-    /// verifier reports `Unknown` (escalating to the dynamic sanitizer).
+    /// verifier reports `Unknown` (the dynamic sanitizer is then the only judge).
     fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
         Vec::new()
     }

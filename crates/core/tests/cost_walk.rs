@@ -16,7 +16,7 @@
 use hpsparse_core::baselines::{all_sddmm, all_spmm, Aspt, Huang, MergePath};
 use hpsparse_core::catalog::{Kernel, Launches, HEADS, KERNELS};
 use hpsparse_core::hp::fused_mha::SMEM_SCORE_CAP;
-use hpsparse_core::hp::{FusedMhaCost, HpConfig, HpFusedMha, HpSddmm, HpSpmm, HpSpmmLean};
+use hpsparse_core::hp::{FusedMhaCost, HpConfig, HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse_core::mutants::all_mutants;
 use hpsparse_core::numerics::{element_order, masked_dots, segment_sums, segments, Cut};
 use hpsparse_core::{KernelCost, SddmmKernel, SpmmKernel};
@@ -25,9 +25,9 @@ use hpsparse_sparse::{Dense, Hybrid};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
-/// Every SpMM kernel: the registry at its defaults, both HP variants, the
-/// sanitizer mutants, and the splitting kernels again at bounds small
-/// enough that a 40-row matrix has split rows and ragged chunks.
+/// Every SpMM kernel: the registry at its defaults, the sanitizer mutants,
+/// and the splitting kernels again at bounds small enough that a 40-row
+/// matrix has split rows and ragged chunks.
 fn spmm_kernels(device: &DeviceSpec, s: &Hybrid, k: usize) -> Vec<Box<dyn SpmmKernel>> {
     let tiny = HpConfig {
         nnz_per_warp: 5,
@@ -37,7 +37,6 @@ fn spmm_kernels(device: &DeviceSpec, s: &Hybrid, k: usize) -> Vec<Box<dyn SpmmKe
     };
     let mut kernels: Vec<Box<dyn SpmmKernel>> = vec![
         Box::new(HpSpmm::auto(device, s, k)),
-        Box::new(HpSpmmLean::auto(device, s, k)),
         Box::new(HpSpmm::new(tiny)),
         Box::new(MergePath {
             items_per_segment: 7,

@@ -58,7 +58,7 @@ pub type Grads = Gcn;
 
 /// `(fan_in, fan_out)` of each layer of an `in_dim → hidden → … → classes`
 /// stack.
-pub(crate) fn layer_dims(
+fn layer_dims(
     in_dim: usize,
     hidden: usize,
     classes: usize,

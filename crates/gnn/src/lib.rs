@@ -5,11 +5,10 @@
 //! algebra on rayon ([`linalg`]); a pluggable sparse backend that runs the
 //! HP kernels, the cuSPARSE-style baselines or the autotuner's plan on the
 //! simulator under one GPU-time accounting rule ([`backend`]); GCN
-//! ([`gcn`]), GraphSAGE ([`sage`]) and a graph transformer over batched
-//! sparse attention ([`mha`], [`gat`]) with manual reverse-mode
-//! backpropagation; one initialiser and one Adam for all three
-//! ([`params`]); and one training loop behind the full-graph and GraphSAINT
-//! entry points ([`train`]).
+//! ([`gcn`]) and a graph transformer over batched sparse attention
+//! ([`mha`], [`gat`]) with manual reverse-mode backpropagation; one
+//! initialiser and one Adam for both ([`params`]); and one training loop
+//! behind the full-graph and GraphSAINT entry points ([`train`]).
 //!
 //! Numerics always run on the CPU (real training, loss really decreases);
 //! the backend simultaneously accounts the *simulated GPU cycles* each
@@ -23,7 +22,6 @@ pub mod gcn;
 pub mod linalg;
 pub mod mha;
 pub mod params;
-pub mod sage;
 pub mod train;
 
 pub use backend::{
@@ -35,5 +33,4 @@ pub use mha::{
     GraphTransformer, MhaCache, SparseMha, TransformerAdam, TransformerConfig, TransformerGrads,
 };
 pub use params::{Adam, Model};
-pub use sage::{mean_operator, Sage, SageAdam, SageConfig};
 pub use train::{train_full_graph, train_graph_sampling, TrainConfig, TrainStats};

@@ -9,7 +9,7 @@ use std::marker::PhantomData;
 /// It hands out unit draws only. Scaling a draw to a weight stays at the
 /// call site, because the two conventions in use round differently and
 /// every recorded loss depends on which one a model uses:
-/// `gcn`/`sage` scale in `f64` and round once,
+/// `gcn` scales in `f64` and rounds once,
 /// `((u·2−1)·limit) as f32`; `gat`/`mha` round the draw first and scale in
 /// `f32`, `(u·2−1) as f32 · limit`.
 pub(crate) struct Xorshift64Star(u64);

@@ -57,11 +57,12 @@
 //! # Relationship to the static verifier
 //!
 //! `hpsparse-verify` proves the same three properties *statically* from a
-//! kernel's symbolic plan, and the `repro -- verify` gate only escalates
-//! kernels it cannot fully prove. For those — every `Unknown` verdict —
-//! the dynamic sanitizer remains the authority: a static `Unknown` says
-//! nothing about the kernel, only about the prover. [`sanitize_run`] is
-//! the escalation entry point.
+//! kernel's symbolic plan. The `repro -- verify` experiment runs both on
+//! every kernel: a kernel passes when this crate finds no violation on any
+//! registry graph and the prover refutes nothing. A static `Unknown` says
+//! nothing about the kernel, only about the prover, so for it the
+//! sanitizer is the only judge. [`sanitize_run`] is the entry point the
+//! sweep uses.
 //!
 //! The verifier's refutations are this crate's verdicts too: its replay
 //! instantiates a plan at concrete shapes and emits every access into a
@@ -133,9 +134,9 @@ impl Sanitizer {
 }
 
 /// Runs `f` on a fresh simulator with a sanitizer attached and returns
-/// the verdict — the one-shot escalation entry point for callers (such as
-/// the `repro -- verify` gate) that need a dynamic check of a single
-/// kernel invocation without managing sink lifetimes themselves.
+/// the verdict — the one-shot entry point for callers (such as the
+/// `repro -- verify` sweep) that need a dynamic check of a single kernel
+/// invocation without managing sink lifetimes themselves.
 pub fn sanitize_run(
     device: hpsparse_sim::DeviceSpec,
     f: impl FnOnce(&mut hpsparse_sim::GpuSim),

@@ -12,12 +12,12 @@
 //! Verdicts are three-valued ([`CheckVerdict`]): `Proved` (all obligations
 //! discharged by the [`Prover`]), `Refuted` (a concrete counterexample found
 //! by element-wise replay, see [`replay_all`]), or `Unknown` (neither — the
-//! dynamic sanitizer remains authoritative and the CI gate escalates to it).
+//! dynamic sanitizer is then the only judge).
 //!
-//! The prove-or-escalate contract: a `Proved` verdict is *sound* — it
-//! implies the dynamic sanitizer passes on every graph — so the CI gate may
-//! skip dynamic sanitization for proved kernels and spend its budget on the
-//! non-proved remainder.
+//! A `Proved` verdict is *sound*: it implies the dynamic sanitizer passes
+//! on every graph. The `repro -- verify` experiment checks that claim
+//! rather than leaning on it — it runs the dynamic sweep for every kernel,
+//! proved or not, and fails on any violation either side finds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

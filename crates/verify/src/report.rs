@@ -121,8 +121,8 @@ pub enum CheckVerdict {
     Proved,
     /// The property fails: a concrete counterexample was found and replayed.
     Refuted(Counterexample),
-    /// Neither proved nor refuted; the dynamic sanitizer stays
-    /// authoritative.
+    /// Neither proved nor refuted; the dynamic sanitizer is the only
+    /// judge.
     Unknown {
         /// The first obligation the prover could not discharge.
         reason: String,

@@ -7,9 +7,9 @@ use hpsparse::datasets::features::{planted_labels, random_features};
 use hpsparse::datasets::generators::{GeneratorConfig, Topology};
 use hpsparse::gnn::gat::GatLayer;
 use hpsparse::gnn::{
-    linalg, mean_operator, train_full_graph, train_graph_sampling, AutoBackend, BaselineBackend,
-    CpuBackend, GcnConfig, GraphTransformer, HpBackend, Sage, SageAdam, SageConfig, SparseBackend,
-    TrainConfig, TransformerAdam, TransformerConfig,
+    linalg, train_full_graph, train_graph_sampling, AutoBackend, BaselineBackend, CpuBackend,
+    GcnConfig, GraphTransformer, HpBackend, SparseBackend, TrainConfig, TransformerAdam,
+    TransformerConfig,
 };
 use hpsparse::reorder::gcr_reorder;
 use hpsparse::sim::DeviceSpec;
@@ -270,33 +270,6 @@ fn transformer_losses_keep_their_recorded_bits() {
     let fused = run(&mut hp);
     assert_eq!(fused, RECORDED, "hp (fused) {fused:#x?}");
     assert_eq!((hp.sparse_cycles(), hp.dense_cycles()), (189_000, 32_673));
-}
-
-/// Three epochs of GraphSAGE on the CPU kernels, recorded at commit 22872ca.
-#[test]
-fn sage_losses_keep_their_recorded_bits() {
-    let (g, x, y) = problem(1);
-    let (s, st) = mean_operator(&g).unwrap();
-    let mut model = Sage::new(SageConfig {
-        in_dim: 16,
-        hidden: 24,
-        layers: 2,
-        classes: 4,
-        seed: 3,
-    });
-    let mut opt = SageAdam::new(&model, 0.02);
-    let mut backend = CpuBackend::new();
-    let losses: Vec<f32> = (0..3)
-        .map(|_| {
-            let (logits, cache) = model.forward(&mut backend, &s, &x);
-            let (loss, grad) = linalg::softmax_cross_entropy(&logits, &y);
-            let grads = model.backward(&mut backend, &st, cache, grad);
-            opt.step(&mut model, &grads);
-            loss
-        })
-        .collect();
-    let bits = loss_bits(&losses);
-    assert_eq!(bits, [0x3fde711c, 0x3fbd8554, 0x3fa8e0ae], "{bits:#x?}");
 }
 
 /// What the three simulator backends charge for two GCN epochs, full-graph
