@@ -12,10 +12,11 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
+use hpsparse_core::catalog::Op;
 use hpsparse_core::hp::HpConfig;
 use serde_json::{json, Value};
 
-use crate::planner::{OpKind, Plan};
+use crate::planner::Plan;
 
 /// One cached decision.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,7 +31,7 @@ pub struct CachedPlan {
 /// In-memory plan store with hit/miss accounting and JSON persistence.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
-    entries: BTreeMap<(OpKind, u64), CachedPlan>,
+    entries: BTreeMap<(Op, u64), CachedPlan>,
     hits: u64,
     misses: u64,
 }
@@ -42,7 +43,7 @@ impl PlanCache {
     }
 
     /// Looks up a plan, counting a hit or a miss.
-    pub fn get(&mut self, op: OpKind, key: u64) -> Option<&Plan> {
+    pub fn get(&mut self, op: Op, key: u64) -> Option<&Plan> {
         match self.entries.get(&(op, key)) {
             Some(entry) => {
                 self.hits += 1;
@@ -59,7 +60,7 @@ impl PlanCache {
 
     /// Stores a plan under `(op, key)`. `fingerprint` is the canonical
     /// encoding the key was hashed from.
-    pub fn insert(&mut self, op: OpKind, key: u64, fingerprint: String, plan: Plan) {
+    pub fn insert(&mut self, op: Op, key: u64, fingerprint: String, plan: Plan) {
         self.entries
             .insert((op, key), CachedPlan { fingerprint, plan });
     }
@@ -100,7 +101,7 @@ impl PlanCache {
                     None => Value::Null,
                 };
                 json!({
-                    "op": op.tag(),
+                    "op": tag(*op),
                     "key": format!("{key:016x}"),
                     "fingerprint": entry.fingerprint.as_str(),
                     "kernel_id": entry.plan.kernel_id.as_str(),
@@ -155,8 +156,27 @@ impl PlanCache {
     }
 }
 
-fn parse_entry(e: &Value) -> Option<(OpKind, u64, CachedPlan)> {
-    let op = OpKind::from_tag(e.get("op")?.as_str()?)?;
+/// An operation's stable tag in a persisted cache.
+fn tag(op: Op) -> &'static str {
+    match op {
+        Op::Spmm => "spmm",
+        Op::Sddmm => "sddmm",
+        Op::FusedMha => "fused-mha",
+    }
+}
+
+/// The operation a persisted tag names.
+fn op_of(tag: &str) -> Option<Op> {
+    match tag {
+        "spmm" => Some(Op::Spmm),
+        "sddmm" => Some(Op::Sddmm),
+        "fused-mha" => Some(Op::FusedMha),
+        _ => None,
+    }
+}
+
+fn parse_entry(e: &Value) -> Option<(Op, u64, CachedPlan)> {
+    let op = op_of(e.get("op")?.as_str()?)?;
     let key = u64::from_str_radix(e.get("key")?.as_str()?, 16).ok()?;
     let config = match e.get("config") {
         None | Some(Value::Null) => None,
@@ -216,34 +236,37 @@ mod tests {
     #[test]
     fn counters_track_hits_and_misses() {
         let mut cache = PlanCache::new();
-        assert!(cache.get(OpKind::Spmm, 7).is_none());
+        assert!(cache.get(Op::Spmm, 7).is_none());
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
-        cache.insert(OpKind::Spmm, 7, "fp".into(), sample_plan(true));
-        assert!(cache.get(OpKind::Spmm, 7).is_some());
+        cache.insert(Op::Spmm, 7, "fp".into(), sample_plan(true));
+        assert!(cache.get(Op::Spmm, 7).is_some());
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         // Same key, other op: distinct slot.
-        assert!(cache.get(OpKind::Sddmm, 7).is_none());
+        assert!(cache.get(Op::Sddmm, 7).is_none());
         assert_eq!(cache.misses(), 2);
+    }
+
+    #[test]
+    fn op_tags_round_trip() {
+        for op in [Op::Spmm, Op::Sddmm, Op::FusedMha] {
+            assert_eq!(op_of(tag(op)), Some(op));
+        }
+        assert_eq!(op_of("gemm"), None);
     }
 
     #[test]
     fn json_round_trip_preserves_plans_exactly() {
         let mut cache = PlanCache::new();
-        cache.insert(
-            OpKind::Spmm,
-            0xdead_beef_0042,
-            "fp-a".into(),
-            sample_plan(true),
-        );
-        cache.insert(OpKind::Sddmm, u64::MAX, "fp-b".into(), sample_plan(false));
+        cache.insert(Op::Spmm, 0xdead_beef_0042, "fp-a".into(), sample_plan(true));
+        cache.insert(Op::Sddmm, u64::MAX, "fp-b".into(), sample_plan(false));
         let text = cache.to_json_string();
         let mut back = PlanCache::from_json_str(&text).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(
-            back.get(OpKind::Spmm, 0xdead_beef_0042),
+            back.get(Op::Spmm, 0xdead_beef_0042),
             Some(&sample_plan(true))
         );
-        assert_eq!(back.get(OpKind::Sddmm, u64::MAX), Some(&sample_plan(false)));
+        assert_eq!(back.get(Op::Sddmm, u64::MAX), Some(&sample_plan(false)));
         // Counters are runtime state, not persisted.
         assert_eq!(back.hits(), 2);
     }
@@ -254,10 +277,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("plans.json");
         let mut cache = PlanCache::new();
-        cache.insert(OpKind::Spmm, 42, "fp".into(), sample_plan(true));
+        cache.insert(Op::Spmm, 42, "fp".into(), sample_plan(true));
         cache.save(&path).unwrap();
         let mut loaded = PlanCache::load(&path).unwrap();
-        assert_eq!(loaded.get(OpKind::Spmm, 42), Some(&sample_plan(true)));
+        assert_eq!(loaded.get(Op::Spmm, 42), Some(&sample_plan(true)));
         std::fs::remove_file(&path).ok();
     }
 

@@ -8,10 +8,9 @@
 //! entering the hash are quantised: micro-differences in degree statistics
 //! must not fragment the cache.
 
+use hpsparse_core::catalog::Op;
 use hpsparse_sim::DeviceSpec;
 use hpsparse_sparse::{DegreeStats, Hybrid};
-
-use crate::planner::OpKind;
 
 /// Everything the planner looks at, condensed. Obtain via
 /// [`GraphFingerprint::of`].
@@ -105,9 +104,9 @@ impl GraphFingerprint {
     /// attention plan (`k` = head dimension) also on `heads`, which
     /// multiplies every traffic term and so changes the fuse/no-fuse
     /// decision.
-    pub fn cache_entry(&self, op: OpKind, heads: usize) -> (u64, String) {
+    pub fn cache_entry(&self, op: Op, heads: usize) -> (u64, String) {
         let mut encoding = self.canonical_encoding();
-        if op == OpKind::FusedMha {
+        if op == Op::FusedMha {
             encoding.push_str(&format!("|heads={heads}"));
         }
         (fnv1a(&encoding), encoding)
@@ -171,12 +170,12 @@ mod tests {
     fn cache_entries_separate_head_counts_for_attention_only() {
         let s = power_law_ish();
         let fp = GraphFingerprint::of(&s, 64, &DeviceSpec::v100());
-        let mha = |heads| fp.cache_entry(OpKind::FusedMha, heads);
+        let mha = |heads| fp.cache_entry(Op::FusedMha, heads);
         assert_eq!(mha(4), mha(4));
         assert_ne!(mha(1).0, mha(4).0);
         assert_ne!(mha(1).0, fp.key(), "heads=1 is still a distinct op");
         assert!(mha(4).1.ends_with("|heads=4"));
-        for op in [OpKind::Spmm, OpKind::Sddmm] {
+        for op in [Op::Spmm, Op::Sddmm] {
             assert_eq!(fp.cache_entry(op, 4), (fp.key(), fp.canonical_encoding()));
         }
     }

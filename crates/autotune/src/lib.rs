@@ -19,7 +19,8 @@
 //!    loaded entry no kernel could launch with is skipped and re-planned.
 //!
 //! ```
-//! use hpsparse_autotune::{PlanCache, Planner, PlanStrategy, GraphFingerprint, OpKind};
+//! use hpsparse_autotune::{PlanCache, Planner, PlanStrategy, GraphFingerprint};
+//! use hpsparse_core::catalog::Op;
 //! use hpsparse_sim::DeviceSpec;
 //! use hpsparse_sparse::Hybrid;
 //!
@@ -29,11 +30,11 @@
 //! let mut cache = PlanCache::new();
 //!
 //! let fp = GraphFingerprint::of(&s, 64, &v100);
-//! let plan = match cache.get(OpKind::Spmm, fp.key()) {
+//! let plan = match cache.get(Op::Spmm, fp.key()) {
 //!     Some(plan) => plan.clone(),
 //!     None => {
 //!         let plan = planner.plan_spmm(&s, 64);
-//!         cache.insert(OpKind::Spmm, fp.key(), fp.canonical_encoding(), plan.clone());
+//!         cache.insert(Op::Spmm, fp.key(), fp.canonical_encoding(), plan.clone());
 //!         plan
 //!     }
 //! };
@@ -59,5 +60,5 @@ pub use cost::{
 };
 pub use fingerprint::GraphFingerprint;
 pub use planner::{
-    measure_unfused_mha, measurement_features, OpKind, Plan, PlanStrategy, Planner, MEASURED_TOP_N,
+    measure_unfused_mha, measurement_features, Plan, PlanStrategy, Planner, MEASURED_TOP_N,
 };

@@ -16,13 +16,14 @@
 //!   soon as it provably cannot beat it; the pick is the exhaustive one.
 //!
 //! All three operations go through one path, [`Planner::plan_for`]; an
-//! [`OpKind`] contributes only its candidates, its analytic cost, its
-//! bound hint and how one candidate is measured.
+//! [`Op`] contributes only its candidates, its analytic cost, its bound
+//! hint and how one candidate is measured.
 //!
 //! Planning is deterministic: candidate enumeration order is fixed, every
 //! simulator run starts cold, and ties break toward the better heuristic
 //! rank.
 
+use hpsparse_core::catalog::Op;
 use hpsparse_core::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse_core::traits::{KernelCost, SddmmKernel, SpmmKernel};
 use hpsparse_sim::{DeviceSpec, GpuSim};
@@ -84,106 +85,70 @@ impl Plan {
     }
 }
 
-/// Which sparse operation a plan is for (plans for the same matrix differ
-/// between SpMM and SDDMM, so caches key on this too).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum OpKind {
-    /// `O = S · A`.
-    Spmm,
-    /// `S_O = (A1 · A2ᵀ) ⊙ S`.
-    Sddmm,
-    /// Multi-head attention `O_h = softmax((Q_h·K_hᵀ)⊙S/√d) · V_h` — the
-    /// fuse/no-fuse decision. Cache keys for this op carry the head count
-    /// ([`GraphFingerprint::cache_entry`]).
-    FusedMha,
-}
-
-impl OpKind {
-    /// Stable textual tag used in persisted caches.
-    pub fn tag(self) -> &'static str {
-        match self {
-            OpKind::Spmm => "spmm",
-            OpKind::Sddmm => "sddmm",
-            OpKind::FusedMha => "fused-mha",
-        }
-    }
-
-    /// Parses the textual tag back.
-    pub fn from_tag(tag: &str) -> Option<Self> {
-        match tag {
-            "spmm" => Some(OpKind::Spmm),
-            "sddmm" => Some(OpKind::Sddmm),
-            "fused-mha" => Some(OpKind::FusedMha),
-            _ => None,
-        }
-    }
-
-    /// What the op contributes to [`Planner::plan_for`] besides its
-    /// measurement.
-    fn model(self) -> OpModel {
-        match self {
-            OpKind::Spmm => OpModel {
-                span: "autotune:plan-spmm",
-                candidates: spmm_candidates,
-                cost: |device, fp, _, c| spmm_cost(device, fp, c),
-                bound_hint: Some(spmm_bound_hint),
-            },
-            OpKind::Sddmm => OpModel {
-                span: "autotune:plan-sddmm",
-                candidates: sddmm_candidates,
-                cost: |device, fp, _, c| sddmm_cost(device, fp, c),
-                bound_hint: Some(sddmm_bound_hint),
-            },
-            OpKind::FusedMha => OpModel {
-                span: "autotune:plan-mha",
-                candidates: mha_candidates,
-                cost: mha_cost,
-                bound_hint: None,
-            },
-        }
-    }
-
-    /// One measurement of `c` on `s` on `sim`, which starts cold: cycles
-    /// (execution plus preprocessing) and, where one launch report exists
-    /// to attribute, the bottleneck verdict [`hpsparse_sim::attribute`]
-    /// gives it. `None` when the candidate does not instantiate or refuses
-    /// the shape.
-    ///
-    /// Under a `budget` the walk stops once its cycles provably reach it
-    /// ([`GpuSim::set_cycle_budget`]); a stopped walk reports the budget
-    /// itself, which loses the planner's strict `<` against the incumbent
-    /// that set it and is what a timing tuner would have waited.
-    fn measure(
-        self,
-        sim: &mut GpuSim,
-        c: &Candidate,
-        s: &Hybrid,
-        k: usize,
-        heads: usize,
-        budget: Option<u64>,
-    ) -> Option<(u64, Option<String>)> {
-        if let Some(limit) = budget {
-            sim.set_cycle_budget(limit);
-        }
-        let whole = |cost: KernelCost| (cost.total_cycles(), Some(cost.report));
-        let (cycles, report) = match self {
-            OpKind::Spmm => whole(instantiate_spmm(c)?.cost_on(sim, s, k).ok()?),
-            OpKind::Sddmm => whole(instantiate_sddmm(c)?.cost_on(sim, s, k).ok()?),
-            OpKind::FusedMha => match instantiate_fused_mha(c) {
-                Some(kernel) => (fused_mha_on(sim, &kernel, s, k, heads)?, None),
-                None => (unfused_mha_on(sim, s, k, heads, budget)?.0, None),
-            },
-        };
-        if sim.budget_stop().is_some() {
-            hpsparse_trace::counter_add("autotune.plan_sim_launches_stopped", 1);
-            return budget.map(|limit| (limit, None));
-        }
-        let verdict = report.map(|r| hpsparse_sim::attribute(&r, sim.device()).verdict());
-        Some((cycles, verdict))
+/// What `op` contributes to [`Planner::plan_for`] besides its measurement.
+fn model(op: Op) -> OpModel {
+    match op {
+        Op::Spmm => OpModel {
+            span: "autotune:plan-spmm",
+            candidates: spmm_candidates,
+            cost: |device, fp, _, c| spmm_cost(device, fp, c),
+            bound_hint: Some(spmm_bound_hint),
+        },
+        Op::Sddmm => OpModel {
+            span: "autotune:plan-sddmm",
+            candidates: sddmm_candidates,
+            cost: |device, fp, _, c| sddmm_cost(device, fp, c),
+            bound_hint: Some(sddmm_bound_hint),
+        },
+        Op::FusedMha => OpModel {
+            span: "autotune:plan-mha",
+            candidates: mha_candidates,
+            cost: mha_cost,
+            bound_hint: None,
+        },
     }
 }
 
-/// The analytic side of one [`OpKind`].
+/// One measurement of `c` for `op` on `s` on `sim`, which starts cold:
+/// cycles (execution plus preprocessing) and, where one launch report
+/// exists to attribute, the bottleneck verdict [`hpsparse_sim::attribute`]
+/// gives it. `None` when the candidate does not instantiate or refuses the
+/// shape.
+///
+/// Under a `budget` the walk stops once its cycles provably reach it
+/// ([`GpuSim::set_cycle_budget`]); a stopped walk reports the budget
+/// itself, which loses the planner's strict `<` against the incumbent that
+/// set it and is what a timing tuner would have waited.
+fn measure(
+    op: Op,
+    sim: &mut GpuSim,
+    c: &Candidate,
+    s: &Hybrid,
+    k: usize,
+    heads: usize,
+    budget: Option<u64>,
+) -> Option<(u64, Option<String>)> {
+    if let Some(limit) = budget {
+        sim.set_cycle_budget(limit);
+    }
+    let whole = |cost: KernelCost| (cost.total_cycles(), Some(cost.report));
+    let (cycles, report) = match op {
+        Op::Spmm => whole(instantiate_spmm(c)?.cost_on(sim, s, k).ok()?),
+        Op::Sddmm => whole(instantiate_sddmm(c)?.cost_on(sim, s, k).ok()?),
+        Op::FusedMha => match instantiate_fused_mha(c) {
+            Some(kernel) => (fused_mha_on(sim, &kernel, s, k, heads)?, None),
+            None => (unfused_mha_on(sim, s, k, heads, budget)?.0, None),
+        },
+    };
+    if sim.budget_stop().is_some() {
+        hpsparse_trace::counter_add("autotune.plan_sim_launches_stopped", 1);
+        return budget.map(|limit| (limit, None));
+    }
+    let verdict = report.map(|r| hpsparse_sim::attribute(&r, sim.device()).verdict());
+    Some((cycles, verdict))
+}
+
+/// The analytic side of one [`Op`].
 struct OpModel {
     /// Trace-span name of a planning call.
     span: &'static str,
@@ -242,13 +207,13 @@ impl Planner {
     /// Plans SpMM for `s` at feature dimension `k`.
     pub fn plan_spmm(&mut self, s: &Hybrid, k: usize) -> Plan {
         let fp = GraphFingerprint::of(s, k, &self.device);
-        self.plan_for(OpKind::Spmm, &fp, s, 1)
+        self.plan_for(Op::Spmm, &fp, s, 1)
     }
 
     /// Plans SDDMM for `s` at feature dimension `k`.
     pub fn plan_sddmm(&mut self, s: &Hybrid, k: usize) -> Plan {
         let fp = GraphFingerprint::of(s, k, &self.device);
-        self.plan_for(OpKind::Sddmm, &fp, s, 1)
+        self.plan_for(Op::Sddmm, &fp, s, 1)
     }
 
     /// Plans multi-head attention for `s` — the fuse/no-fuse knob — at
@@ -257,22 +222,16 @@ impl Planner {
     /// so the pick is the true cold-run winner by construction.
     pub fn plan_mha(&mut self, s: &Hybrid, head_dim: usize, heads: usize) -> Plan {
         let fp = GraphFingerprint::of(s, head_dim, &self.device);
-        self.plan_for(OpKind::FusedMha, &fp, s, heads)
+        self.plan_for(Op::FusedMha, &fp, s, heads)
     }
 
     /// Plans `op` for a caller that already fingerprinted `s` (a plan-cache
     /// miss): `fp` must be `GraphFingerprint::of(s, k, self.device())`, and
     /// the feature dimension is `fp.k`. `heads` is read for
-    /// [`OpKind::FusedMha`] only: it multiplies every traffic term and is
+    /// [`Op::FusedMha`] only: it multiplies every traffic term and is
     /// part of that op's cache key ([`GraphFingerprint::cache_entry`]).
-    pub fn plan_for(
-        &mut self,
-        op: OpKind,
-        fp: &GraphFingerprint,
-        s: &Hybrid,
-        heads: usize,
-    ) -> Plan {
-        let model = op.model();
+    pub fn plan_for(&mut self, op: Op, fp: &GraphFingerprint, s: &Hybrid, heads: usize) -> Plan {
+        let model = model(op);
         let _span = hpsparse_trace::span_with(
             model.span,
             &[
@@ -298,7 +257,7 @@ impl Planner {
             }
             PlanStrategy::Measured => self.measured_plan(fp, ranked, |device, c, budget| {
                 let mut sim = GpuSim::new(device.clone());
-                op.measure(&mut sim, c, s, fp.k, heads, budget)
+                measure(op, &mut sim, c, s, fp.k, heads, budget)
             }),
         };
         // One finished plan and the simulator launches it spent, into the
@@ -665,14 +624,6 @@ mod tests {
             "{}",
             sd.rationale
         );
-    }
-
-    #[test]
-    fn opkind_tags_round_trip() {
-        for op in [OpKind::Spmm, OpKind::Sddmm, OpKind::FusedMha] {
-            assert_eq!(OpKind::from_tag(op.tag()), Some(op));
-        }
-        assert_eq!(OpKind::from_tag("gemm"), None);
     }
 
     /// The fuse/no-fuse pair over head counts and widths: the pick is the

@@ -2,7 +2,8 @@
 //! reload it in a "new process", and serve the plan without touching the
 //! simulator again.
 
-use hpsparse_autotune::{GraphFingerprint, OpKind, PlanCache, PlanStrategy, Planner};
+use hpsparse_autotune::{GraphFingerprint, PlanCache, PlanStrategy, Planner};
+use hpsparse_core::catalog::Op;
 use hpsparse_sim::DeviceSpec;
 use hpsparse_sparse::Hybrid;
 
@@ -31,12 +32,7 @@ fn measured_plan_survives_disk_and_replays_without_simulation() {
     assert!(planner.sim_launches() > 0, "Measured planning simulates");
     let fp = GraphFingerprint::of(&s, k, &v100);
     let mut cache = PlanCache::new();
-    cache.insert(
-        OpKind::Spmm,
-        fp.key(),
-        fp.canonical_encoding(),
-        plan.clone(),
-    );
+    cache.insert(Op::Spmm, fp.key(), fp.canonical_encoding(), plan.clone());
     let path = std::env::temp_dir().join("hpsparse-autotune-flow-test.json");
     cache.save(&path).unwrap();
 
@@ -45,7 +41,7 @@ fn measured_plan_survives_disk_and_replays_without_simulation() {
     let mut reloaded = PlanCache::load(&path).unwrap();
     let fresh_planner = Planner::new(v100.clone(), PlanStrategy::Measured);
     let served = reloaded
-        .get(OpKind::Spmm, GraphFingerprint::of(&s, k, &v100).key())
+        .get(Op::Spmm, GraphFingerprint::of(&s, k, &v100).key())
         .expect("persisted plan must hit");
     assert_eq!(served, &plan);
     assert_eq!(reloaded.hits(), 1);

@@ -4,9 +4,9 @@
 //! streamed misses, hashed and pre-sorted lane gathers) — and whole warp
 //! tallies on [`WarpTally`], unobserved and observed. These pin the
 //! primitives the descriptor API is built from, so a regression shows up
-//! here before it shows up as minutes in `repro -- selftime`.
-//! EXPERIMENTS.md "Probe microbenchmarks" keeps the before/after of every
-//! row.
+//! here before it shows up as minutes in `repro -- selftime`. Compare a
+//! change against its parent built from the same bench file, taking the
+//! minimum over several alternating runs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use hpsparse_sim::{AccessEvent, AccessSink, BufferDecl, SectorCache, WarpTally};

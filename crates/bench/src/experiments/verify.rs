@@ -22,12 +22,12 @@
 use crate::experiments::{Effort, ExperimentOutput};
 use crate::table;
 use hpsparse_core::catalog::{Row, KERNELS};
-use hpsparse_core::mutants::{self, Defect};
+use hpsparse_core::mutants;
 use hpsparse_datasets::{full_graph_dataset, store};
-use hpsparse_sanitize::{sanitize_run, Checker, Report};
-use hpsparse_sim::{DeviceSpec, SymbolicPlan};
+use hpsparse_sanitize::{sanitize_run, Report};
+use hpsparse_sim::{DeviceSpec, Property, SymbolicPlan};
 use hpsparse_sparse::Hybrid;
-use hpsparse_verify::{verify_plan, CheckKind, CheckVerdict};
+use hpsparse_verify::{verify_plan, CheckVerdict};
 use serde_json::{json, ToJson};
 
 /// Feature dimension of the dynamic runs: large enough to exercise
@@ -105,7 +105,7 @@ fn aggregate(id: &str, plans: &[SymbolicPlan]) -> [CheckAgg; 3] {
     let mut worst: [Option<CheckAgg>; 3] = [None, None, None];
     for plan in plans {
         let v = verify_plan(plan);
-        for (slot, kind) in worst.iter_mut().zip(CheckKind::ALL) {
+        for (slot, kind) in worst.iter_mut().zip(Property::ALL) {
             let verdict = v.check(kind);
             let replace = slot
                 .as_ref()
@@ -202,21 +202,12 @@ pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelVerdict> {
     KERNELS.iter().map(verdict_of).collect()
 }
 
-/// The static check and the dynamic checker a seeded defect must trip.
-fn targets(defect: Defect) -> (CheckKind, Checker) {
-    match defect {
-        Defect::Bounds => (CheckKind::Bounds, Checker::Memcheck),
-        Defect::Race => (CheckKind::Race, Checker::Racecheck),
-        Defect::Init => (CheckKind::Init, Checker::Initcheck),
-    }
-}
-
 /// One mutant's row: its static verdict and what the sanitizer saw.
 pub struct MutantVerdict {
     /// Mutant kernel name.
     pub name: String,
-    /// The defect it seeds.
-    pub defect: Defect,
+    /// The property its seeded bug violates.
+    pub defect: Property,
     /// The static verdict on the targeted check.
     pub verdict: CheckVerdict,
     /// No *other* static check refuted (defects must not bleed).
@@ -228,10 +219,9 @@ pub struct MutantVerdict {
 impl MutantVerdict {
     /// Flagged dynamically by the intended checker and by nothing else?
     pub fn exactly_intended(&self) -> bool {
-        let (_, expected) = targets(self.defect);
-        [Checker::Memcheck, Checker::Racecheck, Checker::Initcheck]
+        Property::ALL
             .into_iter()
-            .all(|c| (self.report.count(c) > 0) == (c == expected))
+            .all(|p| (self.report.count(p) > 0) == (p == self.defect))
     }
 
     /// Statically refuted on exactly the intended check, and flagged
@@ -254,7 +244,6 @@ pub fn collect_mutants(device: &DeviceSpec) -> Vec<MutantVerdict> {
     mutants::all_mutants()
         .into_iter()
         .map(|(defect, m)| {
-            let (expected, _) = targets(defect);
             let plans = m.symbolic_plans();
             assert_eq!(plans.len(), 1, "{}: one plan expected", m.name());
             let v = {
@@ -270,11 +259,11 @@ pub fn collect_mutants(device: &DeviceSpec) -> Vec<MutantVerdict> {
             MutantVerdict {
                 name: m.name().to_string(),
                 defect,
-                verdict: v.check(expected).clone(),
-                others_clean: CheckKind::ALL
+                verdict: v.check(defect).clone(),
+                others_clean: Property::ALL
                     .into_iter()
-                    .filter(|k| *k != expected)
-                    .all(|k| !v.check(k).is_refuted()),
+                    .filter(|p| *p != defect)
+                    .all(|p| !v.check(p).is_refuted()),
                 report,
             }
         })
@@ -347,14 +336,13 @@ pub fn render(
     let mutant_rows: Vec<Vec<String>> = mutant_verdicts
         .iter()
         .map(|m| {
-            let (check, checker) = targets(m.defect);
             let cex = match &m.verdict {
                 CheckVerdict::Refuted(cex) => format!("{cex}"),
                 other => other.status().to_string(),
             };
             vec![
                 m.name.clone(),
-                format!("{check} / {checker}"),
+                format!("{} / {}", m.defect.label(), m.defect.checker()),
                 m.verdict.status().to_string(),
                 m.report.memcheck.to_string(),
                 m.report.racecheck.to_string(),
@@ -442,11 +430,10 @@ pub fn render(
     let json_mutants: Vec<serde_json::Value> = mutant_verdicts
         .iter()
         .map(|m| {
-            let (check, checker) = targets(m.defect);
             json!({
                 "name": m.name.as_str(),
-                "expected": check.label(),
-                "expected_checker": checker.to_string(),
+                "expected": m.defect.label(),
+                "expected_checker": m.defect.checker(),
                 "static": m.verdict.status(),
                 "counterexample": match &m.verdict {
                     CheckVerdict::Refuted(cex) => cex.to_json(),
@@ -538,7 +525,7 @@ mod tests {
         );
         let wrong_checker = MutantVerdict {
             name: "m".into(),
-            defect: Defect::Bounds,
+            defect: Property::Bounds,
             verdict: refuted(),
             others_clean: true,
             report: racecheck,

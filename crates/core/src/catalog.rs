@@ -21,8 +21,10 @@ use hpsparse_sparse::{FormatError, Hybrid};
 /// and the shared-tile / spill split are both exercised.
 pub const HEADS: usize = 2;
 
-/// The operation a catalogue kernel computes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The operation a catalogue kernel computes — and a plan is for: the
+/// autotuner keys its plans by it, as plans for one matrix differ between
+/// operations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Op {
     /// `O = S · A`.
     Spmm,

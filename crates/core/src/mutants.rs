@@ -2,9 +2,9 @@
 //!
 //! Each mutant is a seeded-defect variant of the HP-SpMM COO tail loop —
 //! same work assignment, same buffers — with exactly one bug injected, so
-//! exactly one checker must flag it — the one its [`Defect`] names:
+//! exactly one checker must flag it — the one its [`Property`] names:
 //!
-//! | Mutant | Injected bug | [`Defect`] |
+//! | Mutant | Injected bug | [`Property`] |
 //! |---|---|---|
 //! | [`MutantOobTail`] | tile load runs one element past `col_ind` | `Bounds` |
 //! | [`MutantRacyTail`] | row flush de-atomicized to a plain store | `Race` |
@@ -26,8 +26,8 @@
 
 use crate::traits::{KernelCost, SpmmKernel};
 use hpsparse_sim::{
-    cond_le, Distinct, GpuSim, KernelResources, LaunchConfig, PlanBuilder, SymBufferRole, SymExpr,
-    SymbolicPlan,
+    cond_le, Distinct, GpuSim, KernelResources, LaunchConfig, PlanBuilder, Property, SymBufferRole,
+    SymExpr, SymbolicPlan,
 };
 use hpsparse_sparse::{reference, Dense, FormatError, Hybrid};
 
@@ -433,25 +433,14 @@ impl SpmmKernel for MutantEagerNorm {
     }
 }
 
-/// The property a mutant's seeded bug violates — the one checker, static or
-/// dynamic, that must flag it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Defect {
-    /// An access leaves its allocation.
-    Bounds,
-    /// Two warps store to one address without atomics.
-    Race,
-    /// A read of memory no finished launch has written.
-    Init,
-}
-
-/// The four mutants, each with the defect it seeds.
-pub fn all_mutants() -> Vec<(Defect, Box<dyn SpmmKernel>)> {
+/// The four mutants, each with the property its seeded bug violates —
+/// the one checker, static or dynamic, that must flag it.
+pub fn all_mutants() -> Vec<(Property, Box<dyn SpmmKernel>)> {
     vec![
-        (Defect::Bounds, Box::new(MutantOobTail)),
-        (Defect::Race, Box::new(MutantRacyTail)),
-        (Defect::Init, Box::new(MutantUninitAcc)),
-        (Defect::Init, Box::new(MutantEagerNorm)),
+        (Property::Bounds, Box::new(MutantOobTail)),
+        (Property::Race, Box::new(MutantRacyTail)),
+        (Property::Init, Box::new(MutantUninitAcc)),
+        (Property::Init, Box::new(MutantEagerNorm)),
     ]
 }
 

@@ -10,9 +10,10 @@
 
 use hpsparse_autotune::{
     edge_softmax_cycles, instantiate_fused_mha, instantiate_sddmm, instantiate_spmm,
-    GraphFingerprint, OpKind, Plan, PlanCache, PlanStrategy, Planner,
+    GraphFingerprint, Plan, PlanCache, PlanStrategy, Planner,
 };
 use hpsparse_core::baselines::{CusparseCsrAlg2, DglSddmm};
+use hpsparse_core::catalog::Op;
 use hpsparse_core::hp::{HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse_core::numerics::{edge_softmax, masked_dots};
 use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
@@ -334,16 +335,9 @@ pub struct PlannedKernels {
 impl PlannedKernels {
     /// The cached plan for `op` on `s` at width `k`, planning it on a miss
     /// and storing it when the strategy is `Measured`. `heads` is read for
-    /// [`OpKind::FusedMha`] only, whose plans carry the head count in
+    /// [`Op::FusedMha`] only, whose plans carry the head count in
     /// their key.
-    fn plan(
-        &mut self,
-        op: OpKind,
-        device: &DeviceSpec,
-        s: &Hybrid,
-        k: usize,
-        heads: usize,
-    ) -> Plan {
+    fn plan(&mut self, op: Op, device: &DeviceSpec, s: &Hybrid, k: usize, heads: usize) -> Plan {
         let fp = GraphFingerprint::of(s, k, device);
         let (key, encoding) = fp.cache_entry(op, heads);
         if let Some(plan) = self.cache.get(op, key) {
@@ -363,12 +357,12 @@ impl KernelSelector for PlannedKernels {
     const NAME: &'static str = "auto";
 
     fn spmm(&mut self, device: &DeviceSpec, s: &Hybrid, k: usize) -> Box<dyn SpmmKernel> {
-        let plan = self.plan(OpKind::Spmm, device, s, k, 1);
+        let plan = self.plan(Op::Spmm, device, s, k, 1);
         instantiate_spmm(&plan.candidate()).unwrap_or_else(|| HpKernels.spmm(device, s, k))
     }
 
     fn sddmm(&mut self, device: &DeviceSpec, s: &Hybrid, k: usize) -> Box<dyn SddmmKernel> {
-        let plan = self.plan(OpKind::Sddmm, device, s, k, 1);
+        let plan = self.plan(Op::Sddmm, device, s, k, 1);
         instantiate_sddmm(&plan.candidate()).unwrap_or_else(|| HpKernels.sddmm(device, s, k))
     }
 
@@ -379,7 +373,7 @@ impl KernelSelector for PlannedKernels {
         head_dim: usize,
         heads: usize,
     ) -> Option<HpFusedMha> {
-        let plan = self.plan(OpKind::FusedMha, device, s, head_dim, heads);
+        let plan = self.plan(Op::FusedMha, device, s, head_dim, heads);
         if !plan.kernel_id.starts_with("hp-fused-mha") {
             return None;
         }
@@ -821,11 +815,11 @@ mod tests {
             heads_for(6, 16, 2, 1),
             heads_for(6, 16, 2, 2),
         );
-        let run = |op: OpKind, backend: &mut AutoBackend| -> Vec<f32> {
+        let run = |op: Op, backend: &mut AutoBackend| -> Vec<f32> {
             match op {
-                OpKind::Spmm => backend.spmm(&s, &q[0]).into_vec(),
-                OpKind::Sddmm => backend.sddmm(&s, &q[0], &k[0]),
-                OpKind::FusedMha => {
+                Op::Spmm => backend.spmm(&s, &q[0]).into_vec(),
+                Op::Sddmm => backend.sddmm(&s, &q[0], &k[0]),
+                Op::FusedMha => {
                     let (out, attn) = backend.mha(&s, &q, &k, &v);
                     out.into_iter()
                         .flat_map(Dense::into_vec)
@@ -835,10 +829,10 @@ mod tests {
             }
         };
         let good = r#""nnz_per_warp": 8, "vector_width": 1, "warps_per_block": 8"#;
-        for (op, kernel_id) in [
-            (OpKind::Spmm, "hp:npw=8"),
-            (OpKind::Sddmm, "hp-sddmm:npw=8"),
-            (OpKind::FusedMha, "hp-fused-mha:auto"),
+        for (op, tag, kernel_id) in [
+            (Op::Spmm, "spmm", "hp:npw=8"),
+            (Op::Sddmm, "sddmm", "hp-sddmm:npw=8"),
+            (Op::FusedMha, "fused-mha", "hp-fused-mha:auto"),
         ] {
             let heuristic = PlanStrategy::Heuristic;
             let expected = run(
@@ -850,10 +844,9 @@ mod tests {
             // returns the output and the cache's (hits, misses).
             let run_seeded = |config: String| {
                 let text = format!(
-                    r#"{{"version": 1, "entries": [{{"op": "{}", "key": "{key:016x}",
+                    r#"{{"version": 1, "entries": [{{"op": "{tag}", "key": "{key:016x}",
                     "fingerprint": "f", "kernel_id": "{kernel_id}", "predicted_cycles": 1,
                     "rationale": "r", "config": {{{config}, "alpha": 4.0}}}}]}}"#,
-                    op.tag(),
                 );
                 let cache = PlanCache::from_json_str(&text).unwrap();
                 let mut auto = AutoBackend::with_cache(device.clone(), heuristic, cache);

@@ -1,16 +1,18 @@
-//! A GAT-style attention layer — the workload that makes SDDMM matter.
+//! One attention head's parameters and their gradients — the per-head
+//! projections of [`SparseMha`](crate::mha::SparseMha), the crate's one
+//! attention model.
 //!
-//! Attention-based GNNs compute per-edge scores with an SDDMM
-//! (`e = (Q · Kᵀ) ⊙ S`), normalise them with an edge softmax, and
-//! aggregate with an SpMM over the attention-weighted adjacency. This
-//! layer exercises exactly that pipeline through the pluggable backend,
-//! so the `attention` example measures both of the paper's kernels in one
-//! forward pass.
+//! A head projects its input to `(Q, K, V)` (`GatLayer::project`); the
+//! batched attention call scores every edge with an SDDMM
+//! (`e = (Q · Kᵀ) ⊙ S`), normalises with an edge softmax and aggregates
+//! with an SpMM over the attention-weighted adjacency. Backward
+//! (`GatLayer::projection_backward`) runs the paper's two kernels again:
+//! a transposed SpMM for `dV`, an SDDMM for the edge-weight gradient, and
+//! two SpMMs for `dQ` and `dK`.
 
 use crate::backend::{dense_gemm_cycles, SparseBackend};
 use crate::linalg;
 use crate::params::Xorshift64Star;
-pub use hpsparse_core::numerics::edge_softmax;
 use hpsparse_core::numerics::{segments, Cut};
 use hpsparse_sparse::{Dense, Hybrid};
 
@@ -36,18 +38,6 @@ impl GatLayer {
         }
     }
 
-    /// Forward pass: returns the attended node features (`n × head_dim`)
-    /// and the per-edge attention weights (aligned with `s`'s elements).
-    pub fn forward(
-        &self,
-        backend: &mut dyn SparseBackend,
-        s: &Hybrid,
-        x: &Dense,
-    ) -> (Dense, Vec<f32>) {
-        let (out, weights, _) = self.forward_cached(backend, s, x);
-        (out, weights)
-    }
-
     /// The projections `(Q, K, V) = (X·Wq, X·Wk, X·Wv)`, accounted as three
     /// dense GEMMs.
     pub(crate) fn project(&self, backend: &mut dyn SparseBackend, x: &Dense) -> [Dense; 3] {
@@ -58,43 +48,10 @@ impl GatLayer {
         })
     }
 
-    /// Forward pass that also returns the cache needed by
-    /// [`GatLayer::backward`], which borrows `x`.
-    pub fn forward_cached<'x>(
-        &self,
-        backend: &mut dyn SparseBackend,
-        s: &Hybrid,
-        x: &'x Dense,
-    ) -> (Dense, Vec<f32>, GatCache<'x>) {
-        let [q, k, v] = self.project(backend, x);
-
-        // Raw scores: SDDMM over the unit mask, so the score is the pure
-        // dot product q_r · k_c.
-        let scale = 1.0 / (self.wq.cols() as f32).sqrt();
-        let scores: Vec<f32> = backend
-            .sddmm(&unit_mask(s), &q, &k)
-            .into_iter()
-            .map(|e| e * scale)
-            .collect();
-
-        // Edge softmax per destination row (hybrid order groups rows).
-        let weights = edge_softmax(s.row_indices(), &scores);
-
-        // Aggregate: SpMM over the attention-weighted adjacency.
-        let out = backend.spmm(&with_values(s, weights.clone()), &v);
-        let cache = GatCache {
-            q,
-            k,
-            v,
-            weights: weights.clone(),
-            x,
-        };
-        (out, weights, cache)
-    }
-
-    /// Backward pass from `d_out` (gradient w.r.t. the attended output).
-    ///
-    /// This is where the paper's *two* kernels meet in one training step:
+    /// Backward from `d_out` (gradient w.r.t. this head's attended output)
+    /// to the projections: the parameter gradients and `[dQ, dK, dV]`,
+    /// over `s`'s [`Pattern`]. This is where the paper's *two* kernels
+    /// meet in one training step:
     ///
     /// * `dV = Attnᵀ · dOut` — a transposed **SpMM**,
     /// * `dAttn = SDDMM(pattern, dOut, Vᵀ)` — the gradient of the
@@ -103,32 +60,7 @@ impl GatLayer {
     /// * after the edge-softmax Jacobian, `dQ` and `dK` are two more SpMMs
     ///   over the score-gradient matrix.
     ///
-    /// Returns parameter gradients and `dX` (gradient w.r.t. the input).
-    pub fn backward(
-        &self,
-        backend: &mut dyn SparseBackend,
-        s: &Hybrid,
-        cache: &GatCache,
-        d_out: &Dense,
-    ) -> (GatGrads, Dense) {
-        let (grads, [d_q, d_k, d_v]) =
-            self.projection_backward(backend, &mut Pattern::of(s), cache, d_out);
-        // dX = Σ d*·W*ᵀ.
-        let mut d_x = linalg::matmul_transpose_b(&d_q, &self.wq);
-        let d_x_k = linalg::matmul_transpose_b(&d_k, &self.wk);
-        let d_x_v = linalg::matmul_transpose_b(&d_v, &self.wv);
-        for (a, (b, c)) in d_x
-            .data_mut()
-            .iter_mut()
-            .zip(d_x_k.data().iter().zip(d_x_v.data()))
-        {
-            *a += b + c;
-        }
-        (grads, d_x)
-    }
-
-    /// [`GatLayer::backward`] up to the projections: the parameter
-    /// gradients and `[dQ, dK, dV]`, over `s`'s [`Pattern`].
+    /// The input gradient `dX = Σ d*·W*ᵀ` is not formed: no model reads it.
     pub(crate) fn projection_backward(
         &self,
         backend: &mut dyn SparseBackend,
@@ -172,9 +104,9 @@ impl GatLayer {
     }
 }
 
-/// Cached forward activations for [`GatLayer::backward`]. The batched
-/// multi-head path ([`crate::mha::SparseMha`]) fills one per head from its
-/// single attention call, so the backward pass is this layer's unchanged.
+/// One head's cached forward activations, which its backward pass reads.
+/// [`SparseMha`](crate::mha::SparseMha) fills one per head from its single
+/// batched attention call.
 pub struct GatCache<'x> {
     pub(crate) q: Dense,
     pub(crate) k: Dense,
@@ -182,6 +114,14 @@ pub struct GatCache<'x> {
     pub(crate) weights: Vec<f32>,
     /// The layer's input, borrowed: every head of a batched call shares it.
     pub(crate) x: &'x Dense,
+}
+
+impl GatCache<'_> {
+    /// The head's attention weights, element-aligned with `s`: each
+    /// destination row's weights form a distribution.
+    pub fn weights(&self) -> &[f32] {
+        &self.weights
+    }
 }
 
 /// What attention backward needs of `s` besides its values, built once per
@@ -232,8 +172,9 @@ pub(crate) fn unit_mask(s: &Hybrid) -> Hybrid {
 /// Gradients of the three projection matrices, shaped like the layer.
 pub type GatGrads = GatLayer;
 
-/// Backward of [`edge_softmax`] over contiguous row groups:
-/// `d_score_e = w_e (d_w_e − Σ_f w_f d_w_f)` within each row.
+/// Backward of [`edge_softmax`](hpsparse_core::numerics::edge_softmax)
+/// over contiguous row groups: `d_score_e = w_e (d_w_e − Σ_f w_f d_w_f)`
+/// within each row.
 fn edge_softmax_backward(row_indices: &[u32], weights: &[f32], d_weights: &[f32]) -> Vec<f32> {
     assert_eq!(row_indices.len(), weights.len());
     assert_eq!(row_indices.len(), d_weights.len());
@@ -250,7 +191,10 @@ fn edge_softmax_backward(row_indices: &[u32], weights: &[f32], d_weights: &[f32]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::CpuBackend;
+    use crate::backend::{CpuBackend, HpBackend};
+    use crate::mha::SparseMha;
+    use hpsparse_core::numerics::edge_softmax;
+    use hpsparse_sim::DeviceSpec;
 
     fn path_hybrid() -> Hybrid {
         Hybrid::from_triplets(
@@ -265,6 +209,25 @@ mod tests {
                 (2, 1, 1.0),
                 (2, 2, 1.0),
                 (3, 3, 1.0),
+            ],
+        )
+        .unwrap()
+    }
+
+    fn graph_hybrid() -> Hybrid {
+        Hybrid::from_triplets(
+            5,
+            5,
+            &[
+                (0, 0, 1.0),
+                (0, 1, 1.0),
+                (1, 1, 1.0),
+                (1, 2, 1.0),
+                (2, 0, 1.0),
+                (2, 2, 1.0),
+                (3, 3, 1.0),
+                (3, 4, 1.0),
+                (4, 4, 1.0),
             ],
         )
         .unwrap()
@@ -299,16 +262,17 @@ mod tests {
     fn forward_produces_weighted_average_of_values() {
         let s = path_hybrid();
         let x = Dense::from_fn(4, 6, |i, j| ((i * 6 + j) as f32 * 0.2).sin());
-        let layer = GatLayer::new(6, 8, 3);
+        let mha = SparseMha::new(6, 8, 1, 3);
         let mut backend = CpuBackend::new();
-        let (out, weights) = layer.forward(&mut backend, &s, &x);
+        let (out, cache) = mha.forward_cached(&mut backend, &s, &x);
+        let weights = cache[0].weights();
         assert_eq!(out.rows(), 4);
         assert_eq!(out.cols(), 8);
         assert_eq!(weights.len(), s.nnz());
         // Attention weights are a valid distribution.
         assert!(weights.iter().all(|&w| (0.0..=1.0).contains(&w)));
         // Node 3 attends only to itself: its output is exactly V[3].
-        let v = linalg::matmul(&x, &layer.wv);
+        let v = linalg::matmul(&x, &mha.heads[0].wv);
         for j in 0..8 {
             assert!((out.get(3, j) - v.get(3, j)).abs() < 1e-5);
         }
@@ -345,105 +309,55 @@ mod tests {
         }
     }
 
+    /// Deterministic, distinct projections; a one-head [`SparseMha`]'s
+    /// head is the layer built from the same seed.
     #[test]
     fn deterministic_init() {
         let a = GatLayer::new(4, 4, 9);
         let b = GatLayer::new(4, 4, 9);
         assert_eq!(a.wq, b.wq);
         assert_ne!(a.wq, a.wk);
-    }
-}
-
-#[cfg(test)]
-mod backward_tests {
-    use super::*;
-    use crate::backend::CpuBackend;
-
-    fn graph_hybrid() -> Hybrid {
-        Hybrid::from_triplets(
-            5,
-            5,
-            &[
-                (0, 0, 1.0),
-                (0, 1, 1.0),
-                (1, 1, 1.0),
-                (1, 2, 1.0),
-                (2, 0, 1.0),
-                (2, 2, 1.0),
-                (3, 3, 1.0),
-                (3, 4, 1.0),
-                (4, 4, 1.0),
-            ],
-        )
-        .unwrap()
+        let head = &SparseMha::new(4, 4, 1, 9).heads[0];
+        assert_eq!((&head.wq, &head.wk, &head.wv), (&a.wq, &a.wk, &a.wv));
     }
 
     /// Scalar loss: sum of all outputs (gradient = all-ones), checked by
-    /// finite differences through the whole attention pipeline.
+    /// finite differences through the whole one-head attention pipeline.
     #[test]
     fn gradient_check_through_attention() {
         let s = graph_hybrid();
         let x = Dense::from_fn(5, 4, |i, j| ((i * 4 + j) as f32 * 0.23).sin());
-        let layer = GatLayer::new(4, 3, 11);
+        let mut mha = SparseMha::new(4, 3, 1, 11);
         let mut backend = CpuBackend::new();
-        let (out, _, cache) = layer.forward_cached(&mut backend, &s, &x);
+        let (out, cache) = mha.forward_cached(&mut backend, &s, &x);
         let d_out = Dense::from_fn(out.rows(), out.cols(), |_, _| 1.0);
-        let (grads, d_x) = layer.backward(&mut backend, &s, &cache, &d_out);
+        let mut grads = mha.backward(&mut backend, &s, &cache, &d_out).remove(0);
 
-        let loss = |layer: &GatLayer, x: &Dense| -> f32 {
-            let mut b = CpuBackend::new();
-            let (o, _) = layer.forward(&mut b, &s, x);
+        let loss = |mha: &SparseMha| -> f32 {
+            let (o, _) = mha.forward_cached(&mut CpuBackend::new(), &s, &x);
             o.data().iter().sum()
         };
+        fn proj(head: &mut GatLayer, which: usize) -> &mut [f32] {
+            [&mut head.wq, &mut head.wk, &mut head.wv][which].data_mut()
+        }
         let eps = 1e-2f32;
 
         // Check a handful of entries in each projection.
-        let mut layer_mut = GatLayer::new(4, 3, 11);
         for idx in [0usize, 4, 9] {
             for which in 0..3 {
-                let get = |l: &GatLayer| match which {
-                    0 => l.wq.data()[idx],
-                    1 => l.wk.data()[idx],
-                    _ => l.wv.data()[idx],
-                };
-                let set = |l: &mut GatLayer, v: f32| match which {
-                    0 => l.wq.data_mut()[idx] = v,
-                    1 => l.wk.data_mut()[idx] = v,
-                    _ => l.wv.data_mut()[idx] = v,
-                };
-                let orig = get(&layer_mut);
-                set(&mut layer_mut, orig + eps);
-                let lp = loss(&layer_mut, &x);
-                set(&mut layer_mut, orig - eps);
-                let lm = loss(&layer_mut, &x);
-                set(&mut layer_mut, orig);
+                let orig = proj(&mut mha.heads[0], which)[idx];
+                proj(&mut mha.heads[0], which)[idx] = orig + eps;
+                let lp = loss(&mha);
+                proj(&mut mha.heads[0], which)[idx] = orig - eps;
+                let lm = loss(&mha);
+                proj(&mut mha.heads[0], which)[idx] = orig;
                 let numeric = (lp - lm) / (2.0 * eps);
-                let analytic = match which {
-                    0 => grads.wq.data()[idx],
-                    1 => grads.wk.data()[idx],
-                    _ => grads.wv.data()[idx],
-                };
+                let analytic = proj(&mut grads, which)[idx];
                 assert!(
                     (numeric - analytic).abs() < 0.05 * numeric.abs().max(1.0),
                     "proj {which} idx {idx}: numeric {numeric} vs analytic {analytic}"
                 );
             }
-        }
-
-        // And the input gradient.
-        for idx in [0usize, 7, 13] {
-            let mut xp = x.clone();
-            xp.data_mut()[idx] += eps;
-            let lp = loss(&layer_mut, &xp);
-            let mut xm = x.clone();
-            xm.data_mut()[idx] -= eps;
-            let lm = loss(&layer_mut, &xm);
-            let numeric = (lp - lm) / (2.0 * eps);
-            let analytic = d_x.data()[idx];
-            assert!(
-                (numeric - analytic).abs() < 0.05 * numeric.abs().max(1.0),
-                "dX idx {idx}: numeric {numeric} vs analytic {analytic}"
-            );
         }
     }
 
@@ -464,16 +378,14 @@ mod backward_tests {
 
     #[test]
     fn backward_uses_sddmm_on_the_accounting_backend() {
-        use crate::backend::{HpBackend, SparseBackend};
-        use hpsparse_sim::DeviceSpec;
         let s = graph_hybrid();
         let x = Dense::from_fn(5, 4, |i, j| (i + j) as f32 * 0.1);
-        let layer = GatLayer::new(4, 3, 2);
+        let mha = SparseMha::new(4, 3, 1, 2);
         let mut backend = HpBackend::new(DeviceSpec::v100());
-        let (out, _, cache) = layer.forward_cached(&mut backend, &s, &x);
+        let (out, cache) = mha.forward_cached(&mut backend, &s, &x);
         let before = backend.sparse_cycles();
         let d_out = Dense::from_fn(out.rows(), out.cols(), |_, _| 0.5);
-        let _ = layer.backward(&mut backend, &s, &cache, &d_out);
+        let _ = mha.backward(&mut backend, &s, &cache, &d_out);
         assert!(
             backend.sparse_cycles() > before,
             "backward must run sparse kernels"

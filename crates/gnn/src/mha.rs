@@ -7,9 +7,9 @@
 //! live in shared memory, never touching DRAM); the others run the three
 //! launches per head ([`crate::backend::unfused_mha`]) — on
 //! `BaselineBackend` that is the per-head pipeline a framework without the
-//! paper's kernels executes. The numerics are identical either way, so the
-//! backward pass is [`GatLayer::backward`]'s per head, less the input
-//! gradient no model reads.
+//! paper's kernels executes. The numerics are identical either way, and the
+//! backward pass runs per head from the cached activations. One-head
+//! attention is `SparseMha::new(in_dim, head_dim, 1, seed)`.
 
 use crate::backend::{account_gemm, SparseBackend};
 use crate::gat::{unit_mask, GatCache, GatGrads, GatLayer, Pattern};
@@ -69,7 +69,7 @@ impl SparseMha {
         }
 
         // Unit-valued mask: the attention score is the pure scaled dot
-        // product, exactly as in `GatLayer::forward_cached`.
+        // product.
         let (outs, attn) = backend.mha(&unit_mask(s), &qs, &ks, &vs);
 
         let mut concat = Dense::zeros(n, self.heads.len() * d);
@@ -92,8 +92,7 @@ impl SparseMha {
     }
 
     /// Backward pass from the gradient w.r.t. the concatenated output: each
-    /// head's projection gradients, as [`GatLayer::backward`] computes them
-    /// (the cached activations are identical to the per-head pipeline's).
+    /// head's projection gradients, from that head's cached activations.
     /// The block's input gradient is not formed: no model reads it.
     pub fn backward(
         &self,
@@ -255,6 +254,7 @@ pub type TransformerAdam = Adam<GraphTransformer>;
 mod tests {
     use super::*;
     use crate::backend::{BaselineBackend, CpuBackend, HpBackend};
+    use hpsparse_core::numerics::attention;
     use hpsparse_sim::DeviceSpec;
     use hpsparse_sparse::Graph;
 
@@ -279,33 +279,32 @@ mod tests {
         (s, x, y)
     }
 
-    /// The batched call must compute exactly what running each head
-    /// through the per-head [`GatLayer`] pipeline computes — on the fused
-    /// HP backend, the unfused baseline, and the CPU alike.
+    /// The batched call must compute exactly what the per-head reference
+    /// attention (`numerics::attention`, one head at a time) computes — on
+    /// the fused HP backend, the unfused baseline, and the CPU alike.
     #[test]
-    fn batched_heads_match_per_head_pipeline_on_every_backend() {
+    fn batched_heads_match_per_head_reference_on_every_backend() {
         let (s, x, _) = two_cluster_graph();
         let mha = SparseMha::new(8, 6, 2, 5);
 
-        // Per-head reference on the CPU backend.
-        let mut cpu = CpuBackend::new();
         let d = mha.head_dim();
         let mut expected = Dense::zeros(24, mha.heads.len() * d);
         for (h, head) in mha.heads.iter().enumerate() {
-            let (out, _) = head.forward(&mut cpu, &s, &x);
+            let [q, k, v] = [&head.wq, &head.wk, &head.wv].map(|w| linalg::matmul(&x, w));
+            let (out, _) = attention(&unit_mask(&s), &[q], &[k], &[v]).unwrap();
             for i in 0..24 {
-                expected.row_mut(i)[h * d..(h + 1) * d].copy_from_slice(out.row(i));
+                expected.row_mut(i)[h * d..(h + 1) * d].copy_from_slice(out[0].row(i));
             }
         }
 
         let mut hp = HpBackend::new(DeviceSpec::v100());
         let mut base = BaselineBackend::new(DeviceSpec::v100());
-        let mut cpu2 = CpuBackend::new();
-        for b in [&mut hp as &mut dyn SparseBackend, &mut base, &mut cpu2] {
+        let mut cpu = CpuBackend::new();
+        for b in [&mut hp as &mut dyn SparseBackend, &mut base, &mut cpu] {
             let (concat, _) = mha.forward_cached(b, &s, &x);
             assert!(
                 concat.approx_eq(&expected, 1e-4, 1e-5),
-                "{} batched output drifts from per-head pipeline",
+                "{} batched output drifts from the per-head reference",
                 b.name()
             );
         }
@@ -313,7 +312,8 @@ mod tests {
     }
 
     /// The fused path's cached activations feed the same backward pass:
-    /// gradients from the batched layer must match per-head gradients.
+    /// gradients from the batched layer must match each head's gradients
+    /// as a one-head layer with the same weights computes them.
     #[test]
     fn batched_backward_matches_per_head_backward() {
         let (s, x, _) = two_cluster_graph();
@@ -330,14 +330,21 @@ mod tests {
 
         let mut cpu = CpuBackend::new();
         for (h, head) in mha.heads.iter().enumerate() {
-            let (_, _, head_cache) = head.forward_cached(&mut cpu, &s, &x);
+            let one = SparseMha {
+                heads: vec![GatLayer {
+                    wq: head.wq.clone(),
+                    wk: head.wk.clone(),
+                    wv: head.wv.clone(),
+                }],
+            };
+            let (_, head_cache) = one.forward_cached(&mut cpu, &s, &x);
             let mut d_head = Dense::zeros(concat.rows(), d);
             for i in 0..concat.rows() {
                 d_head
                     .row_mut(i)
                     .copy_from_slice(&d_concat.row(i)[h * d..(h + 1) * d]);
             }
-            let (hg, _) = head.backward(&mut cpu, &s, &head_cache, &d_head);
+            let hg = &one.backward(&mut cpu, &s, &head_cache, &d_head)[0];
             assert!(grads[h].wq.approx_eq(&hg.wq, 1e-3, 1e-4), "head {h} wq");
             assert!(grads[h].wk.approx_eq(&hg.wk, 1e-3, 1e-4), "head {h} wk");
             assert!(grads[h].wv.approx_eq(&hg.wv, 1e-3, 1e-4), "head {h} wv");

@@ -76,9 +76,9 @@
 mod interval;
 mod report;
 
-pub use report::{Checker, Conflict, Report, Violation};
+pub use report::{Conflict, Report, Violation};
 
-use hpsparse_sim::{AccessEvent, AccessSink, BufferDecl, BufferRole};
+use hpsparse_sim::{AccessEvent, AccessSink, BufferDecl, BufferRole, Property};
 use interval::IntervalSet;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -214,7 +214,7 @@ struct Inner {
     atomic_writes: Vec<StoreSpan>,
     report: Report,
     /// Examples already kept per (checker, kernel).
-    example_counts: HashMap<(Checker, String), u64>,
+    example_counts: HashMap<(Property, String), u64>,
 }
 
 impl Inner {
@@ -260,7 +260,7 @@ impl Inner {
                 None => "address outside every declared allocation".to_string(),
             };
             self.flag(
-                Checker::Memcheck,
+                Property::Bounds,
                 ev.warp,
                 ev.addr,
                 ev.len_bytes,
@@ -276,7 +276,7 @@ impl Inner {
         let align = u64::from(ev.vector_width.max(1)) * 4;
         if !ev.addr.is_multiple_of(align) {
             self.flag(
-                Checker::Memcheck,
+                Property::Bounds,
                 ev.warp,
                 ev.addr,
                 ev.len_bytes,
@@ -296,7 +296,7 @@ impl Inner {
             && !self.stored.covers(ev.addr, ev.addr + ev.len_bytes)
         {
             self.flag(
-                Checker::Initcheck,
+                Property::Init,
                 ev.warp,
                 ev.addr,
                 ev.len_bytes,
@@ -350,7 +350,7 @@ impl Inner {
                 }
                 if b.warp != a.warp {
                     self.flag(
-                        Checker::Racecheck,
+                        Property::Race,
                         b.warp,
                         b.addr,
                         a.end.min(b.end) - b.addr,
@@ -406,7 +406,7 @@ impl Inner {
                 if b.warp != Some(w.warp) {
                     let lo = w.addr.max(b.addr);
                     self.flag(
-                        Checker::Racecheck,
+                        Property::Race,
                         w.warp,
                         lo,
                         w.end.min(b.end) - lo,
@@ -424,26 +424,26 @@ impl Inner {
 
     fn flag(
         &mut self,
-        checker: Checker,
+        property: Property,
         warp: u64,
         addr: u64,
         len_bytes: u64,
         detail: String,
         conflict: Option<Conflict>,
     ) {
-        match checker {
-            Checker::Memcheck => self.report.memcheck += 1,
-            Checker::Racecheck => self.report.racecheck += 1,
-            Checker::Initcheck => self.report.initcheck += 1,
+        match property {
+            Property::Bounds => self.report.memcheck += 1,
+            Property::Race => self.report.racecheck += 1,
+            Property::Init => self.report.initcheck += 1,
         }
         let kept = self
             .example_counts
-            .entry((checker, self.kernel.clone()))
+            .entry((property, self.kernel.clone()))
             .or_insert(0);
         if *kept < EXAMPLES_PER_KEY {
             *kept += 1;
             self.report.examples.push(Violation {
-                checker,
+                property,
                 kernel: self.kernel.clone(),
                 warp,
                 addr,
@@ -625,7 +625,7 @@ mod tests {
         run_launch(sink.as_mut(), "k", &events);
         let r = s.report();
         let v = &r.examples[0];
-        assert_eq!(v.checker, Checker::Racecheck, "{r}");
+        assert_eq!(v.property, Property::Race, "{r}");
         assert_eq!((v.warp, v.conflict), (1, Some(Conflict::Plain(0))), "{v}");
     }
 

@@ -1,28 +1,7 @@
 //! Sanitizer verdicts: individual violations and the aggregated report.
 
+use hpsparse_sim::Property;
 use std::fmt;
-
-/// Which detector flagged a violation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Checker {
-    /// Out-of-bounds or misaligned global access.
-    Memcheck,
-    /// Conflicting non-atomic writes from two warps in one launch.
-    Racecheck,
-    /// Read of device memory no launch has stored and the host never
-    /// initialised.
-    Initcheck,
-}
-
-impl fmt::Display for Checker {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Checker::Memcheck => "memcheck",
-            Checker::Racecheck => "racecheck",
-            Checker::Initcheck => "initcheck",
-        })
-    }
-}
 
 /// The other warp's store a racecheck violation conflicts with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,8 +17,9 @@ pub enum Conflict {
 /// and the declared buffer involved (when the address maps to one).
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// The detector that fired.
-    pub checker: Checker,
+    /// The property violated; its [`Property::checker`] is the detector
+    /// that fired.
+    pub property: Property,
     /// Launch name of the offending kernel.
     pub kernel: String,
     /// Issuing warp (launch-global id).
@@ -61,7 +41,11 @@ impl fmt::Display for Violation {
         write!(
             f,
             "{}: [{}] warp {} addr {:#x} len {}",
-            self.checker, self.kernel, self.warp, self.addr, self.len_bytes
+            self.property.checker(),
+            self.kernel,
+            self.warp,
+            self.addr,
+            self.len_bytes
         )?;
         if let Some(name) = self.buffer {
             write!(f, " (buffer '{name}')")?;
@@ -104,12 +88,12 @@ impl Report {
         self.total() == 0
     }
 
-    /// Violation count for one checker.
-    pub fn count(&self, checker: Checker) -> u64 {
-        match checker {
-            Checker::Memcheck => self.memcheck,
-            Checker::Racecheck => self.racecheck,
-            Checker::Initcheck => self.initcheck,
+    /// Violation count for one property's checker.
+    pub fn count(&self, property: Property) -> u64 {
+        match property {
+            Property::Bounds => self.memcheck,
+            Property::Race => self.racecheck,
+            Property::Init => self.initcheck,
         }
     }
 }
@@ -150,7 +134,7 @@ mod tests {
     #[test]
     fn violation_display_names_kernel_and_address() {
         let v = Violation {
-            checker: Checker::Memcheck,
+            property: Property::Bounds,
             kernel: "HP-SpMM".into(),
             warp: 3,
             addr: 0x1200,
@@ -175,7 +159,7 @@ mod tests {
             ..Report::default()
         };
         r.examples.push(Violation {
-            checker: Checker::Racecheck,
+            property: Property::Race,
             kernel: "mutant".into(),
             warp: 1,
             addr: 64,
@@ -185,7 +169,7 @@ mod tests {
             conflict: Some(Conflict::Plain(0)),
         });
         assert!(!r.passed());
-        assert_eq!(r.count(Checker::Racecheck), 4);
+        assert_eq!(r.count(Property::Race), 4);
         let s = r.to_string();
         assert!(s.contains("FAIL"));
         assert!(s.contains("racecheck=4"));

@@ -5,11 +5,11 @@
 
 use hpsparse_core::catalog::KERNELS;
 use hpsparse_core::hp::HpSpmm;
-use hpsparse_core::mutants::{all_mutants, mutant_test_graph, Defect, MutantOobTail};
+use hpsparse_core::mutants::{all_mutants, mutant_test_graph, MutantOobTail};
 use hpsparse_core::traits::SpmmKernel;
 use hpsparse_datasets::{full_graph_dataset, store};
-use hpsparse_sanitize::{sanitize_run, Checker, Report, Sanitizer};
-use hpsparse_sim::{DeviceSpec, GpuSim};
+use hpsparse_sanitize::{sanitize_run, Report, Sanitizer};
+use hpsparse_sim::{DeviceSpec, GpuSim, Property};
 use hpsparse_sparse::{Dense, Hybrid};
 
 /// Runs one SpMM kernel under a fresh sanitizer and returns the verdict.
@@ -71,7 +71,7 @@ fn oob_mutant_trips_memcheck_with_kernel_and_address() {
     assert_eq!(report.racecheck + report.initcheck, 0, "{report}");
 
     let v = &report.examples[0];
-    assert_eq!(v.checker, Checker::Memcheck);
+    assert_eq!(v.property, Property::Bounds);
     assert_eq!(v.kernel, "mutant:oob-tail");
     assert_eq!(v.buffer, Some("col_ind"));
     // The defect: the last chunk (start 960 of nnz 1000) reads 41 elements
@@ -89,25 +89,22 @@ fn oob_mutant_trips_memcheck_with_kernel_and_address() {
 fn each_mutant_trips_exactly_its_intended_checker() {
     let s = mutant_test_graph();
     let a = Dense::from_fn(s.cols(), 16, |i, j| (i * 3 + j) as f32);
-    for (defect, mutant) in all_mutants() {
-        let expected = match defect {
-            Defect::Bounds => Checker::Memcheck,
-            Defect::Race => Checker::Racecheck,
-            Defect::Init => Checker::Initcheck,
-        };
+    for (expected, mutant) in all_mutants() {
         let report = sanitized_spmm(mutant.as_ref(), &s, &a);
         assert!(
             report.count(expected) > 0,
-            "{} did not trip {expected}: {report}",
-            mutant.name()
+            "{} did not trip {}: {report}",
+            mutant.name(),
+            expected.checker()
         );
-        for checker in [Checker::Memcheck, Checker::Racecheck, Checker::Initcheck] {
-            if checker != expected {
+        for property in Property::ALL {
+            if property != expected {
                 assert_eq!(
-                    report.count(checker),
+                    report.count(property),
                     0,
-                    "{} tripped {checker} too: {report}",
-                    mutant.name()
+                    "{} tripped {} too: {report}",
+                    mutant.name(),
+                    property.checker()
                 );
             }
         }

@@ -20,8 +20,7 @@
 //! run is the unit this module is paid per: [`SectorCache::access_run`] and
 //! its streaming twin share one walker. What the code must hold to (the
 //! reasons, the probe mix it was tuned on and the variants that lost are in
-//! DESIGN.md "The L2 probe path"; the measurements in EXPERIMENTS.md "The
-//! L2 probe path (PR 17)"):
+//! DESIGN.md "The L2 probe path"):
 //!
 //! * **A run is split only where the set index wraps.** Consecutive
 //!   sectors map to consecutive sets and share one tag until then, so each

@@ -53,7 +53,7 @@ pub use interconnect::{LinkKind, LinkSpec, LinkTimeline, TransferDescriptor};
 pub use launch::{BudgetStop, GpuSim, LaunchConfig, LaunchReport};
 pub use memory::{Buffer, MemorySpace, SECTOR_BYTES};
 pub use occupancy::{occupancy_of, tail_stretch, KernelResources, Occupancy};
-pub use sink::{AccessEvent, AccessKind, AccessSink, BufferDecl, BufferRole};
+pub use sink::{AccessEvent, AccessKind, AccessSink, BufferDecl, BufferRole, Property};
 pub use symbolic::{
     cond_le, Distinct, LaunchBuilder, PlanBuilder, SymAccess, SymAccessKind, SymArm, SymBuffer,
     SymBufferRole, SymCond, SymExpr, SymLaunch, SymOp, SymbolicPlan, VarDecl, VarId, VarKind,

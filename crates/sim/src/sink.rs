@@ -12,7 +12,48 @@
 //! free — so instrumentation never perturbs ordinary benchmark runs.
 //!
 //! The `hpsparse-sanitize` crate builds its memcheck / racecheck /
-//! initcheck pipeline on exactly this stream.
+//! initcheck pipeline on exactly this stream; [`Property`] names the three
+//! properties those checkers, the static prover and the seeded mutants
+//! share.
+
+/// A memory-safety property of a kernel's access stream — the one name the
+/// dynamic sanitizer, the static prover (`hpsparse-verify`) and the seeded
+/// mutants (`hpsparse_core::mutants`) use for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Property {
+    /// Every access stays inside its buffer's allocation, aligned.
+    Bounds,
+    /// Cross-warp write footprints within a launch are disjoint or atomic.
+    Race,
+    /// Device memory is written (by a finished launch or the host) before
+    /// it is read.
+    Init,
+}
+
+impl Property {
+    /// All three, in report order.
+    pub const ALL: [Property; 3] = [Property::Bounds, Property::Race, Property::Init];
+
+    /// Stable lowercase label of the static check, used in JSON and
+    /// tables: `bounds`, `race`, `init`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Property::Bounds => "bounds",
+            Property::Race => "race",
+            Property::Init => "init",
+        }
+    }
+
+    /// The dynamic checker that enforces it, named after
+    /// compute-sanitizer's tools: `memcheck`, `racecheck`, `initcheck`.
+    pub fn checker(self) -> &'static str {
+        match self {
+            Property::Bounds => "memcheck",
+            Property::Race => "racecheck",
+            Property::Init => "initcheck",
+        }
+    }
+}
 
 /// What kind of warp-level global access an event describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,7 +1,6 @@
 //! Compressed Sparse Row format (Fig. 2(b) of the paper).
 
-use crate::coo::Coo;
-use crate::error::FormatError;
+use crate::error::{check_shape, FormatError};
 use crate::hybrid::Hybrid;
 
 /// A sparse matrix in CSR form: `row_offsets` (length `rows + 1`),
@@ -39,14 +38,16 @@ impl Csr {
         Ok(csr)
     }
 
-    /// Re-checks every structural invariant of the format: offset-array
-    /// length, monotone row offsets, offset/NNZ consistency, matching
-    /// array lengths, and in-range column indices.
+    /// Re-checks every structural invariant of the format: a shape within
+    /// the `u32` id space, offset-array length, monotone row offsets,
+    /// offset/NNZ consistency, matching array lengths, and in-range column
+    /// indices.
     ///
     /// [`Csr::new`] establishes these at construction; `validate` lets a
     /// holder re-assert them later — e.g. the dataset store checks every
     /// generated graph before memoising it.
     pub fn validate(&self) -> Result<(), FormatError> {
+        check_shape(self.rows, self.cols)?;
         if self.row_offsets.len() != self.rows + 1 {
             return Err(FormatError::OffsetLength {
                 expected: self.rows + 1,
@@ -91,6 +92,7 @@ impl Csr {
         cols: usize,
         triplets: &[(u32, u32, f32)],
     ) -> Result<Self, FormatError> {
+        check_shape(rows, cols)?;
         let mut counts = vec![0u32; rows + 1];
         for (i, &(r, c, _)) in triplets.iter().enumerate() {
             if r as usize >= rows {
@@ -217,19 +219,6 @@ impl Csr {
         .expect("CSR invariants guarantee valid hybrid form")
     }
 
-    /// Converts into plain COO (same element order as the CSR layout).
-    pub fn to_coo(&self) -> Coo {
-        let h = self.to_hybrid();
-        Coo::new(
-            self.rows,
-            self.cols,
-            h.row_indices().to_vec(),
-            h.col_indices().to_vec(),
-            h.values().to_vec(),
-        )
-        .expect("CSR invariants guarantee valid COO")
-    }
-
     /// Transposes the matrix (CSC of the original viewed as CSR).
     pub fn transpose(&self) -> Csr {
         let mut counts = vec![0u32; self.cols + 1];
@@ -273,6 +262,7 @@ impl Csr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::MAX_DIM;
 
     /// The example matrix of Fig. 2(a): 4x4 with 7 non-zeros a..g.
     pub(crate) fn fig2_matrix() -> Csr {
@@ -372,6 +362,19 @@ mod tests {
             Csr::from_triplets(2, 2, &[(0, 2, 1.0)]).unwrap_err(),
             FormatError::ColumnOutOfBounds { .. }
         ));
+    }
+
+    /// A dimension past the `u32` id space is a typed error, checked
+    /// before anything is sized by it.
+    #[test]
+    fn huge_shapes_are_typed_errors() {
+        let too_large = |e: FormatError| matches!(e, FormatError::ShapeTooLarge { .. });
+        for (rows, cols) in [(usize::MAX, 1), (1, usize::MAX), (MAX_DIM + 1, 0)] {
+            assert!(too_large(
+                Csr::new(rows, cols, vec![], vec![], vec![]).unwrap_err()
+            ));
+            assert!(too_large(Csr::from_triplets(rows, cols, &[]).unwrap_err()));
+        }
     }
 
     #[test]

@@ -17,7 +17,10 @@ pub enum FormatError {
     ColumnOutOfBounds { index: usize, col: u32, cols: usize },
     /// A row index is out of bounds.
     RowOutOfBounds { index: usize, row: u32, rows: usize },
-    /// COO entries must be sorted by (row, col) to convert into CSR order.
+    /// A dimension does not fit the `u32` index space row and column ids
+    /// live in.
+    ShapeTooLarge { rows: usize, cols: usize },
+    /// Hybrid entries must be sorted by (row, col), i.e. in CSR order.
     NotSorted { index: usize },
     /// Dense-matrix data length must equal `rows * cols`.
     DenseLengthMismatch { expected: usize, found: usize },
@@ -52,8 +55,12 @@ impl fmt::Display for FormatError {
                 f,
                 "row index {row} at position {index} out of bounds (rows = {rows})"
             ),
+            FormatError::ShapeTooLarge { rows, cols } => write!(
+                f,
+                "shape {rows}x{cols} exceeds the u32 index space (max {MAX_DIM})"
+            ),
             FormatError::NotSorted { index } => {
-                write!(f, "COO entries are not in CSR order at position {index}")
+                write!(f, "entries are not in CSR order at position {index}")
             }
             FormatError::DenseLengthMismatch { expected, found } => write!(
                 f,
@@ -70,6 +77,20 @@ impl fmt::Display for FormatError {
 }
 
 impl std::error::Error for FormatError {}
+
+/// The largest row or column count a sparse format holds: row and column
+/// ids are `u32`, and so is every dimension.
+pub(crate) const MAX_DIM: usize = u32::MAX as usize;
+
+/// [`FormatError::ShapeTooLarge`] unless both dimensions are at most
+/// [`MAX_DIM`]. Constructors check this before they size anything by
+/// `rows + 1`.
+pub(crate) fn check_shape(rows: usize, cols: usize) -> Result<(), FormatError> {
+    if rows > MAX_DIM || cols > MAX_DIM {
+        return Err(FormatError::ShapeTooLarge { rows, cols });
+    }
+    Ok(())
+}
 
 #[cfg(test)]
 mod tests {

@@ -6,9 +6,8 @@
 //! this format directly (§II), which is why the paper's kernels need no
 //! preprocessing or format conversion at run time.
 
-use crate::coo::Coo;
 use crate::csr::Csr;
-use crate::error::FormatError;
+use crate::error::{check_shape, FormatError};
 
 /// A sparse matrix in hybrid CSR/COO form.
 ///
@@ -30,7 +29,8 @@ impl Hybrid {
     /// Builds a hybrid matrix from parts already in CSR element order.
     ///
     /// Returns [`FormatError::NotSorted`] when the order invariant is
-    /// violated; use [`Hybrid::from_coo`] to sort arbitrary input.
+    /// violated; [`Hybrid::from_triplets`] is the constructor for input in
+    /// any order.
     pub fn from_sorted_parts(
         rows: usize,
         cols: usize,
@@ -49,10 +49,12 @@ impl Hybrid {
         Ok(hybrid)
     }
 
-    /// Re-checks every structural invariant: the parallel arrays have
-    /// equal lengths, every index is in range, and elements are in CSR
-    /// order (rows non-decreasing, columns non-decreasing within a row).
+    /// Re-checks every structural invariant: a shape within the `u32` id
+    /// space, parallel arrays of equal lengths, every index in range, and
+    /// elements in CSR order (rows non-decreasing, columns non-decreasing
+    /// within a row).
     pub fn validate(&self) -> Result<(), FormatError> {
+        check_shape(self.rows, self.cols)?;
         if self.row_indices.len() != self.col_indices.len() {
             return Err(FormatError::ArrayLengthMismatch {
                 indices: self.row_indices.len(),
@@ -92,12 +94,10 @@ impl Hybrid {
         Ok(())
     }
 
-    /// Builds a hybrid matrix from an arbitrary-order COO by sorting.
-    pub fn from_coo(coo: &Coo) -> Self {
-        coo.to_csr().to_hybrid()
-    }
-
-    /// Builds a hybrid matrix straight from `(row, col, value)` triplets.
+    /// Builds a hybrid matrix from `(row, col, value)` triplets in any
+    /// order — the one constructor for unsorted input (a sampler's edge
+    /// list, say). Elements are sorted into CSR order; duplicates are kept
+    /// as separate entries, as [`Csr::from_triplets`] keeps them.
     pub fn from_triplets(
         rows: usize,
         cols: usize,
@@ -261,11 +261,24 @@ mod tests {
     }
 
     #[test]
-    fn from_coo_sorts() {
-        let coo = Coo::new(3, 3, vec![2, 0, 1], vec![0, 1, 2], vec![3.0, 1.0, 2.0]).unwrap();
-        let h = Hybrid::from_coo(&coo);
+    fn from_triplets_sorts() {
+        let h = Hybrid::from_triplets(3, 3, &[(2, 0, 3.0), (0, 1, 1.0), (1, 2, 2.0)]).unwrap();
         assert_eq!(h.row_indices(), &[0, 1, 2]);
         assert_eq!(h.values(), &[1.0, 2.0, 3.0]);
+    }
+
+    /// A dimension past the `u32` id space is a typed error, so `to_csr`
+    /// never sizes an offset array by it.
+    #[test]
+    fn huge_shapes_are_typed_errors() {
+        let too_large = |e: FormatError| matches!(e, FormatError::ShapeTooLarge { .. });
+        for (rows, cols) in [(usize::MAX, 1), (1, usize::MAX)] {
+            let parts = Hybrid::from_sorted_parts(rows, cols, vec![], vec![], vec![]);
+            assert!(too_large(parts.unwrap_err()));
+            assert!(too_large(
+                Hybrid::from_triplets(rows, cols, &[]).unwrap_err()
+            ));
+        }
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! Networks"* (IPDPS 2023):
 //!
 //! * [`Csr`] — Compressed Sparse Row (`RowOffset` / `ColInd` / `Value`),
-//! * [`Coo`] — Coordinate format (`RowInd` / `ColInd` / `Value`),
 //! * [`Hybrid`] — the *hybrid CSR/COO* format the paper's kernels are built
-//!   on: a COO whose entries are guaranteed to be sorted in CSR order, i.e.
+//!   on: coordinate (`RowInd` / `ColInd` / `Value`) entries guaranteed to be
+//!   sorted in CSR order, i.e.
 //!   the CSR layout with the compressed row-offset array decoded into a
 //!   complete per-element row-index array (Fig. 2(d) of the paper),
 //! * [`Dense`] — row-major dense `f32` matrices (feature matrices),
@@ -19,7 +19,6 @@
 #![forbid(unsafe_code)]
 
 pub mod blocked_ell;
-pub mod coo;
 pub mod csr;
 pub mod dense;
 pub mod error;
@@ -29,7 +28,6 @@ pub mod reference;
 pub mod stats;
 
 pub use blocked_ell::{BlockedEll, BlockedEllShape};
-pub use coo::Coo;
 pub use csr::Csr;
 pub use dense::Dense;
 pub use error::FormatError;

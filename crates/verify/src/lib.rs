@@ -31,17 +31,17 @@ pub use prover::Prover;
 pub use replay::{
     replay, replay_all, ArmStrategy, DataPolicy, ReplayOutcome, POLICIES, SHAPES, STRATEGIES,
 };
-pub use report::{CheckKind, CheckVerdict, Counterexample, OobKind, PlanVerdict};
+pub use report::{CheckVerdict, Counterexample, OobKind, PlanVerdict};
 
-use hpsparse_sim::SymbolicPlan;
+use hpsparse_sim::{Property, SymbolicPlan};
 
 /// Verify one symbolic plan: run all three static checkers, and escalate
 /// any non-proved property to concrete replay for a refutation attempt.
 pub fn verify_plan(plan: &SymbolicPlan) -> PlanVerdict {
     let statics = [
-        (CheckKind::Bounds, checks::check_bounds(plan)),
-        (CheckKind::Race, checks::check_races(plan)),
-        (CheckKind::Init, checks::check_init(plan)),
+        (Property::Bounds, checks::check_bounds(plan)),
+        (Property::Race, checks::check_races(plan)),
+        (Property::Init, checks::check_init(plan)),
     ];
     let need_replay = statics.iter().any(|(_, r)| r.is_err());
     let (found, _truncated) = if need_replay {

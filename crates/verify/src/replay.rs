@@ -24,10 +24,10 @@
 //! holds, so guard-carrying mutants refute exactly like their dynamic
 //! counterparts.
 
-use crate::report::{CheckKind, Counterexample, OobKind};
-use hpsparse_sanitize::{Checker, Conflict, Sanitizer, Violation};
+use crate::report::{Counterexample, OobKind};
+use hpsparse_sanitize::{Conflict, Sanitizer, Violation};
 use hpsparse_sim::{
-    AccessEvent, AccessKind, AccessSink, BufferDecl, BufferRole, Distinct, SymAccess,
+    AccessEvent, AccessKind, AccessSink, BufferDecl, BufferRole, Distinct, Property, SymAccess,
     SymAccessKind, SymArm, SymBufferRole, SymExpr, SymOp, SymbolicPlan, VarKind,
 };
 use std::collections::{HashMap, HashSet};
@@ -77,7 +77,7 @@ fn base(buffer: usize) -> u64 {
 /// Outcome of one replay run.
 pub struct ReplayOutcome {
     /// The first violation of each checker kind found.
-    pub violations: Vec<(CheckKind, Counterexample)>,
+    pub violations: Vec<(Property, Counterexample)>,
     /// `true` when a warp or event cap cut the run short — a clean
     /// truncated replay is inconclusive.
     pub truncated: bool,
@@ -130,7 +130,7 @@ pub fn replay(
     };
     r.run();
     let examples = sanitizer.report().examples;
-    let shared = r.shared_violation.take().map(|cex| (CheckKind::Init, cex));
+    let shared = r.shared_violation.take().map(|cex| (Property::Init, cex));
     let found = examples.iter().map(|v| r.counterexample(v));
     let mut violations = Vec::new();
     keep_first(&mut violations, found.chain(shared));
@@ -142,8 +142,8 @@ pub fn replay(
 
 /// Appends each of `found` whose kind `into` does not hold yet.
 fn keep_first(
-    into: &mut Vec<(CheckKind, Counterexample)>,
-    found: impl IntoIterator<Item = (CheckKind, Counterexample)>,
+    into: &mut Vec<(Property, Counterexample)>,
+    found: impl IntoIterator<Item = (Property, Counterexample)>,
 ) {
     for (kind, cex) in found {
         if !into.iter().any(|(k, _)| *k == kind) {
@@ -155,8 +155,8 @@ fn keep_first(
 /// Replay `plan` across every shape, policy, and strategy; returns the
 /// first counterexample found per checker kind, plus whether any run was
 /// truncated.
-pub fn replay_all(plan: &SymbolicPlan) -> (Vec<(CheckKind, Counterexample)>, bool) {
-    let mut found: Vec<(CheckKind, Counterexample)> = Vec::new();
+pub fn replay_all(plan: &SymbolicPlan) -> (Vec<(Property, Counterexample)>, bool) {
+    let mut found: Vec<(Property, Counterexample)> = Vec::new();
     let mut truncated = false;
     for shape in SHAPES {
         for policy in POLICIES {
@@ -381,35 +381,29 @@ impl Replayer<'_> {
 
     /// The sanitizer's violation in plan terms: every access stays within
     /// half a spacing of its buffer's base, so the nearest base names it.
-    fn counterexample(&self, v: &Violation) -> (CheckKind, Counterexample) {
+    fn counterexample(&self, v: &Violation) -> (Property, Counterexample) {
         let buffer = ((v.addr + BUFFER_SPACING / 2) / BUFFER_SPACING - 1) as usize;
         let offset = v.addr.wrapping_sub(base(buffer)) as i64 / 4;
         let extent = self.extents[buffer];
-        let (kind, oob, detail) = match v.checker {
+        let (oob, detail) = match v.property {
             // Only an access starting inside its buffer has a declaration.
-            Checker::Memcheck if v.buffer.is_some() => (
-                CheckKind::Bounds,
+            Property::Bounds if v.buffer.is_some() => (
                 Some(OobKind::Overrun),
                 format!("overruns the {extent}-element allocation"),
             ),
-            Checker::Memcheck => (
-                CheckKind::Bounds,
+            Property::Bounds => (
                 Some(OobKind::Wild),
                 format!("wild access outside the {extent}-element allocation"),
             ),
-            Checker::Racecheck => {
+            Property::Race => {
                 let with = match v.conflict {
                     Some(Conflict::Plain(w)) => format!("warp {w} (plain-vs-plain)"),
                     Some(Conflict::Atomic(Some(w))) => format!("warp {w} (plain-vs-atomic)"),
                     _ => "several warps (plain-vs-atomic)".to_string(),
                 };
-                let detail = format!("element {offset} also stored by {with}");
-                (CheckKind::Race, None, detail)
+                (None, format!("element {offset} also stored by {with}"))
             }
-            Checker::Initcheck => {
-                let detail = format!("read of uninitialized element {offset}");
-                (CheckKind::Init, None, detail)
-            }
+            Property::Init => (None, format!("read of uninitialized element {offset}")),
         };
         let cex = Counterexample {
             shape: self.shape,
@@ -421,6 +415,6 @@ impl Replayer<'_> {
             oob,
             detail,
         };
-        (kind, cex)
+        (v.property, cex)
     }
 }

@@ -5,39 +5,9 @@
 //! field order is part of the contract: fields appear in declaration order,
 //! never alphabetically resorted.
 
+use hpsparse_sim::Property;
 use serde_json::{Map, ToJson, Value};
 use std::fmt;
-
-/// Which property a verdict is about.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum CheckKind {
-    /// Every access stays inside its buffer's allocation.
-    Bounds,
-    /// Cross-warp write footprints are disjoint or atomic.
-    Race,
-    /// Non-input buffers are written (by a prior launch) before being read.
-    Init,
-}
-
-impl CheckKind {
-    /// All checks, in report order.
-    pub const ALL: [CheckKind; 3] = [CheckKind::Bounds, CheckKind::Race, CheckKind::Init];
-
-    /// Stable lowercase label used in JSON and tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            CheckKind::Bounds => "bounds",
-            CheckKind::Race => "race",
-            CheckKind::Init => "init",
-        }
-    }
-}
-
-impl fmt::Display for CheckKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// Attribution of a bounds violation, mirroring the dynamic memcheck's
 /// overrun-vs-wild split.
@@ -183,23 +153,23 @@ pub struct PlanVerdict {
 }
 
 impl PlanVerdict {
-    /// The verdict for a given checker.
-    pub fn check(&self, kind: CheckKind) -> &CheckVerdict {
-        match kind {
-            CheckKind::Bounds => &self.bounds,
-            CheckKind::Race => &self.race,
-            CheckKind::Init => &self.init,
+    /// The verdict on a given property.
+    pub fn check(&self, property: Property) -> &CheckVerdict {
+        match property {
+            Property::Bounds => &self.bounds,
+            Property::Race => &self.race,
+            Property::Init => &self.init,
         }
     }
 
     /// `true` iff all three checkers proved.
     pub fn all_proved(&self) -> bool {
-        CheckKind::ALL.iter().all(|k| self.check(*k).is_proved())
+        Property::ALL.iter().all(|k| self.check(*k).is_proved())
     }
 
     /// `true` iff any checker refuted.
     pub fn any_refuted(&self) -> bool {
-        CheckKind::ALL.iter().any(|k| self.check(*k).is_refuted())
+        Property::ALL.iter().any(|k| self.check(*k).is_refuted())
     }
 }
 

@@ -12,8 +12,8 @@
 //! - *refutation honesty*: a `Refuted` verdict always carries a
 //!   counterexample of the matching kind (found by that same replay).
 
-use hpsparse_sim::{PlanBuilder, SymBufferRole, SymExpr, SymbolicPlan};
-use hpsparse_verify::{replay_all, verify_plan, CheckKind};
+use hpsparse_sim::{PlanBuilder, Property, SymBufferRole, SymExpr, SymbolicPlan};
+use hpsparse_verify::{replay_all, verify_plan};
 use proptest::prelude::*;
 
 /// `out[r*stride + c .. +w)` per row `r`, output extent `m*stride + pad`,
@@ -60,18 +60,19 @@ proptest! {
             // A truncated replay is not a complete oracle; skip the case.
             continue;
         }
-        for kind in CheckKind::ALL {
+        for kind in Property::ALL {
             let v = verdict.check(kind);
             let replay_hit = violations.iter().any(|(k, _)| *k == kind);
             if v.is_proved() {
                 prop_assert!(
                     !replay_hit,
-                    "{kind} proved but replay found a violation: {:?}",
+                    "{} proved but replay found a violation: {:?}",
+                    kind.label(),
                     violations.iter().find(|(k, _)| *k == kind)
                 );
             }
             if let hpsparse_verify::CheckVerdict::Refuted(cex) = v {
-                prop_assert!(replay_hit, "{kind} refuted without a replay witness");
+                prop_assert!(replay_hit, "{} refuted without a replay witness", kind.label());
                 prop_assert!(!cex.buffer.is_empty());
             }
         }

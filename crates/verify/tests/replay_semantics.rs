@@ -4,10 +4,10 @@
 //! per-warp program-order visibility and are raced like any other buffer,
 //! and a launch past the warp cap is abandoned, not judged.
 
-use hpsparse_sim::{PlanBuilder, SymBufferRole, SymExpr, SymbolicPlan};
+use hpsparse_sim::{PlanBuilder, Property, SymBufferRole, SymExpr, SymbolicPlan};
 use hpsparse_verify::{
-    replay, replay_all, verify_plan, ArmStrategy, CheckKind, CheckVerdict, Counterexample,
-    DataPolicy, OobKind, SHAPES,
+    replay, replay_all, verify_plan, ArmStrategy, CheckVerdict, Counterexample, DataPolicy,
+    OobKind, SHAPES,
 };
 
 fn refuted(v: &CheckVerdict) -> &Counterexample {
@@ -50,7 +50,7 @@ fn an_overrunning_store_still_initialises_its_in_bounds_part() {
     let (found, truncated) = replay_all(&plan);
     assert!(!truncated);
     assert!(
-        found.iter().all(|(k, _)| *k == CheckKind::Bounds),
+        found.iter().all(|(k, _)| *k == Property::Bounds),
         "{found:?}"
     );
 }
@@ -149,5 +149,5 @@ fn a_launch_past_the_warp_cap_is_truncated_not_judged() {
     // m = 4: 2 000 warps, replayed in full.
     let narrow = run(SHAPES[1]);
     assert!(!narrow.truncated);
-    assert_eq!(narrow.violations[0].0, CheckKind::Race);
+    assert_eq!(narrow.violations[0].0, Property::Race);
 }

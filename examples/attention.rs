@@ -1,7 +1,7 @@
-//! Graph attention with SDDMM: scores every edge with a query·key dot
-//! product (HP-SDDMM), normalises with an edge softmax, and aggregates
+//! Graph attention with SDDMM: one attention head scores every edge with a
+//! query·key dot product, normalises with an edge softmax, and aggregates
 //! with the attention-weighted SpMM — the kernel pipeline of GAT-style
-//! models.
+//! models, which `HpBackend` runs as one fused HP-Fused-MHA launch.
 //!
 //! ```sh
 //! cargo run --release --example attention
@@ -9,7 +9,7 @@
 
 use hpsparse::datasets::generators::{GeneratorConfig, Topology};
 use hpsparse::gnn::backend::{HpBackend, SparseBackend};
-use hpsparse::gnn::gat::GatLayer;
+use hpsparse::gnn::SparseMha;
 use hpsparse::sim::DeviceSpec;
 use hpsparse::sparse::Dense;
 
@@ -27,9 +27,11 @@ fn main() {
     let head_dim = 32;
     let x = Dense::from_fn(s.rows(), in_dim, |i, j| ((i * 31 + j) as f32 * 1e-3).sin());
 
-    let layer = GatLayer::new(in_dim, head_dim, 99);
+    // One-head attention: a single GAT-style layer.
+    let layer = SparseMha::new(in_dim, head_dim, 1, 99);
     let mut backend = HpBackend::new(DeviceSpec::v100());
-    let (out, weights) = layer.forward(&mut backend, &s, &x);
+    let (out, cache) = layer.forward_cached(&mut backend, &s, &x);
+    let weights = cache[0].weights();
 
     println!(
         "attention over {} edges -> {} x {} output",
@@ -37,9 +39,12 @@ fn main() {
         out.rows(),
         out.cols()
     );
+    let device = backend.device();
     println!(
-        "modelled GPU time: {:.3} ms across one SDDMM + one SpMM",
-        backend.total_ms()
+        "modelled GPU time: {:.3} ms = {:.3} ms fused attention + {:.3} ms Q/K/V projections",
+        backend.total_ms(),
+        device.cycles_to_ms(backend.sparse_cycles()),
+        device.cycles_to_ms(backend.dense_cycles())
     );
 
     // Attention weights form a distribution per destination node.
@@ -52,6 +57,7 @@ fn main() {
         .filter(|&&v| v > 0.0)
         .map(|&v| (v - 1.0).abs())
         .fold(0.0f32, f32::max);
+    assert!(worst < 1e-4, "edge-softmax row sum off by {worst}");
     println!("edge-softmax row sums within {worst:.2e} of 1.0 ✓");
 
     // Self-attention sanity: the most self-focused node.
@@ -59,11 +65,12 @@ fn main() {
         .row_indices()
         .iter()
         .zip(s.col_indices())
-        .zip(&weights)
+        .zip(weights)
         .filter(|((r, c), _)| r == c)
         .map(|((r, _), &w)| (*r, w))
         .max_by(|a, b| a.1.total_cmp(&b.1))
-        .unwrap();
+        .expect("self-loops were added");
+    assert!(w > 0.0 && w <= 1.0, "self-attention weight {w}");
     println!(
         "node {node} keeps {:.0}% of its attention on itself",
         w * 100.0

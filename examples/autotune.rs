@@ -8,9 +8,10 @@
 //! cargo run --release --example autotune
 //! ```
 
-use hpsparse::autotune::{GraphFingerprint, OpKind, PlanCache, PlanStrategy, Planner};
+use hpsparse::autotune::{GraphFingerprint, PlanCache, PlanStrategy, Planner};
 use hpsparse::datasets::generators::{GeneratorConfig, Topology};
 use hpsparse::gnn::{AutoBackend, SparseBackend};
+use hpsparse::kernels::catalog::Op;
 use hpsparse::sim::DeviceSpec;
 use hpsparse::sparse::Dense;
 
@@ -104,9 +105,7 @@ fn main() {
     backend.into_cache().save(&path).expect("cache saves");
     let mut reloaded = PlanCache::load(&path).expect("cache loads");
     let key = GraphFingerprint::of(&power_law, k, &v100).key();
-    let served = reloaded
-        .get(OpKind::Spmm, key)
-        .expect("persisted plan hits");
+    let served = reloaded.get(Op::Spmm, key).expect("persisted plan hits");
     println!(
         "\nreloaded from {}: {} replays with zero planning",
         path.display(),

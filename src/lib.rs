@@ -17,7 +17,7 @@
 //!
 //! | Module | Backing crate | Contents |
 //! |---|---|---|
-//! | [`sparse`] | `hpsparse-sparse` | CSR / COO / hybrid CSR/COO formats, dense matrices, graphs, reference kernels |
+//! | [`sparse`] | `hpsparse-sparse` | CSR / hybrid CSR/COO / Blocked-ELL formats, dense matrices, graphs, reference kernels |
 //! | [`sim`] | `hpsparse-sim` | GPU execution model: devices, occupancy, waves, sector cache, transactions |
 //! | [`kernels`] | `hpsparse-core` | HP-SpMM, HP-SDDMM, DTP, HVMA and all baseline kernels |
 //! | [`reorder`] | `hpsparse-reorder` | Louvain-based GCR and baseline reordering schemes |

@@ -9,11 +9,11 @@
 use hpsparse::kernels::baselines::{SDDMM_IDS, SPMM_IDS};
 use hpsparse::kernels::catalog::{Kernel, KERNELS};
 use hpsparse::kernels::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
-use hpsparse::kernels::mutants::{all_mutants, mutant_test_graph, Defect};
-use hpsparse::sim::{DeviceSpec, GpuSim};
+use hpsparse::kernels::mutants::{all_mutants, mutant_test_graph};
+use hpsparse::sim::{DeviceSpec, GpuSim, Property};
 use hpsparse::sparse::FormatError;
-use hpsparse_sanitize::{sanitize_run, Checker};
-use hpsparse_verify::{verify_plan, CheckKind, CheckVerdict};
+use hpsparse_sanitize::sanitize_run;
+use hpsparse_verify::{verify_plan, CheckVerdict};
 
 const K: usize = 32;
 
@@ -66,13 +66,14 @@ fn every_row_is_clean_observer_independent_and_proved() {
             assert!(!plans.is_empty(), "{}", row.id);
             for plan in &plans {
                 let verdict = verify_plan(plan);
-                for kind in CheckKind::ALL {
-                    let check = verdict.check(kind);
+                for property in Property::ALL {
+                    let check = verdict.check(property);
                     assert!(
                         check.is_proved(),
-                        "{} [{}] {kind}: {check:?}",
+                        "{} [{}] {}: {check:?}",
                         row.id,
-                        plan.variant
+                        plan.variant,
+                        property.label()
                     );
                 }
             }
@@ -84,19 +85,14 @@ fn every_row_is_clean_observer_independent_and_proved() {
 fn every_mutant_is_caught_statically_and_dynamically_on_its_defect_alone() {
     let s = mutant_test_graph();
     for (i, (defect, mutant)) in all_mutants().into_iter().enumerate() {
-        let (kind, checker) = match defect {
-            Defect::Bounds => (CheckKind::Bounds, Checker::Memcheck),
-            Defect::Race => (CheckKind::Race, Checker::Racecheck),
-            Defect::Init => (CheckKind::Init, Checker::Initcheck),
-        };
         let plans = mutant.symbolic_plans();
         assert_eq!(plans.len(), 1, "{}", mutant.name());
         let verdict = verify_plan(&plans[0]);
-        for k in CheckKind::ALL {
-            let refuted = verdict.check(k).is_refuted();
-            assert_eq!(refuted, k == kind, "{} on {k}", mutant.name());
+        for p in Property::ALL {
+            let refuted = verdict.check(p).is_refuted();
+            assert_eq!(refuted, p == defect, "{} on {}", mutant.name(), p.label());
         }
-        let CheckVerdict::Refuted(cex) = verdict.check(kind) else {
+        let CheckVerdict::Refuted(cex) = verdict.check(defect) else {
             unreachable!("refuted above")
         };
         let want = format!("at (m=10, n=50, nnz=1000, k=32): {}", COUNTEREXAMPLES[i]);
@@ -104,9 +100,15 @@ fn every_mutant_is_caught_statically_and_dynamically_on_its_defect_alone() {
         let report = sanitize_run(DeviceSpec::v100(), |sim| {
             mutant.cost_on(sim, &s, K).unwrap();
         });
-        for c in [Checker::Memcheck, Checker::Racecheck, Checker::Initcheck] {
-            let flagged = report.count(c) > 0;
-            assert_eq!(flagged, c == checker, "{} under {c}", mutant.name());
+        for p in Property::ALL {
+            let flagged = report.count(p) > 0;
+            assert_eq!(
+                flagged,
+                p == defect,
+                "{} under {}",
+                mutant.name(),
+                p.checker()
+            );
         }
     }
 }

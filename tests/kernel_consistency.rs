@@ -148,10 +148,20 @@ fn hybrid_format_roundtrips_through_every_path() {
     let g = test_graph(21, Topology::Uniform);
     let csr = g.adjacency().clone();
     let hybrid = csr.to_hybrid();
-    let coo = csr.to_coo();
     assert_eq!(hybrid.to_csr(), csr);
-    assert_eq!(Hybrid::from_coo(&coo), hybrid);
-    assert_eq!(coo.to_csr(), csr);
+    // The same triplets in a fixed pseudo-random order (xorshift
+    // Fisher–Yates) sort back into the CSR route's matrix.
+    let mut triplets: Vec<(u32, u32, f32)> = csr.iter().collect();
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    for i in (1..triplets.len()).rev() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        triplets.swap(i, (state % (i as u64 + 1)) as usize);
+    }
+    assert_ne!(triplets, csr.iter().collect::<Vec<_>>(), "not shuffled");
+    let shuffled = Hybrid::from_triplets(csr.rows(), csr.cols(), &triplets).unwrap();
+    assert_eq!(shuffled, hybrid);
 }
 
 #[test]

@@ -2,15 +2,15 @@
 //! learning, the simulated costs differ in the paper's direction, and the
 //! full pipeline (datasets → reorder → kernels → GNN) composes.
 
-use hpsparse::autotune::{GraphFingerprint, OpKind, Plan, PlanCache, PlanStrategy, Planner};
+use hpsparse::autotune::{GraphFingerprint, Plan, PlanCache, PlanStrategy, Planner};
 use hpsparse::datasets::features::{planted_labels, random_features};
 use hpsparse::datasets::generators::{GeneratorConfig, Topology};
-use hpsparse::gnn::gat::GatLayer;
 use hpsparse::gnn::{
     linalg, train_full_graph, train_graph_sampling, AutoBackend, BaselineBackend, CpuBackend,
-    GcnConfig, GraphTransformer, HpBackend, SparseBackend, TrainConfig, TransformerAdam,
+    GcnConfig, GraphTransformer, HpBackend, SparseBackend, SparseMha, TrainConfig, TransformerAdam,
     TransformerConfig,
 };
+use hpsparse::kernels::catalog::Op;
 use hpsparse::reorder::gcr_reorder;
 use hpsparse::sim::DeviceSpec;
 use hpsparse::sparse::{Dense, Graph};
@@ -192,13 +192,16 @@ fn gcr_composes_with_training() {
 fn gat_layer_runs_on_all_backends() {
     let (g, x, _) = problem(5);
     let s = g.with_self_loops().to_hybrid();
-    let layer = GatLayer::new(16, 8, 7);
+    // One-head attention: the single-head GAT layer.
+    let layer = SparseMha::new(16, 8, 1, 7);
     let mut cpu = CpuBackend::new();
-    let (out_cpu, w_cpu) = layer.forward(&mut cpu, &s, &x);
+    let (out_cpu, cache_cpu) = layer.forward_cached(&mut cpu, &s, &x);
     let mut hp = HpBackend::new(DeviceSpec::v100());
-    let (out_hp, w_hp) = layer.forward(&mut hp, &s, &x);
+    let (out_hp, cache_hp) = layer.forward_cached(&mut hp, &s, &x);
     assert!(out_cpu.approx_eq(&out_hp, 1e-3, 1e-4));
-    for (a, b) in w_cpu.iter().zip(&w_hp) {
+    let (w_cpu, w_hp) = (cache_cpu[0].weights(), cache_hp[0].weights());
+    assert_eq!(w_cpu.len(), s.nnz());
+    for (a, b) in w_cpu.iter().zip(w_hp) {
         assert!((a - b).abs() < 1e-4);
     }
     assert!(hp.sparse_cycles() > 0);
@@ -354,10 +357,9 @@ fn heuristic_plans_are_recomputed_and_seeded_plans_replay() {
         (out, backend.sparse_cycles(), counters)
     };
     let seeded = |plan: &Plan| {
-        let (key, encoding) =
-            GraphFingerprint::of(&s, x.cols(), &device).cache_entry(OpKind::Spmm, 1);
+        let (key, encoding) = GraphFingerprint::of(&s, x.cols(), &device).cache_entry(Op::Spmm, 1);
         let mut cache = PlanCache::new();
-        cache.insert(OpKind::Spmm, key, encoding, plan.clone());
+        cache.insert(Op::Spmm, key, encoding, plan.clone());
         AutoBackend::with_cache(device.clone(), heuristic, cache)
     };
 
