@@ -34,9 +34,11 @@
 //! `selftime` folds its run into `BENCH_repro.json` under a `runs` object
 //! keyed by thread count, so records at `RAYON_NUM_THREADS=1` and `=4`
 //! coexist. The regression gate is `perfdiff` of a fresh record against
-//! the committed one.
+//! the committed one. With `--json DIR` it also writes every timed
+//! experiment's JSON view into `DIR`, as `all` would; CI compares the quick
+//! `fig9`, `fig9a30`, `fig10` and `table3` views with `results/quick/`.
 
-use hpsparse_bench::experiments::{find, selftime, Effort, EXPERIMENTS};
+use hpsparse_bench::experiments::{find, selftime, Effort, ExperimentOutput, EXPERIMENTS};
 use hpsparse_bench::perfdiff;
 
 fn main() {
@@ -107,7 +109,11 @@ fn main() {
     for name in &wanted {
         let started = std::time::Instant::now();
         let out = if name == "selftime" {
-            let out = selftime::run(effort);
+            let out = selftime::run(effort, |exp| {
+                if let Some(dir) = &json_dir {
+                    write_json(dir, exp);
+                }
+            });
             let merged = merge_selftime_record(&out.json, SELFTIME_ARTIFACT);
             write_artifact(SELFTIME_ARTIFACT, &merged);
             out
@@ -125,11 +131,7 @@ fn main() {
             started.elapsed().as_secs_f64()
         );
         if let Some(dir) = &json_dir {
-            std::fs::create_dir_all(dir).expect("create json dir");
-            let path = format!("{dir}/{}.json", out.id);
-            std::fs::write(&path, serde_json::to_string_pretty(&out.json).unwrap())
-                .expect("write json");
-            eprintln!("[wrote {path}]");
+            write_json(dir, &out);
         }
     }
 
@@ -171,6 +173,14 @@ const META_MODES: &[(&str, &str)] = &[
 fn words() -> impl Iterator<Item = &'static str> {
     let names = EXPERIMENTS.iter().map(|e| e.name);
     names.chain(META_MODES.iter().map(|(n, _)| *n))
+}
+
+/// Writes an experiment's JSON view to `DIR/<id>.json` (`--json DIR`).
+fn write_json(dir: &str, out: &ExperimentOutput) {
+    std::fs::create_dir_all(dir).expect("create json dir");
+    let path = format!("{dir}/{}.json", out.id);
+    std::fs::write(&path, serde_json::to_string_pretty(&out.json).unwrap()).expect("write json");
+    eprintln!("[wrote {path}]");
 }
 
 /// Writes a benchmark artefact into the working directory.

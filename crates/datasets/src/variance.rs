@@ -36,7 +36,7 @@ fn lognormal_degree_graph(nodes: usize, mu: f64, sigma: f64, rng: &mut StdRng) -
     let cap = (nodes / 4).max(2);
     let mut edges = Vec::new();
     for dst in 0..nodes as u32 {
-        let z = standard_normal(rng);
+        let z = box_muller(rng.random(), rng.random());
         let d = (mu + sigma * z).exp().round().clamp(1.0, cap as f64) as usize;
         let mut targets = std::collections::HashSet::with_capacity(d);
         let mut guard = 0;
@@ -54,11 +54,17 @@ fn lognormal_degree_graph(nodes: usize, mu: f64, sigma: f64, rng: &mut StdRng) -
     Graph::from_edges(nodes, &edges)
 }
 
-/// Box–Muller standard normal.
-fn standard_normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.random::<f64>().max(1e-12);
-    let u2: f64 = rng.random::<f64>();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+/// Smallest `u1` [`box_muller`] takes the logarithm of: the radius stays
+/// finite at `u1 = 0`, and the tail ends at `sqrt(-2 ln 1e-12)` ≈ 7.4 σ.
+pub(crate) const U1_FLOOR: f64 = 1e-12;
+
+/// Box–Muller standard normal from two uniforms in `[0, 1)`, on libm's
+/// `ln` and `cos`. The one formula of the crate: the variance family
+/// takes it as is, and every feature is its bits rounded to `f32`
+/// (`features` evaluates it without libm where that provably gives the
+/// same `f32`).
+pub(crate) fn box_muller(u1: f64, u2: f64) -> f64 {
+    (-2.0 * u1.max(U1_FLOOR).ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
@@ -99,7 +105,9 @@ mod tests {
     fn standard_normal_has_sane_moments() {
         let mut rng = StdRng::seed_from_u64(0);
         let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| standard_normal(&mut rng)).collect();
+        let samples: Vec<f64> = (0..n)
+            .map(|_| box_muller(rng.random(), rng.random()))
+            .collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean {mean}");

@@ -230,6 +230,46 @@ fn cpu_backend_losses_keep_their_recorded_bits() {
     );
 }
 
+/// `(nodes, dim, seed, FNV-1a of the feature bits, FNV-1a of
+/// planted_labels(.., 4, seed))`, recorded at commit 24d5df3, where every
+/// feature was the libm Box–Muller expression drawn one element at a time.
+/// Lengths cover 0 and 1 element, one short of and one past a 256-draw
+/// block, and `problem(1)`.
+const FEATURE_DIGESTS: [(usize, usize, u64, u64, u64); 9] = [
+    (0, 64, 1, 0xcbf29ce484222325, 0xcbf29ce484222325),
+    (5, 0, 2, 0xcbf29ce484222325, 0xe4bc4fd9252be94f),
+    (1, 1, 3, 0xc4d39aa6b96ecc66, 0xaf63bc4c8601b62c),
+    (1, 255, 4, 0xfa1dca3fa00a8023, 0xaf63bd4c8601b7df),
+    (3, 257, 5, 0x6db26846cbd941cf, 0xe1f68d1870f72e62),
+    (17, 33, 6, 0xca07b42bbed5f69c, 0xde8ba036fa388e16),
+    (2708, 64, 7, 0x3f77e22df8f1ee4e, 0x0e6c655747d1eef6),
+    (1000, 300, 8, 0xf91ae38b6d5058e7, 0x012d7db2e47a59d1),
+    (400, 16, 1, 0x500e67e3e96aae53, 0xe71c98a19d4e571e),
+];
+
+/// Every training input — each feature and label bit — stays what the
+/// libm Box–Muller gave, whatever evaluates it.
+#[test]
+fn features_and_labels_keep_their_recorded_bits() {
+    let fnv = |words: &mut dyn Iterator<Item = u32>| {
+        words.fold(0xcbf2_9ce4_8422_2325_u64, |h, w| {
+            (h ^ u64::from(w)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    for (nodes, dim, seed, features, labels) in FEATURE_DIGESTS {
+        let x = random_features(nodes, dim, seed);
+        let y = planted_labels(&x, 4, seed);
+        assert_eq!(
+            (
+                fnv(&mut x.data().iter().map(|v| v.to_bits())),
+                fnv(&mut y.iter().copied())
+            ),
+            (features, labels),
+            "random_features({nodes}, {dim}, {seed})"
+        );
+    }
+}
+
 fn loss_bits(losses: &[f32]) -> Vec<u32> {
     losses.iter().map(|l| l.to_bits()).collect()
 }
