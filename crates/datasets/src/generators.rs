@@ -62,19 +62,9 @@ impl GeneratorConfig {
     pub fn generate(&self) -> Graph {
         assert!(self.nodes > 0, "graphs need at least one node");
         let mut rng = StdRng::seed_from_u64(self.seed);
-        match self.topology {
-            Topology::PowerLaw { alpha } => {
-                let weights = power_law_weights(self.nodes, alpha);
-                let picker = WeightedPicker::new(&weights);
-                chung_lu(self.nodes, self.edges, &picker, &mut rng)
-            }
-            Topology::Community {
-                communities,
-                p_in,
-                alpha,
-            } => community_graph(self.nodes, self.edges, communities, p_in, alpha, &mut rng),
-            Topology::Uniform => uniform_graph(self.nodes, self.edges, &mut rng),
-        }
+        let attempt = Attempt::new(self, &mut rng);
+        let edges = distinct_edges(self.nodes, self.edges, || attempt.draw(&mut rng));
+        Graph::from_edges(self.nodes, &edges)
     }
 }
 
@@ -109,106 +99,343 @@ impl WeightedPicker {
     }
 }
 
-/// Distinct-edge accumulator: tracks `(u, v)` pairs in a hash set so
-/// duplicate-heavy configurations (heavy-tailed weights concentrate picks)
-/// still reach their target edge count.
-struct EdgeSet {
-    seen: std::collections::HashSet<u64>,
-    edges: Vec<(u32, u32)>,
+/// Attempts drawn for `m` distinct edges before a generator gives up.
+fn max_attempts(m: usize) -> usize {
+    m.saturating_mul(16).max(4096)
 }
 
-impl EdgeSet {
-    fn with_capacity(m: usize) -> Self {
-        Self {
-            seen: std::collections::HashSet::with_capacity(m * 2),
-            edges: Vec::with_capacity(m),
-        }
-    }
-
-    fn insert(&mut self, u: u32, v: u32) {
-        if u != v && self.seen.insert(((u as u64) << 32) | v as u64) {
-            self.edges.push((u, v));
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.edges.len()
-    }
-}
-
-/// Chung–Lu graph: both endpoints drawn from the weight distribution.
-fn chung_lu(n: usize, m: usize, picker: &WeightedPicker, rng: &mut StdRng) -> Graph {
-    let mut set = EdgeSet::with_capacity(m);
-    let mut attempts = 0usize;
-    let max_attempts = m.saturating_mul(16).max(4096);
-    while set.len() < m && attempts < max_attempts {
-        attempts += 1;
-        let u = picker.pick(rng) as u32;
-        let v = picker.pick(rng) as u32;
-        set.insert(u, v);
-    }
-    Graph::from_edges(n, &set.edges)
-}
-
-/// Planted-partition graph with shuffled labels.
-fn community_graph(
+/// The distinct edges of a generator's attempts on `n` nodes, sorted by
+/// `(dst, src)`.
+///
+/// Each call of `attempt` is one attempt: `None` (an empty community) and
+/// self loops add no edge. Attempts stop once `m` distinct edges have been
+/// seen, or after [`max_attempts`]; the result is exactly the distinct
+/// edges of the attempts made until then, the set a hash set fed one
+/// attempt at a time would hold. A graph whose `n²` node pairs take no
+/// more bits than its `m` edges take words is deduplicated in a bitmap of
+/// the pairs ([`by_bitmap`]); a sparser one by sorting ([`by_rounds`]).
+fn distinct_edges(
     n: usize,
     m: usize,
-    communities: usize,
-    p_in: f64,
-    alpha: f64,
-    rng: &mut StdRng,
-) -> Graph {
-    let c = communities.clamp(1, n);
-    // Community of node i (pre-shuffle): contiguous blocks.
-    let block = n.div_ceil(c);
-    let weights = power_law_weights(block.max(1), alpha);
-    let in_picker = WeightedPicker::new(&weights);
-    // Shuffle labels so the stored order interleaves communities.
-    let mut label: Vec<u32> = (0..n as u32).collect();
-    label.shuffle(rng);
-    let mut set = EdgeSet::with_capacity(m);
-    let mut attempts = 0usize;
-    let max_attempts = m.saturating_mul(16).max(4096);
-    while set.len() < m && attempts < max_attempts {
-        attempts += 1;
-        let comm = rng.random_range(0..c);
-        let base = comm * block;
-        // `c * block` can overshoot `n` when `c` does not divide it; the
-        // last community is then short or empty.
-        let size = n.saturating_sub(base).min(block);
-        if size == 0 {
-            continue;
-        }
-        let u = base + in_picker.pick(rng) % size;
-        let v = if rng.random::<f64>() < p_in {
-            base + in_picker.pick(rng) % size
-        } else {
-            rng.random_range(0..n)
-        };
-        set.insert(label[u], label[v]);
+    attempt: impl FnMut() -> Option<(u32, u32)>,
+) -> Vec<(u32, u32)> {
+    if n.saturating_mul(n) <= m.saturating_mul(64) {
+        by_bitmap(n, m, attempt)
+    } else {
+        by_rounds(m, attempt)
     }
-    Graph::from_edges(n, &set.edges)
 }
 
-/// Uniform (Erdős–Rényi style) graph.
-fn uniform_graph(n: usize, m: usize, rng: &mut StdRng) -> Graph {
-    let mut set = EdgeSet::with_capacity(m);
+/// [`distinct_edges`] one attempt at a time, marking pair `dst·n + src` in
+/// a bitmap; the set bits, read in order, are the edges sorted.
+fn by_bitmap(
+    n: usize,
+    m: usize,
+    mut attempt: impl FnMut() -> Option<(u32, u32)>,
+) -> Vec<(u32, u32)> {
+    let max_attempts = max_attempts(m);
+    let mut seen = vec![0u64; (n * n).div_ceil(64)];
+    let mut distinct = 0usize;
     let mut attempts = 0usize;
-    let max_attempts = m.saturating_mul(16).max(4096);
-    while set.len() < m && attempts < max_attempts {
+    while distinct < m && attempts < max_attempts {
         attempts += 1;
-        let u = rng.random_range(0..n) as u32;
-        let v = rng.random_range(0..n) as u32;
-        set.insert(u, v);
+        let Some((u, v)) = attempt() else {
+            continue;
+        };
+        let pair = u as usize * n + v as usize;
+        let bit = 1u64 << (pair % 64);
+        if u != v && seen[pair / 64] & bit == 0 {
+            seen[pair / 64] |= bit;
+            distinct += 1;
+        }
     }
-    Graph::from_edges(n, &set.edges)
+    let mut edges = Vec::with_capacity(distinct);
+    for (w, &word) in seen.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let pair = w * 64 + bits.trailing_zeros() as usize;
+            edges.push(((pair / n) as u32, (pair % n) as u32));
+            bits &= bits - 1;
+        }
+    }
+    edges
+}
+
+/// [`distinct_edges`] by sorting packed `(dst << 32) | src` keys.
+///
+/// Attempts come in rounds of `m − distinct` (at most the attempts left).
+/// A round cannot add more new edges than it has attempts, so it never
+/// runs past the attempt that brings the m-th distinct edge; when the
+/// count reaches `m`, that attempt was the round's last. Each round is
+/// sorted and deduplicated on its own, stripped of the edges already held,
+/// and merged into a short `recent` list, which is merged into the long
+/// one only once it reaches a sixteenth of its length: the many small
+/// rounds near the end each cost their own size, not the graph's. The
+/// caller's RNG is not used after this returns, so no later draw depends
+/// on where the rounds stop.
+fn by_rounds(m: usize, mut attempt: impl FnMut() -> Option<(u32, u32)>) -> Vec<(u32, u32)> {
+    let max_attempts = max_attempts(m);
+    let mut held: Vec<u64> = Vec::with_capacity(m);
+    let mut recent: Vec<u64> = Vec::new();
+    let mut round: Vec<u64> = Vec::new();
+    let mut attempts = 0usize;
+    while held.len() + recent.len() < m && attempts < max_attempts {
+        let size = (m - held.len() - recent.len()).min(max_attempts - attempts);
+        attempts += size;
+        round.clear();
+        for _ in 0..size {
+            if let Some((u, v)) = attempt() {
+                if u != v {
+                    round.push((u as u64) << 32 | v as u64);
+                }
+            }
+        }
+        round.sort_unstable();
+        round.dedup();
+        drop_held(&mut round, &held);
+        drop_held(&mut round, &recent);
+        merge_into(&mut recent, &round);
+        if recent.len() * 16 > held.len() {
+            merge_into(&mut held, &recent);
+            recent.clear();
+        }
+    }
+    merge_into(&mut held, &recent);
+    held.iter().map(|&k| ((k >> 32) as u32, k as u32)).collect()
+}
+
+/// Removes from `round` (sorted, distinct) every key in `held` (sorted),
+/// galloping through `held` so a small round costs `O(log |held|)` a key
+/// and a large one a linear merge.
+fn drop_held(round: &mut Vec<u64>, held: &[u64]) {
+    let mut rest = held;
+    round.retain(|&k| {
+        let mut step = 1;
+        while step < rest.len() && rest[step] < k {
+            step *= 2;
+        }
+        let i = rest[..(step + 1).min(rest.len())].partition_point(|&h| h < k);
+        rest = &rest[i..];
+        rest.first() != Some(&k)
+    });
+}
+
+/// Merges `new` (sorted, disjoint from `held`) into `held` (sorted), in
+/// place from the back; what is left of `new` once `held`'s keys are all
+/// placed is copied in one go.
+fn merge_into(held: &mut Vec<u64>, new: &[u64]) {
+    let (mut i, mut j) = (held.len(), new.len());
+    held.resize(i + j, 0);
+    while i > 0 && j > 0 {
+        if held[i - 1] > new[j - 1] {
+            held[i + j - 1] = held[i - 1];
+            i -= 1;
+        } else {
+            held[i + j - 1] = new[j - 1];
+            j -= 1;
+        }
+    }
+    held[..j].copy_from_slice(&new[..j]);
+}
+
+/// What one attempt of a topology draws.
+enum Attempt {
+    /// Chung–Lu: both endpoints drawn from the weight distribution.
+    PowerLaw(WeightedPicker),
+    /// Planted partition: a community, then endpoints inside it (the
+    /// source leaves it with probability `1 − p_in`), relabelled.
+    Community {
+        communities: usize,
+        block: usize,
+        p_in: f64,
+        picker: WeightedPicker,
+        label: Vec<u32>,
+    },
+    /// Erdős–Rényi style: both endpoints uniform over the node count.
+    Uniform(usize),
+}
+
+impl Attempt {
+    /// The topology's tables. A community graph shuffles its labels here,
+    /// from the same RNG, before the first attempt.
+    fn new(cfg: &GeneratorConfig, rng: &mut StdRng) -> Self {
+        let n = cfg.nodes;
+        match cfg.topology {
+            Topology::PowerLaw { alpha } => {
+                Attempt::PowerLaw(WeightedPicker::new(&power_law_weights(n, alpha)))
+            }
+            Topology::Community {
+                communities,
+                p_in,
+                alpha,
+            } => {
+                let c = communities.clamp(1, n);
+                // Community of node i (pre-shuffle): contiguous blocks.
+                let block = n.div_ceil(c);
+                let picker = WeightedPicker::new(&power_law_weights(block.max(1), alpha));
+                // Shuffle labels so the stored order interleaves communities.
+                let mut label: Vec<u32> = (0..n as u32).collect();
+                label.shuffle(rng);
+                Attempt::Community {
+                    communities: c,
+                    block,
+                    p_in,
+                    picker,
+                    label,
+                }
+            }
+            Topology::Uniform => Attempt::Uniform(n),
+        }
+    }
+
+    /// One attempt: `(dst, src)`, or `None` when the drawn community is
+    /// empty.
+    fn draw(&self, rng: &mut StdRng) -> Option<(u32, u32)> {
+        match self {
+            Attempt::PowerLaw(picker) => {
+                let u = picker.pick(rng) as u32;
+                let v = picker.pick(rng) as u32;
+                Some((u, v))
+            }
+            Attempt::Community {
+                communities,
+                block,
+                p_in,
+                picker,
+                label,
+            } => {
+                let n = label.len();
+                let base = rng.random_range(0..*communities) * block;
+                // `c * block` can overshoot `n` when `c` does not divide
+                // it; the last community is then short or empty.
+                let size = n.saturating_sub(base).min(*block);
+                if size == 0 {
+                    return None;
+                }
+                let u = base + picker.pick(rng) % size;
+                let v = if rng.random::<f64>() < *p_in {
+                    base + picker.pick(rng) % size
+                } else {
+                    rng.random_range(0..n)
+                };
+                Some((label[u], label[v]))
+            }
+            &Attempt::Uniform(n) => {
+                let u = rng.random_range(0..n) as u32;
+                let v = rng.random_range(0..n) as u32;
+                Some((u, v))
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hpsparse_sparse::DegreeStats;
+    use proptest::prelude::*;
+
+    impl GeneratorConfig {
+        /// [`GeneratorConfig::generate`] as first written — a hash set fed
+        /// one attempt at a time, the edges in first-seen order — kept as
+        /// the reference [`distinct_edges`] must equal.
+        fn generate_oracle(&self) -> Graph {
+            let mut rng = StdRng::seed_from_u64(self.seed);
+            let attempt = Attempt::new(self, &mut rng);
+            let mut seen = std::collections::HashSet::new();
+            let mut edges = Vec::new();
+            let mut attempts = 0usize;
+            while edges.len() < self.edges && attempts < max_attempts(self.edges) {
+                attempts += 1;
+                let Some((u, v)) = attempt.draw(&mut rng) else {
+                    continue;
+                };
+                if u != v && seen.insert(((u as u64) << 32) | v as u64) {
+                    edges.push((u, v));
+                }
+            }
+            Graph::from_edges(self.nodes, &edges)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(120))]
+
+        /// Bitmap and sort-and-merge deduplication build the hash set's
+        /// graph on all three topologies: targets far below, near and above
+        /// the `n(n − 1)` distinct edges there are (the attempt budget runs
+        /// out), community counts that leave the last block short or empty,
+        /// and `edges == 0`.
+        #[test]
+        fn generation_equals_the_hash_set_oracle(
+            (nodes, per_node) in (1usize..48, 0usize..60),
+            (sparse_nodes, sparse_edges) in (300usize..700, 0usize..2_000),
+            kind in 0u8..3,
+            communities in 1usize..64,
+            p_in in 0.0f64..1.0,
+            seed in 0u64..1_000,
+        ) {
+            let topology = match kind {
+                0 => Topology::PowerLaw { alpha: 2.1 },
+                1 => Topology::Community { communities, p_in, alpha: 2.2 },
+                _ => Topology::Uniform,
+            };
+            // Dense enough for the bitmap, then sparse enough for rounds.
+            for (nodes, edges) in [(nodes, nodes * per_node), (sparse_nodes, sparse_edges)] {
+                let cfg = GeneratorConfig {
+                    nodes,
+                    edges,
+                    topology,
+                    seed,
+                };
+                prop_assert_eq!(cfg.generate(), cfg.generate_oracle(), "{:?}", cfg);
+            }
+        }
+    }
+
+    /// An attempt stream with many duplicates, `None`s and self loops
+    /// takes many rounds; every round boundary must keep the first-`m`
+    /// cut exact, and the bitmap must cut at the same attempt.
+    #[test]
+    fn both_strategies_stop_at_the_mth_distinct_edge() {
+        for (m, span) in [
+            (1usize, 2u32),
+            (5, 3),
+            (40, 8),
+            (300, 20),
+            (3_000, 60),
+            (70, 9),
+        ] {
+            let mut state = 0x9e37_79b9_u64 ^ m as u64;
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                let x = (state >> 33) as u32;
+                (!x.is_multiple_of(11)).then_some(((x >> 4) % span, (x >> 12) % span))
+            };
+            let stream: Vec<Option<(u32, u32)>> = (0..max_attempts(m)).map(|_| next()).collect();
+            let mut seen = std::collections::BTreeSet::new();
+            for &(u, v) in stream.iter().flatten() {
+                if seen.len() == m {
+                    break;
+                }
+                if u != v {
+                    seen.insert((u, v));
+                }
+            }
+            let want: Vec<(u32, u32)> = seen.into_iter().collect();
+            let mut at = stream.iter();
+            assert_eq!(
+                by_rounds(m, || *at.next().unwrap()),
+                want,
+                "rounds, m = {m}"
+            );
+            let mut at = stream.iter();
+            let bitmap = by_bitmap(span as usize, m, || *at.next().unwrap());
+            assert_eq!(bitmap, want, "bitmap, m = {m}");
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {

@@ -99,7 +99,8 @@ pub struct ShardPlan {
 
 impl ShardPlan {
     /// Builds a plan for `num_shards` shards with default partitioner
-    /// settings.
+    /// settings. Zero shards asked for is one shard; more shards than
+    /// nodes leaves the shards past the node count empty.
     pub fn new(g: &Graph, num_shards: usize) -> Self {
         Self::with_config(g, &PartitionConfig::for_parts(num_shards))
     }
@@ -124,6 +125,9 @@ impl ShardPlan {
         let cols_g = adj.col_indices();
         let vals_g = adj.values();
 
+        // Halo slot of each remote column, valid for the shard being built:
+        // every entry a shard reads was written for that shard.
+        let mut slot_of = vec![0u32; n];
         let shards: Vec<Shard> = shards_owned
             .into_iter()
             .enumerate()
@@ -143,7 +147,9 @@ impl ShardPlan {
                 }
                 remote.sort_unstable();
                 remote.dedup();
-                let slot_of = |c: u32| remote.binary_search(&c).expect("remote col in halo");
+                for (slot, &c) in remote.iter().enumerate() {
+                    slot_of[c as usize] = slot as u32;
+                }
                 let halo: Vec<HaloRef> = remote
                     .iter()
                     .map(|&c| HaloRef {
@@ -165,7 +171,7 @@ impl ShardPlan {
                         let mixed = if placed.assignment[c as usize] == s32 {
                             local_id[c as usize]
                         } else {
-                            owned_len + slot_of(c) as u32
+                            owned_len + slot_of[c as usize]
                         };
                         cols.push(mixed);
                         vals.push(vals_g[e]);

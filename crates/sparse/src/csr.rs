@@ -137,19 +137,46 @@ impl Csr {
         Ok(csr)
     }
 
+    /// Builds a matrix from parts that already satisfy every invariant
+    /// [`Csr::validate`] checks — for the graph constructors that build
+    /// them directly — re-checked in debug builds only.
+    pub(crate) fn from_valid_parts(
+        rows: usize,
+        cols: usize,
+        row_offsets: Vec<u32>,
+        col_indices: Vec<u32>,
+        values: Vec<f32>,
+    ) -> Self {
+        let csr = Self {
+            rows,
+            cols,
+            row_offsets,
+            col_indices,
+            values,
+        };
+        debug_assert_eq!(csr.validate(), Ok(()));
+        csr
+    }
+
+    /// Stable-sorts each row's entries by column, so duplicates keep their
+    /// input order. A row already in order is skipped — a stable sort of a
+    /// sorted row is the identity — and the others go through one reused
+    /// buffer.
     fn sort_rows_by_column(&mut self) {
+        let mut pairs: Vec<(u32, f32)> = Vec::new();
         for r in 0..self.rows {
-            let lo = self.row_offsets[r] as usize;
-            let hi = self.row_offsets[r + 1] as usize;
-            let mut pairs: Vec<(u32, f32)> = self.col_indices[lo..hi]
-                .iter()
-                .copied()
-                .zip(self.values[lo..hi].iter().copied())
-                .collect();
+            let range = self.row_range(r);
+            let cols = &mut self.col_indices[range.clone()];
+            if cols.is_sorted() {
+                continue;
+            }
+            let vals = &mut self.values[range];
+            pairs.clear();
+            pairs.extend(cols.iter().copied().zip(vals.iter().copied()));
             pairs.sort_by_key(|&(c, _)| c);
-            for (k, (c, v)) in pairs.into_iter().enumerate() {
-                self.col_indices[lo + k] = c;
-                self.values[lo + k] = v;
+            for ((c, v), &(pc, pv)) in cols.iter_mut().zip(vals.iter_mut()).zip(&pairs) {
+                *c = pc;
+                *v = pv;
             }
         }
     }
@@ -263,6 +290,7 @@ impl Csr {
 mod tests {
     use super::*;
     use crate::error::MAX_DIM;
+    use proptest::prelude::*;
 
     /// The example matrix of Fig. 2(a): 4x4 with 7 non-zeros a..g.
     pub(crate) fn fig2_matrix() -> Csr {
@@ -414,5 +442,34 @@ mod tests {
         assert_eq!(triplets[0], (0, 0, 1.0));
         assert_eq!(triplets[6], (3, 3, 7.0));
         assert_eq!(triplets.len(), 7);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// `from_triplets` is a stable sort of its input by (row, column):
+        /// duplicates keep their input order, whether or not a row arrives
+        /// already sorted.
+        #[test]
+        fn from_triplets_is_a_stable_sort_by_row_then_column(
+            rows in 1usize..12,
+            cols in 1usize..12,
+            raw in proptest::collection::vec((0u32..100, 0u32..100), 0..120),
+            presorted in 0u8..2,
+        ) {
+            let mut triplets: Vec<(u32, u32, f32)> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(r, c))| (r % rows as u32, c % cols as u32, i as f32))
+                .collect();
+            if presorted == 1 {
+                triplets.sort_by_key(|&(r, c, _)| (r, c));
+            }
+            let m = Csr::from_triplets(rows, cols, &triplets).unwrap();
+            let mut want = triplets.clone();
+            want.sort_by_key(|&(r, c, _)| (r, c));
+            let got: Vec<(u32, u32, f32)> = m.iter().collect();
+            prop_assert_eq!(got, want);
+        }
     }
 }

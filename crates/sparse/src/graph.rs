@@ -8,10 +8,16 @@
 //! (relabelling) used by Graph-Clustering-based Reordering.
 
 use crate::csr::Csr;
+use crate::error::check_shape;
 use crate::hybrid::Hybrid;
 
 /// A graph stored as a CSR adjacency matrix (row = destination node,
 /// column = source node).
+///
+/// Each row is sorted by column, duplicates in their input order: every
+/// constructor sorts its rows as [`Csr::from_triplets`] would, or derives
+/// them from such a graph without reordering a row. The constructors that
+/// skip the triplets, and Louvain's symmetrisation, rely on it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     adj: Csr,
@@ -20,10 +26,38 @@ pub struct Graph {
 impl Graph {
     /// Builds a graph on `n` nodes from an edge list `(dst, src)`,
     /// all edge weights 1.0. Duplicate edges are kept.
+    ///
+    /// Equal to [`Csr::from_triplets`] on `(dst, src, 1.0)`: every value
+    /// is 1.0, so any sort of a row's columns is the stable one, and a row
+    /// that arrives sorted is left alone.
     pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
-        let triplets: Vec<(u32, u32, f32)> = edges.iter().map(|&(d, s)| (d, s, 1.0)).collect();
+        check_shape(n, n).expect("edge indices must be < n");
+        let mut row_offsets = vec![0u32; n + 1];
+        for &(d, s) in edges {
+            assert!(
+                (d as usize) < n && (s as usize) < n,
+                "edge indices must be < n"
+            );
+            row_offsets[d as usize + 1] += 1;
+        }
+        for i in 1..row_offsets.len() {
+            row_offsets[i] += row_offsets[i - 1];
+        }
+        let mut cursor = row_offsets.clone();
+        let mut col_indices = vec![0u32; edges.len()];
+        for &(d, s) in edges {
+            col_indices[cursor[d as usize] as usize] = s;
+            cursor[d as usize] += 1;
+        }
+        for w in row_offsets.windows(2) {
+            let row = &mut col_indices[w[0] as usize..w[1] as usize];
+            if !row.is_sorted() {
+                row.sort_unstable();
+            }
+        }
+        let values = vec![1.0; edges.len()];
         Self {
-            adj: Csr::from_triplets(n, n, &triplets).expect("edge indices must be < n"),
+            adj: Csr::from_valid_parts(n, n, row_offsets, col_indices, values),
         }
     }
 
@@ -64,6 +98,9 @@ impl Graph {
     /// Adds a self-loop `(v, v)` with weight 1.0 to every node that lacks
     /// one. The paper assumes self-looped graphs throughout (§I, fn. 1).
     ///
+    /// Each loop goes in at its sorted position in its row, where a rebuild
+    /// from triplets would put it.
+    ///
     /// Only valid for square adjacency matrices.
     pub fn with_self_loops(&self) -> Graph {
         assert_eq!(
@@ -71,20 +108,35 @@ impl Graph {
             self.adj.cols(),
             "self loops require a square adjacency matrix"
         );
-        let mut triplets: Vec<(u32, u32, f32)> = self.adj.iter().collect();
-        for v in 0..self.num_nodes() {
-            if !self.neighbors(v).contains(&(v as u32)) {
-                triplets.push((v as u32, v as u32, 1.0));
+        let n = self.num_nodes();
+        let mut row_offsets = Vec::with_capacity(n + 1);
+        let mut col_indices = Vec::with_capacity(self.adj.nnz() + n);
+        let mut values = Vec::with_capacity(self.adj.nnz() + n);
+        row_offsets.push(0u32);
+        for v in 0..n {
+            let range = self.adj.row_range(v);
+            let cols = &self.adj.col_indices()[range.clone()];
+            let vals = &self.adj.values()[range];
+            let at = cols.partition_point(|&c| c < v as u32);
+            col_indices.extend_from_slice(&cols[..at]);
+            values.extend_from_slice(&vals[..at]);
+            if cols.get(at) != Some(&(v as u32)) {
+                col_indices.push(v as u32);
+                values.push(1.0);
             }
+            col_indices.extend_from_slice(&cols[at..]);
+            values.extend_from_slice(&vals[at..]);
+            row_offsets.push(col_indices.len() as u32);
         }
         Graph {
-            adj: Csr::from_triplets(self.adj.rows(), self.adj.cols(), &triplets).unwrap(),
+            adj: Csr::from_valid_parts(n, n, row_offsets, col_indices, values),
         }
     }
 
     /// Symmetrically normalises edge weights:
     /// `w(u,v) <- w(u,v) / sqrt(deg(u) * deg(v))` — the GCN propagation
-    /// weighting. Degrees are weighted row sums of the current matrix.
+    /// weighting. Degrees are weighted row sums of the current matrix,
+    /// added in `f64` in row order. The structure is kept as it is.
     pub fn gcn_normalized(&self) -> Graph {
         assert_eq!(
             self.adj.rows(),
@@ -92,27 +144,38 @@ impl Graph {
             "GCN normalisation requires a square adjacency matrix"
         );
         let n = self.num_nodes();
-        let mut deg = vec![0f64; n];
-        for (r, _c, v) in self.adj.iter() {
-            deg[r as usize] += v as f64;
-        }
-        let inv_sqrt: Vec<f64> = deg
-            .iter()
-            .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-            .collect();
-        let triplets: Vec<(u32, u32, f32)> = self
-            .adj
-            .iter()
-            .map(|(r, c, v)| {
-                (
-                    r,
-                    c,
-                    (v as f64 * inv_sqrt[r as usize] * inv_sqrt[c as usize]) as f32,
-                )
+        let adj = &self.adj;
+        let inv_sqrt: Vec<f64> = (0..n)
+            .map(|r| {
+                let mut d = 0f64;
+                for &v in &adj.values()[adj.row_range(r)] {
+                    d += v as f64;
+                }
+                if d > 0.0 {
+                    1.0 / d.sqrt()
+                } else {
+                    0.0
+                }
             })
             .collect();
+        let mut values = Vec::with_capacity(adj.nnz());
+        for (r, &inv_r) in inv_sqrt.iter().enumerate() {
+            let range = adj.row_range(r);
+            for (&c, &v) in adj.col_indices()[range.clone()]
+                .iter()
+                .zip(&adj.values()[range])
+            {
+                values.push((v as f64 * inv_r * inv_sqrt[c as usize]) as f32);
+            }
+        }
         Graph {
-            adj: Csr::from_triplets(n, n, &triplets).unwrap(),
+            adj: Csr::from_valid_parts(
+                n,
+                n,
+                adj.row_offsets().to_vec(),
+                adj.col_indices().to_vec(),
+                values,
+            ),
         }
     }
 
@@ -182,6 +245,106 @@ fn is_permutation(perm: &[u32]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl Graph {
+        /// [`Graph::from_edges`] as first written, through triplets.
+        fn from_edges_oracle(n: usize, edges: &[(u32, u32)]) -> Graph {
+            let triplets: Vec<(u32, u32, f32)> = edges.iter().map(|&(d, s)| (d, s, 1.0)).collect();
+            Graph {
+                adj: Csr::from_triplets(n, n, &triplets).unwrap(),
+            }
+        }
+
+        /// [`Graph::with_self_loops`] as first written — every entry plus
+        /// the missing loops rebuilt through triplets — kept as the
+        /// reference the in-place insertion must equal.
+        fn with_self_loops_oracle(&self) -> Graph {
+            let mut triplets: Vec<(u32, u32, f32)> = self.adj.iter().collect();
+            for v in 0..self.num_nodes() {
+                if !self.neighbors(v).contains(&(v as u32)) {
+                    triplets.push((v as u32, v as u32, 1.0));
+                }
+            }
+            Graph {
+                adj: Csr::from_triplets(self.adj.rows(), self.adj.cols(), &triplets).unwrap(),
+            }
+        }
+
+        /// [`Graph::gcn_normalized`] as first written, rebuilt through
+        /// triplets.
+        fn gcn_normalized_oracle(&self) -> Graph {
+            let n = self.num_nodes();
+            let mut deg = vec![0f64; n];
+            for (r, _c, v) in self.adj.iter() {
+                deg[r as usize] += v as f64;
+            }
+            let inv_sqrt: Vec<f64> = deg
+                .iter()
+                .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
+                .collect();
+            let triplets: Vec<(u32, u32, f32)> = self
+                .adj
+                .iter()
+                .map(|(r, c, v)| {
+                    (
+                        r,
+                        c,
+                        (v as f64 * inv_sqrt[r as usize] * inv_sqrt[c as usize]) as f32,
+                    )
+                })
+                .collect();
+            Graph {
+                adj: Csr::from_triplets(n, n, &triplets).unwrap(),
+            }
+        }
+    }
+
+    /// Everything about a graph, values by their bits.
+    fn bits(g: &Graph) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+        let a = g.adjacency();
+        (
+            a.row_offsets().to_vec(),
+            a.col_indices().to_vec(),
+            a.values().iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Building from edges, inserting loops and normalising without
+        /// triplets equal the triplet rebuilds bit for bit: on multigraphs with and without
+        /// self loops (some duplicated), rows with no entries or zero
+        /// degree, and zero, negative and tiny weights.
+        #[test]
+        fn loops_and_normalisation_equal_the_triplet_oracles(
+            n in 0usize..40,
+            raw in proptest::collection::vec((0u32..1_000, 0u32..1_000, 0u32..8), 0..160),
+        ) {
+            let weights = [1.0f32, 0.0, -1.0, 0.5, 3.25, -0.0, 1e-30, 7.0];
+            let triplets: Vec<(u32, u32, f32)> = raw
+                .iter()
+                .filter(|_| n > 0)
+                .map(|&(r, c, w)| (r % n as u32, c % n as u32, weights[w as usize]))
+                .collect();
+            let g = Graph {
+                adj: Csr::from_triplets(n, n, &triplets).unwrap(),
+            };
+            let edges: Vec<(u32, u32)> = triplets.iter().map(|&(r, c, _)| (r, c)).collect();
+            prop_assert_eq!(
+                bits(&Graph::from_edges(n, &edges)),
+                bits(&Graph::from_edges_oracle(n, &edges))
+            );
+            let looped = g.with_self_loops();
+            prop_assert_eq!(bits(&looped), bits(&g.with_self_loops_oracle()));
+            prop_assert_eq!(bits(&g.gcn_normalized()), bits(&g.gcn_normalized_oracle()));
+            prop_assert_eq!(
+                bits(&looped.gcn_normalized()),
+                bits(&looped.gcn_normalized_oracle())
+            );
+        }
+    }
 
     /// Path graph 0-1-2-3 plus edge 0-2, directed both ways.
     fn sample_graph() -> Graph {
