@@ -36,7 +36,9 @@
 //! coexist. The regression gate is `perfdiff` of a fresh record against
 //! the committed one. With `--json DIR` it also writes every timed
 //! experiment's JSON view into `DIR`, as `all` would; CI compares the quick
-//! `fig9`, `fig9a30`, `fig10` and `table3` views with `results/quick/`.
+//! view of every paper figure on the simulated clock (`fig9`, `fig9a30`,
+//! `fig10`, `table3`, `table4`, `tcgnn`, `fig11`, `fig12`, `fig13`,
+//! `alpha`, `bell`, `table5`) with `results/quick/`.
 
 use hpsparse_bench::experiments::{find, selftime, Effort, ExperimentOutput, EXPERIMENTS};
 use hpsparse_bench::perfdiff;

@@ -10,13 +10,13 @@
 //! * `+all`       — reordered graph with the full selection rule.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::{bench_features, registry_graph};
+use crate::runner::{measure, registry_graph};
 use crate::table;
+use hpsparse_core::catalog::Kernel;
 use hpsparse_core::hp::{HpConfig, HpSpmm};
-use hpsparse_core::traits::SpmmKernel;
 use hpsparse_reorder::gcr_reorder;
 use hpsparse_sim::DeviceSpec;
-use hpsparse_sparse::Graph;
+use hpsparse_sparse::Hybrid;
 use serde_json::json;
 
 const GRAPHS: [&str; 4] = ["AM", "ddi", "Yelp", "ppa"];
@@ -24,13 +24,10 @@ const GRAPHS: [&str; 4] = ["AM", "ddi", "Yelp", "ppa"];
 /// Candidate `alpha` values for the wave-constraint sweep.
 const ALPHAS: [f64; 6] = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0];
 
-fn run_variant(device: &DeviceSpec, g: &Graph, k: usize, cfg: HpConfig) -> f64 {
-    let s = g.to_hybrid();
-    let a = bench_features(s.cols(), k);
-    HpSpmm::new(cfg)
-        .run(device, &s, &a)
-        .expect("valid shapes")
-        .exec_ms()
+/// HP-SpMM's execution ms at `cfg` on input `graph` (`s`), cold.
+fn hp_ms(cfg: HpConfig, graph: &str, device: &DeviceSpec, s: &Hybrid, k: usize) -> f64 {
+    let kernel = Kernel::Spmm(Box::new(HpSpmm::new(cfg)));
+    measure(graph, &kernel, device, s, k).exec_ms()
 }
 
 /// Runs all six variants on the four ablation graphs.
@@ -39,21 +36,21 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     for name in GRAPHS {
-        let (g, s_shape) = registry_graph(name, effort);
-        let (nnz, m) = (s_shape.nnz(), s_shape.rows());
+        let (g, s) = registry_graph(name, effort);
+        let (nnz, m) = (s.nnz(), s.rows());
 
         let base_cfg = HpConfig::base(nnz, m);
         let dtp_cfg = HpConfig::with_dtp(&device, nnz, m, k);
         let hvma_cfg = HpConfig::with_hvma(nnz, m, k);
         let full_cfg = HpConfig::auto(&device, nnz, m, k);
 
-        let base = run_variant(&device, &g, k, base_cfg);
-        let dtp = run_variant(&device, &g, k, dtp_cfg);
-        let hvma = run_variant(&device, &g, k, hvma_cfg);
-        let both = run_variant(&device, &g, k, full_cfg);
-        let reordered = gcr_reorder(&g);
-        let gcr_only = run_variant(&device, &reordered.graph, k, base_cfg);
-        let all = run_variant(&device, &reordered.graph, k, full_cfg);
+        let base = hp_ms(base_cfg, name, &device, &s, k);
+        let dtp = hp_ms(dtp_cfg, name, &device, &s, k);
+        let hvma = hp_ms(hvma_cfg, name, &device, &s, k);
+        let both = hp_ms(full_cfg, name, &device, &s, k);
+        let reordered = gcr_reorder(&g).graph.to_hybrid();
+        let gcr_only = hp_ms(base_cfg, name, &device, &reordered, k);
+        let all = hp_ms(full_cfg, name, &device, &reordered, k);
 
         let rel = |ms: f64| table::speedup(base / ms);
         rows.push(vec![
@@ -106,13 +103,13 @@ pub fn alpha_sweep(effort: Effort, k: usize) -> ExperimentOutput {
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     for name in ["ddi", "Flickr", "Yelp"] {
-        let (g, s) = registry_graph(name, effort);
+        let (_, s) = registry_graph(name, effort);
         let (nnz, m) = (s.nnz(), s.rows());
         let mut row = vec![name.to_string()];
         let mut entry = serde_json::Map::new();
         for &alpha in &ALPHAS {
             let cfg = HpConfig::auto_with_alpha(&device, nnz, m, k, alpha);
-            let ms = run_variant(&device, &g, k, cfg);
+            let ms = hp_ms(cfg, name, &device, &s, k);
             row.push(format!("{} (npw {})", table::ms(ms), cfg.nnz_per_warp));
             entry.insert(
                 format!("alpha_{alpha}"),

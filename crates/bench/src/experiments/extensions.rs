@@ -3,11 +3,8 @@
 //! (why §II's third cuSPARSE format is absent from GNN frameworks).
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::bench_features;
+use crate::runner::measure_id;
 use crate::table;
-use hpsparse_core::baselines::CusparseBlockedEll;
-use hpsparse_core::hp::HpSpmm;
-use hpsparse_core::traits::SpmmKernel;
 use hpsparse_datasets::generators::{GeneratorConfig, Topology};
 use hpsparse_sim::DeviceSpec;
 use hpsparse_sparse::BlockedEllShape;
@@ -68,22 +65,21 @@ pub fn run_bell(effort: Effort) -> ExperimentOutput {
     ] {
         let s = g.to_hybrid();
         let fill = BlockedEllShape::of(&s.to_csr(), 16).unwrap().fill_ratio();
-        let a = bench_features(s.cols(), k);
-        let hp = HpSpmm::auto(&device, &s, k).run(&device, &s, &a).unwrap();
-        let bell = CusparseBlockedEll::default().run(&device, &s, &a).unwrap();
+        let hp = measure_id(label, "hp-spmm", &device, &s, k).exec_ms();
+        let bell = measure_id(label, "cusparse-blocked-ell", &device, &s, k).exec_ms();
         rows.push(vec![
             label.to_string(),
             format!("{:.3}", fill),
-            table::ms(hp.exec_ms()),
-            table::ms(bell.exec_ms()),
-            table::speedup(bell.exec_ms() / hp.exec_ms()),
+            table::ms(hp),
+            table::ms(bell),
+            table::speedup(bell / hp),
         ]);
         json_rows.push(json!({
             "structure": label,
             "fill_ratio": fill,
-            "hp_ms": hp.exec_ms(),
-            "bell_ms": bell.exec_ms(),
-            "hp_speedup": bell.exec_ms() / hp.exec_ms(),
+            "hp_ms": hp,
+            "bell_ms": bell,
+            "hp_speedup": bell / hp,
         }));
     }
     let text = format!(

@@ -2,137 +2,51 @@
 //! K = 64, Tesla V100).
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::{contenders, sweep_key, time, time_id, BaselineStats, SweepKey};
+use crate::runner::{by_input, speedups, sweep, Inputs, Record};
 use crate::table;
 use hpsparse_core::catalog::Op;
-use hpsparse_datasets::full_graph_dataset;
-use hpsparse_datasets::store::{self, Memo};
+use hpsparse_datasets::registry;
 use hpsparse_sim::DeviceSpec;
-use rayon::prelude::*;
 use serde_json::json;
-use std::sync::{Arc, OnceLock};
 
-/// Raw timings for one graph: HP plus every contender, both kernels.
-pub struct GraphRecord {
-    /// Dataset name.
-    pub graph: String,
-    /// Non-zeros actually benchmarked (after scaling).
-    pub nnz: usize,
-    /// Scale factor applied to the paper's size.
-    pub scale_factor: f64,
-    /// HP-SpMM execution ms.
-    pub hp_spmm_ms: f64,
-    /// `(kernel name, exec ms)` for each SpMM baseline.
-    pub spmm_baselines: Vec<(String, f64)>,
-    /// HP-SDDMM execution ms.
-    pub hp_sddmm_ms: f64,
-    /// `(kernel name, exec ms)` for each SDDMM baseline.
-    pub sddmm_baselines: Vec<(String, f64)>,
-}
-
-/// HP + all contenders over the 19 Table II graphs, swept once per
-/// (device, effort, K) per process: `fig9`/`fig9a30` and `table3` share
-/// the records, and a repeated call returns the same `Arc`.
-pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Arc<Vec<GraphRecord>> {
-    static SWEEPS: OnceLock<Memo<SweepKey, Vec<GraphRecord>>> = OnceLock::new();
-    SWEEPS
-        .get_or_init(Memo::default)
-        .get_or_build(sweep_key(device, effort, k), || sweep(device, effort, k))
-}
-
-/// Graphs run in parallel, and within a graph every contender launch runs
-/// in parallel too — each `run` builds a private cold-cache simulator, so
-/// launches never share mutable state. Results are `collect`ed in input
-/// order, keeping the rendered tables byte-identical to a sequential run.
-fn sweep(device: &DeviceSpec, effort: Effort, k: usize) -> Vec<GraphRecord> {
-    full_graph_dataset()
-        .into_par_iter()
-        .map(|spec| {
-            let g = store::graph(&spec, effort.max_edges());
-            let s = g.to_hybrid();
-            let baselines = |op| {
-                let rows: Vec<_> = contenders(op).collect();
-                rows.par_iter()
-                    .map(|row| time(&row.auto(device, &s, k), device, &s, k))
-                    .map(|t| (t.kernel, t.exec_ms))
-                    .collect()
-            };
-            GraphRecord {
-                graph: spec.name.to_string(),
-                nnz: s.nnz(),
-                scale_factor: spec.scale_factor(effort.max_edges()),
-                hp_spmm_ms: time_id("hp-spmm", device, &s, k).exec_ms,
-                spmm_baselines: baselines(Op::Spmm),
-                hp_sddmm_ms: time_id("hp-sddmm", device, &s, k).exec_ms,
-                sddmm_baselines: baselines(Op::Sddmm),
-            }
-        })
-        .collect()
-}
-
-/// One op's side of a record: its baselines and HP's time.
-fn side(r: &GraphRecord, is_spmm: bool) -> (&[(String, f64)], f64) {
-    if is_spmm {
-        (&r.spmm_baselines, r.hp_spmm_ms)
-    } else {
-        (&r.sddmm_baselines, r.hp_sddmm_ms)
-    }
-}
-
-/// HP's per-graph speedups over every baseline of the records, SpMM
-/// baselines first.
-pub fn speedups(records: &[GraphRecord]) -> Vec<BaselineStats> {
-    let Some(first) = records.first() else {
-        return Vec::new();
-    };
-    [true, false]
-        .into_iter()
-        .flat_map(|is_spmm| {
-            let names = side(first, is_spmm).0.iter().enumerate();
-            names.map(move |(bi, (name, _))| BaselineStats {
-                kernel: name.clone(),
-                is_spmm,
-                speedups: records
-                    .iter()
-                    .map(|r| side(r, is_spmm))
-                    .map(|(baselines, hp_ms)| baselines[bi].1 / hp_ms)
-                    .collect(),
-            })
-        })
-        .collect()
-}
-
-/// Renders Fig. 9 from collected records.
+/// Renders Fig. 9 from the full-graph sweep.
 pub fn run(device: &DeviceSpec, effort: Effort, k: usize) -> ExperimentOutput {
-    render(device, k, &collect(device, effort, k))
+    let records = sweep(Inputs::FullGraph, device, effort, k);
+    render(device, effort, k, &records)
+}
+
+/// One input's records of `op`: HP's, then the contenders'.
+fn of_op(input: &[Record], op: Op) -> (&Record, Vec<&Record>) {
+    let records: Vec<&Record> = input.iter().filter(|r| r.op == op).collect();
+    (records[0], records[1..].to_vec())
 }
 
 /// One op's per-graph table: HP's time, then each baseline's time and
 /// HP's speedup over it (the SpMM table also carries the graph's NNZ).
-fn op_table(records: &[GraphRecord], is_spmm: bool) -> String {
+fn op_table(records: &[Record], op: Op) -> String {
     let mut header = vec!["Graph".to_string()];
-    if is_spmm {
+    if op == Op::Spmm {
         header.push("NNZ".to_string());
     }
-    header.push(if is_spmm { "HP-SpMM ms" } else { "HP-SDDMM ms" }.to_string());
-    if let Some(first) = records.first() {
-        let names = side(first, is_spmm).0.iter();
-        header.extend(names.map(|(n, _)| format!("{n} ms (speedup)")));
+    if let Some(first) = by_input(records).next() {
+        let (hp, baselines) = of_op(first, op);
+        header.push(format!("{} ms", hp.kernel));
+        for r in baselines {
+            header.push(format!("{} ms (speedup)", r.kernel));
+        }
     }
-    let rows: Vec<Vec<String>> = records
-        .iter()
-        .map(|r| {
-            let (baselines, hp_ms) = side(r, is_spmm);
-            let mut row = vec![r.graph.clone()];
-            if is_spmm {
-                row.push(r.nnz.to_string());
+    let rows: Vec<Vec<String>> = by_input(records)
+        .map(|input| {
+            let (hp, baselines) = of_op(input, op);
+            let mut row = vec![hp.graph.clone()];
+            if op == Op::Spmm {
+                row.push(hp.nnz.to_string());
             }
-            row.push(table::ms(hp_ms));
-            row.extend(
-                baselines
-                    .iter()
-                    .map(|(_, ms)| format!("{} ({})", table::ms(*ms), table::speedup(ms / hp_ms))),
-            );
+            row.push(table::ms(hp.exec_ms()));
+            row.extend(baselines.iter().map(|r| {
+                let ms = r.exec_ms();
+                format!("{} ({})", table::ms(ms), table::speedup(ms / hp.exec_ms()))
+            }));
             row
         })
         .collect();
@@ -142,10 +56,14 @@ fn op_table(records: &[GraphRecord], is_spmm: bool) -> String {
     )
 }
 
-/// Formats records into the Fig. 9 tables.
-pub fn render(device: &DeviceSpec, k: usize, records: &[GraphRecord]) -> ExperimentOutput {
+/// Formats a full-graph sweep's records into the Fig. 9 tables.
+pub fn render(
+    device: &DeviceSpec,
+    effort: Effort,
+    k: usize,
+    records: &[Record],
+) -> ExperimentOutput {
     let mut summary = String::new();
-    let mut json_graphs = Vec::new();
     for st in speedups(records) {
         summary.push_str(&format!(
             "  {} geomean speedup vs {}: {:.2}x\n",
@@ -154,23 +72,31 @@ pub fn render(device: &DeviceSpec, k: usize, records: &[GraphRecord]) -> Experim
             st.average()
         ));
     }
-    for r in records {
-        json_graphs.push(json!({
-            "graph": r.graph,
-            "nnz": r.nnz,
-            "scale_factor": r.scale_factor,
-            "hp_spmm_ms": r.hp_spmm_ms,
-            "spmm_baselines": r.spmm_baselines,
-            "hp_sddmm_ms": r.hp_sddmm_ms,
-            "sddmm_baselines": r.sddmm_baselines,
-        }));
-    }
+    let times =
+        |rs: Vec<&Record>| -> Vec<_> { rs.iter().map(|r| (r.kernel, r.exec_ms())).collect() };
+    let json_graphs: Vec<_> = by_input(records)
+        .map(|input| {
+            let (hp_spmm, spmm) = of_op(input, Op::Spmm);
+            let (hp_sddmm, sddmm) = of_op(input, Op::Sddmm);
+            let spec =
+                registry::by_name(&hp_spmm.graph).expect("a full-graph input is in the registry");
+            json!({
+                "graph": hp_spmm.graph,
+                "nnz": hp_spmm.nnz,
+                "scale_factor": spec.scale_factor(effort.max_edges()),
+                "hp_spmm_ms": hp_spmm.exec_ms(),
+                "spmm_baselines": times(spmm),
+                "hp_sddmm_ms": hp_sddmm.exec_ms(),
+                "sddmm_baselines": times(sddmm),
+            })
+        })
+        .collect();
 
     let text = format!(
         "Fig. 9 — full-graph dataset, K = {k}, {}\n\nSpMM:\n{}\nSDDMM:\n{}\n{}",
         device.name,
-        op_table(records, true),
-        op_table(records, false),
+        op_table(records, Op::Spmm),
+        op_table(records, Op::Sddmm),
         summary
     );
     ExperimentOutput::new(
@@ -182,6 +108,7 @@ pub fn render(device: &DeviceSpec, k: usize, records: &[GraphRecord]) -> Experim
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn quick_run_produces_all_19_graphs_from_one_sweep() {
@@ -191,8 +118,11 @@ mod tests {
         assert!(out.text.contains("Reddit"));
         assert!(out.text.contains("geomean speedup"));
         // `run` swept this key; asking again is a lookup.
-        let again = collect(&v100, Effort::Quick, 32);
-        assert!(Arc::ptr_eq(&again, &collect(&v100, Effort::Quick, 32)));
-        assert_eq!(again.len(), 19);
+        let again = sweep(Inputs::FullGraph, &v100, Effort::Quick, 32);
+        assert!(Arc::ptr_eq(
+            &again,
+            &sweep(Inputs::FullGraph, &v100, Effort::Quick, 32)
+        ));
+        assert_eq!(by_input(&again).count(), 19);
     }
 }

@@ -3,7 +3,7 @@
 //! grows, and the corresponding decline in relative speedup.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::{registry_graph, time_id};
+use crate::runner::{measure_id, registry_graph, Record};
 use crate::table;
 use hpsparse_sim::DeviceSpec;
 use serde_json::json;
@@ -19,24 +19,24 @@ pub fn run(effort: Effort) -> ExperimentOutput {
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     for &k in &K_VALUES {
-        let hp = time_id("hp-spmm", &device, &s, k);
-        let alg2 = time_id("cusparse-csr-alg2", &device, &s, k);
-        let ge = time_id("gespmm", &device, &s, k);
+        let [hp, alg2, ge] = ["hp-spmm", "cusparse-csr-alg2", "gespmm"]
+            .map(|id| measure_id("Flickr", id, &device, &s, k));
+        let vs_hp = |r: &Record| r.exec_ms() / hp.exec_ms();
         rows.push(vec![
             k.to_string(),
-            format!("{:.1}", hp.gflops),
-            format!("{:.1}", alg2.gflops),
-            format!("{:.1}", ge.gflops),
-            table::speedup(alg2.exec_ms / hp.exec_ms),
-            table::speedup(ge.exec_ms / hp.exec_ms),
+            format!("{:.1}", hp.gflops(k)),
+            format!("{:.1}", alg2.gflops(k)),
+            format!("{:.1}", ge.gflops(k)),
+            table::speedup(vs_hp(&alg2)),
+            table::speedup(vs_hp(&ge)),
         ]);
         json_rows.push(json!({
             "k": k,
-            "hp_gflops": hp.gflops,
-            "alg2_gflops": alg2.gflops,
-            "gespmm_gflops": ge.gflops,
-            "speedup_vs_alg2": alg2.exec_ms / hp.exec_ms,
-            "speedup_vs_gespmm": ge.exec_ms / hp.exec_ms,
+            "hp_gflops": hp.gflops(k),
+            "alg2_gflops": alg2.gflops(k),
+            "gespmm_gflops": ge.gflops(k),
+            "speedup_vs_alg2": vs_hp(&alg2),
+            "speedup_vs_gespmm": vs_hp(&ge),
         }));
     }
     let text = format!(

@@ -3,7 +3,7 @@
 //! A30; plus the §IV-C TC-GNN comparison on the RTX 3090.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::{registry_graph, time_id};
+use crate::runner::{measure_id, registry_graph};
 use crate::table;
 use hpsparse_sim::DeviceSpec;
 use serde_json::json;
@@ -20,17 +20,18 @@ pub fn run_table4(effort: Effort, k: usize) -> ExperimentOutput {
         let mut row = vec![name.to_string()];
         let mut entry = serde_json::Map::new();
         for id in kernels {
-            let t = time_id(id, &device, &s, k);
-            row.push(table::ms(t.preprocess_ms));
-            row.push(table::ms(t.exec_ms));
+            let r = measure_id(name, id, &device, &s, k);
+            let (pre_ms, exec_ms) = (r.preprocess_ms(), r.exec_ms());
+            row.push(table::ms(pre_ms));
+            row.push(table::ms(exec_ms));
             entry.insert(
-                t.kernel,
-                json!({ "pre_ms": t.preprocess_ms, "exec_ms": t.exec_ms }),
+                r.kernel.to_string(),
+                json!({ "pre_ms": pre_ms, "exec_ms": exec_ms }),
             );
         }
-        let hp = time_id("hp-spmm", &device, &s, k);
-        row.push(table::ms(hp.exec_ms));
-        entry.insert("HP-SpMM".into(), json!({ "exec_ms": hp.exec_ms }));
+        let hp = measure_id(name, "hp-spmm", &device, &s, k);
+        row.push(table::ms(hp.exec_ms()));
+        entry.insert(hp.kernel.into(), json!({ "exec_ms": hp.exec_ms() }));
         entry.insert("graph".into(), json!(name));
         entry.insert("nnz".into(), json!(s.nnz()));
         rows.push(row);
@@ -65,26 +66,26 @@ pub fn run_table4(effort: Effort, k: usize) -> ExperimentOutput {
 pub fn run_tcgnn(effort: Effort, k: usize) -> ExperimentOutput {
     let device = DeviceSpec::rtx3090();
     let (_, s) = registry_graph("Yelp", effort);
-    let hp = time_id("hp-spmm", &device, &s, k);
-    let tc = time_id("tcgnn", &device, &s, k);
+    let hp = measure_id("Yelp", "hp-spmm", &device, &s, k).exec_ms();
+    let tc = measure_id("Yelp", "tcgnn", &device, &s, k).exec_ms();
     let text = format!(
         "§IV-C — low-precision Tensor-Core comparison on {} (Yelp, K = {k})\n\n\
          HP-SpMM : {} ms\n\
          TC-GNN  : {} ms ({} vs HP)\n\
          (paper reports 8.28 ms vs 17.40 ms at full Yelp scale — 2.10x)\n",
         device.name,
-        table::ms(hp.exec_ms),
-        table::ms(tc.exec_ms),
-        table::speedup(tc.exec_ms / hp.exec_ms),
+        table::ms(hp),
+        table::ms(tc),
+        table::speedup(tc / hp),
     );
     ExperimentOutput::new(
         text,
         json!({
             "device": device.name,
             "k": k,
-            "hp_ms": hp.exec_ms,
-            "tcgnn_ms": tc.exec_ms,
-            "ratio": tc.exec_ms / hp.exec_ms,
+            "hp_ms": hp,
+            "tcgnn_ms": tc,
+            "ratio": tc / hp,
         }),
     )
 }

@@ -7,7 +7,7 @@
 //! index distance) and the L2 hit rate HP-SpMM sees after each reordering.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::time_id;
+use crate::runner::measure_id;
 use crate::table;
 use hpsparse_datasets::registry::by_name;
 use hpsparse_datasets::store;
@@ -81,6 +81,5 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
 }
 
 fn kernel_hit_rate(device: &DeviceSpec, g: &Graph, k: usize) -> f64 {
-    let s = g.to_hybrid();
-    time_id("hp-spmm", device, &s, k).l2_hit_rate
+    measure_id("proteins", "hp-spmm", device, &g.to_hybrid(), k).l2_hit_rate()
 }

@@ -7,83 +7,23 @@
 //! a size-bucketed breakdown.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::{contenders, geomean, sweep_key, time, time_id, BaselineStats, SweepKey};
+use crate::runner::{by_input, geomean, speedups, sweep, Inputs, Record};
 use crate::table;
-use hpsparse_core::catalog::Op;
-use hpsparse_datasets::store::{self, Memo};
 use hpsparse_sim::DeviceSpec;
-use rayon::prelude::*;
 use serde_json::json;
-use std::sync::{Arc, OnceLock};
 
-/// Per-baseline speedup distributions over the corpus, plus each
-/// subgraph's edge count (aligned with the speedup vectors).
-pub type CorpusStats = (Vec<BaselineStats>, Vec<usize>);
-
-/// The corpus sweep, run once per (device, effort, K) per process:
-/// `fig10`/`fig10a30` and `table3` share the stats, and a repeated call
-/// returns the same `Arc`.
-pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Arc<CorpusStats> {
-    static SWEEPS: OnceLock<Memo<SweepKey, CorpusStats>> = OnceLock::new();
-    SWEEPS
-        .get_or_init(Memo::default)
-        .get_or_build(sweep_key(device, effort, k), || sweep(device, effort, k))
-}
-
-/// Subgraphs run in parallel (each launch builds its own simulator); the
-/// per-graph results are then folded into the per-baseline vectors
-/// **in corpus order**, so every speedup vector — and everything derived
-/// from it, percentiles included — matches the sequential run exactly.
-fn sweep(device: &DeviceSpec, effort: Effort, k: usize) -> CorpusStats {
-    let corpus = store::corpus(effort.corpus_size(), 0xc0ffee);
-    let sides = [(Op::Spmm, "hp-spmm"), (Op::Sddmm, "hp-sddmm")];
-    // Per subgraph: its nnz and HP's speedup over each SpMM, then each
-    // SDDMM, baseline.
-    let per_graph: Vec<(usize, Vec<f64>)> = corpus
-        .par_iter()
-        .map(|g| {
-            let s = g.to_hybrid();
-            let mut speedups = Vec::new();
-            for (op, ours) in sides {
-                let hp = time_id(ours, device, &s, k);
-                let baselines =
-                    contenders(op).map(|row| time(&row.auto(device, &s, k), device, &s, k));
-                speedups.extend(baselines.map(|t| t.exec_ms / hp.exec_ms));
-            }
-            (s.nnz(), speedups)
-        })
-        .collect();
-
-    let rows = sides.iter().flat_map(|&(op, _)| contenders(op));
-    let stats = rows
-        .enumerate()
-        .map(|(i, row)| BaselineStats {
-            // A baseline has one planner variant: its default instance.
-            kernel: row.planner_variants()[0].name().to_string(),
-            is_spmm: row.op == Op::Spmm,
-            speedups: per_graph.iter().map(|(_, sp)| sp[i]).collect(),
-        })
-        .collect();
-    let sizes = per_graph.iter().map(|(nnz, _)| *nnz).collect();
-    (stats, sizes)
-}
-
-/// Renders the Fig. 10 summary.
+/// Renders the Fig. 10 summary from the corpus sweep.
 pub fn run(device: &DeviceSpec, effort: Effort, k: usize) -> ExperimentOutput {
-    let stats = collect(device, effort, k);
-    render(device, k, &stats.0, &stats.1)
+    render(device, k, &sweep(Inputs::Corpus, device, effort, k))
 }
 
-/// Formats collected stats.
-pub fn render(
-    device: &DeviceSpec,
-    k: usize,
-    stats: &[BaselineStats],
-    sizes: &[usize],
-) -> ExperimentOutput {
+/// Formats a corpus sweep's records.
+pub fn render(device: &DeviceSpec, k: usize, records: &[Record]) -> ExperimentOutput {
+    let stats = speedups(records);
+    let sizes: Vec<usize> = by_input(records).map(|input| input[0].nnz).collect();
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
-    for st in stats {
+    for st in &stats {
         rows.push(vec![
             st.op().to_string(),
             st.kernel.clone(),
@@ -157,6 +97,8 @@ fn percentile(xs: &[f64], p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::record;
+    use hpsparse_core::catalog::Op;
 
     #[test]
     fn percentile_bounds() {
@@ -169,33 +111,28 @@ mod tests {
 
     #[test]
     fn render_summarises_all_baselines() {
-        let stats = vec![
-            BaselineStats {
-                kernel: "GE-SpMM".into(),
-                is_spmm: true,
-                speedups: vec![1.5, 2.0, 0.9],
-            },
-            BaselineStats {
-                kernel: "DGL-SDDMM".into(),
-                is_spmm: false,
-                speedups: vec![1.2, 1.4, 1.6],
-            },
-        ];
-        let out = render(&DeviceSpec::v100(), 64, &stats, &[1000, 4000, 16_000]);
+        let sizes = [1000, 4000, 16_000];
+        let records: Vec<Record> = sizes
+            .iter()
+            .zip([1.5, 2.0, 0.9])
+            .enumerate()
+            .flat_map(|(i, (&nnz, ge_ms))| {
+                let g = format!("s{i}");
+                [
+                    record(&g, nnz, Op::Spmm, "HP-SpMM", 1.0),
+                    record(&g, nnz, Op::Spmm, "GE-SpMM", ge_ms),
+                    record(&g, nnz, Op::Sddmm, "HP-SDDMM", 0.5),
+                    record(&g, nnz, Op::Sddmm, "DGL-SDDMM", 0.7),
+                ]
+            })
+            .collect();
+        let out = render(&DeviceSpec::v100(), 64, &records);
+        assert!(out.text.contains("(3 subgraphs)"), "{}", out.text);
         assert!(out.text.contains("GE-SpMM"));
         assert!(out.text.contains("HP wins"));
         assert!(out.text.contains("by subgraph size"));
         let rows = out.json["baselines"].as_array().unwrap();
         assert_eq!(rows.len(), 2);
-    }
-
-    #[test]
-    fn win_rate_counts_correctly() {
-        let st = BaselineStats {
-            kernel: "x".into(),
-            is_spmm: true,
-            speedups: vec![0.5, 1.0, 2.0, 3.0],
-        };
-        assert!((st.win_rate() - 0.75).abs() < 1e-12);
+        assert_eq!(out.json["subgraphs"].as_u64(), Some(3));
     }
 }

@@ -2,9 +2,8 @@
 //! and both devices (Tesla V100 and Tesla A30): a join over the records
 //! Fig. 9 and Fig. 10 collect, launching nothing itself.
 
-use crate::experiments::fullgraph::{self, GraphRecord};
-use crate::experiments::{sampling, Effort, ExperimentOutput};
-use crate::runner::BaselineStats;
+use crate::experiments::{Effort, ExperimentOutput};
+use crate::runner::{speedups, sweep, BaselineStats, Inputs, Record};
 use crate::table;
 use hpsparse_sim::DeviceSpec;
 use serde_json::json;
@@ -14,19 +13,16 @@ use serde_json::json;
 /// are run here.
 pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
     let sweeps = [DeviceSpec::v100(), DeviceSpec::a30()].map(|device| {
-        let fg = fullgraph::collect(&device, effort, k);
-        let gs = sampling::collect(&device, effort, k);
+        let fg = sweep(Inputs::FullGraph, &device, effort, k);
+        let gs = sweep(Inputs::Corpus, &device, effort, k);
         (device, fg, gs)
     });
     let per_device: Vec<_> = sweeps
         .iter()
-        .map(|(device, fg, gs)| (device, &fg[..], &gs.0[..]))
+        .map(|(device, fg, gs)| (device, &fg[..], &gs[..]))
         .collect();
     render(k, &per_device)
 }
-
-/// One device's side of the join: its Fig. 9 records and Fig. 10 stats.
-pub type DeviceSweeps<'a> = (&'a DeviceSpec, &'a [GraphRecord], &'a [BaselineStats]);
 
 /// The (device, baseline) cell of one dataset. A hole in the grid is a
 /// harness bug, not a ×0.00.
@@ -37,16 +33,17 @@ fn cell<'a>(stats: &'a [BaselineStats], kernel: &str, device: &DeviceSpec) -> &'
         .unwrap_or_else(|| panic!("table3: a sweep on {} has no {kernel}", device.name))
 }
 
-/// Joins the sweeps into the paper's layout: one row per baseline (in the
-/// first device's Fig. 9 order), columns for (device × dataset) averages
-/// plus the sampling win percentage.
+/// Joins each device's full-graph and sampling records into the paper's
+/// layout: one row per baseline (in the first device's Fig. 9 order),
+/// columns for (device × dataset) averages plus the sampling win
+/// percentage.
 ///
 /// # Panics
 /// If a baseline is missing from any device's full-graph or sampling side.
-pub fn render(k: usize, per_device: &[DeviceSweeps]) -> ExperimentOutput {
+pub fn render(k: usize, per_device: &[(&DeviceSpec, &[Record], &[Record])]) -> ExperimentOutput {
     let per_device: Vec<_> = per_device
         .iter()
-        .map(|&(device, fg, gs)| (device, fullgraph::speedups(fg), gs))
+        .map(|&(device, fg, gs)| (device, speedups(fg), speedups(gs)))
         .collect();
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut json_rows = Vec::new();
@@ -89,41 +86,49 @@ pub fn render(k: usize, per_device: &[DeviceSweeps]) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{fullgraph, sampling};
+    use crate::runner::record;
+    use hpsparse_core::catalog::Op;
 
-    fn record(graph: &str, hp: f64, spmm: &[(&str, f64)], sddmm: &[(&str, f64)]) -> GraphRecord {
-        let named = |xs: &[(&str, f64)]| xs.iter().map(|&(n, ms)| (n.to_string(), ms)).collect();
-        GraphRecord {
-            graph: graph.into(),
-            nnz: 1000,
-            scale_factor: 1.0,
-            hp_spmm_ms: hp,
-            spmm_baselines: named(spmm),
-            hp_sddmm_ms: hp * 0.5,
-            sddmm_baselines: named(sddmm),
+    /// One input's records: HP and one contender per operation. HP-SDDMM
+    /// takes half HP-SpMM's time, so a contender paired with the other
+    /// operation's HP record gets other bits.
+    fn input(graph: &str, hp: f64, ge: f64, dgl: f64, sddmm_first: bool) -> Vec<Record> {
+        let spmm = [
+            record(graph, 1000, Op::Spmm, "HP-SpMM", hp),
+            record(graph, 1000, Op::Spmm, "GE-SpMM", ge),
+        ];
+        let sddmm = [
+            record(graph, 1000, Op::Sddmm, "HP-SDDMM", hp * 0.5),
+            record(graph, 1000, Op::Sddmm, "DGL-SDDMM", dgl),
+        ];
+        if sddmm_first {
+            [sddmm, spmm].concat()
+        } else {
+            [spmm, sddmm].concat()
         }
     }
 
-    fn stats(kernel: &str, is_spmm: bool, speedups: &[f64]) -> BaselineStats {
-        BaselineStats {
-            kernel: kernel.into(),
-            is_spmm,
-            speedups: speedups.to_vec(),
-        }
+    /// One device's full-graph and sampling records; each sampling input
+    /// lists its SDDMM side first, the opposite order from the full-graph
+    /// inputs.
+    fn grid(scale: f64) -> (Vec<Record>, Vec<Record>) {
+        let fg = [
+            input("Flickr", 0.3, 0.7 * scale, 0.2, false),
+            input("AM", 1.1, 1.9 * scale, 0.9, false),
+            input("ddi", 0.9, 0.8 * scale, 0.4, false),
+        ];
+        let gs = [
+            input("s0", 0.5, 0.45, 0.65 * scale, true),
+            input("s1", 0.4, 0.68 * scale, 0.2, true),
+            input("s2", 1.0, 1.0, 0.5, true),
+            input("s3", 0.3, 0.99, 2.1, true),
+        ];
+        (fg.concat(), gs.concat())
     }
 
-    /// Two devices × two baselines, sampling stats deliberately in the
-    /// opposite order from the full-graph records.
-    fn grid(scale: f64) -> (Vec<GraphRecord>, Vec<BaselineStats>) {
-        let fg = vec![
-            record("a", 0.3, &[("GE-SpMM", 0.7 * scale)], &[("DGL-SDDMM", 0.2)]),
-            record("b", 1.1, &[("GE-SpMM", 1.9 * scale)], &[("DGL-SDDMM", 0.9)]),
-            record("c", 0.9, &[("GE-SpMM", 0.8 * scale)], &[("DGL-SDDMM", 0.4)]),
-        ];
-        let gs = vec![
-            stats("DGL-SDDMM", false, &[1.3 * scale, 0.8, 2.1]),
-            stats("GE-SpMM", true, &[0.9, 1.7 * scale, 1.0, 3.3]),
-        ];
-        (fg, gs)
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -133,6 +138,20 @@ mod tests {
         let (fg_a, gs_a) = grid(1.37);
         let sweeps = [(&v100, &fg_v[..], &gs_v[..]), (&a30, &fg_a[..], &gs_a[..])];
         let out = render(64, &sweeps);
+
+        // The join pairs each contender with its own operation's HP.
+        let fg = speedups(&fg_v);
+        assert_eq!(
+            bits(&fg[0].speedups),
+            bits(&[0.7 / 0.3, 1.9 / 1.1, 0.8 / 0.9])
+        );
+        let dgl = [0.2 / (0.3 * 0.5), 0.9 / (1.1 * 0.5), 0.4 / (0.9 * 0.5)];
+        assert_eq!(bits(&fg[1].speedups), bits(&dgl));
+        let gs = speedups(&gs_v);
+        assert_eq!(
+            bits(&gs[1].speedups),
+            bits(&[0.45 / 0.5, 0.68 / 0.4, 1.0, 0.99 / 0.3])
+        );
 
         let rows = out.json["rows"].as_array().unwrap();
         let got: Vec<(&str, &str)> = rows
@@ -150,19 +169,24 @@ mod tests {
             ]
         );
         for row in rows {
-            let (_, fg, gs) = sweeps
+            let (device, fg, gs) = sweeps
                 .iter()
                 .find(|(d, _, _)| row["device"].as_str() == Some(d.name))
                 .unwrap();
             let kernel = row["kernel"].as_str().unwrap();
-            let fg = fullgraph::speedups(fg);
+            let fg = speedups(fg);
             let fg = fg.iter().find(|s| s.kernel == kernel).unwrap();
-            let gs = gs.iter().find(|s| s.kernel == kernel).unwrap();
+            let fig10 = sampling::render(device, 64, gs).json;
+            let fig10 = fig10["baselines"].as_array().unwrap();
+            let gs = fig10
+                .iter()
+                .find(|b| b["kernel"].as_str() == Some(kernel))
+                .unwrap();
             assert_eq!(row["op"].as_str(), Some(fg.op()));
             for (field, want) in [
                 ("fullgraph_avg", fg.average()),
-                ("sampling_avg", gs.average()),
-                ("sampling_win_rate", gs.win_rate()),
+                ("sampling_avg", gs["avg_speedup"].as_f64().unwrap()),
+                ("sampling_win_rate", gs["win_rate"].as_f64().unwrap()),
             ] {
                 let got = row[field].as_f64().unwrap();
                 assert_eq!(got.to_bits(), want.to_bits(), "{kernel} {field}");
@@ -170,8 +194,8 @@ mod tests {
         }
         // The text is the same join: Fig. 9's own summary line and the
         // table print one geomean.
-        let fig9 = fullgraph::render(&a30, 64, &fg_a).text;
-        let avg = fullgraph::speedups(&fg_a)[0].average();
+        let fig9 = fullgraph::render(&a30, Effort::Quick, 64, &fg_a).text;
+        let avg = speedups(&fg_a)[0].average();
         assert!(fig9.contains(&format!("vs GE-SpMM: {avg:.2}x")), "{fig9}");
         assert!(out.text.contains(&table::speedup(avg)), "{}", out.text);
         assert!(out.text.contains("A30 full-graph"), "{}", out.text);
@@ -182,6 +206,11 @@ mod tests {
     fn a_missing_cell_is_a_panic_not_a_zero() {
         let (v100, a30) = (DeviceSpec::v100(), DeviceSpec::a30());
         let (fg, gs) = grid(1.0);
-        render(64, &[(&v100, &fg, &gs), (&a30, &fg, &gs[..1])]);
+        let holed: Vec<Record> = gs
+            .iter()
+            .filter(|r| r.kernel != "GE-SpMM")
+            .cloned()
+            .collect();
+        render(64, &[(&v100, &fg, &gs), (&a30, &fg, &holed)]);
     }
 }

@@ -4,7 +4,7 @@
 //! r = 0.90).
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::time_id;
+use crate::runner::measure_id;
 use crate::table;
 use hpsparse_datasets::variance_family;
 use hpsparse_sim::DeviceSpec;
@@ -49,17 +49,18 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
     for (i, g) in family.iter().enumerate() {
         let stats = DegreeStats::of(g.adjacency());
         let s = g.to_hybrid();
-        let hp = time_id("hp-spmm", &device, &s, k);
-        let ge = time_id("gespmm", &device, &s, k);
-        let speedup = ge.exec_ms / hp.exec_ms;
+        let name = format!("G{i}");
+        let hp = measure_id(&name, "hp-spmm", &device, &s, k).exec_ms();
+        let ge = measure_id(&name, "gespmm", &device, &s, k).exec_ms();
+        let speedup = ge / hp;
         stds.push(stats.std_dev);
         speedups.push(speedup);
         rows.push(vec![
-            format!("G{i}"),
+            name,
             format!("{:.1}", stats.mean),
             format!("{:.1}", stats.std_dev),
-            table::ms(hp.exec_ms),
-            table::ms(ge.exec_ms),
+            table::ms(hp),
+            table::ms(ge),
             table::speedup(speedup),
         ]);
     }

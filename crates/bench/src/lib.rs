@@ -10,5 +10,3 @@ pub mod experiments;
 pub mod perfdiff;
 pub mod runner;
 pub mod table;
-
-pub use runner::{contenders, KernelTiming};

@@ -74,6 +74,15 @@ impl Kernel {
         }
     }
 
+    /// What this kernel computes.
+    pub fn op(&self) -> Op {
+        match self {
+            Kernel::Spmm(_) => Op::Spmm,
+            Kernel::Sddmm(_) => Op::Sddmm,
+            Kernel::FusedMha(_) => Op::FusedMha,
+        }
+    }
+
     /// Symbolic descriptor plans of this instance, for `hpsparse-verify`.
     pub fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
         match self {
@@ -196,12 +205,7 @@ mod tests {
             let hp = row.id.starts_with("hp-");
             assert_eq!(variants.len(), if hp { 18 } else { 1 }, "{}", row.id);
             for kernel in variants.iter().chain([&row.auto(&device, &s, 32)]) {
-                let op = match kernel {
-                    Kernel::Spmm(_) => Op::Spmm,
-                    Kernel::Sddmm(_) => Op::Sddmm,
-                    Kernel::FusedMha(_) => Op::FusedMha,
-                };
-                assert_eq!(op, row.op, "{}", row.id);
+                assert_eq!(kernel.op(), row.op, "{}", row.id);
                 assert!(!kernel.symbolic_plans().is_empty(), "{}", row.id);
             }
             assert_eq!(by_id(row.id), Some(row));
