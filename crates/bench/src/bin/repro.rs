@@ -14,7 +14,10 @@
 //!
 //! Experiment output on stdout is byte-identical at any `RAYON_NUM_THREADS`
 //! (timing chatter goes to stderr); `selftime` output is inherently
-//! timing-dependent.
+//! timing-dependent. `--json DIR` writes each experiment's JSON view to
+//! `DIR/<name>.json`. Every view on the simulated clock is committed under
+//! `results/<effort>/`, and the simulated-output gate is `cmp` of each
+//! committed file against a fresh one.
 //!
 //! `--trace FILE` installs a process-global `hpsparse-trace` session for
 //! the whole run and writes a Chrome trace-event / Perfetto JSON timeline
@@ -23,22 +26,18 @@
 //! CSV, anything else for JSON). Both artefacts are deterministic:
 //! identical invocations produce byte-identical files.
 //!
-//! `perfdiff OLD.json NEW.json` compares two snapshots (`BENCH_*.json`
-//! or `--metrics` exports) metric by metric: regressions beyond
-//! `--tolerance` (fractional, finite and ≥ 0, default 0.25) and vanished
-//! metrics fail with exit 1, unreadable inputs and a bad tolerance with
-//! exit 2; `--report FILE` writes the machine-readable diff. Every
-//! `BENCH_*.json` carries a `host` section (core count, rayon threads) for
-//! provenance; `perfdiff` excludes it from comparison.
+//! `perfdiff OLD.json NEW.json` compares two snapshots (`BENCH_repro.json`,
+//! `--json` views or `--metrics` exports) metric by metric: regressions
+//! beyond `--tolerance` (fractional, finite and ≥ 0, default 0.25) and
+//! vanished metrics fail with exit 1, unreadable inputs and a bad tolerance
+//! with exit 2; `--report FILE` writes the machine-readable diff.
 //!
 //! `selftime` folds its run into `BENCH_repro.json` under a `runs` object
 //! keyed by thread count, so records at `RAYON_NUM_THREADS=1` and `=4`
-//! coexist. The regression gate is `perfdiff` of a fresh record against
-//! the committed one. With `--json DIR` it also writes every timed
-//! experiment's JSON view into `DIR`, as `all` would; CI compares the quick
-//! view of every paper figure on the simulated clock (`fig9`, `fig9a30`,
-//! `fig10`, `table3`, `table4`, `tcgnn`, `fig11`, `fig12`, `fig13`,
-//! `alpha`, `bell`, `table5`) with `results/quick/`.
+//! coexist; a `host` section (core count, rayon threads) records
+//! provenance and `perfdiff` excludes it. The host-clock gate is `perfdiff`
+//! of a fresh record against the committed one. With `--json DIR` it also
+//! writes every timed experiment's JSON view into `DIR`, as `all` would.
 
 use hpsparse_bench::experiments::{find, selftime, Effort, ExperimentOutput, EXPERIMENTS};
 use hpsparse_bench::perfdiff;
@@ -116,16 +115,16 @@ fn main() {
                     write_json(dir, exp);
                 }
             });
-            let merged = merge_selftime_record(&out.json, SELFTIME_ARTIFACT);
-            write_artifact(SELFTIME_ARTIFACT, &merged);
+            let merged = merge_selftime_record(&out.json, SELFTIME_RECORD);
+            let text = serde_json::to_string_pretty(&merged).unwrap();
+            std::fs::write(SELFTIME_RECORD, text)
+                .unwrap_or_else(|e| panic!("write {SELFTIME_RECORD}: {e}"));
+            eprintln!("[wrote {SELFTIME_RECORD}]");
             out
         } else {
-            let exp = find(name).unwrap_or_else(|| unknown_experiment(name));
-            let out = exp.execute(effort);
-            if let Some(file) = exp.artifact {
-                write_artifact(file, &with_host(&out.json));
-            }
-            out
+            find(name)
+                .unwrap_or_else(|| unknown_experiment(name))
+                .execute(effort)
         };
         println!("{}", out.text);
         eprintln!(
@@ -154,7 +153,7 @@ fn main() {
 }
 
 /// The record `selftime` folds its runs into.
-const SELFTIME_ARTIFACT: &str = "BENCH_repro.json";
+const SELFTIME_RECORD: &str = "BENCH_repro.json";
 
 /// The words `repro` expands itself instead of looking up in `EXPERIMENTS`.
 const META_MODES: &[(&str, &str)] = &[
@@ -185,33 +184,14 @@ fn write_json(dir: &str, out: &ExperimentOutput) {
     eprintln!("[wrote {path}]");
 }
 
-/// Writes a benchmark artefact into the working directory.
-fn write_artifact(file: &str, doc: &serde_json::Value) {
-    std::fs::write(file, serde_json::to_string_pretty(doc).unwrap())
-        .unwrap_or_else(|e| panic!("write {file}: {e}"));
-    eprintln!("[wrote {file}]");
-}
-
-/// Host provenance stamped into every `BENCH_*.json`: enough to explain
-/// why two wall-clock snapshots differ without making them incomparable —
+/// Host provenance stamped into `BENCH_repro.json`: enough to explain why
+/// two wall-clock snapshots differ without making them incomparable —
 /// `perfdiff` excludes the section from comparison.
 fn host_metadata() -> serde_json::Value {
     serde_json::json!({
         "cores": std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
         "rayon_threads": rayon::current_num_threads() as u64,
     })
-}
-
-/// A copy of `doc` with the `host` section added (replacing any present).
-fn with_host(doc: &serde_json::Value) -> serde_json::Value {
-    let mut map = serde_json::Map::new();
-    if let Some(obj) = doc.as_object() {
-        for (k, v) in obj.iter() {
-            map.insert(k.clone(), v.clone());
-        }
-    }
-    map.insert("host".to_string(), host_metadata());
-    serde_json::Value::Object(map)
 }
 
 /// The `perfdiff` subcommand: diff two snapshots and exit — 0 on pass,
@@ -282,8 +262,7 @@ fn merge_selftime_record(fresh: &serde_json::Value, path: &str) -> serde_json::V
 
 /// The `repro list` output: every experiment with its one-line summary,
 /// then the meta-modes. Rows are tagged `[trace]` when they attach
-/// per-launch tracers, `[writes …]` when they write a benchmark artefact,
-/// and `[not in all]` when `all`/`selftime` skip them.
+/// per-launch tracers and `[not in all]` when `all`/`selftime` skip them.
 fn render_catalog() -> String {
     let width = words().map(str::len).max().unwrap_or(0);
     let mut out = String::from("experiments:\n");
@@ -291,9 +270,6 @@ fn render_catalog() -> String {
         out.push_str(&format!("  {:width$}  {}", e.name, e.summary));
         if e.deep_trace {
             out.push_str("  [trace]");
-        }
-        if let Some(file) = e.artifact {
-            out.push_str(&format!("  [writes {file}]"));
         }
         if !e.in_all {
             out.push_str("  [not in all]");

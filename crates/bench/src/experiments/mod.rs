@@ -92,9 +92,6 @@ pub struct Experiment {
     run: fn(Effort) -> ExperimentOutput,
     /// Whether `repro all` (and thus `selftime`'s committed record) runs it.
     pub in_all: bool,
-    /// The benchmark artefact `repro` writes into the working directory
-    /// from this experiment's JSON — what `repro perfdiff` compares.
-    pub artifact: Option<&'static str>,
     /// Whether it attaches per-launch tracers, so `repro --trace` captures
     /// deep timelines from it — SM lanes and wave slices for `profile`,
     /// device batch/halo lanes plus per-request span trees for `serve` —
@@ -113,18 +110,12 @@ impl Experiment {
             summary,
             run,
             in_all: true,
-            artifact: None,
             deep_trace: false,
         }
     }
 
     const fn not_in_all(mut self) -> Self {
         self.in_all = false;
-        self
-    }
-
-    const fn writes(mut self, file: &'static str) -> Self {
-        self.artifact = Some(file);
         self
     }
 
@@ -189,9 +180,9 @@ pub static EXPERIMENTS: &[Experiment] = &[
         |e| kernel_profile::run(e, DEFAULT_K)).deep_trace(),
     Experiment::new("datasets", "Table II stand-in verification", datasets_table::run).not_in_all(),
     Experiment::new("serve", "multi-GPU sharded inference serving under synthetic load",
-        serve::run).not_in_all().writes("BENCH_serve.json").deep_trace(),
+        serve::run).not_in_all().deep_trace(),
     Experiment::new("fused-mha", "fused one-launch multi-head attention vs three-launch pipeline",
-        |e| fused_mha::run(&DeviceSpec::v100(), e)).not_in_all().writes("BENCH_fused_mha.json"),
+        |e| fused_mha::run(&DeviceSpec::v100(), e)).not_in_all(),
 ];
 
 /// The table row for a `repro` name, if it is an experiment (the
@@ -205,19 +196,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_row_is_reachable_by_its_name_and_owns_its_artifact() {
-        for (i, exp) in EXPERIMENTS.iter().enumerate() {
+    fn every_row_is_reachable_by_its_name() {
+        for exp in EXPERIMENTS {
             // `find` returns the first match, so this is also uniqueness.
             let found = find(exp.name).expect("row is dispatchable");
             assert!(std::ptr::eq(found, exp), "duplicate name `{}`", exp.name);
-            for other in &EXPERIMENTS[..i] {
-                assert!(
-                    exp.artifact.is_none() || exp.artifact != other.artifact,
-                    "`{}` and `{}` write the same artefact",
-                    exp.name,
-                    other.name
-                );
-            }
         }
         assert!(EXPERIMENTS.iter().any(|e| e.in_all));
         for meta in ["all", "selftime", "perfdiff", "list", ""] {

@@ -8,8 +8,7 @@
 //! the sharding is **lossless**: every request's outputs are compared
 //! bit-for-bit against a single-device execution of the same shard plan.
 //!
-//! Writes `BENCH_serve.json` (the `repro` caller handles the file; this
-//! module only renders text + JSON).
+//! The full-effort JSON view is committed as `results/full/serve.json`.
 
 use crate::experiments::{Effort, ExperimentOutput};
 use crate::table;
@@ -198,4 +197,24 @@ pub fn run(effort: Effort) -> ExperimentOutput {
         "report": rep.to_json(),
     });
     ExperimentOutput::new(text, json)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn full_run_serves_every_request_in_percentile_order() {
+        // `run` itself asserts the lossless check.
+        let json = run(Effort::Full).json;
+        assert!(json["devices"].as_u64().unwrap() >= 2, "{json}");
+        let rep = &json["report"];
+        assert!(rep["requests"].as_u64().unwrap() > 0, "{rep}");
+        assert!(rep["batches"].as_u64().unwrap() > 0, "{rep}");
+        assert!(rep["throughput_rps"].as_f64().unwrap() > 0.0, "{rep}");
+        let ms = |p: &str| rep["latency_ms"][p].as_f64().unwrap();
+        assert!(ms("p50") <= ms("p95"), "{rep}");
+        assert!(ms("p95") <= ms("p99"), "{rep}");
+        assert!(ms("p99") <= ms("max"), "{rep}");
+    }
 }

@@ -1,7 +1,7 @@
 //! `perfdiff` — a per-metric performance-regression gate.
 //!
 //! Compares two performance snapshots — any JSON artefact this repository
-//! emits (`BENCH_repro.json`, `BENCH_serve.json`, a `--metrics` registry
+//! emits (`BENCH_repro.json`, a `--json` view, a `--metrics` registry
 //! export) — metric by metric instead of collapsing a run into one scalar:
 //!
 //! 1. Both documents are flattened to dotted-path → number maps
@@ -40,10 +40,10 @@ pub fn parse_tolerance(text: &str) -> Option<f64> {
         .filter(|t: &f64| t.is_finite() && *t >= 0.0)
 }
 
-/// Absolute floor: when two values differ by less than this, the pair
-/// passes regardless of relative movement. Absorbs 0.01 s → 0.02 s style
-/// noise on near-zero timings that a relative threshold would flag as a
-/// 2× regression.
+/// Absolute floor: at a tolerance above 0, when two values differ by less
+/// than this, the pair passes regardless of relative movement. Absorbs
+/// 0.01 s → 0.02 s style noise on near-zero timings that a relative
+/// threshold would flag as a 2× regression.
 pub const ABS_FLOOR: f64 = 0.05;
 
 /// Dotted-path segments that describe the host rather than the run; paths
@@ -277,9 +277,10 @@ fn join(prefix: &str, key: &str) -> String {
     }
 }
 
-/// Classifies one present-in-both pair.
+/// Classifies one present-in-both pair. At tolerance 0 every move counts:
+/// [`ABS_FLOOR`] applies only to a tolerance above 0.
 fn classify(path: &str, old: f64, new: f64, tolerance: f64) -> Status {
-    if (new - old).abs() < ABS_FLOOR {
+    if new == old || (tolerance > 0.0 && (new - old).abs() < ABS_FLOOR) {
         return Status::Pass;
     }
     let good_up = higher_is_better(path);
@@ -418,6 +419,17 @@ mod tests {
         assert!(diff(&old, &new, 0.25).passed(), "4x but under ABS_FLOOR");
         let new = json!({ "experiments.profile.seconds": 0.30 });
         assert!(!diff(&old, &new, 0.25).passed());
+    }
+
+    #[test]
+    fn tolerance_zero_fails_a_move_under_the_absolute_floor() {
+        let old = json!({ "report": json!({ "latency_ms": json!({ "p50": 0.2949 }) }) });
+        let new = json!({ "report": json!({ "latency_ms": json!({ "p50": 0.3349 }) }) });
+        let d = diff(&old, &new, 0.0);
+        assert_eq!(d.failing().len(), 1, "{}", d.render());
+        assert_eq!(d.failing()[0].path, "report.latency_ms.p50");
+        assert_eq!(d.failing()[0].status, Status::Regressed);
+        assert!(diff(&old, &old, 0.0).passed());
     }
 
     #[test]

@@ -9,13 +9,9 @@
 use std::process::Command;
 
 fn repro_stdout(threads: &str, args: &[&str]) -> Vec<u8> {
-    // Run from a scratch directory: experiments that drop artefacts in the
-    // working directory (serve writes BENCH_serve.json) must not dirty the
-    // crate tree.
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
         .env("RAYON_NUM_THREADS", threads)
-        .current_dir(std::env::temp_dir())
         .output()
         .expect("run repro");
     assert!(

@@ -26,8 +26,6 @@ fn run(threads: &str) -> (String, String) {
             "profile",
             "serve",
         ])
-        // BENCH_serve.json lands in the cwd; keep it out of the repo.
-        .current_dir(&dir)
         .env("RAYON_NUM_THREADS", threads)
         .output()
         .expect("run repro");

@@ -243,7 +243,7 @@ impl ServeReport {
         cycles as f64 * self.ms_per_cycle
     }
 
-    /// JSON encoding for `BENCH_serve.json`.
+    /// JSON encoding, the `report` of `repro serve`'s view.
     pub fn to_json(&self) -> Value {
         json!({
             "requests": self.num_requests as u64,
