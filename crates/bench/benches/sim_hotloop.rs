@@ -1,12 +1,12 @@
 //! Criterion microbenchmarks of the simulator's hot loop: single
 //! sector probes vs batched runs on [`SectorCache`] — one mixed stream plus
 //! one row per probe shape the kernels actually produce (MRU re-runs,
-//! streamed misses, hashed and pre-sorted lane gathers) — and whole warp
-//! tallies on [`WarpTally`], unobserved and observed. These pin the
-//! primitives the descriptor API is built from, so a regression shows up
-//! here before it shows up as minutes in `repro -- selftime`. Compare a
-//! change against its parent built from the same bench file, taking the
-//! minimum over several alternating runs.
+//! streamed misses, hits below the MRU way, hashed and pre-sorted lane
+//! gathers) — and whole warp tallies on [`WarpTally`], unobserved and
+//! observed. These pin the primitives the descriptor API is built from,
+//! so a regression shows up here before it shows up as minutes in
+//! `repro -- selftime`. Compare a change against its parent built from the
+//! same bench file, taking the minimum over several alternating runs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use hpsparse_sim::{AccessEvent, AccessSink, BufferDecl, SectorCache, WarpTally};
@@ -106,6 +106,29 @@ fn bench_cache_probes(c: &mut Criterion) {
             black_box(hits)
         })
     });
+    // A random working set of half the modelled L2 (8 192 sets × 16 ways
+    // of 32-byte sectors), probed in the same order every pass: by the
+    // time a sector comes round again, every other working sector of its
+    // set has been probed since, so nearly every probe hits below the MRU
+    // way — the costliest outcome (locate the key, rotate the ways in
+    // front of it). As 1-sector and as 8-sector runs.
+    const DEEP: u64 = 1 << 16;
+    let scatter = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29) % (1 << 27);
+    let singles: Vec<u64> = (0..DEEP).map(scatter).collect();
+    let runs: Vec<u64> = (0..DEEP / 8).map(|i| scatter(i) & !7).collect();
+    group.throughput(Throughput::Elements(DEEP));
+    for (name, starts, len) in [("deep_hit_x1", &singles, 1), ("deep_hit_x8", &runs, 8)] {
+        group.bench_function(name, |b| {
+            let mut cache = l2();
+            b.iter(|| {
+                let mut hits = 0u64;
+                for &s in starts {
+                    hits += cache.access_run(s, len);
+                }
+                black_box(hits)
+            })
+        });
+    }
     group.finish();
 
     // 32-lane gathers through the tally: hashed lanes in lane order (the

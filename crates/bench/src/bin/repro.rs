@@ -10,7 +10,9 @@
 //! `repro list` prints every experiment with a one-line summary (the table
 //! is `experiments::EXPERIMENTS`), then the meta-modes: `all` runs every
 //! row not tagged `[not in all]`, `selftime` times that same set and
-//! writes `BENCH_repro.json`, `perfdiff` compares two snapshots.
+//! writes `BENCH_repro.json`, `perfdiff` compares two snapshots. `all`
+//! expands in place among other names (`all fused-mha` runs both), each
+//! experiment runs once, and an unknown name is refused before any runs.
 //!
 //! Experiment output on stdout is byte-identical at any `RAYON_NUM_THREADS`
 //! (timing chatter goes to stderr); `selftime` output is inherently
@@ -92,13 +94,7 @@ fn main() {
         print!("{}", render_catalog());
         std::process::exit(0);
     }
-    if wanted.iter().any(|w| w == "all") {
-        wanted = EXPERIMENTS
-            .iter()
-            .filter(|e| e.in_all)
-            .map(|e| e.name.to_string())
-            .collect();
-    }
+    let wanted = resolve(&wanted).unwrap_or_else(|name| unknown_experiment(name));
 
     // One session for the whole invocation: experiment spans, graph-build
     // spans, autotune counters, and every traced launch land in one
@@ -107,7 +103,7 @@ fn main() {
         hpsparse_trace::install(hpsparse_trace::TraceSession::new());
     }
 
-    for name in &wanted {
+    for &name in &wanted {
         let started = std::time::Instant::now();
         let out = if name == "selftime" {
             let out = selftime::run(effort, |exp| {
@@ -123,7 +119,7 @@ fn main() {
             out
         } else {
             find(name)
-                .unwrap_or_else(|| unknown_experiment(name))
+                .expect("`resolve` returns table rows")
                 .execute(effort)
         };
         println!("{}", out.text);
@@ -174,6 +170,37 @@ const META_MODES: &[(&str, &str)] = &[
 fn words() -> impl Iterator<Item = &'static str> {
     let names = EXPERIMENTS.iter().map(|e| e.name);
     names.chain(META_MODES.iter().map(|(n, _)| *n))
+}
+
+/// The runs a command line asks for, in order: `all` expands in place to
+/// every row not tagged `[not in all]`, a name already listed is not run
+/// again, and the first word that is neither a table row, `all` nor
+/// `selftime` is the error — before anything runs.
+fn resolve(wanted: &[String]) -> Result<Vec<&'static str>, &str> {
+    let mut runs: Vec<&'static str> = Vec::new();
+    for word in wanted {
+        let names: Vec<&'static str> = if word == "all" {
+            EXPERIMENTS
+                .iter()
+                .filter(|e| e.in_all)
+                .map(|e| e.name)
+                .collect()
+        } else {
+            let name = EXPERIMENTS
+                .iter()
+                .map(|e| e.name)
+                .chain(["selftime"])
+                .find(|n| n == word)
+                .ok_or(word.as_str())?;
+            vec![name]
+        };
+        for name in names {
+            if !runs.contains(&name) {
+                runs.push(name);
+            }
+        }
+    }
+    Ok(runs)
 }
 
 /// Writes an experiment's JSON view to `DIR/<id>.json` (`--json DIR`).
@@ -330,4 +357,40 @@ fn usage(err: &str) -> ! {
         words().collect::<Vec<_>>().join(" ")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn all_expands_in_place_and_an_unknown_name_is_refused_first() {
+        let all: Vec<&str> = EXPERIMENTS
+            .iter()
+            .filter(|e| e.in_all)
+            .map(|e| e.name)
+            .collect();
+        assert!(!all.contains(&"fused-mha") && all.contains(&"fig9"));
+
+        let runs = resolve(&argv(&["all", "fused-mha"])).unwrap();
+        assert_eq!(runs, [all.clone(), vec!["fused-mha"]].concat());
+
+        let runs = resolve(&argv(&["fused-mha", "fig9", "all", "fig9", "selftime"])).unwrap();
+        let rest = all.iter().copied().filter(|&n| n != "fig9");
+        let want: Vec<&str> = ["fused-mha", "fig9"]
+            .into_iter()
+            .chain(rest)
+            .chain(["selftime"])
+            .collect();
+        assert_eq!(runs, want);
+
+        for line in [&["all", "typo"][..], &["typo", "all"], &["fig9", "list"]] {
+            let bad = line.iter().find(|&&w| w == "typo" || w == "list").unwrap();
+            assert_eq!(resolve(&argv(line)), Err(*bad), "{line:?}");
+        }
+    }
 }

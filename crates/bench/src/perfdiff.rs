@@ -4,17 +4,19 @@
 //! emits (`BENCH_repro.json`, a `--json` view, a `--metrics` registry
 //! export) — metric by metric instead of collapsing a run into one scalar:
 //!
-//! 1. Both documents are flattened to dotted-path → number maps
+//! 1. Both documents are flattened to dotted-path → scalar-leaf maps
 //!    ([`flatten`]). Arrays key their elements by an identifying string
 //!    field (`experiment`, `kernel`, `name`, `id`, `graph`) when present,
 //!    by index otherwise, so reordering a result list does not shuffle the
-//!    diff.
+//!    diff; the second and later elements sharing one key value are
+//!    `value#2`, `value#3`, … so no element hides another.
 //! 2. Every path in the union is classified ([`Status`]): present in both
 //!    and within tolerance → `Pass`; beyond tolerance in the bad direction
 //!    → `Regressed`; beyond it in the good direction → `Improved`; only in
 //!    the new snapshot → `New` (reported, not failing); only in the old →
 //!    `Vanished` (failing — a silently dropped metric is how regressions
-//!    hide).
+//!    hide). A string, boolean or null leaf has no magnitude for a
+//!    tolerance to absorb: any change of one is `Regressed`.
 //! 3. The verdict is the worst status: `Regressed` or `Vanished` anywhere
 //!    fails the gate.
 //!
@@ -104,26 +106,59 @@ impl Status {
     }
 }
 
+/// One scalar leaf of a snapshot.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Leaf {
+    /// A number, judged against the tolerance.
+    Number(f64),
+    /// A string, boolean or null, judged by equality.
+    Exact(Value),
+}
+
+impl Leaf {
+    fn number(&self) -> Option<f64> {
+        match self {
+            Leaf::Number(v) => Some(*v),
+            Leaf::Exact(_) => None,
+        }
+    }
+
+    fn to_json(&self) -> Value {
+        match self {
+            Leaf::Number(v) => json!(v),
+            Leaf::Exact(v) => v.clone(),
+        }
+    }
+}
+
+impl std::fmt::Display for Leaf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Leaf::Number(v) => write!(f, "{v:.4}"),
+            Leaf::Exact(v) => write!(f, "{v}"),
+        }
+    }
+}
+
 /// One compared metric.
 #[derive(Debug, Clone)]
 pub struct Entry {
     /// Dotted metric path.
     pub path: String,
     /// Value in the old snapshot, if present.
-    pub old: Option<f64>,
+    pub old: Option<Leaf>,
     /// Value in the new snapshot, if present.
-    pub new: Option<f64>,
+    pub new: Option<Leaf>,
     /// Comparison outcome.
     pub status: Status,
 }
 
 impl Entry {
-    /// `new / old` when both exist and old is non-zero.
+    /// `new / old` when both are numbers and old is non-zero.
     pub fn ratio(&self) -> Option<f64> {
-        match (self.old, self.new) {
-            (Some(o), Some(n)) if o != 0.0 => Some(n / o),
-            _ => None,
-        }
+        let old = self.old.as_ref()?.number()?;
+        let new = self.new.as_ref()?.number()?;
+        (old != 0.0).then(|| new / old)
     }
 }
 
@@ -171,8 +206,8 @@ impl DiffReport {
             if e.status == Status::Pass {
                 continue;
             }
-            let fmt = |v: Option<f64>| match v {
-                Some(v) => format!("{v:.4}"),
+            let fmt = |v: &Option<Leaf>| match v {
+                Some(v) => v.to_string(),
                 None => "-".to_string(),
             };
             let ratio = match e.ratio() {
@@ -183,8 +218,8 @@ impl DiffReport {
                 "  [{}] {}: {} -> {}{}\n",
                 e.status.label(),
                 e.path,
-                fmt(e.old),
-                fmt(e.new),
+                fmt(&e.old),
+                fmt(&e.new),
                 ratio
             ));
         }
@@ -205,8 +240,8 @@ impl DiffReport {
             .map(|e| {
                 json!({
                     "metric": e.path.as_str(),
-                    "old": e.old,
-                    "new": e.new,
+                    "old": e.old.as_ref().map(Leaf::to_json),
+                    "new": e.new.as_ref().map(Leaf::to_json),
                     "ratio": e.ratio(),
                     "status": e.status.label(),
                 })
@@ -229,16 +264,15 @@ impl DiffReport {
     }
 }
 
-/// Flattens a JSON document into dotted-path → number pairs, skipping
-/// non-numeric leaves and any path with a segment in
-/// [`EXCLUDED_SEGMENTS`].
-pub fn flatten(doc: &Value) -> BTreeMap<String, f64> {
+/// Flattens a JSON document into dotted-path → scalar-leaf pairs, skipping
+/// any path with a segment in [`EXCLUDED_SEGMENTS`].
+pub fn flatten(doc: &Value) -> BTreeMap<String, Leaf> {
     let mut out = BTreeMap::new();
     walk(doc, String::new(), &mut out);
     out
 }
 
-fn walk(v: &Value, prefix: String, out: &mut BTreeMap<String, f64>) {
+fn walk(v: &Value, prefix: String, out: &mut BTreeMap<String, Leaf>) {
     match v {
         Value::Object(map) => {
             for (k, child) in map.iter() {
@@ -249,22 +283,32 @@ fn walk(v: &Value, prefix: String, out: &mut BTreeMap<String, f64>) {
             }
         }
         Value::Array(items) => {
+            let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
             for (i, child) in items.iter().enumerate() {
-                let key = KEY_FIELDS
+                let key = match KEY_FIELDS
                     .iter()
                     .find_map(|f| child.get(f).and_then(Value::as_str))
-                    .map(str::to_string)
-                    .unwrap_or_else(|| i.to_string());
+                {
+                    Some(id) => {
+                        let n = seen.entry(id).or_insert(0);
+                        *n += 1;
+                        if *n == 1 {
+                            id.to_string()
+                        } else {
+                            format!("{id}#{n}")
+                        }
+                    }
+                    None => i.to_string(),
+                };
                 walk(child, join(&prefix, &key), out);
             }
         }
-        // Strings, booleans, nulls: provenance, not performance.
+        _ if prefix.is_empty() => {}
         _ => {
-            if let Some(f) = v.as_f64() {
-                if !prefix.is_empty() {
-                    out.insert(prefix, f);
-                }
-            }
+            let leaf = v
+                .as_f64()
+                .map_or_else(|| Leaf::Exact(v.clone()), Leaf::Number);
+            out.insert(prefix, leaf);
         }
     }
 }
@@ -274,6 +318,16 @@ fn join(prefix: &str, key: &str) -> String {
         key.to_string()
     } else {
         format!("{prefix}.{key}")
+    }
+}
+
+/// Classifies one present-in-both pair of leaves: numbers by [`classify`],
+/// anything else by equality.
+fn classify_leaf(path: &str, old: &Leaf, new: &Leaf, tolerance: f64) -> Status {
+    match (old, new) {
+        (Leaf::Number(o), Leaf::Number(n)) => classify(path, *o, *n, tolerance),
+        _ if old == new => Status::Pass,
+        _ => Status::Regressed,
     }
 }
 
@@ -321,9 +375,9 @@ pub fn diff(old: &Value, new: &Value, tolerance: f64) -> DiffReport {
     let entries = paths
         .into_iter()
         .map(|path| {
-            let (o, n) = (old_flat.get(path).copied(), new_flat.get(path).copied());
-            let status = match (o, n) {
-                (Some(o), Some(n)) => classify(path, o, n, tolerance),
+            let (o, n) = (old_flat.get(path).cloned(), new_flat.get(path).cloned());
+            let status = match (&o, &n) {
+                (Some(o), Some(n)) => classify_leaf(path, o, n, tolerance),
                 (Some(_), None) => Status::Vanished,
                 (None, Some(_)) => Status::New,
                 (None, None) => unreachable!("path came from one of the maps"),
@@ -360,15 +414,58 @@ mod tests {
             "results": json!([
                 json!({ "kernel": "hp-spmm", "cycles": 100 }),
                 json!({ "cycles": 7 }),
+                json!({ "kernel": "hp-spmm", "cycles": 300 }),
             ]),
             "label": "quick",
+            "lossless": true,
         });
         let flat = flatten(&doc);
-        assert_eq!(flat.get("total_seconds"), Some(&12.5));
-        assert_eq!(flat.get("results.hp-spmm.cycles"), Some(&100.0));
-        assert_eq!(flat.get("results.1.cycles"), Some(&7.0));
+        let number = |path: &str| flat.get(path).and_then(Leaf::number);
+        assert_eq!(number("total_seconds"), Some(12.5));
+        assert_eq!(number("results.hp-spmm.cycles"), Some(100.0));
+        assert_eq!(number("results.1.cycles"), Some(7.0));
+        assert_eq!(number("results.hp-spmm#2.cycles"), Some(300.0));
+        assert_eq!(flat.get("label"), Some(&Leaf::Exact(json!("quick"))));
+        assert_eq!(flat.get("lossless"), Some(&Leaf::Exact(json!(true))));
         assert!(!flat.keys().any(|k| k.contains("host")), "{flat:?}");
-        assert!(!flat.keys().any(|k| k.contains("label")));
+    }
+
+    /// A committed view whose first cell changes only its plan choice —
+    /// a string and a boolean, in the first of two cells keyed by the same
+    /// graph — fails at tolerance 0, naming both leaves.
+    #[test]
+    fn a_moved_string_or_boolean_fails_and_is_named() {
+        let committed = include_str!("../../../results/quick/fused-mha.json");
+        let first = "\"plan_pick\": \"hp-fused-mha:auto\",\n      \"plan_match\": true";
+        assert!(committed.contains(first), "the view's layout moved");
+        let flipped = committed.replacen(
+            first,
+            "\"plan_pick\": \"no-fuse\",\n      \"plan_match\": false",
+            1,
+        );
+        let old: Value = serde_json::from_str(committed).unwrap();
+        let new: Value = serde_json::from_str(&flipped).unwrap();
+        assert!(diff(&old, &old, 0.0).passed());
+        let d = diff(&old, &new, 0.0);
+        let failing: Vec<&str> = d.failing().iter().map(|e| e.path.as_str()).collect();
+        assert_eq!(
+            failing,
+            ["cells.Flickr.plan_match", "cells.Flickr.plan_pick"],
+            "{}",
+            d.render()
+        );
+        let report = d.render();
+        assert!(report.contains("verdict: FAIL"), "{report}");
+        assert!(
+            report.contains(
+                "[regressed] cells.Flickr.plan_pick: \"hp-fused-mha:auto\" -> \"no-fuse\""
+            ),
+            "{report}"
+        );
+        assert!(
+            report.contains("[regressed] cells.Flickr.plan_match: true -> false"),
+            "{report}"
+        );
     }
 
     #[test]

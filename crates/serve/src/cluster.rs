@@ -26,9 +26,9 @@
 //! (no hashing, nothing cleared between batches), the matrix is emitted
 //! straight into the hybrid's three sorted arrays (rows arrive in order, so
 //! there is no triplet list and no CSR detour; [`Hybrid::from_sorted_parts`]
-//! still validates them), and the feature operand is one row copy out of
-//! the owner shard per compact column, located through the shard's halo
-//! map.
+//! still validates them), and the feature operand is one row copy per
+//! compact column out of the caller's feature matrix, which the cluster
+//! borrows rather than copies.
 //!
 //! The contract is equality, not closeness: for every `(shard, targets)`
 //! the assembled `Hybrid` is `==`, and the gathered operand `to_bits`-equal,
@@ -165,20 +165,21 @@ impl Scratch {
 }
 
 /// N simulated devices serving one sharded graph.
-pub struct Cluster {
+pub struct Cluster<'a> {
     plan: ShardPlan,
     backends: Vec<AutoBackend>,
-    /// Per shard: owned feature rows, in owned (local-id) order.
-    shard_features: Vec<Dense>,
+    /// The caller's feature matrix, one row per global node id.
+    features: &'a Dense,
     link: LinkSpec,
     num_devices: usize,
     feature_dim: usize,
     scratch: Scratch,
 }
 
-impl Cluster {
-    /// Builds a cluster: shards `g` into `num_shards` parts, splits
-    /// `features` by ownership, and boots one Heuristic-planning
+impl<'a> Cluster<'a> {
+    /// Builds a cluster: shards `g` into `num_shards` parts, borrows
+    /// `features` (row `v` is node `v`'s, read in place by every batch —
+    /// the cluster keeps no copy), and boots one Heuristic-planning
     /// [`AutoBackend`] per device. The Heuristic strategy keeps planning a
     /// pure function of each batch's shape, so identical batches pick
     /// identical kernels on every device — a serving-latency *and* a
@@ -188,7 +189,7 @@ impl Cluster {
     /// still grows is each simulator's address space (see [`GpuSim`]).
     pub fn new(
         g: &Graph,
-        features: &Dense,
+        features: &'a Dense,
         num_shards: usize,
         num_devices: usize,
         device: DeviceSpec,
@@ -201,10 +202,11 @@ impl Cluster {
     }
 
     /// Builds a cluster over an existing shard plan (lets callers reuse
-    /// one plan across device counts, e.g. the lossless check).
+    /// one plan across device counts, e.g. the lossless check). Like
+    /// [`Cluster::new`], it borrows `features` for its lifetime.
     pub fn from_plan(
         plan: ShardPlan,
-        features: &Dense,
+        features: &'a Dense,
         num_devices: usize,
         device: DeviceSpec,
         link: LinkSpec,
@@ -215,18 +217,6 @@ impl Cluster {
             plan.assignment.len(),
             "one feature row per node in the shard plan"
         );
-        let k = features.cols();
-        let shard_features: Vec<Dense> = plan
-            .shards
-            .iter()
-            .map(|s| {
-                let mut data = Vec::with_capacity(s.num_owned() * k);
-                for &v in &s.owned {
-                    data.extend_from_slice(features.row(v as usize));
-                }
-                Dense::from_vec(s.num_owned(), k, data).expect("one K-wide row per owned node")
-            })
-            .collect();
         let backends: Vec<AutoBackend> = (0..num_devices)
             .map(|d| {
                 let mut b = AutoBackend::with_strategy(device.clone(), PlanStrategy::Heuristic);
@@ -245,10 +235,10 @@ impl Cluster {
         Self {
             plan,
             backends,
-            shard_features,
+            features,
             link,
             num_devices,
-            feature_dim: k,
+            feature_dim: features.cols(),
             scratch: Scratch {
                 seen: vec![(0, 0); widest],
                 ..Scratch::default()
@@ -325,7 +315,7 @@ impl Cluster {
         let (num_devices, k) = (self.num_devices, self.feature_dim);
         let Self {
             plan,
-            shard_features,
+            features,
             scratch,
             ..
         } = self;
@@ -409,20 +399,21 @@ impl Cluster {
         )
         .expect("compact batch matrix");
 
-        // Copy each referenced feature row out of its owner shard — local
-        // columns are this shard's own rows, the halo map names the rest —
-        // and price the cross-device ones as interconnect transfers.
+        // Copy each referenced feature row out of the caller's matrix —
+        // a local column is one of this shard's owned nodes, the halo map
+        // names the rest — and price the rows another device owns as
+        // interconnect transfers.
         let dst_device = shard % num_devices;
         bytes_from.clear();
         bytes_from.resize(num_devices, 0);
         let mut remote_rows = 0usize;
         let mut data: Vec<f32> = Vec::with_capacity(width.max(1) * k);
         for &col in columns.iter() {
-            let (owner, local) = match (col as usize).checked_sub(s.num_owned()) {
-                None => (shard, col),
-                Some(slot) => (s.halo[slot].owner as usize, s.halo[slot].owner_local),
+            let (owner, global) = match (col as usize).checked_sub(s.num_owned()) {
+                None => (shard, s.owned[col as usize]),
+                Some(slot) => (s.halo[slot].owner as usize, s.halo[slot].global),
             };
-            data.extend_from_slice(shard_features[owner].row(local as usize));
+            data.extend_from_slice(features.row(global as usize));
             let src_device = owner % num_devices;
             if src_device != dst_device {
                 bytes_from[src_device] += 4 * k as u64;
@@ -459,7 +450,7 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashMap;
 
-    impl Cluster {
+    impl Cluster<'_> {
         /// The assembly as first written — a triplet list, a `HashMap` per
         /// batch and an element-wise gather through the global tables —
         /// kept as the reference [`Cluster::assemble`] must equal.
@@ -491,10 +482,7 @@ mod tests {
                 if row >= compact_global.len() {
                     return 0.0;
                 }
-                let g = compact_global[row] as usize;
-                let owner = self.plan.assignment[g];
-                let local = self.plan.local_id[g] as usize;
-                self.shard_features[owner as usize].get(local, col)
+                self.features.get(compact_global[row] as usize, col)
             });
             for &g in &compact_global {
                 let owner = self.plan.assignment[g as usize];
@@ -742,17 +730,50 @@ mod tests {
         assert_eq!((res.outputs.rows(), res.outputs.cols()), (0, k));
     }
 
+    /// Every gathered operand row is the caller's row of the node its
+    /// compact column names, whether this shard owns that node or reads it
+    /// through a halo slot.
     #[test]
-    fn from_plan_splits_features_by_ownership() {
+    fn gathered_rows_are_the_callers_rows_for_owned_and_halo_columns() {
         let g = graph();
-        let f = features(&g, 5);
-        let cluster = Cluster::new(&g, &f, 3, 1, DeviceSpec::v100(), LinkSpec::nvlink());
-        for (s, local) in cluster.plan().shards.iter().zip(&cluster.shard_features) {
-            assert_eq!((local.rows(), local.cols()), (s.num_owned(), 5));
-            for (r, &v) in s.owned.iter().enumerate() {
-                assert_eq!(local.row(r), f.row(v as usize), "node {v}");
+        let k = 5;
+        let f = features(&g, k);
+        let mut cluster = Cluster::new(&g, &f, 3, 2, DeviceSpec::v100(), LinkSpec::nvlink());
+        let (mut owned_seen, mut halo_seen) = (0, 0);
+        for shard in 0..3 {
+            let targets = cluster.plan().shards[shard].owned.clone();
+            let a = cluster.assemble(shard, &targets).unwrap();
+            let s = &cluster.plan().shards[shard];
+            // Compact ids are numbered at first appearance over the rows in
+            // target order: the shard column behind each compact column.
+            let mut columns: Vec<u32> = Vec::new();
+            for &t in &targets {
+                let r = cluster.plan().local_id[t as usize] as usize;
+                for &col in &s.cols[s.row_range(r)] {
+                    if !columns.contains(&col) {
+                        columns.push(col);
+                    }
+                }
+            }
+            assert_eq!(columns.len(), a.width);
+            for (c, &col) in columns.iter().enumerate() {
+                let global = s.col_global(col);
+                if (col as usize) < s.num_owned() {
+                    owned_seen += 1;
+                } else {
+                    halo_seen += 1;
+                }
+                assert_eq!(
+                    a.gathered.row(c),
+                    f.row(global as usize),
+                    "shard {shard} column {c} (node {global})"
+                );
             }
         }
+        assert!(
+            owned_seen > 0 && halo_seen > 0,
+            "{owned_seen} owned, {halo_seen} halo"
+        );
     }
 
     proptest! {

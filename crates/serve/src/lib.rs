@@ -31,7 +31,7 @@ pub mod shard;
 
 pub use cluster::{BatchError, BatchResult, Cluster};
 pub use server::{
-    serve, synthetic_workload, try_serve, verify_lossless, BatcherConfig, DeviceStats, Request,
-    ServeOutcome, ServeReport, WorkloadConfig,
+    serve, synthetic_workload, try_serve, verify_lossless, BatcherConfig, DeviceStats, Outputs,
+    OutputsIter, Request, ServeOutcome, ServeReport, WorkloadConfig,
 };
 pub use shard::{HaloRef, Shard, ShardPlan};

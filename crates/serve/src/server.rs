@@ -38,6 +38,7 @@ use hpsparse_trace::{names, TraceSession, DEVICE_COMPUTE_TID, DEVICE_LINK_TID};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::{json, Value};
+use std::fmt;
 
 /// One inference request: a user asking for the embeddings of one or more
 /// nodes (single-node lookup or a sampled neighbourhood).
@@ -284,6 +285,97 @@ impl ServeReport {
     }
 }
 
+/// Every request's output bits in one buffer: request `i`'s `targets.len()
+/// × K` `f32` bit patterns, rows in its target order, are `outputs[i]`.
+/// Two values are equal iff every request's slice is.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Outputs {
+    bits: Vec<u32>,
+    /// `bits[bounds[i]..bounds[i + 1]]` is request `i`'s; `bounds[0] == 0`.
+    bounds: Vec<usize>,
+}
+
+impl Outputs {
+    /// Zeroed outputs for `requests` at width `k`.
+    fn zeroed(requests: &[Request], k: usize) -> Self {
+        let mut end = 0;
+        let bounds = std::iter::once(0)
+            .chain(requests.iter().map(|r| {
+                end += r.targets.len() * k;
+                end
+            }))
+            .collect();
+        Self {
+            bits: vec![0; end],
+            bounds,
+        }
+    }
+
+    /// Number of requests.
+    pub fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// Whether there are no requests.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Each request's output bits, in stream order.
+    pub fn iter(&self) -> OutputsIter<'_> {
+        OutputsIter {
+            bits: &self.bits,
+            bounds: self.bounds.windows(2),
+        }
+    }
+
+    fn request_mut(&mut self, i: usize) -> &mut [u32] {
+        &mut self.bits[self.bounds[i]..self.bounds[i + 1]]
+    }
+}
+
+impl std::ops::Index<usize> for Outputs {
+    type Output = [u32];
+
+    fn index(&self, i: usize) -> &[u32] {
+        &self.bits[self.bounds[i]..self.bounds[i + 1]]
+    }
+}
+
+impl fmt::Debug for Outputs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a Outputs {
+    type Item = &'a [u32];
+    type IntoIter = OutputsIter<'a>;
+
+    fn into_iter(self) -> OutputsIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over each request's output bits ([`Outputs::iter`]).
+#[derive(Debug, Clone)]
+pub struct OutputsIter<'a> {
+    bits: &'a [u32],
+    bounds: std::slice::Windows<'a, usize>,
+}
+
+impl<'a> Iterator for OutputsIter<'a> {
+    type Item = &'a [u32];
+
+    fn next(&mut self) -> Option<&'a [u32]> {
+        self.bounds.next().map(|b| &self.bits[b[0]..b[1]])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.bounds.size_hint()
+    }
+}
+
 /// Everything a serve run produces: the scoreboard plus per-request
 /// outputs (`f32` bit patterns, rows in each request's target order) for
 /// the lossless check.
@@ -291,7 +383,7 @@ pub struct ServeOutcome {
     /// The scoreboard.
     pub report: ServeReport,
     /// Per request: `targets.len() × K` output bits.
-    pub outputs: Vec<Vec<u32>>,
+    pub outputs: Outputs,
     /// Per request: completion cycle.
     pub completions: Vec<u64>,
 }
@@ -433,10 +525,7 @@ pub fn try_serve(
     let mut device_free = vec![0u64; num_devices];
     let mut device_bytes = vec![0u64; num_devices];
     let mut per_device = vec![DeviceStats::default(); num_devices];
-    let mut outputs: Vec<Vec<u32>> = requests
-        .iter()
-        .map(|r| vec![0u32; r.targets.len() * k])
-        .collect();
+    let mut outputs = Outputs::zeroed(requests, k);
     let mut completions = vec![0u64; requests.len()];
     let mut stages: Vec<Option<Stages>> = (0..requests.len()).map(|_| None).collect();
     let mut memberships = vec![0u64; requests.len()];
@@ -514,7 +603,7 @@ pub fn try_serve(
         }
 
         for m in &batch.members {
-            let out = &mut outputs[m.req];
+            let out = outputs.request_mut(m.req);
             for (r, &pos) in m.positions.iter().enumerate() {
                 let src = result.outputs.row(m.row_start + r);
                 let dst_base = pos * k;
@@ -678,6 +767,7 @@ mod tests {
     use hpsparse_datasets::generators::{GeneratorConfig, Topology};
     use hpsparse_sim::{DeviceSpec, LinkSpec};
     use hpsparse_sparse::Dense;
+    use proptest::prelude::*;
 
     fn graph() -> Graph {
         GeneratorConfig {
@@ -1007,6 +1097,109 @@ mod tests {
         let ob = serve(&mut b, &reqs, &cfg, None);
         assert_eq!(oa.report.num_batches, ob.report.num_batches);
         assert_eq!(oa.outputs, ob.outputs);
+    }
+
+    /// The layout [`ServeOutcome::outputs`] had before it was one buffer,
+    /// kept as the oracle [`Outputs`] must equal: every planned batch run
+    /// on `cluster` and scattered into one vector per request.
+    fn nested_outputs(
+        cluster: &mut Cluster,
+        requests: &[Request],
+        cfg: &BatcherConfig,
+    ) -> Vec<Vec<u32>> {
+        let k = cluster.feature_dim();
+        let mut outputs: Vec<Vec<u32>> = requests
+            .iter()
+            .map(|r| vec![0u32; r.targets.len() * k])
+            .collect();
+        for batch in plan_batches(cluster, requests, cfg) {
+            let result = cluster.run_batch(batch.shard, &batch.rows).unwrap();
+            for m in &batch.members {
+                for (r, &pos) in m.positions.iter().enumerate() {
+                    let src = result.outputs.row(m.row_start + r);
+                    for (c, v) in src.iter().enumerate() {
+                        outputs[m.req][pos * k + c] = v.to_bits();
+                    }
+                }
+            }
+        }
+        outputs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random streams — none at all, requests without targets, targets
+        /// on every shard, batches capped at a row or two — yield one
+        /// buffer that reads, request by request and value by value, as the
+        /// nested per-request vectors do.
+        #[test]
+        fn flat_outputs_equal_the_nested_layout(
+            picks in proptest::collection::vec(
+                (0u64..200_000, proptest::collection::vec(0u32..500, 0..6)),
+                0..24,
+            ),
+            shards in 1usize..5,
+            devices in 1usize..4,
+            max_batch_rows in 1usize..9,
+            max_wait_cycles in 0u64..300_000,
+        ) {
+            let g = graph();
+            let k = 3;
+            let f = features(&g, k);
+            let mut arrival_cycle = 0;
+            let requests: Vec<Request> = picks
+                .into_iter()
+                .enumerate()
+                .map(|(id, (gap, mut targets))| {
+                    arrival_cycle += gap;
+                    let mut seen = std::collections::HashSet::new();
+                    targets.retain(|&t| seen.insert(t));
+                    Request { id: id as u64, arrival_cycle, targets }
+                })
+                .collect();
+            let cfg = BatcherConfig { max_batch_rows, max_wait_cycles };
+            let plan = crate::shard::ShardPlan::new(&g, shards);
+            let mut cluster = Cluster::from_plan(
+                plan.clone(), &f, devices, DeviceSpec::v100(), LinkSpec::nvlink(),
+            );
+            let mut oracle = Cluster::from_plan(
+                plan, &f, devices, DeviceSpec::v100(), LinkSpec::nvlink(),
+            );
+            let flat = serve(&mut cluster, &requests, &cfg, None).outputs;
+            let nested = nested_outputs(&mut oracle, &requests, &cfg);
+            prop_assert_eq!(flat.len(), nested.len());
+            prop_assert_eq!(flat.is_empty(), nested.is_empty());
+            for (i, want) in nested.iter().enumerate() {
+                prop_assert_eq!(&flat[i], want.as_slice(), "request {}", i);
+            }
+            prop_assert!(flat.iter().eq(nested.iter().map(Vec::as_slice)));
+            prop_assert!((&flat).into_iter().eq(nested.iter().map(Vec::as_slice)));
+            prop_assert_eq!(format!("{flat:?}"), format!("{nested:?}"));
+            prop_assert_eq!(&flat.clone(), &flat);
+        }
+    }
+
+    #[test]
+    fn no_requests_and_requests_without_targets_have_empty_outputs() {
+        let g = graph();
+        let f = features(&g, 4);
+        let mut cluster = Cluster::new(&g, &f, 2, 2, DeviceSpec::v100(), LinkSpec::nvlink());
+        let none = serve(&mut cluster, &[], &BatcherConfig::default(), None).outputs;
+        assert!(none.is_empty());
+        assert_eq!(none.iter().next(), None);
+        let reqs: Vec<Request> = [vec![], vec![3, 9], vec![]]
+            .into_iter()
+            .enumerate()
+            .map(|(id, targets)| Request {
+                id: id as u64,
+                arrival_cycle: 10 * id as u64,
+                targets,
+            })
+            .collect();
+        let out = serve(&mut cluster, &reqs, &BatcherConfig::default(), None).outputs;
+        let lens: Vec<usize> = out.iter().map(<[u32]>::len).collect();
+        assert_eq!(lens, [0, 8, 0]);
     }
 
     /// A wait that would put a batch deadline past the clock's horizon is

@@ -9,10 +9,11 @@
 //!
 //! A set is a strip of packed `u32` tagwords kept in recency order (way 0 =
 //! MRU, last way = LRU). Only the sector bits above the set index are
-//! stored, so a 16-way set is one 64-byte host cache line. Each tagword
-//! carries the reset epoch in its low bits, so [`SectorCache::reset`] is
-//! O(1): bumping the epoch invalidates every resident line without
-//! rewriting the ways vec.
+//! stored, so a 16-way set is 64 bytes, the size of a host cache line —
+//! but nothing aligns the array to 64 bytes, so a set usually spans two
+//! host lines. Each tagword carries the reset epoch in its low bits, so
+//! [`SectorCache::reset`] is O(1): bumping the epoch invalidates every
+//! resident line without rewriting the ways vec.
 //!
 //! # The probe path: runs, not sectors
 //!
@@ -125,8 +126,9 @@ pub struct SectorCache {
     /// `ways[set * assoc + i]`: packed tagwords `(sector >> set_bits) <<
     /// EPOCH_BITS | epoch`, recency-ordered within each set. Only the bits
     /// above the set index are stored — two sectors with equal tags in the
-    /// same set are the same sector — which keeps a 16-way set inside one
-    /// 64-byte host cache line. A word whose epoch field differs from the
+    /// same set are the same sector — which makes a 16-way set 64 bytes
+    /// (`Vec<u32>` promises only 4-byte alignment, so it usually straddles
+    /// two host cache lines). A word whose epoch field differs from the
     /// current epoch is empty — epochs start at 1, so the zero-filled
     /// initial state is empty everywhere.
     ways: Vec<u32>,
