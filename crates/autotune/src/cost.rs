@@ -17,6 +17,7 @@
 //! near the top, and the experiment's oracle-match rate keeps it honest.
 
 use hpsparse_core::hp::HpConfig;
+use hpsparse_core::traits::LAUNCH_OVERHEAD_CYCLES;
 use hpsparse_sim::occupancy::tail_stretch;
 use hpsparse_sim::{occupancy_of, DeviceSpec, KernelResources, Occupancy};
 
@@ -313,12 +314,6 @@ fn baseline_cycles(
         bandwidth: bandwidth * scale,
     }
 }
-
-/// Kernel-launch overhead in cycles, matching the accounting backends'
-/// `LAUNCH_OVERHEAD_CYCLES` (≈ 3.5 µs of driver + runtime per launch at
-/// V100 clocks). It is what makes the unfused pipeline's three launches
-/// per head expensive on small graphs even when bandwidth is free.
-pub const LAUNCH_OVERHEAD_CYCLES: u64 = 5_000;
 
 /// Roofline cycles of the standalone edge-softmax pass the *unfused*
 /// attention pipeline needs between SDDMM and SpMM: one read of the raw

@@ -56,9 +56,9 @@ pub use candidates::{
 };
 pub use cost::{
     edge_softmax_cycles, mha_cost, sddmm_bound_hint, sddmm_cost, spmm_bound_hint, spmm_cost,
-    LAUNCH_OVERHEAD_CYCLES,
 };
 pub use fingerprint::GraphFingerprint;
+pub use hpsparse_core::traits::LAUNCH_OVERHEAD_CYCLES;
 pub use planner::{
     measure_unfused_mha, measurement_features, Plan, PlanStrategy, Planner, MEASURED_TOP_N,
 };

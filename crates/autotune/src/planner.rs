@@ -24,8 +24,8 @@
 //! rank.
 
 use hpsparse_core::catalog::Op;
-use hpsparse_core::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
-use hpsparse_core::traits::{KernelCost, SddmmKernel, SpmmKernel};
+use hpsparse_core::hp::{HpConfig, HpSddmm, HpSpmm};
+use hpsparse_core::traits::{Launches, SddmmKernel, SpmmKernel, LAUNCH_OVERHEAD_CYCLES};
 use hpsparse_sim::{DeviceSpec, GpuSim};
 use hpsparse_sparse::{Dense, Hybrid};
 use serde_json::json;
@@ -36,7 +36,6 @@ use crate::candidates::{
 };
 use crate::cost::{
     edge_softmax_cycles, mha_cost, sddmm_bound_hint, sddmm_cost, spmm_bound_hint, spmm_cost,
-    LAUNCH_OVERHEAD_CYCLES,
 };
 use crate::fingerprint::GraphFingerprint;
 
@@ -131,12 +130,13 @@ fn measure(
     if let Some(limit) = budget {
         sim.set_cycle_budget(limit);
     }
-    let whole = |cost: KernelCost| (cost.total_cycles(), Some(cost.report));
+    let whole = |launches: Launches| (launches.cycles(), launches.exec.into_iter().next());
     let (cycles, report) = match op {
-        Op::Spmm => whole(instantiate_spmm(c)?.cost_on(sim, s, k).ok()?),
-        Op::Sddmm => whole(instantiate_sddmm(c)?.cost_on(sim, s, k).ok()?),
+        Op::Spmm => whole(instantiate_spmm(c)?.cost_on(sim, s, k).ok()?.into()),
+        Op::Sddmm => whole(instantiate_sddmm(c)?.cost_on(sim, s, k).ok()?.into()),
+        // Every fused launch, the spill pair's included, pays its overhead.
         Op::FusedMha => match instantiate_fused_mha(c) {
-            Some(kernel) => (fused_mha_on(sim, &kernel, s, k, heads)?, None),
+            Some(kernel) => (kernel.cost_on(sim, s, k, heads).ok()?.price(), None),
             None => (unfused_mha_on(sim, s, k, heads, budget)?.0, None),
         },
     };
@@ -390,25 +390,6 @@ pub fn measurement_features(rows: usize, k: usize) -> Dense {
     Dense::from_fn(rows, k, |i, j| (((i * 131 + j * 17) % 1000) as f32) * 1e-3)
 }
 
-/// Measured cycles of the fused attention kernel's cost walk on a cold
-/// simulator the caller made, launch overheads included (one per launch —
-/// the spill pair, when present, pays too).
-fn fused_mha_on(
-    sim: &mut GpuSim,
-    kernel: &HpFusedMha,
-    s: &Hybrid,
-    head_dim: usize,
-    heads: usize,
-) -> Option<u64> {
-    let cost = kernel.cost_on(sim, s, head_dim, heads).ok()?;
-    Some(
-        cost.reports
-            .iter()
-            .map(|r| r.cycles + LAUNCH_OVERHEAD_CYCLES)
-            .sum(),
-    )
-}
-
 /// Cold measurement of the unfused three-launch pipeline, as `(cycles,
 /// DRAM bytes)`: per head an HP-SDDMM launch, a rooflined edge-softmax pass
 /// that round-trips scores and weights through DRAM (8 B per edge), and an
@@ -457,6 +438,7 @@ fn unfused_mha_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpsparse_core::hp::HpFusedMha;
 
     fn graph(seed: u64, rows: u32, nnz: u32) -> Hybrid {
         let mut t = Vec::new();
@@ -514,7 +496,7 @@ mod tests {
             let Some(Ok(cost)) = instantiate_spmm(c).map(|kernel| kernel.cost(&v100, &s, k)) else {
                 continue;
             };
-            let cycles = cost.total_cycles();
+            let cycles = Launches::from(cost).cycles();
             walks += 1;
             exhaustive += cycles;
             match best {
@@ -559,8 +541,7 @@ mod tests {
             let run_of = |plan: &Plan| {
                 let kernel = instantiate_spmm(&plan.candidate()).unwrap();
                 let mut sim = GpuSim::new(v100.clone());
-                let run = kernel.run_on(&mut sim, &s, &a).unwrap();
-                run.report.cycles + run.preprocess.as_ref().map_or(0, |p| p.cycles)
+                Launches::from(kernel.run_on(&mut sim, &s, &a).unwrap().into_cost()).cycles()
             };
             assert!(
                 run_of(&m) <= run_of(&h),
@@ -644,9 +625,10 @@ mod tests {
             let mut p = Planner::new(v100.clone(), PlanStrategy::default());
             let plan = p.plan_mha(&s, head_dim, heads);
             assert_eq!(p.sim_launches(), 2, "exactly the fuse/no-fuse pair");
-            let kernel = HpFusedMha::auto(&v100, &s, head_dim);
-            let fused =
-                fused_mha_on(&mut GpuSim::new(v100.clone()), &kernel, &s, head_dim, heads).unwrap();
+            let fused = HpFusedMha::auto(&v100, &s, head_dim)
+                .cost_on(&mut GpuSim::new(v100.clone()), &s, head_dim, heads)
+                .unwrap()
+                .price();
             let (unfused, _) = measure_unfused_mha(&v100, &s, head_dim, heads).unwrap();
             let oracle = if fused <= unfused {
                 crate::candidates::MHA_FUSED_ID

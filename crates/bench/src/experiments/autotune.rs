@@ -14,21 +14,24 @@
 //! must be served entirely from the plan cache — zero planning launches.
 
 use crate::experiments::{Effort, ExperimentOutput};
+use crate::runner::registry_graphs;
 use crate::table;
 use hpsparse_autotune::{
     instantiate_sddmm, instantiate_spmm, sddmm_candidates, spmm_candidates, Candidate,
     GraphFingerprint, PlanStrategy, Planner,
 };
-use hpsparse_datasets::{full_graph_dataset, store};
+use hpsparse_core::traits::Launches;
+use hpsparse_datasets::store;
 use hpsparse_gnn::{AutoBackend, HpBackend, SparseBackend};
 use hpsparse_sim::DeviceSpec;
 use hpsparse_sparse::{Dense, Hybrid};
 use serde_json::json;
 
 /// Edge cap for the registry graphs: the oracle measures every candidate
-/// on every graph, so quick runs use a tighter cap than the shared
+/// on every graph (and `fused-mha` both attention paths on every graph ×
+/// cell), so quick runs use a tighter cap than the shared
 /// [`Effort::max_edges`] to stay test-suite fast.
-fn edge_cap(effort: Effort) -> usize {
+pub(crate) fn edge_cap(effort: Effort) -> usize {
     match effort {
         Effort::Quick => 25_000,
         Effort::Full => effort.max_edges(),
@@ -43,17 +46,15 @@ fn corpus_slice(effort: Effort) -> usize {
     }
 }
 
-/// Cold measured cycles (exec + preprocessing) of one SpMM candidate — a
-/// cost walk, as the planner's own measurements are.
-fn measure_spmm(device: &DeviceSpec, c: &Candidate, s: &Hybrid, k: usize) -> Option<u64> {
-    let cost = instantiate_spmm(c)?.cost(device, s, k).ok()?;
-    Some(cost.total_cycles())
+/// Cold launches of one SpMM candidate — a cost walk, as the planner's
+/// own measurements are.
+fn measure_spmm(device: &DeviceSpec, c: &Candidate, s: &Hybrid, k: usize) -> Option<Launches> {
+    Some(instantiate_spmm(c)?.cost(device, s, k).ok()?.into())
 }
 
-/// Cold measured cycles of one SDDMM candidate.
-fn measure_sddmm(device: &DeviceSpec, c: &Candidate, s: &Hybrid, k: usize) -> Option<u64> {
-    let cost = instantiate_sddmm(c)?.cost(device, s, k).ok()?;
-    Some(cost.total_cycles())
+/// Cold launches of one SDDMM candidate.
+fn measure_sddmm(device: &DeviceSpec, c: &Candidate, s: &Hybrid, k: usize) -> Option<Launches> {
+    Some(instantiate_sddmm(c)?.cost(device, s, k).ok()?.into())
 }
 
 /// Everything measured for one registry graph.
@@ -86,11 +87,11 @@ pub struct GraphResult {
     pub planning_cycles: u64,
 }
 
-/// Per-candidate cycle tables for one graph, used to build the oracle and
+/// Per-candidate launch tables for one graph, used to build the oracle and
 /// the best-fixed-kernel totals.
 struct CandidateCycles {
-    spmm: Vec<(String, u64)>,
-    sddmm: Vec<(String, u64)>,
+    spmm: Vec<(String, Launches)>,
+    sddmm: Vec<(String, Launches)>,
 }
 
 fn candidate_cycles(device: &DeviceSpec, s: &Hybrid, k: usize) -> CandidateCycles {
@@ -115,22 +116,21 @@ fn race_operands(s: &Hybrid, k: usize) -> (Dense, Dense) {
     )
 }
 
-fn oracle_of(cycles: &[(String, u64)]) -> (String, u64) {
-    cycles
+/// The candidate with the fewest cycles (exec + preprocessing) — what the
+/// planner compares — and those cycles.
+fn oracle_of(table: &[(String, Launches)]) -> (String, u64) {
+    table
         .iter()
+        .map(|(id, launches)| (id, launches.cycles()))
         .min_by_key(|(_, cy)| *cy)
-        .map(|(id, cy)| (id.clone(), *cy))
+        .map(|(id, cy)| (id.clone(), cy))
         .unwrap_or_else(|| ("none".into(), 0))
 }
 
 /// Runs the full-graph registry part: oracle search, planner evaluation,
 /// and the three-way backend race.
 pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Vec<GraphResult> {
-    let cap = edge_cap(effort);
-    let graphs: Vec<(String, Hybrid)> = full_graph_dataset()
-        .into_iter()
-        .map(|spec| (spec.name.to_string(), store::graph(&spec, cap).to_hybrid()))
-        .collect();
+    let graphs = registry_graphs(edge_cap(effort));
 
     // Exhaustive candidate measurement per graph (the oracle), reused to
     // pick the best fixed baseline in hindsight.
@@ -178,13 +178,12 @@ pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Vec<GraphResult
             };
             let hp_cycles = run_hp(0) + run_hp(1);
 
-            let overhead = 2 * hpsparse_gnn::backend::LAUNCH_OVERHEAD_CYCLES;
-            let fixed_cycles = cycles_for(&table.spmm, &fixed_spmm)
-                + cycles_for(&table.sddmm, &fixed_sddmm)
-                + overhead;
+            // What a backend running the fixed pair would be charged.
+            let fixed_cycles = cycles_for(&table.spmm, &fixed_spmm, Launches::price)
+                + cycles_for(&table.sddmm, &fixed_sddmm, Launches::price);
 
             GraphResult {
-                graph: name.clone(),
+                graph: name.to_string(),
                 nnz: s.nnz(),
                 spmm_pick: spmm_plan.kernel_id.clone(),
                 spmm_oracle,
@@ -206,7 +205,7 @@ pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Vec<GraphResult
 /// hard-coded.
 fn best_fixed<'a>(
     tables: &'a [CandidateCycles],
-    get: impl Fn(&'a CandidateCycles) -> &'a Vec<(String, u64)>,
+    get: impl Fn(&'a CandidateCycles) -> &'a Vec<(String, Launches)>,
 ) -> String {
     let Some(first) = tables.first() else {
         return "none".into();
@@ -216,7 +215,10 @@ fn best_fixed<'a>(
         if id.starts_with("hp:") || id.starts_with("hp-sddmm:") {
             continue;
         }
-        let total: u64 = tables.iter().map(|t| cycles_for(get(t), id)).sum();
+        let total: u64 = tables
+            .iter()
+            .map(|t| cycles_for(get(t), id, Launches::cycles))
+            .sum();
         if total < best.1 {
             best = (id.clone(), total);
         }
@@ -224,11 +226,13 @@ fn best_fixed<'a>(
     best.0
 }
 
-fn cycles_for(cycles: &[(String, u64)], id: &str) -> u64 {
-    cycles
+/// `read` of candidate `id`'s launches, or a sentinel far above any real
+/// figure when `id` did not measure.
+fn cycles_for(table: &[(String, Launches)], id: &str, read: fn(&Launches) -> u64) -> u64 {
+    table
         .iter()
         .find(|(cid, _)| cid == id)
-        .map_or(u64::MAX / 4, |(_, cy)| *cy)
+        .map_or(u64::MAX / 4, |(_, launches)| read(launches))
 }
 
 /// Cache-behaviour numbers from the sampling-corpus part.

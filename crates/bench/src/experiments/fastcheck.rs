@@ -18,12 +18,12 @@
 //! ragged tails in the stepped gathers).
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::bench_features;
+use crate::runner::{bench_features, registry_graphs};
 use crate::table;
-use hpsparse_core::catalog::{Kernel, Launches, Row, HEADS, KERNELS};
-use hpsparse_datasets::{full_graph_dataset, store};
-use hpsparse_sim::{AccessEvent, AccessSink, BufferDecl, DeviceSpec, GpuSim, LaunchReport};
-use hpsparse_sparse::{FormatError, Hybrid};
+use hpsparse_core::catalog::{Kernel, Row, HEADS, KERNELS};
+use hpsparse_core::traits::Launches;
+use hpsparse_sim::{AccessEvent, AccessSink, BufferDecl, DeviceSpec, GpuSim};
+use hpsparse_sparse::FormatError;
 use serde_json::json;
 
 /// Feature dimensions under test: the benchmark default plus an odd value
@@ -65,19 +65,15 @@ impl KernelDiff {
 
     /// Books one cell: the two full runs' profiles and the cost walk's.
     fn fold(&mut self, graph: &str, k: usize, obs: &Launches, fast: &Launches, cost: &Launches) {
-        let exec = |c: &Launches, f: fn(&LaunchReport) -> u64| c.exec.iter().map(f).sum::<u64>();
         self.cells += 1;
-        self.cycles += exec(obs, |r| r.cycles);
+        self.cycles += obs.exec_cycles();
         self.matching += usize::from(fast == obs);
         self.cost_matching += usize::from(cost == fast);
         let show = |c: &Launches| {
+            let (cycles, dram) = (c.exec_cycles(), c.dram_bytes());
             format!(
-                "{{cycles {}, pre {}, tx {}, l2_hits {}, dram {}}}",
-                exec(c, |r| r.cycles),
-                c.preprocess.as_ref().map_or(0, |p| p.cycles),
-                exec(c, |r| r.totals.transactions),
-                exec(c, |r| r.totals.l2_hit_sectors),
-                exec(c, |r| r.totals.dram_sectors),
+                "{{cycles {cycles}, with preprocessing {}, dram {dram} B}}",
+                c.cycles()
             )
         };
         for (what, got, against, want) in [
@@ -110,11 +106,7 @@ impl AccessSink for Ignore {
 /// K in [`CHECK_KS`], one fresh simulator per run so all three see an
 /// identically cold L2.
 pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelDiff> {
-    let cap = edge_cap(effort);
-    let graphs: Vec<(String, Hybrid)> = full_graph_dataset()
-        .into_iter()
-        .map(|spec| (spec.name.to_string(), store::graph(&spec, cap).to_hybrid()))
-        .collect();
+    let graphs = registry_graphs(edge_cap(effort));
 
     type Entry<'a> = &'a dyn Fn(&mut GpuSim) -> Result<Launches, FormatError>;
     let diff_of = |row: &Row| {
@@ -137,11 +129,7 @@ pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelDiff> {
                         Kernel::FusedMha(kern) => {
                             let (q, kv) =
                                 (vec![by_row.clone(); HEADS], vec![by_col.clone(); HEADS]);
-                            let run = kern.run_on(sim, s, &q, &kv, &kv)?;
-                            Launches {
-                                preprocess: None,
-                                exec: run.reports,
-                            }
+                            kern.run_on(sim, s, &q, &kv, &kv)?.launches
                         }
                     })
                 };

@@ -9,24 +9,17 @@
 //! planner's fuse/no-fuse pick is then compared against the measured
 //! oracle — the acceptance gate requires a 100% match.
 
+use crate::experiments::autotune::edge_cap;
 use crate::experiments::{Effort, ExperimentOutput};
+use crate::runner::registry_graphs;
 use crate::table;
-use hpsparse_autotune::{measure_unfused_mha, PlanStrategy, Planner, LAUNCH_OVERHEAD_CYCLES};
+use hpsparse_autotune::{measure_unfused_mha, PlanStrategy, Planner};
 use hpsparse_core::hp::HpFusedMha;
-use hpsparse_datasets::{full_graph_dataset, store};
+use hpsparse_core::traits::Launches;
 use hpsparse_sim::{DeviceSpec, GpuSim};
 use hpsparse_sparse::Hybrid;
 use hpsparse_trace::names;
 use serde_json::json;
-
-/// Edge cap: both paths run on every graph × cell, so quick runs use the
-/// same tightened cap as the `autotune` experiment.
-fn edge_cap(effort: Effort) -> usize {
-    match effort {
-        Effort::Quick => 25_000,
-        Effort::Full => effort.max_edges(),
-    }
-}
 
 /// The (heads, head_dim) grid.
 fn grid(effort: Effort) -> Vec<(usize, usize)> {
@@ -46,10 +39,9 @@ pub struct Cell {
     pub heads: usize,
     /// Head dimension.
     pub head_dim: usize,
-    /// Fused-path cycles (launch overheads included).
-    pub fused_cycles: u64,
-    /// Fused-path DRAM bytes.
-    pub fused_dram: u64,
+    /// The fused kernel's launches; its cycles are their
+    /// [`price`](Launches::price).
+    pub fused: Launches,
     /// Rows whose score tile spilled through L2.
     pub spilled_rows: usize,
     /// Unfused three-launch cycles (softmax + overheads included).
@@ -65,7 +57,7 @@ pub struct Cell {
 impl Cell {
     /// DRAM bytes per cycle, fused path.
     pub fn fused_bpc(&self) -> f64 {
-        self.fused_dram as f64 / self.fused_cycles.max(1) as f64
+        self.fused.dram_bytes() as f64 / self.fused.price().max(1) as f64
     }
 
     /// DRAM bytes per cycle, unfused path.
@@ -79,29 +71,21 @@ impl Cell {
 fn measure_cell(device: &DeviceSpec, graph: &str, s: &Hybrid, heads: usize, d: usize) -> Cell {
     // The planner under test, cold.
     let plan = Planner::new(device.clone(), PlanStrategy::default()).plan_mha(s, d, heads);
-    let mut sim = GpuSim::new(device.clone());
-
-    // Fused path: every launch (spills included) pays a launch overhead.
-    let run = HpFusedMha::auto(device, s, d)
-        .cost_on(&mut sim, s, d, heads)
+    let fused = HpFusedMha::auto(device, s, d)
+        .cost_on(&mut GpuSim::new(device.clone()), s, d, heads)
         .expect("valid dims");
-    let fused_cycles: u64 = run
-        .reports
-        .iter()
-        .map(|r| r.cycles + LAUNCH_OVERHEAD_CYCLES)
-        .sum();
-    let fused_dram: u64 = run.reports.iter().map(|r| r.dram_bytes()).sum();
+    let spilled_rows = HpFusedMha::spilled_rows(s);
 
     // Unfused path: the three-launch pipeline per head, score round trip
     // through DRAM included.
     let (unfused_cycles, unfused_dram) =
         measure_unfused_mha(device, s, d, heads).expect("unfused measures");
-    let plan_match = plan.predicted_cycles == fused_cycles.min(unfused_cycles);
+    let plan_match = plan.predicted_cycles == fused.price().min(unfused_cycles);
 
-    hpsparse_trace::counter_add(names::FUSED_MHA_ROWS_SPILLED, run.spilled_rows as u64);
+    hpsparse_trace::counter_add(names::FUSED_MHA_ROWS_SPILLED, spilled_rows as u64);
     hpsparse_trace::counter_add(
         names::FUSED_MHA_DRAM_SAVED_BYTES,
-        unfused_dram.saturating_sub(fused_dram),
+        unfused_dram.saturating_sub(fused.dram_bytes()),
     );
 
     Cell {
@@ -109,9 +93,8 @@ fn measure_cell(device: &DeviceSpec, graph: &str, s: &Hybrid, heads: usize, d: u
         nnz: s.nnz(),
         heads,
         head_dim: d,
-        fused_cycles,
-        fused_dram,
-        spilled_rows: run.spilled_rows,
+        fused,
+        spilled_rows,
         unfused_cycles,
         unfused_dram,
         plan_pick: plan.kernel_id,
@@ -121,13 +104,8 @@ fn measure_cell(device: &DeviceSpec, graph: &str, s: &Hybrid, heads: usize, d: u
 
 /// Runs the grid over the full-graph registry.
 pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<Cell> {
-    let cap = edge_cap(effort);
-    let graphs: Vec<(String, Hybrid)> = full_graph_dataset()
-        .into_iter()
-        .map(|spec| (spec.name.to_string(), store::graph(&spec, cap).to_hybrid()))
-        .collect();
     let mut cells = Vec::new();
-    for (name, s) in &graphs {
+    for (name, s) in &registry_graphs(edge_cap(effort)) {
         for &(heads, d) in &grid(effort) {
             cells.push(measure_cell(device, name, s, heads, d));
         }
@@ -150,13 +128,16 @@ pub fn render(device: &DeviceSpec, cells: &[Cell]) -> ExperimentOutput {
                 c.graph.clone(),
                 format!("{}x{}", c.heads, c.head_dim),
                 format!("{}", c.nnz),
-                format!("{}", c.fused_dram),
+                format!("{}", c.fused.dram_bytes()),
                 format!("{}", c.unfused_dram),
-                format!("{:.2}x", c.unfused_dram as f64 / c.fused_dram.max(1) as f64),
+                format!(
+                    "{:.2}x",
+                    c.unfused_dram as f64 / c.fused.dram_bytes().max(1) as f64
+                ),
                 format!("{:.1}/{:.1}", c.fused_bpc(), c.unfused_bpc()),
                 format!(
                     "{:.2}x",
-                    c.unfused_cycles as f64 / c.fused_cycles.max(1) as f64
+                    c.unfused_cycles as f64 / c.fused.price().max(1) as f64
                 ),
                 format!("{}", c.spilled_rows),
                 format!(
@@ -187,13 +168,17 @@ pub fn render(device: &DeviceSpec, cells: &[Cell]) -> ExperimentOutput {
     let n = cells.len().max(1) as f64;
     let plan_match_rate = cells.iter().filter(|c| c.plan_match).count() as f64 / n;
     let multi_head: Vec<&Cell> = cells.iter().filter(|c| c.heads >= 2).collect();
-    let fused_saves_dram_at_two_heads =
-        !multi_head.is_empty() && multi_head.iter().all(|c| c.fused_dram < c.unfused_dram);
-    let fused_faster_at_two_heads =
-        !multi_head.is_empty() && multi_head.iter().all(|c| c.fused_cycles < c.unfused_cycles);
+    let fused_saves_dram_at_two_heads = !multi_head.is_empty()
+        && multi_head
+            .iter()
+            .all(|c| c.fused.dram_bytes() < c.unfused_dram);
+    let fused_faster_at_two_heads = !multi_head.is_empty()
+        && multi_head
+            .iter()
+            .all(|c| c.fused.price() < c.unfused_cycles);
     let geo_dram: f64 = (multi_head
         .iter()
-        .map(|c| (c.unfused_dram as f64 / c.fused_dram.max(1) as f64).ln())
+        .map(|c| (c.unfused_dram as f64 / c.fused.dram_bytes().max(1) as f64).ln())
         .sum::<f64>()
         / multi_head.len().max(1) as f64)
         .exp();
@@ -214,8 +199,8 @@ pub fn render(device: &DeviceSpec, cells: &[Cell]) -> ExperimentOutput {
                 "nnz": c.nnz,
                 "heads": c.heads,
                 "head_dim": c.head_dim,
-                "fused_cycles": c.fused_cycles,
-                "fused_dram": c.fused_dram,
+                "fused_cycles": c.fused.price(),
+                "fused_dram": c.fused.dram_bytes(),
                 "fused_dram_bytes_per_cycle": c.fused_bpc(),
                 "spilled_rows": c.spilled_rows,
                 "unfused_cycles": c.unfused_cycles,

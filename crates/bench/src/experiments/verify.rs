@@ -20,13 +20,12 @@
 //! [`failures`] is the gate; [`run`] panics when it names anything.
 
 use crate::experiments::{Effort, ExperimentOutput};
+use crate::runner::registry_graphs;
 use crate::table;
 use hpsparse_core::catalog::{Row, KERNELS};
 use hpsparse_core::mutants;
-use hpsparse_datasets::{full_graph_dataset, store};
 use hpsparse_sanitize::{sanitize_run, Report};
 use hpsparse_sim::{DeviceSpec, Property, SymbolicPlan};
-use hpsparse_sparse::Hybrid;
 use hpsparse_verify::{verify_plan, CheckVerdict};
 use serde_json::{json, ToJson};
 
@@ -154,11 +153,7 @@ fn fold(verdict: &mut KernelVerdict, graph: &str, report: &Report) {
 /// edges quick, 40 000 full), one fresh sanitized simulator per graph.
 /// The sink sees the cost walk's accesses, which are the full run's.
 pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelVerdict> {
-    let cap = edge_cap(effort);
-    let graphs: Vec<(String, Hybrid)> = full_graph_dataset()
-        .into_iter()
-        .map(|spec| (spec.name.to_string(), store::graph(&spec, cap).to_hybrid()))
-        .collect();
+    let graphs = registry_graphs(edge_cap(effort));
 
     let verdict_of = |row: &Row| {
         let id = row.id;

@@ -3,7 +3,8 @@
 //! sweep and join over such records.
 
 use crate::experiments::Effort;
-use hpsparse_core::catalog::{self, Kernel, Launches, Op};
+use hpsparse_core::catalog::{self, Kernel, Op};
+use hpsparse_core::traits::Launches;
 use hpsparse_datasets::store::{self, Memo};
 use hpsparse_datasets::{full_graph_dataset, registry};
 use hpsparse_sim::{DeviceSpec, GpuSim};
@@ -30,7 +31,7 @@ pub struct Record {
 impl Record {
     /// Execution time, milliseconds (simulated device time).
     pub fn exec_ms(&self) -> f64 {
-        self.launches.exec.iter().map(|r| r.time_ms).sum()
+        self.launches.exec_ms()
     }
 
     /// Preprocessing time, milliseconds (0 for preprocessing-free).
@@ -90,6 +91,15 @@ pub fn registry_graph(name: &str, effort: Effort) -> (Arc<Graph>, Hybrid) {
     let g = store::graph(&spec, effort.max_edges());
     let s = g.to_hybrid();
     (g, s)
+}
+
+/// Every Table II graph, named, at `cap` edges (memoised by the dataset
+/// store), in hybrid form.
+pub fn registry_graphs(cap: usize) -> Vec<(&'static str, Hybrid)> {
+    full_graph_dataset()
+        .into_iter()
+        .map(|spec| (spec.name, store::graph(&spec, cap).to_hybrid()))
+        .collect()
 }
 
 /// The inputs of a Fig. 9 / Fig. 10 sweep.

@@ -12,8 +12,8 @@
 use crate::baselines::{sddmm_by_id, spmm_by_id};
 use crate::hp::config::{DEFAULT_ALPHA, NNZ_PER_WARP_CANDIDATES, WARPS_PER_BLOCK};
 use crate::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
-use crate::traits::{KernelCost, SddmmKernel, SpmmKernel};
-use hpsparse_sim::{DeviceSpec, GpuSim, LaunchReport, SymbolicPlan};
+use crate::traits::{Launches, SddmmKernel, SpmmKernel};
+use hpsparse_sim::{DeviceSpec, GpuSim, SymbolicPlan};
 use hpsparse_sparse::{FormatError, Hybrid};
 
 /// Attention heads the fused kernel is walked with when it stands in a
@@ -32,26 +32,6 @@ pub enum Op {
     Sddmm,
     /// Fused SDDMM → row softmax → SpMM multi-head attention.
     FusedMha,
-}
-
-/// Every launch of one cost walk, whatever the operation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Launches {
-    /// The preprocessing launch, for kernels that need one.
-    pub preprocess: Option<LaunchReport>,
-    /// The execution launches in launch order: one for SpMM / SDDMM; the
-    /// fused kernel's main launch, then its spill score/apply pair when a
-    /// row overflowed the shared tile (none at all on an empty matrix).
-    pub exec: Vec<LaunchReport>,
-}
-
-impl From<KernelCost> for Launches {
-    fn from(cost: KernelCost) -> Self {
-        Self {
-            preprocess: cost.preprocess,
-            exec: vec![cost.report],
-        }
-    }
 }
 
 /// A built catalogue kernel.
@@ -98,10 +78,7 @@ impl Kernel {
         match self {
             Kernel::Spmm(kernel) => kernel.cost_on(sim, s, k).map(Launches::from),
             Kernel::Sddmm(kernel) => kernel.cost_on(sim, s, k).map(Launches::from),
-            Kernel::FusedMha(kernel) => kernel.cost_on(sim, s, k, HEADS).map(|cost| Launches {
-                preprocess: None,
-                exec: cost.reports,
-            }),
+            Kernel::FusedMha(kernel) => kernel.cost_on(sim, s, k, HEADS),
         }
     }
 }

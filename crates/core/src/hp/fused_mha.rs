@@ -48,10 +48,10 @@
 
 use crate::hp::config::HpConfig;
 use crate::numerics::{self, segments, Cut};
-use crate::traits::check_mha_dims;
+use crate::traits::{check_mha_dims, Launches};
 use hpsparse_sim::{
     Buffer, DeviceSpec, Distinct, GpuSim, KernelResources, LaunchBuilder, LaunchConfig,
-    LaunchReport, PlanBuilder, SymBufferRole, SymExpr, SymbolicPlan, WarpTally,
+    PlanBuilder, SymBufferRole, SymExpr, SymbolicPlan, WarpTally,
 };
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
 use std::ops::Range;
@@ -72,16 +72,6 @@ pub struct HpFusedMha {
     pub config: HpConfig,
 }
 
-/// What the fused kernel's cost walk reports: its launches, without floats.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedMhaCost {
-    /// Launch profiles: the fused main launch, plus the spill score/apply
-    /// pair when any row overflowed the shared tile.
-    pub reports: Vec<LaunchReport>,
-    /// Number of rows that spilled through L2.
-    pub spilled_rows: usize,
-}
-
 /// Result of one fused multi-head attention run.
 #[derive(Debug, Clone)]
 pub struct FusedMhaRun {
@@ -90,27 +80,8 @@ pub struct FusedMhaRun {
     /// Per-head softmaxed attention weights, aligned with the sparse
     /// matrix's element order (the backward pass consumes these).
     pub attn: Vec<Vec<f32>>,
-    /// Launch profiles, as in [`FusedMhaCost::reports`].
-    pub reports: Vec<LaunchReport>,
-    /// Number of rows that spilled through L2.
-    pub spilled_rows: usize,
-}
-
-impl FusedMhaRun {
-    /// Total cycles across all launches of the run.
-    pub fn total_cycles(&self) -> u64 {
-        self.reports.iter().map(|r| r.cycles).sum()
-    }
-
-    /// Total DRAM traffic in bytes across all launches.
-    pub fn dram_bytes(&self) -> u64 {
-        self.reports.iter().map(|r| r.dram_bytes()).sum()
-    }
-
-    /// Total simulated time in milliseconds.
-    pub fn time_ms(&self) -> f64 {
-        self.reports.iter().map(|r| r.time_ms).sum()
-    }
+    /// The launches, as [`HpFusedMha::cost_on`] reports them.
+    pub launches: Launches,
 }
 
 /// Row-aligned tiling of the element range: tiles hold whole rows and
@@ -272,24 +243,23 @@ impl HpFusedMha {
         v: &[Dense],
     ) -> Result<FusedMhaRun, FormatError> {
         check_mha_dims(s, q, k, v)?;
-        let FusedMhaCost {
-            reports,
-            spilled_rows,
-        } = self.cost_on(sim, s, q[0].cols(), q.len())?;
+        let launches = self.cost_on(sim, s, q[0].cols(), q.len())?;
         let (outputs, attn) = numerics::attention(s, q, k, v)?;
         Ok(FusedMhaRun {
             outputs,
             attn,
-            reports,
-            spilled_rows,
+            launches,
         })
     }
 
     /// The cost walk: describes the traffic of `heads` heads of width
-    /// `head_dim` over `s` to an existing simulator and returns the launch
-    /// profiles. The partition, the job table, the streaming-hint policy
-    /// and the column degrees all follow from `RowInd` / `ColInd` and the
-    /// shape, so it computes no float ([`crate::traits`]).
+    /// `head_dim` over `s` to an existing simulator and returns the
+    /// launches — the main launch, then the spill score/apply pair when
+    /// [`spilled_rows`](Self::spilled_rows) is non-zero, and none at all on
+    /// an empty matrix; nothing is preprocessed. The partition, the job
+    /// table, the streaming-hint policy and the column degrees all follow
+    /// from `RowInd` / `ColInd` and the shape, so it computes no float
+    /// ([`crate::traits`]).
     #[allow(clippy::too_many_lines)]
     pub fn cost_on(
         &self,
@@ -297,7 +267,7 @@ impl HpFusedMha {
         s: &Hybrid,
         head_dim: usize,
         heads: usize,
-    ) -> Result<FusedMhaCost, FormatError> {
+    ) -> Result<Launches, FormatError> {
         let resources = self
             .config
             .check_launchable(self.name(), sim.device(), || self.resources(head_dim))?;
@@ -598,10 +568,18 @@ impl HpFusedMha {
             reports.push(sim.launch_named("fused-mha-spill-apply", apply_launch, apply));
         }
 
-        Ok(FusedMhaCost {
-            reports,
-            spilled_rows: part.spills.len(),
+        Ok(Launches {
+            preprocess: None,
+            exec: reports,
         })
+    }
+
+    /// Rows of `s` longer than [`SMEM_SCORE_CAP`]: the rows that spill
+    /// through L2 under every configuration, since a tile never targets
+    /// more elements than the shared tile holds.
+    pub fn spilled_rows(s: &Hybrid) -> usize {
+        let rows = segments(s.row_indices(), Cut::PerRow(usize::MAX));
+        rows.filter(|row| row.len() > SMEM_SCORE_CAP).count()
     }
 
     /// Symbolic plan covering all three launches; the shared score tile is
@@ -878,7 +856,11 @@ mod tests {
                     .run(&v100, &s, &q, &k, &v)
                     .unwrap();
                 let (eo, ea) = unfused_reference(&s, &q, &k, &v);
-                assert!(run.spilled_rows == 1, "expected exactly one spilled row");
+                assert_eq!(
+                    HpFusedMha::spilled_rows(&s),
+                    1,
+                    "expected exactly one spilled row"
+                );
                 for h in 0..heads {
                     assert_eq!(
                         run.attn[h], ea[h],
@@ -911,8 +893,8 @@ mod tests {
         let run = HpFusedMha::auto(&v100, &s, 16)
             .run(&v100, &s, &q, &k, &v)
             .unwrap();
-        assert_eq!(run.spilled_rows, 0);
-        assert_eq!(run.reports.len(), 1);
+        assert_eq!(HpFusedMha::spilled_rows(&s), 0);
+        assert_eq!(run.launches.exec.len(), 1);
     }
 
     #[test]
@@ -923,7 +905,7 @@ mod tests {
         let run = HpFusedMha::auto(&v100, &s, 8)
             .run(&v100, &s, &q, &k, &v)
             .unwrap();
-        assert!(run.reports.is_empty());
+        assert!(run.launches.exec.is_empty());
         for h in 0..2 {
             for i in 0..3 {
                 assert!(run.outputs[h].row(i).iter().all(|x| *x == 0.0));
@@ -977,9 +959,9 @@ mod tests {
             unfused_dram += sp.report.dram_bytes();
         }
         assert!(
-            fused.dram_bytes() < unfused_dram,
+            fused.launches.dram_bytes() < unfused_dram,
             "fused {} bytes vs unfused {} bytes",
-            fused.dram_bytes(),
+            fused.launches.dram_bytes(),
             unfused_dram
         );
     }

@@ -14,7 +14,7 @@ pub mod sddmm;
 pub mod spmm;
 
 pub use config::HpConfig;
-pub use fused_mha::{FusedMhaCost, FusedMhaRun, HpFusedMha};
+pub use fused_mha::{FusedMhaRun, HpFusedMha};
 pub use sddmm::HpSddmm;
 pub use spmm::HpSpmm;
 

@@ -29,4 +29,4 @@ pub mod mutants;
 pub mod numerics;
 pub mod traits;
 
-pub use traits::{KernelCost, SddmmKernel, SddmmRun, SpmmKernel, SpmmRun};
+pub use traits::{KernelCost, Launches, SddmmKernel, SddmmRun, SpmmKernel, SpmmRun};

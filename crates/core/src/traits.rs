@@ -30,9 +30,12 @@
 //!
 //! `run_on` is the two together. Callers that only read a
 //! [`LaunchReport`] — the planner's one measure path, the experiment
-//! sweeps — call the cost walk alone; its [`KernelCost`] equals the
-//! `report` / `preprocess` of a full run on the same simulator state,
-//! observed or not (proptested in `crates/core/tests/cost_walk.rs`).
+//! sweeps — call the cost walk alone; its [`KernelCost`] (the fused
+//! kernel's [`Launches`]) equals the launches of a full run on the same
+//! simulator state, observed or not (proptested in
+//! `crates/core/tests/cost_walk.rs`). A caller that sums launches reads
+//! [`Launches`], whose [`price`](Launches::price) is the one rule for
+//! what a sparse launch costs end to end.
 
 use crate::numerics;
 use hpsparse_sim::{DeviceSpec, GpuSim, LaunchReport, SymbolicPlan};
@@ -48,10 +51,61 @@ pub struct KernelCost {
     pub preprocess: Option<LaunchReport>,
 }
 
-impl KernelCost {
+/// Fixed per-launch host overhead (CUDA API + runtime) the end-to-end model
+/// charges every execution launch, ≈ 3.5 µs at V100 clocks. It keeps tiny
+/// sampled-subgraph iterations from showing implausible kernel-swap
+/// speedups, and it is what makes the unfused attention pipeline's three
+/// launches per head expensive on small graphs. [`Launches::price`] is the
+/// one place a sparse launch pays it.
+pub const LAUNCH_OVERHEAD_CYCLES: u64 = 5_000;
+
+/// Every launch of one cost walk, whatever the operation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Launches {
+    /// The preprocessing launch, for kernels that need one.
+    pub preprocess: Option<LaunchReport>,
+    /// The execution launches in launch order: one for SpMM / SDDMM; the
+    /// fused kernel's main launch, then its spill score/apply pair when a
+    /// row overflowed the shared tile (none at all on an empty matrix).
+    pub exec: Vec<LaunchReport>,
+}
+
+impl Launches {
+    /// Cycles of the execution launches, preprocessing excluded.
+    pub fn exec_cycles(&self) -> u64 {
+        self.exec.iter().map(|r| r.cycles).sum()
+    }
+
     /// Execution plus preprocessing cycles — what a planner compares.
-    pub fn total_cycles(&self) -> u64 {
-        self.report.cycles + self.preprocess.as_ref().map_or(0, |p| p.cycles)
+    pub fn cycles(&self) -> u64 {
+        self.exec_cycles() + self.preprocess.as_ref().map_or(0, |p| p.cycles)
+    }
+
+    /// What running the launches costs end to end: their
+    /// [`cycles`](Self::cycles) plus [`LAUNCH_OVERHEAD_CYCLES`] per
+    /// execution launch. Preprocessing pays no overhead of its own.
+    pub fn price(&self) -> u64 {
+        self.cycles() + self.exec.len() as u64 * LAUNCH_OVERHEAD_CYCLES
+    }
+
+    /// Execution time in milliseconds, preprocessing excluded — the
+    /// paper's measurement convention for Fig. 9/10.
+    pub fn exec_ms(&self) -> f64 {
+        self.exec.iter().map(|r| r.time_ms).sum()
+    }
+
+    /// DRAM traffic of the execution launches, in bytes.
+    pub fn dram_bytes(&self) -> u64 {
+        self.exec.iter().map(LaunchReport::dram_bytes).sum()
+    }
+}
+
+impl From<KernelCost> for Launches {
+    fn from(cost: KernelCost) -> Self {
+        Self {
+            preprocess: cost.preprocess,
+            exec: vec![cost.report],
+        }
     }
 }
 
@@ -71,17 +125,6 @@ pub struct SpmmRun {
 }
 
 impl SpmmRun {
-    /// Execution time in milliseconds (excludes preprocessing, matching the
-    /// paper's measurement convention for Fig. 9/10).
-    pub fn exec_ms(&self) -> f64 {
-        self.report.time_ms
-    }
-
-    /// Preprocessing time in milliseconds (0 when preprocessing-free).
-    pub fn preprocess_ms(&self) -> f64 {
-        self.preprocess.as_ref().map_or(0.0, |r| r.time_ms)
-    }
-
     /// The run without its floats: what the cost walk alone reports.
     pub fn into_cost(self) -> KernelCost {
         KernelCost {
@@ -104,11 +147,6 @@ pub struct SddmmRun {
 }
 
 impl SddmmRun {
-    /// Execution time in milliseconds.
-    pub fn exec_ms(&self) -> f64 {
-        self.report.time_ms
-    }
-
     /// The run without its floats: what the cost walk alone reports.
     pub fn into_cost(self) -> KernelCost {
         KernelCost {

@@ -14,12 +14,12 @@
 //! * **Hostile shapes** go through both entries without a panic.
 
 use hpsparse_core::baselines::{all_sddmm, all_spmm, Aspt, Huang, MergePath};
-use hpsparse_core::catalog::{Kernel, Launches, HEADS, KERNELS};
+use hpsparse_core::catalog::{Kernel, HEADS, KERNELS};
 use hpsparse_core::hp::fused_mha::SMEM_SCORE_CAP;
-use hpsparse_core::hp::{FusedMhaCost, HpConfig, HpFusedMha, HpSddmm, HpSpmm};
+use hpsparse_core::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse_core::mutants::all_mutants;
 use hpsparse_core::numerics::{element_order, masked_dots, segment_sums, segments, Cut};
-use hpsparse_core::{KernelCost, SddmmKernel, SpmmKernel};
+use hpsparse_core::{KernelCost, Launches, SddmmKernel, SpmmKernel};
 use hpsparse_sim::{AccessEvent, AccessSink, BufferDecl, DeviceSpec, GpuSim};
 use hpsparse_sparse::{Dense, Hybrid};
 use proptest::prelude::*;
@@ -372,15 +372,16 @@ proptest! {
             for kernel in [HpFusedMha::auto(&device, &s, d), HpFusedMha::new(tiny)] {
                 for state in STATES {
                     let full = aftermath(&device, state, |sim| {
-                        let run = kernel.run_on(sim, &s, &q, &kv, &kv).unwrap();
-                        FusedMhaCost { reports: run.reports, spilled_rows: run.spilled_rows }
+                        kernel.run_on(sim, &s, &q, &kv, &kv).unwrap().launches
                     });
                     let cost = aftermath(&device, state, |sim| {
                         kernel.cost_on(sim, &s, d, heads).unwrap()
                     });
                     prop_assert_eq!(&cost, &full, "{:?} from {:?}", kernel.config, state);
                     prop_assert_eq!(full.seen.is_empty(), !state.observed());
-                    prop_assert_eq!(full.cost.spilled_rows, usize::from(hub > SMEM_SCORE_CAP));
+                    let spilled = HpFusedMha::spilled_rows(&s);
+                    prop_assert_eq!(spilled, usize::from(hub > SMEM_SCORE_CAP));
+                    prop_assert_eq!(spilled > 0, full.cost.exec.len() == 3);
                 }
             }
         }
@@ -484,7 +485,7 @@ fn hostile_shapes_pass_through_both_entries() {
                     (Ok(run), Ok(cost)) => {
                         assert!(heads > 0 && k > 0, "{what} heads={heads}");
                         assert_eq!(run.outputs.len(), heads);
-                        assert_eq!(cost.reports, run.reports, "{what} heads={heads}");
+                        assert_eq!(cost, run.launches, "{what} heads={heads}");
                     }
                     (Err(run), Err(cost)) => {
                         assert!(heads == 0 || k == 0, "{what} heads={heads}");
@@ -518,11 +519,11 @@ fn the_catalogue_entry_reports_every_launch_of_the_variants_full_run() {
             Kernel::FusedMha(kern) => {
                 let (q, kv) = (vec![a1.clone(); HEADS], vec![a.clone(); HEADS]);
                 let run = kern.run_on(sim, &s, &q, &kv, &kv).unwrap();
-                assert_eq!((run.spilled_rows, run.reports.len()), (1, 3));
-                Launches {
-                    preprocess: None,
-                    exec: run.reports,
-                }
+                assert_eq!(
+                    (HpFusedMha::spilled_rows(&s), run.launches.exec.len()),
+                    (1, 3)
+                );
+                run.launches
             }
         };
         let cost = kernel.cost_on(&mut GpuSim::new(device.clone()), &s, k);

@@ -7,14 +7,15 @@
 //! * the smallest budget a walk completes under is one more than the sum of
 //!   its launches' cycles — so no running bound exceeds that sum — and
 //!   under the sum itself the bound reaches it exactly;
-//! * that sum is `total_cycles()` (every launch of the fused kernel), less
+//! * that sum is `Launches::cycles` (every launch of the fused kernel), less
 //!   the host-side pass some baselines charge as preprocessing, which is no
 //!   launch and only adds;
 //! * the stop point moves forward as the budget grows, and the bound it
 //!   reports lies between the budget and the sum;
 //! * a walk that completes reports exactly what an unbudgeted one does.
 
-use hpsparse_core::catalog::{Launches, Row, KERNELS};
+use hpsparse_core::catalog::{Row, KERNELS};
+use hpsparse_core::Launches;
 use hpsparse_datasets::{full_graph_dataset, store};
 use hpsparse_sim::{BudgetStop, DeviceSpec, GpuSim};
 use hpsparse_sparse::Hybrid;
@@ -41,8 +42,7 @@ fn walk(
 fn check(row: &Row, device: &DeviceSpec, s: &Hybrid, k: usize) {
     let at = |budget| walk(row, device, s, k, Some(budget));
     let (free, _) = walk(row, device, s, k, None);
-    let reports = free.preprocess.iter().chain(&free.exec);
-    let total: u64 = reports.map(|r| r.cycles).sum();
+    let total = free.cycles();
     let cell = format!("{} on {} rows, k {k}, {}", row.id, s.rows(), device.name);
 
     // Bisect for the smallest budget the walk completes under.

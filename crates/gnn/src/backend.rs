@@ -16,7 +16,7 @@ use hpsparse_core::baselines::{CusparseCsrAlg2, DglSddmm};
 use hpsparse_core::catalog::Op;
 use hpsparse_core::hp::{HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse_core::numerics::{edge_softmax, masked_dots};
-use hpsparse_core::traits::{SddmmKernel, SpmmKernel};
+use hpsparse_core::traits::{KernelCost, Launches, SddmmKernel, SpmmKernel};
 use hpsparse_sim::{DeviceSpec, GpuSim, LaunchReport};
 use hpsparse_sparse::{Dense, Hybrid};
 
@@ -41,13 +41,11 @@ fn elementwise_cycles(device: &DeviceSpec, elems: usize) -> u64 {
     (8.0 * elems as f64 / device.dram_bytes_per_cycle).ceil() as u64
 }
 
-/// Fixed per-kernel-launch overhead (driver + runtime), charged once per
-/// sparse or dense operation by the accounting backends. Real frameworks
-/// issue hundreds of small launches per training iteration; this is what
-/// keeps tiny sampled-subgraph iterations from showing implausible
-/// kernel-swap speedups (≈ 3.5 µs at V100 clocks). Shared with the
-/// autotuner so planned cycle estimates and backend accounting agree.
-pub const LAUNCH_OVERHEAD_CYCLES: u64 = hpsparse_autotune::LAUNCH_OVERHEAD_CYCLES;
+/// Fixed per-launch host overhead (CUDA API + runtime), charged once per dense
+/// operation here and once per sparse execution launch by
+/// [`Launches::price`]. Real frameworks make hundreds of small launches
+/// per training iteration; the autotuner's estimates pay the same.
+pub use hpsparse_core::traits::LAUNCH_OVERHEAD_CYCLES;
 
 /// Accounts one dense `m×k · k×n` GEMM launch: its roofline estimate plus
 /// the launch overhead.
@@ -167,8 +165,8 @@ pub trait KernelSelector {
 }
 
 /// A backend that runs its selector's kernels on one persistent simulator
-/// and accounts what they cost. Every sparse launch is charged by the one
-/// rule in `charge`: execution + preprocessing + launch overhead.
+/// and accounts what they cost. Every sparse call is charged the
+/// [`Launches::price`] of its launches.
 pub struct SimBackend<K> {
     sim: GpuSim,
     kernels: K,
@@ -193,9 +191,10 @@ impl<K> SimBackend<K> {
         }
     }
 
-    fn charge(&mut self, exec: &LaunchReport, preprocess: Option<&LaunchReport>) {
-        self.sparse_cycles +=
-            exec.cycles + preprocess.map_or(0, |p| p.cycles) + LAUNCH_OVERHEAD_CYCLES;
+    /// Charges an SpMM or SDDMM call: one execution launch, perhaps
+    /// preprocessed.
+    fn charge(&mut self, report: LaunchReport, preprocess: Option<LaunchReport>) {
+        self.sparse_cycles += Launches::from(KernelCost { report, preprocess }).price();
     }
 }
 
@@ -207,7 +206,7 @@ impl<K: KernelSelector> SparseBackend for SimBackend<K> {
     fn spmm(&mut self, s: &Hybrid, a: &Dense) -> Dense {
         let kernel = self.kernels.spmm(self.sim.device(), s, a.cols());
         let run = kernel.run_on(&mut self.sim, s, a).expect("valid dims");
-        self.charge(&run.report, run.preprocess.as_ref());
+        self.charge(run.report, run.preprocess);
         run.output
     }
 
@@ -216,7 +215,7 @@ impl<K: KernelSelector> SparseBackend for SimBackend<K> {
         let run = kernel
             .run_on(&mut self.sim, s, a1, a2t)
             .expect("valid dims");
-        self.charge(&run.report, run.preprocess.as_ref());
+        self.charge(run.report, run.preprocess);
         run.output_values
     }
 
@@ -239,9 +238,7 @@ impl<K: KernelSelector> SparseBackend for SimBackend<K> {
         let run = kernel
             .run_on(&mut self.sim, s, q, k, v)
             .expect("valid dims");
-        for launch in &run.reports {
-            self.charge(launch, None);
-        }
+        self.sparse_cycles += run.launches.price();
         (run.outputs, run.attn)
     }
 
@@ -613,7 +610,11 @@ mod tests {
         let device = DeviceSpec::v100();
         // The backend's first call meets a cold simulator, as `cost` does.
         let cost = Sputnik::default().cost(&device, &s, a.cols()).unwrap();
-        let preprocess = cost.preprocess.expect("Sputnik preprocesses").cycles;
+        let preprocess = cost
+            .preprocess
+            .as_ref()
+            .expect("Sputnik preprocesses")
+            .cycles;
         assert!(preprocess > 0);
         let mut backend = SimBackend::with_kernels(device, PreprocessingKernels);
         assert_eq!(backend.name(), "preprocessing");
@@ -622,7 +623,44 @@ mod tests {
             backend.sparse_cycles(),
             cost.report.cycles + preprocess + LAUNCH_OVERHEAD_CYCLES
         );
+        assert_eq!(backend.sparse_cycles(), Launches::from(cost).price());
         assert_eq!(backend.dense_cycles(), 0);
+    }
+
+    /// One price, three callers: what `HpBackend` charges for attention,
+    /// what the `Measured` planner measures for the fused candidate, and
+    /// the price of the kernel's cold cost walk — on a matrix whose
+    /// 600-element row spills (main launch plus the spill pair), and on an
+    /// empty one (no launch, no charge).
+    #[test]
+    fn attention_is_charged_what_the_planner_measures() {
+        let device = DeviceSpec::v100();
+        let (heads, d) = (4, 16);
+        let mut triplets: Vec<_> = (0..600u32).map(|c| (0, c, 1.0)).collect();
+        triplets.extend((0..900u32).map(|i| (1 + i % 29, (i * 7) % 600, 0.5)));
+        let hub = Hybrid::from_triplets(30, 600, &triplets).unwrap();
+        let empty = Hybrid::from_triplets(30, 600, &[]).unwrap();
+        let [q, k, v] = [(30, 0), (600, 1), (600, 2)].map(|(n, salt)| heads_for(n, d, heads, salt));
+        for (s, launches) in [(&hub, 3), (&empty, 0)] {
+            let cost = HpFusedMha::auto(&device, s, d)
+                .cost_on(&mut GpuSim::new(device.clone()), s, d, heads)
+                .unwrap();
+            assert_eq!(cost.exec.len(), launches);
+            let mut backend = HpBackend::new(device.clone());
+            backend.mha(s, &q, &k, &v);
+            assert_eq!(backend.sparse_cycles(), cost.price());
+            if launches == 0 {
+                assert_eq!(cost.price(), 0);
+                continue;
+            }
+            let plan = Planner::new(device.clone(), PlanStrategy::Measured).plan_mha(s, d, heads);
+            assert!(
+                plan.kernel_id.starts_with("hp-fused-mha"),
+                "{}",
+                plan.rationale
+            );
+            assert_eq!(plan.predicted_cycles, cost.price());
+        }
     }
 
     #[test]

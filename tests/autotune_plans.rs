@@ -11,6 +11,7 @@ use hpsparse::autotune::{
     Candidate, GraphFingerprint, Plan, PlanStrategy, Planner, MEASURED_TOP_N,
 };
 use hpsparse::datasets::{registry, store};
+use hpsparse::kernels::traits::Launches;
 use hpsparse::sim::DeviceSpec;
 use hpsparse::sparse::Hybrid;
 
@@ -64,7 +65,7 @@ fn oracle(device: &DeviceSpec, s: &Hybrid, sddmm: bool) -> (String, u64, u64) {
         };
         let Some(cost) = cost else { continue };
         walks += 1;
-        let cycles = cost.total_cycles();
+        let cycles = Launches::from(cost).cycles();
         if best.as_ref().is_none_or(|(_, b)| cycles < *b) {
             best = Some((c.kernel_id.clone(), cycles));
         }

@@ -509,25 +509,29 @@ fn fused_attention_keeps_its_recorded_bits_and_reports() {
             assert!(spills > 0, "spilled rows");
 
             let run = kernel.run(device, &s, &q, &k, &v).unwrap();
-            assert_eq!(run.reports.len(), 3, "main launch + spill pair");
-            assert_eq!(run.spilled_rows, spills);
+            assert_eq!(run.launches.exec.len(), 3, "main launch + spill pair");
+            assert_eq!(HpFusedMha::spilled_rows(&s), spills);
             let outputs: Vec<f32> = run
                 .outputs
                 .iter()
                 .flat_map(|o| o.data().iter().copied())
                 .collect();
-            let reports = run.reports.iter().fold(0xcbf2_9ce4_8422_2325, |h, r| {
-                format!("{r:?}").bytes().fold(h, |h: u64, b| {
-                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-                })
-            });
+            let reports = run
+                .launches
+                .exec
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325, |h, r| {
+                    format!("{r:?}").bytes().fold(h, |h: u64, b| {
+                        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                    })
+                });
             got[case][side] = (
                 fnv_of_bits(&outputs),
                 fnv_of_bits(&run.attn.concat()),
                 reports,
-                run.total_cycles(),
-                run.dram_bytes(),
-                run.spilled_rows,
+                run.launches.exec_cycles(),
+                run.launches.dram_bytes(),
+                HpFusedMha::spilled_rows(&s),
             );
         }
     }

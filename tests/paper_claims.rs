@@ -8,11 +8,7 @@ use hpsparse::kernels::hp::{HpConfig, HpSpmm};
 use hpsparse::kernels::SpmmKernel;
 use hpsparse::reorder::{gcr_reorder, louvain, LouvainConfig};
 use hpsparse::sim::DeviceSpec;
-use hpsparse::sparse::{DegreeStats, Dense, MemoryFootprint};
-
-fn features(rows: usize, k: usize) -> Dense {
-    Dense::from_fn(rows, k, |i, j| (((i * 131 + j * 17) % 1000) as f32) * 1e-3)
-}
+use hpsparse::sparse::{DegreeStats, MemoryFootprint};
 
 /// §III-A: the hybrid-parallel strategy equalises warp loads where
 /// node-parallel kernels inherit the degree distribution.
@@ -27,9 +23,8 @@ fn hybrid_parallelism_beats_node_parallelism_under_skew() {
     }
     .generate();
     let s = skewed.to_hybrid();
-    let a = features(s.cols(), 64);
-    let hp = HpSpmm::auto(&v100, &s, 64).run(&v100, &s, &a).unwrap();
-    let ge = GeSpmm.run(&v100, &s, &a).unwrap();
+    let hp = HpSpmm::auto(&v100, &s, 64).cost(&v100, &s, 64).unwrap();
+    let ge = GeSpmm.cost(&v100, &s, 64).unwrap();
     assert!(
         ge.report.cycles as f64 > 1.3 * hp.report.cycles as f64,
         "expected a clear win under skew: hp {} vs ge {}",
@@ -52,16 +47,15 @@ fn preprocessing_free_property() {
     }
     .generate();
     let s = g.to_hybrid();
-    let a = features(s.cols(), 64);
-    let hp = HpSpmm::auto(&v100, &s, 64).run(&v100, &s, &a).unwrap();
+    let hp = HpSpmm::auto(&v100, &s, 64).cost(&v100, &s, 64).unwrap();
     assert!(hp.preprocess.is_none());
     for kernel in [
         Box::new(MergePath::default()) as Box<dyn SpmmKernel>,
         Box::new(Sputnik::default()),
         Box::new(Huang::default()),
     ] {
-        let run = kernel.run(&v100, &s, &a).unwrap();
-        let pre = run
+        let cost = kernel.cost(&v100, &s, 64).unwrap();
+        let pre = cost
             .preprocess
             .unwrap_or_else(|| panic!("{} must report preprocessing", kernel.name()));
         assert!(pre.cycles > 0);
@@ -81,9 +75,8 @@ fn speedup_correlates_with_degree_variance() {
         assert!(stats.std_dev > prev_std, "family must be std-ordered");
         prev_std = stats.std_dev;
         let s = g.to_hybrid();
-        let a = features(s.cols(), 64);
-        let hp = HpSpmm::auto(&v100, &s, 64).run(&v100, &s, &a).unwrap();
-        let ge = GeSpmm.run(&v100, &s, &a).unwrap();
+        let hp = HpSpmm::auto(&v100, &s, 64).cost(&v100, &s, 64).unwrap();
+        let ge = GeSpmm.cost(&v100, &s, 64).unwrap();
         speedups.push(ge.report.cycles as f64 / hp.report.cycles as f64);
     }
     assert!(
@@ -111,9 +104,8 @@ fn gcr_improves_cache_behaviour_on_large_community_graphs() {
     let reordered = gcr_reorder(&g);
     let s0 = g.to_hybrid();
     let s1 = reordered.graph.to_hybrid();
-    let a = features(s0.cols(), 64);
-    let before = HpSpmm::auto(&v100, &s0, 64).run(&v100, &s0, &a).unwrap();
-    let after = HpSpmm::auto(&v100, &s1, 64).run(&v100, &s1, &a).unwrap();
+    let before = HpSpmm::auto(&v100, &s0, 64).cost(&v100, &s0, 64).unwrap();
+    let after = HpSpmm::auto(&v100, &s1, 64).cost(&v100, &s1, 64).unwrap();
     assert!(
         after.report.l2_hit_rate > before.report.l2_hit_rate + 0.1,
         "hit rate {} -> {}",
@@ -136,12 +128,11 @@ fn dtp_helps_dense_small_node_graphs() {
     }
     .generate();
     let s = g.to_hybrid();
-    let a = features(s.cols(), 64);
     let base = HpSpmm::new(HpConfig::base(s.nnz(), s.rows()))
-        .run(&v100, &s, &a)
+        .cost(&v100, &s, 64)
         .unwrap();
     let dtp = HpSpmm::new(HpConfig::with_dtp(&v100, s.nnz(), s.rows(), 64))
-        .run(&v100, &s, &a)
+        .cost(&v100, &s, 64)
         .unwrap();
     assert!(
         dtp.report.cycles < base.report.cycles,
@@ -171,9 +162,8 @@ fn wins_on_most_sampled_subgraphs() {
     let mut wins = 0;
     for g in &corpus {
         let s = g.to_hybrid();
-        let a = features(s.cols(), 64);
-        let hp = HpSpmm::auto(&v100, &s, 64).run(&v100, &s, &a).unwrap();
-        let ge = GeSpmm.run(&v100, &s, &a).unwrap();
+        let hp = HpSpmm::auto(&v100, &s, 64).cost(&v100, &s, 64).unwrap();
+        let ge = GeSpmm.cost(&v100, &s, 64).unwrap();
         if hp.report.cycles <= ge.report.cycles {
             wins += 1;
         }
