@@ -16,6 +16,7 @@ use hpsparse_core::catalog::Op;
 use hpsparse_core::hp::HpConfig;
 use serde_json::{json, Value};
 
+use crate::fingerprint::GraphFingerprint;
 use crate::planner::Plan;
 
 /// One cached decision.
@@ -56,6 +57,18 @@ impl PlanCache {
                 None
             }
         }
+    }
+
+    /// [`Self::get`] for `op` on the input `fp` fingerprints (`heads` is
+    /// read for [`Op::FusedMha`] only, [`GraphFingerprint::cache_entry`]):
+    /// an empty cache counts its miss without building the key.
+    pub fn get_for(&mut self, op: Op, fp: &GraphFingerprint, heads: usize) -> Option<&Plan> {
+        if self.entries.is_empty() {
+            self.misses += 1;
+            hpsparse_trace::counter_add("autotune.plan_cache.miss", 1);
+            return None;
+        }
+        self.get(op, fp.cache_entry(op, heads).0)
     }
 
     /// Stores a plan under `(op, key)`. `fingerprint` is the canonical
@@ -112,6 +125,8 @@ impl PlanCache {
             })
             .collect();
         let doc = json!({"version": 1u32, "entries": entries});
+        // Invariant: serialising a `Value` cannot fail (a non-finite float
+        // is written as `null`).
         serde_json::to_string_pretty(&doc).expect("plan cache serialises")
     }
 

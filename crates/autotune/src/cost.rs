@@ -21,7 +21,7 @@ use hpsparse_core::traits::LAUNCH_OVERHEAD_CYCLES;
 use hpsparse_sim::occupancy::tail_stretch;
 use hpsparse_sim::{occupancy_of, DeviceSpec, KernelResources, Occupancy};
 
-use crate::candidates::Candidate;
+use crate::candidates::CandidateRef;
 use crate::fingerprint::GraphFingerprint;
 
 /// The two roofline terms behind an analytic estimate, kept separate so
@@ -380,25 +380,30 @@ fn mha_fused_cycles(
 /// Estimated execution cycles for a multi-head-attention candidate (the
 /// fuse/no-fuse knob): `fp.k` is the head dimension. Always finite and
 /// non-negative.
-pub fn mha_cost(device: &DeviceSpec, fp: &GraphFingerprint, heads: usize, c: &Candidate) -> f64 {
-    let cycles = match &c.config {
+pub fn mha_cost<'a>(
+    device: &DeviceSpec,
+    fp: &GraphFingerprint,
+    heads: usize,
+    c: impl Into<CandidateRef<'a>>,
+) -> f64 {
+    let cycles = match &c.into().config {
         Some(cfg) => mha_fused_cycles(device, fp, heads, cfg),
         None => mha_unfused_cycles(device, fp, heads),
     };
     sanitize(cycles)
 }
 
-fn spmm_terms(device: &DeviceSpec, fp: &GraphFingerprint, c: &Candidate) -> CostTerms {
+fn spmm_terms(device: &DeviceSpec, fp: &GraphFingerprint, c: CandidateRef<'_>) -> CostTerms {
     match &c.config {
         Some(cfg) => hp_spmm_cycles(device, fp, cfg),
-        None => baseline_cycles(device, fp, &spmm_profile(&c.kernel_id, fp)),
+        None => baseline_cycles(device, fp, &spmm_profile(c.kernel_id, fp)),
     }
 }
 
-fn sddmm_terms(device: &DeviceSpec, fp: &GraphFingerprint, c: &Candidate) -> CostTerms {
+fn sddmm_terms(device: &DeviceSpec, fp: &GraphFingerprint, c: CandidateRef<'_>) -> CostTerms {
     match &c.config {
         Some(cfg) => hp_sddmm_cycles(device, fp, cfg),
-        None => baseline_cycles(device, fp, &sddmm_profile(&c.kernel_id)),
+        None => baseline_cycles(device, fp, &sddmm_profile(c.kernel_id)),
     }
 }
 
@@ -412,8 +417,12 @@ fn sanitize(cycles: f64) -> f64 {
 
 /// Estimated execution cycles for an SpMM candidate. Always finite and
 /// non-negative, including for degenerate (empty) inputs.
-pub fn spmm_cost(device: &DeviceSpec, fp: &GraphFingerprint, c: &Candidate) -> f64 {
-    sanitize(spmm_terms(device, fp, c).cycles())
+pub fn spmm_cost<'a>(
+    device: &DeviceSpec,
+    fp: &GraphFingerprint,
+    c: impl Into<CandidateRef<'a>>,
+) -> f64 {
+    sanitize(spmm_terms(device, fp, c.into()).cycles())
 }
 
 /// The analytic model's own verdict on which roofline side limits an SpMM
@@ -424,24 +433,36 @@ pub fn spmm_cost(device: &DeviceSpec, fp: &GraphFingerprint, c: &Candidate) -> f
 /// profiles never drift apart silently.
 ///
 /// [`hpsparse_sim::Bound::label`]: hpsparse_sim::Bound::label
-pub fn spmm_bound_hint(device: &DeviceSpec, fp: &GraphFingerprint, c: &Candidate) -> &'static str {
-    spmm_terms(device, fp, c).bound_label()
+pub fn spmm_bound_hint<'a>(
+    device: &DeviceSpec,
+    fp: &GraphFingerprint,
+    c: impl Into<CandidateRef<'a>>,
+) -> &'static str {
+    spmm_terms(device, fp, c.into()).bound_label()
 }
 
 /// Estimated execution cycles for an SDDMM candidate.
-pub fn sddmm_cost(device: &DeviceSpec, fp: &GraphFingerprint, c: &Candidate) -> f64 {
-    sanitize(sddmm_terms(device, fp, c).cycles())
+pub fn sddmm_cost<'a>(
+    device: &DeviceSpec,
+    fp: &GraphFingerprint,
+    c: impl Into<CandidateRef<'a>>,
+) -> f64 {
+    sanitize(sddmm_terms(device, fp, c.into()).cycles())
 }
 
 /// SDDMM twin of [`spmm_bound_hint`].
-pub fn sddmm_bound_hint(device: &DeviceSpec, fp: &GraphFingerprint, c: &Candidate) -> &'static str {
-    sddmm_terms(device, fp, c).bound_label()
+pub fn sddmm_bound_hint<'a>(
+    device: &DeviceSpec,
+    fp: &GraphFingerprint,
+    c: impl Into<CandidateRef<'a>>,
+) -> &'static str {
+    sddmm_terms(device, fp, c.into()).bound_label()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidates::{sddmm_candidates, spmm_candidates};
+    use crate::candidates::{sddmm_candidates, spmm_candidates, Candidate};
 
     fn fp(rows: usize, nnz: usize, cv: f64, max_degree: usize, k: usize) -> GraphFingerprint {
         let mean = nnz as f64 / rows.max(1) as f64;

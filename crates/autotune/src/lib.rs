@@ -52,7 +52,7 @@ pub mod planner;
 pub use cache::{CachedPlan, PlanCache};
 pub use candidates::{
     instantiate_fused_mha, instantiate_sddmm, instantiate_spmm, mha_candidates, sddmm_candidates,
-    spmm_candidates, Candidate, MHA_FUSED_ID, MHA_UNFUSED_ID,
+    spmm_candidates, Candidate, CandidateRef, MHA_FUSED_ID, MHA_UNFUSED_ID,
 };
 pub use cost::{
     edge_softmax_cycles, mha_cost, sddmm_bound_hint, sddmm_cost, spmm_bound_hint, spmm_cost,
@@ -60,5 +60,5 @@ pub use cost::{
 pub use fingerprint::GraphFingerprint;
 pub use hpsparse_core::traits::LAUNCH_OVERHEAD_CYCLES;
 pub use planner::{
-    measure_unfused_mha, measurement_features, Plan, PlanStrategy, Planner, MEASURED_TOP_N,
+    measure_unfused_mha, measurement_features, Pick, Plan, PlanStrategy, Planner, MEASURED_TOP_N,
 };

@@ -2,8 +2,11 @@
 //!
 //! Two strategies, per the subsystem design:
 //!
-//! * [`PlanStrategy::Heuristic`] — rank every candidate with the analytic
-//!   cost model ([`crate::cost`]) and take the top. Zero simulator time.
+//! * [`PlanStrategy::Heuristic`] — take the candidate of least analytic
+//!   cost ([`crate::cost`]), the first in enumeration order on a tie. Zero
+//!   simulator time; [`Planner::pick`] finds it in one scan that formats,
+//!   sorts and allocates nothing, and [`Planner::plan_for`] renders the
+//!   same pick's rationale.
 //! * [`PlanStrategy::Measured`] — rank heuristically, then walk the cost
 //!   of the top [`MEASURED_TOP_N`] candidates on a cold [`GpuSim`]
 //!   against the *actual* matrix and pick by measured cycles. A measurement is a cost
@@ -16,8 +19,8 @@
 //!   soon as it provably cannot beat it; the pick is the exhaustive one.
 //!
 //! All three operations go through one path, [`Planner::plan_for`]; an
-//! [`Op`] contributes only its candidates, its analytic cost, its bound
-//! hint and how one candidate is measured.
+//! [`Op`] contributes only its candidates ([`crate::candidates`]), its
+//! analytic cost, its bound hint and how one candidate is measured.
 //!
 //! Planning is deterministic: candidate enumeration order is fixed, every
 //! simulator run starts cold, and ties break toward the better heuristic
@@ -28,11 +31,11 @@ use hpsparse_core::hp::{HpConfig, HpSddmm, HpSpmm};
 use hpsparse_core::traits::{Launches, SddmmKernel, SpmmKernel, LAUNCH_OVERHEAD_CYCLES};
 use hpsparse_sim::{DeviceSpec, GpuSim};
 use hpsparse_sparse::{Dense, Hybrid};
+use hpsparse_trace::SpanGuard;
 use serde_json::json;
 
 use crate::candidates::{
-    instantiate_fused_mha, instantiate_sddmm, instantiate_spmm, mha_candidates, sddmm_candidates,
-    spmm_candidates, Candidate,
+    instantiate_fused_mha, instantiate_sddmm, instantiate_spmm, space, Candidate, CandidateRef,
 };
 use crate::cost::{
     edge_softmax_cycles, mha_cost, sddmm_bound_hint, sddmm_cost, spmm_bound_hint, spmm_cost,
@@ -84,25 +87,42 @@ impl Plan {
     }
 }
 
-/// What `op` contributes to [`Planner::plan_for`] besides its measurement.
+/// The Heuristic's choice for one input: the first candidate of least
+/// analytic cost in enumeration order, which is what a
+/// [`PlanStrategy::Heuristic`] [`Plan`] names. [`Planner::pick`] returns
+/// it without the plan's text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Pick {
+    /// The chosen candidate.
+    pub candidate: CandidateRef<'static>,
+    /// Its analytic estimate in cycles.
+    pub estimate: f64,
+}
+
+impl Pick {
+    /// The estimate as the Heuristic [`Plan`]'s `predicted_cycles`.
+    pub fn predicted_cycles(&self) -> u64 {
+        self.estimate.min(u64::MAX as f64 / 2.0) as u64
+    }
+}
+
+/// What `op` contributes to [`Planner::plan_for`] besides its candidates
+/// and its measurement.
 fn model(op: Op) -> OpModel {
     match op {
         Op::Spmm => OpModel {
             span: "autotune:plan-spmm",
-            candidates: spmm_candidates,
             cost: |device, fp, _, c| spmm_cost(device, fp, c),
-            bound_hint: Some(spmm_bound_hint),
+            bound_hint: Some(|device, fp, c| spmm_bound_hint(device, fp, c)),
         },
         Op::Sddmm => OpModel {
             span: "autotune:plan-sddmm",
-            candidates: sddmm_candidates,
             cost: |device, fp, _, c| sddmm_cost(device, fp, c),
-            bound_hint: Some(sddmm_bound_hint),
+            bound_hint: Some(|device, fp, c| sddmm_bound_hint(device, fp, c)),
         },
         Op::FusedMha => OpModel {
             span: "autotune:plan-mha",
-            candidates: mha_candidates,
-            cost: mha_cost,
+            cost: |device, fp, heads, c| mha_cost(device, fp, heads, c),
             bound_hint: None,
         },
     }
@@ -121,7 +141,7 @@ fn model(op: Op) -> OpModel {
 fn measure(
     op: Op,
     sim: &mut GpuSim,
-    c: &Candidate,
+    c: CandidateRef<'_>,
     s: &Hybrid,
     k: usize,
     heads: usize,
@@ -152,13 +172,11 @@ fn measure(
 struct OpModel {
     /// Trace-span name of a planning call.
     span: &'static str,
-    /// The search space, in its fixed enumeration order.
-    candidates: fn(&DeviceSpec, &GraphFingerprint) -> Vec<Candidate>,
     /// The estimate candidates are ranked by, at a given head count.
-    cost: fn(&DeviceSpec, &GraphFingerprint, usize, &Candidate) -> f64,
+    cost: fn(&DeviceSpec, &GraphFingerprint, usize, CandidateRef<'_>) -> f64,
     /// Which roofline side the model says binds a candidate; `None` for
     /// attention, whose model sums launches and has no one side to name.
-    bound_hint: Option<fn(&DeviceSpec, &GraphFingerprint, &Candidate) -> &'static str>,
+    bound_hint: Option<fn(&DeviceSpec, &GraphFingerprint, CandidateRef<'_>) -> &'static str>,
 }
 
 /// Plans kernels for sparse inputs on a fixed device.
@@ -232,40 +250,53 @@ impl Planner {
     /// part of that op's cache key ([`GraphFingerprint::cache_entry`]).
     pub fn plan_for(&mut self, op: Op, fp: &GraphFingerprint, s: &Hybrid, heads: usize) -> Plan {
         let model = model(op);
-        let _span = hpsparse_trace::span_with(
-            model.span,
-            &[
-                ("rows", json!(s.rows())),
-                ("nnz", json!(s.nnz())),
-                ("k", json!(fp.k)),
-                ("heads", json!(heads)),
-            ],
-        );
-        let launches_before = self.sim_launches;
-        let ranked = rank((model.candidates)(&self.device, fp), |c| {
-            (model.cost)(&self.device, fp, heads, c)
-        });
-        let plan = match self.strategy {
-            PlanStrategy::Heuristic => {
-                let mut plan = heuristic_plan(fp, ranked);
-                if let Some(bound_hint) = model.bound_hint {
-                    let hint = bound_hint(&self.device, fp, &plan.candidate());
-                    plan.rationale
-                        .push_str(&format!("; model-side bound: {hint}"));
-                }
-                plan
+        let cost = |c| (model.cost)(&self.device, fp, heads, c);
+        if self.strategy == PlanStrategy::Heuristic {
+            // The pick, then the text only a `Plan` carries: the runner-up
+            // (the next in `rank`'s order) and the model-side bound.
+            let pick = self.pick(op, fp, heads);
+            let id = pick.candidate.kernel_id;
+            let others = space(op, &self.device, fp).filter(|c| c.kernel_id != id);
+            let candidates = space(op, &self.device, fp).count();
+            let mut plan = heuristic_plan(fp, candidates, pick, first_min(others, cost));
+            if let Some(bound_hint) = model.bound_hint {
+                let hint = bound_hint(&self.device, fp, pick.candidate);
+                plan.rationale
+                    .push_str(&format!("; model-side bound: {hint}"));
             }
-            PlanStrategy::Measured => self.measured_plan(fp, ranked, |device, c, budget| {
-                let mut sim = GpuSim::new(device.clone());
-                measure(op, &mut sim, c, s, fp.k, heads, budget)
-            }),
-        };
-        // One finished plan and the simulator launches it spent, into the
-        // installed trace session's registry; a no-op when detached.
-        hpsparse_trace::counter_add("autotune.plans", 1);
-        let launches = self.sim_launches - launches_before;
-        hpsparse_trace::counter_add("autotune.plan_sim_launches", launches);
+            return plan;
+        }
+        let _span = plan_span(model.span, fp, heads);
+        let launches_before = self.sim_launches;
+        let ranked = rank(space(op, &self.device, fp), cost);
+        let plan = self.measured_plan(fp, ranked, |device, c, budget| {
+            let mut sim = GpuSim::new(device.clone());
+            measure(op, &mut sim, c, s, fp.k, heads, budget)
+        });
+        count_plan(self.sim_launches - launches_before);
         plan
+    }
+
+    /// The Heuristic's pick for `op` on a fingerprinted input (`fp.k` is
+    /// the feature dimension, `heads` is read for [`Op::FusedMha`] only):
+    /// the first candidate of least analytic cost, with the configuration
+    /// and estimate a [`PlanStrategy::Heuristic`] [`Self::plan_for`]
+    /// returns, whatever this planner's strategy. It walks the candidate
+    /// space once and allocates nothing: no id is formatted, nothing is
+    /// sorted and no rationale is rendered. Traced and counted as one
+    /// plan, as `plan_for` is.
+    pub fn pick(&self, op: Op, fp: &GraphFingerprint, heads: usize) -> Pick {
+        let model = model(op);
+        let _span = plan_span(model.span, fp, heads);
+        let cost = |c| (model.cost)(&self.device, fp, heads, c);
+        // Invariant: `space` always yields the op's auto candidate.
+        let (estimate, candidate) = first_min(space(op, &self.device, fp), cost)
+            .expect("every candidate space holds its auto candidate");
+        count_plan(0);
+        Pick {
+            candidate,
+            estimate,
+        }
     }
 
     /// Measures the top [`MEASURED_TOP_N`] ranked candidates with `measure`
@@ -285,8 +316,12 @@ impl Planner {
     fn measured_plan(
         &mut self,
         fp: &GraphFingerprint,
-        ranked: Vec<(f64, Candidate)>,
-        mut measure: impl FnMut(&DeviceSpec, &Candidate, Option<u64>) -> Option<(u64, Option<String>)>,
+        ranked: Vec<(f64, CandidateRef<'static>)>,
+        mut measure: impl FnMut(
+            &DeviceSpec,
+            CandidateRef<'_>,
+            Option<u64>,
+        ) -> Option<(u64, Option<String>)>,
     ) -> Plan {
         let mut best: Option<(u64, usize, Option<String>)> = None;
         let mut measured = 0usize;
@@ -294,12 +329,12 @@ impl Planner {
             // The paper-auto incumbent is always measured, wherever the
             // heuristic ranked it: the tuned choice can then never be
             // slower than `HpConfig::auto`'s.
-            let incumbent = matches!(cand.kernel_id.as_str(), "hp:auto" | "hp-sddmm:auto");
+            let incumbent = matches!(cand.kernel_id, "hp:auto" | "hp-sddmm:auto");
             if rank_idx >= MEASURED_TOP_N && !incumbent {
                 continue;
             }
             let budget = best.as_ref().map(|(b, _, _)| *b);
-            let Some((cycles, verdict)) = measure(&self.device, cand, budget) else {
+            let Some((cycles, verdict)) = measure(&self.device, *cand, budget) else {
                 continue;
             };
             self.sim_launches += 1;
@@ -330,14 +365,20 @@ impl Planner {
                     rationale.push_str(&format!("; bound by {v}"));
                 }
                 Plan {
-                    kernel_id: cand.kernel_id.clone(),
+                    kernel_id: cand.kernel_id.into(),
                     config: cand.config,
                     predicted_cycles: cycles,
                     rationale,
                 }
             }
             None => {
-                let mut plan = heuristic_plan(fp, ranked);
+                // `ranked` holds the whole space, its auto candidate too.
+                let (estimate, candidate) = ranked[0];
+                let best = Pick {
+                    candidate,
+                    estimate,
+                };
+                let mut plan = heuristic_plan(fp, ranked.len(), best, ranked.get(1).copied());
                 plan.rationale = format!(
                     "no candidate was measurable; fell back to analytic model: {}",
                     plan.rationale
@@ -348,30 +389,73 @@ impl Planner {
     }
 }
 
+/// The trace span of one planning call; a no-op guard when detached.
+fn plan_span(name: &str, fp: &GraphFingerprint, heads: usize) -> SpanGuard {
+    hpsparse_trace::span_with(
+        name,
+        &[
+            ("rows", json!(fp.rows)),
+            ("nnz", json!(fp.nnz)),
+            ("k", json!(fp.k)),
+            ("heads", json!(heads)),
+        ],
+    )
+}
+
+/// Counts one finished plan and the simulator launches it spent into the
+/// installed trace session's registry; a no-op when detached.
+fn count_plan(sim_launches: u64) {
+    hpsparse_trace::counter_add("autotune.plans", 1);
+    hpsparse_trace::counter_add("autotune.plan_sim_launches", sim_launches);
+}
+
+/// The first candidate of least `cost` in `cands`' order, with its cost,
+/// found in one scan: the candidate [`rank`]'s stable sort puts first, so
+/// a tie goes to the earlier-enumerated one. `None` for no candidates.
+fn first_min<'a>(
+    cands: impl Iterator<Item = CandidateRef<'a>>,
+    cost: impl Fn(CandidateRef<'a>) -> f64,
+) -> Option<(f64, CandidateRef<'a>)> {
+    let mut best: Option<(f64, CandidateRef<'a>)> = None;
+    for c in cands {
+        let est = cost(c);
+        if best.is_none_or(|(b, _)| est.total_cmp(&b).is_lt()) {
+            best = Some((est, c));
+        }
+    }
+    best
+}
+
 /// Ranks candidates by analytic cost, ascending; stable on ties, so equal
 /// scores keep enumeration order and the ranking is deterministic.
-fn rank(cands: Vec<Candidate>, cost: impl Fn(&Candidate) -> f64) -> Vec<(f64, Candidate)> {
-    let mut scored: Vec<(f64, Candidate)> = cands.into_iter().map(|c| (cost(&c), c)).collect();
+fn rank<'a>(
+    cands: impl Iterator<Item = CandidateRef<'a>>,
+    cost: impl Fn(CandidateRef<'a>) -> f64,
+) -> Vec<(f64, CandidateRef<'a>)> {
+    let mut scored: Vec<_> = cands.map(|c| (cost(c), c)).collect();
     scored.sort_by(|a, b| a.0.total_cmp(&b.0));
     scored
 }
 
-fn heuristic_plan(fp: &GraphFingerprint, ranked: Vec<(f64, Candidate)>) -> Plan {
-    let (est, cand) = ranked
-        .first()
-        .expect("candidate enumeration is never empty");
-    let runner_up = ranked
-        .get(1)
+/// The Heuristic's [`Plan`]: `best` of `candidates`, explained, with the
+/// runner-up (the next in [`rank`]'s order) named.
+fn heuristic_plan(
+    fp: &GraphFingerprint,
+    candidates: usize,
+    best: Pick,
+    runner_up: Option<(f64, CandidateRef<'_>)>,
+) -> Plan {
+    let (est, cand) = (best.estimate, best.candidate);
+    let runner_up = runner_up
         .map(|(e, c)| format!("; runner-up {} at {e:.0}", c.kernel_id))
         .unwrap_or_default();
     Plan {
-        kernel_id: cand.kernel_id.clone(),
+        kernel_id: cand.kernel_id.into(),
         config: cand.config,
-        predicted_cycles: est.min(u64::MAX as f64 / 2.0) as u64,
+        predicted_cycles: best.predicted_cycles(),
         rationale: format!(
-            "analytic model over {} candidates (rows={} nnz={} k={} cv={:.2} tail={:.1}): \
+            "analytic model over {candidates} candidates (rows={} nnz={} k={} cv={:.2} tail={:.1}): \
              {} estimated at {est:.0} cycles{runner_up}",
-            ranked.len(),
             fp.rows,
             fp.nnz,
             fp.k,
@@ -450,6 +534,32 @@ mod tests {
         Hybrid::from_triplets(rows as usize, rows as usize, &t).unwrap()
     }
 
+    /// A constructed tie: two candidates share the least cost, and the
+    /// scan picks the earlier-enumerated one, as `rank`'s stable sort puts
+    /// first — and so does the Heuristic plan's runner-up rule.
+    #[test]
+    fn a_tie_goes_to_the_earlier_enumerated_candidate() {
+        let v100 = DeviceSpec::v100();
+        let fp = GraphFingerprint::of(&graph(2, 500, 3_000), 32, &v100);
+        let cost = |c: CandidateRef<'_>| match c.kernel_id {
+            "hp:npw=128" | "gespmm" => 1.0,
+            "hp:auto" => 1.5,
+            _ => 2.0,
+        };
+        let (est, pick) = first_min(space(Op::Spmm, &v100, &fp), cost).unwrap();
+        assert_eq!((est, pick.kernel_id), (1.0, "hp:npw=128"));
+        let ranked = rank(space(Op::Spmm, &v100, &fp), cost);
+        assert_eq!(ranked[0], (est, pick));
+        let others = space(Op::Spmm, &v100, &fp).filter(|c| c.kernel_id != pick.kernel_id);
+        assert_eq!(first_min(others, cost), Some(ranked[1]));
+        assert_eq!(ranked[1].1.kernel_id, "gespmm");
+        // Signed zeros are ordered as the sort orders them.
+        let zeros = |c: CandidateRef<'_>| if c.kernel_id == "gespmm" { -0.0 } else { 0.0 };
+        let (_, pick) = first_min(space(Op::Spmm, &v100, &fp), zeros).unwrap();
+        assert_eq!(pick, rank(space(Op::Spmm, &v100, &fp), zeros)[0].1);
+        assert_eq!(first_min(space(Op::Spmm, &v100, &fp).take(0), cost), None);
+    }
+
     #[test]
     fn heuristic_planner_runs_zero_simulations() {
         let s = graph(1, 2000, 12_000);
@@ -487,9 +597,9 @@ mod tests {
         let plan = p.plan_spmm(&s, k);
 
         let fp = GraphFingerprint::of(&s, k, &v100);
-        let ranked = rank(spmm_candidates(&v100, &fp), |c| spmm_cost(&v100, &fp, c));
+        let ranked = rank(space(Op::Spmm, &v100, &fp), |c| spmm_cost(&v100, &fp, c));
         let (mut best, mut charged, mut exhaustive, mut walks) = (None, 0, 0, 0);
-        for (i, (_, c)) in ranked.iter().enumerate() {
+        for (i, &(_, c)) in ranked.iter().enumerate() {
             if i >= MEASURED_TOP_N && c.kernel_id != "hp:auto" {
                 continue;
             }
@@ -503,7 +613,7 @@ mod tests {
                 Some((b, _)) if cycles >= b => charged += b,
                 _ => {
                     charged += cycles;
-                    best = Some((cycles, c.kernel_id.as_str()));
+                    best = Some((cycles, c.kernel_id));
                 }
             }
         }
@@ -639,7 +749,7 @@ mod tests {
             assert_eq!(plan.predicted_cycles, fused.min(unfused));
 
             let fp = GraphFingerprint::of(&s, head_dim, &v100);
-            let ranked = rank(mha_candidates(&v100, &fp), |c| {
+            let ranked = rank(space(Op::FusedMha, &v100, &fp), |c| {
                 mha_cost(&v100, &fp, heads, c)
             });
             let fused_first = ranked[0].1.kernel_id == crate::candidates::MHA_FUSED_ID;

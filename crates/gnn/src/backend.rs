@@ -9,8 +9,8 @@
 //! total CUDA computation time.
 
 use hpsparse_autotune::{
-    edge_softmax_cycles, instantiate_fused_mha, instantiate_sddmm, instantiate_spmm,
-    GraphFingerprint, Plan, PlanCache, PlanStrategy, Planner,
+    edge_softmax_cycles, instantiate_fused_mha, instantiate_sddmm, instantiate_spmm, CandidateRef,
+    GraphFingerprint, PlanCache, PlanStrategy, Planner,
 };
 use hpsparse_core::baselines::{CusparseCsrAlg2, DglSddmm};
 use hpsparse_core::catalog::Op;
@@ -321,30 +321,43 @@ pub type BaselineBackend = SimBackend<FrameworkKernels>;
 /// Selects what the autotuner plans (via `hpsparse-autotune`). Every
 /// shape is looked up in the plan cache first, so seeded or loaded entries
 /// replay. A miss plans the shape; only a `Measured` plan is stored, since
-/// only it cost simulator walks. A Heuristic plan is a pure function of
-/// the fingerprint and is recomputed on every miss, so a long-lived
-/// Heuristic backend keeps no per-shape state.
+/// only it cost simulator walks. A Heuristic miss takes the planner's
+/// [`Planner::pick`], a pure function of the fingerprint that renders no
+/// text and is recomputed every time, so a long-lived Heuristic backend
+/// keeps no per-shape state.
 pub struct PlannedKernels {
     planner: Planner,
     cache: PlanCache,
 }
 
 impl PlannedKernels {
-    /// The cached plan for `op` on `s` at width `k`, planning it on a miss
-    /// and storing it when the strategy is `Measured`. `heads` is read for
-    /// [`Op::FusedMha`] only, whose plans carry the head count in
-    /// their key.
-    fn plan(&mut self, op: Op, device: &DeviceSpec, s: &Hybrid, k: usize, heads: usize) -> Plan {
+    /// `make` of the candidate planned for `op` on `s` at width `k`: the
+    /// cached plan's, else a fresh one's, stored when the strategy is
+    /// `Measured`. `heads` is read for [`Op::FusedMha`] only, whose plans
+    /// carry the head count in their key.
+    fn plan<T>(
+        &mut self,
+        op: Op,
+        device: &DeviceSpec,
+        s: &Hybrid,
+        k: usize,
+        heads: usize,
+        make: impl FnOnce(CandidateRef<'_>) -> T,
+    ) -> T {
         let fp = GraphFingerprint::of(s, k, device);
-        let (key, encoding) = fp.cache_entry(op, heads);
-        if let Some(plan) = self.cache.get(op, key) {
-            return plan.clone();
+        if let Some(plan) = self.cache.get_for(op, &fp, heads) {
+            return make(plan.into());
         }
-        let plan = self.planner.plan_for(op, &fp, s, heads);
-        if self.planner.strategy() == PlanStrategy::Measured {
-            self.cache.insert(op, key, encoding, plan.clone());
+        match self.planner.strategy() {
+            PlanStrategy::Heuristic => make(self.planner.pick(op, &fp, heads).candidate),
+            PlanStrategy::Measured => {
+                let plan = self.planner.plan_for(op, &fp, s, heads);
+                let made = make((&plan).into());
+                let (key, encoding) = fp.cache_entry(op, heads);
+                self.cache.insert(op, key, encoding, plan);
+                made
+            }
         }
-        plan
     }
 }
 
@@ -354,13 +367,13 @@ impl KernelSelector for PlannedKernels {
     const NAME: &'static str = "auto";
 
     fn spmm(&mut self, device: &DeviceSpec, s: &Hybrid, k: usize) -> Box<dyn SpmmKernel> {
-        let plan = self.plan(Op::Spmm, device, s, k, 1);
-        instantiate_spmm(&plan.candidate()).unwrap_or_else(|| HpKernels.spmm(device, s, k))
+        self.plan(Op::Spmm, device, s, k, 1, |c| instantiate_spmm(c))
+            .unwrap_or_else(|| HpKernels.spmm(device, s, k))
     }
 
     fn sddmm(&mut self, device: &DeviceSpec, s: &Hybrid, k: usize) -> Box<dyn SddmmKernel> {
-        let plan = self.plan(Op::Sddmm, device, s, k, 1);
-        instantiate_sddmm(&plan.candidate()).unwrap_or_else(|| HpKernels.sddmm(device, s, k))
+        self.plan(Op::Sddmm, device, s, k, 1, |c| instantiate_sddmm(c))
+            .unwrap_or_else(|| HpKernels.sddmm(device, s, k))
     }
 
     fn fused_mha(
@@ -370,11 +383,12 @@ impl KernelSelector for PlannedKernels {
         head_dim: usize,
         heads: usize,
     ) -> Option<HpFusedMha> {
-        let plan = self.plan(Op::FusedMha, device, s, head_dim, heads);
-        if !plan.kernel_id.starts_with("hp-fused-mha") {
-            return None;
-        }
-        instantiate_fused_mha(&plan.candidate())
+        // A plan naming the unfused pipeline yields `None`: it runs unfused.
+        let fused = |c: CandidateRef<'_>| {
+            let is_fused = c.kernel_id.starts_with("hp-fused-mha");
+            is_fused.then(|| instantiate_fused_mha(c))
+        };
+        self.plan(Op::FusedMha, device, s, head_dim, heads, fused)?
             .or_else(|| HpKernels.fused_mha(device, s, head_dim, heads))
     }
 }
@@ -838,6 +852,43 @@ mod tests {
         let v4 = heads_for(6, 16, 4, 2);
         auto.mha(&s, &q4, &k4, &v4);
         assert_eq!(auto.cache().misses(), 2);
+    }
+
+    /// A Heuristic backend with an empty cache counts one miss per SpMM,
+    /// SDDMM and attention lookup — without building the cache key — and
+    /// stores nothing; a cache seeded with one shape's plan still hits it
+    /// and computes the same bits.
+    #[test]
+    fn heuristic_lookups_count_their_misses_and_seeded_plans_hit() {
+        let (s, device, heuristic) = (small_graph(), DeviceSpec::v100(), PlanStrategy::Heuristic);
+        let [q, k, v] = [0, 1, 2].map(|salt| heads_for(6, 16, 2, salt));
+        let run = |backend: &mut AutoBackend| {
+            let spmm = backend.spmm(&s, &q[0]).into_vec();
+            let sddmm = backend.sddmm(&s, &q[0], &k[0]);
+            let (out, attn) = backend.mha(&s, &q, &k, &v);
+            let bits = spmm.into_iter().chain(sddmm).chain(attn.concat());
+            let bits = bits.chain(out.into_iter().flat_map(Dense::into_vec));
+            let bits: Vec<u32> = bits.map(f32::to_bits).collect();
+            let cache = backend.cache();
+            (
+                bits,
+                backend.sparse_cycles(),
+                (cache.hits(), cache.misses()),
+            )
+        };
+        let mut empty = AutoBackend::with_strategy(device.clone(), heuristic);
+        let (bits, cycles, counters) = run(&mut empty);
+        assert_eq!(counters, (0, 3), "one miss per lookup");
+        assert!(empty.cache().is_empty());
+        assert_eq!(empty.planning_sim_launches(), 0);
+
+        let fp = GraphFingerprint::of(&s, 16, &device);
+        let plan = Planner::new(device.clone(), heuristic).plan_for(Op::Spmm, &fp, &s, 1);
+        let (key, encoding) = fp.cache_entry(Op::Spmm, 1);
+        let mut cache = PlanCache::new();
+        cache.insert(Op::Spmm, key, encoding, plan);
+        let mut seeded = AutoBackend::with_cache(device, heuristic, cache);
+        assert_eq!(run(&mut seeded), (bits, cycles, (1, 2)));
     }
 
     /// A corrupt or hand-edited cache file: every entry below used to reach

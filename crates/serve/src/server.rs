@@ -39,6 +39,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::{json, Value};
 use std::fmt;
+use std::ops::Range;
 
 /// One inference request: a user asking for the embeddings of one or more
 /// nodes (single-node lookup or a sampled neighbourhood).
@@ -148,19 +149,11 @@ impl Default for BatcherConfig {
 pub const DEADLINE_HORIZON: u64 = u64::MAX / 2;
 
 /// A request's slice of a batch: which output rows belong to it.
-///
-/// A shard's targets are *not* contiguous inside the request in general
-/// (a random walk interleaves shards: `[a:s0, b:s1, c:s0]`), so each
-/// batch row carries its exact position in the request's target list.
 #[derive(Debug, Clone)]
 struct Member {
     req: usize,
-    /// Position in the request's target list, one entry per batch row:
-    /// batch row `row_start + i` is the request's `positions[i]`-th
-    /// target.
-    positions: Vec<usize>,
-    /// First row of this slice inside the batch.
-    row_start: usize,
+    /// The batch rows of this slice.
+    rows: Range<usize>,
 }
 
 /// One planned batch, before execution.
@@ -170,7 +163,71 @@ struct PlannedBatch {
     seq: usize,
     ready: u64,
     rows: Vec<u32>,
+    /// Per batch row, its position in its request's target list. A
+    /// shard's targets are *not* contiguous inside the request in general
+    /// (a random walk interleaves shards: `[a:s0, b:s1, c:s0]`), so each
+    /// row carries its exact position.
+    positions: Vec<usize>,
     members: Vec<Member>,
+}
+
+/// One shard's batcher: the batches it closed and the one it has open.
+struct ShardBatcher {
+    shard: usize,
+    closed: Vec<PlannedBatch>,
+    open: Option<PlannedBatch>,
+}
+
+impl ShardBatcher {
+    fn new(shard: usize) -> Self {
+        Self {
+            shard,
+            closed: Vec::new(),
+            open: None,
+        }
+    }
+
+    /// Folds `t`, the `pos`-th target of request `req` arriving at
+    /// `arrival`; a request's targets on this shard come in its order.
+    fn push(&mut self, req: usize, arrival: u64, pos: usize, t: u32, cfg: &BatcherConfig) {
+        // Timeout cut: the open batch closes at its deadline (`ready`
+        // until a size cut) before this arrival joins. Within one request
+        // the test repeats with the same arrival, so only its first target
+        // can cut.
+        if self.open.as_ref().is_some_and(|b| arrival > b.ready) {
+            self.closed.extend(self.open.take());
+        }
+        let batch = self.open.get_or_insert_with(|| PlannedBatch {
+            shard: self.shard,
+            seq: self.closed.len(),
+            ready: arrival + cfg.max_wait_cycles,
+            rows: Vec::new(),
+            positions: Vec::new(),
+            members: Vec::new(),
+        });
+        let row = batch.rows.len();
+        match batch.members.last_mut() {
+            Some(m) if m.req == req => m.rows.end = row + 1,
+            _ => batch.members.push(Member {
+                req,
+                rows: row..row + 1,
+            }),
+        }
+        batch.rows.push(t);
+        batch.positions.push(pos);
+        // Size cut: full enough to launch right now. The cap is a hard
+        // ceiling, so a larger slice continues in the next batch.
+        if batch.rows.len() >= cfg.max_batch_rows {
+            batch.ready = arrival;
+            self.closed.extend(self.open.take());
+        }
+    }
+
+    /// Every batch, the open one closed at its deadline.
+    fn finish(mut self) -> Vec<PlannedBatch> {
+        self.closed.extend(self.open);
+        self.closed
+    }
 }
 
 /// Critical-path stage facts for one request: the membership with the
@@ -389,92 +446,21 @@ pub struct ServeOutcome {
 }
 
 /// Splits `requests` into per-shard sub-request streams and folds each
-/// into batches. The per-shard work is independent, so it fans out on the
-/// rayon pool — the fold itself depends only on arrival order, keeping the
-/// result thread-count independent. Every deadline is at most
-/// [`DEADLINE_HORIZON`] ([`try_serve`] refused the stream otherwise).
+/// into batches, in one pass over the requests that hands each target to
+/// its shard's [`ShardBatcher`]. The fold depends only on arrival order,
+/// so batches are thread-count and device-count independent. Every
+/// deadline is at most [`DEADLINE_HORIZON`] ([`try_serve`] refused the
+/// stream otherwise).
 fn plan_batches(cluster: &Cluster, requests: &[Request], cfg: &BatcherConfig) -> Vec<PlannedBatch> {
-    let num_shards = cluster.plan().num_shards;
-    let mut per_shard: Vec<Vec<PlannedBatch>> = Vec::with_capacity(num_shards);
-    per_shard.resize_with(num_shards, Vec::new);
-
-    {
-        let plan = cluster.plan();
-        let slots: Vec<_> = per_shard.iter_mut().collect();
-        rayon::scope(|scope| {
-            for (shard, slot) in slots.into_iter().enumerate() {
-                let plan = &*plan;
-                scope.spawn(move |_| {
-                    let mut batches: Vec<PlannedBatch> = Vec::new();
-                    let mut open: Option<PlannedBatch> = None;
-                    let mut first_arrival = 0u64;
-                    for (req_idx, req) in requests.iter().enumerate() {
-                        // This request's targets owned by `shard`, with
-                        // their positions in the request's target list.
-                        let mine: Vec<(usize, u32)> = req
-                            .targets
-                            .iter()
-                            .enumerate()
-                            .filter(|&(_, &t)| plan.shard_of(t) == shard as u32)
-                            .map(|(p, &t)| (p, t))
-                            .collect();
-                        if mine.is_empty() {
-                            continue;
-                        }
-                        // Timeout cut: the open batch closes at its
-                        // deadline before this arrival joins.
-                        if let Some(b) = open.take() {
-                            if req.arrival_cycle > first_arrival + cfg.max_wait_cycles {
-                                batches.push(b);
-                            } else {
-                                open = Some(b);
-                            }
-                        }
-                        // Fill batches with this request's slice,
-                        // splitting across consecutive batches when it
-                        // would overflow `max_batch_rows` — the cap is a
-                        // hard ceiling, not a soft threshold.
-                        let mut offset = 0usize;
-                        while offset < mine.len() {
-                            let batch = open.get_or_insert_with(|| {
-                                first_arrival = req.arrival_cycle;
-                                PlannedBatch {
-                                    shard,
-                                    seq: batches.len(),
-                                    ready: first_arrival + cfg.max_wait_cycles,
-                                    rows: Vec::new(),
-                                    members: Vec::new(),
-                                }
-                            });
-                            let space = cfg.max_batch_rows.saturating_sub(batch.rows.len()).max(1);
-                            let chunk = &mine[offset..mine.len().min(offset + space)];
-                            let row_start = batch.rows.len();
-                            batch.rows.extend(chunk.iter().map(|&(_, t)| t));
-                            batch.members.push(Member {
-                                req: req_idx,
-                                positions: chunk.iter().map(|&(p, _)| p).collect(),
-                                row_start,
-                            });
-                            offset += chunk.len();
-                            // Size cut: full enough to launch right now.
-                            if batch.rows.len() >= cfg.max_batch_rows {
-                                let mut b = open.take().unwrap();
-                                b.ready = req.arrival_cycle;
-                                batches.push(b);
-                            }
-                        }
-                    }
-                    if let Some(b) = open.take() {
-                        batches.push(b);
-                    }
-                    *slot = batches;
-                });
-            }
-        });
+    let plan = cluster.plan();
+    let mut shards: Vec<ShardBatcher> = (0..plan.num_shards).map(ShardBatcher::new).collect();
+    for (req, r) in requests.iter().enumerate() {
+        for (pos, &t) in r.targets.iter().enumerate() {
+            shards[plan.shard_of(t) as usize].push(req, r.arrival_cycle, pos, t, cfg);
+        }
     }
-
     // Deterministic global order: (ready, shard, seq).
-    let mut all: Vec<PlannedBatch> = per_shard.into_iter().flatten().collect();
+    let mut all: Vec<PlannedBatch> = shards.into_iter().flat_map(ShardBatcher::finish).collect();
     all.sort_by_key(|b| (b.ready, b.shard, b.seq));
     all
 }
@@ -604,9 +590,9 @@ pub fn try_serve(
 
         for m in &batch.members {
             let out = outputs.request_mut(m.req);
-            for (r, &pos) in m.positions.iter().enumerate() {
-                let src = result.outputs.row(m.row_start + r);
-                let dst_base = pos * k;
+            for row in m.rows.clone() {
+                let src = result.outputs.row(row);
+                let dst_base = batch.positions[row] * k;
                 for (c, v) in src.iter().enumerate() {
                     out[dst_base + c] = v.to_bits();
                 }
@@ -621,7 +607,7 @@ pub fn try_serve(
                     end,
                     shard: batch.shard,
                     seq: batch.seq,
-                    rows: m.positions.len(),
+                    rows: m.rows.len(),
                     halo_bytes: batch_halo_bytes,
                 });
             }
@@ -911,12 +897,14 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for b in &batches {
             assert!(b.rows.len() <= cfg.max_batch_rows, "batch exceeds cap");
-            let member_rows: usize = b.members.iter().map(|m| m.positions.len()).sum();
+            assert_eq!(b.positions.len(), b.rows.len(), "one position per row");
+            let member_rows: usize = b.members.iter().map(|m| m.rows.len()).sum();
             assert_eq!(member_rows, b.rows.len(), "members must tile the batch");
             for m in &b.members {
-                for (r, &pos) in m.positions.iter().enumerate() {
+                for row in m.rows.clone() {
+                    let pos = b.positions[row];
                     // The batch row really is that position's target.
-                    assert_eq!(b.rows[m.row_start + r], reqs[m.req].targets[pos]);
+                    assert_eq!(b.rows[row], reqs[m.req].targets[pos]);
                     assert!(seen.insert((m.req, pos)), "position written twice");
                 }
             }
@@ -1115,8 +1103,8 @@ mod tests {
         for batch in plan_batches(cluster, requests, cfg) {
             let result = cluster.run_batch(batch.shard, &batch.rows).unwrap();
             for m in &batch.members {
-                for (r, &pos) in m.positions.iter().enumerate() {
-                    let src = result.outputs.row(m.row_start + r);
+                for row in m.rows.clone() {
+                    let (src, pos) = (result.outputs.row(row), batch.positions[row]);
                     for (c, v) in src.iter().enumerate() {
                         outputs[m.req][pos * k + c] = v.to_bits();
                     }
@@ -1126,8 +1114,116 @@ mod tests {
         outputs
     }
 
+    /// The batcher as first written — per shard, a pass over every
+    /// request that collects the shard's slice and each member's
+    /// positions — kept as the reference [`plan_batches`] must equal. Each
+    /// batch reads `(shard, seq, ready, rows, [(request, positions)])`.
+    type OracleBatch = (usize, usize, u64, Vec<u32>, Vec<(usize, Vec<usize>)>);
+
+    fn plan_batches_oracle(
+        cluster: &Cluster,
+        requests: &[Request],
+        cfg: &BatcherConfig,
+    ) -> Vec<OracleBatch> {
+        let plan = cluster.plan();
+        let mut all = Vec::new();
+        for shard in 0..plan.num_shards {
+            let mut batches: Vec<OracleBatch> = Vec::new();
+            let mut open: Option<OracleBatch> = None;
+            let mut first_arrival = 0u64;
+            for (req_idx, req) in requests.iter().enumerate() {
+                let mine: Vec<(usize, u32)> = req
+                    .targets
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &t)| plan.shard_of(t) == shard as u32)
+                    .map(|(p, &t)| (p, t))
+                    .collect();
+                if mine.is_empty() {
+                    continue;
+                }
+                if let Some(b) = open.take() {
+                    if req.arrival_cycle > first_arrival + cfg.max_wait_cycles {
+                        batches.push(b);
+                    } else {
+                        open = Some(b);
+                    }
+                }
+                let mut offset = 0usize;
+                while offset < mine.len() {
+                    let batch = open.get_or_insert_with(|| {
+                        first_arrival = req.arrival_cycle;
+                        let ready = first_arrival + cfg.max_wait_cycles;
+                        (shard, batches.len(), ready, Vec::new(), Vec::new())
+                    });
+                    let space = cfg.max_batch_rows.saturating_sub(batch.3.len()).max(1);
+                    let chunk = &mine[offset..mine.len().min(offset + space)];
+                    batch.3.extend(chunk.iter().map(|&(_, t)| t));
+                    batch
+                        .4
+                        .push((req_idx, chunk.iter().map(|&(p, _)| p).collect()));
+                    offset += chunk.len();
+                    if batch.3.len() >= cfg.max_batch_rows {
+                        let mut b = open.take().unwrap();
+                        b.2 = req.arrival_cycle;
+                        batches.push(b);
+                    }
+                }
+            }
+            batches.extend(open);
+            all.extend(batches);
+        }
+        all.sort_by_key(|b| (b.2, b.0, b.1));
+        all
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random streams — none at all, requests without targets, slices
+        /// interleaved across shards and split across batches, waits of 0,
+        /// arrivals at once and exactly at a deadline (gaps and waits are
+        /// multiples of one step) — fold into the oracle's batches, member
+        /// by member.
+        #[test]
+        fn one_pass_batching_equals_the_oracle(
+            picks in proptest::collection::vec(
+                (0u64..5, proptest::collection::vec(0u32..500, 0..9)),
+                0..40,
+            ),
+            shards in 1usize..6,
+            max_batch_rows in 0usize..9,
+            max_wait_steps in 0u64..7,
+        ) {
+            const STEP: u64 = 50_000;
+            let g = graph();
+            let f = features(&g, 2);
+            let mut arrival_cycle = 0;
+            let requests: Vec<Request> = picks
+                .into_iter()
+                .enumerate()
+                .map(|(id, (gap, mut targets))| {
+                    arrival_cycle += gap * STEP;
+                    let mut seen = std::collections::HashSet::new();
+                    targets.retain(|&t| seen.insert(t));
+                    Request { id: id as u64, arrival_cycle, targets }
+                })
+                .collect();
+            let max_wait_cycles = max_wait_steps * STEP;
+            let cfg = BatcherConfig { max_batch_rows, max_wait_cycles };
+            let plan = crate::shard::ShardPlan::new(&g, shards);
+            let cluster = Cluster::from_plan(plan, &f, 1, DeviceSpec::v100(), LinkSpec::nvlink());
+            let got: Vec<OracleBatch> = plan_batches(&cluster, &requests, &cfg)
+                .into_iter()
+                .map(|b| {
+                    let members = b.members.iter().map(|m| {
+                        (m.req, b.positions[m.rows.clone()].to_vec())
+                    });
+                    (b.shard, b.seq, b.ready, b.rows.clone(), members.collect())
+                })
+                .collect();
+            prop_assert_eq!(got, plan_batches_oracle(&cluster, &requests, &cfg));
+        }
 
         /// Random streams — none at all, requests without targets, targets
         /// on every shard, batches capped at a row or two — yield one
