@@ -17,8 +17,8 @@ use crate::experiments::{Effort, ExperimentOutput};
 use crate::runner::registry_graphs;
 use crate::table;
 use hpsparse_autotune::{
-    instantiate_sddmm, instantiate_spmm, sddmm_candidates, spmm_candidates, Candidate,
-    GraphFingerprint, PlanStrategy, Planner,
+    instantiate_sddmm, instantiate_spmm, measurement_features, sddmm_candidates, spmm_candidates,
+    Candidate, GraphFingerprint, PlanStrategy, Planner,
 };
 use hpsparse_core::traits::Launches;
 use hpsparse_datasets::store;
@@ -111,8 +111,8 @@ fn candidate_cycles(device: &DeviceSpec, s: &Hybrid, k: usize) -> CandidateCycle
 /// the SDDMM's transposed second operand.
 fn race_operands(s: &Hybrid, k: usize) -> (Dense, Dense) {
     (
-        crate::runner::bench_features(s.cols(), k),
-        crate::runner::bench_features(s.rows(), k),
+        measurement_features(s.cols(), k),
+        measurement_features(s.rows(), k),
     )
 }
 
@@ -262,7 +262,7 @@ pub fn collect_corpus(device: &DeviceSpec, effort: Effort, k: usize) -> CorpusRe
         .iter()
         .map(|g| {
             let s = g.to_hybrid();
-            let a = crate::runner::bench_features(s.cols(), k);
+            let a = measurement_features(s.cols(), k);
             (s, a)
         })
         .collect();

@@ -5,7 +5,6 @@ pub mod autotune;
 pub mod datasets_table;
 pub mod endtoend;
 pub mod extensions;
-pub mod fastcheck;
 pub mod formats;
 pub mod fullgraph;
 pub mod fused_mha;
@@ -174,8 +173,6 @@ pub static EXPERIMENTS: &[Experiment] = &[
         |e| autotune::run(&DeviceSpec::v100(), e, DEFAULT_K)),
     Experiment::new("verify", "memory safety: static proofs plus a sanitizer sweep over every kernel",
         |e| verify::run(&DeviceSpec::v100(), e)),
-    Experiment::new("fastcheck", "differential test: observed vs unobserved walk vs cost-only entry",
-        |e| fastcheck::run(&DeviceSpec::v100(), e)).not_in_all(),
     Experiment::new("profile", "Nsight-style kernel profiles on Flickr",
         |e| kernel_profile::run(e, DEFAULT_K)).deep_trace(),
     Experiment::new("datasets", "Table II stand-in verification", datasets_table::run).not_in_all(),

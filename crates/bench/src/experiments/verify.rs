@@ -6,11 +6,15 @@
 //! abstract interpreter, which returns a three-valued verdict per checker —
 //! `Proved`, `Refuted(counterexample)`, or `Unknown` — aggregated
 //! worst-over-variant. The same kernel's cost walk then runs on every
-//! full-graph registry dataset with an `hpsparse-sanitize` sink attached —
-//! the repo's analogue of running `compute-sanitizer --tool <each>` over
-//! the benchmark suite. A kernel passes when it is dynamically clean on
-//! every graph and not statically refuted; the prover's verdict never
-//! excuses a dynamic violation.
+//! full-graph registry dataset with a [`hpsparse_verify::Sanitizer`] sink
+//! attached — the repo's analogue of running `compute-sanitizer --tool
+//! <each>` over the benchmark suite. That sink makes the walk observed
+//! (every descriptor expands element-wise), so its `Launches` are the
+//! oracle of the unobserved walk every figure is priced by: one more
+//! unobserved walk per graph must report them exactly. A kernel passes
+//! when it is dynamically clean on every graph, its two walks agree, and it
+//! is not statically refuted; the prover's verdict never excuses a dynamic
+//! violation.
 //!
 //! Mutants: each seeded mutant of `hpsparse_core::mutants` must be
 //! statically refuted by exactly the checker its defect targets *and*
@@ -24,9 +28,9 @@ use crate::runner::registry_graphs;
 use crate::table;
 use hpsparse_core::catalog::{Row, KERNELS};
 use hpsparse_core::mutants;
-use hpsparse_sanitize::{sanitize_run, Report};
-use hpsparse_sim::{DeviceSpec, Property, SymbolicPlan};
-use hpsparse_verify::{verify_plan, CheckVerdict};
+use hpsparse_core::traits::Launches;
+use hpsparse_sim::{DeviceSpec, GpuSim, Property, SymbolicPlan};
+use hpsparse_verify::{sanitize_run, verify_plan, CheckVerdict, Report};
 use serde_json::{json, ToJson};
 
 /// Feature dimension of the dynamic runs: large enough to exercise
@@ -69,8 +73,11 @@ pub struct KernelVerdict {
     /// The sanitizer's totals across those graphs; `examples` keeps the
     /// first few violations, their kernel label suffixed `on <graph>`.
     pub dynamic: Report,
-    /// Names of graphs with any violation.
+    /// Names of graphs with any violation or walk divergence.
     pub failing_graphs: Vec<String>,
+    /// One line per graph whose unobserved walk reported other launches
+    /// than the observed one: both sides' cycles and DRAM bytes.
+    pub divergences: Vec<String>,
 }
 
 impl KernelVerdict {
@@ -83,9 +90,12 @@ impl KernelVerdict {
         self.checks().iter().all(|c| c.verdict.is_proved())
     }
 
-    /// Dynamically clean on every graph and not statically refuted?
+    /// Dynamically clean with agreeing walks on every graph, and not
+    /// statically refuted?
     pub fn passed(&self) -> bool {
-        self.dynamic.passed() && !self.checks().iter().any(|c| c.verdict.is_refuted())
+        self.dynamic.passed()
+            && self.divergences.is_empty()
+            && !self.checks().iter().any(|c| c.verdict.is_refuted())
     }
 }
 
@@ -122,8 +132,15 @@ fn aggregate(id: &str, plans: &[SymbolicPlan]) -> [CheckAgg; 3] {
     worst.map(|slot| slot.expect("plans is non-empty"))
 }
 
-/// Adds one graph's sanitizer report into `verdict`.
-fn fold(verdict: &mut KernelVerdict, graph: &str, report: &Report) {
+/// Adds one graph's sanitizer report and both walks' launches into
+/// `verdict`.
+fn fold(
+    verdict: &mut KernelVerdict,
+    graph: &str,
+    report: &Report,
+    observed: &Launches,
+    unobserved: &Launches,
+) {
     let total = &mut verdict.dynamic;
     verdict.graphs += 1;
     total.launches += report.launches;
@@ -136,7 +153,16 @@ fn fold(verdict: &mut KernelVerdict, graph: &str, report: &Report) {
     hpsparse_trace::counter_add("sanitize.violations.memcheck", report.memcheck);
     hpsparse_trace::counter_add("sanitize.violations.racecheck", report.racecheck);
     hpsparse_trace::counter_add("sanitize.violations.initcheck", report.initcheck);
-    if !report.passed() {
+    let diverged = observed != unobserved;
+    if diverged {
+        let side = |l: &Launches| format!("{} cycles, {} B DRAM", l.exec_cycles(), l.dram_bytes());
+        verdict.divergences.push(format!(
+            "walks diverge on {graph}: observed {} vs unobserved {}",
+            side(observed),
+            side(unobserved)
+        ));
+    }
+    if !report.passed() || diverged {
         verdict.failing_graphs.push(graph.to_string());
         for v in report.examples.iter().take(2) {
             if total.examples.len() < 6 {
@@ -150,8 +176,9 @@ fn fold(verdict: &mut KernelVerdict, graph: &str, report: &Report) {
 
 /// Every catalogue kernel's row: the static verdicts over all its planner
 /// variants, then its cost walk on every registry graph (capped at 8 000
-/// edges quick, 40 000 full), one fresh sanitized simulator per graph.
-/// The sink sees the cost walk's accesses, which are the full run's.
+/// edges quick, 40 000 full), once on a fresh sanitized simulator and once
+/// on a fresh unobserved one. The sink sees the cost walk's accesses,
+/// which are the full run's.
 pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelVerdict> {
     let graphs = registry_graphs(edge_cap(effort));
 
@@ -179,18 +206,24 @@ pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelVerdict> {
             graphs: 0,
             dynamic: Report::default(),
             failing_graphs: Vec::new(),
+            divergences: Vec::new(),
         };
         let _span = hpsparse_trace::span_with(
             &format!("sanitize:{id}"),
             &[("graphs", json!(graphs.len()))],
         );
         for (graph, s) in &graphs {
-            let report = sanitize_run(device.clone(), |sim| {
-                row.auto(device, s, K)
+            let kernel = row.auto(device, s, K);
+            let walk = |sim: &mut GpuSim| {
+                kernel
                     .cost_on(sim, s, K)
-                    .unwrap_or_else(|e| panic!("{id} on {graph}: {e:?}"));
-            });
-            fold(&mut verdict, graph, &report);
+                    .unwrap_or_else(|e| panic!("{id} on {graph}: {e:?}"))
+            };
+            let mut observed = None;
+            let report = sanitize_run(device.clone(), |sim| observed = Some(walk(sim)));
+            let observed = observed.expect("the sanitized walk ran");
+            let unobserved = walk(&mut GpuSim::new(device.clone()));
+            fold(&mut verdict, graph, &report, &observed, &unobserved);
         }
         verdict
     };
@@ -372,6 +405,9 @@ pub fn render(
         for e in &v.dynamic.examples {
             failing.push_str(&format!("    {e}\n"));
         }
+        for d in &v.divergences {
+            failing.push_str(&format!("    {d}\n"));
+        }
     }
     let examples: String = mutant_verdicts
         .iter()
@@ -484,6 +520,7 @@ mod tests {
             graphs: 19,
             dynamic,
             failing_graphs: Vec::new(),
+            divergences: Vec::new(),
         }
     }
 
@@ -526,6 +563,38 @@ mod tests {
             report: racecheck,
         };
         assert_eq!(failures(&[], &[wrong_checker]), ["m"]);
+    }
+
+    #[test]
+    fn the_gate_fails_when_the_unobserved_walk_diverges() {
+        let device = DeviceSpec::v100();
+        let s = mutants::mutant_test_graph();
+        let observed = KERNELS[0]
+            .auto(&device, &s, K)
+            .cost_on(&mut GpuSim::new(device.clone()), &s, K)
+            .unwrap();
+        let mut unobserved = observed.clone();
+        unobserved.exec[0].cycles += 1;
+
+        let clean = Report::default();
+        let mut agreeing = kernel(CheckVerdict::Proved, clean.clone());
+        fold(&mut agreeing, "g", &clean, &observed, &observed);
+        assert!(agreeing.passed() && agreeing.failing_graphs.is_empty());
+
+        let mut diverging = kernel(CheckVerdict::Proved, clean.clone());
+        fold(&mut diverging, "g", &clean, &observed, &unobserved);
+        assert!(diverging.dynamic.passed() && !diverging.passed());
+        assert_eq!(diverging.failing_graphs, ["g"]);
+        let diverging = [diverging];
+        let text = render(&device, Effort::Quick, &diverging, &[]).text;
+        let cycles = observed.exec_cycles();
+        let dram = observed.dram_bytes();
+        let line = format!(
+            "walks diverge on g: observed {cycles} cycles, {dram} B DRAM vs unobserved {} cycles, {dram} B DRAM",
+            cycles + 1
+        );
+        assert!(text.contains(&line), "{text}");
+        assert_eq!(failures(&diverging, &[]), ["k"]);
     }
 
     #[test]

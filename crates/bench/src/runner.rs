@@ -8,7 +8,7 @@ use hpsparse_core::traits::Launches;
 use hpsparse_datasets::store::{self, Memo};
 use hpsparse_datasets::{full_graph_dataset, registry};
 use hpsparse_sim::{DeviceSpec, GpuSim};
-use hpsparse_sparse::{Dense, Graph, Hybrid};
+use hpsparse_sparse::{Graph, Hybrid};
 use rayon::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -55,11 +55,6 @@ impl Record {
 pub fn contenders(op: Op) -> impl Iterator<Item = &'static catalog::Row> {
     let rows = catalog::KERNELS.iter();
     rows.filter(move |row| row.op == op && row.contender)
-}
-
-/// Deterministic feature matrix for kernel benchmarks.
-pub fn bench_features(rows: usize, k: usize) -> Dense {
-    Dense::from_fn(rows, k, |i, j| (((i * 131 + j * 17) % 1000) as f32) * 1e-3)
 }
 
 /// Measures `kernel` on input `graph` (`s`) at feature width `k`, cold. A

@@ -20,7 +20,7 @@ use hpsparse_datasets::store;
 use hpsparse_sim::{attribute, profile, DeviceSpec, GpuSim, LaunchReport};
 use hpsparse_sparse::Hybrid;
 
-/// Same edge cap as `fastcheck`'s quick effort.
+/// Registry graphs capped at 10 000 edges.
 const EDGE_CAP: usize = 10_000;
 const K: usize = 64;
 

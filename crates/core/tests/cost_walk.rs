@@ -8,6 +8,9 @@
 //!   from cold or warm (same declarations, same events) — and
 //!   leaves the simulator where the full run leaves it: the next allocation
 //!   lands at the same address and the next launch reports the same.
+//! * **Observed ≡ unobserved.** An attached sink, which expands every
+//!   descriptor element-wise, changes no cost: from cold and from warm, on
+//!   a V100 and on a 64 KiB L2, at any K in 1..70.
 //! * **The numerics routines are their documented order.** Each equals a
 //!   scalar, per-column transcription of that order at `to_bits`, with
 //!   `±0.0`, NaN and Inf planted in both operands.
@@ -155,6 +158,21 @@ fn prepared(device: &DeviceSpec, state: State) -> (GpuSim, Recorder) {
         }
     }
     (sim, recorder)
+}
+
+/// A V100 whose L2 holds 64 KiB, so a launch evicts lines it reuses.
+fn small_l2() -> DeviceSpec {
+    DeviceSpec {
+        l2_bytes: 64 << 10,
+        ..DeviceSpec::v100()
+    }
+}
+
+/// Costs indexed like [`STATES`]: the observed walk from each start
+/// (sink attached, every descriptor expanded) reports exactly what the
+/// unobserved walk from the same start does.
+fn observer_independent<C: PartialEq>(costs: &[C]) -> bool {
+    costs[0] == costs[2] && costs[1] == costs[3]
 }
 
 /// Everything observable about a simulator after an entry ran on it.
@@ -320,31 +338,44 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `cost_on` ≡ `run_on` minus the floats, from every simulator state,
-    /// and both leave the simulator in the same state.
+    /// and both leave the simulator in the same state; attaching a sink
+    /// changes no cost. Odd K defeats the vector fast paths, and the small
+    /// L2 evicts within one launch.
     #[test]
     fn cost_only_equals_the_full_run(
         (rows, cols, triplets) in sparse_matrix(),
         k in 1usize..70,
     ) {
-        let device = DeviceSpec::v100();
         let s = Hybrid::from_triplets(rows, cols, &triplets).unwrap();
         let a = planted(cols, k, k as u32, u32::MAX);
         let a1 = planted(rows, k, 7 + k as u32, u32::MAX);
-        for state in STATES {
+        for device in [DeviceSpec::v100(), small_l2()] {
             for kernel in spmm_kernels(&device, &s, k) {
-                let full = aftermath(&device, state, |sim| {
-                    kernel.run_on(sim, &s, &a).unwrap().into_cost()
-                });
-                let cost = aftermath(&device, state, |sim| kernel.cost_on(sim, &s, k).unwrap());
-                prop_assert_eq!(&cost, &full, "{} from {:?}", kernel.name(), state);
-                prop_assert_eq!(full.seen.is_empty(), !state.observed());
+                let mut costs = Vec::new();
+                for state in STATES {
+                    let full = aftermath(&device, state, |sim| {
+                        kernel.run_on(sim, &s, &a).unwrap().into_cost()
+                    });
+                    let cost =
+                        aftermath(&device, state, |sim| kernel.cost_on(sim, &s, k).unwrap());
+                    prop_assert_eq!(&cost, &full, "{} from {:?}", kernel.name(), state);
+                    prop_assert_eq!(full.seen.is_empty(), !state.observed());
+                    costs.push(cost.cost);
+                }
+                prop_assert!(observer_independent(&costs), "{}: {:?}", kernel.name(), costs);
             }
             for kernel in sddmm_kernels(&device, &s, k) {
-                let full = aftermath(&device, state, |sim| {
-                    kernel.run_on(sim, &s, &a1, &a).unwrap().into_cost()
-                });
-                let cost = aftermath(&device, state, |sim| kernel.cost_on(sim, &s, k).unwrap());
-                prop_assert_eq!(&cost, &full, "{} from {:?}", kernel.name(), state);
+                let mut costs = Vec::new();
+                for state in STATES {
+                    let full = aftermath(&device, state, |sim| {
+                        kernel.run_on(sim, &s, &a1, &a).unwrap().into_cost()
+                    });
+                    let cost =
+                        aftermath(&device, state, |sim| kernel.cost_on(sim, &s, k).unwrap());
+                    prop_assert_eq!(&cost, &full, "{} from {:?}", kernel.name(), state);
+                    costs.push(cost.cost);
+                }
+                prop_assert!(observer_independent(&costs), "{}: {:?}", kernel.name(), costs);
             }
         }
     }
@@ -367,9 +398,9 @@ proptest! {
         };
         let q: Vec<Dense> = (0..heads as u32).map(|h| planted(s.rows(), d, h, u32::MAX)).collect();
         let kv: Vec<Dense> = (0..heads as u32).map(|h| planted(600, d, 7 + h, u32::MAX)).collect();
-        let small_l2 = DeviceSpec { l2_bytes: 64 << 10, ..DeviceSpec::v100() };
-        for device in [DeviceSpec::v100(), small_l2] {
+        for device in [DeviceSpec::v100(), small_l2()] {
             for kernel in [HpFusedMha::auto(&device, &s, d), HpFusedMha::new(tiny)] {
+                let mut costs = Vec::new();
                 for state in STATES {
                     let full = aftermath(&device, state, |sim| {
                         kernel.run_on(sim, &s, &q, &kv, &kv).unwrap().launches
@@ -382,7 +413,9 @@ proptest! {
                     let spilled = HpFusedMha::spilled_rows(&s);
                     prop_assert_eq!(spilled, usize::from(hub > SMEM_SCORE_CAP));
                     prop_assert_eq!(spilled > 0, full.cost.exec.len() == 3);
+                    costs.push(cost.cost);
                 }
+                prop_assert!(observer_independent(&costs), "{:?}: {:?}", kernel.config, costs);
             }
         }
     }

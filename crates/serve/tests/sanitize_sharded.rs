@@ -7,10 +7,10 @@
 //! device's simulator checks every access of every launched kernel.
 
 use hpsparse_datasets::generators::{GeneratorConfig, Topology};
-use hpsparse_sanitize::Sanitizer;
 use hpsparse_serve::{serve, synthetic_workload, BatcherConfig, Cluster, WorkloadConfig};
 use hpsparse_sim::{DeviceSpec, LinkSpec};
 use hpsparse_sparse::Dense;
+use hpsparse_verify::Sanitizer;
 
 #[test]
 fn sharded_two_device_serving_passes_all_checkers() {

@@ -11,7 +11,9 @@
 //!
 //! There is one walk. Its one descriptor, the stepped gather, sorts its
 //! lanes once; an attached [`AccessSink`] expands it element-wise, and that
-//! observed walk is the oracle of the unobserved one (`repro fastcheck`).
+//! observed walk is the oracle of the unobserved one (`repro verify`'s
+//! sweep, `crates/core/tests/cost_walk.rs`, the root `kernel_catalog`
+//! test).
 //! Bodies run in global warp order, since the one LRU L2's hit/miss split
 //! depends on that order; they are cost walks, tally calls only.
 //! Parallelism lives above the launch, in the harness's graph × kernel
@@ -170,8 +172,8 @@ impl serde_json::ToJson for LaunchReport {
     /// Field-order-stable JSON: every struct field in declaration order
     /// (with `totals` nested), then the derived metrics. The exact shape
     /// is pinned by a golden test in `tests/report_json.rs` so a silent
-    /// field addition cannot slip past `fastcheck`'s field-for-field
-    /// equality unnoticed.
+    /// field addition cannot slip past the observed-vs-unobserved
+    /// field-for-field equality unnoticed.
     fn to_json(&self) -> serde_json::Value {
         serde_json::json!({
             "cycles": self.cycles,

@@ -11,7 +11,7 @@
 //! forwarding path is a single `Option` check per access — effectively
 //! free — so instrumentation never perturbs ordinary benchmark runs.
 //!
-//! The `hpsparse-sanitize` crate builds its memcheck / racecheck /
+//! `hpsparse-verify`'s sanitizer builds its memcheck / racecheck /
 //! initcheck pipeline on exactly this stream; [`Property`] names the three
 //! properties those checkers, the static prover and the seeded mutants
 //! share.

@@ -12,10 +12,11 @@
 //! [`global_gather_stepped`]: a whole family of lane gathers in one call,
 //! whose lane indices are sorted once instead of once per step. It
 //! reproduces the per-step gathers' counters bit for bit (asserted by
-//! `repro -- fastcheck`) against the one live [`SectorCache`] the tally
-//! borrows. Whenever an [`AccessSink`] is attached it expands into the
-//! per-step gathers, so the sink observes the exact per-event stream; that
-//! observed walk is the oracle the sorted path is checked against.
+//! `repro -- verify`'s sweep and `crates/core/tests/cost_walk.rs`) against
+//! the one live [`SectorCache`] the tally borrows. Whenever an
+//! [`AccessSink`] is attached it expands into the per-step gathers, so the
+//! sink observes the exact per-event stream; that observed walk is the
+//! oracle the sorted path is checked against.
 //! ([`gather_rows`] is not a descriptor: it is the loop of [`global_read`]
 //! calls it abbreviates.)
 //!
@@ -142,8 +143,8 @@ impl WarpCounters {
 impl serde_json::ToJson for WarpCounters {
     /// Field-order-stable JSON (declaration order). The shape is pinned by
     /// a golden test in `tests/report_json.rs`: adding a field without
-    /// updating the snapshot — and with it `fastcheck`'s field-for-field
-    /// equality — is a test failure, not a silent hole.
+    /// updating the snapshot — and with it the observed-vs-unobserved
+    /// field-for-field equality — is a test failure, not a silent hole.
     fn to_json(&self) -> serde_json::Value {
         serde_json::json!({
             "instructions": self.instructions,

@@ -1,7 +1,7 @@
 //! Golden snapshot of the `LaunchReport` / `WarpCounters` JSON shape.
 //!
-//! `repro -- fastcheck` relies on field-for-field `LaunchReport` equality
-//! between the observed and unobserved walks. A field added to the
+//! `repro -- verify`'s sweep and the cost-walk tests rely on field-for-field
+//! `LaunchReport` equality between the observed and unobserved walks. A field added to the
 //! struct but forgotten in that comparison would silently weaken the
 //! differential test; pinning the serialised shape here turns any field
 //! addition into a visible test failure that forces both this snapshot

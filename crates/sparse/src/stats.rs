@@ -30,23 +30,31 @@ pub struct DegreeStats {
 impl DegreeStats {
     /// Computes degree statistics from a CSR matrix.
     pub fn of(m: &Csr) -> Self {
-        let lens: Vec<usize> = (0..m.rows()).map(|r| m.row_len(r)).collect();
-        Self::from_row_lens(&lens)
+        Self::from_row_lens(m.rows(), m.nnz(), (0..m.rows()).map(|r| m.row_len(r)))
     }
 
     /// Computes the same statistics from a hybrid matrix's row indices —
     /// equal, field for field and bit for bit, to
-    /// `DegreeStats::of(&h.to_csr())` without copying the matrix.
+    /// `DegreeStats::of(&h.to_csr())` without copying the matrix. One pass
+    /// over the row indices, which every `Hybrid` constructor has checked
+    /// are sorted, so each row's elements are one run.
     pub fn of_hybrid(h: &Hybrid) -> Self {
-        let mut lens = vec![0usize; h.rows()];
-        for &r in h.row_indices() {
-            lens[r as usize] += 1;
-        }
-        Self::from_row_lens(&lens)
+        let row_ind = h.row_indices();
+        let mut next = 0;
+        let lens = (0..h.rows()).map(|r| {
+            let start = next;
+            while next < row_ind.len() && row_ind[next] as usize == r {
+                next += 1;
+            }
+            next - start
+        });
+        Self::from_row_lens(h.rows(), h.nnz(), lens)
     }
 
-    fn from_row_lens(lens: &[usize]) -> Self {
-        let rows = lens.len();
+    /// The statistics of `rows` row lengths summing to `nnz`, in one pass
+    /// and without storing them: the mean is known up front, so the
+    /// squared deviations are summed as they arrive, in row order.
+    fn from_row_lens(rows: usize, nnz: usize, lens: impl Iterator<Item = usize>) -> Self {
         if rows == 0 {
             return Self {
                 rows: 0,
@@ -58,24 +66,22 @@ impl DegreeStats {
                 cv: 0.0,
             };
         }
-        let nnz: usize = lens.iter().sum();
         let mean = nnz as f64 / rows as f64;
-        let var = lens
-            .iter()
-            .map(|&l| {
-                let d = l as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / rows as f64;
-        let std_dev = var.sqrt();
+        let (mut squares, mut min, mut max) = (0.0f64, usize::MAX, 0);
+        for l in lens {
+            let d = l as f64 - mean;
+            squares += d * d;
+            min = min.min(l);
+            max = max.max(l);
+        }
+        let std_dev = (squares / rows as f64).sqrt();
         Self {
             rows,
             nnz,
             mean,
             std_dev,
-            min: *lens.iter().min().unwrap(),
-            max: *lens.iter().max().unwrap(),
+            min,
+            max,
             cv: if mean > 0.0 { std_dev / mean } else { 0.0 },
         }
     }
@@ -114,6 +120,107 @@ impl MemoryFootprint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The two-pass statistics over materialised row lengths that
+    /// [`DegreeStats::from_row_lens`] replaced: its bits are the record.
+    fn oracle(lens: &[usize]) -> DegreeStats {
+        let rows = lens.len();
+        if rows == 0 {
+            return DegreeStats {
+                rows: 0,
+                nnz: 0,
+                mean: 0.0,
+                std_dev: 0.0,
+                min: 0,
+                max: 0,
+                cv: 0.0,
+            };
+        }
+        let nnz: usize = lens.iter().sum();
+        let mean = nnz as f64 / rows as f64;
+        let var = lens
+            .iter()
+            .map(|&l| {
+                let d = l as f64 - mean;
+                d * d
+            })
+            .sum::<f64>()
+            / rows as f64;
+        let std_dev = var.sqrt();
+        DegreeStats {
+            rows,
+            nnz,
+            mean,
+            std_dev,
+            min: *lens.iter().min().unwrap(),
+            max: *lens.iter().max().unwrap(),
+            cv: if mean > 0.0 { std_dev / mean } else { 0.0 },
+        }
+    }
+
+    /// Field-for-field equality, floats compared at `to_bits`.
+    fn same_bits(got: DegreeStats, want: DegreeStats) -> bool {
+        let bits = |s: DegreeStats| {
+            (
+                s.rows,
+                s.nnz,
+                s.min,
+                s.max,
+                [s.mean, s.std_dev, s.cv].map(f64::to_bits),
+            )
+        };
+        bits(got) == bits(want)
+    }
+
+    /// Both entries against the oracle on one matrix.
+    fn check(m: &Csr) {
+        let lens: Vec<usize> = (0..m.rows()).map(|r| m.row_len(r)).collect();
+        let want = oracle(&lens);
+        let (of, of_hybrid) = (DegreeStats::of(m), DegreeStats::of_hybrid(&m.to_hybrid()));
+        assert!(same_bits(of, want), "{lens:?}: {of:?} vs {want:?}");
+        assert!(
+            same_bits(of_hybrid, want),
+            "{lens:?}: {of_hybrid:?} vs {want:?}"
+        );
+    }
+
+    #[test]
+    fn one_pass_keeps_the_oracles_bits_on_edge_shapes() {
+        let hub: Vec<(u32, u32, f32)> = (0..50).map(|c| (2, c, 1.0)).collect();
+        let cases = [
+            skewed(),
+            Csr::from_triplets(0, 0, &[]).unwrap(),
+            Csr::from_triplets(0, 5, &[]).unwrap(),
+            Csr::from_triplets(4, 4, &[]).unwrap(),
+            // Leading and trailing empty rows.
+            Csr::from_triplets(6, 3, &[(2, 0, 1.0), (2, 1, 1.0), (3, 2, 1.0)]).unwrap(),
+            // One hub row among empty ones.
+            Csr::from_triplets(5, 50, &hub).unwrap(),
+        ];
+        for m in &cases {
+            check(m);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random shapes, rows drawn skewed so some are hubs and many are
+        /// empty: both one-pass entries equal the oracle at `to_bits`.
+        #[test]
+        fn one_pass_keeps_the_oracles_bits(
+            rows in 1usize..60,
+            cols in 1usize..60,
+            draws in proptest::collection::vec((0u32..1000, 0u32..1000), 0..300),
+        ) {
+            let triplets: Vec<(u32, u32, f32)> = draws
+                .iter()
+                .map(|&(r, c)| ((r * r / 1000) % rows as u32, c % cols as u32, 1.0))
+                .collect();
+            check(&Csr::from_triplets(rows, cols, &triplets).unwrap());
+        }
+    }
 
     fn skewed() -> Csr {
         // Row lengths 4, 0, 1, 3.
@@ -155,15 +262,6 @@ mod tests {
         let s = DegreeStats::of(&m);
         assert_eq!(s.rows, 0);
         assert_eq!(s.mean, 0.0);
-    }
-
-    #[test]
-    fn hybrid_row_indices_give_the_csr_statistics() {
-        let empty_rows = Csr::new(3, 2, vec![0, 0, 0, 0], vec![], vec![]).unwrap();
-        let no_rows = Csr::new(0, 0, vec![0], vec![], vec![]).unwrap();
-        for m in [skewed(), empty_rows, no_rows] {
-            assert_eq!(DegreeStats::of_hybrid(&m.to_hybrid()), DegreeStats::of(&m));
-        }
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! simulator's `AccessSink`: the global facade ([`current`], [`span`],
 //! [`counter_add`], …) is one relaxed atomic load when no session is
 //! installed, and `GpuSim` holds its tracer as an `Option` it tests once
-//! per launch. `repro -- fastcheck` and the self-timing baseline run with
-//! the subscriber detached and are unaffected.
+//! per launch. The self-timing baseline runs with the subscriber detached
+//! and is unaffected.
 //!
 //! # Determinism
 //!

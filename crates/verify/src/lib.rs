@@ -1,4 +1,6 @@
-//! Symbolic kernel verifier over the simulator's access-descriptor IR.
+//! Memory-safety judges for the simulated kernels: a symbolic verifier over
+//! the simulator's access-descriptor IR, and a dynamic sanitizer over its
+//! access-event stream.
 //!
 //! Kernels in `hpsparse-core` emit [`SymbolicPlan`]s — the same descriptor
 //! programs they drive the dynamic [`hpsparse_sim::WarpTally`] with, but
@@ -12,7 +14,13 @@
 //! Verdicts are three-valued ([`CheckVerdict`]): `Proved` (all obligations
 //! discharged by the [`Prover`]), `Refuted` (a concrete counterexample found
 //! by element-wise replay, see [`replay_all`]), or `Unknown` (neither — the
-//! dynamic sanitizer is then the only judge).
+//! dynamic [`Sanitizer`] is then the only judge).
+//!
+//! The [`Sanitizer`] is NVIDIA `compute-sanitizer`'s three tools rebuilt
+//! on an attached [`hpsparse_sim::AccessSink`]: **memcheck** (bounds and
+//! vector alignment), **racecheck** (conflicting non-atomic stores of two
+//! warps in one launch) and **initcheck** (loads of never-stored non-input
+//! memory). Replay judges a plan's accesses with the same checkers.
 //!
 //! A `Proved` verdict is *sound*: it implies the dynamic sanitizer passes
 //! on every graph. The `repro -- verify` experiment checks that claim
@@ -26,12 +34,14 @@ mod checks;
 mod prover;
 mod replay;
 mod report;
+mod sanitize;
 
 pub use prover::Prover;
 pub use replay::{
     replay, replay_all, ArmStrategy, DataPolicy, ReplayOutcome, POLICIES, SHAPES, STRATEGIES,
 };
 pub use report::{CheckVerdict, Counterexample, OobKind, PlanVerdict};
+pub use sanitize::{sanitize_run, Conflict, Report, Sanitizer, Violation};
 
 use hpsparse_sim::{Property, SymbolicPlan};
 

@@ -25,7 +25,7 @@
 //! counterparts.
 
 use crate::report::{Counterexample, OobKind};
-use hpsparse_sanitize::{Conflict, Sanitizer, Violation};
+use crate::sanitize::{Conflict, Sanitizer, Violation};
 use hpsparse_sim::{
     AccessEvent, AccessKind, AccessSink, BufferDecl, BufferRole, Distinct, Property, SymAccess,
     SymAccessKind, SymArm, SymBufferRole, SymExpr, SymOp, SymbolicPlan, VarKind,

@@ -3,7 +3,7 @@
 //! NVIDIA's `compute-sanitizer` catches three families of kernel bugs on
 //! real hardware: out-of-bounds / misaligned accesses (*memcheck*),
 //! unsynchronised conflicting writes (*racecheck*), and reads of memory
-//! nothing initialised (*initcheck*). This crate rebuilds all three on top
+//! nothing initialised (*initcheck*). This module rebuilds all three on top
 //! of the simulator's [`AccessSink`] stream, so every kernel in the
 //! workspace can be checked deterministically, in-process, with zero
 //! overhead when no sanitizer is attached.
@@ -11,7 +11,7 @@
 //! Usage mirrors attaching the real tool to a process:
 //!
 //! ```
-//! use hpsparse_sanitize::Sanitizer;
+//! use hpsparse_verify::Sanitizer;
 //! use hpsparse_sim::{DeviceSpec, GpuSim, KernelResources, LaunchConfig};
 //!
 //! let sanitizer = Sanitizer::new();
@@ -56,22 +56,15 @@
 //!
 //! # Relationship to the static verifier
 //!
-//! `hpsparse-verify` proves the same three properties *statically* from a
-//! kernel's symbolic plan. The `repro -- verify` experiment runs both on
-//! every kernel: a kernel passes when this crate finds no violation on any
-//! registry graph and the prover refutes nothing. A static `Unknown` says
-//! nothing about the kernel, only about the prover, so for it the
-//! sanitizer is the only judge. [`sanitize_run`] is the entry point the
-//! sweep uses.
-//!
-//! The verifier's refutations are this crate's verdicts too: its replay
-//! instantiates a plan at concrete shapes and emits every access into a
+//! The crate's prover checks the same three properties *statically* from a
+//! kernel's symbolic plan, and its replay emits a plan's accesses into a
 //! fresh [`Sanitizer`], so the checkers have two producers — a simulated
-//! kernel's stream and a plan's — and one set of rules.
+//! kernel's stream and a plan's — and one set of rules. `repro -- verify`
+//! runs both on every kernel through [`sanitize_run`]: a static `Unknown`
+//! says nothing about the kernel, only about the prover, so for it the
+//! sanitizer is the only judge.
 //!
 //! [`Input`]: hpsparse_sim::BufferRole::Input
-
-#![forbid(unsafe_code)]
 
 mod interval;
 mod report;
@@ -121,11 +114,6 @@ impl Sanitizer {
     /// Snapshot of the verdict so far.
     pub fn report(&self) -> Report {
         self.lock().report.clone()
-    }
-
-    /// Have any violations been observed yet?
-    pub fn passed(&self) -> bool {
-        self.lock().report.passed()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {

@@ -79,7 +79,7 @@ pub struct Report {
 
 impl Report {
     /// Total violations across all three checkers.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.memcheck + self.racecheck + self.initcheck
     }
 

@@ -1,19 +1,20 @@
 //! Tier-1 witness per kernel-catalogue row: the list is the sixteen kernels
 //! in the order `repro verify` prints them, and every row — on the mutant
-//! test graph, in well under a second — is sanitizer-clean, reports the
-//! same launches observed by the sanitizer as unobserved, and is statically
-//! proved at every planner variant; every seeded mutant is refuted on
-//! exactly its defect and flagged by exactly that dynamic checker.
-//! Unlaunchable HP configurations answer with a typed error.
+//! test graph, a power-law graph at K = 64 and a ragged 300-node graph — is
+//! sanitizer-clean, reports the same launches observed by the sanitizer as
+//! unobserved, and is statically proved at every planner variant; every
+//! seeded mutant is refuted on exactly its defect and flagged by exactly
+//! that dynamic checker. Unlaunchable HP configurations answer with a
+//! typed error.
 
+use hpsparse::datasets::generators::{GeneratorConfig, Topology};
 use hpsparse::kernels::baselines::{SDDMM_IDS, SPMM_IDS};
 use hpsparse::kernels::catalog::{Kernel, KERNELS};
 use hpsparse::kernels::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse::kernels::mutants::{all_mutants, mutant_test_graph};
 use hpsparse::sim::{DeviceSpec, GpuSim, Property};
-use hpsparse::sparse::FormatError;
-use hpsparse_sanitize::sanitize_run;
-use hpsparse_verify::{verify_plan, CheckVerdict};
+use hpsparse::sparse::{FormatError, Hybrid};
+use hpsparse_verify::{sanitize_run, verify_plan, CheckVerdict};
 
 const K: usize = 32;
 
@@ -41,25 +42,52 @@ fn the_catalogue_is_ours_then_the_registry_per_operation() {
     assert_eq!(ids, want);
 }
 
+/// A 300-node graph of about 3 000 edges with ragged rows.
+fn quick_graph() -> Hybrid {
+    let triplets: Vec<(u32, u32, f32)> = (0..3000u32)
+        .map(|i| {
+            (
+                i.wrapping_mul(2654435761) % 300,
+                (i * 13) % 300,
+                1.0 + (i % 5) as f32,
+            )
+        })
+        .collect();
+    Hybrid::from_triplets(300, 300, &triplets).unwrap()
+}
+
 #[test]
 fn every_row_is_clean_observer_independent_and_proved() {
     let device = DeviceSpec::v100();
-    let s = mutant_test_graph();
+    let power_law = GeneratorConfig {
+        nodes: 800,
+        edges: 8_000,
+        topology: Topology::PowerLaw { alpha: 2.1 },
+        seed: 8,
+    };
+    let inputs = [
+        ("mutant test graph", mutant_test_graph(), K),
+        ("power-law graph", power_law.generate().to_hybrid(), 64),
+        ("quick graph", quick_graph(), K),
+    ];
     for row in &KERNELS {
-        let kernel = row.auto(&device, &s, K);
-        // The sanitizer's walk is the observed walk: its sink expands every
-        // descriptor, so its launches are the oracle the unobserved walk is
-        // held to.
-        let mut observed = None;
-        let report = sanitize_run(device.clone(), |sim| {
-            observed = Some(kernel.cost_on(sim, &s, K).unwrap());
-        });
-        assert!(report.passed() && report.events > 0, "{}: {report}", row.id);
+        for (graph, s, k) in &inputs {
+            let kernel = row.auto(&device, s, *k);
+            // The sanitizer's walk is the observed walk: its sink expands
+            // every descriptor, so its launches are the oracle the
+            // unobserved walk is held to.
+            let mut observed = None;
+            let report = sanitize_run(device.clone(), |sim| {
+                observed = Some(kernel.cost_on(sim, s, *k).unwrap());
+            });
+            let what = format!("{} on the {graph} at K = {k}", row.id);
+            assert!(report.passed() && report.events > 0, "{what}: {report}");
 
-        let mut sim = GpuSim::new(device.clone());
-        let launches = kernel.cost_on(&mut sim, &s, K).unwrap();
-        assert_eq!(Some(&launches), observed.as_ref(), "{}", row.id);
-        assert!(launches.exec.iter().all(|r| r.cycles > 0), "{}", row.id);
+            let mut sim = GpuSim::new(device.clone());
+            let launches = kernel.cost_on(&mut sim, s, *k).unwrap();
+            assert_eq!(Some(&launches), observed.as_ref(), "{what}");
+            assert!(launches.exec.iter().all(|r| r.cycles > 0), "{what}");
+        }
 
         for variant in row.planner_variants() {
             let plans = variant.symbolic_plans();
@@ -100,6 +128,8 @@ fn every_mutant_is_caught_statically_and_dynamically_on_its_defect_alone() {
         let report = sanitize_run(DeviceSpec::v100(), |sim| {
             mutant.cost_on(sim, &s, K).unwrap();
         });
+        let named = report.examples.iter().all(|v| v.kernel == mutant.name());
+        assert!(named && !report.examples.is_empty(), "{report}");
         for p in Property::ALL {
             let flagged = report.count(p) > 0;
             assert_eq!(

@@ -12,7 +12,7 @@ use hpsparse::kernels::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse::kernels::{SddmmKernel, SpmmKernel};
 use hpsparse::sim::{DeviceSpec, GpuSim, LaunchReport};
 use hpsparse::sparse::{reference, Dense, Graph, Hybrid};
-use hpsparse_sanitize::sanitize_run;
+use hpsparse_verify::sanitize_run;
 
 fn test_graph(seed: u64, topology: Topology) -> Graph {
     GeneratorConfig {
@@ -179,10 +179,9 @@ fn simulated_kernels_are_deterministic() {
 
 #[test]
 fn cost_engines_report_identical_launches() {
-    // The Tier-1 witness of `repro fastcheck`'s 608-cell differential: a
-    // sanitized run, whose attached sink expands every descriptor, and an
-    // unobserved one agree field for field on the paper's two kernels and
-    // a row-per-warp baseline.
+    // A sanitized run, whose attached sink expands every descriptor, and
+    // an unobserved one agree field for field on the paper's two kernels
+    // and a row-per-warp baseline.
     let v100 = DeviceSpec::v100();
     let s = test_graph(8, Topology::PowerLaw { alpha: 2.1 }).to_hybrid();
     let (a, a1) = (features(s.cols(), 64, 0.2), features(s.rows(), 64, 0.4));
