@@ -13,6 +13,9 @@
 //! writes `BENCH_repro.json`, `perfdiff` compares two snapshots. `all`
 //! expands in place among other names (`all fused-mha` runs both), each
 //! experiment runs once, and an unknown name is refused before any runs.
+//! An experiment another one reads (`scorecard` reads seven) is not run
+//! again either: `Experiment::execute` keeps each output for the process,
+//! so `selftime` is meant to run in an invocation of its own.
 //!
 //! Experiment output on stdout is byte-identical at any `RAYON_NUM_THREADS`
 //! (timing chatter goes to stderr); `selftime` output is inherently
@@ -116,7 +119,7 @@ fn main() {
             std::fs::write(SELFTIME_RECORD, text)
                 .unwrap_or_else(|e| panic!("write {SELFTIME_RECORD}: {e}"));
             eprintln!("[wrote {SELFTIME_RECORD}]");
-            out
+            std::sync::Arc::new(out)
         } else {
             find(name)
                 .expect("`resolve` returns table rows")

@@ -13,13 +13,16 @@ pub mod ksweep;
 pub mod preprocessing;
 pub mod reordering;
 pub mod sampling;
+pub mod scorecard;
 pub mod selftime;
 pub mod serve;
 pub mod summary;
 pub mod variance;
 pub mod verify;
 
+use hpsparse_datasets::store::Memo;
 use hpsparse_sim::DeviceSpec;
+use std::sync::{Arc, OnceLock};
 
 /// A rendered experiment: human-readable text plus machine-readable JSON.
 pub struct ExperimentOutput {
@@ -124,15 +127,21 @@ impl Experiment {
     }
 
     /// Runs the experiment under its `experiment:<name>` span and stamps
-    /// the output with the row's name.
-    pub fn execute(&self, effort: Effort) -> ExperimentOutput {
-        let _span = hpsparse_trace::span_with(
-            &format!("experiment:{}", self.name),
-            &[("effort", serde_json::json!(effort.label()))],
-        );
-        let mut out = (self.run)(effort);
-        out.id = self.name;
-        out
+    /// the output with the row's name, once per (name, effort) per process:
+    /// a repeated call (`scorecard` reading its sources inside `all`)
+    /// returns the first run's `Arc`, as `runner::sweep` does for sweeps.
+    pub fn execute(&self, effort: Effort) -> Arc<ExperimentOutput> {
+        static RUNS: OnceLock<Memo<(&'static str, Effort), ExperimentOutput>> = OnceLock::new();
+        RUNS.get_or_init(Memo::default)
+            .get_or_build((self.name, effort), || {
+                let _span = hpsparse_trace::span_with(
+                    &format!("experiment:{}", self.name),
+                    &[("effort", serde_json::json!(effort.label()))],
+                );
+                let mut out = (self.run)(effort);
+                out.id = self.name;
+                out
+            })
     }
 }
 
@@ -175,6 +184,8 @@ pub static EXPERIMENTS: &[Experiment] = &[
         |e| verify::run(&DeviceSpec::v100(), e)),
     Experiment::new("profile", "Nsight-style kernel profiles on Flickr",
         |e| kernel_profile::run(e, DEFAULT_K)).deep_trace(),
+    Experiment::new("scorecard", "every paper claim against the gated view that measures it",
+        scorecard::run),
     Experiment::new("datasets", "Table II stand-in verification", datasets_table::run).not_in_all(),
     Experiment::new("serve", "multi-GPU sharded inference serving under synthetic load",
         serve::run).not_in_all().deep_trace(),
@@ -206,8 +217,10 @@ mod tests {
     }
 
     #[test]
-    fn execute_stamps_the_rows_name_on_the_output() {
-        let out = find("datasets").expect("a row").execute(Effort::Quick);
+    fn execute_stamps_the_rows_name_and_runs_once_per_effort() {
+        let row = find("datasets").expect("a row");
+        let out = row.execute(Effort::Quick);
         assert_eq!(out.id, "datasets");
+        assert!(Arc::ptr_eq(&out, &row.execute(Effort::Quick)));
     }
 }

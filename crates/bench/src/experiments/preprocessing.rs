@@ -2,6 +2,7 @@
 //! (ASpT, Sputnik, Merge-path, Huang's method) against HP-SpMM on Tesla
 //! A30; plus the §IV-C TC-GNN comparison on the RTX 3090.
 
+use crate::claims;
 use crate::experiments::{Effort, ExperimentOutput};
 use crate::runner::{measure_id, registry_graph};
 use crate::table;
@@ -68,15 +69,18 @@ pub fn run_tcgnn(effort: Effort, k: usize) -> ExperimentOutput {
     let (_, s) = registry_graph("Yelp", effort);
     let hp = measure_id("Yelp", "hp-spmm", &device, &s, k).exec_ms();
     let tc = measure_id("Yelp", "tcgnn", &device, &s, k).exec_ms();
+    let paper = claims::only("tcgnn");
     let text = format!(
         "§IV-C — low-precision Tensor-Core comparison on {} (Yelp, K = {k})\n\n\
          HP-SpMM : {} ms\n\
          TC-GNN  : {} ms ({} vs HP)\n\
-         (paper reports 8.28 ms vs 17.40 ms at full Yelp scale — 2.10x)\n",
+         (paper reports {} — {})\n",
         device.name,
         table::ms(hp),
         table::ms(tc),
         table::speedup(tc / hp),
+        paper.detail,
+        table::speedup(paper.figure().expect("§IV-C compares a figure")),
     );
     ExperimentOutput::new(
         text,

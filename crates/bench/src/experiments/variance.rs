@@ -1,8 +1,9 @@
 //! Fig. 12 — sensitivity to node-degree variance: HP-SpMM's speedup over
 //! GE-SpMM on ten graphs with average degree ≈ 23 and growing degree
-//! standard deviation, with Pearson's correlation (the paper reports
-//! r = 0.90).
+//! standard deviation, with Pearson's correlation (the paper's figure is
+//! the scorecard's Fig. 12 row in `claims::CLAIMS`).
 
+use crate::claims;
 use crate::experiments::{Effort, ExperimentOutput};
 use crate::runner::measure_id;
 use crate::table;
@@ -65,10 +66,13 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
         ]);
     }
     let r = pearson_r(&stds, &speedups);
+    let paper = claims::only("fig12")
+        .figure()
+        .expect("Fig. 12 compares a figure");
     let text = format!(
         "Fig. 12 — speedup over GE-SpMM vs degree standard deviation \
          ({nodes} nodes, avg degree ≈ 23, K = {k}, {})\n\n{}\nPearson's r = {:.2} \
-         (paper: 0.90)\n",
+         (paper: {paper:.2})\n",
         device.name,
         table::render(
             &[

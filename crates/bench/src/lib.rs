@@ -6,6 +6,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod claims;
 pub mod experiments;
 pub mod perfdiff;
 pub mod runner;

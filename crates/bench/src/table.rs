@@ -1,13 +1,15 @@
 //! Plain-text table rendering for the `repro` binary.
 
-/// Renders rows of equal length as an aligned ASCII table with a header.
+/// Renders rows of equal length as a table with a header, aligned by
+/// character count (a `×` or `✓` is one column, not its UTF-8 bytes).
 pub fn render(header: &[&str], rows: &[Vec<String>]) -> String {
     let cols = header.len();
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+    let width = |s: &str| s.chars().count();
+    let mut widths: Vec<usize> = header.iter().map(|h| width(h)).collect();
     for row in rows {
         assert_eq!(row.len(), cols, "row arity must match the header");
         for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.len());
+            *w = (*w).max(width(cell));
         }
     }
     let mut out = String::new();
@@ -15,7 +17,7 @@ pub fn render(header: &[&str], rows: &[Vec<String>]) -> String {
         for (i, cell) in cells.iter().enumerate() {
             out.push_str("| ");
             out.push_str(cell);
-            out.push_str(&" ".repeat(widths[i] - cell.len() + 1));
+            out.push_str(&" ".repeat(widths[i] - width(cell) + 1));
         }
         out.push_str("|\n");
     };
@@ -64,12 +66,14 @@ mod tests {
             &[
                 vec!["a".into(), "1.0".into()],
                 vec!["longer".into(), "2".into()],
+                vec!["✓".into(), "×2.50".into()],
             ],
         );
         let lines: Vec<&str> = t.lines().collect();
-        assert_eq!(lines.len(), 4);
-        // All lines have the same width.
-        assert!(lines.windows(2).all(|w| w[0].len() == w[1].len()));
+        assert_eq!(lines.len(), 5);
+        // All lines have the same width in characters.
+        let width = |l: &str| l.chars().count();
+        assert!(lines.windows(2).all(|w| width(w[0]) == width(w[1])));
         assert!(t.contains("| longer |"));
     }
 

@@ -4,10 +4,14 @@
 //! command that does not exist (or the reverse). DESIGN.md's kernel table
 //! is held to the kernel catalogue the same way, every extension row to a
 //! stated question, and every module path it names to the workspace's
-//! crates.
+//! crates. EXPERIMENTS.md's scorecard is the render of the committed quick
+//! views, so a refreshed view that flips a verdict fails here until the
+//! doc moves with it.
 
-use hpsparse_bench::experiments::EXPERIMENTS;
+use hpsparse_bench::claims::{Source, CLAIMS};
+use hpsparse_bench::experiments::{find, scorecard, Effort, EXPERIMENTS};
 use hpsparse_core::catalog::KERNELS;
+use serde_json::Value;
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
@@ -229,5 +233,79 @@ fn design_module_paths_exist() {
         missing.len(),
         checked.len(),
         missing.join("\n")
+    );
+}
+
+/// The committed `results/quick/<name>.json` view, if there is one.
+fn committed_quick_view(name: &str) -> Option<Value> {
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("../../results/quick/{name}.json"));
+    let text = fs::read_to_string(path).ok()?;
+    Some(serde_json::from_str(&text).unwrap_or_else(|e| panic!("{name}.json: {e}")))
+}
+
+#[test]
+fn every_claim_reads_a_committed_view_that_holds_its_value() {
+    for claim in CLAIMS {
+        match claim.source {
+            Source::View { view, .. } => {
+                let json = committed_quick_view(view).unwrap_or_else(|| {
+                    panic!(
+                        "`{}` reads `{view}`, which has no committed view",
+                        claim.claim
+                    )
+                });
+                let measured = claim
+                    .measure(&json)
+                    .unwrap_or_else(|| panic!("`{}` finds no value in {view}.json", claim.claim));
+                assert!(
+                    !measured.is_empty() && measured.iter().all(|m| m.is_finite()),
+                    "`{}` reads {measured:?} from {view}.json",
+                    claim.claim
+                );
+            }
+            Source::HostClock(exp) => {
+                assert!(
+                    find(exp).is_some(),
+                    "`{}` names no experiment `{exp}`",
+                    claim.claim
+                );
+                assert!(
+                    committed_quick_view(exp).is_none(),
+                    "`{exp}` runs on the host clock and has no gated view"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn experiments_md_scorecard_is_the_render_of_the_committed_views() {
+    let views: Vec<(&str, Value)> = EXPERIMENTS
+        .iter()
+        .filter_map(|e| Some((e.name, committed_quick_view(e.name)?)))
+        .collect();
+    let rendered = scorecard::render(Effort::Quick, |name| {
+        views
+            .iter()
+            .find(|(view, _)| *view == name)
+            .map(|(_, json)| json)
+    });
+    let doc = include_str!("../../../EXPERIMENTS.md");
+    let (begin, end) = ("<!-- scorecard -->", "<!-- /scorecard -->");
+    let start = doc
+        .find(begin)
+        .expect("EXPERIMENTS.md has a scorecard block")
+        + begin.len();
+    let stop = doc[start..].find(end).expect("the scorecard block ends") + start;
+    assert_eq!(
+        doc[start..stop].trim(),
+        rendered.text.trim(),
+        "EXPERIMENTS.md's scorecard is stale: paste `repro --quick scorecard`'s output"
+    );
+    let committed = committed_quick_view("scorecard").expect("scorecard.json is committed");
+    assert_eq!(
+        committed, rendered.json,
+        "results/quick/scorecard.json vs the committed views"
     );
 }

@@ -1,9 +1,10 @@
 //! Row-split SpMM (Yang, Buluç, Owens — Euro-Par'18, via GraphBLAST).
 //!
-//! The classic row-oriented design the paper reports the largest speedups
-//! over (10.85× average on V100). Rows map to warps with no splitting, no
-//! shared-memory staging and — the decisive weakness on feature matrices —
-//! per-lane scattered feature reads rather than warp-coalesced row loads.
+//! The classic row-oriented design the paper reports its largest speedups
+//! over (the Row-split rows of `repro scorecard`). Rows map to warps with
+//! no splitting, no shared-memory staging and — the decisive weakness on
+//! feature matrices — per-lane scattered feature reads rather than
+//! warp-coalesced row loads.
 
 use crate::baselines::common::{
     row_warp_cost, row_warp_symbolic_plan, whole_row_tasks, RowTaskKind, RowWarpSpec,

@@ -5,7 +5,7 @@
 //! blocks consumed by Tensor-Core MMA instructions. The padding inherent
 //! in condensation (a block is processed even when mostly zero) plus the
 //! per-block staging traffic is what lets HP-SpMM beat it on sparse graph
-//! matrices (8.28 ms vs 17.40 ms on Yelp, RTX 3090), even though the MMA
+//! matrices (the §IV-C row of `repro scorecard`), even though the MMA
 //! itself is fast.
 
 use crate::numerics::element_order;

@@ -3,9 +3,9 @@
 //! The paper selects 10 graphs from the graph-sampling dataset whose
 //! average node degree sits between 21 and 25 but whose degree standard
 //! deviations differ widely, then correlates speedup-over-GE-SpMM with the
-//! standard deviation (Pearson's r = 0.90). This module generates exactly
-//! such a family: fixed mean degree, log-normal degree spread swept from
-//! near-regular to heavily skewed.
+//! standard deviation (the Fig. 12 row of `repro scorecard`). This module
+//! generates exactly such a family: fixed mean degree, log-normal degree
+//! spread swept from near-regular to heavily skewed.
 
 use hpsparse_sparse::Graph;
 use rand::rngs::StdRng;

@@ -5,7 +5,7 @@
 //! seeds groups tightly connected nodes into consecutive id ranges without
 //! full modularity optimisation. Cheaper than pair merging, slower and less
 //! precise than GCR's Louvain clustering in the paper's §IV-D measurement
-//! (15.56 s vs 4.6 s on `proteins`).
+//! (the §IV-D row of `repro scorecard`).
 
 use crate::gcr::Reordered;
 use hpsparse_sparse::Graph;

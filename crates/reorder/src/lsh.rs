@@ -1,7 +1,7 @@
 //! Huang et al.'s locality reordering: LSH bucketing with Jaccard
 //! similarity and greedy pair merging (§III-C cites it as the
-//! time-consuming alternative GCR replaces — over 120 minutes on
-//! `proteins` versus GCR's 4.6 s).
+//! time-consuming alternative GCR replaces; the paper's runtimes are the
+//! §IV-D row of `repro scorecard`).
 //!
 //! Nodes are MinHash-signed over their neighbour sets, bucketed by
 //! signature band, and each bucket is ordered by greedy

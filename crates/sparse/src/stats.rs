@@ -2,8 +2,8 @@
 //!
 //! Degree variance is the paper's proxy for load imbalance (Fig. 12:
 //! speedup over node-parallel kernels correlates with the standard
-//! deviation of node degree, Pearson's r = 0.90), and the CSR-vs-COO
-//! storage comparison of §II motivates the hybrid format.
+//! deviation of node degree — the Fig. 12 row of `repro scorecard`), and
+//! the CSR-vs-COO storage comparison of §II motivates the hybrid format.
 
 use crate::csr::Csr;
 use crate::hybrid::Hybrid;
