@@ -180,7 +180,7 @@ pub static EXPERIMENTS: &[Experiment] = &[
     Experiment::new("table5", "end-to-end GNN training", endtoend::run),
     Experiment::new("autotune", "kernel-planner evaluation: oracle match + plan cache",
         |e| autotune::run(&DeviceSpec::v100(), e, DEFAULT_K)),
-    Experiment::new("verify", "memory safety: static proofs plus a sanitizer sweep over every kernel",
+    Experiment::new("verify", "memory safety: a sanitizer sweep over every kernel",
         |e| verify::run(&DeviceSpec::v100(), e)),
     Experiment::new("profile", "Nsight-style kernel profiles on Flickr",
         |e| kernel_profile::run(e, DEFAULT_K)).deep_trace(),

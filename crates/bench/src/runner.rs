@@ -188,12 +188,12 @@ impl BaselineStats {
         geomean(&self.speedups)
     }
 
-    /// Fraction of inputs where HP is at least as fast.
+    /// Fraction of inputs where HP is strictly faster; a tie is no win.
     pub fn win_rate(&self) -> f64 {
         if self.speedups.is_empty() {
             return 0.0;
         }
-        self.speedups.iter().filter(|&&s| s >= 1.0).count() as f64 / self.speedups.len() as f64
+        self.speedups.iter().filter(|&&s| s > 1.0).count() as f64 / self.speedups.len() as f64
     }
 }
 
@@ -329,9 +329,10 @@ mod tests {
         let st = BaselineStats {
             kernel: "x".into(),
             is_spmm: true,
+            // Two wins, a loss and a tie at the launch floor.
             speedups: vec![0.5, 1.0, 2.0, 3.0],
         };
-        assert!((st.win_rate() - 0.75).abs() < 1e-12);
+        assert!((st.win_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

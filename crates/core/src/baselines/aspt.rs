@@ -8,15 +8,11 @@
 //! panel.
 
 use crate::baselines::common::{
-    emit_row_warp_launch, host_pass_report, merge_reports, row_warp_cost, split_row_tasks,
-    RowTaskKind, RowWarpSpec,
+    host_pass_report, merge_reports, row_warp_cost, split_row_tasks, RowWarpSpec,
 };
 use crate::numerics::{segment_sums, Cut};
 use crate::traits::{KernelCost, SpmmKernel};
-use hpsparse_sim::{
-    Distinct, GpuSim, KernelResources, LaunchConfig, PlanBuilder, SymBufferRole, SymExpr,
-    SymbolicPlan,
-};
+use hpsparse_sim::{GpuSim, KernelResources, LaunchConfig};
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
 
 /// ASpT: adaptive 2-D tiling with dense/sparse panel split.
@@ -104,48 +100,6 @@ impl SpmmKernel for Aspt {
 
     fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
         segment_sums(s, a, Cut::PerRow(self.panel_rows))
-    }
-
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        let mut b = PlanBuilder::new(self.name(), &format!("panel={}", self.panel_rows));
-        let m = b.param("m", 1);
-        let n = b.param("n", 1);
-        let nnz = b.param("nnz", 1);
-        let k = b.param("k", 1);
-        let total = nnz.clone() * SymExpr::Const(2);
-        let src = b.buffer("csr_arrays", SymBufferRole::Input, total.clone());
-        let dst = b.buffer("panel_arrays", SymBufferRole::Scratch, total.clone());
-
-        let mut l = b.launch("rewrite");
-        let w = l.axis("w", nnz.clone().ceil_div(32));
-        let base = w * SymExpr::Const(32);
-        let lanes = SymExpr::Const(32).min(total.clone() - base.clone());
-        l.read(src, base, lanes.clone());
-        // The scatter stride is coprime with the element count, so the
-        // permuted positions are globally collision-free.
-        l.begin_for("lane", lanes);
-        let p = l.data(
-            "p",
-            SymExpr::Const(0),
-            total - SymExpr::Const(1),
-            Distinct::Global,
-            0,
-        );
-        l.write(dst, p, 1);
-        l.end_for();
-        l.done();
-
-        emit_row_warp_launch(
-            &mut b,
-            "exec",
-            &Self::spec(),
-            RowTaskKind::Split,
-            &m,
-            &n,
-            &nnz,
-            &k,
-        );
-        vec![b.build()]
     }
 }
 

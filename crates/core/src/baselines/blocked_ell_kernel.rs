@@ -14,10 +14,7 @@
 //! [`BlockedEll`] behind `accumulate` holds only the payload's non-zeros.
 
 use crate::traits::{check_spmm_dims, KernelCost, SpmmKernel, SpmmRun};
-use hpsparse_sim::{
-    GpuSim, KernelResources, LaunchConfig, LaunchReport, PlanBuilder, SymBufferRole, SymExpr,
-    SymbolicPlan,
-};
+use hpsparse_sim::{GpuSim, KernelResources, LaunchConfig, LaunchReport};
 use hpsparse_sparse::{BlockedEll, BlockedEllShape, Dense, FormatError, Hybrid};
 
 /// Blocked-ELL SpMM with a configurable block size.
@@ -121,55 +118,6 @@ impl SpmmKernel for CusparseBlockedEll {
             output: bell.spmm(a)?,
             preprocess: None,
         })
-    }
-
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        let blk = self.block.max(1) as i64;
-        let mut b = PlanBuilder::new(self.name(), &format!("block={blk}"));
-        let m = b.param("m", 1);
-        let n = b.param("n", 1);
-        let _nnz = b.param("nnz", 1);
-        let k = b.param("k", 1);
-        // Blocks per block-row after condensation: data-dependent, so a
-        // free parameter; the buffers are sized in terms of it, making the
-        // proofs hold for any width.
-        let width = b.param_with_default("width", 1, n.clone().ceil_div(blk));
-        let block_rows = m.clone().ceil_div(blk);
-        let payload_buf = b.buffer(
-            "ell_payload",
-            SymBufferRole::Input,
-            block_rows.clone() * width.clone() * SymExpr::Const(blk * blk),
-        );
-        let colidx_buf = b.buffer(
-            "ell_colidx",
-            SymBufferRole::Input,
-            block_rows.clone() * width.clone(),
-        );
-        let a_buf = b.buffer("A", SymBufferRole::Input, n.clone() * k.clone());
-        let o_buf = b.buffer("O", SymBufferRole::Output, m.clone() * k.clone());
-
-        let mut l = b.launch(self.name());
-        let slot = l.axis("slot", width.clone());
-        let br = l.axis("br", block_rows);
-        let idx = br.clone() * width + slot;
-        l.read(colidx_buf, idx.clone(), 1);
-        l.read(
-            payload_buf,
-            idx * SymExpr::Const(blk * blk),
-            SymExpr::Const(blk * blk),
-        );
-        let lc = l.begin_for("lc", SymExpr::Const(blk).min(n));
-        l.read(a_buf, lc * k.clone(), k.clone());
-        l.end_for();
-        let lr = l.begin_for(
-            "lr",
-            SymExpr::Const(blk).min(m - br.clone() * SymExpr::Const(blk)),
-        );
-        let r = br * SymExpr::Const(blk) + lr;
-        l.atomic(o_buf, r * k.clone(), k);
-        l.end_for();
-        l.done();
-        vec![b.build()]
     }
 }
 

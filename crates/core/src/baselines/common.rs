@@ -9,10 +9,7 @@
 //! all of them are [`crate::numerics::segment_sums`] with the tasks as
 //! segments ([`crate::numerics::Cut::PerRow`]).
 
-use hpsparse_sim::{
-    Distinct, GpuSim, KernelResources, LaunchConfig, LaunchReport, PlanBuilder, SymBufferRole,
-    SymExpr, SymbolicPlan,
-};
+use hpsparse_sim::{GpuSim, KernelResources, LaunchConfig, LaunchReport};
 use hpsparse_sparse::Csr;
 
 /// One warp-sized unit of row work: elements `start..end` of `row`.
@@ -238,177 +235,6 @@ pub fn row_warp_cost(
             tally.global_atomic(o_addr, k_width as u64 * 4);
         }
     })
-}
-
-/// How a row-warp kernel forms its tasks, for the symbolic plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RowTaskKind {
-    /// One task per row ([`whole_row_tasks`], possibly permuted): the task
-    /// axis has extent `m` and each task owns a distinct row.
-    Whole,
-    /// [`split_row_tasks`]: long rows split into atomic segments; whole
-    /// rows keep plain stores. Task count is a free parameter.
-    Split,
-}
-
-/// Symbolic plan of the [`row_warp_cost`] skeleton at one spec.
-///
-/// The feature access is modelled as one read of the full
-/// `A[c][k_base .. k_base+k_width)` span per element in both the coalesced
-/// and the gathered mode — the gathered mode's per-lane walk touches a
-/// subset of exactly that span, so the model over-approximates reads only
-/// (sound for bounds; reads don't race; `A` is an input, so init never
-/// applies).
-pub(crate) fn row_warp_symbolic_plan(
-    name: &str,
-    spec: &RowWarpSpec,
-    kind: RowTaskKind,
-) -> SymbolicPlan {
-    let mut b = PlanBuilder::new(
-        name,
-        &format!(
-            "vw={},et={},coarsen={}",
-            spec.vector_width.max(1),
-            spec.element_tile.max(1),
-            spec.k_coarsen.max(1)
-        ),
-    );
-    let m = b.param("m", 1);
-    let n = b.param("n", 1);
-    let nnz = b.param("nnz", 1);
-    let k = b.param("k", 1);
-    emit_row_warp_launch(&mut b, name, spec, kind, &m, &n, &nnz, &k);
-    b.build()
-}
-
-/// Emits the row-warp execution launch (with its buffers) into an open
-/// plan, so kernels with extra preprocessing launches (ASpT) can compose
-/// it. `m`/`n`/`nnz`/`k` are the caller's shape parameters.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn emit_row_warp_launch(
-    b: &mut PlanBuilder,
-    name: &str,
-    spec: &RowWarpSpec,
-    kind: RowTaskKind,
-    m: &SymExpr,
-    n: &SymExpr,
-    nnz: &SymExpr,
-    k: &SymExpr,
-) {
-    let vw = spec.vector_width.max(1) as i64;
-    let coarsen = spec.k_coarsen.max(1) as i64;
-    let kw = 32 * vw * coarsen; // feature columns per warp
-    let et = spec.element_tile.max(1) as i64;
-    let ts = et.min(32 * vw); // tile step in elements
-
-    let (m, n, nnz, k) = (m.clone(), n.clone(), nnz.clone(), k.clone());
-    let num_tasks = match kind {
-        RowTaskKind::Whole => m.clone(),
-        // Split task counts depend on the row-length distribution; a free
-        // parameter with an evaluator default of "no row was split".
-        RowTaskKind::Split => b.param_with_default("num_tasks", 1, m.clone()),
-    };
-    let off_buf = b.buffer(
-        "row_offsets",
-        SymBufferRole::Input,
-        m.clone() + SymExpr::Const(1),
-    );
-    let col_buf = b.buffer("col_ind", SymBufferRole::Input, nnz.clone());
-    let val_buf = b.buffer("values", SymBufferRole::Input, nnz.clone());
-    let a_buf = b.buffer("A", SymBufferRole::Input, n.clone() * k.clone());
-    let o_buf = b.buffer("O", SymBufferRole::Output, m.clone() * k.clone());
-
-    let mut l = b.launch(name);
-    let task = l.axis("task", num_tasks);
-    let kslice = l.axis("kslice", k.clone().ceil_div(kw));
-    let k_base = kslice * SymExpr::Const(kw);
-    let k_width = SymExpr::Const(kw).min(k.clone() - k_base.clone());
-
-    // The task's row and element segment, loaded from the offsets array.
-    let store = |l: &mut hpsparse_sim::LaunchBuilder<'_>, row: SymExpr, atomic: bool| {
-        let offset = row * k.clone() + k_base.clone();
-        if atomic {
-            l.atomic(o_buf, offset, k_width.clone());
-        } else {
-            l.write(o_buf, offset, k_width.clone());
-        }
-    };
-    let row_hi = m.clone() - SymExpr::Const(1);
-    match kind {
-        RowTaskKind::Whole => {
-            let row = l.data(
-                "row",
-                SymExpr::Const(0),
-                row_hi,
-                Distinct::ByVar(match task {
-                    SymExpr::Var(v) => v,
-                    _ => unreachable!(),
-                }),
-                0,
-            );
-            l.read(off_buf, row.clone(), SymExpr::Const(2));
-            store(&mut l, row, false);
-        }
-        RowTaskKind::Split => {
-            let task_var = match task {
-                SymExpr::Var(v) => v,
-                _ => unreachable!(),
-            };
-            l.begin_cases();
-            l.begin_arm(None); // whole row: plain store, row distinct per task
-            let row = l.data(
-                "row_whole",
-                SymExpr::Const(0),
-                row_hi.clone(),
-                Distinct::ByVar(task_var),
-                1,
-            );
-            l.read(off_buf, row.clone(), SymExpr::Const(2));
-            store(&mut l, row, false);
-            l.end_arm();
-            l.begin_arm(None); // split segment: atomic accumulation
-            let row = l.data("row_split", SymExpr::Const(0), row_hi, Distinct::No, 2);
-            l.read(off_buf, row.clone(), SymExpr::Const(2));
-            store(&mut l, row, true);
-            l.end_arm();
-            l.end_cases();
-        }
-    }
-
-    let seg_start = l.data("seg_start", SymExpr::Const(0), nnz.clone(), Distinct::No, 0);
-    let seg_len = l.data(
-        "seg_len",
-        SymExpr::Const(0),
-        nnz.clone() - seg_start.clone(),
-        Distinct::No,
-        0,
-    );
-    let t = l.begin_for("t", seg_len.clone().ceil_div(ts));
-    let i = seg_start + t.clone() * SymExpr::Const(ts);
-    let tile_len = SymExpr::Const(ts).min(seg_len - t * SymExpr::Const(ts));
-    // Fixed-tile kernels (element_tile > 32) over-fetch the whole aligned
-    // tile — Sputnik's 1-D tile waste — clamped to the end of the arrays.
-    let load_len = if et > 32 {
-        SymExpr::Const(et)
-            .min(nnz.clone() - i.clone())
-            .max(tile_len.clone())
-    } else {
-        tile_len.clone()
-    };
-    l.read(col_buf, i.clone(), load_len.clone());
-    l.read(val_buf, i, load_len);
-    l.begin_for("e", tile_len);
-    let c = l.data(
-        "c",
-        SymExpr::Const(0),
-        n - SymExpr::Const(1),
-        Distinct::No,
-        0,
-    );
-    l.read(a_buf, c * k + k_base, k_width);
-    l.end_for();
-    l.end_for();
-    l.done();
 }
 
 /// Synthesises a [`LaunchReport`] for host-side preprocessing (sorting,

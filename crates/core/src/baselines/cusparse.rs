@@ -9,15 +9,10 @@
 //! the CSR SDDMM walks `A2` column-wise (`K × N` layout, §II's Algorithm 2
 //! indexing), which is why the paper beats it by an order of magnitude.
 
-use crate::baselines::common::{
-    merge_reports, row_warp_cost, row_warp_symbolic_plan, split_row_tasks, RowTaskKind, RowWarpSpec,
-};
+use crate::baselines::common::{merge_reports, row_warp_cost, split_row_tasks, RowWarpSpec};
 use crate::numerics::{element_order, segment_sums, Cut};
 use crate::traits::{KernelCost, SddmmKernel, SpmmKernel};
-use hpsparse_sim::{
-    Distinct, GpuSim, KernelResources, LaunchConfig, PlanBuilder, SymBufferRole, SymExpr,
-    SymbolicPlan,
-};
+use hpsparse_sim::{GpuSim, KernelResources, LaunchConfig};
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
 
 /// cuSPARSE CSR SpMM, algorithm 2: row-oriented warps with long rows split
@@ -58,14 +53,6 @@ impl SpmmKernel for CusparseCsrAlg2 {
 
     fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
         segment_sums(s, a, Cut::PerRow(Self::SPLIT))
-    }
-
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        // The vector width is chosen from the runtime K; verify both.
-        [1, 2]
-            .into_iter()
-            .map(|vw| row_warp_symbolic_plan(self.name(), &Self::spec(vw), RowTaskKind::Split))
-            .collect()
     }
 }
 
@@ -187,77 +174,6 @@ impl SpmmKernel for CusparseCsrAlg3 {
     fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
         element_order(s, a)
     }
-
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        let mut b = PlanBuilder::new(self.name(), "chunk=256");
-        let m = b.param("m", 1);
-        let n = b.param("n", 1);
-        let nnz = b.param("nnz", 1);
-        let k = b.param("k", 1);
-        // Binary-search depth over the row offsets. Only the probe target
-        // matters for safety, so the depth stays a free parameter.
-        let log_m = b.param("log_m", 1);
-        let chunks = nnz.clone().ceil_div(256);
-        let off_buf = b.buffer(
-            "row_offsets",
-            SymBufferRole::Input,
-            m.clone() + SymExpr::Const(1),
-        );
-        let part_buf = b.buffer("partition", SymBufferRole::Scratch, chunks.clone());
-        let row_buf = b.buffer("row_ind", SymBufferRole::Input, nnz.clone());
-        let col_buf = b.buffer("col_ind", SymBufferRole::Input, nnz.clone());
-        let val_buf = b.buffer("values", SymBufferRole::Input, nnz.clone());
-        let a_buf = b.buffer("A", SymBufferRole::Input, n.clone() * k.clone());
-        let o_buf = b.buffer("O", SymBufferRole::Output, m.clone() * k.clone());
-
-        let mut l = b.launch("partition");
-        let w = l.axis("w", chunks.clone().ceil_div(32));
-        l.begin_for("step", log_m);
-        let probe = l.data("probe", SymExpr::Const(0), m.clone(), Distinct::No, 0);
-        l.read(off_buf, probe, 1);
-        l.end_for();
-        // The last warp's store is clamped to the real extent.
-        let first = w * SymExpr::Const(32);
-        l.write(
-            part_buf,
-            first.clone(),
-            SymExpr::Const(32).min(chunks.clone() - first),
-        );
-        l.done();
-
-        let mut l = b.launch("exec");
-        let chunk = l.axis("chunk", chunks.clone());
-        let kslice = l.axis("kslice", k.clone().ceil_div(32));
-        let k_base = kslice * SymExpr::Const(32);
-        let k_width = SymExpr::Const(32).min(k.clone() - k_base.clone());
-        l.read(part_buf, chunk.clone(), 1);
-        let start = chunk * SymExpr::Const(256);
-        let tile_len = SymExpr::Const(256).min(nnz - start.clone());
-        let j = l.begin_for("j", tile_len);
-        let e = start + j;
-        l.read(row_buf, e.clone(), 1);
-        l.read(col_buf, e.clone(), 1);
-        l.read(val_buf, e, 1);
-        let c = l.data(
-            "c",
-            SymExpr::Const(0),
-            n - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
-        l.read(a_buf, c * k.clone() + k_base.clone(), k_width.clone());
-        let r = l.data(
-            "r",
-            SymExpr::Const(0),
-            m - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
-        l.atomic(o_buf, r * k + k_base, k_width);
-        l.end_for();
-        l.done();
-        vec![b.build()]
-    }
 }
 
 /// cuSPARSE COO SpMM, algorithm 4: element-parallel warps over the COO
@@ -335,51 +251,6 @@ impl SpmmKernel for CusparseCooAlg4 {
 
     fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
         element_order(s, a)
-    }
-
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        let mut b = PlanBuilder::new(self.name(), "tile=32");
-        let m = b.param("m", 1);
-        let n = b.param("n", 1);
-        let nnz = b.param("nnz", 1);
-        let k = b.param("k", 1);
-        let chunks = nnz.clone().ceil_div(32);
-        let row_buf = b.buffer("row_ind", SymBufferRole::Input, nnz.clone());
-        let col_buf = b.buffer("col_ind", SymBufferRole::Input, nnz.clone());
-        let val_buf = b.buffer("values", SymBufferRole::Input, nnz.clone());
-        let a_buf = b.buffer("A", SymBufferRole::Input, n.clone() * k.clone());
-        let o_buf = b.buffer("O", SymBufferRole::Output, m.clone() * k.clone());
-
-        let mut l = b.launch(self.name());
-        let chunk = l.axis("chunk", chunks);
-        let kslice = l.axis("kslice", k.clone().ceil_div(32));
-        let k_base = kslice * SymExpr::Const(32);
-        let k_width = SymExpr::Const(32).min(k.clone() - k_base.clone());
-        let start = chunk * SymExpr::Const(32);
-        let tile_len = SymExpr::Const(32).min(nnz - start.clone());
-        l.read(row_buf, start.clone(), tile_len.clone());
-        l.read(col_buf, start.clone(), tile_len.clone());
-        l.read(val_buf, start, tile_len.clone());
-        l.begin_for("j", tile_len);
-        let c = l.data(
-            "c",
-            SymExpr::Const(0),
-            n - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
-        l.read(a_buf, c * k.clone() + k_base.clone(), k_width.clone());
-        let r = l.data(
-            "r",
-            SymExpr::Const(0),
-            m - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
-        l.atomic(o_buf, r * k + k_base, k_width);
-        l.end_for();
-        l.done();
-        vec![b.build()]
     }
 }
 
@@ -470,71 +341,6 @@ impl SddmmKernel for CusparseCsrSddmm {
             report,
             preprocess: None,
         })
-    }
-
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        let mut b = PlanBuilder::new(self.name(), "split=256");
-        let m = b.param("m", 1);
-        let n = b.param("n", 1);
-        let nnz = b.param("nnz", 1);
-        let k = b.param("k", 1);
-        // Task count depends on the row-length distribution; default to
-        // one whole-row task per row for the evaluator.
-        let num_tasks = b.param_with_default("num_tasks", 1, m.clone());
-        let off_buf = b.buffer(
-            "row_offsets",
-            SymBufferRole::Input,
-            m.clone() + SymExpr::Const(1),
-        );
-        let col_buf = b.buffer("col_ind", SymBufferRole::Input, nnz.clone());
-        let val_buf = b.buffer("values", SymBufferRole::Input, nnz.clone());
-        let a1_buf = b.buffer("A1", SymBufferRole::Input, m.clone() * k.clone());
-        let a2_buf = b.buffer("A2", SymBufferRole::Input, k.clone() * n.clone());
-        let so_buf = b.buffer("S_O", SymBufferRole::Output, nnz.clone());
-
-        let mut l = b.launch(self.name());
-        let task = l.axis("task", num_tasks);
-        let row = l.data(
-            "row",
-            SymExpr::Const(0),
-            m - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
-        l.read(off_buf, row.clone(), 2);
-        l.read(a1_buf, row * k.clone(), k.clone());
-        let seg_start = l.data("seg_start", SymExpr::Const(0), nnz.clone(), Distinct::No, 0);
-        let seg_len = l.data(
-            "seg_len",
-            SymExpr::Const(0),
-            nnz - seg_start.clone(),
-            Distinct::No,
-            0,
-        );
-        let t = l.begin_for("t", seg_len.clone().ceil_div(32));
-        let i = seg_start + t.clone() * SymExpr::Const(32);
-        let tile_len = SymExpr::Const(32).min(seg_len - t * SymExpr::Const(32));
-        l.read(col_buf, i.clone(), tile_len.clone());
-        l.read(val_buf, i.clone(), tile_len.clone());
-        // The K-step column gather: at step s the lanes read A2[s][c].
-        let s = l.begin_for("s", k.clone());
-        let c = l.data(
-            "c",
-            SymExpr::Const(0),
-            n.clone() - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
-        l.read(a2_buf, c + s * n, 1);
-        l.end_for();
-        // Per-element outputs: split_row_tasks hands each task a disjoint
-        // element segment, so the task axis owns its stores.
-        let j = l.begin_for("j", tile_len);
-        l.write_excl(so_buf, i + j, 1, task.clone());
-        l.end_for();
-        l.end_for();
-        l.done();
-        vec![b.build()]
     }
 }
 

@@ -8,10 +8,7 @@
 //! which over-subscribes the scheduler on big graphs.
 
 use crate::traits::{KernelCost, SddmmKernel};
-use hpsparse_sim::{
-    Distinct, GpuSim, KernelResources, LaunchConfig, PlanBuilder, SymBufferRole, SymExpr,
-    SymbolicPlan,
-};
+use hpsparse_sim::{GpuSim, KernelResources, LaunchConfig};
 use hpsparse_sparse::{FormatError, Hybrid};
 
 /// DGL-SDDMM: edge-parallel SDDMM.
@@ -69,45 +66,6 @@ impl SddmmKernel for DglSddmm {
             report,
             preprocess: None,
         })
-    }
-
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        let mut b = PlanBuilder::new(self.name(), "edge-parallel");
-        let m = b.param("m", 1);
-        let n = b.param("n", 1);
-        let nnz = b.param("nnz", 1);
-        let k = b.param("k", 1);
-        let row_buf = b.buffer("row_ind", SymBufferRole::Input, nnz.clone());
-        let col_buf = b.buffer("col_ind", SymBufferRole::Input, nnz.clone());
-        let val_buf = b.buffer("values", SymBufferRole::Input, nnz.clone());
-        let a1_buf = b.buffer("A1", SymBufferRole::Input, m.clone() * k.clone());
-        let a2_buf = b.buffer("A2T", SymBufferRole::Input, n.clone() * k.clone());
-        let so_buf = b.buffer("S_O", SymBufferRole::Output, nnz.clone());
-
-        let mut l = b.launch(self.name());
-        let j = l.axis("j", nnz);
-        l.read(row_buf, j.clone(), 1);
-        l.read(col_buf, j.clone(), 1);
-        l.read(val_buf, j.clone(), 1);
-        let r = l.data(
-            "r",
-            SymExpr::Const(0),
-            m - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
-        l.read(a1_buf, r * k.clone(), k.clone());
-        let c = l.data(
-            "c",
-            SymExpr::Const(0),
-            n - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
-        l.read(a2_buf, c * k.clone(), k);
-        l.write(so_buf, j, 1);
-        l.done();
-        vec![b.build()]
     }
 }
 

@@ -7,12 +7,10 @@
 //! directly from the degree distribution, which is why the paper's Fig. 12
 //! correlates HP-SpMM's speedup over GE-SpMM with degree variance.
 
-use crate::baselines::common::{
-    row_warp_cost, row_warp_symbolic_plan, whole_row_tasks, RowTaskKind, RowWarpSpec,
-};
+use crate::baselines::common::{row_warp_cost, whole_row_tasks, RowWarpSpec};
 use crate::numerics::{segment_sums, Cut};
 use crate::traits::{KernelCost, SpmmKernel};
-use hpsparse_sim::{GpuSim, SymbolicPlan};
+use hpsparse_sim::GpuSim;
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
 
 /// GE-SpMM: node-parallel SpMM with shared-memory sparse-data reuse.
@@ -53,14 +51,6 @@ impl SpmmKernel for GeSpmm {
 
     fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
         segment_sums(s, a, Cut::PerRow(usize::MAX))
-    }
-
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        vec![row_warp_symbolic_plan(
-            self.name(),
-            &Self::spec(),
-            RowTaskKind::Whole,
-        )]
     }
 }
 

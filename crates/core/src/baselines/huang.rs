@@ -7,13 +7,10 @@
 //! pass itself — the slowest preprocessing in the paper's Table IV
 //! (73 ms on AM, 28× its own execution time).
 
-use crate::baselines::common::{
-    host_pass_report, row_warp_cost, row_warp_symbolic_plan, split_row_tasks, RowTaskKind,
-    RowWarpSpec,
-};
+use crate::baselines::common::{host_pass_report, row_warp_cost, split_row_tasks, RowWarpSpec};
 use crate::numerics::{segment_sums, Cut};
 use crate::traits::{KernelCost, SpmmKernel};
-use hpsparse_sim::{GpuSim, SymbolicPlan};
+use hpsparse_sim::GpuSim;
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
 
 /// Huang's neighbour-grouping SpMM.
@@ -61,14 +58,6 @@ impl SpmmKernel for Huang {
 
     fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
         segment_sums(s, a, Cut::PerRow(self.group_size))
-    }
-
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        vec![row_warp_symbolic_plan(
-            self.name(),
-            &Self::spec(),
-            RowTaskKind::Split,
-        )]
     }
 }
 

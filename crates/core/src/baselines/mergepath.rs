@@ -9,11 +9,9 @@
 //! dynamic graph-sampling workloads cannot amortise (Table IV).
 
 use crate::hp::config::HpConfig;
-use crate::hp::spmm::{emit_hp_spmm_launch, HpSpmm};
+use crate::hp::spmm::HpSpmm;
 use crate::traits::{KernelCost, SpmmKernel};
-use hpsparse_sim::{
-    Distinct, GpuSim, KernelResources, LaunchConfig, PlanBuilder, SymBufferRole, SymExpr,
-};
+use hpsparse_sim::{GpuSim, KernelResources, LaunchConfig};
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
 
 /// Merge-path: balanced chunks via binary-search preprocessing.
@@ -102,43 +100,6 @@ impl SpmmKernel for MergePath {
 
     fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
         self.exec().accumulate(s, a)
-    }
-
-    fn symbolic_plans(&self) -> Vec<hpsparse_sim::SymbolicPlan> {
-        let seg = self.items_per_segment.max(1) as i64;
-        let mut b = PlanBuilder::new(self.name(), &format!("seg={seg}"));
-        let m = b.param("m", 1);
-        let n = b.param("n", 1);
-        let nnz = b.param("nnz", 1);
-        let k = b.param("k", 1);
-        // Binary-search depth: safety depends only on the probe target.
-        let log_m = b.param("log_m", 1);
-        let segments = nnz.clone().ceil_div(seg);
-        let off_buf = b.buffer(
-            "row_offsets",
-            SymBufferRole::Input,
-            m.clone() + SymExpr::Const(1),
-        );
-        let seg_buf = b.buffer("segment_rows", SymBufferRole::Scratch, segments.clone());
-
-        let mut l = b.launch("partition");
-        let w = l.axis("w", segments.clone().ceil_div(32));
-        l.begin_for("step", log_m);
-        let probe = l.data("probe", SymExpr::Const(0), m.clone(), Distinct::No, 0);
-        l.read(off_buf, probe, 1);
-        l.end_for();
-        // The last warp's store is clamped to the real extent.
-        let first = w * SymExpr::Const(32);
-        l.write(
-            seg_buf,
-            first.clone(),
-            SymExpr::Const(32).min(segments - first),
-        );
-        l.done();
-
-        // The execution phase reuses the HP skeleton at the segment size.
-        emit_hp_spmm_launch(&mut b, "exec", self.exec().config, &m, &n, &nnz, &k);
-        vec![b.build()]
     }
 }
 

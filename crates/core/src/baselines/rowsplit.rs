@@ -6,12 +6,10 @@
 //! feature matrices — per-lane scattered feature reads rather than
 //! warp-coalesced row loads.
 
-use crate::baselines::common::{
-    row_warp_cost, row_warp_symbolic_plan, whole_row_tasks, RowTaskKind, RowWarpSpec,
-};
+use crate::baselines::common::{row_warp_cost, whole_row_tasks, RowWarpSpec};
 use crate::numerics::{segment_sums, Cut};
 use crate::traits::{KernelCost, SpmmKernel};
-use hpsparse_sim::{GpuSim, SymbolicPlan};
+use hpsparse_sim::GpuSim;
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
 
 /// Row-split: row-per-warp SpMM with uncoalesced feature access.
@@ -46,14 +44,6 @@ impl SpmmKernel for RowSplit {
 
     fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
         segment_sums(s, a, Cut::PerRow(usize::MAX))
-    }
-
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        vec![row_warp_symbolic_plan(
-            self.name(),
-            &Self::spec(),
-            RowTaskKind::Whole,
-        )]
     }
 }
 

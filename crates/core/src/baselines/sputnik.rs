@@ -8,13 +8,10 @@
 //! graph-sampling training — both effects the paper measures (Table IV:
 //! preprocessing up to 26× execution on AM).
 
-use crate::baselines::common::{
-    host_pass_report, row_warp_cost, row_warp_symbolic_plan, whole_row_tasks, RowTaskKind,
-    RowWarpSpec,
-};
+use crate::baselines::common::{host_pass_report, row_warp_cost, whole_row_tasks, RowWarpSpec};
 use crate::numerics::{segment_sums, Cut};
 use crate::traits::{KernelCost, SpmmKernel};
-use hpsparse_sim::{GpuSim, SymbolicPlan};
+use hpsparse_sim::GpuSim;
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
 
 /// Sputnik: 1-D tiled SpMM with row-sorting preprocessing.
@@ -70,16 +67,6 @@ impl SpmmKernel for Sputnik {
     /// on its own: the processing order never reaches a float.
     fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
         segment_sums(s, a, Cut::PerRow(usize::MAX))
-    }
-
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        // The row sort is a permutation: each task still owns a distinct
-        // row, so the plan shape is the plain whole-row one.
-        vec![row_warp_symbolic_plan(
-            self.name(),
-            &self.spec(),
-            RowTaskKind::Whole,
-        )]
     }
 }
 

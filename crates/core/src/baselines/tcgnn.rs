@@ -10,10 +10,7 @@
 
 use crate::numerics::element_order;
 use crate::traits::{KernelCost, SpmmKernel};
-use hpsparse_sim::{
-    Distinct, GpuSim, KernelResources, LaunchConfig, PlanBuilder, SymBufferRole, SymExpr,
-    SymbolicPlan,
-};
+use hpsparse_sim::{GpuSim, KernelResources, LaunchConfig};
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
 
 /// TC-GNN: Tensor-Core SpMM over condensed 16×8 tiles.
@@ -140,71 +137,6 @@ impl SpmmKernel for TcGnn {
     /// non-zeros in stored order.
     fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
         element_order(s, a)
-    }
-
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        let wr = self.window_rows.max(1) as i64;
-        let bc = self.block_cols.max(1) as i64;
-        let mut b = PlanBuilder::new(self.name(), &format!("wr={wr},bc={bc}"));
-        let m = b.param("m", 1);
-        let n = b.param("n", 1);
-        let nnz = b.param("nnz", 1);
-        let k = b.param("k", 1);
-        let a_buf = b.buffer("A", SymBufferRole::Input, n.clone() * k.clone());
-        let o_buf = b.buffer("O", SymBufferRole::Output, m.clone() * k.clone());
-        let meta_buf = b.buffer(
-            "window_meta",
-            SymBufferRole::Input,
-            nnz.clone() * SymExpr::Const(2),
-        );
-
-        let mut l = b.launch(self.name());
-        let w = l.axis("w", m.clone().ceil_div(wr));
-        // The window's slice of the CSR arrays: start element and length.
-        let ms = l.data(
-            "meta_start",
-            SymExpr::Const(0),
-            nnz.clone(),
-            Distinct::No,
-            0,
-        );
-        let me = l.data(
-            "meta_elems",
-            SymExpr::Const(0),
-            nnz.clone() - ms.clone(),
-            Distinct::No,
-            0,
-        );
-        l.read(meta_buf, ms * SymExpr::Const(2), me * SymExpr::Const(2));
-        // Condensed-tile count: bounded by the window's distinct columns,
-        // themselves at most the whole matrix's nnz.
-        let tiles = l.data("tiles", SymExpr::Const(0), nnz, Distinct::No, 0);
-        l.begin_for("t", tiles);
-        let chunk = l.begin_for("chunk", k.clone().ceil_div(16));
-        let k_lo = chunk * SymExpr::Const(16);
-        let k_w = SymExpr::Const(16).min(k.clone() - k_lo.clone());
-        l.begin_for("cc", SymExpr::Const(bc));
-        let c = l.data(
-            "c",
-            SymExpr::Const(0),
-            n - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
-        l.read(a_buf, c * k.clone() + k_lo, k_w);
-        l.end_for();
-        l.end_for();
-        l.end_for();
-        // Output rows of the window, clamped at the matrix edge.
-        let u = l.begin_for(
-            "u",
-            SymExpr::Const(wr).min(m - w.clone() * SymExpr::Const(wr)),
-        );
-        let r = w * SymExpr::Const(wr) + u;
-        l.write(o_buf, r * k.clone(), k);
-        l.end_for();
-        l.done();
-        vec![b.build()]
     }
 }
 

@@ -5,15 +5,15 @@
 //! [`KERNELS`]; nothing else assembles the list. A [`Row`] names a kernel
 //! and says how to build it — configured for an input ([`Row::auto`]) or at
 //! every configuration a planner may pick ([`Row::planner_variants`]) — and
-//! a built [`Kernel`] answers the three questions all sixteen share: its
-//! paper name, its symbolic plans, and its cost walk. A caller that needs
+//! a built [`Kernel`] answers the questions all sixteen share: its paper
+//! name, its operation and its cost walk. A caller that needs
 //! floats matches on the variant and calls that kernel's own `run_on`.
 
 use crate::baselines::{sddmm_by_id, spmm_by_id};
 use crate::hp::config::{DEFAULT_ALPHA, NNZ_PER_WARP_CANDIDATES, WARPS_PER_BLOCK};
 use crate::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
 use crate::traits::{Launches, SddmmKernel, SpmmKernel};
-use hpsparse_sim::{DeviceSpec, GpuSim, SymbolicPlan};
+use hpsparse_sim::{DeviceSpec, GpuSim};
 use hpsparse_sparse::{FormatError, Hybrid};
 
 /// Attention heads the fused kernel is walked with when it stands in a
@@ -60,15 +60,6 @@ impl Kernel {
             Kernel::Spmm(_) => Op::Spmm,
             Kernel::Sddmm(_) => Op::Sddmm,
             Kernel::FusedMha(_) => Op::FusedMha,
-        }
-    }
-
-    /// Symbolic descriptor plans of this instance, for `hpsparse-verify`.
-    pub fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        match self {
-            Kernel::Spmm(kernel) => kernel.symbolic_plans(),
-            Kernel::Sddmm(kernel) => kernel.symbolic_plans(),
-            Kernel::FusedMha(kernel) => kernel.symbolic_plans(),
         }
     }
 
@@ -146,9 +137,10 @@ impl Row {
         }
     }
 
-    /// Every instance a planner may pick — what a static gate must prove.
-    /// HP rows: each `NnzPerWarp` candidate at each vector width; a
-    /// baseline: its one default instance.
+    /// Every instance a planner may pick — what the memory-safety sweep
+    /// runs. HP rows: each `NnzPerWarp` candidate in
+    /// [`NNZ_PER_WARP_CANDIDATES`] order, at vector widths 1, 2 and 4 within
+    /// each; a baseline: its one default instance.
     pub fn planner_variants(&self) -> Vec<Kernel> {
         let at: fn(HpConfig) -> Kernel = match self.id {
             "hp-spmm" => |config| Kernel::Spmm(Box::new(HpSpmm::new(config))),
@@ -183,7 +175,6 @@ mod tests {
             assert_eq!(variants.len(), if hp { 18 } else { 1 }, "{}", row.id);
             for kernel in variants.iter().chain([&row.auto(&device, &s, 32)]) {
                 assert_eq!(kernel.op(), row.op, "{}", row.id);
-                assert!(!kernel.symbolic_plans().is_empty(), "{}", row.id);
             }
             assert_eq!(by_id(row.id), Some(row));
         }

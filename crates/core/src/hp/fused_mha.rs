@@ -49,10 +49,7 @@
 use crate::hp::config::HpConfig;
 use crate::numerics::{self, segments, Cut};
 use crate::traits::{check_mha_dims, Launches};
-use hpsparse_sim::{
-    Buffer, DeviceSpec, Distinct, GpuSim, KernelResources, LaunchBuilder, LaunchConfig,
-    PlanBuilder, SymBufferRole, SymExpr, SymbolicPlan, WarpTally,
-};
+use hpsparse_sim::{Buffer, DeviceSpec, GpuSim, KernelResources, LaunchConfig, WarpTally};
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
 use std::ops::Range;
 
@@ -153,12 +150,6 @@ fn read_hinted(tally: &mut WarpTally, stream: bool, addr: u64, len_bytes: u64, v
     } else {
         tally.global_read(addr, len_bytes, vw);
     }
-}
-
-/// A data-dependent index in `0..=upper` of a symbolic launch, the same
-/// across warps or not.
-fn index(l: &mut LaunchBuilder, name: &str, upper: SymExpr) -> SymExpr {
-    l.data(name, SymExpr::Const(0), upper, Distinct::No, 0)
 }
 
 /// Lane-parallel instructions covering `n` elements: one per 32, at least
@@ -581,185 +572,6 @@ impl HpFusedMha {
         let rows = segments(s.row_indices(), Cut::PerRow(usize::MAX));
         rows.filter(|row| row.len() > SMEM_SCORE_CAP).count()
     }
-
-    /// Symbolic plan covering all three launches; the shared score tile is
-    /// declared with [`SymBufferRole::Shared`] so the verifier applies
-    /// same-launch program-order init visibility, and the spill pair keeps
-    /// the launch boundary that makes the scratch stores visible.
-    pub fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        let cfg = self.config;
-        let vw = cfg.vector_width as i64;
-        let cap = SMEM_SCORE_CAP as i64;
-        let seg = SPILL_SEG as i64;
-        let mut b = PlanBuilder::new(self.name(), &format!("cap={cap},seg={seg},vw={vw}"));
-        let m = b.param("m", 1);
-        let n = b.param("n", 1);
-        let nnz = b.param("nnz", 1);
-        let kd = b.param("k", 1);
-        let heads = b.param_with_default("heads", 1, SymExpr::Const(2));
-        let ntiles = b.param_with_default("ntiles", 1, m.clone());
-        let nseg = b.param_with_default("nseg", 1, SymExpr::Const(1));
-        let nspill = b.param_with_default("nspill", 1, SymExpr::Const(1));
-
-        let row_buf = b.buffer("row_ind", SymBufferRole::Input, nnz.clone());
-        let col_buf = b.buffer("col_ind", SymBufferRole::Input, nnz.clone());
-        let val_buf = b.buffer("values", SymBufferRole::Input, nnz.clone());
-        let q_buf = b.buffer(
-            "Q",
-            SymBufferRole::Input,
-            heads.clone() * m.clone() * kd.clone(),
-        );
-        let k_buf = b.buffer(
-            "K",
-            SymBufferRole::Input,
-            heads.clone() * n.clone() * kd.clone(),
-        );
-        let v_buf = b.buffer(
-            "V",
-            SymBufferRole::Input,
-            heads.clone() * n.clone() * kd.clone(),
-        );
-        let tile_tab = b.buffer(
-            "tile_off",
-            SymBufferRole::Input,
-            ntiles.clone() + SymExpr::Const(1),
-        );
-        let seg_tab = b.buffer(
-            "seg_tab",
-            SymBufferRole::Input,
-            SymExpr::Const(4) * nseg.clone(),
-        );
-        let app_tab = b.buffer(
-            "app_tab",
-            SymBufferRole::Input,
-            SymExpr::Const(6) * nspill.clone(),
-        );
-        let w_out = b.buffer("attn_w", SymBufferRole::Output, heads.clone() * nnz.clone());
-        let o_buf = b.buffer(
-            "O",
-            SymBufferRole::Output,
-            heads.clone() * m.clone() * kd.clone(),
-        );
-        let smem = b.buffer(
-            "score_tile",
-            SymBufferRole::Shared,
-            ntiles.clone() * heads.clone() * SymExpr::Const(cap),
-        );
-        let spill = b.buffer(
-            "spill_scores",
-            SymBufferRole::Scratch,
-            nseg.clone() * SymExpr::Const(seg),
-        );
-
-        // ---- main fused launch --------------------------------------------
-        let mut l = b.launch("fused-mha");
-        let tile = l.axis("tile", ntiles.clone());
-        let h = l.axis("h", heads.clone());
-        let tile_var = match &tile {
-            SymExpr::Var(v) => *v,
-            _ => unreachable!(),
-        };
-        let ts = l.data(
-            "ts",
-            SymExpr::Const(0),
-            nnz.clone(),
-            Distinct::ByVar(tile_var),
-            0,
-        );
-        let tl = index(
-            &mut l,
-            "tl",
-            SymExpr::Const(cap).min(nnz.clone() - ts.clone()),
-        );
-        l.read(tile_tab, tile.clone(), SymExpr::Const(2));
-        l.read(row_buf, ts.clone(), tl.clone());
-        l.read(col_buf, ts.clone(), tl.clone());
-        l.read(val_buf, ts.clone(), tl.clone());
-        let _e = l.begin_for("e", tl.clone());
-        let c = index(&mut l, "c", n.clone() - SymExpr::Const(1));
-        l.read(k_buf, (h.clone() * n.clone() + c) * kd.clone(), kd.clone());
-        l.begin_cases();
-        l.begin_arm(None); // row switch: refresh the register copy of Q[r]
-        let r = index(&mut l, "r", m.clone() - SymExpr::Const(1));
-        l.read(
-            q_buf,
-            (h.clone() * m.clone() + r.clone()) * kd.clone(),
-            kd.clone(),
-        );
-        l.end_arm();
-        l.begin_arm(None); // same row: registers already hold Q[r]
-        l.end_arm();
-        l.end_cases();
-        l.end_for();
-        // The warp's shared-memory slice: scores in, softmax in place,
-        // weights out — same-launch program-order visibility.
-        let slice = (tile.clone() + ntiles.clone() * h.clone()) * SymExpr::Const(cap);
-        l.write(smem, slice.clone(), tl.clone()); // scaled scores
-        l.read(smem, slice.clone(), tl.clone()); // running-max pass
-        l.read(smem, slice.clone(), tl.clone()); // exp + denominator pass…
-        l.write(smem, slice.clone(), tl.clone()); // …renormalizes in place
-        l.read(smem, slice.clone(), tl.clone()); // weighted-aggregation pass
-        l.atomic(w_out, h.clone() * nnz.clone() + ts.clone(), tl.clone());
-        let _e2 = l.begin_for("e2", tl.clone());
-        let c2 = index(&mut l, "c2", n.clone() - SymExpr::Const(1));
-        l.read(v_buf, (h.clone() * n.clone() + c2) * kd.clone(), kd.clone());
-        l.end_for();
-        l.atomic(o_buf, (h * m.clone() + r) * kd.clone(), kd.clone());
-        l.done();
-
-        // ---- spill launch pair --------------------------------------------
-        let mut l = b.launch("fused-mha-spill-score");
-        let w = l.axis("w", nseg.clone());
-        let ss = index(&mut l, "ss", nnz.clone());
-        let sl = index(
-            &mut l,
-            "sl",
-            SymExpr::Const(seg).min(nnz.clone() - ss.clone()),
-        );
-        let h2 = index(&mut l, "h2", heads.clone() - SymExpr::Const(1));
-        let r2 = index(&mut l, "r2", m.clone() - SymExpr::Const(1));
-        l.read(seg_tab, w.clone() * SymExpr::Const(4), SymExpr::Const(4));
-        l.read(col_buf, ss.clone(), sl.clone());
-        l.read(val_buf, ss.clone(), sl.clone());
-        l.read(
-            q_buf,
-            (h2.clone() * m.clone() + r2) * kd.clone(),
-            kd.clone(),
-        );
-        let _e3 = l.begin_for("e3", sl);
-        let c3 = index(&mut l, "c3", n.clone() - SymExpr::Const(1));
-        l.read(k_buf, (h2 * n.clone() + c3) * kd.clone(), kd.clone());
-        l.end_for();
-        // The padded stripe: disjoint per warp, and together the stripes
-        // tile the scratch exactly — the init cover the apply launch needs.
-        l.write(spill, w * SymExpr::Const(seg), SymExpr::Const(seg));
-        l.done();
-
-        let mut l = b.launch("fused-mha-spill-apply");
-        let p = l.axis("p", nspill.clone());
-        let g0 = index(&mut l, "g0", nseg.clone());
-        let gn = index(&mut l, "gn", nseg.clone() - g0.clone());
-        let rs2 = index(&mut l, "rs2", nnz.clone());
-        let rl2 = index(&mut l, "rl2", nnz.clone() - rs2.clone());
-        let h3 = index(&mut l, "h3", heads.clone() - SymExpr::Const(1));
-        let r3 = index(&mut l, "r3", m.clone() - SymExpr::Const(1));
-        l.read(app_tab, p * SymExpr::Const(6), SymExpr::Const(6));
-        l.read(col_buf, rs2.clone(), rl2.clone());
-        let span_off = g0 * SymExpr::Const(seg);
-        let span_len = gn * SymExpr::Const(seg);
-        l.read(spill, span_off.clone(), span_len.clone()); // max pass
-        l.read(spill, span_off.clone(), span_len.clone()); // denominator pass
-        l.read(spill, span_off, span_len); // weights + aggregation pass
-        l.atomic(w_out, h3.clone() * nnz.clone() + rs2, rl2.clone());
-        let _e4 = l.begin_for("e4", rl2);
-        let c4 = index(&mut l, "c4", n.clone() - SymExpr::Const(1));
-        l.read(v_buf, (h3.clone() * n + c4) * kd.clone(), kd.clone());
-        l.end_for();
-        l.atomic(o_buf, (h3 * m + r3) * kd.clone(), kd);
-        l.done();
-
-        vec![b.build()]
-    }
 }
 
 #[cfg(test)]
@@ -964,18 +776,5 @@ mod tests {
             fused.launches.dram_bytes(),
             unfused_dram
         );
-    }
-
-    #[test]
-    fn plan_is_wellformed() {
-        let v100 = DeviceSpec::v100();
-        let s = ragged_graph();
-        let plans = HpFusedMha::auto(&v100, &s, 32).symbolic_plans();
-        assert_eq!(plans.len(), 1);
-        assert_eq!(plans[0].launches.len(), 3);
-        assert!(plans[0]
-            .buffers
-            .iter()
-            .any(|b| b.role == SymBufferRole::Shared));
     }
 }

@@ -11,10 +11,7 @@
 
 use crate::hp::config::HpConfig;
 use crate::traits::{KernelCost, SddmmKernel};
-use hpsparse_sim::{
-    DeviceSpec, Distinct, GpuSim, KernelResources, LaunchConfig, PlanBuilder, SymBufferRole,
-    SymExpr, SymbolicPlan,
-};
+use hpsparse_sim::{DeviceSpec, GpuSim, KernelResources, LaunchConfig};
 use hpsparse_sparse::{FormatError, Hybrid};
 
 /// The hybrid-parallel SDDMM kernel.
@@ -120,67 +117,6 @@ impl SddmmKernel for HpSddmm {
             report,
             preprocess: None,
         })
-    }
-
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        let cfg = self.config;
-        let npw = cfg.nnz_per_warp.max(1) as i64;
-        let vw = cfg.vector_width as i64;
-        let te = (32 * vw).min(npw);
-        let mut b = PlanBuilder::new(self.name(), &format!("npw={npw},vw={vw}"));
-        let m = b.param("m", 1);
-        let n = b.param("n", 1);
-        let nnz = b.param("nnz", 1);
-        let k = b.param("k", 1);
-        let row_buf = b.buffer("row_ind", SymBufferRole::Input, nnz.clone());
-        let col_buf = b.buffer("col_ind", SymBufferRole::Input, nnz.clone());
-        let val_buf = b.buffer("values", SymBufferRole::Input, nnz.clone());
-        // check_sddmm_dims pins A1.rows == m and A2T.rows == n.
-        let a1_buf = b.buffer("A1", SymBufferRole::Input, m.clone() * k.clone());
-        let a2_buf = b.buffer("A2T", SymBufferRole::Input, n.clone() * k.clone());
-        let so_buf = b.buffer("S_O", SymBufferRole::Output, nnz.clone());
-
-        let mut l = b.launch(self.name());
-        let chunk = l.axis("chunk", nnz.clone().ceil_div(npw));
-        let start = chunk * SymExpr::Const(npw);
-        let len = SymExpr::Const(npw).min(nnz - start.clone());
-        let t = l.begin_for("t", len.clone().ceil_div(te));
-        let i = start + t.clone() * SymExpr::Const(te);
-        let tile_len = SymExpr::Const(te).min(len - t * SymExpr::Const(te));
-        l.read(row_buf, i.clone(), tile_len.clone());
-        l.read(col_buf, i.clone(), tile_len.clone());
-        l.read(val_buf, i.clone(), tile_len.clone());
-        let e = l.begin_for("e", tile_len);
-        let c = l.data(
-            "c",
-            SymExpr::Const(0),
-            n - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
-        // Line 6 of Algorithm 4: load A2^T[c] every element.
-        l.read(a2_buf, c * k.clone(), k.clone());
-        l.begin_cases();
-        l.begin_arm(None); // row switch: refresh the register copy of A1[r]
-        let r = l.data(
-            "r",
-            SymExpr::Const(0),
-            m - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
-        l.read(a1_buf, r * k.clone(), k);
-        l.end_arm();
-        l.begin_arm(None); // same row: registers already hold A1[r]
-        l.end_arm();
-        l.end_cases();
-        // Lane 0 stores the masked product: each element written exactly
-        // once, by the warp that owns its chunk.
-        l.write(so_buf, i + e, SymExpr::Const(1));
-        l.end_for();
-        l.end_for();
-        l.done();
-        vec![b.build()]
     }
 }
 

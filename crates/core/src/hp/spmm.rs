@@ -14,10 +14,7 @@
 use crate::hp::config::HpConfig;
 use crate::numerics::{segment_sums, Cut};
 use crate::traits::{KernelCost, SpmmKernel};
-use hpsparse_sim::{
-    DeviceSpec, Distinct, GpuSim, LaunchConfig, LaunchReport, PlanBuilder, SymBufferRole, SymExpr,
-    SymbolicPlan,
-};
+use hpsparse_sim::{DeviceSpec, GpuSim, LaunchConfig, LaunchReport};
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
 
 /// The hybrid-parallel SpMM kernel.
@@ -57,104 +54,6 @@ impl SpmmKernel for HpSpmm {
     fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
         hp_spmm_accumulate(self.config, s, a)
     }
-
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        vec![hp_spmm_plan(self.name(), self.config)]
-    }
-}
-
-/// Emits the Algorithm 3 buffer set and launch into `b` with the given
-/// shape expressions (`m` rows, `n` columns of `S` = rows of `A`, `nnz`
-/// elements, `k` feature columns). Shared by HP-SpMM and the
-/// Merge-path baseline, whose execution phase *is* this kernel.
-pub(crate) fn emit_hp_spmm_launch(
-    b: &mut PlanBuilder,
-    launch_name: &str,
-    cfg: HpConfig,
-    m: &SymExpr,
-    n: &SymExpr,
-    nnz: &SymExpr,
-    k: &SymExpr,
-) {
-    let npw = cfg.nnz_per_warp.max(1) as i64;
-    let vw = cfg.vector_width as i64;
-    let kw = 32 * vw; // feature columns covered per warp
-    let te = kw.min(npw); // sparse tile length in elements
-
-    let row_buf = b.buffer("row_ind", SymBufferRole::Input, nnz.clone());
-    let col_buf = b.buffer("col_ind", SymBufferRole::Input, nnz.clone());
-    let val_buf = b.buffer("values", SymBufferRole::Input, nnz.clone());
-    let a_buf = b.buffer("A", SymBufferRole::Input, n.clone() * k.clone());
-    let o_buf = b.buffer("O", SymBufferRole::Output, m.clone() * k.clone());
-
-    let mut l = b.launch(launch_name);
-    // warp = chunk + num_chunks * kslice, chunk fastest (warp % chunks).
-    let chunk = l.axis("chunk", nnz.clone().ceil_div(npw));
-    let kslice = l.axis("kslice", k.clone().ceil_div(kw));
-    let start = chunk * SymExpr::Const(npw);
-    // Chunk length: the final chunk may be short, never empty.
-    let len = SymExpr::Const(npw).min(nnz.clone() - start.clone());
-    let k_base = kslice * SymExpr::Const(kw);
-    let k_width = SymExpr::Const(kw).min(k.clone() - k_base.clone());
-
-    let t = l.begin_for("t", len.clone().ceil_div(te));
-    let i = start + t.clone() * SymExpr::Const(te);
-    let tile_len = SymExpr::Const(te).min(len - t * SymExpr::Const(te));
-    // Cooperative tile load of the three sparse arrays.
-    l.read(row_buf, i.clone(), tile_len.clone());
-    l.read(col_buf, i.clone(), tile_len.clone());
-    l.read(val_buf, i, tile_len.clone());
-    // Per-element: gather one A row segment; a row switch may flush the
-    // accumulators atomically into O.
-    l.begin_for("e", tile_len);
-    let c = l.data(
-        "c",
-        SymExpr::Const(0),
-        n.clone() - SymExpr::Const(1),
-        Distinct::No,
-        0,
-    );
-    l.read(a_buf, c * k.clone() + k_base.clone(), k_width.clone());
-    l.begin_cases();
-    l.begin_arm(None); // row switch observed
-    let r = l.data(
-        "r",
-        SymExpr::Const(0),
-        m.clone() - SymExpr::Const(1),
-        Distinct::No,
-        0,
-    );
-    l.atomic(o_buf, r * k.clone() + k_base.clone(), k_width.clone());
-    l.end_arm();
-    l.begin_arm(None); // same row: accumulate in registers
-    l.end_arm();
-    l.end_cases();
-    l.end_for();
-    l.end_for();
-    // Final flush (line 22 of Algorithm 3).
-    let rf = l.data(
-        "r_final",
-        SymExpr::Const(0),
-        m.clone() - SymExpr::Const(1),
-        Distinct::No,
-        0,
-    );
-    l.atomic(o_buf, rf * k.clone() + k_base, k_width);
-    l.done();
-}
-
-/// Complete symbolic plan for HP-SpMM at one configuration.
-pub(crate) fn hp_spmm_plan(name: &str, cfg: HpConfig) -> SymbolicPlan {
-    let mut b = PlanBuilder::new(
-        name,
-        &format!("npw={},vw={}", cfg.nnz_per_warp.max(1), cfg.vector_width),
-    );
-    let m = b.param("m", 1);
-    let n = b.param("n", 1);
-    let nnz = b.param("nnz", 1);
-    let k = b.param("k", 1);
-    emit_hp_spmm_launch(&mut b, name, cfg, &m, &n, &nnz, &k);
-    b.build()
 }
 
 /// Algorithm 3's accumulation order: each warp's row-switch procedure

@@ -1,15 +1,19 @@
 //! Deliberately broken kernels that prove the sanitizer's detectors fire.
 //!
-//! Each mutant is a seeded-defect variant of the HP-SpMM COO tail loop —
-//! same work assignment, same buffers — with exactly one bug injected, so
-//! exactly one checker must flag it — the one its [`Property`] names:
+//! Each mutant is a seeded-defect variant of the HP-SpMM COO tail loop or
+//! of a row-warp kernel — same work assignment, same buffers — with exactly
+//! one bug injected, so exactly one checker must flag it — the one its
+//! [`Property`] names:
 //!
-//! | Mutant | Injected bug | [`Property`] |
-//! |---|---|---|
-//! | [`MutantOobTail`] | tile load runs one element past `col_ind` | `Bounds` |
-//! | [`MutantRacyTail`] | row flush de-atomicized to a plain store | `Race` |
-//! | [`MutantUninitAcc`] | accumulator read from `O` before any store | `Init` |
-//! | [`MutantEagerNorm`] | fused softmax normalizer reads scores in the launch that wrote them | `Init` |
+//! | Mutant | Injected bug | Fires on | [`Property`] |
+//! |---|---|---|---|
+//! | [`MutantOobTail`] | tile load runs one element past `col_ind` | every shape | `Bounds` |
+//! | [`MutantRacyTail`] | row flush de-atomicized to a plain store | a row split across warps | `Race` |
+//! | [`MutantUninitAcc`] | accumulator read from `O` before any store | every shape | `Init` |
+//! | [`MutantEagerNorm`] | fused softmax normalizer reads scores in the launch that wrote them | every shape | `Init` |
+//! | [`MutantRaggedTail`] | a one-element tail chunk loads two column ids | `nnz mod 64 = 1` | `Bounds` |
+//! | [`MutantPow2Offsets`] | the last row warp reads three `row_offsets` | `m` a power of two ≥ 32 | `Bounds` |
+//! | [`MutantOddKSpill`] | a row store rounds up into the next row | odd `k` | `Race` |
 //!
 //! [`MutantEagerNorm`] is the fused-attention variant: it un-fuses the
 //! shared-memory score tile into a *global* scratch buffer but keeps the
@@ -17,18 +21,19 @@
 //! has not yet made visible — the exact bug HP-Fused-MHA's spill path
 //! avoids by splitting into a score/apply launch pair.
 //!
+//! The last three are [`shape_mutants`]: their defects sit at a tile
+//! boundary that neither [`mutant_test_graph`] nor any registry graph at
+//! K = 32 / 64 reaches, so only a sweep over boundary shapes catches them.
+//!
 //! The mutants compute *correct numerics* (their accumulation order is the
 //! sequential reference's) while their cost walks mis-describe the memory
 //! traffic — the simulated analogue of a CUDA kernel whose bug corrupts
-//! memory without changing the tested output. They are deliberately kept out of the benchmark registry;
-//! `repro -- verify` and the sanitizer's and catalogue's integration tests
-//! are their only callers.
+//! memory without changing the tested output. They are deliberately kept
+//! out of the benchmark registry; `repro -- verify` and the sanitizer's and
+//! catalogue's integration tests are their only callers.
 
 use crate::traits::{KernelCost, SpmmKernel};
-use hpsparse_sim::{
-    cond_le, Distinct, GpuSim, KernelResources, LaunchConfig, PlanBuilder, Property, SymBufferRole,
-    SymExpr, SymbolicPlan,
-};
+use hpsparse_sim::{GpuSim, KernelResources, LaunchConfig, Property};
 use hpsparse_sparse::{reference, Dense, FormatError, Hybrid};
 
 /// Elements each warp owns in the mutants' COO loop — small, so modest
@@ -97,58 +102,6 @@ fn walk_mutant(
     })
 }
 
-/// Symbolic counterparts of [`MutantChunk`]'s fields, for the mutants'
-/// plan emitters.
-struct MutantSym {
-    m: SymExpr,
-    nnz: SymExpr,
-    k: SymExpr,
-    start: SymExpr,
-    len: SymExpr,
-    row_buf: usize,
-    col_buf: usize,
-    val_buf: usize,
-    o_buf: usize,
-}
-
-/// Shared symbolic skeleton mirroring [`walk_mutant`]: the HP buffer set
-/// and the per-chunk element slice; `body` emits the (deliberately buggy)
-/// traffic of one warp.
-fn mutant_plan(
-    name: &str,
-    body: impl FnOnce(&mut hpsparse_sim::LaunchBuilder<'_>, &MutantSym),
-) -> SymbolicPlan {
-    let npw = NNZ_PER_WARP as i64;
-    let mut b = PlanBuilder::new(name, &format!("npw={npw}"));
-    let m = b.param("m", 1);
-    let n = b.param("n", 1);
-    let nnz = b.param("nnz", 1);
-    let k = b.param("k", 1);
-    let row_buf = b.buffer("row_ind", SymBufferRole::Input, nnz.clone());
-    let col_buf = b.buffer("col_ind", SymBufferRole::Input, nnz.clone());
-    let val_buf = b.buffer("values", SymBufferRole::Input, nnz.clone());
-    b.buffer("A", SymBufferRole::Input, n * k.clone());
-    let o_buf = b.buffer("O", SymBufferRole::Output, m.clone() * k.clone());
-    let mut l = b.launch(name);
-    let chunk = l.axis("chunk", nnz.clone().ceil_div(npw));
-    let start = chunk * SymExpr::Const(npw);
-    let len = SymExpr::Const(npw).min(nnz.clone() - start.clone());
-    let syms = MutantSym {
-        m,
-        nnz,
-        k,
-        start,
-        len,
-        row_buf,
-        col_buf,
-        val_buf,
-        o_buf,
-    };
-    body(&mut l, &syms);
-    l.done();
-    b.build()
-}
-
 /// One warp's slice of the COO element range, plus the buffers the hooks
 /// describe traffic against.
 struct MutantChunk<'a> {
@@ -193,38 +146,6 @@ impl SpmmKernel for MutantOobTail {
             tally.global_atomic(c.o_buf.elem_addr((r * c.k) as u64, 4), c.k as u64 * 4);
         })
     }
-
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        vec![mutant_plan(self.name(), |l, s| {
-            l.read(s.row_buf, s.start.clone(), s.len.clone());
-            l.begin_cases();
-            // The last chunk (the one whose tail the matrix ends in) reads
-            // one element too many — the seeded off-by-one.
-            l.begin_arm(Some(cond_le(
-                s.nnz.clone() - s.start.clone(),
-                NNZ_PER_WARP as i64,
-            )));
-            l.read(
-                s.col_buf,
-                s.start.clone(),
-                s.len.clone() + SymExpr::Const(1),
-            );
-            l.end_arm();
-            l.begin_arm(None);
-            l.read(s.col_buf, s.start.clone(), s.len.clone());
-            l.end_arm();
-            l.end_cases();
-            l.read(s.val_buf, s.start.clone(), s.len.clone());
-            let r = l.data(
-                "r",
-                SymExpr::Const(0),
-                s.m.clone() - SymExpr::Const(1),
-                Distinct::No,
-                0,
-            );
-            l.atomic(s.o_buf, r * s.k.clone(), s.k.clone());
-        })]
-    }
 }
 
 /// Racecheck mutant: the de-atomicized COO tail. Chunk boundaries split
@@ -262,24 +183,6 @@ impl SpmmKernel for MutantRacyTail {
             }
         })
     }
-
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        vec![mutant_plan(self.name(), |l, s| {
-            for buf in [s.row_buf, s.col_buf, s.val_buf] {
-                l.read(buf, s.start.clone(), s.len.clone());
-            }
-            // The seeded race: a plain store to a row nothing marks as
-            // exclusive to this warp.
-            let r = l.data(
-                "r",
-                SymExpr::Const(0),
-                s.m.clone() - SymExpr::Const(1),
-                Distinct::No,
-                0,
-            );
-            l.write(s.o_buf, r * s.k.clone(), s.k.clone());
-        })]
-    }
 }
 
 /// Initcheck mutant: read-modify-write accumulation. Instead of
@@ -311,24 +214,6 @@ impl SpmmKernel for MutantUninitAcc {
             tally.global_read(row_addr, c.k as u64 * 4, 1);
             tally.global_atomic(row_addr, c.k as u64 * 4);
         })
-    }
-
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        vec![mutant_plan(self.name(), |l, s| {
-            for buf in [s.row_buf, s.col_buf, s.val_buf] {
-                l.read(buf, s.start.clone(), s.len.clone());
-            }
-            let r = l.data(
-                "r",
-                SymExpr::Const(0),
-                s.m.clone() - SymExpr::Const(1),
-                Distinct::No,
-                0,
-            );
-            // The seeded uninitialised read: O has no prior-launch store.
-            l.read(s.o_buf, r.clone() * s.k.clone(), s.k.clone());
-            l.atomic(s.o_buf, r * s.k.clone(), s.k.clone());
-        })]
     }
 }
 
@@ -391,50 +276,140 @@ impl SpmmKernel for MutantEagerNorm {
             preprocess: None,
         })
     }
+}
 
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        let npw = NNZ_PER_WARP as i64;
-        let mut b = PlanBuilder::new(self.name(), &format!("npw={npw}"));
-        let m = b.param("m", 1);
-        let n = b.param("n", 1);
-        let nnz = b.param("nnz", 1);
-        let k = b.param("k", 1);
-        let row_buf = b.buffer("row_ind", SymBufferRole::Input, nnz.clone());
-        let col_buf = b.buffer("col_ind", SymBufferRole::Input, nnz.clone());
-        let val_buf = b.buffer("values", SymBufferRole::Input, nnz.clone());
-        b.buffer("A", SymBufferRole::Input, n * k.clone());
-        let o_buf = b.buffer("O", SymBufferRole::Output, m.clone() * k.clone());
-        let score_buf = b.buffer(
-            "scores",
-            SymBufferRole::Scratch,
-            nnz.clone().ceil_div(npw) * SymExpr::Const(npw),
-        );
-        let mut l = b.launch(self.name());
-        let chunk = l.axis("chunk", nnz.clone().ceil_div(npw));
-        let start = chunk * SymExpr::Const(npw);
-        let len = SymExpr::Const(npw).min(nnz - start.clone());
-        for buf in [row_buf, col_buf, val_buf] {
-            l.read(buf, start.clone(), len.clone());
-        }
-        l.write(score_buf, start.clone(), SymExpr::Const(npw));
-        // The seeded defect: a same-launch read of the just-written scratch
-        // — no *prior* launch covers it.
-        l.read(score_buf, start, SymExpr::Const(npw));
-        let r = l.data(
-            "r",
-            SymExpr::Const(0),
-            m - SymExpr::Const(1),
-            Distinct::No,
-            0,
-        );
-        l.atomic(o_buf, r * k.clone(), k);
-        l.done();
-        vec![b.build()]
+/// Shape mutant: the HP-SpMM COO tail loop with a ragged-tail defect. A
+/// chunk of exactly one element takes the unrolled-by-two `col_ind` load,
+/// so the read runs one element past the allocation — only when
+/// `nnz mod NNZ_PER_WARP == 1`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MutantRaggedTail;
+
+impl SpmmKernel for MutantRaggedTail {
+    fn name(&self) -> &'static str {
+        "mutant:ragged-tail"
+    }
+
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        reference::spmm(s, a)
+    }
+
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
+        walk_mutant(self.name(), sim, s, k, |tally, c| {
+            let len = (c.end - c.start) as u64;
+            tally.global_read(c.row_buf.elem_addr(c.start as u64, 4), len * 4, 1);
+            // BUG: a one-element chunk loads a pair of column ids.
+            let col_len = if len == 1 { 2 } else { len };
+            tally.global_read(c.col_buf.base() + c.start as u64 * 4, col_len * 4, 1);
+            tally.global_read(c.val_buf.elem_addr(c.start as u64, 4), len * 4, 1);
+            let r = c.row_ind[c.start] as usize;
+            tally.global_atomic(c.o_buf.elem_addr((r * c.k) as u64, 4), c.k as u64 * 4);
+        })
     }
 }
 
-/// The four mutants, each with the property its seeded bug violates —
-/// the one checker, static or dynamic, that must flag it.
+/// The skeleton of the two row-warp mutants: one warp per row reads its
+/// two `row_offsets`, its `col_ind` and `values` run, and stores its whole
+/// `O` row. `offsets` and `store` give the elements the warp of row `r`
+/// reads from `row_offsets` and stores into `O`; a correct kernel reads 2
+/// and stores `k`.
+fn walk_row_mutant(
+    name: &'static str,
+    sim: &mut GpuSim,
+    s: &Hybrid,
+    k: usize,
+    offsets: impl Fn(usize) -> u64 + Sync,
+    store: impl Fn(usize) -> u64 + Sync,
+) -> Result<KernelCost, FormatError> {
+    let csr = s.to_csr();
+    let m = csr.rows();
+    let off_buf = sim.alloc_input(m + 1, "row_offsets");
+    let col_buf = sim.alloc_input(csr.nnz(), "col_ind");
+    let val_buf = sim.alloc_input(csr.nnz(), "values");
+    sim.alloc_input(csr.cols() * k, "A");
+    let o_buf = sim.alloc_output(m * k, "O");
+    let launch = LaunchConfig {
+        num_warps: m as u64,
+        resources: mutant_resources(),
+    };
+    let report = sim.launch_named(name, launch, |warp_id, tally| {
+        let r = warp_id as usize;
+        tally.global_read(off_buf.base() + r as u64 * 4, offsets(r) * 4, 1);
+        let range = csr.row_range(r);
+        let len = range.len() as u64;
+        if len > 0 {
+            for buf in [&col_buf, &val_buf] {
+                tally.global_read(buf.elem_addr(range.start as u64, 4), len * 4, 1);
+            }
+        }
+        tally.global_write(o_buf.base() + (r * k) as u64 * 4, store(r) * 4, 1);
+    });
+    Ok(KernelCost {
+        report,
+        preprocess: None,
+    })
+}
+
+/// Shape mutant: a row-warp kernel whose last warp, when `m` is a power of
+/// two of at least 32, takes a fast path that reads the next row's end too
+/// — one element past `row_offsets`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MutantPow2Offsets;
+
+impl SpmmKernel for MutantPow2Offsets {
+    fn name(&self) -> &'static str {
+        "mutant:pow2-offsets"
+    }
+
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        reference::spmm(s, a)
+    }
+
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
+        // BUG: the power-of-two fast path's last warp reads three offsets.
+        let m = s.rows();
+        let offsets = |r: usize| 2 + u64::from(m >= 32 && m.is_power_of_two() && r + 1 == m);
+        walk_row_mutant(self.name(), sim, s, k, offsets, |_| k as u64)
+    }
+}
+
+/// Shape mutant: at odd `k` every warp but the last rounds its `O` store
+/// up to an even element count, so it also stores the next row's first
+/// element — a plain-vs-plain race with that row's warp.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MutantOddKSpill;
+
+impl SpmmKernel for MutantOddKSpill {
+    fn name(&self) -> &'static str {
+        "mutant:odd-k-spill"
+    }
+
+    fn accumulate(&self, s: &Hybrid, a: &Dense) -> Result<Dense, FormatError> {
+        reference::spmm(s, a)
+    }
+
+    fn cost_on(&self, sim: &mut GpuSim, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
+        // BUG: an odd-width row store spills into the next row.
+        let m = s.rows();
+        let store = |r: usize| (k + usize::from(k % 2 == 1 && r + 1 < m)) as u64;
+        walk_row_mutant(self.name(), sim, s, k, |_| 2, store)
+    }
+}
+
+/// The three shape mutants, each with the property its defect violates.
+/// None fires on [`mutant_test_graph`] or on the registry graphs at
+/// K = 32 / 64: each needs a tile-boundary shape — `nnz mod 64 = 1`, a
+/// power-of-two row count of at least 32, or an odd `k`.
+pub fn shape_mutants() -> Vec<(Property, Box<dyn SpmmKernel>)> {
+    vec![
+        (Property::Bounds, Box::new(MutantRaggedTail)),
+        (Property::Bounds, Box::new(MutantPow2Offsets)),
+        (Property::Race, Box::new(MutantOddKSpill)),
+    ]
+}
+
+/// The four mutants [`mutant_test_graph`] exposes, each with the property
+/// its seeded bug violates — the one checker that must flag it.
 pub fn all_mutants() -> Vec<(Property, Box<dyn SpmmKernel>)> {
     vec![
         (Property::Bounds, Box::new(MutantOobTail)),
@@ -464,7 +439,7 @@ mod tests {
         let a = Dense::from_fn(50, 16, |i, j| ((i * 16 + j) as f32 * 1e-2).sin());
         let expected = reference::spmm(&s, &a).unwrap();
         let device = hpsparse_sim::DeviceSpec::v100();
-        for (_, m) in all_mutants() {
+        for (_, m) in all_mutants().into_iter().chain(shape_mutants()) {
             let run = m.run(&device, &s, &a).unwrap();
             assert!(run.output.approx_eq(&expected, 1e-5, 1e-6), "{}", m.name());
             assert!(run.report.cycles > 0);

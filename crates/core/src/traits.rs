@@ -38,7 +38,7 @@
 //! what a sparse launch costs end to end.
 
 use crate::numerics;
-use hpsparse_sim::{DeviceSpec, GpuSim, LaunchReport, SymbolicPlan};
+use hpsparse_sim::{DeviceSpec, GpuSim, LaunchReport};
 use hpsparse_sparse::{Dense, FormatError, Hybrid};
 
 /// What a cost walk reports: the launch profiles of a run, without its
@@ -198,16 +198,6 @@ pub trait SpmmKernel: Send + Sync {
     fn cost(&self, device: &DeviceSpec, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
         self.cost_on(&mut GpuSim::new(device.clone()), s, k)
     }
-
-    /// Symbolic descriptor plans for `hpsparse-verify`, one per
-    /// configuration the kernel may pick at runtime (e.g. a runtime-`K`
-    /// vector-width switch emits one plan per width). The kernel's concrete
-    /// configuration is baked in; the problem shape stays symbolic. An
-    /// empty vector means the kernel has no symbolic model yet and the
-    /// verifier reports `Unknown` (the dynamic sanitizer is then the only judge).
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        Vec::new()
-    }
 }
 
 /// A simulated SDDMM kernel: computes `S_O = (A1 · A2) ⊙ S`. `a1` is
@@ -257,12 +247,6 @@ pub trait SddmmKernel: Send + Sync {
     /// Convenience: the cost walk on a fresh, cold-cache simulator.
     fn cost(&self, device: &DeviceSpec, s: &Hybrid, k: usize) -> Result<KernelCost, FormatError> {
         self.cost_on(&mut GpuSim::new(device.clone()), s, k)
-    }
-
-    /// Symbolic descriptor plans for `hpsparse-verify`; see
-    /// [`SpmmKernel::symbolic_plans`].
-    fn symbolic_plans(&self) -> Vec<SymbolicPlan> {
-        Vec::new()
     }
 }
 

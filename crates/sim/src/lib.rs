@@ -43,7 +43,6 @@ pub mod occupancy;
 pub mod price;
 pub mod profile;
 pub mod sink;
-pub mod symbolic;
 pub mod tally;
 
 pub use attribution::{attribute, Attribution, Bound};
@@ -54,8 +53,4 @@ pub use launch::{BudgetStop, GpuSim, LaunchConfig, LaunchReport};
 pub use memory::{Buffer, MemorySpace, SECTOR_BYTES};
 pub use occupancy::{occupancy_of, tail_stretch, KernelResources, Occupancy};
 pub use sink::{AccessEvent, AccessKind, AccessSink, BufferDecl, BufferRole, Property};
-pub use symbolic::{
-    cond_le, Distinct, LaunchBuilder, PlanBuilder, SymAccess, SymAccessKind, SymArm, SymBuffer,
-    SymBufferRole, SymCond, SymExpr, SymLaunch, SymOp, SymbolicPlan, VarDecl, VarId, VarKind,
-};
 pub use tally::{WarpCounters, WarpTally};

@@ -13,12 +13,11 @@
 //!
 //! `hpsparse-verify`'s sanitizer builds its memcheck / racecheck /
 //! initcheck pipeline on exactly this stream; [`Property`] names the three
-//! properties those checkers, the static prover and the seeded mutants
-//! share.
+//! properties those checkers and the seeded mutants share.
 
 /// A memory-safety property of a kernel's access stream — the one name the
-/// dynamic sanitizer, the static prover (`hpsparse-verify`) and the seeded
-/// mutants (`hpsparse_core::mutants`) use for it.
+/// sanitizer (`hpsparse-verify`) and the seeded mutants
+/// (`hpsparse_core::mutants`) use for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Property {
     /// Every access stays inside its buffer's allocation, aligned.
@@ -34,8 +33,8 @@ impl Property {
     /// All three, in report order.
     pub const ALL: [Property; 3] = [Property::Bounds, Property::Race, Property::Init];
 
-    /// Stable lowercase label of the static check, used in JSON and
-    /// tables: `bounds`, `race`, `init`.
+    /// Stable lowercase label of the property, used in JSON and tables:
+    /// `bounds`, `race`, `init`.
     pub fn label(self) -> &'static str {
         match self {
             Property::Bounds => "bounds",

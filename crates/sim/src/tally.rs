@@ -65,8 +65,8 @@ pub struct WarpCounters {
     pub transactions: u64,
     /// Descriptor calls whose fast-path precondition failed (gather lanes
     /// spanning more than one sector), forcing element-wise expansion.
-    /// Such accesses bypass the descriptor structure the static verifier
-    /// models, so a nonzero count flags a kernel drifting out of the IR.
+    /// A nonzero count flags a kernel whose gathers left the run-length
+    /// fast path.
     /// Free of cycle cost; observer-independent (an observed walk counts
     /// the same calls).
     pub descriptor_fallbacks: u64,

@@ -57,8 +57,7 @@ pub const GLOBAL_BYTES: &str = "sm__global_bytes.sum";
 /// Global memory transactions (counter).
 pub const TRANSACTIONS: &str = "sm__global_transactions.sum";
 /// Descriptor calls that failed their fast-path precondition and expanded
-/// element-wise — a kernel drifting outside the IR the static verifier
-/// models (counter).
+/// element-wise (counter).
 pub const DESCRIPTOR_FALLBACKS: &str = "descriptor_fallbacks";
 
 /// Sectors served by L2 (hits + misses, counter).

@@ -54,16 +54,6 @@
 //!   so partition-then-execute pipelines check cleanly while a kernel
 //!   reading its own output buffer before any store is flagged.
 //!
-//! # Relationship to the static verifier
-//!
-//! The crate's prover checks the same three properties *statically* from a
-//! kernel's symbolic plan, and its replay emits a plan's accesses into a
-//! fresh [`Sanitizer`], so the checkers have two producers — a simulated
-//! kernel's stream and a plan's — and one set of rules. `repro -- verify`
-//! runs both on every kernel through [`sanitize_run`]: a static `Unknown`
-//! says nothing about the kernel, only about the prover, so for it the
-//! sanitizer is the only judge.
-//!
 //! [`Input`]: hpsparse_sim::BufferRole::Input
 
 mod interval;

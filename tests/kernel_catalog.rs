@@ -1,11 +1,11 @@
 //! Tier-1 witness per kernel-catalogue row: the list is the sixteen kernels
 //! in the order `repro verify` prints them, and every row — on the mutant
 //! test graph, a power-law graph at K = 64 and a ragged 300-node graph — is
-//! sanitizer-clean, reports the same launches observed by the sanitizer as
-//! unobserved, and is statically proved at every planner variant; every
-//! seeded mutant is refuted on exactly its defect and flagged by exactly
-//! that dynamic checker. Unlaunchable HP configurations answer with a
-//! typed error.
+//! sanitizer-clean and reports the same launches observed by the sanitizer
+//! as unobserved; every seeded mutant is flagged by exactly the checker its
+//! defect targets. Unlaunchable HP configurations answer with a typed
+//! error. Every planner variant on tile-boundary shapes is
+//! `boundary_shapes.rs`'s sweep.
 
 use hpsparse::datasets::generators::{GeneratorConfig, Topology};
 use hpsparse::kernels::baselines::{SDDMM_IDS, SPMM_IDS};
@@ -14,22 +14,9 @@ use hpsparse::kernels::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse::kernels::mutants::{all_mutants, mutant_test_graph};
 use hpsparse::sim::{DeviceSpec, GpuSim, Property};
 use hpsparse::sparse::{FormatError, Hybrid};
-use hpsparse_verify::{sanitize_run, verify_plan, CheckVerdict};
+use hpsparse_verify::sanitize_run;
 
 const K: usize = 32;
-
-/// Each mutant's static counterexample, in `all_mutants` order, after the
-/// witness shape `at (m=10, n=50, nnz=1000, k=32): `.
-const COUNTEREXAMPLES: [&str; 4] = [
-    "launch 'mutant:oob-tail' warp 15 buffer 'col_ind' [960, +41): \
-     overruns the 1000-element allocation",
-    "launch 'mutant:racy-tail' warp 1 buffer 'O' [0, +32): \
-     element 0 also stored by warp 0 (plain-vs-plain)",
-    "launch 'mutant:uninit-acc' warp 0 buffer 'O' [0, +32): \
-     read of uninitialized element 0",
-    "launch 'mutant:eager-norm' warp 0 buffer 'scores' [0, +64): \
-     read of uninitialized element 0",
-];
 
 #[test]
 fn the_catalogue_is_ours_then_the_registry_per_operation() {
@@ -57,7 +44,7 @@ fn quick_graph() -> Hybrid {
 }
 
 #[test]
-fn every_row_is_clean_observer_independent_and_proved() {
+fn every_row_is_clean_and_observer_independent() {
     let device = DeviceSpec::v100();
     let power_law = GeneratorConfig {
         nodes: 800,
@@ -88,43 +75,13 @@ fn every_row_is_clean_observer_independent_and_proved() {
             assert_eq!(Some(&launches), observed.as_ref(), "{what}");
             assert!(launches.exec.iter().all(|r| r.cycles > 0), "{what}");
         }
-
-        for variant in row.planner_variants() {
-            let plans = variant.symbolic_plans();
-            assert!(!plans.is_empty(), "{}", row.id);
-            for plan in &plans {
-                let verdict = verify_plan(plan);
-                for property in Property::ALL {
-                    let check = verdict.check(property);
-                    assert!(
-                        check.is_proved(),
-                        "{} [{}] {}: {check:?}",
-                        row.id,
-                        plan.variant,
-                        property.label()
-                    );
-                }
-            }
-        }
     }
 }
 
 #[test]
-fn every_mutant_is_caught_statically_and_dynamically_on_its_defect_alone() {
+fn every_mutant_is_flagged_on_its_defect_alone() {
     let s = mutant_test_graph();
-    for (i, (defect, mutant)) in all_mutants().into_iter().enumerate() {
-        let plans = mutant.symbolic_plans();
-        assert_eq!(plans.len(), 1, "{}", mutant.name());
-        let verdict = verify_plan(&plans[0]);
-        for p in Property::ALL {
-            let refuted = verdict.check(p).is_refuted();
-            assert_eq!(refuted, p == defect, "{} on {}", mutant.name(), p.label());
-        }
-        let CheckVerdict::Refuted(cex) = verdict.check(defect) else {
-            unreachable!("refuted above")
-        };
-        let want = format!("at (m=10, n=50, nnz=1000, k=32): {}", COUNTEREXAMPLES[i]);
-        assert_eq!(cex.to_string(), want);
+    for (defect, mutant) in all_mutants() {
         let report = sanitize_run(DeviceSpec::v100(), |sim| {
             mutant.cost_on(sim, &s, K).unwrap();
         });

@@ -10,9 +10,8 @@ use hpsparse::kernels::baselines::{
 };
 use hpsparse::kernels::hp::{HpConfig, HpFusedMha, HpSddmm, HpSpmm};
 use hpsparse::kernels::{SddmmKernel, SpmmKernel};
-use hpsparse::sim::{DeviceSpec, GpuSim, LaunchReport};
+use hpsparse::sim::DeviceSpec;
 use hpsparse::sparse::{reference, Dense, Graph, Hybrid};
-use hpsparse_verify::sanitize_run;
 
 fn test_graph(seed: u64, topology: Topology) -> Graph {
     GeneratorConfig {
@@ -175,36 +174,6 @@ fn simulated_kernels_are_deterministic() {
     assert_eq!(r1.report.cycles, r2.report.cycles);
     assert_eq!(r1.report.totals, r2.report.totals);
     assert_eq!(r1.output, r2.output);
-}
-
-#[test]
-fn cost_engines_report_identical_launches() {
-    // A sanitized run, whose attached sink expands every descriptor, and
-    // an unobserved one agree field for field on the paper's two kernels
-    // and a row-per-warp baseline.
-    let v100 = DeviceSpec::v100();
-    let s = test_graph(8, Topology::PowerLaw { alpha: 2.1 }).to_hybrid();
-    let (a, a1) = (features(s.cols(), 64, 0.2), features(s.rows(), 64, 0.4));
-    let (hp_spmm, hp_sddmm) = (HpSpmm::auto(&v100, &s, 64), HpSddmm::auto(&v100, &s, 64));
-    let on = |observed: bool| {
-        let run = |f: &dyn Fn(&mut GpuSim) -> LaunchReport| {
-            if !observed {
-                return f(&mut GpuSim::new(v100.clone()));
-            }
-            let mut report = None;
-            let verdict = sanitize_run(v100.clone(), |sim| report = Some(f(sim)));
-            assert!(verdict.passed(), "{verdict}");
-            report.unwrap()
-        };
-        [
-            run(&|sim| hp_spmm.run_on(sim, &s, &a).unwrap().report),
-            run(&|sim| GeSpmm.run_on(sim, &s, &a).unwrap().report),
-            run(&|sim| hp_sddmm.run_on(sim, &s, &a1, &a).unwrap().report),
-        ]
-    };
-    let unobserved = on(false);
-    assert!(unobserved.iter().all(|r| r.cycles > 0));
-    assert_eq!(unobserved, on(true));
 }
 
 /// The seeded power-law graph the recorded output bits below were taken
