@@ -210,7 +210,7 @@ fn resolve(wanted: &[String]) -> Result<Vec<&'static str>, &str> {
 fn write_json(dir: &str, out: &ExperimentOutput) {
     std::fs::create_dir_all(dir).expect("create json dir");
     let path = format!("{dir}/{}.json", out.id);
-    std::fs::write(&path, serde_json::to_string_pretty(&out.json).unwrap()).expect("write json");
+    std::fs::write(&path, out.file_text()).expect("write json");
     eprintln!("[wrote {path}]");
 }
 

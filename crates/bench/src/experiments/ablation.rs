@@ -10,7 +10,7 @@
 //! * `+all`       — reordered graph with the full selection rule.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::{measure, registry_graph};
+use crate::runner::{measure, registry_graph, Record};
 use crate::table;
 use hpsparse_core::catalog::Kernel;
 use hpsparse_core::hp::{HpConfig, HpSpmm};
@@ -24,10 +24,18 @@ const GRAPHS: [&str; 4] = ["AM", "ddi", "Yelp", "ppa"];
 /// Candidate `alpha` values for the wave-constraint sweep.
 const ALPHAS: [f64; 6] = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0];
 
-/// HP-SpMM's execution ms at `cfg` on input `graph` (`s`), cold.
-fn hp_ms(cfg: HpConfig, graph: &str, device: &DeviceSpec, s: &Hybrid, k: usize) -> f64 {
+/// HP-SpMM's cold walk at `cfg` on input `graph` (`s`), scoped by
+/// `variant`.
+fn hp_at(
+    cfg: HpConfig,
+    variant: String,
+    graph: &str,
+    device: &DeviceSpec,
+    s: &Hybrid,
+    k: usize,
+) -> Record {
     let kernel = Kernel::Spmm(Box::new(HpSpmm::new(cfg)));
-    measure(graph, &kernel, device, s, k).exec_ms()
+    measure(graph, &kernel, device, s, k).with_variant(variant)
 }
 
 /// Runs all six variants on the four ablation graphs.
@@ -35,6 +43,7 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
     let device = DeviceSpec::v100();
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
+    let mut records = Vec::new();
     for name in GRAPHS {
         let (g, s) = registry_graph(name, effort);
         let (nnz, m) = (s.nnz(), s.rows());
@@ -44,13 +53,18 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
         let hvma_cfg = HpConfig::with_hvma(nnz, m, k);
         let full_cfg = HpConfig::auto(&device, nnz, m, k);
 
-        let base = hp_ms(base_cfg, name, &device, &s, k);
-        let dtp = hp_ms(dtp_cfg, name, &device, &s, k);
-        let hvma = hp_ms(hvma_cfg, name, &device, &s, k);
-        let both = hp_ms(full_cfg, name, &device, &s, k);
         let reordered = gcr_reorder(&g).graph.to_hybrid();
-        let gcr_only = hp_ms(base_cfg, name, &device, &reordered, k);
-        let all = hp_ms(full_cfg, name, &device, &reordered, k);
+        let walks = [
+            ("base", base_cfg, &s),
+            ("+DTP", dtp_cfg, &s),
+            ("+HVMA", hvma_cfg, &s),
+            ("+DTP+HVMA", full_cfg, &s),
+            ("+GCR", base_cfg, &reordered),
+            ("+all", full_cfg, &reordered),
+        ]
+        .map(|(variant, cfg, input)| hp_at(cfg, variant.into(), name, &device, input, k));
+        let [base, dtp, hvma, both, gcr_only, all] = walks.each_ref().map(Record::exec_ms);
+        records.extend(walks);
 
         let rel = |ms: f64| table::speedup(base / ms);
         rows.push(vec![
@@ -93,6 +107,7 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
         text,
         json!({ "device": device.name, "k": k, "graphs": json_rows }),
     )
+    .with_records(records)
 }
 
 /// Design-choice ablation: sensitivity of HP-SpMM to Ineq. 5's `alpha`
@@ -102,6 +117,7 @@ pub fn alpha_sweep(effort: Effort, k: usize) -> ExperimentOutput {
     let device = DeviceSpec::v100();
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
+    let mut records = Vec::new();
     for name in ["ddi", "Flickr", "Yelp"] {
         let (_, s) = registry_graph(name, effort);
         let (nnz, m) = (s.nnz(), s.rows());
@@ -109,7 +125,9 @@ pub fn alpha_sweep(effort: Effort, k: usize) -> ExperimentOutput {
         let mut entry = serde_json::Map::new();
         for &alpha in &ALPHAS {
             let cfg = HpConfig::auto_with_alpha(&device, nnz, m, k, alpha);
-            let ms = hp_ms(cfg, name, &device, &s, k);
+            let record = hp_at(cfg, format!("alpha={alpha}"), name, &device, &s, k);
+            let ms = record.exec_ms();
+            records.push(record);
             row.push(format!("{} (npw {})", table::ms(ms), cfg.nnz_per_warp));
             entry.insert(
                 format!("alpha_{alpha}"),
@@ -138,4 +156,5 @@ pub fn alpha_sweep(effort: Effort, k: usize) -> ExperimentOutput {
         text,
         json!({ "device": device.name, "k": k, "graphs": json_rows }),
     )
+    .with_records(records)
 }

@@ -1,12 +1,13 @@
 //! `autotune` — evaluates the `hpsparse-autotune` planning subsystem.
 //!
 //! Part 1, full-graph registry (19 graphs, K = 64): every SpMM/SDDMM
-//! candidate is measured cold to establish the per-graph *oracle* (best
-//! possible kernel), then the `Measured` planner's pick is compared to it
-//! (oracle-match rate) and `AutoBackend` is raced end-to-end against
-//! `HpBackend` (always-HP, the paper's selector) and against the best
-//! *fixed* baseline kernel pair chosen in hindsight across the whole
-//! registry.
+//! candidate is walked cold once, and those records are the ground truth
+//! every score folds: the per-graph *oracle* (best possible kernel), the
+//! `Measured` planner's oracle match, the `Heuristic` pick's walked cycles,
+//! regret and prediction error, and the best *fixed* baseline kernel pair
+//! chosen in hindsight across the whole registry. `AutoBackend` is raced
+//! end-to-end against `HpBackend` (always-HP, the paper's selector) and
+//! that fixed pair.
 //!
 //! Part 2, sampling corpus: a slice of the Fig. 10 subgraph corpus is
 //! pushed through one `AutoBackend` twice. The first pass plans every
@@ -14,16 +15,16 @@
 //! must be served entirely from the plan cache — zero planning launches.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::registry_graphs;
+use crate::runner::{geomean, measure_on, registry_graphs, Record};
 use crate::table;
 use hpsparse_autotune::{
     instantiate_sddmm, instantiate_spmm, measurement_features, sddmm_candidates, spmm_candidates,
-    Candidate, GraphFingerprint, PlanStrategy, Planner,
+    GraphFingerprint, PlanStrategy, Planner,
 };
-use hpsparse_core::traits::Launches;
+use hpsparse_core::catalog::{Kernel, Op};
 use hpsparse_datasets::store;
 use hpsparse_gnn::{AutoBackend, HpBackend, SparseBackend};
-use hpsparse_sim::DeviceSpec;
+use hpsparse_sim::{DeviceSpec, GpuSim};
 use hpsparse_sparse::{Dense, Hybrid};
 use serde_json::json;
 
@@ -46,15 +47,34 @@ fn corpus_slice(effort: Effort) -> usize {
     }
 }
 
-/// Cold launches of one SpMM candidate — a cost walk, as the planner's
-/// own measurements are.
-fn measure_spmm(device: &DeviceSpec, c: &Candidate, s: &Hybrid, k: usize) -> Option<Launches> {
-    Some(instantiate_spmm(c)?.cost(device, s, k).ok()?.into())
+/// The `PlanStrategy::Heuristic` pick for one graph and op, scored against
+/// the candidate walks.
+pub struct HeuristicScore {
+    /// The picked candidate's id.
+    pub pick: String,
+    /// The analytic estimate the pick was made on.
+    pub predicted_cycles: u64,
+    /// The pick's walked cycles (exec + preprocessing).
+    pub walked_cycles: u64,
+    /// The oracle's cycles on the same graph and op.
+    pub oracle_cycles: u64,
 }
 
-/// Cold launches of one SDDMM candidate.
-fn measure_sddmm(device: &DeviceSpec, c: &Candidate, s: &Hybrid, k: usize) -> Option<Launches> {
-    Some(instantiate_sddmm(c)?.cost(device, s, k).ok()?.into())
+impl HeuristicScore {
+    /// Did the pick cost what the oracle costs?
+    pub fn matches(&self) -> bool {
+        self.walked_cycles == self.oracle_cycles
+    }
+
+    /// The pick's walked cycles over the oracle's (1.0 = a match).
+    pub fn regret(&self) -> f64 {
+        self.walked_cycles as f64 / self.oracle_cycles as f64
+    }
+
+    /// `|predicted − walked| / walked`.
+    pub fn error(&self) -> f64 {
+        self.predicted_cycles.abs_diff(self.walked_cycles) as f64 / self.walked_cycles as f64
+    }
 }
 
 /// Everything measured for one registry graph.
@@ -76,6 +96,10 @@ pub struct GraphResult {
     pub sddmm_oracle: String,
     /// SDDMM oracle match.
     pub sddmm_match: bool,
+    /// The Heuristic's SpMM pick, scored.
+    pub spmm_heuristic: HeuristicScore,
+    /// The Heuristic's SDDMM pick, scored.
+    pub sddmm_heuristic: HeuristicScore,
     /// AutoBackend end-to-end sparse cycles (SpMM + SDDMM, cold per op).
     pub auto_cycles: u64,
     /// HpBackend cycles under identical conditions.
@@ -87,24 +111,65 @@ pub struct GraphResult {
     pub planning_cycles: u64,
 }
 
-/// Per-candidate launch tables for one graph, used to build the oracle and
-/// the best-fixed-kernel totals.
-struct CandidateCycles {
-    spmm: Vec<(String, Launches)>,
-    sddmm: Vec<(String, Launches)>,
-}
-
-fn candidate_cycles(device: &DeviceSpec, s: &Hybrid, k: usize) -> CandidateCycles {
+/// Every SpMM then SDDMM candidate's cold walk on one graph, in
+/// enumeration order, scoped by candidate id; a candidate that does not
+/// instantiate or refuses the shape has none. A walk is a cost walk, as
+/// the planner's own measurements are.
+fn candidate_walks(device: &DeviceSpec, graph: &str, s: &Hybrid, k: usize) -> Vec<Record> {
     let fp = GraphFingerprint::of(s, k, device);
     let spmm = spmm_candidates(device, &fp)
         .into_iter()
-        .filter_map(|c| measure_spmm(device, &c, s, k).map(|cy| (c.kernel_id, cy)))
-        .collect();
+        .filter_map(|c| Some((Kernel::Spmm(instantiate_spmm(&c)?), c.kernel_id)));
     let sddmm = sddmm_candidates(device, &fp)
         .into_iter()
-        .filter_map(|c| measure_sddmm(device, &c, s, k).map(|cy| (c.kernel_id, cy)))
-        .collect();
-    CandidateCycles { spmm, sddmm }
+        .filter_map(|c| Some((Kernel::Sddmm(instantiate_sddmm(&c)?), c.kernel_id)));
+    spmm.chain(sddmm)
+        .filter_map(|(kernel, id)| {
+            let sim = &mut GpuSim::new(device.clone());
+            Some(measure_on(sim, graph, &kernel, s, k).ok()?.with_variant(id))
+        })
+        .collect()
+}
+
+/// The walk of candidate `id` among one graph's walks.
+fn walk_of<'a>(walks: &'a [Record], id: &str) -> Option<&'a Record> {
+    walks.iter().find(|r| r.variant == id)
+}
+
+/// The first candidate of `op` with the fewest cycles (exec +
+/// preprocessing) — what the planner compares — and those cycles.
+fn oracle_of(walks: &[Record], op: Op) -> (&str, u64) {
+    walks
+        .iter()
+        .filter(|r| r.op == op)
+        .map(|r| (r.variant.as_str(), r.launches.cycles()))
+        .min_by_key(|(_, cycles)| *cycles)
+        .unwrap_or(("none", 0))
+}
+
+/// The registry baseline of `op` (no HP candidate) that walked on every
+/// graph with the lowest total cycles — the strongest *single* kernel one
+/// could have hard-coded; the first in enumeration order on a tie.
+fn best_fixed(per_graph: &[Vec<Record>], op: Op) -> Option<&str> {
+    let first = per_graph.first()?;
+    let total = |id: &str| -> Option<u64> {
+        per_graph
+            .iter()
+            .map(|walks| Some(walk_of(walks, id)?.launches.cycles()))
+            .sum()
+    };
+    let mut best: Option<(&str, u64)> = None;
+    let baseline =
+        |r: &&Record| !r.variant.starts_with("hp:") && !r.variant.starts_with("hp-sddmm:");
+    for r in first.iter().filter(|r| r.op == op).filter(baseline) {
+        let Some(cycles) = total(&r.variant) else {
+            continue;
+        };
+        if best.is_none_or(|(_, b)| cycles < b) {
+            best = Some((&r.variant, cycles));
+        }
+    }
+    best.map(|(id, _)| id)
 }
 
 /// The backend race's dense operands for `s`: `(A, A1)`; `A` doubles as
@@ -116,43 +181,44 @@ fn race_operands(s: &Hybrid, k: usize) -> (Dense, Dense) {
     )
 }
 
-/// The candidate with the fewest cycles (exec + preprocessing) — what the
-/// planner compares — and those cycles.
-fn oracle_of(table: &[(String, Launches)]) -> (String, u64) {
-    table
-        .iter()
-        .map(|(id, launches)| (id, launches.cycles()))
-        .min_by_key(|(_, cy)| *cy)
-        .map(|(id, cy)| (id.clone(), cy))
-        .unwrap_or_else(|| ("none".into(), 0))
-}
-
-/// Runs the full-graph registry part: oracle search, planner evaluation,
-/// and the three-way backend race.
-pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Vec<GraphResult> {
+/// Runs the full-graph registry part — candidate walks, planner
+/// evaluation, the Heuristic's score and the three-way backend race — and
+/// returns each graph's result with every candidate walk.
+pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> (Vec<GraphResult>, Vec<Record>) {
     let graphs = registry_graphs(edge_cap(effort));
-
-    // Exhaustive candidate measurement per graph (the oracle), reused to
-    // pick the best fixed baseline in hindsight.
-    let tables: Vec<CandidateCycles> = graphs
+    let per_graph: Vec<Vec<Record>> = graphs
         .iter()
-        .map(|(_, s)| candidate_cycles(device, s, k))
+        .map(|(name, s)| candidate_walks(device, name, s, k))
         .collect();
-    let fixed_spmm = best_fixed(&tables, |t| &t.spmm);
-    let fixed_sddmm = best_fixed(&tables, |t| &t.sddmm);
+    let fixed = [Op::Spmm, Op::Sddmm].map(|op| best_fixed(&per_graph, op));
+    let heuristic = Planner::new(device.clone(), PlanStrategy::Heuristic);
 
-    graphs
+    let results = graphs
         .iter()
-        .zip(&tables)
-        .map(|((name, s), table)| {
+        .zip(&per_graph)
+        .map(|((name, s), walks)| {
             let (a, a1) = race_operands(s, k);
-            let (spmm_oracle, spmm_best) = oracle_of(&table.spmm);
-            let (sddmm_oracle, sddmm_best) = oracle_of(&table.sddmm);
+            let (spmm_oracle, spmm_best) = oracle_of(walks, Op::Spmm);
+            let (sddmm_oracle, sddmm_best) = oracle_of(walks, Op::Sddmm);
 
             // The planner under test (fresh per graph: cold-cache planning).
             let mut planner = Planner::new(device.clone(), PlanStrategy::default());
             let spmm_plan = planner.plan_spmm(s, k);
             let sddmm_plan = planner.plan_sddmm(s, k);
+
+            // The Heuristic's pick, priced by the walks, not by a walk.
+            let fp = GraphFingerprint::of(s, k, device);
+            let score = |op, oracle_cycles| {
+                let pick = heuristic.pick(op, &fp, 1);
+                let id = pick.candidate.kernel_id;
+                let walk = walk_of(walks, id).expect("the Heuristic picks a walked candidate");
+                HeuristicScore {
+                    pick: id.to_string(),
+                    predicted_cycles: pick.predicted_cycles(),
+                    walked_cycles: walk.launches.cycles(),
+                    oracle_cycles,
+                }
+            };
 
             // End-to-end race, one fresh backend per op so every kernel
             // runs under identical cold-cache conditions.
@@ -179,60 +245,35 @@ pub fn collect(device: &DeviceSpec, effort: Effort, k: usize) -> Vec<GraphResult
             let hp_cycles = run_hp(0) + run_hp(1);
 
             // What a backend running the fixed pair would be charged.
-            let fixed_cycles = cycles_for(&table.spmm, &fixed_spmm, Launches::price)
-                + cycles_for(&table.sddmm, &fixed_sddmm, Launches::price);
+            let fixed_cycles = fixed
+                .iter()
+                .map(|id| {
+                    let walk = id.and_then(|id| walk_of(walks, id));
+                    walk.expect("the fixed pair walked on every graph")
+                        .launches
+                        .price()
+                })
+                .sum();
 
             GraphResult {
                 graph: name.to_string(),
                 nnz: s.nnz(),
                 spmm_pick: spmm_plan.kernel_id.clone(),
-                spmm_oracle,
+                spmm_oracle: spmm_oracle.to_string(),
                 spmm_match: spmm_plan.predicted_cycles == spmm_best,
                 sddmm_pick: sddmm_plan.kernel_id.clone(),
-                sddmm_oracle,
+                sddmm_oracle: sddmm_oracle.to_string(),
                 sddmm_match: sddmm_plan.predicted_cycles == sddmm_best,
+                spmm_heuristic: score(Op::Spmm, spmm_best),
+                sddmm_heuristic: score(Op::Sddmm, sddmm_best),
                 auto_cycles: auto_spmm + auto_sddmm,
                 hp_cycles,
                 fixed_cycles,
                 planning_cycles: plan_spmm_cost + plan_sddmm_cost,
             }
         })
-        .collect()
-}
-
-/// The registry baseline (no HP candidates) with the lowest total cycles
-/// across all graphs — the strongest *single* kernel one could have
-/// hard-coded.
-fn best_fixed<'a>(
-    tables: &'a [CandidateCycles],
-    get: impl Fn(&'a CandidateCycles) -> &'a Vec<(String, Launches)>,
-) -> String {
-    let Some(first) = tables.first() else {
-        return "none".into();
-    };
-    let mut best = ("none".to_string(), u64::MAX);
-    for (id, _) in get(first) {
-        if id.starts_with("hp:") || id.starts_with("hp-sddmm:") {
-            continue;
-        }
-        let total: u64 = tables
-            .iter()
-            .map(|t| cycles_for(get(t), id, Launches::cycles))
-            .sum();
-        if total < best.1 {
-            best = (id.clone(), total);
-        }
-    }
-    best.0
-}
-
-/// `read` of candidate `id`'s launches, or a sentinel far above any real
-/// figure when `id` did not measure.
-fn cycles_for(table: &[(String, Launches)], id: &str, read: fn(&Launches) -> u64) -> u64 {
-    table
-        .iter()
-        .find(|(cid, _)| cid == id)
-        .map_or(u64::MAX / 4, |(_, launches)| read(launches))
+        .collect();
+    (results, per_graph.concat())
 }
 
 /// Cache-behaviour numbers from the sampling-corpus part.
@@ -300,9 +341,32 @@ pub fn collect_corpus(device: &DeviceSpec, effort: Effort, k: usize) -> CorpusRe
 
 /// Runs both parts and renders the report.
 pub fn run(device: &DeviceSpec, effort: Effort, k: usize) -> ExperimentOutput {
-    let records = collect(device, effort, k);
+    let (results, walks) = collect(device, effort, k);
     let corpus = collect_corpus(device, effort, k);
-    render(device, k, &records, &corpus)
+    render(device, k, &results, &corpus).with_records(walks)
+}
+
+/// The median of `xs` (0 for none).
+fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    match sorted.len() {
+        0 => 0.0,
+        n if n % 2 == 1 => sorted[n / 2],
+        n => (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0,
+    }
+}
+
+/// One scored Heuristic pick as JSON.
+fn score_json(h: &HeuristicScore) -> serde_json::Value {
+    json!({
+        "pick": h.pick.as_str(),
+        "predicted_cycles": h.predicted_cycles,
+        "walked_cycles": h.walked_cycles,
+        "match": h.matches(),
+        "regret": h.regret(),
+        "error": h.error(),
+    })
 }
 
 /// Formats the autotune report.
@@ -337,7 +401,6 @@ pub fn render(
         "Fixed ms",
         "Plan ms",
     ];
-
     let n = records.len().max(1) as f64;
     let spmm_rate = records.iter().filter(|r| r.spmm_match).count() as f64 / n;
     let sddmm_rate = records.iter().filter(|r| r.sddmm_match).count() as f64 / n;
@@ -350,6 +413,24 @@ pub fn render(
     let hp_total: u64 = records.iter().map(|r| r.hp_cycles).sum();
     let fixed_total: u64 = records.iter().map(|r| r.fixed_cycles).sum();
     let never_worse = records.iter().all(|r| r.auto_cycles <= r.hp_cycles);
+
+    let scores: Vec<&HeuristicScore> = records
+        .iter()
+        .flat_map(|r| [&r.spmm_heuristic, &r.sddmm_heuristic])
+        .collect();
+    let spmm_matches = records
+        .iter()
+        .filter(|r| r.spmm_heuristic.matches())
+        .count();
+    let sddmm_matches = records
+        .iter()
+        .filter(|r| r.sddmm_heuristic.matches())
+        .count();
+    let regrets: Vec<f64> = scores.iter().map(|h| h.regret()).collect();
+    let errors: Vec<f64> = scores.iter().map(|h| h.error()).collect();
+    let worst = |xs: &[f64]| xs.iter().copied().fold(0.0, f64::max);
+    let (regret_geomean, regret_worst) = (geomean(&regrets), worst(&regrets));
+    let (error_median, error_worst) = (median(&errors), worst(&errors));
 
     let summary = format!(
         "  oracle-match rate: SpMM {:.0}%, SDDMM {:.0}%, combined {:.0}%\n  \
@@ -367,6 +448,16 @@ pub fn render(
         corpus.pass2_hits,
         corpus.pass2_launches,
     );
+    let heuristic_summary = format!(
+        "  heuristic pick (analytic, unwalked) priced by the candidate walks: matches the \
+         oracle on {} of {} plans (SpMM {spmm_matches}, SDDMM {sddmm_matches}); regret \
+         (walked / oracle cycles) geomean {regret_geomean:.2}x, worst {regret_worst:.2}x; \
+         |predicted - walked| / walked median {:.0}%, worst {:.0}%\n",
+        spmm_matches + sddmm_matches,
+        scores.len(),
+        error_median * 100.0,
+        error_worst * 100.0,
+    );
 
     let json_graphs: Vec<serde_json::Value> = records
         .iter()
@@ -380,6 +471,8 @@ pub fn render(
                 "sddmm_pick": r.sddmm_pick.as_str(),
                 "sddmm_oracle": r.sddmm_oracle.as_str(),
                 "sddmm_match": r.sddmm_match,
+                "spmm_heuristic": score_json(&r.spmm_heuristic),
+                "sddmm_heuristic": score_json(&r.sddmm_heuristic),
                 "auto_cycles": r.auto_cycles,
                 "hp_cycles": r.hp_cycles,
                 "fixed_cycles": r.fixed_cycles,
@@ -389,10 +482,11 @@ pub fn render(
         .collect();
 
     let text = format!(
-        "autotune — planner evaluation, K = {k}, {} (plans marked * missed the oracle)\n\n{}\n{}",
+        "autotune — planner evaluation, K = {k}, {} (plans marked * missed the oracle)\n\n{}\n{}{}",
         device.name,
         table::render(&header, &rows),
-        summary
+        summary,
+        heuristic_summary,
     );
     ExperimentOutput::new(
         text,
@@ -406,6 +500,16 @@ pub fn render(
             "hp_total_cycles": hp_total,
             "fixed_total_cycles": fixed_total,
             "auto_never_worse_than_hp": never_worse,
+            "heuristic": json!({
+                "plans": scores.len(),
+                "matches": spmm_matches + sddmm_matches,
+                "spmm_matches": spmm_matches,
+                "sddmm_matches": sddmm_matches,
+                "regret_geomean": regret_geomean,
+                "regret_worst": regret_worst,
+                "error_median": error_median,
+                "error_worst": error_worst,
+            }),
             "graphs": json_graphs,
             "corpus": json!({
                 "slice": corpus.slice,

@@ -3,7 +3,7 @@
 //! (why §II's third cuSPARSE format is absent from GNN frameworks).
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::measure_id;
+use crate::runner::{measure_id, Record};
 use crate::table;
 use hpsparse_datasets::generators::{GeneratorConfig, Topology};
 use hpsparse_sim::DeviceSpec;
@@ -20,6 +20,7 @@ pub fn run_bell(effort: Effort) -> ExperimentOutput {
     let k = 64;
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
+    let mut records = Vec::new();
     // Block-diagonal graph with dense 16-node blocks: Blocked-ELL's sweet
     // spot (fill ratio ≈ 1).
     let block_dense = {
@@ -65,8 +66,10 @@ pub fn run_bell(effort: Effort) -> ExperimentOutput {
     ] {
         let s = g.to_hybrid();
         let fill = BlockedEllShape::of(&s.to_csr(), 16).unwrap().fill_ratio();
-        let hp = measure_id(label, "hp-spmm", &device, &s, k).exec_ms();
-        let bell = measure_id(label, "cusparse-blocked-ell", &device, &s, k).exec_ms();
+        let walks =
+            ["hp-spmm", "cusparse-blocked-ell"].map(|id| measure_id(label, id, &device, &s, k));
+        let [hp, bell] = walks.each_ref().map(Record::exec_ms);
+        records.extend(walks);
         rows.push(vec![
             label.to_string(),
             format!("{:.3}", fill),
@@ -102,6 +105,7 @@ pub fn run_bell(effort: Effort) -> ExperimentOutput {
         text,
         json!({ "device": device.name, "k": k, "rows": json_rows }),
     )
+    .with_records(records)
 }
 
 #[cfg(test)]

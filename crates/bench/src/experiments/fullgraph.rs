@@ -12,7 +12,7 @@ use serde_json::json;
 /// Renders Fig. 9 from the full-graph sweep.
 pub fn run(device: &DeviceSpec, effort: Effort, k: usize) -> ExperimentOutput {
     let records = sweep(Inputs::FullGraph, device, effort, k);
-    render(device, effort, k, &records)
+    render(device, effort, k, &records).with_shared_records(vec![records])
 }
 
 /// One input's records of `op`: HP's, then the contenders'.

@@ -8,7 +8,7 @@
 //! registry fills with the NCU-style counters `render_metrics` prints.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::registry_graph;
+use crate::runner::{measure_on, registry_graph};
 use hpsparse_core::catalog;
 use hpsparse_sim::{profile, DeviceSpec, GpuSim};
 use serde_json::{json, ToJson};
@@ -46,29 +46,31 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
         device.name
     );
     let mut json_rows = Vec::new();
+    let mut records = Vec::new();
     for id in PROFILED {
         let kernel = catalog::by_id(id)
             .expect("profiled ids are catalogue ids")
             .auto(&device, &s, k);
-        let launches = kernel
-            .cost_on(&mut profiled_sim(&device), &s, k)
+        let record = measure_on(&mut profiled_sim(&device), "Flickr", &kernel, &s, k)
             .expect("benchmark shapes are valid");
-        for report in &launches.exec {
-            text.push_str(&profile::render(kernel.name(), report, &device));
+        for report in &record.launches.exec {
+            text.push_str(&profile::render(record.kernel, report, &device));
             text.push_str(&profile::render_metrics(report));
             text.push('\n');
             json_rows.push(json!({
-                "kernel": kernel.name(),
+                "kernel": record.kernel,
                 "cycles": report.cycles,
                 "report": report.to_json(),
             }));
         }
+        records.push(record);
     }
 
     ExperimentOutput::new(
         text,
         json!({ "device": device.name, "k": k, "kernels": json_rows }),
     )
+    .with_records(records)
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@ pub fn run(effort: Effort) -> ExperimentOutput {
 
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
+    let mut records = Vec::new();
     for &k in &K_VALUES {
         let [hp, alg2, ge] = ["hp-spmm", "cusparse-csr-alg2", "gespmm"]
             .map(|id| measure_id("Flickr", id, &device, &s, k));
@@ -38,6 +39,7 @@ pub fn run(effort: Effort) -> ExperimentOutput {
             "speedup_vs_alg2": vs_hp(&alg2),
             "speedup_vs_gespmm": vs_hp(&ge),
         }));
+        records.extend([hp, alg2, ge]);
     }
     let text = format!(
         "Fig. 13 — sensitivity to K on Flickr ({} edges), {}\n\n{}",
@@ -56,4 +58,5 @@ pub fn run(effort: Effort) -> ExperimentOutput {
         )
     );
     ExperimentOutput::new(text, json!({ "device": device.name, "points": json_rows }))
+        .with_records(records)
 }

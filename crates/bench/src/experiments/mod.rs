@@ -2,6 +2,7 @@
 
 pub mod ablation;
 pub mod autotune;
+pub mod counters;
 pub mod datasets_table;
 pub mod endtoend;
 pub mod extensions;
@@ -20,11 +21,13 @@ pub mod summary;
 pub mod variance;
 pub mod verify;
 
+use crate::runner::{Record, Records};
 use hpsparse_datasets::store::Memo;
 use hpsparse_sim::DeviceSpec;
 use std::sync::{Arc, OnceLock};
 
-/// A rendered experiment: human-readable text plus machine-readable JSON.
+/// A rendered experiment: human-readable text plus machine-readable JSON,
+/// and the kernel walks both were made from.
 pub struct ExperimentOutput {
     /// The experiment's name in [`EXPERIMENTS`], e.g. "fig9" — stamped by
     /// [`Experiment::execute`], empty on an output that did not go through
@@ -34,12 +37,64 @@ pub struct ExperimentOutput {
     pub text: String,
     /// Serialised results for EXPERIMENTS.md regeneration.
     pub json: serde_json::Value,
+    /// Every kernel walk the experiment measured, in the order it made
+    /// them; [`counters`] joins them. Empty for an experiment that walks no
+    /// kernel.
+    pub records: Vec<Records>,
+    /// Whether the `--json` file writes each element of a top-level array
+    /// on one line ([`Self::file_text`]).
+    rows_per_line: bool,
 }
 
 impl ExperimentOutput {
     /// An output not yet attributed to a table row.
     pub(crate) fn new(text: String, json: serde_json::Value) -> Self {
-        Self { id: "", text, json }
+        Self {
+            id: "",
+            text,
+            json,
+            records: Vec::new(),
+            rows_per_line: false,
+        }
+    }
+
+    /// The output carrying `records`, its experiment's own walks.
+    pub(crate) fn with_records(mut self, records: Vec<Record>) -> Self {
+        self.records = vec![Arc::new(records)];
+        self
+    }
+
+    /// The output carrying record sets shared with other experiments (a
+    /// memoised sweep's).
+    pub(crate) fn with_shared_records(mut self, records: Vec<Records>) -> Self {
+        self.records = records;
+        self
+    }
+
+    /// The `--json` file's text: [`Self::json`] pretty-printed, or, for a
+    /// view of many rows, each element of a top-level array on one line.
+    pub fn file_text(&self) -> String {
+        let pretty =
+            |v: &serde_json::Value| serde_json::to_string_pretty(v).expect("a view serialises");
+        let Some(fields) = self.json.as_object().filter(|_| self.rows_per_line) else {
+            return pretty(&self.json);
+        };
+        let compact = |v: &serde_json::Value| serde_json::to_string(v).expect("a view serialises");
+        let fields: Vec<String> = fields
+            .iter()
+            .map(|(key, value)| {
+                let value = match value.as_array() {
+                    Some(rows) if !rows.is_empty() => {
+                        let rows: Vec<String> =
+                            rows.iter().map(|r| format!("    {}", compact(r))).collect();
+                        format!("[\n{}\n  ]", rows.join(",\n"))
+                    }
+                    _ => compact(value),
+                };
+                format!("  {}: {value}", compact(&serde_json::json!(key)))
+            })
+            .collect();
+        format!("{{\n{}\n}}", fields.join(",\n"))
     }
 }
 
@@ -186,6 +241,8 @@ pub static EXPERIMENTS: &[Experiment] = &[
         |e| kernel_profile::run(e, DEFAULT_K)).deep_trace(),
     Experiment::new("scorecard", "every paper claim against the gated view that measures it",
         scorecard::run),
+    Experiment::new("counters", "every launch's simulated counters, one row per launch",
+        counters::run),
     Experiment::new("datasets", "Table II stand-in verification", datasets_table::run).not_in_all(),
     Experiment::new("serve", "multi-GPU sharded inference serving under synthetic load",
         serve::run).not_in_all().deep_trace(),

@@ -4,7 +4,7 @@
 
 use crate::claims;
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::{measure_id, registry_graph};
+use crate::runner::{measure_id, registry_graph, Record};
 use crate::table;
 use hpsparse_sim::DeviceSpec;
 use serde_json::json;
@@ -16,6 +16,7 @@ pub fn run_table4(effort: Effort, k: usize) -> ExperimentOutput {
     let kernels = ["aspt", "sputnik", "merge-path", "huang"];
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
+    let mut records = Vec::new();
     for name in graphs {
         let (_, s) = registry_graph(name, effort);
         let mut row = vec![name.to_string()];
@@ -29,12 +30,14 @@ pub fn run_table4(effort: Effort, k: usize) -> ExperimentOutput {
                 r.kernel.to_string(),
                 json!({ "pre_ms": pre_ms, "exec_ms": exec_ms }),
             );
+            records.push(r);
         }
         let hp = measure_id(name, "hp-spmm", &device, &s, k);
         row.push(table::ms(hp.exec_ms()));
         entry.insert(hp.kernel.into(), json!({ "exec_ms": hp.exec_ms() }));
         entry.insert("graph".into(), json!(name));
         entry.insert("nnz".into(), json!(s.nnz()));
+        records.push(hp);
         rows.push(row);
         json_rows.push(serde_json::Value::Object(entry));
     }
@@ -61,14 +64,15 @@ pub fn run_table4(effort: Effort, k: usize) -> ExperimentOutput {
         text,
         json!({ "device": device.name, "k": k, "graphs": json_rows }),
     )
+    .with_records(records)
 }
 
 /// §IV-C: HP-SpMM vs TC-GNN (TF32 Tensor Cores) on Yelp, RTX 3090.
 pub fn run_tcgnn(effort: Effort, k: usize) -> ExperimentOutput {
     let device = DeviceSpec::rtx3090();
     let (_, s) = registry_graph("Yelp", effort);
-    let hp = measure_id("Yelp", "hp-spmm", &device, &s, k).exec_ms();
-    let tc = measure_id("Yelp", "tcgnn", &device, &s, k).exec_ms();
+    let walks = ["hp-spmm", "tcgnn"].map(|id| measure_id("Yelp", id, &device, &s, k));
+    let [hp, tc] = walks.each_ref().map(Record::exec_ms);
     let paper = claims::only("tcgnn");
     let text = format!(
         "§IV-C — low-precision Tensor-Core comparison on {} (Yelp, K = {k})\n\n\
@@ -92,6 +96,7 @@ pub fn run_tcgnn(effort: Effort, k: usize) -> ExperimentOutput {
             "ratio": tc / hp,
         }),
     )
+    .with_records(walks.into())
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 
 use crate::claims;
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::measure_id;
+use crate::runner::{measure_id, Record};
 use crate::table;
 use hpsparse_datasets::registry::by_name;
 use hpsparse_datasets::store;
@@ -29,7 +29,8 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
     let device = DeviceSpec::v100();
 
     let baseline_locality = avg_neighbor_distance(&g);
-    let baseline_kernel = kernel_hit_rate(&device, &g, k);
+    let mut records = vec![hp_walk(&device, &g, "original", k)];
+    let baseline_kernel = records[0].l2_hit_rate();
 
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
@@ -43,7 +44,8 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
     ];
     for (name, r) in runs {
         let locality = avg_neighbor_distance(&r.graph);
-        let hit = kernel_hit_rate(&device, &r.graph, k);
+        records.push(hp_walk(&device, &r.graph, name, k));
+        let hit = records.last().map_or(0.0, Record::l2_hit_rate);
         seconds.push(r.seconds);
         rows.push(vec![
             name.to_string(),
@@ -94,8 +96,10 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
             "methods": json_rows,
         }),
     )
+    .with_records(records)
 }
 
-fn kernel_hit_rate(device: &DeviceSpec, g: &Graph, k: usize) -> f64 {
-    measure_id("proteins", "hp-spmm", device, &g.to_hybrid(), k).l2_hit_rate()
+/// HP-SpMM's cold walk on `g`, the `proteins` graph in `layout`.
+fn hp_walk(device: &DeviceSpec, g: &Graph, layout: &str, k: usize) -> Record {
+    measure_id("proteins", "hp-spmm", device, &g.to_hybrid(), k).with_variant(layout)
 }

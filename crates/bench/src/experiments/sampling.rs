@@ -14,7 +14,8 @@ use serde_json::json;
 
 /// Renders the Fig. 10 summary from the corpus sweep.
 pub fn run(device: &DeviceSpec, effort: Effort, k: usize) -> ExperimentOutput {
-    render(device, k, &sweep(Inputs::Corpus, device, effort, k))
+    let records = sweep(Inputs::Corpus, device, effort, k);
+    render(device, k, &records).with_shared_records(vec![records])
 }
 
 /// Formats a corpus sweep's records.

@@ -43,15 +43,16 @@ pub fn run(effort: Effort, mut each: impl FnMut(&ExperimentOutput)) -> Experimen
             json!({ "experiment": name, "seconds": seconds, "output_bytes": text_len })
         })
         .collect();
-    ExperimentOutput {
-        id: "selftime",
+    let mut out = ExperimentOutput::new(
         text,
-        json: json!({
+        json!({
             "mode": "selftime",
             "effort": effort.label(),
             "threads": rayon::current_num_threads(),
             "experiments": json_entries,
             "total_seconds": total,
         }),
-    }
+    );
+    out.id = "selftime";
+    out
 }

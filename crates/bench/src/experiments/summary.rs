@@ -21,7 +21,10 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
         .iter()
         .map(|(device, fg, gs)| (device, &fg[..], &gs[..]))
         .collect();
-    render(k, &per_device)
+    let records = sweeps
+        .iter()
+        .flat_map(|(_, fg, gs)| [fg.clone(), gs.clone()]);
+    render(k, &per_device).with_shared_records(records.collect())
 }
 
 /// The (device, baseline) cell of one dataset. A hole in the grid is a

@@ -5,7 +5,7 @@
 
 use crate::claims;
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::measure_id;
+use crate::runner::{measure_id, Record};
 use crate::table;
 use hpsparse_datasets::variance_family;
 use hpsparse_sim::DeviceSpec;
@@ -47,12 +47,14 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
     let mut stds = Vec::new();
     let mut speedups = Vec::new();
     let mut rows = Vec::new();
+    let mut records = Vec::new();
     for (i, g) in family.iter().enumerate() {
         let stats = DegreeStats::of(g.adjacency());
         let s = g.to_hybrid();
         let name = format!("G{i}");
-        let hp = measure_id(&name, "hp-spmm", &device, &s, k).exec_ms();
-        let ge = measure_id(&name, "gespmm", &device, &s, k).exec_ms();
+        let walks = ["hp-spmm", "gespmm"].map(|id| measure_id(&name, id, &device, &s, k));
+        let [hp, ge] = walks.each_ref().map(Record::exec_ms);
+        records.extend(walks);
         let speedup = ge / hp;
         stds.push(stats.std_dev);
         speedups.push(speedup);
@@ -97,6 +99,7 @@ pub fn run(effort: Effort, k: usize) -> ExperimentOutput {
             "pearson_r": r,
         }),
     )
+    .with_records(records)
 }
 
 #[cfg(test)]

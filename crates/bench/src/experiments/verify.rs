@@ -20,12 +20,12 @@
 //! [`failures`] is the gate; [`run`] panics when it names anything.
 
 use crate::experiments::{Effort, ExperimentOutput};
-use crate::runner::registry_graphs;
+use crate::runner::{measure, registry_graphs, Record};
 use crate::table;
 use hpsparse_core::catalog::{Row, KERNELS};
 use hpsparse_core::mutants;
 use hpsparse_core::traits::Launches;
-use hpsparse_sim::{DeviceSpec, GpuSim, Property};
+use hpsparse_sim::{DeviceSpec, Property};
 use hpsparse_verify::{sanitize_run, Report};
 use serde_json::json;
 
@@ -57,6 +57,8 @@ pub struct KernelVerdict {
     /// One line per graph whose unobserved walk reported other launches
     /// than the observed one: both sides' cycles and DRAM bytes.
     pub divergences: Vec<String>,
+    /// The unobserved walk on every graph, in graph order.
+    pub unobserved: Vec<Record>,
 }
 
 impl KernelVerdict {
@@ -123,6 +125,7 @@ pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelVerdict> {
             dynamic: Report::default(),
             failing_graphs: Vec::new(),
             divergences: Vec::new(),
+            unobserved: Vec::new(),
         };
         let _span = hpsparse_trace::span_with(
             &format!("sanitize:{id}"),
@@ -130,16 +133,21 @@ pub fn collect(device: &DeviceSpec, effort: Effort) -> Vec<KernelVerdict> {
         );
         for (graph, s) in &graphs {
             let kernel = row.auto(device, s, K);
-            let walk = |sim: &mut GpuSim| {
-                kernel
-                    .cost_on(sim, s, K)
-                    .unwrap_or_else(|e| panic!("{id} on {graph}: {e:?}"))
-            };
             let mut observed = None;
-            let report = sanitize_run(device.clone(), |sim| observed = Some(walk(sim)));
+            let report = sanitize_run(device.clone(), |sim| {
+                let launches = kernel.cost_on(sim, s, K);
+                observed = Some(launches.unwrap_or_else(|e| panic!("{id} on {graph}: {e:?}")));
+            });
             let observed = observed.expect("the sanitized walk ran");
-            let unobserved = walk(&mut GpuSim::new(device.clone()));
-            fold(&mut verdict, graph, &report, &observed, &unobserved);
+            let unobserved = measure(graph, &kernel, device, s, K);
+            fold(
+                &mut verdict,
+                graph,
+                &report,
+                &observed,
+                &unobserved.launches,
+            );
+            verdict.unobserved.push(unobserved);
         }
         verdict
     };
@@ -209,7 +217,7 @@ pub fn run(device: &DeviceSpec, effort: Effort) -> ExperimentOutput {
         "verify gate failed on {failing:?}\n{}",
         out.text
     );
-    out
+    out.with_records(verdicts.into_iter().flat_map(|v| v.unobserved).collect())
 }
 
 /// Formats the verification report.
@@ -344,6 +352,7 @@ pub fn render(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpsparse_sim::GpuSim;
 
     fn kernel(dynamic: Report) -> KernelVerdict {
         KernelVerdict {
@@ -352,6 +361,7 @@ mod tests {
             dynamic,
             failing_graphs: Vec::new(),
             divergences: Vec::new(),
+            unobserved: Vec::new(),
         }
     }
 

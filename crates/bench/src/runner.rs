@@ -1,6 +1,6 @@
-//! The one measurement every kernel figure reads — a kernel's cold launch
-//! on one input ([`Record`], made by [`measure`]) — and the Fig. 9 / Fig. 10
-//! sweep and join over such records.
+//! The one measurement every kernel walk in `repro` reads — a kernel's
+//! cold launch on one input ([`Record`], made by [`measure`]) — and the
+//! Fig. 9 / Fig. 10 sweep and join over such records.
 
 use crate::experiments::Effort;
 use hpsparse_core::catalog::{self, Kernel, Op};
@@ -8,12 +8,13 @@ use hpsparse_core::traits::Launches;
 use hpsparse_datasets::store::{self, Memo};
 use hpsparse_datasets::{full_graph_dataset, registry};
 use hpsparse_sim::{DeviceSpec, GpuSim};
-use hpsparse_sparse::{Graph, Hybrid};
+use hpsparse_sparse::{FormatError, Graph, Hybrid};
 use rayon::prelude::*;
 use std::sync::{Arc, OnceLock};
 
-/// One kernel's cold launch on one input. The device and K belong to the
-/// caller that measured it (a sweep's memo key holds them).
+/// One kernel's cold launch on one input, with its scope: the device, K,
+/// input and kernel it ran, and what else tells it apart from another walk
+/// of the same kernel on the same input in one experiment.
 #[derive(Debug, Clone)]
 pub struct Record {
     /// The input's name.
@@ -24,11 +25,24 @@ pub struct Record {
     pub kernel: &'static str,
     /// What the kernel computes.
     pub op: Op,
+    /// The device the walk ran on.
+    pub device: DeviceSpec,
+    /// Feature width.
+    pub k: usize,
+    /// A configuration or candidate id, or the input's variant; empty when
+    /// the kernel ran as the catalogue configures it on the named input.
+    pub variant: String,
     /// Every launch of the kernel's cost walk.
     pub launches: Launches,
 }
 
 impl Record {
+    /// The record with `variant` set.
+    pub fn with_variant(mut self, variant: impl Into<String>) -> Self {
+        self.variant = variant.into();
+        self
+    }
+
     /// Execution time, milliseconds (simulated device time).
     pub fn exec_ms(&self) -> f64 {
         self.launches.exec_ms()
@@ -51,6 +65,10 @@ impl Record {
     }
 }
 
+/// The records one experiment measured, in the order it made them. A
+/// sweep's records are shared by every experiment that reads the sweep.
+pub type Records = Arc<Vec<Record>>;
+
 /// The baselines of `op` that Fig. 9/10 compare HP against.
 pub fn contenders(op: Op) -> impl Iterator<Item = &'static catalog::Row> {
     let rows = catalog::KERNELS.iter();
@@ -61,16 +79,29 @@ pub fn contenders(op: Op) -> impl Iterator<Item = &'static catalog::Row> {
 /// measurement reads launch profiles only, so this is the bare cost walk:
 /// no feature matrix is built and no float computed.
 pub fn measure(graph: &str, kernel: &Kernel, device: &DeviceSpec, s: &Hybrid, k: usize) -> Record {
-    let launches = kernel
-        .cost_on(&mut GpuSim::new(device.clone()), s, k)
-        .expect("benchmark shapes are valid");
-    Record {
+    measure_on(&mut GpuSim::new(device.clone()), graph, kernel, s, k)
+        .expect("benchmark shapes are valid")
+}
+
+/// [`measure`] on a caller's simulator (cold, or with a tracer attached),
+/// or the kernel's refusal of the shape.
+pub fn measure_on(
+    sim: &mut GpuSim,
+    graph: &str,
+    kernel: &Kernel,
+    s: &Hybrid,
+    k: usize,
+) -> Result<Record, FormatError> {
+    Ok(Record {
+        launches: kernel.cost_on(sim, s, k)?,
         graph: graph.to_string(),
         nnz: s.nnz(),
         kernel: kernel.name(),
         op: kernel.op(),
-        launches,
-    }
+        device: sim.device().clone(),
+        k,
+        variant: String::new(),
+    })
 }
 
 /// [`measure`] of catalogue kernel `id`, configured for this input.

@@ -62,7 +62,6 @@ impl SpmmKernel for TcGnn {
         let o_buf = sim.alloc_output(m * k, "O");
         let meta_buf = sim.alloc_input(nnz * 2, "window_meta");
 
-        let cost = sim.device().cost;
         let k_chunks = k.div_ceil(16).max(1);
 
         let launch = LaunchConfig {
@@ -118,7 +117,7 @@ impl SpmmKernel for TcGnn {
                         k_w as u64 * 4,
                     );
                     // One TF32 MMA per (block, K-chunk).
-                    tally.tensor_mma(1, &cost);
+                    tally.tensor_mma(1);
                 }
             }
             // Write the window's output rows.

@@ -59,6 +59,8 @@ pub struct WarpCounters {
     pub atomics: u64,
     /// Warp shuffle steps.
     pub shuffles: u64,
+    /// Tensor-Core MMA instructions (TC-GNN's TF32 tiles).
+    pub tensor_mmas: u64,
     /// Bytes moved to/from global memory (for the bandwidth roofline).
     pub global_bytes: u64,
     /// Global memory transactions (sector touches, hit or miss).
@@ -75,7 +77,8 @@ pub struct WarpCounters {
 /// Cycles split by the pipeline that spent them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineCycles {
-    /// Issued instructions, shared-memory ops, atomics and shuffles.
+    /// Issued instructions, shared-memory ops, atomics, shuffles and
+    /// Tensor-Core MMAs.
     pub compute: f64,
     /// Sectors served by L2.
     pub l2: f64,
@@ -98,7 +101,8 @@ impl WarpCounters {
             compute: self.instructions as f64 * cost.issue
                 + self.shared_ops as f64 * cost.shared
                 + self.atomics as f64 * cost.atomic
-                + self.shuffles as f64 * cost.shuffle,
+                + self.shuffles as f64 * cost.shuffle
+                + self.tensor_mmas as f64 * cost.tensor_mma,
             l2: self.l2_hit_sectors as f64 * cost.l2_hit,
             dram: self.dram_sectors as f64 * cost.dram,
         }
@@ -117,6 +121,7 @@ impl WarpCounters {
         self.dram_sectors += other.dram_sectors;
         self.atomics += other.atomics;
         self.shuffles += other.shuffles;
+        self.tensor_mmas += other.tensor_mmas;
         self.global_bytes += other.global_bytes;
         self.transactions += other.transactions;
         self.descriptor_fallbacks += other.descriptor_fallbacks;
@@ -153,6 +158,7 @@ impl serde_json::ToJson for WarpCounters {
             "dram_sectors": self.dram_sectors,
             "atomics": self.atomics,
             "shuffles": self.shuffles,
+            "tensor_mmas": self.tensor_mmas,
             "global_bytes": self.global_bytes,
             "transactions": self.transactions,
             "descriptor_fallbacks": self.descriptor_fallbacks,
@@ -533,13 +539,11 @@ impl<'a> WarpTally<'a> {
         self.counters.shuffles += steps as u64;
     }
 
-    /// `n` Tensor-Core MMA instructions (TC-GNN baseline only); charged via
-    /// the instruction counter at the MMA cost ratio by the caller.
-    pub fn tensor_mma(&mut self, n: u64, cost: &CostModel) {
-        // MMA issue occupies the pipeline for `tensor_mma` cycles each; we
-        // fold it into the instruction count scaled by the cost ratio so the
-        // cycle conversion stays a single dot product.
-        self.counters.instructions += (n as f64 * cost.tensor_mma / cost.issue).ceil() as u64;
+    /// `n` Tensor-Core MMA instructions (TC-GNN baseline only), counted
+    /// apart from issued instructions and priced at `CostModel::tensor_mma`
+    /// each by [`WarpCounters::pipeline_cycles`].
+    pub fn tensor_mma(&mut self, n: u64) {
+        self.counters.tensor_mmas += n;
     }
 }
 
@@ -685,6 +689,7 @@ mod tests {
             dram_sectors: 2,
             atomics: 1,
             shuffles: 5,
+            tensor_mmas: 3,
             global_bytes: 160,
             transactions: 5,
             descriptor_fallbacks: 2,
@@ -695,7 +700,8 @@ mod tests {
             + 3.0 * cost.l2_hit
             + 2.0 * cost.dram
             + 1.0 * cost.atomic
-            + 5.0 * cost.shuffle;
+            + 5.0 * cost.shuffle
+            + 3.0 * cost.tensor_mma;
         assert!((c.cycles(&cost) - expect).abs() < 1e-12);
     }
 

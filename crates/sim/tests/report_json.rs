@@ -18,6 +18,7 @@ fn sample_counters() -> WarpCounters {
         dram_sectors: 10,
         atomics: 5,
         shuffles: 6,
+        tensor_mmas: 2,
         global_bytes: 1280,
         transactions: 40,
         descriptor_fallbacks: 3,
@@ -50,7 +51,7 @@ fn warp_counters_json_shape_is_pinned() {
     assert_eq!(
         text,
         "{\"instructions\":100,\"shared_ops\":20,\"l2_hit_sectors\":30,\
-         \"dram_sectors\":10,\"atomics\":5,\"shuffles\":6,\
+         \"dram_sectors\":10,\"atomics\":5,\"shuffles\":6,\"tensor_mmas\":2,\
          \"global_bytes\":1280,\"transactions\":40,\
          \"descriptor_fallbacks\":3}"
     );
@@ -66,7 +67,7 @@ fn launch_report_json_shape_is_pinned() {
          \"warp_occupancy\":0.5,\"tail_utilization\":0.25,\
          \"totals\":{\"instructions\":100,\"shared_ops\":20,\
          \"l2_hit_sectors\":30,\"dram_sectors\":10,\"atomics\":5,\
-         \"shuffles\":6,\"global_bytes\":1280,\"transactions\":40,\
+         \"shuffles\":6,\"tensor_mmas\":2,\"global_bytes\":1280,\"transactions\":40,\
          \"descriptor_fallbacks\":3},\
          \"l2_hit_rate\":0.75,\"max_warp_cycles\":50.0,\
          \"mean_warp_cycles\":25.0,\"dram_bound_cycles\":100,\
