@@ -1,13 +1,16 @@
 //! Candidate enumeration: the kernel space the planner searches.
 //!
-//! For SpMM the space is every HP-SpMM configuration the paper's DTP would
-//! consider (one candidate per [`NNZ_PER_WARP_CANDIDATES`] entry, HVMA
-//! vector width attached), the paper-auto configuration itself, and every
-//! baseline in the `hpsparse-core` registry. HP candidates carry their
+//! The space is the paper's kernel and its own tuning knob (§III-B): for
+//! SpMM every HP-SpMM configuration DTP would consider (one candidate per
+//! [`NNZ_PER_WARP_CANDIDATES`] entry, HVMA vector width attached) plus the
+//! paper-auto configuration itself, for SDDMM the same over HP-SDDMM, and
+//! for attention the fused kernel or the unfused pipeline. The registry
+//! baselines are not candidates; `instantiate_*` still resolves their ids,
+//! so a persisted plan that names one replays. HP candidates carry their
 //! resolved [`HpConfig`] so a cached plan replays the exact launch
 //! parameters that were chosen, not a re-derivation that could drift.
 
-use hpsparse_core::baselines::{sddmm_by_id, spmm_by_id, SDDMM_IDS, SPMM_IDS};
+use hpsparse_core::baselines::{sddmm_by_id, spmm_by_id};
 use hpsparse_core::catalog::Op;
 use hpsparse_core::hp::config::{HpConfig, NNZ_PER_WARP_CANDIDATES};
 use hpsparse_core::hp::{HpFusedMha, HpSddmm, HpSpmm};
@@ -21,11 +24,13 @@ use crate::planner::Plan;
 /// kernels, the fully resolved launch configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
-    /// Registry id (`"gespmm"`, …) or an HP id (`"hp:npw=256"`,
-    /// `"hp:auto"`, `"hp-sddmm:npw=64"`, `"hp-sddmm:auto"`).
+    /// An HP id (`"hp:npw=256"`, `"hp:auto"`, `"hp-sddmm:npw=64"`,
+    /// `"hp-sddmm:auto"`), an attention id ([`MHA_FUSED_ID`],
+    /// [`MHA_UNFUSED_ID`]), or — in a persisted plan — a registry id
+    /// (`"gespmm"`, …).
     pub kernel_id: String,
-    /// Resolved launch parameters for HP candidates; `None` for baselines
-    /// (they configure themselves).
+    /// Resolved launch parameters for HP candidates; `None` for the
+    /// unfused pipeline and registry baselines (they configure themselves).
     pub config: Option<HpConfig>,
 }
 
@@ -91,8 +96,7 @@ const HP_SDDMM_IDS: [&str; NNZ_PER_WARP_CANDIDATES.len()] = [
 
 /// `op`'s candidate space for `fp`, in its fixed enumeration order: the HP
 /// candidates at every [`NNZ_PER_WARP_CANDIDATES`] entry, the auto
-/// configuration, then the candidates that configure themselves (the
-/// registry baselines, or the unfused attention pipeline).
+/// configuration, then, for attention, the unfused pipeline.
 pub(crate) fn space(
     op: Op,
     device: &DeviceSpec,
@@ -100,17 +104,16 @@ pub(crate) fn space(
 ) -> impl Iterator<Item = CandidateRef<'static>> {
     let k = fp.k;
     let edge_parallel = || HpConfig::edge_parallel(device, fp.nnz, fp.rows, k);
-    let (hp_ids, auto_id, auto, others): (&[&str], _, _, &[&str]) = match op {
+    let (hp_ids, auto_id, auto): (&[&str], _, _) = match op {
         Op::Spmm => (
             &HP_SPMM_IDS,
             "hp:auto",
             HpConfig::auto(device, fp.nnz, fp.rows, k),
-            &SPMM_IDS,
         ),
-        Op::Sddmm => (&HP_SDDMM_IDS, "hp-sddmm:auto", edge_parallel(), &SDDMM_IDS),
+        Op::Sddmm => (&HP_SDDMM_IDS, "hp-sddmm:auto", edge_parallel()),
         // The fused kernel carries the configuration `HpFusedMha::auto`
         // would derive, so a cached plan replays it exactly.
-        Op::FusedMha => (&[], MHA_FUSED_ID, edge_parallel(), &[MHA_UNFUSED_ID]),
+        Op::FusedMha => (&[], MHA_FUSED_ID, edge_parallel()),
     };
     let hp = NNZ_PER_WARP_CANDIDATES.iter().zip(hp_ids);
     let hp = hp.map(move |(&npw, &kernel_id)| CandidateRef {
@@ -129,23 +132,23 @@ pub(crate) fn space(
         kernel_id: auto_id,
         config: Some(auto),
     };
-    let others = others.iter().map(|&kernel_id| CandidateRef {
-        kernel_id,
+    let unfused = (op == Op::FusedMha).then_some(CandidateRef {
+        kernel_id: MHA_UNFUSED_ID,
         config: None,
     });
-    hp.chain([auto]).chain(others)
+    hp.chain([auto]).chain(unfused)
 }
 
 /// Enumerates the SpMM candidate space for a fingerprinted input: every
 /// HP-SpMM configuration DTP would consider, HVMA vector width attached,
-/// then the paper-auto configuration, then the registry.
+/// then the paper-auto configuration.
 pub fn spmm_candidates(device: &DeviceSpec, fp: &GraphFingerprint) -> Vec<Candidate> {
     space(Op::Spmm, device, fp).map(Candidate::from).collect()
 }
 
 /// Enumerates the SDDMM candidate space: HP-SDDMM at every `NnzPerWarp`
 /// plus the auto configuration ([`HpConfig::edge_parallel`], whose vector
-/// width every candidate shares — it is set by K alone), then the registry.
+/// width every candidate shares — it is set by K alone).
 pub fn sddmm_candidates(device: &DeviceSpec, fp: &GraphFingerprint) -> Vec<Candidate> {
     space(Op::Sddmm, device, fp).map(Candidate::from).collect()
 }
@@ -177,9 +180,10 @@ pub fn instantiate_fused_mha<'a>(c: impl Into<CandidateRef<'a>>) -> Option<HpFus
     None
 }
 
-/// Instantiates an SpMM candidate as a runnable kernel. Returns `None` for
-/// ids this build does not know (e.g. a plan cache written by a newer
-/// version) — callers fall back to re-planning.
+/// Instantiates an SpMM candidate as a runnable kernel: an HP id at its
+/// configuration, or a registry id (a persisted plan may name one).
+/// Returns `None` for ids this build does not know (e.g. a plan cache
+/// written by a newer version) — callers fall back to re-planning.
 pub fn instantiate_spmm<'a>(c: impl Into<CandidateRef<'a>>) -> Option<Box<dyn SpmmKernel>> {
     let c = c.into();
     if c.kernel_id.starts_with("hp:") {
@@ -221,19 +225,17 @@ mod tests {
         }
     }
 
+    /// The SpMM space is HP-SpMM at every `NnzPerWarp` plus auto, each
+    /// configured; a registry id is no candidate but still instantiates.
     #[test]
-    fn spmm_space_covers_dtp_and_registry() {
+    fn spmm_space_is_hp_at_every_npw_and_auto() {
         let v100 = DeviceSpec::v100();
         let cands = spmm_candidates(&v100, &fp_for(10_000, 10_000, 100_000, 64));
-        assert_eq!(
-            cands.len(),
-            NNZ_PER_WARP_CANDIDATES.len() + 1 + SPMM_IDS.len()
-        );
-        assert!(cands.iter().any(|c| c.kernel_id == "hp:auto"));
-        assert!(cands.iter().any(|c| c.kernel_id == "hp:npw=512"));
-        assert!(cands.iter().any(|c| c.kernel_id == "gespmm"));
-        // Every candidate instantiates.
+        let ids: Vec<&str> = cands.iter().map(|c| c.kernel_id.as_str()).collect();
+        assert_eq!(ids[..HP_SPMM_IDS.len()], HP_SPMM_IDS);
+        assert_eq!(ids[HP_SPMM_IDS.len()..], ["hp:auto"]);
         for c in &cands {
+            assert!(c.config.is_some(), "{} is configured", c.kernel_id);
             assert!(
                 instantiate_spmm(c).is_some(),
                 "{} must instantiate",
@@ -241,24 +243,29 @@ mod tests {
             );
         }
         // HVMA widths attached per the paper's table, capped by K=64.
-        let npw512 = cands.iter().find(|c| c.kernel_id == "hp:npw=512").unwrap();
         assert_eq!(
-            npw512.config.unwrap().vector_width,
+            cands[0].config.unwrap().vector_width,
             2,
             "K/32 caps float4 to float2"
         );
-        let npw8 = cands.iter().find(|c| c.kernel_id == "hp:npw=8").unwrap();
-        assert_eq!(npw8.config.unwrap().vector_width, 1);
+        assert_eq!(cands[5].config.unwrap().vector_width, 1, "npw=8 is scalar");
+        for id in hpsparse_core::baselines::SPMM_IDS {
+            let c = Candidate {
+                kernel_id: id.into(),
+                config: None,
+            };
+            assert!(instantiate_spmm(&c).is_some(), "{id} replays");
+        }
     }
 
+    /// The SDDMM space likewise, over HP-SDDMM.
     #[test]
-    fn sddmm_space_covers_hp_and_registry() {
+    fn sddmm_space_is_hp_sddmm_at_every_npw_and_auto() {
         let v100 = DeviceSpec::v100();
         let cands = sddmm_candidates(&v100, &fp_for(10_000, 10_000, 100_000, 64));
-        assert_eq!(
-            cands.len(),
-            NNZ_PER_WARP_CANDIDATES.len() + 1 + SDDMM_IDS.len()
-        );
+        let ids: Vec<&str> = cands.iter().map(|c| c.kernel_id.as_str()).collect();
+        assert_eq!(ids[..HP_SDDMM_IDS.len()], HP_SDDMM_IDS);
+        assert_eq!(ids[HP_SDDMM_IDS.len()..], ["hp-sddmm:auto"]);
         for c in &cands {
             assert!(
                 instantiate_sddmm(c).is_some(),
@@ -266,15 +273,18 @@ mod tests {
                 c.kernel_id
             );
         }
-        let auto = cands
-            .iter()
-            .find(|c| c.kernel_id == "hp-sddmm:auto")
-            .unwrap();
         assert_eq!(
-            auto.config.unwrap().vector_width,
+            cands[6].config.unwrap().vector_width,
             2,
             "K=64 → float2 per Algorithm 4"
         );
+        for id in hpsparse_core::baselines::SDDMM_IDS {
+            let c = Candidate {
+                kernel_id: id.into(),
+                config: None,
+            };
+            assert!(instantiate_sddmm(&c).is_some(), "{id} replays");
+        }
     }
 
     #[test]

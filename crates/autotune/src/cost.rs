@@ -1,25 +1,27 @@
 //! Analytic cost model for the `Heuristic` planning strategy.
 //!
-//! Estimates execution cycles for every candidate from the fingerprint
-//! alone — no simulation. Three effects drive the estimate, mirroring the
-//! paper's performance analysis:
+//! Estimates the execution cycles of the paper's kernel at one launch
+//! configuration from the fingerprint alone — no simulation. The candidate
+//! space is HP-SpMM/HP-SDDMM at every `NnzPerWarp` DTP considers, and the
+//! fused or unfused attention path, so the model only compares
+//! configurations of one kernel. Two effects drive the estimate, mirroring
+//! the paper's performance analysis (§III-B):
 //!
 //! * a **bandwidth term** from the sparse-array and `nnz·K` feature
-//!   traffic (rooflined against `DeviceSpec::dram_bytes_per_cycle`),
+//!   traffic (rooflined against `DeviceSpec::dram_bytes_per_cycle`, the
+//!   feature reads filtered by an L2 reuse estimate),
 //! * a **tail penalty** from Eq. 3–4 wave arithmetic: launches whose final
-//!   wave is mostly idle get stretched by `waves · FullWaveSize / blocks`,
-//! * an **imbalance penalty** from the degree coefficient of variation for
-//!   row-parallel baselines, plus a `max_degree` critical-path floor —
-//!   the skew effects of Fig. 12 that the hybrid-parallel kernels dodge.
+//!   wave is mostly idle get stretched by `waves · FullWaveSize / blocks`.
 //!
-//! The model only has to *rank* well: the `Measured` strategy re-measures
-//! the top of this ranking on the real simulator, so accuracy matters most
-//! near the top, and the experiment's oracle-match rate keeps it honest.
+//! The `Heuristic` takes the least estimate. The `Measured` strategy walks
+//! every candidate on the simulator and uses this model only to order the
+//! walks (a good first incumbent stops the rest early) and to break ties;
+//! the experiment's oracle match and Heuristic regret keep it honest.
 
 use hpsparse_core::hp::HpConfig;
 use hpsparse_core::traits::LAUNCH_OVERHEAD_CYCLES;
 use hpsparse_sim::occupancy::tail_stretch;
-use hpsparse_sim::{occupancy_of, DeviceSpec, KernelResources, Occupancy};
+use hpsparse_sim::{occupancy_of, DeviceSpec, Occupancy};
 
 use crate::candidates::CandidateRef;
 use crate::fingerprint::GraphFingerprint;
@@ -28,7 +30,7 @@ use crate::fingerprint::GraphFingerprint;
 /// the planner can say *which* side binds rather than only their max.
 #[derive(Debug, Clone, Copy)]
 struct CostTerms {
-    /// Instruction-throughput side (tail / imbalance multipliers folded in).
+    /// Instruction-throughput side (tail stretch folded in).
     compute: f64,
     /// DRAM-traffic side.
     bandwidth: f64,
@@ -111,8 +113,10 @@ fn hp_sddmm_cycles(device: &DeviceSpec, fp: &GraphFingerprint, cfg: &HpConfig) -
     let nnz = fp.nnz as f64;
     let k = fp.k as f64;
     let occ = occupancy_of(device, &cfg.resources(fp.k));
-    let warps = cfg.num_chunks(fp.nnz) as f64;
-    let blocks = warps.div_euclid(cfg.warps_per_block as f64).max(1.0) as u64;
+    let chunks = cfg.num_chunks(fp.nnz);
+    let warps = chunks as f64;
+    // One warp per chunk, rounded up to whole blocks as the launch is.
+    let blocks = chunks.div_ceil(cfg.warps_per_block.max(1) as u64).max(1);
     let vw = cfg.vector_width as f64;
 
     // Per element: tile loads, a K-wide dot product, a warp reduction; A1
@@ -128,191 +132,6 @@ fn hp_sddmm_cycles(device: &DeviceSpec, fp: &GraphFingerprint, cfg: &HpConfig) -
         + 4.0 * nnz;
     let tail = tail_stretch(blocks, occ.full_wave_size);
     roofline(device, &occ, insts, tail, bytes)
-}
-
-/// Per-baseline modelling knobs, relative to an ideal balanced kernel.
-struct BaselineProfile {
-    /// Instruction-efficiency multiplier (scalar access, index decoding…).
-    inst: f64,
-    /// Feature-traffic multiplier (uncoalesced or padded access patterns).
-    traffic: f64,
-    /// Weight of the `degree_cv` imbalance penalty (row-parallel kernels
-    /// inherit the skew; balanced-partition kernels are immune).
-    imbalance: f64,
-    /// Whether a straggler warp processes the heaviest row alone, making
-    /// `max_degree` a critical-path floor.
-    row_critical_path: bool,
-    /// Preprocessing cost as a fraction of the base execution estimate.
-    preprocess: f64,
-}
-
-fn spmm_profile(id: &str, fp: &GraphFingerprint) -> BaselineProfile {
-    // Tensor-core / blocked formats pay for padding: the sparser the mean
-    // row relative to the tile edge, the more zeros stream from DRAM.
-    let tile_waste = |edge: f64| (edge / fp.mean_degree.max(0.25)).max(1.0);
-    match id {
-        "cusparse-csr-alg2" => BaselineProfile {
-            inst: 1.2,
-            traffic: 1.0,
-            imbalance: 0.3,
-            row_critical_path: false,
-            preprocess: 0.0,
-        },
-        "cusparse-csr-alg3" => BaselineProfile {
-            inst: 1.35,
-            traffic: 1.0,
-            imbalance: 0.05,
-            row_critical_path: false,
-            preprocess: 0.25,
-        },
-        "cusparse-coo-alg4" => BaselineProfile {
-            inst: 1.3,
-            traffic: 1.2,
-            imbalance: 0.05,
-            row_critical_path: false,
-            preprocess: 0.0,
-        },
-        "gespmm" => BaselineProfile {
-            inst: 1.0,
-            traffic: 0.9,
-            imbalance: 0.5,
-            row_critical_path: true,
-            preprocess: 0.0,
-        },
-        "row-split" => BaselineProfile {
-            inst: 1.9,
-            traffic: 1.8,
-            imbalance: 0.5,
-            row_critical_path: true,
-            preprocess: 0.0,
-        },
-        "merge-path" => BaselineProfile {
-            inst: 1.25,
-            traffic: 1.0,
-            imbalance: 0.02,
-            row_critical_path: false,
-            preprocess: 0.2,
-        },
-        "aspt" => BaselineProfile {
-            inst: 1.1,
-            traffic: 0.85,
-            imbalance: 0.1,
-            row_critical_path: false,
-            preprocess: 0.5,
-        },
-        "sputnik" => BaselineProfile {
-            inst: 1.05,
-            traffic: 0.95,
-            imbalance: 0.2,
-            row_critical_path: false,
-            preprocess: 0.2,
-        },
-        "huang" => BaselineProfile {
-            inst: 1.15,
-            traffic: 1.0,
-            imbalance: 0.08,
-            row_critical_path: false,
-            preprocess: 0.3,
-        },
-        "tcgnn" => BaselineProfile {
-            inst: 0.8,
-            traffic: tile_waste(8.0),
-            imbalance: 0.1,
-            row_critical_path: false,
-            preprocess: 0.4,
-        },
-        "cusparse-blocked-ell" => BaselineProfile {
-            inst: 0.9,
-            traffic: tile_waste(16.0),
-            imbalance: 0.1,
-            row_critical_path: false,
-            preprocess: 0.3,
-        },
-        // Unknown id: assume mediocre on everything so it never wins on
-        // paper but still gets measured if the list is short.
-        _ => BaselineProfile {
-            inst: 1.5,
-            traffic: 1.5,
-            imbalance: 0.3,
-            row_critical_path: false,
-            preprocess: 0.0,
-        },
-    }
-}
-
-fn sddmm_profile(id: &str) -> BaselineProfile {
-    match id {
-        // Edge-parallel like HP but without shared-memory tiling or the
-        // row-switch register reuse.
-        "dgl-sddmm" => BaselineProfile {
-            inst: 1.2,
-            traffic: 1.15,
-            imbalance: 0.05,
-            row_critical_path: false,
-            preprocess: 0.0,
-        },
-        // Row-per-warp with column-major A2 access.
-        "cusparse-csr-sddmm" => BaselineProfile {
-            inst: 1.4,
-            traffic: 1.5,
-            imbalance: 0.4,
-            row_critical_path: true,
-            preprocess: 0.0,
-        },
-        _ => BaselineProfile {
-            inst: 1.5,
-            traffic: 1.5,
-            imbalance: 0.3,
-            row_critical_path: false,
-            preprocess: 0.0,
-        },
-    }
-}
-
-/// Generic estimate for a non-HP kernel from its profile. Baselines are
-/// modelled as 8-warp blocks at moderate occupancy; their differentiation
-/// comes from the profile knobs, not the launch geometry.
-fn baseline_cycles(
-    device: &DeviceSpec,
-    fp: &GraphFingerprint,
-    profile: &BaselineProfile,
-) -> CostTerms {
-    let warps = fp.rows.max(1) as u64; // one warp per row
-    let nnz = fp.nnz as f64;
-    let k = fp.k as f64;
-    let res = KernelResources {
-        warps_per_block: 8,
-        registers_per_thread: 40,
-        shared_mem_per_block: 8 * 1024,
-    };
-    let occ = occupancy_of(device, &res);
-    let blocks = warps.div_ceil(8).max(1);
-
-    let insts =
-        (nnz * k / 32.0 + nnz * 2.0) * profile.inst * device.cost.issue + warps as f64 * 30.0;
-    let bytes = 12.0 * nnz
-        + 4.0 * nnz * k * l2_miss_factor(device, fp) * profile.traffic
-        + 4.0 * fp.rows as f64 * k;
-    let tail = tail_stretch(blocks, occ.full_wave_size);
-    let CostTerms {
-        mut compute,
-        bandwidth,
-    } = roofline(device, &occ, insts, tail, bytes);
-    if profile.row_critical_path {
-        // One warp walks the heaviest row alone: a hard floor on any
-        // row-parallel kernel, however many rows run beside it.
-        let critical = fp.max_degree as f64 * (k / 32.0 + 2.0) * device.cost.issue;
-        compute = compute.max(critical);
-    }
-    // The imbalance penalty applies after the roofline: straggler warps on
-    // skewed degree distributions idle compute *and* memory pipelines.
-    // Scaling both terms by it keeps `cycles()` identical to the old
-    // `max(...) * balance` formulation while preserving which side binds.
-    let scale = (1.0 + profile.imbalance * fp.degree_cv) * (1.0 + profile.preprocess);
-    CostTerms {
-        compute: compute * scale,
-        bandwidth: bandwidth * scale,
-    }
 }
 
 /// Roofline cycles of the standalone edge-softmax pass the *unfused*
@@ -340,8 +159,8 @@ fn mha_unfused_cycles(device: &DeviceSpec, fp: &GraphFingerprint, heads: usize) 
 /// lives in shared memory (no per-edge round trip), the sparse arrays are
 /// staged once per (tile, head) instead of once per kernel, and the whole
 /// batch pays a single launch overhead. Rows longer than the shared tile
-/// spill through L2; the model charges the spill launches' overhead but
-/// not their volume (the `Measured` strategy sees the real spill traffic).
+/// spill through L2 in two more launches; the model charges neither their
+/// overhead nor their volume (the `Measured` strategy walks them).
 fn mha_fused_cycles(
     device: &DeviceSpec,
     fp: &GraphFingerprint,
@@ -368,13 +187,7 @@ fn mha_fused_cycles(
             + 8.0 * fp.rows as f64 * k
             + 4.0 * nnz);
 
-    let spill_launches = if fp.max_degree > hpsparse_core::hp::fused_mha::SMEM_SCORE_CAP {
-        2.0
-    } else {
-        0.0
-    };
-    roofline(device, &occ, insts, 1.0, bytes).cycles()
-        + (1.0 + spill_launches) * LAUNCH_OVERHEAD_CYCLES as f64
+    roofline(device, &occ, insts, 1.0, bytes).cycles() + LAUNCH_OVERHEAD_CYCLES as f64
 }
 
 /// Estimated execution cycles for a multi-head-attention candidate (the
@@ -393,20 +206,6 @@ pub fn mha_cost<'a>(
     sanitize(cycles)
 }
 
-fn spmm_terms(device: &DeviceSpec, fp: &GraphFingerprint, c: CandidateRef<'_>) -> CostTerms {
-    match &c.config {
-        Some(cfg) => hp_spmm_cycles(device, fp, cfg),
-        None => baseline_cycles(device, fp, &spmm_profile(c.kernel_id, fp)),
-    }
-}
-
-fn sddmm_terms(device: &DeviceSpec, fp: &GraphFingerprint, c: CandidateRef<'_>) -> CostTerms {
-    match &c.config {
-        Some(cfg) => hp_sddmm_cycles(device, fp, cfg),
-        None => baseline_cycles(device, fp, &sddmm_profile(c.kernel_id)),
-    }
-}
-
 fn sanitize(cycles: f64) -> f64 {
     if cycles.is_finite() {
         cycles.max(0.0)
@@ -415,48 +214,36 @@ fn sanitize(cycles: f64) -> f64 {
     }
 }
 
-/// Estimated execution cycles for an SpMM candidate. Always finite and
-/// non-negative, including for degenerate (empty) inputs.
-pub fn spmm_cost<'a>(
-    device: &DeviceSpec,
-    fp: &GraphFingerprint,
-    c: impl Into<CandidateRef<'a>>,
-) -> f64 {
-    sanitize(spmm_terms(device, fp, c.into()).cycles())
+/// Estimated execution cycles of an HP-SpMM launch at `cfg`. Always
+/// finite and non-negative, including for degenerate (empty) inputs.
+pub fn spmm_cost(device: &DeviceSpec, fp: &GraphFingerprint, cfg: &HpConfig) -> f64 {
+    sanitize(hp_spmm_cycles(device, fp, cfg).cycles())
 }
 
-/// The analytic model's own verdict on which roofline side limits an SpMM
-/// candidate — `"compute"` or `"DRAM bandwidth"`, the same labels the
-/// profiler's attribution uses ([`hpsparse_sim::Bound::label`]). The
-/// heuristic planner embeds this in its rationale; the measured planner
+/// The analytic model's own verdict on which roofline side limits an
+/// HP-SpMM launch at `cfg` — `"compute"` or `"DRAM bandwidth"`, the same
+/// labels the profiler's attribution uses ([`hpsparse_sim::Bound::label`]).
+/// The heuristic planner embeds this in its rationale; the measured planner
 /// embeds the simulator-attributed verdict instead, so explanations and
 /// profiles never drift apart silently.
 ///
 /// [`hpsparse_sim::Bound::label`]: hpsparse_sim::Bound::label
-pub fn spmm_bound_hint<'a>(
-    device: &DeviceSpec,
-    fp: &GraphFingerprint,
-    c: impl Into<CandidateRef<'a>>,
-) -> &'static str {
-    spmm_terms(device, fp, c.into()).bound_label()
+pub fn spmm_bound_hint(device: &DeviceSpec, fp: &GraphFingerprint, cfg: &HpConfig) -> &'static str {
+    hp_spmm_cycles(device, fp, cfg).bound_label()
 }
 
-/// Estimated execution cycles for an SDDMM candidate.
-pub fn sddmm_cost<'a>(
-    device: &DeviceSpec,
-    fp: &GraphFingerprint,
-    c: impl Into<CandidateRef<'a>>,
-) -> f64 {
-    sanitize(sddmm_terms(device, fp, c.into()).cycles())
+/// Estimated execution cycles of an HP-SDDMM launch at `cfg`.
+pub fn sddmm_cost(device: &DeviceSpec, fp: &GraphFingerprint, cfg: &HpConfig) -> f64 {
+    sanitize(hp_sddmm_cycles(device, fp, cfg).cycles())
 }
 
 /// SDDMM twin of [`spmm_bound_hint`].
-pub fn sddmm_bound_hint<'a>(
+pub fn sddmm_bound_hint(
     device: &DeviceSpec,
     fp: &GraphFingerprint,
-    c: impl Into<CandidateRef<'a>>,
+    cfg: &HpConfig,
 ) -> &'static str {
-    sddmm_terms(device, fp, c.into()).bound_label()
+    hp_sddmm_cycles(device, fp, cfg).bound_label()
 }
 
 #[cfg(test)]
@@ -491,43 +278,35 @@ mod tests {
             fp(1, 1, 0.0, 1, 64),
         ] {
             for c in spmm_candidates(&v100, &fp) {
-                let cost = spmm_cost(&v100, &fp, &c);
+                let cost = spmm_cost(&v100, &fp, &c.config.unwrap());
                 assert!(cost.is_finite() && cost >= 0.0, "{}: {cost}", c.kernel_id);
             }
             for c in sddmm_candidates(&v100, &fp) {
-                let cost = sddmm_cost(&v100, &fp, &c);
+                let cost = sddmm_cost(&v100, &fp, &c.config.unwrap());
                 assert!(cost.is_finite() && cost >= 0.0, "{}: {cost}", c.kernel_id);
             }
         }
     }
 
+    /// An HP-SDDMM launch runs one warp per chunk in whole blocks, so a
+    /// ninth chunk at eight warps per block opens a second block: the
+    /// one-block launch's tail stretch halves and the estimate falls,
+    /// although there is one more non-zero to process.
     #[test]
-    fn skew_penalises_row_parallel_kernels() {
+    fn sddmm_tail_counts_a_partial_last_block() {
         let v100 = DeviceSpec::v100();
-        let uniform = fp(50_000, 500_000, 0.1, 15, 64);
-        let skewed = fp(50_000, 500_000, 8.0, 40_000, 64);
-        let row_split = Candidate {
-            kernel_id: "row-split".into(),
-            config: None,
+        let cfg = HpConfig {
+            nnz_per_warp: 1,
+            ..HpConfig::hvma_at(8, 32)
         };
-        let ratio_uniform = spmm_cost(&v100, &uniform, &row_split) / uniform.nnz as f64;
-        let ratio_skewed = spmm_cost(&v100, &skewed, &row_split) / skewed.nnz as f64;
+        assert_eq!(cfg.warps_per_block, 8);
+        let (eight, nine) = (fp(8, 8, 0.0, 1, 32), fp(9, 9, 0.0, 1, 32));
+        assert_eq!(sddmm_bound_hint(&v100, &nine, &cfg), "compute");
         assert!(
-            ratio_skewed > 2.0 * ratio_uniform,
-            "skew must hurt row-split: {ratio_skewed} vs {ratio_uniform}"
-        );
-    }
-
-    #[test]
-    fn hp_ranks_ahead_of_scalar_row_split_on_power_law() {
-        let v100 = DeviceSpec::v100();
-        let skewed = fp(50_000, 500_000, 4.0, 20_000, 64);
-        let cands = spmm_candidates(&v100, &skewed);
-        let auto = cands.iter().find(|c| c.kernel_id == "hp:auto").unwrap();
-        let row_split = cands.iter().find(|c| c.kernel_id == "row-split").unwrap();
-        assert!(
-            spmm_cost(&v100, &skewed, auto) < spmm_cost(&v100, &skewed, row_split),
-            "HP should beat scalar row-split on skewed graphs"
+            sddmm_cost(&v100, &nine, &cfg) < sddmm_cost(&v100, &eight, &cfg),
+            "{} vs {}",
+            sddmm_cost(&v100, &nine, &cfg),
+            sddmm_cost(&v100, &eight, &cfg)
         );
     }
 

@@ -6,7 +6,9 @@
 //! device identity — into a small stable record with a 64-bit hash key.
 //! Two inputs with equal fingerprints get the same plan, so the floats
 //! entering the hash are quantised: micro-differences in degree statistics
-//! must not fragment the cache.
+//! must not fragment the cache. The analytic model reads only the shape,
+//! `K` and the device; the degree statistics stay key inputs because a
+//! `Measured` plan depends on the matrix through its walks.
 
 use hpsparse_core::catalog::Op;
 use hpsparse_sim::DeviceSpec;
@@ -24,7 +26,7 @@ pub struct GraphFingerprint {
     pub nnz: usize,
     /// Mean row degree.
     pub mean_degree: f64,
-    /// Largest row degree — the critical path of row-parallel kernels.
+    /// Largest row degree.
     pub max_degree: usize,
     /// Population standard deviation of row degree.
     pub degree_std: f64,

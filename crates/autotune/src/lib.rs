@@ -1,10 +1,11 @@
 //! Kernel planning and autotuning for the hybrid-parallel sparse kernels.
 //!
 //! The paper's DTP/HVMA selector (`HpConfig::auto`) picks HP launch
-//! parameters analytically. This crate generalises that step into a
-//! planning subsystem that chooses *among kernels* — every HP
-//! configuration DTP would consider plus every baseline in the
-//! `hpsparse-core` registry — and remembers its decisions:
+//! parameters analytically. This crate turns that step into a planning
+//! subsystem that tunes the paper's own kernel — every `NnzPerWarp`
+//! configuration DTP would consider plus the auto one, and for attention
+//! the fused kernel or the unfused pipeline — and remembers its
+//! decisions:
 //!
 //! 1. **Fingerprinting** ([`fingerprint`]) — condense a sparse input into
 //!    the shape/skew/device features the decision depends on, with a
@@ -12,8 +13,8 @@
 //! 2. **Planning** ([`planner`], [`candidates`], [`cost`]) — one path for
 //!    SpMM, SDDMM and the attention fuse/no-fuse knob
 //!    ([`Planner::plan_for`]): rank candidates with an analytic cost model
-//!    (imbalance, tail, bandwidth), optionally re-measure the front-runners
-//!    by cost walk on the simulator, and emit an explainable [`Plan`].
+//!    (tail, bandwidth), optionally walk every candidate in that order on
+//!    the simulator, and emit an explainable [`Plan`].
 //! 3. **Caching** ([`cache`]) — plans keyed by fingerprint, hit/miss
 //!    accounted, persistable as JSON so the next process skips planning; a
 //!    loaded entry no kernel could launch with is skipped and re-planned.
@@ -59,6 +60,4 @@ pub use cost::{
 };
 pub use fingerprint::GraphFingerprint;
 pub use hpsparse_core::traits::LAUNCH_OVERHEAD_CYCLES;
-pub use planner::{
-    measure_unfused_mha, measurement_features, Pick, Plan, PlanStrategy, Planner, MEASURED_TOP_N,
-};
+pub use planner::{measure_unfused_mha, measurement_features, Pick, Plan, PlanStrategy, Planner};

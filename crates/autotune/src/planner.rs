@@ -7,16 +7,17 @@
 //!   simulator time; [`Planner::pick`] finds it in one scan that formats,
 //!   sorts and allocates nothing, and [`Planner::plan_for`] renders the
 //!   same pick's rationale.
-//! * [`PlanStrategy::Measured`] — rank heuristically, then walk the cost
-//!   of the top [`MEASURED_TOP_N`] candidates on a cold [`GpuSim`]
-//!   against the *actual* matrix and pick by measured cycles. A measurement is a cost
-//!   walk (`cost_on`): it reports exactly what a full run would and
-//!   computes no float, so planning builds no feature matrix.
-//!   The heuristic's top pick is always in the measured set, so `Measured`
-//!   never chooses a kernel worse than `Heuristic`'s (a property the test
-//!   suite pins down). The search is branch and bound: each candidate after
-//!   the first walks under a cycle budget of the best so far and stops as
-//!   soon as it provably cannot beat it; the pick is the exhaustive one.
+//! * [`PlanStrategy::Measured`] — walk the cost of every candidate (at
+//!   most seven: the paper's kernel at each `NnzPerWarp` and auto) on a
+//!   cold [`GpuSim`] against the *actual* matrix and pick by measured
+//!   cycles. A measurement is a cost walk (`cost_on`): it reports exactly
+//!   what a full run would and computes no float, so planning builds no
+//!   feature matrix. The heuristic's pick is among the walks, so
+//!   `Measured` never chooses a kernel worse than `Heuristic`'s (a
+//!   property the test suite pins down). The search is branch and bound in
+//!   the heuristic's rank order: each candidate after the first walks
+//!   under a cycle budget of the best so far and stops as soon as it
+//!   provably cannot beat it; the pick is the exhaustive one.
 //!
 //! All three operations go through one path, [`Planner::plan_for`]; an
 //! [`Op`] contributes only its candidates ([`crate::candidates`]), its
@@ -42,21 +43,14 @@ use crate::cost::{
 };
 use crate::fingerprint::GraphFingerprint;
 
-/// How many heuristic front-runners [`PlanStrategy::Measured`] walks: 12
-/// of the 18 SpMM candidates, wide enough that the analytic model only has
-/// to keep the true winner out of the bottom third. Fused attention has two
-/// candidates, so it measures both.
-pub const MEASURED_TOP_N: usize = 12;
-
 /// How the planner searches the candidate space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlanStrategy {
     /// Analytic cost model only — instant, no simulation.
     Heuristic,
-    /// Measure the [`MEASURED_TOP_N`] heuristic candidates — plus the
-    /// paper-auto incumbent, wherever it ranked — on the simulator with the
-    /// actual matrix; pick by measured cycles (exec + preprocessing). The
-    /// default.
+    /// Measure every candidate on the simulator with the actual matrix, in
+    /// heuristic rank order; pick by measured cycles (exec +
+    /// preprocessing). The default.
     #[default]
     Measured,
 }
@@ -65,9 +59,11 @@ pub enum PlanStrategy {
 /// to run, with what configuration, and why.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
-    /// Candidate id (`"hp:npw=256"`, `"hp:auto"`, `"gespmm"`, …).
+    /// Candidate id (`"hp:npw=256"`, `"hp:auto"`, …; a seeded or loaded
+    /// plan may name a registry baseline, `"gespmm"`, …).
     pub kernel_id: String,
-    /// Resolved HP launch parameters; `None` for baseline kernels.
+    /// Resolved HP launch parameters; `None` for the unfused attention
+    /// pipeline and baseline kernels.
     pub config: Option<HpConfig>,
     /// Cycles the planner expects: measured cycles under
     /// [`PlanStrategy::Measured`], the analytic estimate under
@@ -112,13 +108,13 @@ fn model(op: Op) -> OpModel {
     match op {
         Op::Spmm => OpModel {
             span: "autotune:plan-spmm",
-            cost: |device, fp, _, c| spmm_cost(device, fp, c),
-            bound_hint: Some(|device, fp, c| spmm_bound_hint(device, fp, c)),
+            cost: |device, fp, _, c| configured(c, |cfg| spmm_cost(device, fp, cfg)),
+            bound_hint: Some(spmm_bound_hint),
         },
         Op::Sddmm => OpModel {
             span: "autotune:plan-sddmm",
-            cost: |device, fp, _, c| sddmm_cost(device, fp, c),
-            bound_hint: Some(|device, fp, c| sddmm_bound_hint(device, fp, c)),
+            cost: |device, fp, _, c| configured(c, |cfg| sddmm_cost(device, fp, cfg)),
+            bound_hint: Some(sddmm_bound_hint),
         },
         Op::FusedMha => OpModel {
             span: "autotune:plan-mha",
@@ -126,6 +122,12 @@ fn model(op: Op) -> OpModel {
             bound_hint: None,
         },
     }
+}
+
+/// An HP candidate's analytic estimate by `cost`. Every SpMM and SDDMM
+/// candidate is configured; an unconfigured one ranks last.
+fn configured(c: CandidateRef<'_>, cost: impl FnOnce(&HpConfig) -> f64) -> f64 {
+    c.config.map_or(f64::INFINITY, |cfg| cost(&cfg))
 }
 
 /// One measurement of `c` for `op` on `s` on `sim`, which starts cold:
@@ -174,9 +176,10 @@ struct OpModel {
     span: &'static str,
     /// The estimate candidates are ranked by, at a given head count.
     cost: fn(&DeviceSpec, &GraphFingerprint, usize, CandidateRef<'_>) -> f64,
-    /// Which roofline side the model says binds a candidate; `None` for
-    /// attention, whose model sums launches and has no one side to name.
-    bound_hint: Option<fn(&DeviceSpec, &GraphFingerprint, CandidateRef<'_>) -> &'static str>,
+    /// Which roofline side the model says binds an HP configuration;
+    /// `None` for attention, whose model sums launches and has no one side
+    /// to name.
+    bound_hint: Option<fn(&DeviceSpec, &GraphFingerprint, &HpConfig) -> &'static str>,
 }
 
 /// Plans kernels for sparse inputs on a fixed device.
@@ -259,8 +262,8 @@ impl Planner {
             let others = space(op, &self.device, fp).filter(|c| c.kernel_id != id);
             let candidates = space(op, &self.device, fp).count();
             let mut plan = heuristic_plan(fp, candidates, pick, first_min(others, cost));
-            if let Some(bound_hint) = model.bound_hint {
-                let hint = bound_hint(&self.device, fp, pick.candidate);
+            if let (Some(bound_hint), Some(cfg)) = (model.bound_hint, pick.candidate.config) {
+                let hint = bound_hint(&self.device, fp, &cfg);
                 plan.rationale
                     .push_str(&format!("; model-side bound: {hint}"));
             }
@@ -299,10 +302,10 @@ impl Planner {
         }
     }
 
-    /// Measures the top [`MEASURED_TOP_N`] ranked candidates with `measure`
-    /// (one cold simulator run each, returning cycles plus an optional
-    /// bottleneck verdict from [`hpsparse_sim::attribute`] on the run's
-    /// report) and picks the cheapest; falls back to the heuristic winner
+    /// Measures the ranked candidates in order with `measure` (one cold
+    /// simulator run each, returning cycles plus an optional bottleneck
+    /// verdict from [`hpsparse_sim::attribute`] on the run's report) and
+    /// picks the cheapest; falls back to the heuristic winner
     /// if nothing is measurable (degenerate inputs). The winner's verdict
     /// is appended to the rationale, so a measured plan explains its choice
     /// with exactly the words `repro -- profile` would use for the same
@@ -332,13 +335,6 @@ impl Planner {
         let mut measured = 0usize;
         let mut walked: Vec<(&str, HpConfig)> = Vec::new();
         for (rank_idx, (_, cand)) in ranked.iter().enumerate() {
-            // The paper-auto incumbent is always measured, wherever the
-            // heuristic ranked it: the tuned choice can then never be
-            // slower than `HpConfig::auto`'s.
-            let incumbent = matches!(cand.kernel_id, "hp:auto" | "hp-sddmm:auto");
-            if rank_idx >= MEASURED_TOP_N && !incumbent {
-                continue;
-            }
             if let Some(config) = cand.config {
                 let family = cand.kernel_id.split(':').next().unwrap_or_default();
                 if walked.contains(&(family, config)) {
@@ -535,6 +531,7 @@ fn unfused_mha_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpsparse_core::hp::config::NNZ_PER_WARP_CANDIDATES;
     use hpsparse_core::hp::HpFusedMha;
 
     fn graph(seed: u64, rows: u32, nnz: u32) -> Hybrid {
@@ -555,7 +552,7 @@ mod tests {
         let v100 = DeviceSpec::v100();
         let fp = GraphFingerprint::of(&graph(2, 500, 3_000), 32, &v100);
         let cost = |c: CandidateRef<'_>| match c.kernel_id {
-            "hp:npw=128" | "gespmm" => 1.0,
+            "hp:npw=128" | "hp:npw=8" => 1.0,
             "hp:auto" => 1.5,
             _ => 2.0,
         };
@@ -565,9 +562,9 @@ mod tests {
         assert_eq!(ranked[0], (est, pick));
         let others = space(Op::Spmm, &v100, &fp).filter(|c| c.kernel_id != pick.kernel_id);
         assert_eq!(first_min(others, cost), Some(ranked[1]));
-        assert_eq!(ranked[1].1.kernel_id, "gespmm");
+        assert_eq!(ranked[1].1.kernel_id, "hp:npw=8");
         // Signed zeros are ordered as the sort orders them.
-        let zeros = |c: CandidateRef<'_>| if c.kernel_id == "gespmm" { -0.0 } else { 0.0 };
+        let zeros = |c: CandidateRef<'_>| if c.kernel_id == "hp:npw=8" { -0.0 } else { 0.0 };
         let (_, pick) = first_min(space(Op::Spmm, &v100, &fp), zeros).unwrap();
         assert_eq!(pick, rank(space(Op::Spmm, &v100, &fp), zeros)[0].1);
         assert_eq!(first_min(space(Op::Spmm, &v100, &fp).take(0), cost), None);
@@ -589,17 +586,15 @@ mod tests {
         let s = graph(2, 500, 3_000);
         let mut p = Planner::new(DeviceSpec::v100(), PlanStrategy::Measured);
         let plan = p.plan_spmm(&s, 32);
-        // The shortlist by heuristic, plus the hp:auto incumbent if it
-        // ranked below it, less one walk when it and its `hp:npw=…` twin
-        // both made the list.
-        let (n, launches) = (MEASURED_TOP_N as u64, p.sim_launches());
-        assert!((n - 1..=n + 1).contains(&launches), "{launches}");
+        // Every candidate but `hp:auto` or its `hp:npw=…` twin, whichever
+        // ranked second.
+        assert_eq!(p.sim_launches(), NNZ_PER_WARP_CANDIDATES.len() as u64);
         assert!(p.planning_cycles() > 0);
         assert!(plan.predicted_cycles > 0);
-        assert!(plan.rationale.contains("/18 candidates on cold"));
+        assert!(plan.rationale.contains("measured 6/7 candidates on cold"));
     }
 
-    /// Branch and bound on a closed form: a shortlisted candidate that
+    /// Branch and bound on a closed form: a candidate that
     /// cannot beat the best so far stops there and is charged exactly that
     /// best; any other is walked in full and charged its cycles. The plan
     /// is the exhaustive search's, and at least one walk was cut short.
@@ -611,13 +606,11 @@ mod tests {
         let plan = p.plan_spmm(&s, k);
 
         let fp = GraphFingerprint::of(&s, k, &v100);
-        let ranked = rank(space(Op::Spmm, &v100, &fp), |c| spmm_cost(&v100, &fp, c));
+        let cost = model(Op::Spmm).cost;
+        let ranked = rank(space(Op::Spmm, &v100, &fp), |c| cost(&v100, &fp, 1, c));
         let (mut best, mut charged, mut exhaustive, mut walks) = (None, 0, 0, 0);
         let mut configs = Vec::new();
-        for (i, &(_, c)) in ranked.iter().enumerate() {
-            if i >= MEASURED_TOP_N && c.kernel_id != "hp:auto" {
-                continue;
-            }
+        for &(_, c) in &ranked {
             // Every HP candidate is of one family: a repeated config is
             // the twin the planner does not walk again.
             if c.config.is_some() && configs.contains(&c.config) {
@@ -801,7 +794,10 @@ mod tests {
 
     /// `(head_dim, heads)` ∈ {0, 1}², Heuristic then Measured: kernel id,
     /// predicted cycles and FNV-1a of the rationale, recorded before the
-    /// fused measurement became a cost walk (PR 20). A zero head count or
+    /// fused measurement became a cost walk; the rationale hashes
+    /// were re-recorded once, when the HP-SDDMM estimate began rounding its
+    /// block count up as the launch does (the rationale quotes the unfused
+    /// pipeline's estimate, which holds an HP-SDDMM). A zero head count or
     /// width is refused by the fused kernel with a typed error, so the
     /// planner measures what remains or falls back to the model — it never
     /// panics.
@@ -810,13 +806,13 @@ mod tests {
         const FUSED: &str = crate::candidates::MHA_FUSED_ID;
         const UNFUSED: &str = crate::candidates::MHA_UNFUSED_ID;
         let recorded = [
-            (FUSED, 5147, 0xabb51da6e3d9ea61),
-            (FUSED, 5147, 0xabb51da6e3d9ea61),
-            (FUSED, 5161, 0xf64836d10016995e),
-            (FUSED, 5161, 0xf64836d10016995e),
-            (FUSED, 5147, 0x401e0d4c7bb837db),
-            (UNFUSED, 17074, 0x89c45fabdd8184d9),
-            (FUSED, 5161, 0x6bcf7be170e481e0),
+            (FUSED, 5147, 0xabb191a6e3d6c6a6),
+            (FUSED, 5147, 0xabb191a6e3d6c6a6),
+            (FUSED, 5161, 0xf644b4d1001386a1),
+            (FUSED, 5161, 0xf644b4d1001386a1),
+            (FUSED, 5147, 0x401a8d4c7bb52884),
+            (UNFUSED, 17074, 0x19430c3a872d158),
+            (FUSED, 5161, 0x6bcbfde170e175ef),
             (FUSED, 7000, 0x621bd845e2b67dd9),
         ];
         let s = graph(4, 800, 6_000);

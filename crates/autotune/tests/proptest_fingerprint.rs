@@ -70,11 +70,11 @@ proptest! {
         let v100 = DeviceSpec::v100();
         let fp = GraphFingerprint::of(&s, k, &v100);
         for c in spmm_candidates(&v100, &fp) {
-            let cost = spmm_cost(&v100, &fp, &c);
+            let cost = spmm_cost(&v100, &fp, &c.config.unwrap());
             prop_assert!(cost.is_finite() && cost >= 0.0);
         }
         for c in sddmm_candidates(&v100, &fp) {
-            let cost = sddmm_cost(&v100, &fp, &c);
+            let cost = sddmm_cost(&v100, &fp, &c.config.unwrap());
             prop_assert!(cost.is_finite() && cost >= 0.0);
         }
     }

@@ -1,11 +1,13 @@
 //! `autotune` — evaluates the `hpsparse-autotune` planning subsystem.
 //!
 //! Part 1, full-graph registry (19 graphs, K = 64): every SpMM/SDDMM
-//! candidate is walked cold once, and those records are the ground truth
-//! every score folds: the per-graph *oracle* (best possible kernel), the
-//! `Measured` planner's oracle match, the `Heuristic` pick's walked cycles,
-//! regret and prediction error, and the best *fixed* baseline kernel pair
-//! chosen in hindsight across the whole registry. `AutoBackend` is raced
+//! candidate of the planner and every catalogue baseline is walked cold
+//! once, and those records are the ground truth every score folds: the
+//! per-graph *oracle* (best possible kernel, baselines included, so a
+//! baseline that beats the planner shows as a miss), the `Measured`
+//! planner's oracle match, the `Heuristic` pick's walked cycles, regret
+//! and prediction error, and the best *fixed* baseline kernel pair chosen
+//! in hindsight across the whole registry. `AutoBackend` is raced
 //! end-to-end against `HpBackend` (always-HP, the paper's selector) and
 //! that fixed pair.
 //!
@@ -21,7 +23,7 @@ use hpsparse_autotune::{
     instantiate_sddmm, instantiate_spmm, measurement_features, sddmm_candidates, spmm_candidates,
     GraphFingerprint, PlanStrategy, Planner,
 };
-use hpsparse_core::catalog::{Kernel, Op};
+use hpsparse_core::catalog::{Kernel, Op, KERNELS};
 use hpsparse_datasets::store;
 use hpsparse_gnn::{AutoBackend, HpBackend, SparseBackend};
 use hpsparse_sim::{DeviceSpec, GpuSim};
@@ -111,19 +113,28 @@ pub struct GraphResult {
     pub planning_cycles: u64,
 }
 
-/// Every SpMM then SDDMM candidate's cold walk on one graph, in
-/// enumeration order, scoped by candidate id; a candidate that does not
-/// instantiate or refuses the shape has none. A walk is a cost walk, as
-/// the planner's own measurements are.
+/// Every SpMM then SDDMM candidate's cold walk on one graph: per
+/// operation the planner's space in enumeration order, scoped by candidate
+/// id, then the operation's catalogue baselines, which the planner does
+/// not consider, scoped by catalogue id. A kernel that refuses the shape
+/// has no walk. A walk is a cost walk, as the planner's own measurements
+/// are.
 fn candidate_walks(device: &DeviceSpec, graph: &str, s: &Hybrid, k: usize) -> Vec<Record> {
     let fp = GraphFingerprint::of(s, k, device);
+    let baselines = |op| {
+        let rows = KERNELS.iter().filter(move |row| row.op == op);
+        let rows = rows.filter(|row| !row.id.starts_with("hp-"));
+        rows.map(|row| (row.auto(device, s, k), row.id.to_string()))
+    };
     let spmm = spmm_candidates(device, &fp)
         .into_iter()
         .filter_map(|c| Some((Kernel::Spmm(instantiate_spmm(&c)?), c.kernel_id)));
     let sddmm = sddmm_candidates(device, &fp)
         .into_iter()
         .filter_map(|c| Some((Kernel::Sddmm(instantiate_sddmm(&c)?), c.kernel_id)));
-    spmm.chain(sddmm)
+    spmm.chain(baselines(Op::Spmm))
+        .chain(sddmm)
+        .chain(baselines(Op::Sddmm))
         .filter_map(|(kernel, id)| {
             let sim = &mut GpuSim::new(device.clone());
             Some(measure_on(sim, graph, &kernel, s, k).ok()?.with_variant(id))
@@ -147,7 +158,7 @@ fn oracle_of(walks: &[Record], op: Op) -> (&str, u64) {
         .unwrap_or(("none", 0))
 }
 
-/// The registry baseline of `op` (no HP candidate) that walked on every
+/// The catalogue baseline of `op` (no HP candidate) that walked on every
 /// graph with the lowest total cycles — the strongest *single* kernel one
 /// could have hard-coded; the first in enumeration order on a tie.
 fn best_fixed(per_graph: &[Vec<Record>], op: Op) -> Option<&str> {
@@ -532,17 +543,26 @@ mod tests {
     #[test]
     fn acceptance_oracle_match_and_never_worse() {
         let out = run(&DeviceSpec::v100(), Effort::Quick, 64);
-        // ≥ 90% oracle match for the Measured planner on the registry.
-        assert!(
-            out.json["oracle_match_rate_spmm"].as_f64().unwrap() >= 0.9,
-            "SpMM oracle-match rate too low:\n{}",
-            out.text
-        );
-        assert!(
-            out.json["oracle_match_rate"].as_f64().unwrap() >= 0.9,
-            "combined oracle-match rate too low:\n{}",
-            out.text
-        );
+        // The scope tripwire: every Measured plan matches the oracle. The
+        // planner's space is the paper's kernel alone, which is right only
+        // while no catalogue baseline walks faster than its plan; the
+        // oracle covers every baseline's walk, so a miss names the baseline
+        // that wins. When one does (Blocked-ELL's walk reading the right
+        // feature rows, a model change), revisit the scope.
+        for g in out.json["graphs"].as_array().unwrap() {
+            for (matched, oracle) in [
+                ("spmm_match", "spmm_oracle"),
+                ("sddmm_match", "sddmm_oracle"),
+            ] {
+                assert_eq!(
+                    g[matched].as_bool(),
+                    Some(true),
+                    "{}: {} beats the plan",
+                    g["graph"],
+                    g[oracle]
+                );
+            }
+        }
         // AutoBackend never loses to the always-HP backend on any graph.
         assert_eq!(
             out.json["auto_never_worse_than_hp"].as_bool(),

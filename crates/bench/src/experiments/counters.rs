@@ -4,7 +4,10 @@
 //! is listed under the first). A row holds the launch's scope —
 //! experiment / device / K / graph / kernel [/ variant] / launch — as its
 //! `id`, then cycles, DRAM bytes, L2 hit rate, tail utilisation, imbalance
-//! and [`attribute`]'s verdict. It launches nothing itself: it reads its
+//! and [`attribute`]'s verdict — `null` for a report in which no warp
+//! issued an instruction (a host pass, such as Sputnik's row sort, or an
+//! empty launch), which has no GPU resource to be bound by. It launches
+//! nothing itself: it reads its
 //! sources' records, and [`Experiment::execute`](super::Experiment::execute)
 //! runs each source once per process, so inside `all` the join costs no
 //! simulation.
@@ -56,7 +59,7 @@ fn row(experiment: &str, r: &Record, role: &str, report: &LaunchReport) -> serde
         "l2_hit_rate": report.l2_hit_rate,
         "tail_utilization": report.tail_utilization,
         "imbalance": report.imbalance(),
-        "bound": attribute(report, &r.device).verdict(),
+        "bound": (report.totals.instructions > 0).then(|| attribute(report, &r.device).verdict()),
     })
 }
 

@@ -123,6 +123,39 @@ fn a_one_sector_change_in_one_record_changes_exactly_its_row() {
     assert!(changed[0].1.contains(want), "{changed:#?}");
 }
 
+/// A host pass runs no warps, so its row gives no GPU verdict, while the
+/// kernel's own launch and a preprocessing kernel that runs on the device
+/// (Merge-path's partition search) keep theirs.
+#[test]
+fn a_host_pass_has_no_bound_and_a_device_launch_has_one() {
+    let s = GeneratorConfig {
+        nodes: 300,
+        edges: 2_000,
+        topology: Topology::PowerLaw { alpha: 2.2 },
+        seed: 3,
+    }
+    .generate()
+    .to_hybrid();
+    let v100 = DeviceSpec::v100();
+    let records = ["sputnik", "merge-path"].map(|id| measure_id("g", id, &v100, &s, 32));
+    let view = view_of(&[("x", vec![Arc::new(records.into())])]);
+    let parsed: Value = serde_json::from_str(&view).unwrap();
+    let bounds: Vec<(&str, &Value)> = rows(&parsed)
+        .into_iter()
+        .map(|row| (id(row), &row["bound"]))
+        .collect();
+    let verdict = |b: &Value| b.as_str().is_some_and(|v| v.contains("% headroom"));
+    assert_eq!(bounds.len(), 4, "{view}");
+    assert_eq!(
+        bounds[0].0,
+        "x / Tesla V100 / K=32 / g / Sputnik / preprocess"
+    );
+    assert_eq!(*bounds[0].1, Value::Null, "{view}");
+    for (id, bound) in &bounds[1..] {
+        assert!(verdict(bound), "{id}: {bound}");
+    }
+}
+
 #[test]
 fn perfdiff_at_tolerance_zero_names_the_row_whose_dram_sectors_moved() {
     let line = COMMITTED

@@ -15,8 +15,13 @@ use hpsparse_serve::{
 
 const K: usize = 16;
 
-/// Recorded from commit e1ef598 (the parent of the rewrite).
-const OUTPUT_BITS_FNV: u64 = 10_515_987_565_995_712_053;
+/// Recorded from commit e1ef598 (the parent of the rewrite). The output
+/// hash was re-recorded once, when the planner's candidate space became
+/// the paper's kernel alone: 19 of the 121 batches, which the Heuristic
+/// had sent to GE-SpMM or cuSPARSE COO ALG4 on both clusters, now run
+/// HP-SpMM, which adds each row's products in a different order. The other
+/// three numbers did not move.
+const OUTPUT_BITS_FNV: u64 = 1_499_378_601_948_404_184;
 const P99_CYCLES: u64 = 134_128;
 const NUM_BATCHES: usize = 121;
 const HALO_BYTES: u64 = 54_016;
